@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check chaos chaos-net bench bench-smoke fuzz fuzz-smoke cover vet fmt experiments clean
+.PHONY: all build test test-short race check chaos chaos-net bench bench-smoke fuzz fuzz-smoke cover vet fmt fmt-check experiments clean
 
 all: build test
 
@@ -18,14 +18,15 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-# Tier-1 gate: build + full tests, vet (plus staticcheck when it is on
-# PATH — it is not vendored, so its absence only prints a notice),
+# Tier-1 gate: build + full tests, gofmt (any unformatted file fails),
+# vet (plus staticcheck when it is on PATH — it is not vendored, so its
+# absence only prints a notice),
 # race-enabled tests for the concurrent packages (server, plan cache,
 # db store, core worker pool, db index, trace ring), the seeded
 # differential fuzz corpus, the coverage floors, and a one-iteration
 # smoke run of the evaluation benchmarks plus the BENCH_eval.json
 # freshness gate.
-check: build test bench-smoke fuzz-smoke cover chaos-net
+check: build fmt-check test bench-smoke fuzz-smoke cover chaos-net
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 	$(GO) test -race ./internal/server ./internal/plancache ./internal/store ./internal/core ./internal/db ./internal/rewrite ./internal/trace ./internal/shard ./internal/sym ./internal/colstore ./internal/counting
@@ -81,6 +82,11 @@ fuzz-smoke:
 vet:
 	$(GO) vet ./...
 	gofmt -l .
+
+# Fails when gofmt would rewrite any file, listing the offenders.
+fmt-check:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # Coverage with per-package floors on the packages this repo's
 # correctness leans on hardest: the trace layer (observability must not

@@ -89,7 +89,7 @@ func benchmarkCertainFO(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rewrite.Certain(q, d); err != nil {
+		if _, err := core.Certain(q, d, core.Options{Engine: core.EngineFO}); err != nil {
 			b.Fatal(err)
 		}
 	}

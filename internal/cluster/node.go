@@ -50,6 +50,9 @@ func Exec(ctx context.Context, cache *plancache.Cache, st *store.Store, req *Eva
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown database %q", ErrUnavailable, req.DB)
 	}
+	if err := core.CheckSignatures(plan.Query, snap.DB); err != nil {
+		return nil, &RequestError{Code: "signature_mismatch", Msg: err.Error()}
+	}
 	opts := core.Options{
 		Engine:      engine,
 		MaxSteps:    req.MaxSteps,

@@ -4,7 +4,7 @@
 // as contiguous row spans over key-sorted columns, and a ground-key →
 // block open-addressing hash table probed without allocating. The
 // package knows nothing about databases or queries; internal/db builds
-// one Rel per regular relation and keeps the row-oriented []Fact API as
+// one Rel per relation and keeps the row-oriented []Fact API as
 // the compatibility surface.
 package colstore
 

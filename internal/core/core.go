@@ -29,6 +29,7 @@ import (
 	"cqa/internal/match"
 	"cqa/internal/query"
 	"cqa/internal/rewrite"
+	"cqa/internal/schema"
 	"cqa/internal/shard"
 	"cqa/internal/trace"
 )
@@ -193,6 +194,37 @@ type Result struct {
 	Fraction    float64 // meaningful only when Approximate
 }
 
+// SignatureError reports a query atom whose relation the database stores
+// under a different signature (arity, key length, or mode). Evaluating
+// anyway would be silently wrong — or would index past the stored
+// columns — so every evaluation entry point refuses first.
+type SignatureError struct {
+	// Stored is the signature the database holds for the relation;
+	// Query is the one the query's atom declares.
+	Stored, Query schema.Relation
+}
+
+func (e *SignatureError) Error() string {
+	got, want := e.Stored, e.Query
+	return fmt.Sprintf("relation %s: stored signature [arity %d, key %d, mode %s] differs from the query's [arity %d, key %d, mode %s]",
+		want.Name, got.Arity, got.KeyLen, got.Mode, want.Arity, want.KeyLen, want.Mode)
+}
+
+// CheckSignatures verifies that every relation of q the database holds facts
+// for carries the signature q's atom declares, returning a *SignatureError
+// on the first mismatch. It is one map lookup per atom and allocates
+// nothing on success, so the evaluation entry points run it on every
+// request. Uploads infer signatures from the bar syntax, so a mismatch
+// means the data and the query disagree about keys or modes.
+func CheckSignatures(q query.Query, d *db.DB) error {
+	for _, a := range q.Atoms {
+		if stored, ok := d.Signature(a.Rel.Name); ok && stored != a.Rel {
+			return &SignatureError{Stored: stored, Query: a.Rel}
+		}
+	}
+	return nil
+}
+
 // Certain decides whether every repair of d satisfies q. It is a thin
 // wrapper that compiles a Plan and runs it once; callers that evaluate
 // the same query against many databases should Compile once (or use a
@@ -221,6 +253,9 @@ func CertainCtx(ctx context.Context, q query.Query, d *db.DB, opts Options) (Res
 func FalsifyingRepair(q query.Query, d *db.DB) (repair []db.Fact, found bool, err error) {
 	if !q.SelfJoinFree() {
 		return nil, false, fmt.Errorf("core: %s has a self-join", q)
+	}
+	if err := CheckSignatures(q, d); err != nil {
+		return nil, false, err
 	}
 	r, ok, _ := conp.FalsifyingRepair(q, d)
 	return r, ok, nil

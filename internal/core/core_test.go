@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -203,5 +206,46 @@ func TestRewritingFacade(t *testing.T) {
 	}
 	if _, err := Rewriting(workload.Q0()); err == nil {
 		t.Error("cyclic query should have no rewriting")
+	}
+}
+
+// TestSignatureMismatchTypedError: every library entry point refuses a
+// database that stores a relation of the query under another signature
+// with a *SignatureError naming both signatures — under every engine, and
+// on the sharded path too — instead of panicking inside an engine.
+func TestSignatureMismatchTypedError(t *testing.T) {
+	d, err := db.ParseFacts(nil, "R(a | b)\nS(b | c)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantText = "relation R: stored signature [arity 2, key 1, mode i] differs from the query's [arity 3, key 1, mode i]"
+	check := func(name string, err error) {
+		t.Helper()
+		var se *SignatureError
+		if !errors.As(err, &se) || err.Error() != wantText {
+			t.Errorf("%s: err = %v, want *SignatureError %q", name, err, wantText)
+		}
+	}
+	ctx := context.Background()
+	for _, qs := range []string{"R(x | y, z)", "R(x | y, z), S(y | w)"} {
+		q := query.MustParse(qs)
+		for _, e := range []Engine{EngineAuto, EngineFO, EnginePTime, EngineCoNP, EngineNaive} {
+			_, err := Certain(q, d, Options{Engine: e})
+			check(fmt.Sprintf("Certain(%s, %v)", qs, e), err)
+		}
+		_, err := CertainCtx(ctx, q, d, Options{Shards: 3})
+		check("CertainCtx sharded", err)
+		_, err = CertainAnswers(q, []query.Var{"x"}, d, Options{})
+		check("CertainAnswers", err)
+		_, err = CertainAnswersCtx(ctx, q, []query.Var{"y"}, d, Options{Shards: 3})
+		check("CertainAnswersCtx sharded", err)
+		_, err = CountCtx(ctx, q, d, Options{})
+		check("CountCtx", err)
+		_, _, err = FalsifyingRepair(q, d)
+		check("FalsifyingRepair", err)
+	}
+	// A relation the database does not hold constrains nothing.
+	if _, err := Certain(query.MustParse("T(x | y, z)"), d, Options{}); err != nil {
+		t.Errorf("absent relation: %v", err)
 	}
 }

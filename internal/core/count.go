@@ -43,7 +43,12 @@ func (p *Plan) CountIndexed(ix *match.Index, opts Options) (CountResult, error) 
 // confidence interval instead of an exact Satisfying count. Without
 // Approximate an oversized component is a counting.ErrComponentTooLarge
 // error. The counter is not sharded; opts.Shards/ShardPool are ignored.
+// A signature mismatch between the query and the stored data is refused
+// with a *SignatureError.
 func (p *Plan) CountIndexedCtx(ctx context.Context, ix *match.Index, opts Options) (CountResult, error) {
+	if err := CheckSignatures(p.Query, ix.DB); err != nil {
+		return CountResult{}, err
+	}
 	chk := evalctx.NewTraced(ctx, evalctx.Limits{MaxSteps: opts.MaxSteps, MemoCap: opts.MemoCap}, opts.Tracer)
 	if err := chk.Check(); err != nil {
 		return CountResult{}, err

@@ -110,8 +110,12 @@ func (p *Plan) CertainIndexed(ix *match.Index, opts Options) (Result, error) {
 // (or evalctx.ErrBudgetExceeded) instead of a wrong boolean when cut
 // short. When the coNP engine exhausts its step budget and
 // opts.Approximate is set, the decision degrades to repair sampling and
-// the Result reports Approximate=true.
+// the Result reports Approximate=true. A database storing a relation of
+// the query under another signature is refused with a *SignatureError.
 func (p *Plan) CertainIndexedCtx(ctx context.Context, ix *match.Index, opts Options) (Result, error) {
+	if err := CheckSignatures(p.Query, ix.DB); err != nil {
+		return Result{}, err
+	}
 	chk := evalctx.NewTraced(ctx, evalctx.Limits{MaxSteps: opts.MaxSteps, MemoCap: opts.MemoCap}, opts.Tracer)
 	if pool, cleanup := shardedPool(ix, opts); pool != nil {
 		defer cleanup()
@@ -135,11 +139,7 @@ func (p *Plan) certainChecked(ctx context.Context, ix *match.Index, opts Options
 		if p.HasCycle {
 			return Result{}, fmt.Errorf("core: attack graph of %s is cyclic; CERTAINTY is not in FO", p.Query)
 		}
-		if p.Elim != nil {
-			res.Certain, err = p.Elim.CertainChecked(ix, nil, chk)
-		} else {
-			res.Certain = rewrite.CertainAcyclic(p.Query, ix.DB)
-		}
+		res.Certain, err = p.Elim.CertainChecked(ix, nil, chk)
 	case EnginePTime:
 		if p.HasStrongCycle {
 			return Result{}, fmt.Errorf("core: attack graph of %s has a strong cycle; CERTAINTY is coNP-complete", p.Query)
@@ -222,13 +222,17 @@ func (p *Plan) CertainAnswersIndexed(free []query.Var, ix *match.Index, opts Opt
 // same step budget. On cancellation or budget exhaustion the feeding
 // loop stops, the workers drain and exit — no goroutine outlives the
 // call — and the request returns the checker's error, never a partial
-// answer set.
+// answer set. A signature mismatch between the query and the stored
+// data is refused with a *SignatureError.
 func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, ix *match.Index, opts Options) ([]query.Valuation, error) {
 	vars := p.Query.Vars()
 	for _, v := range free {
 		if !vars.Has(v) {
 			return nil, fmt.Errorf("core: free variable %s does not occur in %s", v, p.Query)
 		}
+	}
+	if err := CheckSignatures(p.Query, ix.DB); err != nil {
+		return nil, err
 	}
 	chk := evalctx.NewTraced(ctx, evalctx.Limits{MaxSteps: opts.MaxSteps, MemoCap: opts.MemoCap}, opts.Tracer)
 	if err := chk.Check(); err != nil {
@@ -245,16 +249,14 @@ func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, i
 	// one pass over the top relation's column spans, sharing one memo
 	// and one evaluation state — no join enumeration, no per-candidate
 	// eliminator walk. Answers come back in the canonical binding-key
-	// order, the same order the sharded merge produces. Irregular data
-	// falls through to the row-oriented enumerate-then-check path.
+	// order, the same order the sharded merge produces.
 	if fastFO && p.Elim.SweepableFree(free) {
-		if out, ok, err := p.Elim.SweepSpans(ix, nil, free, chk); ok {
-			if err != nil {
-				return nil, err
-			}
-			rewrite.SortValuationsByKey(out)
-			return out, nil
+		out, err := p.Elim.SweepSpans(ix, nil, free, chk)
+		if err != nil {
+			return nil, err
 		}
+		rewrite.SortValuationsByKey(out)
+		return out, nil
 	}
 
 	candidates, err := p.EnumerateCandidates(ix, free, opts, chk)

@@ -72,39 +72,25 @@ func (p *Plan) TopRelation() string {
 }
 
 // BoolShardTask returns the per-shard Boolean certainty task of an FO
-// scatter: decide the top-level existential over the shard's partition
-// of the top relation, probing residues against the full snapshot
-// index. Both the in-process pool coordinator and the remote cluster
-// node run exactly this task, so the two tiers cannot drift.
+// scatter: decide the top-level existential over the shard's span
+// partition of the top relation, probing residues against the full
+// snapshot index. Both the in-process pool coordinator and the remote
+// cluster node run exactly this task, so the two tiers cannot drift.
 func (p *Plan) BoolShardTask(ix *match.Index) shard.Task[bool] {
 	topRel := p.TopRelation()
 	return func(v *shard.View, schk *evalctx.Checker) (bool, error) {
-		// Span path first: the shard's columnar block indices feed
-		// the interned walk. Irregular data (no spans, or a view
-		// that cannot decide) falls back to the row-oriented walk
-		// over the shard's block partition.
-		if spans, sok := v.SpansOf(topRel); sok {
-			if certain, iok, err := p.Elim.CertainOverSpans(ix, spans, schk); iok {
-				return certain, err
-			}
-		}
-		return p.Elim.CertainOverBlocks(ix, v.BlocksOf(topRel), schk)
+		return p.Elim.CertainOverSpans(ix, v.SpansOf(topRel), schk)
 	}
 }
 
 // SweepShardTask returns the per-shard batched answers task of a
 // sweepable FO plan (Eliminator.SweepableFree): derive and decide the
-// candidates of the shard's block partition in one columnar pass.
+// candidates of the shard's span partition in one columnar pass.
 // Answers come back unsorted; the merge sorts the union by binding key.
 func (p *Plan) SweepShardTask(ix *match.Index, free []query.Var) shard.Task[[]query.Valuation] {
 	topRel := p.TopRelation()
 	return func(v *shard.View, schk *evalctx.Checker) ([]query.Valuation, error) {
-		if spans, sok := v.SpansOf(topRel); sok {
-			if out, iok, err := p.Elim.SweepSpans(ix, spans, free, schk); iok {
-				return out, err
-			}
-		}
-		return p.Elim.SweepBlocks(ix, v.BlocksOf(topRel), free, schk)
+		return p.Elim.SweepSpans(ix, v.SpansOf(topRel), free, schk)
 	}
 }
 
@@ -182,7 +168,7 @@ func (p *Plan) scatterBool(ctx context.Context, pool *shard.Pool, chk *evalctx.C
 //
 //   - Block sweep (fast FO plans whose free variables read off the top
 //     atom's key, see Eliminator.SweepableFree): each shard derives the
-//     candidates from its own block partition and decides them in one
+//     candidates from its own span partition and decides them in one
 //     pass — no join enumeration, no per-candidate index probe, and a
 //     memo shared across the shard's whole sweep. The union is sorted
 //     into the canonical (binding-key) order.

@@ -11,7 +11,7 @@ import (
 	"cqa/internal/sym"
 )
 
-// ColRel is the columnar view of one regular relation: the
+// ColRel is the columnar view of one relation: the
 // struct-of-arrays storage plus the row-oriented blocks aligned with
 // its block order, so span indices translate to Block values (and their
 // string IDs) without re-deriving anything.
@@ -22,16 +22,14 @@ type ColRel struct {
 	// Blocks are the same blocks in the same order as Rel's spans —
 	// Blocks[b] holds the facts of span b. Shared with the row index.
 	Blocks []Block
-	// Relation is the (single) schema of every fact stored.
+	// Relation is the signature every stored fact carries.
 	Relation schema.Relation
 }
 
 // ColDB is the columnar view of a database: one symbol table interning
-// every constant plus one ColRel per regular relation. A relation is
-// regular when all its facts carry the same schema.Relation — the
-// inferred-signature parser can produce same-name facts with different
-// shapes, and such relations stay on the row-oriented path rather than
-// forcing a lossy columnar encoding. Built once per DB (see Columnar)
+// every constant plus one ColRel per relation with facts. Every relation
+// has one signature (the db invariant Insert and Apply enforce), so
+// every relation has a columnar form. Built once per DB (see Columnar)
 // and immutable afterwards; safe for concurrent use.
 //
 // A view derived by Apply shares the parent's symbol table (it is
@@ -40,9 +38,8 @@ type ColRel struct {
 type ColDB struct {
 	Syms *sym.Table
 
-	rels      map[string]*ColRel
-	irregular map[string]bool
-	names     []string // regular relation names, sorted
+	rels  map[string]*ColRel
+	names []string // relation names, sorted
 
 	// progs caches evaluation programs compiled against this view,
 	// keyed by the compiled query artifact (e.g. *rewrite.Eliminator).
@@ -63,18 +60,12 @@ type ViewProg interface {
 	ValidFor(c *ColDB) bool
 }
 
-// Rel returns the columnar relation. ok is false when the relation is
-// irregular (mixed schemas under one name) — callers must fall back to
-// the row-oriented path. A relation with no facts returns (nil, true).
-func (c *ColDB) Rel(name string) (*ColRel, bool) {
-	if c.irregular[name] {
-		return nil, false
-	}
-	return c.rels[name], true
-}
+// Rel returns the columnar relation, or nil when the relation has no
+// facts.
+func (c *ColDB) Rel(name string) *ColRel { return c.rels[name] }
 
-// RelNames returns the regular relation names, sorted. Shared; do not
-// modify.
+// RelNames returns the names of the relations with facts, sorted.
+// Shared; do not modify.
 func (c *ColDB) RelNames() []string { return c.names }
 
 // Progs returns the per-view program cache.
@@ -97,9 +88,8 @@ func (d *DB) Columnar() *ColDB {
 
 func (d *DB) buildColumnar() *ColDB {
 	c := &ColDB{
-		Syms:      sym.NewTable(),
-		rels:      make(map[string]*ColRel, len(d.rels)),
-		irregular: make(map[string]bool),
+		Syms: sym.NewTable(),
+		rels: make(map[string]*ColRel, len(d.rels)),
 	}
 	// Intern every constant in Facts() order first, so the ID
 	// assignment is a pure function of the fact sequence regardless of
@@ -112,10 +102,6 @@ func (d *DB) buildColumnar() *ColDB {
 	for _, name := range d.relOrder {
 		seg := d.rels[name]
 		if len(seg.blocks) == 0 {
-			continue
-		}
-		if seg.mixed {
-			c.irregular[name] = true
 			continue
 		}
 		blocks := seg.blocks
@@ -172,22 +158,14 @@ func (d *DB) buildColumnar() *ColDB {
 // every parent ID stays valid in the child.
 func deriveColumnar(parent *ColDB, child *DB, ch *ChangeSet) *ColDB {
 	c := &ColDB{
-		Syms:      parent.Syms,
-		rels:      maps.Clone(parent.rels),
-		irregular: maps.Clone(parent.irregular),
+		Syms: parent.Syms,
+		rels: maps.Clone(parent.rels),
 	}
 	for name, rc := range ch.Rels {
 		seg := child.rels[name]
 		if seg == nil || len(seg.blocks) == 0 {
-			// The relation was emptied: no columnar form, no irregular
-			// flag (Rel returns (nil, true), the empty-relation shape).
+			// The relation was emptied: no columnar form.
 			delete(c.rels, name)
-			delete(c.irregular, name)
-			continue
-		}
-		if seg.mixed {
-			delete(c.rels, name)
-			c.irregular[name] = true
 			continue
 		}
 		c.rels[name] = spliceColRel(c.Syms, seg, parent.rels[name], rc)
@@ -300,14 +278,11 @@ const maxProbeKey = 8
 
 // blockByKey is the interned ground-key probe. The third result
 // reports whether the view could decide the probe at all: false sends
-// the caller to the string-keyed path (irregular relation, oversized
-// key), while a decided miss — including a constant the database never
+// the caller to the string-keyed path (a key wider than maxProbeKey),
+// while a decided miss — including a constant the database never
 // mentions — is final.
 func (c *ColDB) blockByKey(relName string, key []query.Const) (Block, bool, bool) {
-	cr, regular := c.Rel(relName)
-	if !regular {
-		return Block{}, false, false
-	}
+	cr := c.rels[relName]
 	if cr == nil {
 		return Block{}, false, true
 	}

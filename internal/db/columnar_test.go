@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"cqa/internal/query"
@@ -35,9 +36,9 @@ func TestColumnarMatchesRowView(t *testing.T) {
 		t.Fatalf("RelNames = %v, want 2 relations", c.RelNames())
 	}
 	for _, name := range c.RelNames() {
-		cr, ok := c.Rel(name)
-		if !ok || cr == nil {
-			t.Fatalf("Rel(%q) = (%v, %v), want regular", name, cr, ok)
+		cr := c.Rel(name)
+		if cr == nil {
+			t.Fatalf("Rel(%q) = nil, want a columnar relation", name)
 		}
 		rowBlocks := d.BlocksOf(name)
 		if cr.Rel.NumBlocks() != len(rowBlocks) || len(cr.Blocks) != len(rowBlocks) {
@@ -97,31 +98,54 @@ func TestColumnarBlockByKey(t *testing.T) {
 	}
 }
 
-// TestColumnarIrregularRelation: two schemas under one name keep the
-// relation on the row path, and BlockByKey still answers through the
-// string fallback.
-func TestColumnarIrregularRelation(t *testing.T) {
+// TestColumnarRejectsConflictingSignature: a relation name has one
+// signature, so a fact with a second one never reaches the database —
+// Insert rejects it (naming both signatures), Add panics, and the
+// columnar view holds every relation with facts.
+func TestColumnarRejectsConflictingSignature(t *testing.T) {
 	d := New()
 	d.Add(NewFact(schema.Relation{Name: "R", Arity: 2, KeyLen: 1}, "a", "b"))
-	d.Add(NewFact(schema.Relation{Name: "R", Arity: 3, KeyLen: 1}, "c", "d", "e"))
 	d.Add(NewFact(schema.Relation{Name: "S", Arity: 2, KeyLen: 1}, "a", "b"))
+	before := d.Columnar()
+	for _, rel := range []schema.Relation{
+		{Name: "R", Arity: 3, KeyLen: 1},                     // arity
+		{Name: "R", Arity: 2, KeyLen: 2},                     // key length
+		{Name: "R", Arity: 2, KeyLen: 1, Mode: schema.ModeC}, // mode
+	} {
+		args := []query.Const{"c", "d", "e"}[:rel.Arity]
+		added, err := d.Insert(Fact{Rel: rel, Args: args})
+		if err == nil || added {
+			t.Fatalf("Insert accepted %s next to R[2,1]", rel)
+		}
+		for _, sig := range []string{"R[2,1]", rel.String()} {
+			if !strings.Contains(err.Error(), sig) {
+				t.Errorf("error %q does not name %s", err, sig)
+			}
+		}
+	}
+	if d.Len() != 2 || d.Columnar() != before {
+		t.Fatalf("rejected inserts changed the database: %d facts", d.Len())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Add accepted a conflicting signature")
+			}
+		}()
+		d.Add(NewFact(schema.Relation{Name: "R", Arity: 3, KeyLen: 1}, "c", "d", "e"))
+	}()
 	c := d.Columnar()
-	if _, ok := c.Rel("R"); ok {
-		t.Fatal("mixed-schema relation R reported as regular")
+	if got := c.RelNames(); len(got) != 2 || got[0] != "R" || got[1] != "S" {
+		t.Fatalf("RelNames = %v, want [R S]", got)
 	}
-	if cr, ok := c.Rel("S"); !ok || cr == nil {
-		t.Fatal("regular relation S not in the columnar view")
+	if c.Rel("T") != nil {
+		t.Fatal("absent relation has a columnar form")
 	}
-	if got := c.RelNames(); len(got) != 1 || got[0] != "S" {
-		t.Fatalf("RelNames = %v, want [S]", got)
+	if sig, ok := d.Signature("R"); !ok || sig != (schema.Relation{Name: "R", Arity: 2, KeyLen: 1}) {
+		t.Fatalf("Signature(R) = %v, %v", sig, ok)
 	}
-	b, ok := d.BlockByKey("R", []query.Const{"a"})
-	if !ok || len(b.Facts) != 1 {
-		t.Fatalf("string-fallback BlockByKey(R, a) = (%v, %v)", b, ok)
-	}
-	// Absent relation: decided miss either way.
-	if _, ok := c.Rel("T"); !ok {
-		t.Fatal("absent relation should be regular (nil, true)")
+	if _, ok := d.Signature("T"); ok {
+		t.Fatal("absent relation has a signature")
 	}
 }
 
@@ -132,7 +156,7 @@ func TestColumnarInvalidation(t *testing.T) {
 	rel := schema.Relation{Name: "R", Arity: 2, KeyLen: 1}
 	d.Add(NewFact(rel, "a", "b"))
 	c1 := d.Columnar()
-	if cr, _ := c1.Rel("R"); cr.Rel.Rows() != 1 {
+	if cr := c1.Rel("R"); cr.Rel.Rows() != 1 {
 		t.Fatalf("view has %d rows, want 1", cr.Rel.Rows())
 	}
 	d.Add(NewFact(rel, "a", "c"))
@@ -140,7 +164,7 @@ func TestColumnarInvalidation(t *testing.T) {
 	if c2 == c1 {
 		t.Fatal("Add did not invalidate the columnar view")
 	}
-	cr, _ := c2.Rel("R")
+	cr := c2.Rel("R")
 	if cr.Rel.Rows() != 2 || cr.Rel.NumBlocks() != 1 {
 		t.Fatalf("rebuilt view: rows=%d blocks=%d, want 2 rows in 1 block", cr.Rel.Rows(), cr.Rel.NumBlocks())
 	}
@@ -159,8 +183,7 @@ func TestColumnarDeterministicLayout(t *testing.T) {
 		}
 	}
 	for _, name := range c1.RelNames() {
-		r1, _ := c1.Rel(name)
-		r2, _ := c2.Rel(name)
+		r1, r2 := c1.Rel(name), c2.Rel(name)
 		for b := range r1.Blocks {
 			if r1.Blocks[b].ID != r2.Blocks[b].ID {
 				t.Fatalf("%s block %d differs: %s vs %s", name, b, r1.Blocks[b].ID, r2.Blocks[b].ID)

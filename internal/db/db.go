@@ -142,12 +142,10 @@ func sameFacts(a, b []Fact) bool {
 // sharing — Apply aliases untouched segments into the child version and
 // clones only the touched ones.
 type relSeg struct {
-	// rel is the schema of the first fact ever stored; mixed is set when
-	// a later fact carried a different schema under the same name (the
-	// inferred-signature parser can produce those), which sends the
-	// relation to the row-oriented evaluation path.
-	rel   schema.Relation
-	mixed bool
+	// rel is the relation's signature, fixed by its first fact: every
+	// fact the segment holds carries exactly this schema.Relation
+	// (checkSignature rejects the rest at ingestion).
+	rel schema.Relation
 
 	blocks []Block
 	byID   map[string]int // block ID -> position in blocks
@@ -172,11 +170,21 @@ type relSeg struct {
 func (s *relSeg) clone() *relSeg {
 	return &relSeg{
 		rel:    s.rel,
-		mixed:  s.mixed,
 		blocks: append([]Block(nil), s.blocks...),
 		byID:   maps.Clone(s.byID),
 		cow:    true,
 	}
+}
+
+// checkSignature rejects a fact whose signature differs from the one
+// the segment stores. An empty segment has no signature yet; the first
+// block appended to it fixes one.
+func (s *relSeg) checkSignature(f Fact) error {
+	if len(s.blocks) == 0 || f.Rel == s.rel {
+		return nil
+	}
+	return fmt.Errorf("db: fact %s has signature %s, but relation %s is stored as %s",
+		f, f.Rel, f.Rel.Name, s.rel)
 }
 
 // factsView returns the segment's facts, materializing them from the
@@ -308,7 +316,22 @@ func FromFacts(facts ...Fact) *DB {
 // Add inserts a fact; duplicates are ignored. It returns true if the fact
 // was new. A duplicate insert is a pure no-op: it does not invalidate the
 // memoized index or columnar view (see TestAddDuplicateKeepsCaches).
+// Every relation name has one signature (arity, key length, mode), fixed
+// by its first fact: Add panics on a fact that contradicts it, like
+// NewFact on a wrong argument count. Insert returns the error instead.
 func (d *DB) Add(f Fact) bool {
+	added, err := d.Insert(f)
+	if err != nil {
+		panic(err)
+	}
+	return added
+}
+
+// Insert is Add for facts from outside the program (parsed uploads):
+// a fact whose signature contradicts the one stored for its relation
+// name is rejected with an error naming both signatures, and the
+// database is left unchanged.
+func (d *DB) Insert(f Fact) (bool, error) {
 	name := f.Rel.Name
 	seg := d.rels[name]
 	fresh := false
@@ -316,11 +339,14 @@ func (d *DB) Add(f Fact) bool {
 		seg = &relSeg{rel: f.Rel, byID: make(map[string]int)}
 		fresh = true
 	}
+	if err := seg.checkSignature(f); err != nil {
+		return false, err
+	}
 	bid := f.BlockID()
 	if bi, ok := seg.byID[bid]; ok {
 		for _, g := range seg.blocks[bi].Facts {
 			if g.Equal(f) {
-				return false
+				return false, nil
 			}
 		}
 		if seg.shared {
@@ -340,6 +366,9 @@ func (d *DB) Add(f Fact) bool {
 			seg = seg.clone()
 			d.rels[name] = seg
 		}
+		if len(seg.blocks) == 0 {
+			seg.rel = f.Rel
+		}
 		seg.byID[bid] = len(seg.blocks)
 		seg.blocks = append(seg.blocks, Block{ID: bid, Facts: []Fact{f}})
 		d.nblocks++
@@ -347,9 +376,6 @@ func (d *DB) Add(f Fact) bool {
 	if fresh {
 		d.rels[name] = seg
 		d.appendRelOrder(name)
-	}
-	if f.Rel != seg.rel {
-		seg.mixed = true
 	}
 	if seg.facts != nil {
 		seg.facts = append(seg.facts, f)
@@ -363,7 +389,7 @@ func (d *DB) Add(f Fact) bool {
 	}
 	d.nfacts++
 	d.ResetCaches()
-	return true
+	return true, nil
 }
 
 // appendRelOrder extends the first-seen relation order, copying first
@@ -421,6 +447,21 @@ func (d *DB) FactsOf(relName string) []Fact {
 		return nil
 	}
 	return seg.factsView()
+}
+
+// Signature returns the signature stored for the named relation; ok
+// is false when the relation holds no facts (a nil database holds
+// none). It allocates nothing, so a per-request schema check can call
+// it on the hot path.
+func (d *DB) Signature(relName string) (schema.Relation, bool) {
+	if d == nil {
+		return schema.Relation{}, false
+	}
+	seg := d.rels[relName]
+	if seg == nil || len(seg.blocks) == 0 {
+		return schema.Relation{}, false
+	}
+	return seg.rel, true
 }
 
 // Relations returns the relation names present in the database, sorted.

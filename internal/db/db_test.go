@@ -169,6 +169,30 @@ func TestParseFactsBasics(t *testing.T) {
 	if tt.Rel.Mode != schema.ModeC {
 		t.Errorf("T should be mode c")
 	}
+
+	// A relation name has one signature: a later line that infers a
+	// different arity, key length, or mode is rejected by line number,
+	// and the error names both signatures.
+	for _, c := range []struct{ text, first, second string }{
+		{"R(a, b | c)\nR(a | b)\nR(a | d)", "R[3,2]", "R[2,1]"},
+		{"R(a | b)\n\nR(q, r, s | t)", "R[2,1]", "R[4,3]"},
+		{"R(a | b)\nR(a, b |)", "R[2,1]", "R[2,2]"},
+		{"R(a | b)\nR#c(c | d)", "R[2,1]", "R#c[2,1]"},
+	} {
+		_, err := ParseFacts(nil, c.text)
+		if err == nil {
+			t.Errorf("ParseFacts(%q) accepted two signatures for R", c.text)
+			continue
+		}
+		for _, frag := range []string{"line ", c.first, c.second} {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("ParseFacts(%q) error %q lacks %q", c.text, err, frag)
+			}
+		}
+	}
+	if _, err := ParseFacts(nil, "R(a | b)\nR(q, r, s | t)"); err == nil || !strings.HasPrefix(err.Error(), "line 2:") {
+		t.Errorf("conflict not attributed to line 2: %v", err)
+	}
 }
 
 func TestParseFactsWithSchema(t *testing.T) {

@@ -52,9 +52,10 @@ func (d *Delta) UpsertBlock(facts []Fact) {
 func (d Delta) Empty() bool { return len(d.Ops) == 0 }
 
 // Validate checks the structural well-formedness of the delta (upsert
-// blocks non-empty and key-equal) without applying it. Apply performs
-// the same checks; Validate lets a batcher reject a malformed request
-// individually before merging deltas into one commit.
+// blocks non-empty, key-equal, and of one signature) without applying
+// it. Apply performs the same checks; Validate lets a batcher reject a
+// malformed request individually before merging deltas into one commit.
+// Agreement with the signatures the database stores is Apply's check.
 func (d Delta) Validate() error {
 	for _, op := range d.Ops {
 		if op.Kind != OpUpsert {
@@ -63,11 +64,15 @@ func (d Delta) Validate() error {
 		if len(op.Block) == 0 {
 			return fmt.Errorf("db: upsert of an empty block")
 		}
-		bid := op.Block[0].BlockID()
+		f0 := op.Block[0]
+		bid := f0.BlockID()
 		for _, f := range op.Block[1:] {
 			if f.BlockID() != bid {
 				return fmt.Errorf("db: upsert block mixes keys %q and %q",
-					op.Block[0].String(), f.String())
+					f0.String(), f.String())
+			}
+			if f.Rel != f0.Rel {
+				return fmt.Errorf("db: upsert block mixes signatures %s and %s", f0.Rel, f.Rel)
 			}
 		}
 	}
@@ -133,6 +138,11 @@ type ApplyResult struct {
 // is safe to run concurrently with readers of the receiver (but not with
 // other mutations of it). A delta with no net effect returns the
 // receiver itself.
+//
+// Every fact of the delta must carry the signature stored for its
+// relation name (or, for a relation with no facts, agree with the
+// delta's other facts of that name): a conflicting fact fails the whole
+// Apply with an error naming both signatures.
 //
 // Cost: O(size of the delta + cloned segment block tables) for inserts
 // and in-block deletes; a delete that empties a block additionally
@@ -200,6 +210,9 @@ func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 			f := op.Fact
 			w := ws(f.Rel.Name, f.Rel)
 			seg := w.seg
+			if err := seg.checkSignature(f); err != nil {
+				return nil, nil, err
+			}
 			bid := f.BlockID()
 			if bi, ok := seg.byID[bid]; ok {
 				blk := &seg.blocks[bi]
@@ -218,13 +231,13 @@ func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 				copy(fs, blk.Facts)
 				blk.Facts = append(fs, f)
 			} else {
+				if len(seg.blocks) == 0 {
+					seg.rel = f.Rel
+				}
 				seg.byID[bid] = len(seg.blocks)
 				seg.blocks = append(seg.blocks, Block{ID: bid, Facts: []Fact{f}})
 			}
 			w.touch(bid)
-			if f.Rel != seg.rel {
-				seg.mixed = true
-			}
 			st.Inserted++
 			child.nfacts++
 		case OpDelete:
@@ -236,6 +249,9 @@ func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 			}
 			w := ws(f.Rel.Name, f.Rel)
 			seg = w.seg
+			if err := seg.checkSignature(f); err != nil {
+				return nil, nil, err
+			}
 			bid := f.BlockID()
 			bi, ok := seg.byID[bid]
 			if !ok {
@@ -271,6 +287,9 @@ func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 			f0 := fs[0]
 			w := ws(f0.Rel.Name, f0.Rel)
 			seg := w.seg
+			if err := seg.checkSignature(f0); err != nil {
+				return nil, nil, err
+			}
 			bid := f0.BlockID()
 			if bi, ok := seg.byID[bid]; ok {
 				blk := &seg.blocks[bi]
@@ -282,15 +301,13 @@ func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 				child.nfacts -= len(blk.Facts)
 				blk.Facts = fs
 			} else {
+				if len(seg.blocks) == 0 {
+					seg.rel = f0.Rel
+				}
 				seg.byID[bid] = len(seg.blocks)
 				seg.blocks = append(seg.blocks, Block{ID: bid, Facts: fs})
 			}
 			w.touch(bid)
-			for _, f := range fs {
-				if f.Rel != seg.rel {
-					seg.mixed = true
-				}
-			}
 			st.Inserted += len(fs)
 			child.nfacts += len(fs)
 			st.Upserts++

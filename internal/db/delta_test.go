@@ -3,6 +3,7 @@ package db
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"cqa/internal/query"
@@ -315,6 +316,38 @@ func TestApplyValidate(t *testing.T) {
 	if err := mixed.Validate(); err == nil {
 		t.Error("Validate missed the key mix")
 	}
+	// Every op must carry the stored signature of its relation; the
+	// failed Apply publishes nothing, so the receiver is untouched.
+	wide := schema.Relation{Name: "R", Arity: 4, KeyLen: 3}
+	for _, conflict := range []Delta{
+		{Ops: []Op{{Kind: OpInsert, Fact: NewFact(wide, "q", "r", "s", "t")}}},
+		{Ops: []Op{{Kind: OpDelete, Fact: NewFact(wide, "q", "r", "s", "t")}}},
+		{Ops: []Op{{Kind: OpUpsert, Block: []Fact{NewFact(wide, "q", "r", "s", "t")}}}},
+	} {
+		_, err := d.Apply(conflict)
+		if err == nil || !strings.Contains(err.Error(), "R[4,3]") || !strings.Contains(err.Error(), "R[2,1]") {
+			t.Errorf("conflicting %v: err = %v, want both signatures named", conflict.Ops[0].Kind, err)
+		}
+	}
+	if d.Len() != 1 {
+		t.Errorf("rejected deltas changed the receiver: %d facts", d.Len())
+	}
+	// A new relation takes the signature of its first fact; a second
+	// signature in the same delta, or in one upsert block, is rejected.
+	fresh := schema.Relation{Name: "N", Arity: 2, KeyLen: 1}
+	var twoSigs Delta
+	twoSigs.Insert(NewFact(fresh, "a", "1"))
+	twoSigs.Insert(NewFact(schema.Relation{Name: "N", Arity: 3, KeyLen: 1}, "a", "1", "2"))
+	if _, err := d.Apply(twoSigs); err == nil {
+		t.Error("delta giving a new relation two signatures accepted")
+	}
+	sigMix := Delta{Ops: []Op{{Kind: OpUpsert, Block: []Fact{
+		NewFact(fresh, "a", "1"), NewFact(schema.Relation{Name: "N", Arity: 2, KeyLen: 1, Mode: schema.ModeC}, "a", "2"),
+	}}}}
+	if err := sigMix.Validate(); err == nil {
+		t.Error("Validate missed an upsert block mixing signatures")
+	}
+
 	var ok Delta
 	ok.UpsertBlock([]Fact{NewFact(relR, "a", "1"), NewFact(relR, "a", "1")})
 	child, err := d.Apply(ok)
@@ -391,13 +424,13 @@ func TestApplyColumnarDerive(t *testing.T) {
 	if cc.Syms != pc.Syms {
 		t.Error("derived view does not share the symbol table")
 	}
-	pS, _ := pc.Rel("S")
-	cS, _ := cc.Rel("S")
+	pS := pc.Rel("S")
+	cS := cc.Rel("S")
 	if pS != cS {
 		t.Error("untouched relation's ColRel was rebuilt, not aliased")
 	}
-	pR, _ := pc.Rel("R")
-	cR, _ := cc.Rel("R")
+	pR := pc.Rel("R")
+	cR := cc.Rel("R")
 	if pR == cR {
 		t.Error("touched relation still aliases the parent's ColRel")
 	}
@@ -434,11 +467,11 @@ func TestApplyColumnarDerive(t *testing.T) {
 	}
 }
 
-// colRelContents decodes a regular relation's columnar rows back to fact
+// colRelContents decodes a relation's columnar rows back to fact
 // strings for comparison.
 func colRelContents(c *ColDB, name string) []string {
-	cr, ok := c.Rel(name)
-	if !ok || cr == nil {
+	cr := c.Rel(name)
+	if cr == nil {
 		return nil
 	}
 	var out []string
@@ -473,8 +506,7 @@ func sameStringSets(a, b []string) bool {
 type fakeProg struct{ want *ColRel }
 
 func (p *fakeProg) ValidFor(c *ColDB) bool {
-	cr, ok := c.Rel(p.want.Relation.Name)
-	return ok && cr == p.want
+	return c.Rel(p.want.Relation.Name) == p.want
 }
 
 func TestApplyProgInheritance(t *testing.T) {
@@ -483,8 +515,8 @@ func TestApplyProgInheritance(t *testing.T) {
 		NewFact(relS, "x", "y", "z"),
 	)
 	pc := d.Columnar()
-	rR, _ := pc.Rel("R")
-	rS, _ := pc.Rel("S")
+	rR := pc.Rel("R")
+	rS := pc.Rel("S")
 	pc.Progs().Store("progR", &fakeProg{want: rR})
 	pc.Progs().Store("progS", &fakeProg{want: rS})
 
@@ -596,9 +628,6 @@ func TestApplyMatchesRebuild(t *testing.T) {
 		cc := cur.Columnar()
 		cold := cur.buildColumnar()
 		for _, name := range cur.Relations() {
-			if _, reg := cc.Rel(name); !reg {
-				continue
-			}
 			if got, want := colRelContents(cc, name), colRelContents(cold, name); !sameStringSets(got, want) {
 				t.Fatalf("trial %d: columnar %s differs", trial, name)
 			}

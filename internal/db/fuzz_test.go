@@ -3,7 +3,9 @@ package db
 import "testing"
 
 // FuzzParseFact: the fact parser must never panic and accepted facts
-// must round-trip through String.
+// must round-trip through String. The input is also parsed as a
+// multi-line upload, which must never panic and must keep one signature
+// per relation name.
 func FuzzParseFact(f *testing.F) {
 	for _, seed := range []string{
 		"R(a | b)",
@@ -14,10 +16,21 @@ func FuzzParseFact(f *testing.F) {
 		"",
 		"R(a,,b)",
 		"R(a | b | c)",
+		// Conflicting signatures under one name: arity, key, mode.
+		"R(a, b | c)\nR(a | b)",
+		"R(a | b)\nR(q, r, s | t)",
+		"R(a | b)\nR#c(a | b)",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		if d, err := ParseFacts(nil, s); err == nil {
+			for _, g := range d.Facts() {
+				if sig, ok := d.Signature(g.Rel.Name); !ok || sig != g.Rel {
+					t.Fatalf("upload %q stores %s under signature %v", s, g, sig)
+				}
+			}
+		}
 		fact, err := ParseFact(nil, s)
 		if err != nil {
 			return

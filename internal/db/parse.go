@@ -17,7 +17,9 @@ import (
 // lines starting with '#' are skipped. The relation's signature is taken
 // from the schema when registered there; otherwise it is inferred from the
 // bar (key | non-key). Without a bar and without a schema entry, the first
-// position is the key.
+// position is the key. A relation name has one signature: a line whose
+// inferred signature contradicts an earlier line's for the same name is
+// rejected with its line number.
 func ParseFacts(s *schema.Schema, text string) (*DB, error) {
 	d := New()
 	scanner := bufio.NewScanner(strings.NewReader(text))
@@ -29,10 +31,12 @@ func ParseFacts(s *schema.Schema, text string) (*DB, error) {
 			continue
 		}
 		f, err := ParseFact(s, line)
+		if err == nil {
+			_, err = d.Insert(f)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		d.Add(f)
 	}
 	if err := scanner.Err(); err != nil {
 		return nil, err

@@ -185,11 +185,11 @@ func runE5(r *Runner) error {
 		d := scalingDB(rng, n, 0.3)
 		var certain bool
 		foT := timeIt(func() {
-			var err error
-			certain, err = rewrite.Certain(q, d)
+			res, err := core.Certain(q, d, core.Options{Engine: core.EngineFO})
 			if err != nil {
 				panic(err)
 			}
+			certain = res.Certain
 		})
 		conpT := timeIt(func() { conp.Certain(q, d) })
 		t.AddRow(n, d.Len(), foT, conpT, certain)

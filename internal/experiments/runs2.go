@@ -10,7 +10,6 @@ import (
 	"cqa/internal/counting"
 	"cqa/internal/db"
 	"cqa/internal/query"
-	"cqa/internal/rewrite"
 	"cqa/internal/workload"
 )
 
@@ -106,11 +105,11 @@ func runE14(r *Runner) error {
 				}
 			})
 			kwT := timeIt(func() {
-				var err error
-				kwRes, err = rewrite.Certain(q, d)
+				res, err := core.Certain(q, d, core.Options{Engine: core.EngineFO})
 				if err != nil {
 					panic(err)
 				}
+				kwRes = res.Certain
 			})
 			t.AddRow(qs, d.Len(), fmT.Round(time.Microsecond), kwT.Round(time.Microsecond), fmRes == kwRes)
 		}

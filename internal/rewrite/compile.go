@@ -2,17 +2,12 @@ package rewrite
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"cqa/internal/attack"
-	"cqa/internal/db"
-	"cqa/internal/evalctx"
 	"cqa/internal/match"
 	"cqa/internal/query"
-	"cqa/internal/trace"
 )
 
 // Eliminator is the compiled form of the Lemma 10 recursion for a query
@@ -32,17 +27,17 @@ type Eliminator struct {
 	query query.Query
 	// order is the elimination order: order[0] is eliminated first.
 	order []query.Atom
-	// relevant[level] holds the variables occurring in order[level:],
-	// sorted — the only bindings that can influence the sub-recursion at
-	// that level, and therefore the memoization key.
-	relevant [][]query.Var
 
 	// Slot numbering for the interned (columnar) walk: every variable
 	// of the query gets a dense slot in order of first occurrence down
 	// the elimination order, so a valuation is a flat []sym.ID instead
 	// of a map.
-	vars          []query.Var
-	varSlot       map[query.Var]int32
+	vars    []query.Var
+	varSlot map[query.Var]int32
+	// relevantSlots[level] holds the slots of the variables occurring
+	// in order[level:], sorted by variable — the only bindings that can
+	// influence the sub-recursion at that level, and therefore the
+	// memoization key.
 	relevantSlots [][]int32
 
 	// ievalCache holds one warm interned evaluation state for reuse.
@@ -99,18 +94,6 @@ func CompileAcyclic(q query.Query) (*Eliminator, error) {
 		}
 		residual = residual.Remove(f)
 	}
-	e.relevant = make([][]query.Var, len(e.order))
-	for level := len(e.order) - 1; level >= 0; level-- {
-		seen := make(query.VarSet)
-		for _, a := range e.order[level:] {
-			for _, t := range a.Args {
-				if t.IsVar() {
-					seen.Add(t.Var())
-				}
-			}
-		}
-		e.relevant[level] = seen.Sorted()
-	}
 	e.varSlot = make(map[query.Var]int32)
 	for _, a := range e.order {
 		for _, t := range a.Args {
@@ -123,7 +106,16 @@ func CompileAcyclic(q query.Query) (*Eliminator, error) {
 		}
 	}
 	e.relevantSlots = make([][]int32, len(e.order))
-	for level, vs := range e.relevant {
+	for level := range e.order {
+		seen := make(query.VarSet)
+		for _, a := range e.order[level:] {
+			for _, t := range a.Args {
+				if t.IsVar() {
+					seen.Add(t.Var())
+				}
+			}
+		}
+		vs := seen.Sorted()
 		slots := make([]int32, len(vs))
 		for i, v := range vs {
 			slots[i] = e.varSlot[v]
@@ -150,81 +142,6 @@ func (e *Eliminator) Certain(ix *match.Index) bool {
 func (e *Eliminator) CertainWith(ix *match.Index, initial query.Valuation) bool {
 	ok, _ := e.CertainChecked(ix, initial, nil)
 	return ok
-}
-
-// CertainChecked is CertainWith under a cancellation/budget checker: the
-// walk polls chk once per recursion step and unwinds as soon as the
-// checker trips. A non-nil error means the evaluation was cut short and
-// the boolean is meaningless — callers must check the error first. A
-// nil checker enforces nothing.
-//
-// The walk runs on the database's columnar view — interned constants,
-// flat slot valuations, contiguous block spans, zero steady-state
-// allocations — whenever every relation of the query is regular there;
-// irregular data falls back to the row-oriented walk below, which is
-// also the reference implementation the differential tests compare
-// against.
-func (e *Eliminator) CertainChecked(ix *match.Index, initial query.Valuation, chk *evalctx.Checker) (bool, error) {
-	if res, ok, err := e.certainInterned(ix, initial, chk); ok {
-		return res, err
-	}
-	return e.certainRowChecked(ix, initial, chk)
-}
-
-// certainRowChecked is the row-oriented walk: valuations as maps, memo
-// keys as strings, blocks as []Fact. Kept as the fallback for
-// irregular relations and as the comparison baseline.
-func (e *Eliminator) certainRowChecked(ix *match.Index, initial query.Valuation, chk *evalctx.Checker) (bool, error) {
-	ev := &elimEval{e: e, ix: ix, memo: make(map[string]bool), chk: chk, memoCap: chk.MemoCap()}
-	val := make(query.Valuation, len(initial))
-	for v, c := range initial {
-		val[v] = c
-	}
-	sp := chk.Tracer().Begin(trace.StageEliminator)
-	res := ev.run(0, val)
-	sp.End()
-	ev.flushCounters()
-	if err := chk.Err(); err != nil {
-		return false, err
-	}
-	return res, nil
-}
-
-// CertainOverBlocks is CertainChecked with the top level of the walk
-// restricted to the supplied blocks, which must all belong to the first
-// elimination atom's relation. The Lemma 10 top level is an existential
-// over the blocks of that relation — some block must pass the Lemma 9
-// test — so a caller that partitions the relation's blocks can evaluate
-// each part independently and OR the results: the partition's union
-// decides exactly what CertainChecked decides. This is the per-shard
-// task of the scatter-gather path. Blocks whose key does not unify with
-// the atom's key pattern contribute false, so a partition containing
-// non-matching blocks is harmless.
-func (e *Eliminator) CertainOverBlocks(ix *match.Index, blocks []db.Block, chk *evalctx.Checker) (bool, error) {
-	ev := &elimEval{e: e, ix: ix, memo: make(map[string]bool), chk: chk, memoCap: chk.MemoCap()}
-	val := query.Valuation{}
-	f := e.order[0]
-	sp := chk.Tracer().Begin(trace.StageEliminator)
-	res := false
-	for _, b := range blocks {
-		if len(b.Facts) == 0 {
-			continue
-		}
-		if ev.chk.Step() != nil {
-			break
-		}
-		ev.trSteps++
-		if ev.blockCertain(0, f, b, val) {
-			res = true
-			break
-		}
-	}
-	sp.End()
-	ev.flushCounters()
-	if err := chk.Err(); err != nil {
-		return false, err
-	}
-	return res, nil
 }
 
 // SweepableFree reports whether the certain-answers block sweep applies
@@ -259,211 +176,4 @@ func (e *Eliminator) SweepableFree(free []query.Var) bool {
 		}
 	}
 	return true
-}
-
-// SweepBlocks runs the certain-answers block sweep over the supplied
-// blocks of the first elimination atom's relation (see SweepableFree
-// for when it applies): for each block, the candidate binding of the
-// free variables is read off the block key, the block is put through
-// the Lemma 9 test under that binding, and the bindings whose
-// instantiated query is certain are returned in block order. The memo
-// table is shared across the whole sweep — bindings eliminated from the
-// residue's relevant set let distinct candidates share entries. A
-// non-nil error means the sweep was cut short and the slice is
-// meaningless.
-func (e *Eliminator) SweepBlocks(ix *match.Index, blocks []db.Block, free []query.Var, chk *evalctx.Checker) ([]query.Valuation, error) {
-	ev := &elimEval{e: e, ix: ix, memo: make(map[string]bool), chk: chk, memoCap: chk.MemoCap()}
-	f := e.order[0]
-	freeSet := query.NewVarSet(free...)
-	val := query.Valuation{}
-	var out []query.Valuation
-	sp := chk.Tracer().Begin(trace.StageEliminator)
-	for _, b := range blocks {
-		if len(b.Facts) == 0 {
-			continue
-		}
-		if ev.chk.Step() != nil {
-			break
-		}
-		ev.trSteps++
-		added, ok := unifyUndo(f.KeyArgs(), b.Facts[0].Key(), val)
-		if !ok {
-			continue
-		}
-		if ev.blockCertain(0, f, b, val) && ev.chk.Err() == nil {
-			out = append(out, val.Restrict(freeSet))
-		}
-		undoBindings(val, added)
-	}
-	sp.End()
-	ev.flushCounters()
-	if err := chk.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// elimEval is one evaluation of an Eliminator: a shared valuation
-// extended and undone in place down the elimination order, and a memo
-// table keyed by (level, relevant bindings). The checker's sticky error
-// aborts the walk: once it trips, run returns false all the way up and
-// the caller surfaces the error instead of the boolean.
-type elimEval struct {
-	e       *Eliminator
-	ix      *match.Index
-	memo    map[string]bool
-	chk     *evalctx.Checker
-	memoCap int // memo-entry ceiling (0 = unlimited)
-	// Effort counters for the stage tracer, kept as plain ints on the
-	// single-goroutine walk and flushed once at the end.
-	trSteps, trHits, trMisses int64
-}
-
-// flushCounters pushes the walk's effort counters to the stage tracer.
-func (ev *elimEval) flushCounters() {
-	tr := ev.chk.Tracer()
-	if tr == nil {
-		return
-	}
-	tr.Add(trace.StageEliminator, trace.CtrSteps, ev.trSteps)
-	tr.Add(trace.StageEliminator, trace.CtrMemoHits, ev.trHits)
-	tr.Add(trace.StageEliminator, trace.CtrMemoMisses, ev.trMisses)
-}
-
-func (ev *elimEval) run(level int, val query.Valuation) bool {
-	if ev.chk.Step() != nil {
-		return false
-	}
-	ev.trSteps++
-	if level == len(ev.e.order) {
-		return true
-	}
-	key := ev.memoKey(level, val)
-	if v, ok := ev.memo[key]; ok {
-		ev.trHits++
-		return v
-	}
-	ev.trMisses++
-	res := ev.eval(level, val)
-	// Never memoize under a tripped checker (the result is a truncated
-	// evaluation, not the real answer) or past the memo budget (bounded
-	// memory beats bounded time here: the walk stays correct, it just
-	// recomputes).
-	if ev.chk.Err() == nil && (ev.memoCap <= 0 || len(ev.memo) < ev.memoCap) {
-		ev.memo[key] = res
-	}
-	return res
-}
-
-// memoKey identifies the residue at the given level: the level itself
-// (fixing the remaining atom pattern) plus the bindings of the variables
-// occurring in the remaining atoms. Bindings of already-eliminated
-// variables cannot influence the result and are excluded, which is what
-// lets distinct branches share memo entries.
-func (ev *elimEval) memoKey(level int, val query.Valuation) string {
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(level))
-	for _, v := range ev.e.relevant[level] {
-		if c, ok := val[v]; ok {
-			b.WriteByte('\x00')
-			b.WriteString(string(v))
-			b.WriteByte('\x01')
-			b.WriteString(string(c))
-		}
-	}
-	return b.String()
-}
-
-func (ev *elimEval) eval(level int, val query.Valuation) bool {
-	f := ev.e.order[level]
-	// Ground-key fast path: when every key position of F is instantiated
-	// there is at most one candidate block — one hash probe instead of a
-	// scan over every block of the relation.
-	keyGround := true
-	keyConsts := make([]query.Const, f.Rel.KeyLen)
-	for i, t := range f.KeyArgs() {
-		c, ok := val.Apply(t)
-		if !ok {
-			keyGround = false
-			break
-		}
-		keyConsts[i] = c
-	}
-	if keyGround {
-		b, ok := ev.ix.DB.BlockByKey(f.Rel.Name, keyConsts)
-		if !ok {
-			return false
-		}
-		return ev.blockCertain(level, f, b, val)
-	}
-	for _, b := range ev.ix.DB.BlocksOf(f.Rel.Name) {
-		if len(b.Facts) == 0 {
-			continue
-		}
-		if ev.blockCertain(level, f, b, val) {
-			return true
-		}
-	}
-	return false
-}
-
-// blockCertain implements the Lemma 9 test for one block: the key
-// pattern of F must match the block's key and every fact of the block
-// must match the non-key pattern and leave a certain residue. The
-// valuation is extended in place and restored before returning.
-func (ev *elimEval) blockCertain(level int, f query.Atom, b db.Block, val query.Valuation) bool {
-	keyAdded, ok := unifyUndo(f.KeyArgs(), b.Facts[0].Key(), val)
-	if !ok {
-		return false
-	}
-	good := true
-	for _, fact := range b.Facts {
-		nonKeyAdded, ok := unifyUndo(f.NonKeyArgs(), fact.NonKey(), val)
-		if !ok {
-			good = false
-			break
-		}
-		res := ev.run(level+1, val)
-		undoBindings(val, nonKeyAdded)
-		if !res {
-			good = false
-			break
-		}
-	}
-	undoBindings(val, keyAdded)
-	return good
-}
-
-// unifyUndo extends val so the terms map onto the constants, returning
-// the variables newly bound (for undo). On failure the bindings it made
-// are already removed and val is unchanged.
-func unifyUndo(terms []query.Term, consts []query.Const, val query.Valuation) ([]query.Var, bool) {
-	var added []query.Var
-	for i, t := range terms {
-		c := consts[i]
-		if t.IsConst() {
-			if t.Const() != c {
-				undoBindings(val, added)
-				return nil, false
-			}
-			continue
-		}
-		v := t.Var()
-		if bound, ok := val[v]; ok {
-			if bound != c {
-				undoBindings(val, added)
-				return nil, false
-			}
-			continue
-		}
-		val[v] = c
-		added = append(added, v)
-	}
-	return added, true
-}
-
-func undoBindings(val query.Valuation, vars []query.Var) {
-	for _, v := range vars {
-		delete(val, v)
-	}
 }

@@ -1,9 +1,10 @@
 package rewrite
 
-// The interned evaluation path: the Lemma 10 walk over the columnar
-// view of the database (db.ColDB / colstore.Rel) instead of the
-// row-oriented []Fact blocks. Everything the row walk does with strings
-// and maps happens here on machine words:
+// The FO evaluation path: the Lemma 10 walk over the columnar view of
+// the database (db.ColDB / colstore.Rel) instead of the row-oriented
+// []Fact blocks. Everything the row-oriented reference recursion
+// (CertainAcyclic) does with strings, maps, and residue queries happens
+// here on machine words:
 //
 //   - constants are sym.ID words interned once per database,
 //   - a valuation is a flat []sym.ID indexed by variable slot with an
@@ -16,11 +17,10 @@ package rewrite
 // Evaluation state is cached per Eliminator (one warm state in an
 // atomic slot, overflow in a sync.Pool), so the steady-state walk does
 // not allocate at all; testing.AllocsPerRun pins this in
-// zeroalloc_test.go. Queries over irregular relations (mixed schemas
-// under one name) compile to a prog with ok=false and stay on the row
-// path.
+// zeroalloc_test.go.
 
 import (
+	"fmt"
 	"sort"
 
 	"cqa/internal/db"
@@ -48,11 +48,8 @@ type ilevel struct {
 	relevant []int32
 }
 
-// iprog is an Eliminator compiled against one columnar view. ok is
-// false when some atom's relation is irregular in the view (or its
-// stored schema differs from the atom's) — the row path decides those.
+// iprog is an Eliminator compiled against one columnar view.
 type iprog struct {
-	ok     bool
 	levels []ilevel
 	names  []string // relation name per level, for ValidFor
 	maxKey int
@@ -66,12 +63,8 @@ type iprog struct {
 // relation forces a recompile. Interned constants need no check: the
 // symbol table is shared and append-only across derived views.
 func (p *iprog) ValidFor(c *db.ColDB) bool {
-	if !p.ok {
-		return false
-	}
 	for i := range p.levels {
-		cr, regular := c.Rel(p.names[i])
-		if !regular || cr != p.levels[i].rel {
+		if c.Rel(p.names[i]) != p.levels[i].rel {
 			return false
 		}
 	}
@@ -83,22 +76,28 @@ var _ db.ViewProg = (*iprog)(nil)
 // prog returns the program of this eliminator against the view,
 // compiling and caching it on first use. The cache lives on the view
 // (its IDs are only valid there); racing compilers agree via
-// LoadOrStore.
-func (e *Eliminator) prog(c *db.ColDB) *iprog {
+// LoadOrStore. It fails when the view stores a relation of the query
+// under a signature other than the atom's — the walk would read
+// columns the relation does not have.
+func (e *Eliminator) prog(c *db.ColDB) (*iprog, error) {
 	if p, ok := c.Progs().Load(e); ok {
-		return p.(*iprog)
+		return p.(*iprog), nil
 	}
-	p, _ := c.Progs().LoadOrStore(e, e.compileInterned(c))
-	return p.(*iprog)
+	p, err := e.compileInterned(c)
+	if err != nil {
+		return nil, err
+	}
+	stored, _ := c.Progs().LoadOrStore(e, p)
+	return stored.(*iprog), nil
 }
 
-func (e *Eliminator) compileInterned(c *db.ColDB) *iprog {
-	p := &iprog{ok: true, levels: make([]ilevel, len(e.order)), names: make([]string, len(e.order))}
+func (e *Eliminator) compileInterned(c *db.ColDB) (*iprog, error) {
+	p := &iprog{levels: make([]ilevel, len(e.order)), names: make([]string, len(e.order))}
 	for li, a := range e.order {
-		cr, regular := c.Rel(a.Rel.Name)
-		if !regular || (cr != nil && cr.Relation != a.Rel) {
-			p.ok = false
-			return p
+		cr := c.Rel(a.Rel.Name)
+		if cr != nil && cr.Relation != a.Rel {
+			return nil, fmt.Errorf("rewrite: relation %s is stored as %s, the query atom %s expects %s",
+				a.Rel.Name, cr.Relation, a, a.Rel)
 		}
 		p.names[li] = a.Rel.Name
 		terms := func(ts []query.Term) []iterm {
@@ -125,7 +124,7 @@ func (e *Eliminator) compileInterned(c *db.ColDB) *iprog {
 			p.maxKey = len(lv.key)
 		}
 	}
-	return p
+	return p, nil
 }
 
 // imemoSlot is one entry of the epoch-tagged memo table; off/n locate
@@ -346,10 +345,10 @@ func (ev *ieval) undoTo(mark int) {
 	ev.undo = ev.undo[:mark]
 }
 
-// run is the interned analogue of elimEval.run: poll, memo probe,
-// evaluate, memo insert. The scratch key is clobbered by deeper levels
-// during eval, so the insert re-encodes — the bindings are restored by
-// then, producing the identical words.
+// run is one level of the walk: poll, memo probe, evaluate, memo
+// insert. The scratch key is clobbered by deeper levels during eval, so
+// the insert re-encodes — the bindings are restored by then, producing
+// the identical words.
 func (ev *ieval) run(level int) bool {
 	if ev.chk.Step() != nil {
 		return false
@@ -366,8 +365,10 @@ func (ev *ieval) run(level int) bool {
 	}
 	ev.trMisses++
 	res := ev.eval(level)
-	// Same policy as the row walk: never memoize under a tripped
-	// checker, never past the memo budget.
+	// Never memoize under a tripped checker (the result is a truncated
+	// evaluation, not the real answer) or past the memo budget (bounded
+	// memory beats bounded time here: the walk stays correct, it just
+	// recomputes).
 	if ev.chk.Err() == nil && (ev.memoCap <= 0 || ev.memo.live < ev.memoCap) {
 		ev.memo.insert(ev.encodeKey(level), h, res)
 	}
@@ -449,67 +450,90 @@ func (ev *ieval) blockCertain(level int, b int32) bool {
 	return good
 }
 
-// certainInterned decides certainty on the columnar view. ok=false
-// means the view cannot represent the query's relations (irregular
-// data) and the caller must use the row path.
-func (e *Eliminator) certainInterned(ix *match.Index, initial query.Valuation, chk *evalctx.Checker) (res, ok bool, err error) {
+// CertainChecked is CertainWith under a cancellation/budget checker: the
+// walk polls chk once per recursion step and unwinds as soon as the
+// checker trips. A non-nil error means the evaluation was cut short (or
+// the stored signatures contradict the query) and the boolean is
+// meaningless — callers must check the error first. A nil checker
+// enforces nothing.
+func (e *Eliminator) CertainChecked(ix *match.Index, initial query.Valuation, chk *evalctx.Checker) (bool, error) {
 	c := ix.DB.Columnar()
-	p := e.prog(c)
-	if !p.ok {
-		return false, false, nil
+	p, err := e.prog(c)
+	if err != nil {
+		return false, err
 	}
 	ev := e.acquire(c, p, chk)
 	for v, cst := range initial {
 		slot, known := e.varSlot[v]
 		if !known {
-			continue // bindings of foreign variables are inert, as in the row walk
+			continue // bindings of foreign variables are inert
 		}
 		ev.bound[slot] = true
 		ev.vals[slot] = c.Syms.Intern(string(cst))
 	}
 	sp := chk.Tracer().Begin(trace.StageEliminator)
-	res = ev.run(0)
+	res := ev.run(0)
 	sp.End()
 	ev.flush(chk)
 	e.release(ev)
 	if err := chk.Err(); err != nil {
-		return false, true, err
+		return false, err
 	}
-	return res, true, nil
+	return res, nil
 }
 
-// CertainOverSpans is the interned analogue of CertainOverBlocks: the
-// top level of the walk restricted to the given block indices of the
-// first elimination atom's relation in the columnar view (nil = every
-// block). ok=false means the view cannot decide — irregular relation,
-// or span indices that do not belong to the view — and the caller must
-// fall back to CertainOverBlocks.
-func (e *Eliminator) CertainOverSpans(ix *match.Index, spans []int32, chk *evalctx.Checker) (certain, ok bool, err error) {
-	c := ix.DB.Columnar()
-	p := e.prog(c)
-	if !p.ok {
-		return false, false, nil
+// topSpans resolves the top-level block list of a restricted walk: the
+// program, the first elimination atom's columnar relation (nil when it
+// has no facts), and the number of blocks to visit — len(spans), or
+// every block when spans is nil. Span indices must belong to the view:
+// the shard partitions are built from the same snapshot the index
+// wraps, so an index out of range is a caller bug, reported as an
+// error rather than a panic.
+func (e *Eliminator) topSpans(c *db.ColDB, spans []int32) (*iprog, *db.ColRel, int, error) {
+	p, err := e.prog(c)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	lv := &p.levels[0]
-	if lv.rel == nil {
-		if len(spans) > 0 {
-			return false, false, nil
-		}
-		return false, true, chk.Err()
+	if len(p.levels) == 0 {
+		return nil, nil, 0, fmt.Errorf("rewrite: the empty query has no top relation")
 	}
-	nb := int32(lv.rel.Rel.NumBlocks())
+	cr := p.levels[0].rel
+	nb := int32(0)
+	if cr != nil {
+		nb = int32(cr.Rel.NumBlocks())
+	}
 	for _, s := range spans {
 		if s < 0 || s >= nb {
-			return false, false, nil
+			return nil, nil, 0, fmt.Errorf("rewrite: block index %d outside the %d blocks of %s",
+				s, nb, e.order[0].Rel.Name)
 		}
+	}
+	if spans != nil {
+		return p, cr, len(spans), nil
+	}
+	return p, cr, int(nb), nil
+}
+
+// CertainOverSpans is CertainChecked with the top level of the walk
+// restricted to the given block indices of the first elimination
+// atom's relation in the columnar view (nil = every block). The Lemma
+// 10 top level is an existential over the blocks of that relation —
+// some block must pass the Lemma 9 test — so a caller that partitions
+// the relation's blocks can evaluate each part independently and OR the
+// results: the partition's union decides exactly what CertainChecked
+// decides. This is the per-shard task of the scatter-gather path.
+func (e *Eliminator) CertainOverSpans(ix *match.Index, spans []int32, chk *evalctx.Checker) (bool, error) {
+	c := ix.DB.Columnar()
+	p, cr, n, err := e.topSpans(c, spans)
+	if err != nil {
+		return false, err
+	}
+	if cr == nil {
+		return false, chk.Err()
 	}
 	ev := e.acquire(c, p, chk)
 	sp := chk.Tracer().Begin(trace.StageEliminator)
 	res := false
-	n := int(nb)
-	if spans != nil {
-		n = len(spans)
-	}
 	for i := 0; i < n; i++ {
 		b := int32(i)
 		if spans != nil {
@@ -528,61 +552,48 @@ func (e *Eliminator) CertainOverSpans(ix *match.Index, spans []int32, chk *evalc
 	ev.flush(chk)
 	e.release(ev)
 	if err := chk.Err(); err != nil {
-		return false, true, err
+		return false, err
 	}
-	return res, true, nil
+	return res, nil
 }
 
-// SweepSpans is the interned certain-answers block sweep (see
-// SweepableFree): for each listed block of the top relation (nil =
-// every block) the candidate binding is read off the block key, the
-// block runs the Lemma 9 test under it, and the passing bindings are
-// returned in span order. ok=false sends the caller to SweepBlocks.
-func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var, chk *evalctx.Checker) (out []query.Valuation, ok bool, err error) {
+// SweepSpans is the certain-answers block sweep (see SweepableFree,
+// which must hold for free): for each listed block of the top relation
+// (nil = every block) the candidate binding is read off the block key,
+// the block runs the Lemma 9 test under it, and the passing bindings
+// are returned in span order. The memo table is shared across the whole
+// sweep — bindings eliminated from the residue's relevant set let
+// distinct candidates share entries. A non-nil error means the sweep
+// was cut short and the slice is meaningless.
+func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var, chk *evalctx.Checker) ([]query.Valuation, error) {
 	c := ix.DB.Columnar()
-	p := e.prog(c)
-	if !p.ok {
-		return nil, false, nil
+	p, cr, n, err := e.topSpans(c, spans)
+	if err != nil {
+		return nil, err
 	}
+	// Column position of each free variable in the top atom's key.
 	lv := &p.levels[0]
-	if lv.rel == nil {
-		if len(spans) > 0 {
-			return nil, false, nil
-		}
-		return nil, true, chk.Err()
-	}
-	r := lv.rel.Rel
-	nb := int32(r.NumBlocks())
-	for _, s := range spans {
-		if s < 0 || s >= nb {
-			return nil, false, nil
-		}
-	}
-	// Column position of each free variable in the top atom's key
-	// (SweepableFree guarantees one exists).
 	freeCol := make([]int, len(free))
 	for j, v := range free {
 		slot, known := e.varSlot[v]
-		if !known {
-			return nil, false, nil
-		}
 		freeCol[j] = -1
 		for i, t := range lv.key {
-			if t.slot == slot {
+			if known && t.slot == slot {
 				freeCol[j] = i
 				break
 			}
 		}
 		if freeCol[j] < 0 {
-			return nil, false, nil
+			return nil, fmt.Errorf("rewrite: free variable %s is not a key variable of %s", v, e.order[0])
 		}
 	}
+	if cr == nil {
+		return nil, chk.Err()
+	}
+	r := cr.Rel
+	var out []query.Valuation
 	ev := e.acquire(c, p, chk)
 	sp := chk.Tracer().Begin(trace.StageEliminator)
-	n := int(nb)
-	if spans != nil {
-		n = len(spans)
-	}
 	for i := 0; i < n; i++ {
 		b := int32(i)
 		if spans != nil {
@@ -605,9 +616,9 @@ func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var
 	ev.flush(chk)
 	e.release(ev)
 	if err := chk.Err(); err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	return out, true, nil
+	return out, nil
 }
 
 // SweepSpanBits is the zero-allocation batched answers kernel: it
@@ -615,33 +626,18 @@ func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var
 // (nil = every block of the columnar view) and writes the verdicts into
 // out, which must have room for one entry per swept block. Candidate
 // materialization is the caller's concern, so a warm kernel performs no
-// allocation at all. ok=false means the columnar view cannot decide and
-// the caller must use SweepBlocks.
-func (e *Eliminator) SweepSpanBits(ix *match.Index, spans []int32, out []bool, chk *evalctx.Checker) (ok bool, err error) {
+// allocation at all.
+func (e *Eliminator) SweepSpanBits(ix *match.Index, spans []int32, out []bool, chk *evalctx.Checker) error {
 	c := ix.DB.Columnar()
-	p := e.prog(c)
-	if !p.ok {
-		return false, nil
+	p, cr, n, err := e.topSpans(c, spans)
+	if err != nil {
+		return err
 	}
-	lv := &p.levels[0]
-	if lv.rel == nil {
-		if len(spans) > 0 {
-			return false, nil
-		}
-		return true, chk.Err()
-	}
-	nb := int32(lv.rel.Rel.NumBlocks())
-	for _, s := range spans {
-		if s < 0 || s >= nb {
-			return false, nil
-		}
-	}
-	n := int(nb)
-	if spans != nil {
-		n = len(spans)
+	if cr == nil {
+		return chk.Err()
 	}
 	if len(out) < n {
-		return false, nil
+		return fmt.Errorf("rewrite: verdict buffer holds %d entries, the sweep needs %d", len(out), n)
 	}
 	ev := e.acquire(c, p, chk)
 	sp := chk.Tracer().Begin(trace.StageEliminator)
@@ -659,7 +655,7 @@ func (e *Eliminator) SweepSpanBits(ix *match.Index, spans []int32, out []bool, c
 	sp.End()
 	ev.flush(chk)
 	e.release(ev)
-	return true, chk.Err()
+	return chk.Err()
 }
 
 // SortValuationsByKey sorts answer bindings into the canonical

@@ -2,22 +2,23 @@ package rewrite
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cqa/internal/db"
 	"cqa/internal/match"
+	"cqa/internal/naive"
 	"cqa/internal/query"
 	"cqa/internal/schema"
 	"cqa/internal/workload"
 )
 
-// TestInternedMatchesRowRandom: the interned columnar walk and the
-// row-oriented reference walk decide the same boolean on random acyclic
-// instances, and the columnar view actually takes the case (parsed
-// databases are always regular).
+// TestInternedMatchesRowRandom: the interned columnar walk decides the
+// same boolean as the row-oriented Lemma 10 reference (Certain) and as
+// the brute-force repair oracle on random acyclic instances.
 func TestInternedMatchesRowRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(4117))
-	taken := 0
+	oracle := 0
 	for trial := 0; trial < 300; trial++ {
 		q := acyclicRandomQuery(rng, t)
 		d := workload.RandomDB(rng, q, workload.DefaultDBParams())
@@ -25,30 +26,36 @@ func TestInternedMatchesRowRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %s: %v", q, err)
 		}
-		ix := match.NewIndex(d)
-		got, ok, err := el.certainInterned(ix, nil, nil)
+		got, err := el.CertainChecked(match.NewIndex(d), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			continue // no atoms, or a relation the view cannot hold
-		}
-		taken++
-		want, err := el.certainRowChecked(ix, nil, nil)
+		want, err := Certain(q, d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("interned=%v row=%v\nq = %s\ndb:\n%s", got, want, q, d)
+			t.Fatalf("interned=%v reference=%v\nq = %s\ndb:\n%s", got, want, q, d)
+		}
+		if d.NumRepairs() > 1<<12 {
+			continue
+		}
+		truth, err := naive.Certain(q, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle++
+		if got != truth {
+			t.Fatalf("interned=%v naive=%v\nq = %s\ndb:\n%s", got, truth, q, d)
 		}
 	}
-	if taken < 200 {
-		t.Fatalf("interned path decided only %d/300 trials; the columnar view should hold nearly all parsed instances", taken)
+	if oracle < 100 {
+		t.Fatalf("only %d/300 trials fit the repair oracle", oracle)
 	}
 }
 
 // TestInternedWithInitialValuation: seeding the interned walk with a
-// candidate binding agrees with the row walk under the same binding,
+// candidate binding agrees with the reference on the substituted query,
 // including bindings to constants absent from the database (a fresh
 // interned symbol occurs in no column, so unification fails exactly as
 // string comparison does) and bindings of foreign variables (inert).
@@ -66,93 +73,82 @@ func TestInternedWithInitialValuation(t *testing.T) {
 			continue
 		}
 		v := vars[rng.Intn(len(vars))]
-		binding := query.Valuation{v: adom[rng.Intn(len(adom))], "zzUnused": "whatever"}
+		c := adom[rng.Intn(len(adom))]
 		if trial%5 == 0 {
-			binding[v] = "no-such-constant-anywhere"
+			c = "no-such-constant-anywhere"
 		}
+		binding := query.Valuation{v: c, "zzUnused": "whatever"}
 		el, err := CompileAcyclic(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix := match.NewIndex(d)
-		got, ok, err := el.certainInterned(ix, binding, nil)
+		got, err := el.CertainChecked(match.NewIndex(d), binding, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			continue
-		}
-		want, err := el.certainRowChecked(ix, binding, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := CertainAcyclic(q.Substitute(query.Valuation{v: c}), d)
 		if got != want {
-			t.Fatalf("interned=%v row=%v\nq = %s\nbinding = %v\ndb:\n%s",
+			t.Fatalf("interned=%v reference=%v\nq = %s\nbinding = %v\ndb:\n%s",
 				got, want, q, binding, d)
 		}
 	}
 }
 
 // TestInternedAbsentRelation: a query over a relation with no facts is
-// never certain (on a nonempty query), on both walks.
+// never certain (on a nonempty query), on both evaluators.
 func TestInternedAbsentRelation(t *testing.T) {
 	q := query.MustParse("T(x | y)")
 	el, err := CompileAcyclic(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := match.NewIndex(factsDB(t, "R(a | b)"))
-	got, ok, err := el.certainInterned(ix, nil, nil)
-	if err != nil || !ok {
-		t.Fatalf("certainInterned = (_, %v, %v), want decided", ok, err)
+	d := factsDB(t, "R(a | b)")
+	got, err := el.CertainChecked(match.NewIndex(d), nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got {
 		t.Fatal("query over an absent relation reported certain")
 	}
-	if want, _ := el.certainRowChecked(ix, nil, nil); want != got {
-		t.Fatalf("interned=%v row=%v on absent relation", got, want)
+	if want := CertainAcyclic(q, d); want != got {
+		t.Fatalf("interned=%v reference=%v on absent relation", got, want)
 	}
 }
 
-// TestInternedIrregularFallback: two schemas under one relation name
-// keep the columnar view out (certainInterned declines), and the public
-// CertainChecked still answers through the row walk.
-func TestInternedIrregularFallback(t *testing.T) {
+// TestInternedRejectsConflictingSignature: a second signature under one
+// relation name never reaches the database (ingestion rejects it), and
+// a query whose atom disagrees with the stored signature gets an error
+// from every entry point of the walk — never a panic, never a boolean.
+func TestInternedRejectsConflictingSignature(t *testing.T) {
+	if _, err := db.ParseFacts(nil, "R(a | b)\nR(c | d, e)\nS(b | c)"); err == nil {
+		t.Fatal("upload giving R two signatures accepted")
+	}
 	d := db.New()
 	d.Add(db.NewFact(schema.Relation{Name: "R", Arity: 2, KeyLen: 1}, "a", "b"))
-	d.Add(db.NewFact(schema.Relation{Name: "R", Arity: 3, KeyLen: 1}, "c", "d", "e"))
+	if _, err := d.Insert(db.NewFact(schema.Relation{Name: "R", Arity: 3, KeyLen: 1}, "c", "d", "e")); err == nil {
+		t.Fatal("Insert accepted a second signature for R")
+	}
 	d.Add(db.NewFact(schema.Relation{Name: "S", Arity: 2, KeyLen: 1}, "b", "c"))
-	q := query.MustParse("R(x | y), S(y | z)")
+
+	q := query.MustParse("R(x | y, w), S(y | z)")
 	el, err := CompileAcyclic(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix := match.NewIndex(d)
-	if _, ok, _ := el.certainInterned(ix, nil, nil); ok {
-		t.Fatal("interned walk claimed to decide an irregular relation")
+	wantErr := func(name string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "R[2,1]") || !strings.Contains(err.Error(), "R[3,1]") {
+			t.Errorf("%s: err = %v, want both signatures named", name, err)
+		}
 	}
-	got, err := el.CertainChecked(ix, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := el.certainRowChecked(ix, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("CertainChecked=%v row=%v on irregular data", got, want)
-	}
-	// Sweep entry points decline too; spans over an irregular top
-	// relation send the caller to the row sweeps.
-	if _, ok, _ := el.CertainOverSpans(ix, nil, nil); ok {
-		t.Fatal("CertainOverSpans decided an irregular relation")
-	}
-	if _, ok, _ := el.SweepSpans(ix, nil, []query.Var{"x"}, nil); ok {
-		t.Fatal("SweepSpans decided an irregular relation")
-	}
-	if ok, _ := el.SweepSpanBits(ix, nil, make([]bool, 4), nil); ok {
-		t.Fatal("SweepSpanBits decided an irregular relation")
-	}
+	_, err = el.CertainChecked(ix, nil, nil)
+	wantErr("CertainChecked", err)
+	_, err = el.CertainOverSpans(ix, nil, nil)
+	wantErr("CertainOverSpans", err)
+	_, err = el.SweepSpans(ix, nil, []query.Var{"x"}, nil)
+	wantErr("SweepSpans", err)
+	wantErr("SweepSpanBits", el.SweepSpanBits(ix, nil, make([]bool, 4), nil))
 }
 
 // TestCertainOverSpansPartition: nil spans decide exactly Certain, and
@@ -171,20 +167,17 @@ func TestCertainOverSpansPartition(t *testing.T) {
 			continue
 		}
 		ix := match.NewIndex(d)
-		want := el.Certain(ix)
-		all, ok, err := el.CertainOverSpans(ix, nil, nil)
+		want := CertainAcyclic(q, d)
+		all, err := el.CertainOverSpans(ix, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			continue
-		}
 		if all != want {
-			t.Fatalf("CertainOverSpans(nil)=%v Certain=%v\nq = %s\ndb:\n%s", all, want, q, d)
+			t.Fatalf("CertainOverSpans(nil)=%v reference=%v\nq = %s\ndb:\n%s", all, want, q, d)
 		}
 		topRel := el.Order()[0].Rel.Name
-		cr, regular := d.Columnar().Rel(topRel)
-		if !regular || cr == nil {
+		cr := d.Columnar().Rel(topRel)
+		if cr == nil {
 			continue
 		}
 		parts := make([][]int32, 3)
@@ -193,29 +186,65 @@ func TestCertainOverSpansPartition(t *testing.T) {
 		}
 		union := false
 		for _, part := range parts {
-			res, ok, err := el.CertainOverSpans(ix, part, nil)
+			res, err := el.CertainOverSpans(ix, part, nil)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatalf("CertainOverSpans declined valid spans %v", part)
+				t.Fatalf("CertainOverSpans refused valid spans %v: %v", part, err)
 			}
 			union = union || res
 		}
 		if union != want {
-			t.Fatalf("partition OR=%v Certain=%v\nq = %s\ndb:\n%s", union, want, q, d)
+			t.Fatalf("partition OR=%v reference=%v\nq = %s\ndb:\n%s", union, want, q, d)
 		}
 		// Out-of-range spans are refused, never mis-decided.
-		if _, ok, _ := el.CertainOverSpans(ix, []int32{int32(cr.Rel.NumBlocks())}, nil); ok {
+		if _, err := el.CertainOverSpans(ix, []int32{int32(cr.Rel.NumBlocks())}, nil); err == nil {
 			t.Fatal("CertainOverSpans accepted an out-of-range block index")
 		}
 	}
 }
 
-// TestSweepSpansMatchesSweepBlocks: the interned sweep and the row
-// sweep produce the same answer set on a sweepable query, flat and
-// under a partition.
-func TestSweepSpansMatchesSweepBlocks(t *testing.T) {
+// referenceAnswers decides the certain answers of a query sweepable on
+// free by asking the reference recursion about every candidate binding
+// read off a block key of the top relation.
+func referenceAnswers(q query.Query, el *Eliminator, free []query.Var, d *db.DB) map[string]bool {
+	top := el.Order()[0]
+	out := make(map[string]bool)
+	for _, b := range d.BlocksOf(top.Rel.Name) {
+		binding := query.Valuation{}
+		if !unifyArgs(top.KeyArgs(), b.Facts[0].Key(), binding) {
+			continue
+		}
+		binding = binding.Restrict(query.NewVarSet(free...))
+		if CertainAcyclic(q.Substitute(binding), d) {
+			out[binding.Key()] = true
+		}
+	}
+	return out
+}
+
+func keySet(vals []query.Valuation) map[string]bool {
+	m := make(map[string]bool, len(vals))
+	for _, v := range vals {
+		m[v.Key()] = true
+	}
+	return m
+}
+
+func sameKeys(a, b map[string]bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if !b[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSweepSpansMatchesReference: the interned sweep produces the
+// answer set the reference recursion certifies candidate by candidate,
+// flat and under a partition, and the bit kernel agrees block by block.
+func TestSweepSpansMatchesReference(t *testing.T) {
 	q := query.MustParse("R(x | y), S(y | z)")
 	el, err := CompileAcyclic(q)
 	if err != nil {
@@ -235,55 +264,38 @@ func TestSweepSpansMatchesSweepBlocks(t *testing.T) {
 		t.Fatal("fixture query should be sweepable on x")
 	}
 	ix := match.NewIndex(d)
-	want, err := el.SweepBlocks(ix, d.BlocksOf("R"), free, nil)
+	want := referenceAnswers(q, el, free, d)
+	got, err := el.SweepSpans(ix, nil, free, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := el.SweepSpans(ix, nil, free, nil)
-	if err != nil || !ok {
-		t.Fatalf("SweepSpans = (_, %v, %v), want decided", ok, err)
-	}
-	keySet := func(vals []query.Valuation) map[string]bool {
-		m := make(map[string]bool, len(vals))
-		for _, v := range vals {
-			m[v.Key()] = true
-		}
-		return m
-	}
-	wantKeys, gotKeys := keySet(want), keySet(got)
-	if len(wantKeys) != len(gotKeys) {
-		t.Fatalf("SweepSpans answers %v, SweepBlocks answers %v", got, want)
-	}
-	for k := range wantKeys {
-		if !gotKeys[k] {
-			t.Fatalf("SweepSpans missing answer %s; got %v want %v", k, got, want)
-		}
+	if !sameKeys(keySet(got), want) {
+		t.Fatalf("SweepSpans answers %v, reference answers %v", got, want)
 	}
 	// Partitioned sweep unions to the same set.
-	cr, _ := d.Columnar().Rel("R")
+	cr := d.Columnar().Rel("R")
 	parts := make([][]int32, 2)
 	for b := 0; b < cr.Rel.NumBlocks(); b++ {
 		parts[b%2] = append(parts[b%2], int32(b))
 	}
 	union := make(map[string]bool)
 	for _, part := range parts {
-		vals, ok, err := el.SweepSpans(ix, part, free, nil)
-		if err != nil || !ok {
-			t.Fatalf("partitioned SweepSpans = (_, %v, %v)", ok, err)
+		vals, err := el.SweepSpans(ix, part, free, nil)
+		if err != nil {
+			t.Fatalf("partitioned SweepSpans: %v", err)
 		}
 		for _, v := range vals {
 			union[v.Key()] = true
 		}
 	}
-	if len(union) != len(wantKeys) {
-		t.Fatalf("partitioned union %v, want %v", union, wantKeys)
+	if !sameKeys(union, want) {
+		t.Fatalf("partitioned union %v, want %v", union, want)
 	}
 
 	// The bit kernel agrees block-by-block with the materialized sweep.
 	bits := make([]bool, cr.Rel.NumBlocks())
-	ok, err = el.SweepSpanBits(ix, nil, bits, nil)
-	if err != nil || !ok {
-		t.Fatalf("SweepSpanBits = (%v, %v), want decided", ok, err)
+	if err := el.SweepSpanBits(ix, nil, bits, nil); err != nil {
+		t.Fatalf("SweepSpanBits: %v", err)
 	}
 	passing := 0
 	for _, b := range bits {
@@ -295,12 +307,16 @@ func TestSweepSpansMatchesSweepBlocks(t *testing.T) {
 		t.Fatalf("SweepSpanBits reports %d passing blocks, SweepSpans returned %d answers", passing, len(got))
 	}
 	// Undersized output buffer is refused.
-	if ok, _ := el.SweepSpanBits(ix, nil, make([]bool, cr.Rel.NumBlocks()-1), nil); ok {
+	if err := el.SweepSpanBits(ix, nil, make([]bool, cr.Rel.NumBlocks()-1), nil); err == nil {
 		t.Fatal("SweepSpanBits accepted an undersized output buffer")
+	}
+	// Free variables off the top atom's key are refused.
+	if _, err := el.SweepSpans(ix, nil, []query.Var{"z"}, nil); err == nil {
+		t.Fatal("SweepSpans accepted a free variable outside the top key")
 	}
 }
 
-// TestSweepSpansRandomDifferential: interned sweep vs row sweep on
+// TestSweepSpansRandomDifferential: interned sweep vs the reference on
 // random sweepable instances.
 func TestSweepSpansRandomDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(271))
@@ -312,33 +328,18 @@ func TestSweepSpansRandomDifferential(t *testing.T) {
 	free := []query.Var{"x"}
 	for trial := 0; trial < 80; trial++ {
 		d := workload.RandomDB(rng, q, workload.DefaultDBParams())
-		ix := match.NewIndex(d)
-		want, err := el.SweepBlocks(ix, d.BlocksOf("R"), free, nil)
+		got, err := el.SweepSpans(match.NewIndex(d), nil, free, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok, err := el.SweepSpans(ix, nil, free, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			continue
-		}
-		SortValuationsByKey(want)
-		SortValuationsByKey(got)
-		if len(want) != len(got) {
-			t.Fatalf("SweepSpans %d answers, SweepBlocks %d\ndb:\n%s", len(got), len(want), d)
-		}
-		for i := range want {
-			if want[i].Key() != got[i].Key() {
-				t.Fatalf("answer %d: interned %v row %v", i, got[i], want[i])
-			}
+		if want := referenceAnswers(q, el, free, d); !sameKeys(keySet(got), want) {
+			t.Fatalf("SweepSpans %v, reference %v\ndb:\n%s", got, want, d)
 		}
 	}
 }
 
 // TestInternedConstantsInQuery: query constants — present and absent
-// from the database — decide identically on both walks.
+// from the database — decide identically on both evaluators.
 func TestInternedConstantsInQuery(t *testing.T) {
 	d := factsDB(t, `
 		R(a | b)
@@ -358,16 +359,12 @@ func TestInternedConstantsInQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %s: %v", qs, err)
 		}
-		got, ok, err := el.certainInterned(ix, nil, nil)
-		if err != nil || !ok {
-			t.Fatalf("%s: certainInterned = (_, %v, %v)", qs, ok, err)
-		}
-		want, err := el.certainRowChecked(ix, nil, nil)
+		got, err := el.CertainChecked(ix, nil, nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", qs, err)
 		}
-		if got != want {
-			t.Fatalf("%s: interned=%v row=%v", qs, got, want)
+		if want := CertainAcyclic(q, d); got != want {
+			t.Fatalf("%s: interned=%v reference=%v", qs, got, want)
 		}
 	}
 }

@@ -5,51 +5,52 @@
 // every fact of the block extends to a certain residue query. The package
 // provides both the direct evaluator and the symbolic first-order
 // rewriting (Example 5 style) with its own model-checking evaluator.
+// The direct evaluator comes twice: the compiled Eliminator (the
+// production engine, a zero-allocation walk over the columnar view) and
+// the row-oriented recursion of Certain, kept as its reference.
 package rewrite
 
 import (
+	"fmt"
+
 	"cqa/internal/attack"
 	"cqa/internal/db"
-	"cqa/internal/match"
 	"cqa/internal/query"
 )
 
 // Certain decides CERTAINTY(q) for queries whose attack graph is acyclic.
 // It returns an error when the attack graph has a cycle (use the ptime or
-// conp engines there).
+// conp engines there). It runs the row-oriented reference recursion of
+// CertainAcyclic: the production engine is the compiled Eliminator, and
+// Certain is the independent Lemma 10 oracle the differential tests
+// hold it to.
 func Certain(q query.Query, d *db.DB) (bool, error) {
-	el, err := CompileEliminator(q)
+	g, err := attack.BuildGraph(q)
 	if err != nil {
 		return false, err
 	}
-	return el.Certain(match.NewIndex(d)), nil
+	if g.HasCycle() {
+		return false, fmt.Errorf("rewrite: attack graph of %s is cyclic; CERTAINTY is not in FO", q)
+	}
+	return CertainAcyclic(q, d), nil
 }
 
-// CertainAcyclic runs the Lemma 10 recursion for a query whose attack
-// graph is already known to be acyclic (for example from a cached
-// classification), skipping the cycle check that Certain performs. The
-// elimination order is compiled once from the query pattern and then
-// walked with valuations — no attack graph is built and no residue query
-// is allocated on the data side. Callers that evaluate the same query
-// against many databases should CompileAcyclic once and reuse the
-// Eliminator. The result is meaningless on cyclic queries.
+// CertainAcyclic runs the Lemma 10 recursion directly on the row view
+// for a query whose attack graph is already known to be acyclic: build
+// the attack graph of the residue, pick an unattacked atom, and demand
+// that some block of its relation passes the Lemma 9 test, recursing on
+// substituted residue queries memoized by their canonical text. It
+// shares no code with the compiled Eliminator walk — no elimination
+// order, no columnar view, no interned valuation — which is what makes
+// it a reference for that walk. The result is meaningless on cyclic
+// queries.
 func CertainAcyclic(q query.Query, d *db.DB) bool {
-	el, err := CompileAcyclic(q)
-	if err != nil {
-		// Defensive: on input that is not actually acyclic the compiled
-		// order may not exist; fall back to the per-node recursion, which
-		// reproduces the seed behavior on such misuse.
-		e := &evaluator{
-			ix:   match.NewIndex(d),
-			memo: make(map[string]bool),
-		}
-		return e.certain(q)
-	}
-	return el.Certain(match.NewIndex(d))
+	e := &evaluator{d: d, memo: make(map[string]bool)}
+	return e.certain(q)
 }
 
 type evaluator struct {
-	ix   *match.Index
+	d    *db.DB
 	memo map[string]bool
 }
 
@@ -85,7 +86,16 @@ func (e *evaluator) certainUncached(q query.Query) bool {
 	// Lemma 9: q is certain iff some R-block b exists such that the key
 	// pattern of F matches b's key and, for every fact of b, the non-key
 	// pattern matches and the instantiated residue query is certain.
-	for _, b := range e.ix.DB.BlocksOf(f.Rel.Name) {
+	// A fully instantiated key names at most one candidate block.
+	blocks := e.d.BlocksOf(f.Rel.Name)
+	if key, ok := groundKey(f); ok {
+		b, found := e.d.BlockByKey(f.Rel.Name, key)
+		if !found {
+			return false
+		}
+		blocks = []db.Block{b}
+	}
+	for _, b := range blocks {
 		if len(b.Facts) == 0 {
 			continue
 		}
@@ -110,6 +120,19 @@ func (e *evaluator) certainUncached(q query.Query) bool {
 		}
 	}
 	return false
+}
+
+// groundKey returns the key value of an atom whose key positions are
+// all constants.
+func groundKey(a query.Atom) ([]query.Const, bool) {
+	key := make([]query.Const, a.Rel.KeyLen)
+	for i, t := range a.KeyArgs() {
+		if !t.IsConst() {
+			return nil, false
+		}
+		key[i] = t.Const()
+	}
+	return key, true
 }
 
 // unifyArgs extends val so that the terms map onto the constants; it

@@ -72,8 +72,8 @@ func (s *Server) resolveClusterRef(w http.ResponseWriter, req certainRequest, pl
 		httpError(w, http.StatusNotFound, "unknown database %q", req.DB)
 		return nil, false
 	}
-	if err := checkSchema(plan.Query, snap.DB); err != nil {
-		httpError(w, http.StatusBadRequest, "database %q: %v", req.DB, err)
+	if err := core.CheckSignatures(plan.Query, snap.DB); err != nil {
+		s.evalError(w, err)
 		return nil, false
 	}
 	return &dbRef{Name: snap.Name, Version: snap.Version}, true

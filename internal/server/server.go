@@ -442,11 +442,16 @@ const statusClientClosedRequest = 499
 // query).
 func (s *Server) evalError(w http.ResponseWriter, err error) {
 	var reqErr *cluster.RequestError
+	var sigErr *core.SignatureError
 	switch {
 	case errors.As(err, &reqErr):
 		// A cluster node diagnosed the request itself as defective;
 		// surface its stable code rather than the transport taxonomy.
 		httpErrorCode(w, http.StatusBadRequest, reqErr.Code, "%v", reqErr)
+	case errors.As(err, &sigErr):
+		// The stored database and the query disagree about a relation's
+		// signature: a defect of the request, not of the evaluation.
+		httpErrorCode(w, http.StatusBadRequest, "signature_mismatch", "%v", sigErr)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.timeouts.Add(1)
 		w.Header().Set("Retry-After", "1")
@@ -567,10 +572,6 @@ func (s *Server) resolveDB(w http.ResponseWriter, req certainRequest, plan *core
 			httpError(w, http.StatusNotFound, "unknown database %q", req.DB)
 			return nil, nil, nil, false
 		}
-		if err := checkSchema(plan.Query, snap.DB); err != nil {
-			httpError(w, http.StatusBadRequest, "database %q: %v", req.DB, err)
-			return nil, nil, nil, false
-		}
 		return snap.IndexTraced(tr), snap.ShardPool(s.shards, s.hedge), &dbRef{Name: snap.Name, Version: snap.Version}, true
 	case req.Facts != "":
 		d, err := db.ParseFacts(plan.Query.Schema(), req.Facts)
@@ -587,26 +588,6 @@ func (s *Server) resolveDB(w http.ResponseWriter, req certainRequest, plan *core
 		httpError(w, http.StatusBadRequest, "missing \"db\" (stored database name) or \"facts\" (inline facts)")
 		return nil, nil, nil, false
 	}
-}
-
-// checkSchema verifies that the stored facts of every relation the query
-// uses carry the signature the query expects. Uploads infer signatures
-// from the bar syntax, so a mismatch means the upload and the query
-// disagree about keys or modes — evaluating anyway would be silently
-// wrong.
-func checkSchema(q query.Query, d *db.DB) error {
-	for _, a := range q.Atoms {
-		facts := d.FactsOf(a.Rel.Name)
-		if len(facts) == 0 {
-			continue
-		}
-		got := facts[0].Rel
-		if got != a.Rel {
-			return fmt.Errorf("relation %s: stored signature [arity %d, key %d, mode %s] differs from the query's [arity %d, key %d, mode %s]",
-				a.Rel.Name, got.Arity, got.KeyLen, got.Mode, a.Rel.Arity, a.Rel.KeyLen, a.Rel.Mode)
-		}
-	}
-	return nil
 }
 
 func parseEngine(w http.ResponseWriter, name string) (core.Options, bool) {

@@ -442,6 +442,7 @@ func TestDBMutateErrors(t *testing.T) {
 		{`{"upsert": [["R(a | 1)", "R(b | 1)"]]}`, 400}, // key-mixing block
 		{`{"upsert": [[]]}`, 400},                       // empty block
 		{`{"insert": ["T#c(k | 2)"]}`, 400},             // mode-c violation
+		{`{"insert": ["R(q, r, s | t)"]}`, 400},         // R is stored as R[2,1]
 		{`not json`, 400},
 	}
 	for _, c := range cases {
@@ -454,6 +455,58 @@ func TestDBMutateErrors(t *testing.T) {
 	do(t, h, "GET", "/v1/db/prod", "", &info)
 	if info.Version != 1 {
 		t.Errorf("version = %d after rejected deltas", info.Version)
+	}
+}
+
+// TestDBPutRejectsConflictingSignature: an upload giving one relation
+// name two signatures is a 400 that publishes nothing — neither a new
+// name nor a new version of an existing one — and a query whose
+// signature disagrees with the stored data is a 400 on every
+// evaluation endpoint and engine, never a 5xx.
+func TestDBPutRejectsConflictingSignature(t *testing.T) {
+	h := newTestServer().Handler()
+	body := "R(a, b | c)\nR(a | b)\nR(a | d)\n"
+	rec := do(t, h, "PUT", "/v1/db/w2", body, nil)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("put with two signatures: %d %s", rec.Code, rec.Body.String())
+	}
+	for _, frag := range []string{"line 2", "R[3,2]", "R[2,1]"} {
+		if !strings.Contains(rec.Body.String(), frag) {
+			t.Errorf("put error %s does not mention %q", rec.Body.String(), frag)
+		}
+	}
+	if rec := do(t, h, "GET", "/v1/db/w2", "", nil); rec.Code != http.StatusNotFound {
+		t.Errorf("rejected upload published a snapshot: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, h, "PUT", "/v1/db/w2", "R(a, b | c)\nR(a, e | f)\n", nil); rec.Code != 200 {
+		t.Fatalf("put: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, h, "PUT", "/v1/db/w2", body, nil); rec.Code != http.StatusBadRequest {
+		t.Fatalf("re-put with two signatures: %d", rec.Code)
+	}
+	var info snapshotInfo
+	do(t, h, "GET", "/v1/db/w2", "", &info)
+	if info.Version != 1 || info.Facts != 2 {
+		t.Errorf("rejected re-upload replaced the snapshot: %+v", info)
+	}
+
+	for _, c := range []struct{ path, body string }{
+		{"/v1/certain", `{"query": "R(x | y)", "db": "w2"}`},
+		{"/v1/certain", `{"query": "R(x | y)", "db": "w2", "engine": "fo"}`},
+		{"/v1/certain", `{"query": "R(x | y)", "db": "w2", "engine": "ptime"}`},
+		{"/v1/certain", `{"query": "R(x | y)", "db": "w2", "engine": "conp"}`},
+		{"/v1/answers", `{"query": "R(x | y)", "free": ["x"], "db": "w2"}`},
+		{"/v1/count", `{"query": "R(x | y)", "db": "w2"}`},
+	} {
+		rec := do(t, h, "POST", c.path, c.body, nil)
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+			t.Fatalf("%s %s: undecodable reply %q", c.path, c.body, rec.Body.String())
+		}
+		if rec.Code != http.StatusBadRequest || er.Code != "signature_mismatch" ||
+			!strings.Contains(er.Error, "stored signature [arity 3, key 2, mode i] differs from the query's [arity 2, key 1, mode i]") {
+			t.Errorf("%s %s: %d %+v, want 400 signature_mismatch", c.path, c.body, rec.Code, er)
+		}
 	}
 }
 

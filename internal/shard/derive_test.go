@@ -15,9 +15,9 @@ import (
 	"cqa/internal/schema"
 )
 
-// partitionFingerprint renders every shard's partition (row blocks and
-// columnar spans) in a canonical form, for comparing a derived pool
-// against a cold rebuild.
+// partitionFingerprint renders every shard's span partition in a
+// canonical form (the owned blocks' facts, via the columnar view), for
+// comparing a derived pool against a cold rebuild.
 func partitionFingerprint(t *testing.T, p *Pool) []string {
 	t.Helper()
 	waitBuilt(t, p)
@@ -26,8 +26,19 @@ func partitionFingerprint(t *testing.T, p *Pool) []string {
 		if !s.built.Load() {
 			t.Fatalf("shard %d not built", s.id)
 		}
-		for rel, blocks := range s.blocks {
-			for _, b := range blocks {
+		for rel, sp := range s.spans {
+			out = append(out, fmt.Sprintf("s%d spans %s %d", s.id, rel, len(sp)))
+			// Spans must point at blocks this shard owns in the columnar
+			// view of the pool's database.
+			cr := p.db.Columnar().Rel(rel)
+			if cr == nil {
+				t.Fatalf("shard %d has spans for relation %s without facts", s.id, rel)
+			}
+			for _, bi := range sp {
+				b := cr.Blocks[bi]
+				if Of(b.ID, p.n) != s.id {
+					t.Fatalf("shard %d span %d of %s not owned", s.id, bi, rel)
+				}
 				facts := make([]string, len(b.Facts))
 				for i, f := range b.Facts {
 					facts[i] = f.String()
@@ -36,34 +47,19 @@ func partitionFingerprint(t *testing.T, p *Pool) []string {
 				out = append(out, fmt.Sprintf("s%d %s %q %v", s.id, rel, b.ID, facts))
 			}
 		}
-		for rel, sp := range s.spans {
-			out = append(out, fmt.Sprintf("s%d spans %s %d", s.id, rel, len(sp)))
-			// Spans must point at blocks this shard owns in the columnar
-			// view of the pool's database.
-			col := p.db.Columnar()
-			cr, ok := col.Rel(rel)
-			if !ok {
-				t.Fatalf("shard %d has spans for irregular relation %s", s.id, rel)
-			}
-			for _, bi := range sp {
-				if cr == nil || Of(cr.Blocks[bi].ID, p.n) != s.id {
-					t.Fatalf("shard %d span %d of %s not owned", s.id, bi, rel)
-				}
-			}
-		}
 		out = append(out, fmt.Sprintf("s%d total %d", s.id, s.numBlocks))
 	}
 	sort.Strings(out)
 	return out
 }
 
-// spanCoverage maps each regular relation to the total number of spans
-// across shards — must equal the columnar block count.
+// checkSpanCoverage requires, per relation, the spans across shards to
+// add up to the columnar block count.
 func checkSpanCoverage(t *testing.T, p *Pool) {
 	t.Helper()
 	col := p.db.Columnar()
 	for _, name := range col.RelNames() {
-		cr, _ := col.Rel(name)
+		cr := col.Rel(name)
 		total := 0
 		for _, s := range p.shards {
 			sp, ok := s.spans[name]
@@ -170,10 +166,11 @@ func TestDeriveServesQueries(t *testing.T) {
 	waitBuilt(t, derived)
 
 	total := 0
+	cr := child.Columnar().Rel("R")
 	for i := 0; i < derived.N(); i++ {
 		v := &View{ID: i, DB: child, s: derived.shards[i]}
-		for _, b := range v.BlocksOf("R") {
-			total += len(b.Facts)
+		for _, bi := range v.SpansOf("R") {
+			total += len(cr.Blocks[bi].Facts)
 		}
 	}
 	if total != 3 {

@@ -74,12 +74,9 @@ type shardState struct {
 	buildMu          sync.Mutex
 	built            atomic.Bool
 	initialBuildDone bool
-	blocks           map[string][]db.Block
-	// spans holds, per regular relation of the snapshot's columnar
-	// view, the indices of the columnar blocks this shard owns — the
-	// interned form of the blocks partition, assigned by the same
-	// Of(blockID) hash so both forms always agree. Relations absent
-	// from the map are irregular (row path only).
+	// spans holds, per relation of the snapshot's columnar view, the
+	// indices of the columnar blocks this shard owns (Of(blockID) ==
+	// id). Relations without facts are absent.
 	spans     map[string][]int32
 	numBlocks int
 
@@ -118,8 +115,8 @@ func NewPool(d *db.DB, n int, opt PoolOptions) *Pool {
 // Derive builds the pool of an Apply-derived snapshot from the parent's
 // pool without re-partitioning the database: every already-built parent
 // shard starts built, its partition patched only for the relations the
-// change set names (untouched relations alias the parent shard's block
-// lists and columnar spans). Parent shards whose initial build had not
+// change set names (untouched relations alias the parent shard's
+// columnar spans). Parent shards whose initial build had not
 // finished — or had failed — rebuild in the background against the child
 // exactly as a fresh pool would, and the Building gauge reports that
 // partial rebuild to the readiness probe. Derive returns nil when the
@@ -151,42 +148,20 @@ func (p *Pool) Derive(child *db.DB, ch *db.ChangeSet) *Pool {
 			pending++
 			continue
 		}
-		blocks := maps.Clone(ps.blocks)
-		if blocks == nil {
-			blocks = make(map[string][]db.Block)
-		}
 		spans := maps.Clone(ps.spans)
 		if spans == nil {
 			spans = make(map[string][]int32)
 		}
 		count := ps.numBlocks
 		for name := range ch.Rels {
-			old := len(blocks[name])
-			var nb []db.Block
-			for _, b := range child.BlocksOf(name) {
-				if len(b.Facts) > 0 && Of(b.ID, np.n) == i {
-					nb = append(nb, b)
-				}
-			}
-			if len(nb) == 0 {
-				delete(blocks, name)
-			} else {
-				blocks[name] = nb
-			}
-			count += len(nb) - old
-			if cr, regular := col.Rel(name); regular && cr != nil {
-				sp := []int32{}
-				for bi, blk := range cr.Blocks {
-					if Of(blk.ID, np.n) == i {
-						sp = append(sp, int32(bi))
-					}
-				}
-				spans[name] = sp
+			count -= len(spans[name])
+			if cr := col.Rel(name); cr != nil {
+				spans[name] = ownedSpans(cr, i, np.n)
+				count += len(spans[name])
 			} else {
 				delete(spans, name)
 			}
 		}
-		s.blocks = blocks
 		s.spans = spans
 		s.numBlocks = count
 		s.initialBuildDone = true
@@ -265,7 +240,7 @@ func fireHook(base string, id int) error {
 	return faultinject.Fire(base + "." + strconv.Itoa(id))
 }
 
-// ensureBuilt builds the shard's block partition on first use. A failed
+// ensureBuilt builds the shard's span partition on first use. A failed
 // build (injected fault) marks the shard unhealthy and is retried by
 // the next task, mirroring the snapshot index's retry-on-panic
 // semantics; the initial background build counts against the pool's
@@ -300,44 +275,38 @@ func (s *shardState) ensureBuilt(tr *trace.Tracer) error {
 	return nil
 }
 
-// build partitions the snapshot's blocks: the shard keeps references to
-// the blocks it owns (Of(blockID) == id), grouped by relation in
-// first-seen order. The facts themselves are shared with the snapshot —
-// a shard index is a view, not a copy.
+// build partitions the snapshot's columnar view: for every relation,
+// the indices of the columnar blocks the shard owns (Of(blockID) ==
+// id). The blocks themselves are shared with the snapshot — a shard
+// index is a view, not a copy.
 func (s *shardState) build() error {
 	if err := fireHook("shard.index", s.id); err != nil {
 		return err
 	}
-	blocks := make(map[string][]db.Block)
-	count := 0
-	for _, b := range s.pool.db.Blocks() {
-		if len(b.Facts) == 0 || Of(b.ID, s.pool.n) != s.id {
-			continue
-		}
-		rel := b.Facts[0].Rel.Name
-		blocks[rel] = append(blocks[rel], b)
-		count++
-	}
-	s.blocks = blocks
-	s.numBlocks = count
-	// The columnar partition: for every regular relation, the indices
-	// of the columnar blocks this shard owns. The entry exists even
-	// when the shard owns none of a relation's blocks, so SpansOf can
-	// distinguish "empty partition" from "irregular relation".
 	col := s.pool.db.Columnar()
 	spans := make(map[string][]int32, len(col.RelNames()))
+	count := 0
 	for _, name := range col.RelNames() {
-		cr, _ := col.Rel(name)
-		sp := []int32{}
-		for bi, blk := range cr.Blocks {
-			if Of(blk.ID, s.pool.n) == s.id {
-				sp = append(sp, int32(bi))
-			}
-		}
-		spans[name] = sp
+		spans[name] = ownedSpans(col.Rel(name), s.id, s.pool.n)
+		count += len(spans[name])
 	}
 	s.spans = spans
+	s.numBlocks = count
 	return nil
+}
+
+// ownedSpans lists the indices of the relation's columnar blocks that
+// shard id of n owns. The slice is non-nil even when the shard owns
+// none, so a span-restricted walk over it visits nothing (nil means
+// every block there).
+func ownedSpans(cr *db.ColRel, id, n int) []int32 {
+	sp := []int32{}
+	for bi, blk := range cr.Blocks {
+		if Of(blk.ID, n) == id {
+			sp = append(sp, int32(bi))
+		}
+	}
+	return sp
 }
 
 // Task is one shard evaluation: it sees the shard's view and a checker

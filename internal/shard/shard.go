@@ -91,7 +91,7 @@ func (h Health) String() string {
 }
 
 // View is the read-only face of one shard handed to an evaluation task:
-// the shard's own block partition plus the full snapshot for residue
+// the shard's own span partition plus the full snapshot for residue
 // probes.
 type View struct {
 	// ID is the shard number, 0-based.
@@ -103,20 +103,14 @@ type View struct {
 	s *shardState
 }
 
-// BlocksOf returns the shard-owned blocks of the named relation, in the
-// snapshot's first-seen order. The slice is shared; do not modify.
-func (v *View) BlocksOf(relName string) []db.Block {
-	return v.s.blocks[relName]
-}
-
 // SpansOf returns the shard-owned columnar block indices of the named
-// relation — the interned form of BlocksOf, valid against the
-// snapshot's columnar view. ok is false when the relation is irregular
-// there (or the snapshot has no facts for it), in which case the caller
-// must use BlocksOf. The slice is shared; do not modify.
-func (v *View) SpansOf(relName string) ([]int32, bool) {
-	sp, ok := v.s.spans[relName]
-	return sp, ok
+// relation, valid against the snapshot's columnar view — the input of
+// the span-restricted walks (rewrite.Eliminator.CertainOverSpans,
+// SweepSpans). It is nil when the snapshot has no facts for the
+// relation, where those walks decide false on their own. The slice is
+// shared; do not modify.
+func (v *View) SpansOf(relName string) []int32 {
+	return v.s.spans[relName]
 }
 
 // NumBlocks returns the number of blocks this shard owns.

@@ -122,7 +122,9 @@ T(z | 9)
 			}
 			count := 0
 			for _, rel := range d.Relations() {
-				for _, b := range v.BlocksOf(rel) {
+				cr := d.Columnar().Rel(rel)
+				for _, bi := range v.SpansOf(rel) {
+					b := cr.Blocks[bi]
 					if owner, dup := seen[b.ID]; dup {
 						t.Errorf("block %q on shards %d and %d", b.ID, owner, id)
 					}

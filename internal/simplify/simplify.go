@@ -167,16 +167,18 @@ func ElimPatterns(q query.Query) (Step, bool) {
 		TransformDB: func(d *db.DB) (*db.DB, error) {
 			out := db.New()
 			for _, f := range d.Facts() {
-				dr, ok := byRel[f.Rel.Name]
-				if !ok {
-					out.Add(f)
-					continue
+				if dr, ok := byRel[f.Rel.Name]; ok {
+					args := make([]query.Const, len(dr.keep))
+					for i, p := range dr.keep {
+						args[i] = f.Args[p]
+					}
+					f = db.Fact{Rel: dr.newRel, Args: args}
 				}
-				args := make([]query.Const, len(dr.keep))
-				for i, p := range dr.keep {
-					args[i] = f.Args[p]
+				// The projected relation's name is not fresh: one the
+				// query already uses under another signature is an error.
+				if _, err := out.Insert(f); err != nil {
+					return nil, err
 				}
-				out.Add(db.Fact{Rel: dr.newRel, Args: args})
 			}
 			return out, nil
 		},
@@ -280,19 +282,23 @@ func PackCompositeKeys(q query.Query) (Step, bool, error) {
 		TransformDB: func(d *db.DB) (*db.DB, error) {
 			out := db.New()
 			for _, f := range d.Facts() {
-				p, ok := packs[f.Rel.Name]
-				if !ok {
-					out.Add(f)
-					continue
+				facts := []db.Fact{f}
+				if p, ok := packs[f.Rel.Name]; ok {
+					key := f.Args[:p.k]
+					u := packConst(f.Rel.Name, key)
+					facts = []db.Fact{
+						{Rel: p.newRel, Args: append([]query.Const{u}, f.Args...)},
+						{Rel: p.encRel, Args: append(append([]query.Const{}, key...), u)},
+						{Rel: p.decRel, Args: append([]query.Const{u}, key...)},
+					}
 				}
-				key := f.Args[:p.k]
-				u := packConst(f.Rel.Name, key)
-				mainArgs := append([]query.Const{u}, f.Args...)
-				encArgs := append(append([]query.Const{}, key...), u)
-				decArgs := append([]query.Const{u}, key...)
-				out.Add(db.Fact{Rel: p.newRel, Args: mainArgs})
-				out.Add(db.Fact{Rel: p.encRel, Args: encArgs})
-				out.Add(db.Fact{Rel: p.decRel, Args: decArgs})
+				// The packed relations' names are not fresh: one the query
+				// already uses under another signature is an error.
+				for _, g := range facts {
+					if _, err := out.Insert(g); err != nil {
+						return nil, err
+					}
+				}
 			}
 			return out, nil
 		},

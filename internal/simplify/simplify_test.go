@@ -332,3 +332,27 @@ func TestNormalizeQuery(t *testing.T) {
 		t.Errorf("incnt grew unexpectedly: %d -> %d", q.InconsistencyCount(), n.InconsistencyCount())
 	}
 }
+
+// TestTransformNameCollision: the relations ElimPatterns and
+// PackCompositeKeys introduce are named after the atom (R_p, R_k), not
+// freshly; when the query already uses that name under another
+// signature, the transformed database would give one name two
+// signatures, which TransformDB reports as an error.
+func TestTransformNameCollision(t *testing.T) {
+	elim, changed := ElimPatterns(query.MustParse("R(x | 'c'), R_p(x | y, z)"))
+	if !changed {
+		t.Fatal("expected elim-patterns to change the query")
+	}
+	if _, err := elim.TransformDB(factsDB(t, "R(a | c)\nR_p(a | b, d)")); err == nil {
+		t.Error("elim-patterns merged R_p[1,1] and R_p[3,1] into one database")
+	}
+	for _, qs := range []string{"R(x, y | z), R_k(x | y)", "R_k(x | y), R(x, y | z)"} {
+		pack, changed, err := PackCompositeKeys(query.MustParse(qs))
+		if err != nil || !changed {
+			t.Fatalf("pack %s: %v %v", qs, changed, err)
+		}
+		if _, err := pack.TransformDB(factsDB(t, "R(a, b | c)\nR_k(a | b)")); err == nil {
+			t.Errorf("pack-keys on %s merged R_k[4,1] and R_k[2,1] into one database", qs)
+		}
+	}
+}

@@ -161,8 +161,9 @@ func TestApplyDeltaGroupCommit(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaBatchFallback checks that one bad delta in a merged
-// batch fails alone while its batchmates commit.
+// TestApplyDeltaBatchFallback checks that bad deltas in a merged batch
+// fail alone while their batchmates commit: a mode-c violation, and a
+// fact giving relation R a second signature.
 func TestApplyDeltaBatchFallback(t *testing.T) {
 	s := New()
 	if _, err := s.PutFacts("prod", "T#c(a | 1)\nR(x | 1)\n"); err != nil {
@@ -172,21 +173,27 @@ func TestApplyDeltaBatchFallback(t *testing.T) {
 	m.mu.Lock()
 	m.busy = true
 	m.mu.Unlock()
-	errs := make(chan error, 1)
+	badFacts := []string{
+		"T#c(a | 2)",     // mode-c violation
+		"R(q, r, s | t)", // R is stored as R[2,1]
+	}
+	errs := make(chan error, len(badFacts))
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var bad db.Delta
-		bad.Insert(mustFact(t, "T#c(a | 2)")) // mode-c violation
-		_, _, err := s.ApplyDelta("prod", bad)
-		errs <- err
-	}()
+	for _, line := range badFacts {
+		wg.Add(1)
+		go func(f db.Fact) {
+			defer wg.Done()
+			var bad db.Delta
+			bad.Insert(f)
+			_, _, err := s.ApplyDelta("prod", bad)
+			errs <- err
+		}(mustFact(t, line))
+	}
 	for {
 		m.mu.Lock()
 		n := len(m.queue)
 		m.mu.Unlock()
-		if n == 1 {
+		if n == len(badFacts) {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -201,11 +208,18 @@ func TestApplyDeltaBatchFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("good delta failed with the batch: %v", err)
 	}
-	if badErr := <-errs; badErr == nil {
-		t.Error("bad delta committed")
+	for range badFacts {
+		if badErr := <-errs; badErr == nil {
+			t.Error("bad delta committed")
+		}
 	}
-	if !snap.DB.Has(mustFact(t, "R(y | 1)")) || snap.DB.Has(mustFact(t, "T#c(a | 2)")) {
-		t.Error("fallback committed the wrong facts")
+	if !snap.DB.Has(mustFact(t, "R(y | 1)")) {
+		t.Error("fallback lost the good delta")
+	}
+	for _, line := range badFacts {
+		if snap.DB.Has(mustFact(t, line)) {
+			t.Errorf("fallback committed %s", line)
+		}
 	}
 }
 
