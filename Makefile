@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check chaos chaos-net bench bench-smoke fuzz fuzz-smoke cover vet fmt fmt-check experiments clean
+.PHONY: all build test test-short race check chaos chaos-net bench bench-smoke fuzz fuzz-smoke cover vet fmt fmt-check perfbench-check experiments clean
 
 all: build test
 
@@ -23,10 +23,10 @@ race:
 # absence only prints a notice),
 # race-enabled tests for the concurrent packages (server, plan cache,
 # db store, core worker pool, db index, trace ring), the seeded
-# differential fuzz corpus, the coverage floors, and a one-iteration
+# differential fuzz corpus, the coverage floors, a one-iteration
 # smoke run of the evaluation benchmarks plus the BENCH_eval.json
-# freshness gate.
-check: build fmt-check test bench-smoke fuzz-smoke cover chaos-net
+# freshness gate, and the perfbench module's vet and tests.
+check: build fmt-check test bench-smoke fuzz-smoke cover chaos-net perfbench-check
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 	$(GO) test -race ./internal/server ./internal/plancache ./internal/store ./internal/core ./internal/db ./internal/rewrite ./internal/trace ./internal/shard ./internal/sym ./internal/colstore ./internal/counting
@@ -38,7 +38,7 @@ check: build fmt-check test bench-smoke fuzz-smoke cover chaos-net
 # rather than the happy path.
 chaos:
 	$(GO) test -race ./internal/faultinject ./internal/evalctx
-	$(GO) test -race -run 'Cancel|Deadline|Budget|Leak|Fault|Shedding|Draining|Liveness|Readiness|Degrad|Hedge|DeadShard|Unavailable' ./internal/core ./internal/server ./internal/shard ./internal/counting
+	$(GO) test -race -run 'Cancel|Deadline|Budget|Leak|Fault|Shedding|Draining|Liveness|Readiness|Degrad|Unavailable' ./internal/core ./internal/server ./internal/counting
 	$(GO) test -race -run 'Crash|Races|Fallback' ./internal/store
 
 # Network-chaos gate: the remote shard tier under the race detector —
@@ -83,6 +83,13 @@ vet:
 	$(GO) vet ./...
 	gofmt -l .
 
+# The serving benchmark is a module of its own (replace cqa => ../), so
+# neither `go test ./...` nor `go vet ./...` here compiles it: vet and
+# test it in its own directory, so a core/store change that breaks
+# perfbench/replay.go fails here and not only when the benchmark runs.
+perfbench-check:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
+
 # Fails when gofmt would rewrite any file, listing the offenders.
 fmt-check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -91,7 +98,7 @@ fmt-check:
 # Coverage with per-package floors on the packages this repo's
 # correctness leans on hardest: the trace layer (observability must not
 # rot — it is how regressions get diagnosed), the FO rewriting engine,
-# the coNP solver, the shard engine (a partitioning bug silently
+# the coNP solver, the shard partition (a partitioning bug silently
 # corrupts answers, so its tests must not erode), the interned
 # columnar storage layers (sym, colstore) the zero-alloc hot path sits
 # on, and the mutation path (db structural sharing, store group

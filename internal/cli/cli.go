@@ -365,7 +365,7 @@ func RunRewrite(args []string, stdout, stderr io.Writer) int {
 func RunBench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cqa-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment id (E1..E18) or 'all'")
+	exp := fs.String("exp", "all", "experiment id (E1..E17, E21) or 'all'")
 	quick := fs.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	list := fs.Bool("list", false, "list experiments and exit")
 	seed := fs.Int64("seed", 1, "random seed")

@@ -42,8 +42,6 @@ func RunServe(args []string, stdout, stderr io.Writer) int {
 	debugAddr := fs.String("debug-addr", "", "listen address for the debug surface (pprof + slowlog); empty disables it")
 	slowLogSize := fs.Int("slowlog", 0, "slow-query log capacity (0 = server default)")
 	slowThreshold := fs.Duration("slow-threshold", 0, "latency above which a request enters the slow-query log (0 = server default, <0 = disabled)")
-	shards := fs.Int("shards", 0, "key-partitioned shards per database snapshot (0 or 1 = monolithic evaluation)")
-	hedge := fs.Duration("hedge", 0, "duplicate a shard task not done within this delay onto a fresh goroutine (0 = no hedging)")
 	walDir := fs.String("wal", "", "append-only journal directory: replayed on boot, then every mutation is journaled before it publishes (empty = no durability)")
 	walWarnBytes := fs.Int64("wal-warn-bytes", 0, "warn once when the journal grows past this many bytes (0 = no warning)")
 	shardNode := fs.Bool("shard-node", false, "serve POST /v1/shard/eval: answer per-shard evaluation requests from a cluster router")
@@ -76,8 +74,6 @@ func RunServe(args []string, stdout, stderr io.Writer) int {
 		MemoCap:           *memoCap,
 		SlowLogSize:       *slowLogSize,
 		SlowLogThreshold:  *slowThreshold,
-		Shards:            *shards,
-		HedgeDelay:        *hedge,
 		ShardNode:         *shardNode,
 		ClusterNodes:      nodeURLs,
 		ClusterShards:     *clusterShards,
@@ -117,9 +113,6 @@ func RunServe(args []string, stdout, stderr io.Writer) int {
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Fprintf(stdout, "cqa-serve listening on %s (cache %d plans, workers %d)\n",
 		*addr, *cacheSize, *workers)
-	if *shards > 1 {
-		fmt.Fprintf(stdout, "cqa-serve sharded evaluation: %d shards per snapshot, hedge %s\n", *shards, *hedge)
-	}
 	if *shardNode {
 		fmt.Fprintln(stdout, "cqa-serve shard node: serving POST /v1/shard/eval")
 	}
@@ -187,9 +180,6 @@ type stageMicros struct {
 	stage string
 	spans int64
 	us    int64
-	// maxUs is the longest single span of the stage; on fan-out stages
-	// (shard) the gap against the mean span is the straggler.
-	maxUs int64
 }
 
 // loadResult is one completed request (including any retries).
@@ -428,7 +418,6 @@ func decodeStages(r io.Reader) []stageMicros {
 				Stage string `json:"stage"`
 				Spans int64  `json:"spans"`
 				Us    int64  `json:"us"`
-				MaxUs int64  `json:"maxUs"`
 			} `json:"stages"`
 		} `json:"trace"`
 	}
@@ -437,7 +426,7 @@ func decodeStages(r io.Reader) []stageMicros {
 	}
 	out := make([]stageMicros, 0, len(payload.Trace.Stages))
 	for _, st := range payload.Trace.Stages {
-		out = append(out, stageMicros{stage: st.Stage, spans: st.Spans, us: st.Us, maxUs: st.MaxUs})
+		out = append(out, stageMicros{stage: st.Stage, spans: st.Spans, us: st.Us})
 	}
 	return out
 }
@@ -576,20 +565,13 @@ func summarize(stdout io.Writer, results []loadResult, elapsed time.Duration) {
 
 // summarizeStages aggregates the server-side stage breakdowns returned
 // by traced requests (the -trace flag) into one table, heaviest stage
-// first, and — when the server evaluates sharded — a shard fan-out
-// summary with the straggler amplification (slowest shard span over the
-// mean span, per request). Silent when nothing was traced.
+// first. Silent when nothing was traced.
 func summarizeStages(stdout io.Writer, results []loadResult) {
 	type agg struct {
 		spans, us int64
 	}
 	byStage := map[string]*agg{}
 	traced := 0
-	// Per-request shard fan-out and straggler factors; amplification is
-	// only meaningful within one request, so it cannot be derived from
-	// the cross-request aggregates above.
-	var fanouts []int64
-	var stragglers []float64
 	for _, r := range results {
 		if r.stages == nil {
 			continue
@@ -603,12 +585,6 @@ func summarizeStages(stdout io.Writer, results []loadResult) {
 			}
 			a.spans += st.spans
 			a.us += st.us
-			if st.stage == "shard" && st.spans > 0 {
-				fanouts = append(fanouts, st.spans)
-				if mean := float64(st.us) / float64(st.spans); mean > 0 {
-					stragglers = append(stragglers, float64(st.maxUs)/mean)
-				}
-			}
 		}
 	}
 	if traced == 0 {
@@ -628,39 +604,6 @@ func summarizeStages(stdout io.Writer, results []loadResult) {
 			mean = float64(a.us) / float64(a.spans)
 		}
 		fmt.Fprintf(stdout, "%-12s %8d %12d %12.1f\n", st, a.spans, a.us, mean)
-	}
-	summarizeShardFanout(stdout, fanouts, stragglers)
-}
-
-// summarizeShardFanout prints the scatter-gather shape of the traced
-// requests: how many shard tasks each request fanned out to (hedged
-// duplicates count as extra spans) and how much slower the slowest
-// shard ran than the request's mean shard span. A straggler
-// amplification near 1.0 means the partition is balanced; a high p99
-// is the signature of a slow or overloaded shard that hedging should
-// be absorbing.
-func summarizeShardFanout(stdout io.Writer, fanouts []int64, stragglers []float64) {
-	if len(fanouts) == 0 {
-		return
-	}
-	var spanSum int64
-	maxFan := fanouts[0]
-	for _, f := range fanouts {
-		spanSum += f
-		if f > maxFan {
-			maxFan = f
-		}
-	}
-	fmt.Fprintf(stdout, "\nshard fan-out over %d traced sharded requests:\n", len(fanouts))
-	fmt.Fprintf(stdout, "  tasks/request: mean %.1f, max %d\n",
-		float64(spanSum)/float64(len(fanouts)), maxFan)
-	if len(stragglers) > 0 {
-		sort.Float64s(stragglers)
-		pct := func(p float64) float64 {
-			return stragglers[int(p*float64(len(stragglers)-1))]
-		}
-		fmt.Fprintf(stdout, "  straggler amplification (max/mean shard span): p50 %.2fx, p90 %.2fx, p99 %.2fx\n",
-			pct(0.50), pct(0.90), pct(0.99))
 	}
 }
 

@@ -63,6 +63,23 @@ func TestServeFlagErrors(t *testing.T) {
 	if code := RunLoad([]string{"-bogus"}, &out, &errb); code != 2 {
 		t.Errorf("bad flag should exit 2, got %d", code)
 	}
+	// cqa-serve has no -shards or -hedge flag (scatter-gather is the
+	// -cluster router's): passing one is a usage error, -h lists neither.
+	for _, flag := range []string{"-shards=4", "-hedge=2ms"} {
+		if code := RunServe([]string{flag}, &out, &errb); code != 2 {
+			t.Errorf("%s should exit 2, got %d", flag, code)
+		}
+	}
+	errb.Reset()
+	RunServe([]string{"-h"}, &out, &errb)
+	if !strings.Contains(errb.String(), "\n  -cluster-hedge ") {
+		t.Fatalf("unexpected -h layout:\n%s", errb.String())
+	}
+	for _, gone := range []string{"-shards", "-hedge"} {
+		if strings.Contains(errb.String(), "\n  "+gone+" ") {
+			t.Errorf("cqa-serve -h still lists %s:\n%s", gone, errb.String())
+		}
+	}
 }
 
 func TestLoadUnreachableServer(t *testing.T) {
@@ -95,47 +112,6 @@ func TestLoadAgainstTestServer(t *testing.T) {
 	}
 	if srv.Store().Len() == 0 {
 		t.Error("load generator uploaded no databases")
-	}
-}
-
-// TestLoadShardedWithTrace replays traced traffic against a sharded
-// server: the summary must include the shard fan-out block with the
-// straggler-amplification percentiles decoded from the per-request
-// shard stage rows.
-func TestLoadShardedWithTrace(t *testing.T) {
-	srv := server.New(server.Config{CacheSize: 256, MaxWorkers: 8, Shards: 3})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	var out, errb bytes.Buffer
-	code := RunLoad([]string{
-		"-url", ts.URL, "-qps", "300", "-duration", "400ms", "-concurrency", "8", "-trace", "1",
-	}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
-	}
-	o := out.String()
-	for _, frag := range []string{"stage breakdown", "shard fan-out", "tasks/request", "straggler amplification"} {
-		if !strings.Contains(o, frag) {
-			t.Errorf("sharded trace summary missing %q:\n%s", frag, o)
-		}
-	}
-}
-
-// TestSummarizeShardFanout pins the fan-out block's shape on known
-// inputs, including the silent no-shard-rows case.
-func TestSummarizeShardFanout(t *testing.T) {
-	var out bytes.Buffer
-	summarizeShardFanout(&out, nil, nil)
-	if out.Len() != 0 {
-		t.Errorf("no shard rows must print nothing, got %q", out.String())
-	}
-	summarizeShardFanout(&out, []int64{3, 3, 4}, []float64{1.0, 1.5, 3.0})
-	o := out.String()
-	for _, frag := range []string{"3 traced sharded requests", "mean 3.3, max 4", "p50 1.50x, p90 1.50x, p99 1.50x"} {
-		if !strings.Contains(o, frag) {
-			t.Errorf("fan-out summary missing %q:\n%s", frag, o)
-		}
 	}
 }
 

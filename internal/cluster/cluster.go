@@ -1,19 +1,17 @@
-// Package cluster is the over-the-wire shard tier: the network
-// counterpart of the in-process shard.Pool. Data is replicated — every
-// node holds the full snapshot of each named database — and *work* is
-// partitioned: a request names a logical shard (a key-hash partition of
-// the top-level work, the same Of-hash the in-process tier uses) and
-// the node evaluates exactly that partition against its full local
-// snapshot. Replication is what makes retries, failover, and hedging
+// Package cluster is the scatter-gather tier: the one place evaluation
+// fans out. Data is replicated — every node holds the full snapshot of
+// each named database — and *work* is partitioned: a request names a
+// logical shard (a key-hash partition of the top-level work, see
+// shard.Of) and the node evaluates exactly that partition against its
+// full local snapshot. Replication is what makes retries, failover, and hedging
 // sound: any node can serve any shard, so a lost node costs latency,
 // never answers.
 //
 // The package splits into three layers:
 //
 //   - Exec (node.go) is the server side: one shard-evaluation request
-//     against a local store, reusing the shard.View/span machinery and
-//     the exported core task constructors, so the remote tier evaluates
-//     byte-identical work to the in-process tier.
+//     against a local store, run inline over the snapshot's cached
+//     shard.Partition with the span-restricted eliminator walks.
 //   - Transport (transport.go) moves one request to one node: a real
 //     HTTP/JSON implementation, an in-process Loopback for tests and
 //     benchmarks, and SimNet (sim.go), a deterministic seedable fault
@@ -32,15 +30,12 @@ package cluster
 import (
 	"errors"
 	"fmt"
-
-	"cqa/internal/shard"
 )
 
 // ErrUnavailable marks a retryable infrastructure failure: the node is
-// down, unreachable, overloaded, or lost the response. It wraps
-// shard.ErrFailed so the serving layer's existing 503 shard_unavailable
-// taxonomy applies to the remote tier unchanged.
-var ErrUnavailable = fmt.Errorf("cluster: node unavailable: %w", shard.ErrFailed)
+// down, unreachable, overloaded, or lost the response. The serving
+// layer maps it to 503 shard_unavailable.
+var ErrUnavailable = errors.New("cluster: node unavailable")
 
 // RequestError is a permanent, request-shaped failure reported by a
 // node: a malformed query, an invalid shard index, an engine the plan
@@ -60,7 +55,7 @@ func (e *RequestError) Error() string {
 // Unavailable reports whether err is a retryable infrastructure
 // failure (as opposed to an error of the request itself).
 func Unavailable(err error) bool {
-	return errors.Is(err, ErrUnavailable) || errors.Is(err, shard.ErrFailed)
+	return errors.Is(err, ErrUnavailable)
 }
 
 // Kind selects the unit of work a shard-evaluation request carries.
@@ -93,9 +88,8 @@ type EvalRequest struct {
 	DB    string `json:"db"`
 	Kind  Kind   `json:"kind"`
 	// Shard / Shards name the logical partition: this request covers
-	// partition Shard of a Shards-way split. The width is the router's,
-	// not the node's — a node whose local pool is configured differently
-	// still evaluates the requested partition correctly.
+	// partition Shard of a Shards-way split. The width is the router's;
+	// a node evaluates whatever width a request names.
 	Shard  int `json:"shard"`
 	Shards int `json:"shards"`
 	// Free are the free variables of an answers request (KindSweep /
@@ -109,6 +103,9 @@ type EvalRequest struct {
 	// hedges cannot multiply what one request may spend. <= 0 is
 	// unlimited.
 	MaxSteps int64 `json:"maxSteps,omitempty"`
+	// MemoCap bounds the memoization entries the node's evaluation may
+	// retain (core.Options.MemoCap); <= 0 is unlimited.
+	MemoCap int `json:"memoCap,omitempty"`
 	// Approximate permits the coNP engine's sampling degradation.
 	Approximate bool `json:"approximate,omitempty"`
 	Samples     int  `json:"samples,omitempty"`

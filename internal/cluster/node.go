@@ -18,14 +18,13 @@ import (
 // side of the cluster tier, shared by the HTTP endpoint and the
 // in-process loopback transport. The plan is compiled (or fetched) from
 // the node's plan cache, the snapshot resolved from the node's store,
-// and the work dispatched by Kind through the same exported core task
-// constructors the in-process scatter uses — so a remote shard and a
-// local shard evaluate byte-identical work.
+// and the work, dispatched by Kind, runs inline on the calling
+// goroutine: the FO kinds walk the spans the snapshot's partition
+// assigns to the requested shard, KindSingle runs the whole decision.
 //
 // Error contract: infrastructure failures (unknown database — a
-// replication race, not a request defect — injected node faults, shard
-// build failures) satisfy Unavailable and are retryable on another
-// replica; request defects come back as *RequestError and are
+// replication race, not a request defect — and injected node faults)
+// satisfy Unavailable and are retryable on another replica; request defects come back as *RequestError and are
 // permanent; context and budget errors pass through unchanged.
 //
 // The "cluster.node.exec" fault hook fires on entry (before any work),
@@ -56,11 +55,12 @@ func Exec(ctx context.Context, cache *plancache.Cache, st *store.Store, req *Eva
 	opts := core.Options{
 		Engine:      engine,
 		MaxSteps:    req.MaxSteps,
+		MemoCap:     req.MemoCap,
 		Approximate: req.Approximate,
 		Samples:     req.Samples,
 	}
 	ix := snap.Index()
-	chk := evalctx.New(ctx, evalctx.Limits{MaxSteps: req.MaxSteps})
+	chk := evalctx.New(ctx, evalctx.Limits{MaxSteps: req.MaxSteps, MemoCap: req.MemoCap})
 	resp := &EvalResponse{}
 	switch req.Kind {
 	case KindBool:
@@ -68,10 +68,11 @@ func Exec(ctx context.Context, cache *plancache.Cache, st *store.Store, req *Eva
 			return nil, &RequestError{Code: "bad_request",
 				Msg: fmt.Sprintf("plan for %q is not FO-scatterable", req.Query)}
 		}
-		resp.Certain, err = runShardTask(ctx, snap, req, chk, plan.BoolShardTask(ix))
+		spans := snap.Partition(req.Shards).View(req.Shard).SpansOf(plan.TopRelation())
+		resp.Certain, err = plan.Elim.CertainOverSpans(ix, spans, chk)
 	case KindSingle:
 		var res core.Result
-		res, err = runShardTask(ctx, snap, req, chk, plan.CertainSingleTask(ctx, ix, opts))
+		res, err = plan.CertainChecked(ctx, ix, opts, chk)
 		resp.Certain = res.Certain
 		resp.Approximate = res.Approximate
 		resp.Fraction = res.Fraction
@@ -84,8 +85,9 @@ func Exec(ctx context.Context, cache *plancache.Cache, st *store.Store, req *Eva
 			return nil, &RequestError{Code: "bad_request",
 				Msg: fmt.Sprintf("plan for %q is not sweepable over %v", req.Query, req.Free)}
 		}
+		spans := snap.Partition(req.Shards).View(req.Shard).SpansOf(plan.TopRelation())
 		var out []query.Valuation
-		out, err = runShardTask(ctx, snap, req, chk, plan.SweepShardTask(ix, free))
+		out, err = plan.Elim.SweepSpans(ix, spans, free, chk)
 		resp.Answers = encodeValuations(out)
 	case KindCheck:
 		free, ferr := freeVars(plan, req.Free)
@@ -103,24 +105,6 @@ func Exec(ctx context.Context, cache *plancache.Cache, st *store.Store, req *Eva
 		return nil, err
 	}
 	return resp, nil
-}
-
-// runShardTask executes a shard task against the request's partition.
-// The snapshot's cached pool is reused when its width matches the
-// request (the hot path: span partitions, worker queues, health and
-// fault hooks); a width mismatch — the node is locally configured for a
-// different fan-out — falls back to a standalone synchronous view of
-// exactly the requested partition.
-func runShardTask[T any](ctx context.Context, snap *store.Snapshot, req *EvalRequest, chk *evalctx.Checker, task shard.Task[T]) (T, error) {
-	if pool := snap.ShardPool(req.Shards, 0); pool != nil && pool.N() == req.Shards {
-		return shard.Do(ctx, pool, req.Shard, chk, task)
-	}
-	v, err := shard.NewView(snap.DB, req.Shard, req.Shards)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return task(v, chk.ForkWith(ctx))
 }
 
 // checkOwned is the KindCheck body: enumerate every candidate answer

@@ -42,11 +42,11 @@ type Config struct {
 	// attempts (full jitter: each wait is uniform in [0, base·2^k));
 	// <= 0 selects 10ms.
 	RetryBackoff time.Duration
-	// HedgeDelay enables hedged second attempts: when an attempt has
-	// not answered within max(HedgeDelay, p99 of the fastest replica's
+	// HedgeFloor enables hedged second attempts: when an attempt has
+	// not answered within max(HedgeFloor, p99 of the fastest replica's
 	// latency), a duplicate races on another node and the first answer
 	// wins. 0 disables hedging.
-	HedgeDelay time.Duration
+	HedgeFloor time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// node's breaker; <= 0 selects 5.
 	BreakerThreshold int
@@ -91,7 +91,7 @@ func (c Config) withDefaults() Config {
 
 // hedgeMinSamples is how many latency observations a node needs before
 // its histogram participates in the p99-derived hedge delay; below it
-// the configured HedgeDelay floor applies unmodified.
+// the configured HedgeFloor applies unmodified.
 const hedgeMinSamples = 20
 
 // vnodesPerNode is the virtual-node multiplicity on the consistent-hash
@@ -225,13 +225,14 @@ func hash64(s string) uint64 {
 // serving layer maps to 503 shard_unavailable — never a silently wrong
 // boolean.
 func (r *Router) Certain(ctx context.Context, plan *core.Plan, dbName string, opts core.Options) (core.Result, int, error) {
-	chk := evalctx.New(ctx, evalctx.Limits{MaxSteps: opts.MaxSteps})
+	chk := evalctx.New(ctx, evalctx.Limits{MaxSteps: opts.MaxSteps, MemoCap: opts.MemoCap})
 	engine := plan.Engine(opts)
 	base := EvalRequest{
 		Query:       plan.Key(),
 		DB:          dbName,
 		Shards:      r.cfg.Shards,
 		Engine:      engine.String(),
+		MemoCap:     opts.MemoCap,
 		Approximate: opts.Approximate,
 		Samples:     opts.Samples,
 	}
@@ -333,12 +334,13 @@ func (r *Router) CertainAnswers(ctx context.Context, plan *core.Plan, dbName str
 				Msg: fmt.Sprintf("free variable %s does not occur in %s", v, plan.Query)}
 		}
 	}
-	chk := evalctx.New(ctx, evalctx.Limits{MaxSteps: opts.MaxSteps})
+	chk := evalctx.New(ctx, evalctx.Limits{MaxSteps: opts.MaxSteps, MemoCap: opts.MemoCap})
 	base := EvalRequest{
 		Query:       plan.Key(),
 		DB:          dbName,
 		Shards:      r.cfg.Shards,
 		Engine:      plan.Engine(opts).String(),
+		MemoCap:     opts.MemoCap,
 		Approximate: opts.Approximate,
 		Samples:     opts.Samples,
 		Free:        make([]string, len(free)),
@@ -547,12 +549,12 @@ func (r *Router) pick(ctx context.Context, prefs []*nodeState, start int, exclud
 
 // hedgeDelay derives the hedging threshold: the p99 of the fastest
 // replica's observed latency — "how long 99% of healthy answers take"
-// — floored by the configured HedgeDelay and capped at half the
+// — floored by the configured HedgeFloor and capped at half the
 // attempt timeout (a hedge that cannot finish is noise). Until any
 // node has hedgeMinSamples observations the floor applies unmodified.
-// Returns 0 (hedging disabled) when no HedgeDelay is configured.
+// Returns 0 (hedging disabled) when no HedgeFloor is configured.
 func (r *Router) hedgeDelay() time.Duration {
-	floor := r.cfg.HedgeDelay
+	floor := r.cfg.HedgeFloor
 	if floor <= 0 {
 		return 0
 	}

@@ -3,7 +3,9 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,7 +16,6 @@ import (
 	"cqa/internal/faultinject"
 	"cqa/internal/match"
 	"cqa/internal/query"
-	"cqa/internal/shard"
 	"cqa/internal/workload"
 )
 
@@ -140,7 +141,7 @@ func TestRouterHedgeWinsOnSlowNode(t *testing.T) {
 		Nodes:        []string{"n0", "n1"},
 		Shards:       4,
 		Transport:    sim,
-		HedgeDelay:   2 * time.Millisecond,
+		HedgeFloor:   2 * time.Millisecond,
 		RetryBackoff: time.Millisecond,
 	})
 	if err != nil {
@@ -258,7 +259,7 @@ func TestRouterPartialFailureDegradesOrFailsClosed(t *testing.T) {
 	if err == nil {
 		t.Fatal("non-approximate partial scatter concluded without error")
 	}
-	if !errors.Is(err, shard.ErrFailed) {
+	if !errors.Is(err, cluster.ErrUnavailable) {
 		t.Fatalf("fail-closed error is unstructured: %v", err)
 	}
 }
@@ -287,7 +288,7 @@ func TestRouterAnswersFailClosed(t *testing.T) {
 	if err == nil {
 		t.Fatal("answers merge concluded from a partial union")
 	}
-	if !errors.Is(err, shard.ErrFailed) {
+	if !errors.Is(err, cluster.ErrUnavailable) {
 		t.Fatalf("fail-closed answers error is unstructured: %v", err)
 	}
 }
@@ -387,9 +388,9 @@ func TestSimNetDeterminism(t *testing.T) {
 }
 
 // TestNodeExecShardWidthMismatch: a node whose snapshot already cached
-// a pool of a different width still evaluates the requested partition
-// correctly through the standalone-view fallback, and the union over
-// the requested width matches the monolithic verdict.
+// a partition of a different width still evaluates the requested
+// partition correctly through an uncached one, and the union over the
+// requested width matches the monolithic verdict.
 func TestNodeExecShardWidthMismatch(t *testing.T) {
 	node := cluster.NewLocalNode("n")
 	d, err := db.ParseFacts(nil, falsifiableDB)
@@ -397,9 +398,9 @@ func TestNodeExecShardWidthMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := node.Store.Put("corpus", d)
-	// Pre-build a pool at width 3; requests will name width 5.
-	if p := snap.ShardPool(3, 0); p == nil || p.N() != 3 {
-		t.Fatal("pool prebuild failed")
+	// Pre-build a partition at width 3; requests will name width 5.
+	if p := snap.Partition(3); p.N() != 3 {
+		t.Fatal("partition prebuild failed")
 	}
 	plan := compilePlan(t, falsifiableQuery)
 	want := monoCertain(t, plan, d)
@@ -415,5 +416,99 @@ func TestNodeExecShardWidthMismatch(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("width-mismatch union = %v, monolithic = %v", got, want)
+	}
+}
+
+// memoRecorder is a Transport that records the memo cap of every
+// attempt it carries before delegating. Each shard's first attempt
+// holds its primary call until the hedge arrives and then refuses both
+// as unavailable, so the first attempt fails only after hedging and
+// forces a retry. The record therefore covers all three kinds of
+// attempt, whatever the scheduling.
+type memoRecorder struct {
+	inner  cluster.Transport
+	mu     sync.Mutex
+	caps   []int
+	calls  map[int]int
+	hedged map[int]chan struct{}
+}
+
+func (m *memoRecorder) Eval(ctx context.Context, node string, req *cluster.EvalRequest) (*cluster.EvalResponse, error) {
+	m.mu.Lock()
+	m.caps = append(m.caps, req.MemoCap)
+	m.calls[req.Shard]++
+	n := m.calls[req.Shard]
+	hedged, ok := m.hedged[req.Shard]
+	if !ok {
+		hedged = make(chan struct{})
+		m.hedged[req.Shard] = hedged
+	}
+	m.mu.Unlock()
+	switch n {
+	case 1:
+		select {
+		case <-hedged:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return nil, fmt.Errorf("%w: primary refused", cluster.ErrUnavailable)
+	case 2:
+		close(hedged)
+		return nil, fmt.Errorf("%w: hedge refused", cluster.ErrUnavailable)
+	}
+	return m.inner.Eval(ctx, node, req)
+}
+
+func (m *memoRecorder) Ready(ctx context.Context, node string) error {
+	return m.inner.Ready(ctx, node)
+}
+
+// TestRouterCarriesMemoCap: the request's memo cap rides on every
+// routed attempt — first tries, retries and hedges alike — for both the
+// Boolean scatter and the answers scatter, so no node evaluates routed
+// work with an unlimited memo.
+func TestRouterCarriesMemoCap(t *testing.T) {
+	sim, _, _ := testTopology(t, []string{"n0", "n1", "n2"}, "corpus", falsifiableDB)
+	plan := compilePlan(t, falsifiableQuery)
+	const memoCap = 4321
+	const shards = 4
+	for _, kind := range []string{"certain", "answers"} {
+		rec := &memoRecorder{inner: sim, calls: map[int]int{}, hedged: map[int]chan struct{}{}}
+		r, err := cluster.NewRouter(cluster.Config{
+			Nodes:        []string{"n0", "n1", "n2"},
+			Shards:       shards,
+			Transport:    rec,
+			RetryBackoff: time.Millisecond,
+			HedgeFloor:   2 * time.Millisecond,
+			// Two refusals per shard must not open a breaker and
+			// leave a later hedge without a second node.
+			BreakerThreshold: 4 * shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.Options{MemoCap: memoCap}
+		if kind == "certain" {
+			_, _, err = r.Certain(context.Background(), plan, "corpus", opts)
+		} else {
+			_, err = r.CertainAnswers(context.Background(), plan, "corpus", []query.Var{"x"}, opts)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		st := r.Stats()
+		if st.Retries < shards || st.Hedges < shards {
+			t.Fatalf("%s: %d retries and %d hedges, want >= %d each", kind, st.Retries, st.Hedges, shards)
+		}
+		rec.mu.Lock()
+		if len(rec.caps) < 3*shards {
+			t.Errorf("%s: recorded %d attempts, want >= %d", kind, len(rec.caps), 3*shards)
+		}
+		for i, c := range rec.caps {
+			if c != memoCap {
+				t.Errorf("%s: attempt %d carried memo cap %d, want %d", kind, i, c, memoCap)
+			}
+		}
+		rec.mu.Unlock()
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"cqa/internal/query"
 	"cqa/internal/rewrite"
 	"cqa/internal/schema"
-	"cqa/internal/shard"
 	"cqa/internal/trace"
 )
 
@@ -167,18 +166,6 @@ type Options struct {
 	// the engines on the evalctx.Checker. Nil disables tracing at zero
 	// per-request cost.
 	Tracer *trace.Tracer
-	// Shards selects the sharded scatter-gather evaluation path: the
-	// snapshot's blocks are hash-partitioned into Shards shards, FO
-	// certainty is an early-exit existential merge across them, and
-	// certain answers a set-union merge. <= 1 keeps the monolithic
-	// path. When ShardPool is nil, an ephemeral pool is built (and torn
-	// down) per call — serving paths should cache one per snapshot
-	// version (store.Snapshot.ShardPool) and pass it in ShardPool.
-	Shards int
-	// ShardPool supplies the prebuilt shard cluster of the snapshot the
-	// evaluation runs against (same underlying db.DB). Non-nil enables
-	// the sharded path regardless of Shards.
-	ShardPool *shard.Pool
 }
 
 // Result reports a certain-answer decision.

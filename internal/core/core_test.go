@@ -211,8 +211,9 @@ func TestRewritingFacade(t *testing.T) {
 
 // TestSignatureMismatchTypedError: every library entry point refuses a
 // database that stores a relation of the query under another signature
-// with a *SignatureError naming both signatures — under every engine, and
-// on the sharded path too — instead of panicking inside an engine.
+// with a *SignatureError naming both signatures — under every engine and
+// through the context entry points — instead of panicking inside an
+// engine.
 func TestSignatureMismatchTypedError(t *testing.T) {
 	d, err := db.ParseFacts(nil, "R(a | b)\nS(b | c)\n")
 	if err != nil {
@@ -233,12 +234,12 @@ func TestSignatureMismatchTypedError(t *testing.T) {
 			_, err := Certain(q, d, Options{Engine: e})
 			check(fmt.Sprintf("Certain(%s, %v)", qs, e), err)
 		}
-		_, err := CertainCtx(ctx, q, d, Options{Shards: 3})
-		check("CertainCtx sharded", err)
+		_, err := CertainCtx(ctx, q, d, Options{})
+		check("CertainCtx", err)
 		_, err = CertainAnswers(q, []query.Var{"x"}, d, Options{})
 		check("CertainAnswers", err)
-		_, err = CertainAnswersCtx(ctx, q, []query.Var{"y"}, d, Options{Shards: 3})
-		check("CertainAnswersCtx sharded", err)
+		_, err = CertainAnswersCtx(ctx, q, []query.Var{"y"}, d, Options{})
+		check("CertainAnswersCtx", err)
 		_, err = CountCtx(ctx, q, d, Options{})
 		check("CountCtx", err)
 		_, _, err = FalsifyingRepair(q, d)

@@ -42,7 +42,7 @@ func (p *Plan) CountIndexed(ix *match.Index, opts Options) (CountResult, error) 
 // opts.Samples draws) and the result carries Exact=false with a
 // confidence interval instead of an exact Satisfying count. Without
 // Approximate an oversized component is a counting.ErrComponentTooLarge
-// error. The counter is not sharded; opts.Shards/ShardPool are ignored.
+// error.
 // A signature mismatch between the query and the stored data is refused
 // with a *SignatureError.
 func (p *Plan) CountIndexedCtx(ctx context.Context, ix *match.Index, opts Options) (CountResult, error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"cqa/internal/conp"
@@ -15,7 +16,6 @@ import (
 	"cqa/internal/ptime"
 	"cqa/internal/query"
 	"cqa/internal/rewrite"
-	"cqa/internal/shard"
 	"cqa/internal/trace"
 )
 
@@ -117,14 +117,17 @@ func (p *Plan) CertainIndexedCtx(ctx context.Context, ix *match.Index, opts Opti
 		return Result{}, err
 	}
 	chk := evalctx.NewTraced(ctx, evalctx.Limits{MaxSteps: opts.MaxSteps, MemoCap: opts.MemoCap}, opts.Tracer)
-	if pool, cleanup := shardedPool(ix, opts); pool != nil {
-		defer cleanup()
-		return p.certainSharded(ctx, ix, opts, chk, pool)
-	}
-	return p.certainChecked(ctx, ix, opts, chk)
+	return p.CertainChecked(ctx, ix, opts, chk)
 }
 
-func (p *Plan) certainChecked(ctx context.Context, ix *match.Index, opts Options, chk *evalctx.Checker) (Result, error) {
+// CertainChecked is the single certainty decision under the caller's
+// checker: the engine opts select, including the Approximate
+// degradation of a budget-exhausted coNP search. A cluster node runs it
+// for a routed decision that cannot be scattered (ptime / conp / naive
+// / cyclic plans), charging the work to the checker of the routed
+// request. Unlike CertainIndexedCtx it does not check signatures; the
+// caller has.
+func (p *Plan) CertainChecked(ctx context.Context, ix *match.Index, opts Options, chk *evalctx.Checker) (Result, error) {
 	// Fail fast on a context that is already cancelled — an evaluation
 	// quick enough to finish inside one amortization window would
 	// otherwise never notice.
@@ -238,10 +241,6 @@ func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, i
 	if err := chk.Check(); err != nil {
 		return nil, err
 	}
-	if pool, cleanup := shardedPool(ix, opts); pool != nil {
-		defer cleanup()
-		return p.certainAnswersSharded(ctx, free, ix, opts, chk, pool)
-	}
 	fastFO := p.ScatterableFO(opts)
 
 	// Batched block sweep (fast FO plans whose free variables read off
@@ -249,7 +248,7 @@ func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, i
 	// one pass over the top relation's column spans, sharing one memo
 	// and one evaluation state — no join enumeration, no per-candidate
 	// eliminator walk. Answers come back in the canonical binding-key
-	// order, the same order the sharded merge produces.
+	// order, the same order the routed merge produces.
 	if fastFO && p.Elim.SweepableFree(free) {
 		out, err := p.Elim.SweepSpans(ix, nil, free, chk)
 		if err != nil {
@@ -268,7 +267,7 @@ func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, i
 		return p.CheckCandidate(ctx, ix, opts, proj, wchk)
 	}
 
-	workers := shard.Workers(opts.Workers, len(candidates))
+	workers := poolSize(opts.Workers, len(candidates))
 
 	certain := make([]bool, len(candidates))
 	errs := make([]error, len(candidates))
@@ -330,6 +329,37 @@ func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, i
 	return out, nil
 }
 
+// poolSize normalizes the requested worker count of the candidate-check
+// pool: a request of <= 0 selects GOMAXPROCS, and the result is clamped
+// to the number of jobs so no worker is ever idle by construction.
+func poolSize(requested, jobs int) int {
+	w := requested
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w > jobs {
+		w = jobs
+	}
+	return w
+}
+
+// ScatterableFO reports whether this plan's Boolean certainty can be
+// scattered as block-local FO checks under the selected engine: the
+// Lemma 10 rewriting's top level is an existential over one relation's
+// blocks, so any key-hash partition of those blocks decides the query
+// as an OR of per-partition verdicts. Every other engine/plan shape
+// evaluates as a single (routable but indivisible) decision.
+func (p *Plan) ScatterableFO(opts Options) bool {
+	return p.Engine(opts) == EngineFO && !p.HasCycle && p.Elim != nil
+}
+
+// TopRelation returns the relation whose blocks the FO scatter
+// partitions — the first atom of the compiled elimination order. Only
+// meaningful when ScatterableFO holds.
+func (p *Plan) TopRelation() string {
+	return p.Elim.Order()[0].Rel.Name
+}
+
 // EnumerateCandidates collects the candidate answers: deduplicated
 // projections of the embeddings of the plan's query into the database,
 // in deterministic first-seen order. Any certain answer must be one of
@@ -373,7 +403,7 @@ func (p *Plan) CheckCandidate(ctx context.Context, ix *match.Index, opts Options
 	if err != nil {
 		return false, err
 	}
-	res, err := pi.certainChecked(ctx, match.NewIndex(ix.DB), Options{Engine: opts.Engine}, wchk)
+	res, err := pi.CertainChecked(ctx, match.NewIndex(ix.DB), Options{Engine: opts.Engine}, wchk)
 	if err != nil {
 		return false, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -222,4 +223,23 @@ func TestCertainAnswersSharedIndexConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+func TestPoolSize(t *testing.T) {
+	maxprocs := runtime.GOMAXPROCS(0)
+	cases := []struct {
+		requested, jobs, want int
+	}{
+		{0, 1000, maxprocs},
+		{-3, 1000, maxprocs},
+		{8, 3, 3},
+		{2, 100, 2},
+		{1, 100, 1},
+		{0, 0, 0},
+	}
+	for _, c := range cases {
+		if got := poolSize(c.requested, c.jobs); got != c.want {
+			t.Errorf("poolSize(%d, %d) = %d, want %d", c.requested, c.jobs, got, c.want)
+		}
+	}
 }

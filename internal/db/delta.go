@@ -170,7 +170,7 @@ func (w *segWork) touch(bid string) {
 }
 
 // ApplyChanges is Apply returning the change set and statistics the
-// derived layers (columnar view, shard pool, store) patch from.
+// derived layers (columnar view, shard partition, store) patch from.
 func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 	res := &ApplyResult{Changes: &ChangeSet{Rels: make(map[string]*RelChange)}}
 	if delta.Empty() {

@@ -8,6 +8,7 @@ import (
 	"cqa/internal/core"
 	"cqa/internal/db"
 	"cqa/internal/match"
+	"cqa/internal/shard"
 )
 
 // blockKey identifies the block a fact belongs to: relation name plus
@@ -27,8 +28,9 @@ func blockKey(f db.Fact) string {
 // the upsert path, partial blocks through single-fact inserts). After
 // every applied delta, the structurally-shared version must answer
 // exactly like a database rebuilt from scratch out of the expected fact
-// set — on the flat compiled engine and the sharded span scatter — and
-// after the full script the chain must land back on the base instance.
+// set — on the flat compiled engine and, for FO plans, the OR over a
+// width-3 partition derived along the chain — and after the full
+// script the chain must land back on the base instance.
 // This is the corpus-level guard for the MVCC delta path: any aliasing
 // bug, stale interned column, or mis-spliced span shows up as an
 // engine disagreement between the derived and the rebuilt instance.
@@ -63,6 +65,20 @@ func TestMutationReplayDifferential(t *testing.T) {
 		nchunks := 1 + rng.Intn(3)
 		per := (len(facts) + nchunks - 1) / nchunks
 
+		// FO plans also decide through a width-3 partition that follows
+		// the Apply chain by Derive, as a snapshot's cached one does.
+		var part *shard.Partition
+		if plan.ScatterableFO(core.Options{}) {
+			part = shard.NewPartition(d, 3)
+		}
+		apply := func(cur *db.DB, delta db.Delta) (*db.DB, error) {
+			child, res, err := cur.ApplyChanges(delta)
+			if err == nil && part != nil {
+				part = part.Derive(child, res.Changes)
+			}
+			return child, err
+		}
+
 		checkpoint := func(cur *db.DB, step string) {
 			rebuilt := db.New()
 			for _, f := range want {
@@ -89,13 +105,16 @@ func TestMutationReplayDifferential(t *testing.T) {
 				t.Fatalf("seed %d %s: derived (%s) = %v, rebuilt (%s) = %v\nquery: %s\nderived:\n%s",
 					seed, step, got.Engine, got.Certain, ref.Engine, ref.Certain, q, cur)
 			}
-			sharded, err := plan.CertainIndexedCtx(ctx, match.NewIndex(cur), core.Options{Shards: 3})
-			if err != nil {
-				t.Fatalf("seed %d %s: derived sharded eval: %v", seed, step, err)
+			if part == nil {
+				return
 			}
-			if sharded.Certain != ref.Certain {
-				t.Fatalf("seed %d %s: derived sharded = %v, rebuilt = %v\nquery: %s\nderived:\n%s",
-					seed, step, sharded.Certain, ref.Certain, q, cur)
+			split, err := partitionCertain(plan, match.NewIndex(cur), part)
+			if err != nil {
+				t.Fatalf("seed %d %s: derived partition eval: %v", seed, step, err)
+			}
+			if split != ref.Certain {
+				t.Fatalf("seed %d %s: derived partition = %v, rebuilt = %v\nquery: %s\nderived:\n%s",
+					seed, step, split, ref.Certain, q, cur)
 			}
 		}
 
@@ -118,7 +137,7 @@ func TestMutationReplayDifferential(t *testing.T) {
 				del.Delete(f)
 				delete(want, f.String())
 			}
-			cur, err = cur.Apply(del)
+			cur, err = apply(cur, del)
 			if err != nil {
 				t.Fatalf("seed %d chunk %d: delete apply: %v", seed, c, err)
 			}
@@ -145,7 +164,7 @@ func TestMutationReplayDifferential(t *testing.T) {
 					want[f.String()] = f
 				}
 			}
-			cur, err = cur.Apply(ins)
+			cur, err = apply(cur, ins)
 			if err != nil {
 				t.Fatalf("seed %d chunk %d: insert apply: %v", seed, c, err)
 			}
@@ -168,5 +187,5 @@ func TestMutationReplayDifferential(t *testing.T) {
 	if checked < 500 {
 		t.Fatalf("verified only %d cases, want >= 500", checked)
 	}
-	t.Logf("verified %d cases through %d applied deltas (flat + sharded)", checked, applies)
+	t.Logf("verified %d cases through %d applied deltas (flat + partitioned)", checked, applies)
 }

@@ -17,7 +17,6 @@ import (
 	"cqa/internal/query"
 	"cqa/internal/rewrite"
 	"cqa/internal/schema"
-	"cqa/internal/shard"
 )
 
 // EvalResult is one measured configuration of the E-index evaluation
@@ -62,9 +61,11 @@ const (
 		"the production walk vs its reference at equal instance sizes; the row walk these rows measured " +
 		"before it left production is kept under baseline_pre_pr. " +
 		"answers-flat/answers-sharded: certain answers of x on a large certain chain — the " +
-		"monolithic sweep vs the key-partitioned scatter-gather (per-shard columnar span sweeps " +
-		"merged by sorted key) at increasing shard counts; the pool is built and warmed outside " +
-		"the timed loop, as the serving layer caches it per snapshot version. " +
+		"monolithic sweep vs the routed scatter-gather (cluster.Router.CertainAnswers over four " +
+		"in-process LocalNodes behind a perfect Loopback: per-shard columnar span sweeps, answers " +
+		"encoded to the wire form and decoded, merged by sorted key) at increasing shard counts; " +
+		"one request warms every node's snapshot index and cached partition outside the timed " +
+		"loop, as a serving node caches them per snapshot version. " +
 		"mutate-apply/mutate-rebuild: one single-fact delta against the warm instance — the MVCC " +
 		"structural-sharing Apply (touched relation respliced, untouched columns aliased) vs " +
 		"rebuilding the database and its columnar view from the full fact list; p50_ns/p99_ns are " +
@@ -105,10 +106,11 @@ func evalMutationBlocks(quick bool) int {
 	return 100000
 }
 
-// evalShardSweep is the fan-outs of the sharded answers scaling rows.
+// evalShardSweep is the router widths of the answers-sharded rows.
 var evalShardSweep = []int{1, 2, 4, 8}
 
-// evalShardChainN is the evalChainDB size of the sharded rows: 43k
+// evalShardChainN is the evalChainDB size of the answers-flat and
+// answers-sharded rows: 43k
 // x-chains come to ~100k blocks across both relations.
 func evalShardChainN(quick bool) int {
 	if quick {
@@ -335,9 +337,9 @@ func RunEval(quick bool) (*EvalReport, error) {
 		record("answers", ad.NumBlocks(), "warm", w, 0, r)
 	}
 
-	// Sharded answers scaling: one large certain chain, the flat
-	// (monolithic) sweep as the baseline, then the key-partitioned
-	// scatter-gather at increasing fan-outs over the same index.
+	// Answers scaling: one large certain chain, the flat (monolithic)
+	// sweep as the baseline, then the routed scatter-gather at
+	// increasing widths over the same instance.
 	sd := evalChainDB(q, evalShardChainN(quick))
 	six := match.NewIndex(sd)
 	ctx := context.Background()
@@ -357,27 +359,52 @@ func RunEval(quick bool) (*EvalReport, error) {
 		return nil, err
 	}
 
+	flatAns, err := plan.CertainAnswersIndexedCtx(ctx, free, six, core.Options{})
+	if err != nil {
+		return nil, err
+	}
 	for _, k := range evalShardSweep {
-		pool := shard.NewPool(sd, k, shard.PoolOptions{})
-		if err := waitPoolBuilt(pool); err != nil {
-			pool.Close()
+		router, err := loopbackRouter(sd, k)
+		if err != nil {
 			return nil, err
+		}
+		// The first request warms every node's snapshot index and
+		// partition, and checks the routed answers against the flat path.
+		ans, err := router.CertainAnswers(ctx, plan, "bench", free, core.Options{})
+		if err != nil {
+			return nil, err
+		}
+		if len(ans) != len(flatAns) {
+			return nil, fmt.Errorf("experiments: routed answers at width %d: %d answers, flat %d", k, len(ans), len(flatAns))
 		}
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.CertainAnswersIndexedCtx(ctx, free, six, core.Options{ShardPool: pool}); err != nil {
+				if _, err := router.CertainAnswers(ctx, plan, "bench", free, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		pool.Close()
 		record("answers-sharded", sd.NumBlocks(), "warm", 0, k, r)
 	}
 	if err := runClusterEval(q, plan, quick, rep); err != nil {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// loopbackRouter is the topology of the answers-sharded rows: a Router
+// of the given width over four in-process nodes holding d as "bench",
+// behind a perfect Loopback — the partition, the wire form and the
+// merge, without a network.
+func loopbackRouter(d *db.DB, width int) (*cluster.Router, error) {
+	names := []string{"c0", "c1", "c2", "c3"}
+	nodes := make([]*cluster.LocalNode, len(names))
+	for i, name := range names {
+		nodes[i] = cluster.NewLocalNode(name)
+		nodes[i].Store.Put("bench", d)
+	}
+	return cluster.NewRouter(cluster.Config{Nodes: names, Shards: width, Transport: cluster.NewLoopback(nodes...)})
 }
 
 // runClusterEval measures the remote shard tier under a deterministic
@@ -408,7 +435,7 @@ func runClusterEval(q query.Query, plan *core.Plan, quick bool, rep *EvalReport)
 	}{{"cluster-unhedged", 0}, {"cluster-hedged", 2 * time.Millisecond}} {
 		r, err := cluster.NewRouter(cluster.Config{
 			Nodes: names, Shards: 8, Transport: sim,
-			RetryBackoff: time.Millisecond, HedgeDelay: cfg.hedge, Seed: 23,
+			RetryBackoff: time.Millisecond, HedgeFloor: cfg.hedge, Seed: 23,
 		})
 		if err != nil {
 			return err
@@ -627,20 +654,6 @@ func samplePercentiles(n int, fn func() error) (p50, p99 float64) {
 	sort.Float64s(samples)
 	idx := func(p float64) float64 { return samples[int(p*float64(len(samples)-1))] }
 	return idx(0.50), idx(0.99)
-}
-
-// waitPoolBuilt blocks until every shard index of the pool finished
-// building, so the timed loop measures the scatter and not the one-time
-// partition build.
-func waitPoolBuilt(p *shard.Pool) error {
-	deadline := time.Now().Add(time.Minute)
-	for p.Building() > 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("experiments: shard pool still building after 1m")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return nil
 }
 
 // ValidateEvalJSON reads an E-index evaluation report and checks it

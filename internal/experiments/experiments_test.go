@@ -16,13 +16,11 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 	out := buf.String()
 	for _, frag := range []string{
-		"### E1", "### E12", "### E13", "### E14", "### E15", "### E16", "### E17", "### E18",
+		"### E1", "### E12", "### E13", "### E14", "### E15", "### E16", "### E17", "### E21",
 		"cancellation latency",                   // E16 latency table
 		"context-check overhead",                 // E16 overhead table
 		"per-engine stage breakdown",             // E17 stage table
 		"tracing overhead",                       // E17 overhead table
-		"flat vs sharded scatter-gather",         // E18 scaling table
-		"hedged tail latency",                    // E18 hedging table
 		"eliminator",                             // E17 FO stage row
 		"dissolutions",                           // E17 ptime counter
 		"R^{+,q}",                                // E1 prints the closure
@@ -62,8 +60,8 @@ func TestUnknownExperiment(t *testing.T) {
 
 func TestIDsAndDescribe(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 19 {
-		t.Fatalf("have %d experiments, want 19: %v", len(ids), ids)
+	if len(ids) != 18 {
+		t.Fatalf("have %d experiments, want 18: %v", len(ids), ids)
 	}
 	for _, id := range ids {
 		if Describe(id) == "" {

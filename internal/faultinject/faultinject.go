@@ -17,12 +17,6 @@
 //	plancache.compile   – plan compilation on a cache miss
 //	evalctx.poll        – engine step checks (eliminator walk, conp
 //	                      search, ptime recursion, sampling)
-//	shard.index         – per-shard block-partition builds of the shard
-//	                      engine; shard.index.<id> targets one shard
-//	shard.eval          – per-shard evaluation tasks of a scatter-gather
-//	                      dispatch; shard.eval.<id> targets one shard
-//	                      (fire a sleep to model a straggler, an error
-//	                      to model a dead shard)
 //	store.wal.append    – the journal append of a delta commit (before
 //	                      the version publish — the redo-logging window)
 //	store.commit        – between the WAL append and the version swap

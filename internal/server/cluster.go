@@ -13,7 +13,7 @@ import (
 // This file is the serving layer of the remote shard tier: the node
 // side (POST /v1/shard/eval answers per-shard work against the local
 // store) and the routing side (stored-database certain/answers requests
-// fan out through the cluster.Router instead of the in-process pools).
+// fan out through the cluster.Router instead of evaluating locally).
 // Both ends speak the existing failure taxonomy — a routed request that
 // cannot conclude exactly either degrades explicitly (X-CQA-Degraded:
 // partial-shards, approximate: true) or fails closed with 503

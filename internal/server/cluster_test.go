@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"cqa/internal/cluster"
+	"cqa/internal/faultinject"
 	"cqa/internal/wal"
 )
 
@@ -219,6 +221,83 @@ func TestClusterPartialFailureSemantics(t *testing.T) {
 	rec = do(t, h, "POST", "/v1/answers", ansBody, nil)
 	if rec.Code != 503 || !strings.Contains(rec.Body.String(), "shard_unavailable") {
 		t.Fatalf("partial answers union: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestShardUnavailable maps a routed evaluation whose shard stays
+// unavailable through every retry to the 503 shard_unavailable taxonomy
+// entry — a structured error with Retry-After, never a wrong boolean —
+// and serves the same request once the node recovers.
+func TestShardUnavailable(t *testing.T) {
+	defer faultinject.Reset()
+	node := cluster.NewLocalNode("solo")
+	if _, err := node.Store.PutFacts("corpus", clusterTestDB); err != nil {
+		t.Fatal(err)
+	}
+	front := New(Config{
+		CacheSize: 64, MaxWorkers: 8,
+		ClusterNodes:     []string{"solo"},
+		ClusterShards:    1,
+		ClusterTransport: cluster.NewLoopback(node),
+	})
+	if _, err := front.Store().PutFacts("corpus", clusterTestDB); err != nil {
+		t.Fatal(err)
+	}
+	h := front.Handler()
+	// Exactly the router's three attempts fail: fewer than the breaker
+	// threshold, so recovery needs no cooldown.
+	faultinject.SetWindow("cluster.node.exec", 0, 3, func(int) error { return errors.New("node down") })
+	body := fmt.Sprintf(`{"query": %q, "db": "corpus"}`, clusterTestQuery)
+	var er errorResponse
+	rec := do(t, h, "POST", "/v1/certain", body, nil)
+	if rec.Code != 503 {
+		t.Fatalf("node down: %d %s, want 503", rec.Code, rec.Body.String())
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Code != "shard_unavailable" {
+		t.Fatalf("error envelope = %+v (%v), want shard_unavailable", er, err)
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Errorf("503 without Retry-After")
+	}
+	var cert certainResponse
+	if rec := do(t, h, "POST", "/v1/certain", body, &cert); rec.Code != 200 || cert.Certain {
+		t.Fatalf("recovered certain: %d %+v", rec.Code, cert)
+	}
+}
+
+// TestShardedInlineFacts: inline facts have no replicated snapshot to
+// route by, so a cluster-routing front evaluates them locally — they
+// are answered correctly even with every node unreachable.
+func TestShardedInlineFacts(t *testing.T) {
+	front := New(Config{
+		CacheSize: 64, MaxWorkers: 8,
+		ClusterNodes:     []string{"gone"},
+		ClusterTransport: cluster.NewLoopback(), // no node answers
+	})
+	h := front.Handler()
+	var cert certainResponse
+	rec := do(t, h, "POST", "/v1/certain",
+		`{"query": "R(x | y), S(y | z)", "facts": "R(a | b)\nR(a | c)\nS(b | z1)"}`, &cert)
+	if rec.Code != 200 {
+		t.Fatalf("inline certain on a routing front: %d %s", rec.Code, rec.Body.String())
+	}
+	if cert.Certain {
+		t.Fatalf("inline certain = true, want false (block a may pick c)")
+	}
+	var ans answersResponse
+	rec = do(t, h, "POST", "/v1/answers",
+		`{"query": "R(x | y), S(y | z)", "facts": "R(a | b)\nS(b | z1)\nR(d | e)", "free": ["x"]}`, &ans)
+	if rec.Code != 200 || ans.Count != 1 || ans.Answers[0]["x"] != "a" {
+		t.Fatalf("inline answers on a routing front: %d %+v", rec.Code, ans)
+	}
+	// The same query against a stored database does route, and fails
+	// closed with no node to answer.
+	if _, err := front.Store().PutFacts("corpus", clusterTestDB); err != nil {
+		t.Fatal(err)
+	}
+	rec = do(t, h, "POST", "/v1/certain", `{"query": "R(x | y), S(y | z)", "db": "corpus", "approximate": false}`, nil)
+	if rec.Code != 503 {
+		t.Fatalf("stored db with no node: %d %s, want 503", rec.Code, rec.Body.String())
 	}
 }
 

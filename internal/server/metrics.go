@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cqa/internal/shard"
 	"cqa/internal/trace"
 )
 
@@ -269,32 +268,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&b, "cqa_cluster_node_latency_seconds_bucket{node=%q,le=\"+Inf\"} %d\n", ns.Name, snap.Inf)
 			fmt.Fprintf(&b, "cqa_cluster_node_latency_seconds_sum{node=%q} %g\n", ns.Name, snap.SumSeconds)
 			fmt.Fprintf(&b, "cqa_cluster_node_latency_seconds_count{node=%q} %d\n", ns.Name, snap.Count)
-		}
-	}
-
-	sst := s.store.ShardStats()
-	fmt.Fprintf(&b, "cqa_shard_building %d\n", sst.Building)
-	fmt.Fprintf(&b, "cqa_shard_hedges_total %d\n", sst.Hedges)
-	fmt.Fprintf(&b, "cqa_shard_hedge_wins_total %d\n", sst.HedgeWins)
-	for _, dbSnap := range s.store.List() {
-		st, ok := dbSnap.ShardStats()
-		if !ok {
-			continue
-		}
-		for _, sh := range st.Shards {
-			unhealthy := 0
-			if sh.Health == shard.HealthUnhealthy {
-				unhealthy = 1
-			}
-			fmt.Fprintf(&b, "cqa_shard_unhealthy{db=%q,shard=\"%d\"} %d\n", dbSnap.Name, sh.ID, unhealthy)
-			snap := sh.Hist.Snapshot()
-			for i, bound := range snap.Bounds {
-				fmt.Fprintf(&b, "cqa_shard_eval_duration_seconds_bucket{db=%q,shard=\"%d\",le=%q} %d\n",
-					dbSnap.Name, sh.ID, formatBound(bound), snap.Cumulative[i])
-			}
-			fmt.Fprintf(&b, "cqa_shard_eval_duration_seconds_bucket{db=%q,shard=\"%d\",le=\"+Inf\"} %d\n", dbSnap.Name, sh.ID, snap.Inf)
-			fmt.Fprintf(&b, "cqa_shard_eval_duration_seconds_sum{db=%q,shard=\"%d\"} %g\n", dbSnap.Name, sh.ID, snap.SumSeconds)
-			fmt.Fprintf(&b, "cqa_shard_eval_duration_seconds_count{db=%q,shard=\"%d\"} %d\n", dbSnap.Name, sh.ID, snap.Count)
 		}
 	}
 

@@ -43,7 +43,6 @@ import (
 	"cqa/internal/plancache"
 	"cqa/internal/query"
 	"cqa/internal/rewrite"
-	"cqa/internal/shard"
 	"cqa/internal/store"
 	"cqa/internal/trace"
 )
@@ -101,14 +100,6 @@ type Config struct {
 	// is retained in the slow-query log; 0 selects
 	// DefaultSlowLogThreshold, negative disables the log.
 	SlowLogThreshold time.Duration
-	// Shards enables the sharded scatter-gather evaluation path: stored
-	// snapshots get a cached shard.Pool of this size (built lazily per
-	// snapshot version), inline-facts requests an ephemeral one. <= 1
-	// keeps the monolithic path.
-	Shards int
-	// HedgeDelay is the straggler threshold of hedged duplicate
-	// dispatch on the snapshot pools; 0 disables hedging.
-	HedgeDelay time.Duration
 	// ShardNode exposes POST /v1/shard/eval: this instance answers
 	// per-shard evaluation requests from a cluster router.
 	ShardNode bool
@@ -144,8 +135,6 @@ type Server struct {
 	maxSteps    int64
 	memoCap     int
 	slowlog     *slowLog
-	shards      int
-	hedge       time.Duration
 	shardNode   bool
 	router      *cluster.Router
 	// draining is flipped by graceful shutdown before the listener
@@ -202,8 +191,6 @@ func New(cfg Config) *Server {
 		maxSteps:    maxSteps,
 		memoCap:     memoCap,
 		slowlog:     newSlowLog(cfg.SlowLogSize, slowThreshold),
-		shards:      cfg.Shards,
-		hedge:       cfg.HedgeDelay,
 		shardNode:   cfg.ShardNode,
 	}
 	if len(cfg.ClusterNodes) > 0 {
@@ -217,7 +204,7 @@ func New(cfg Config) *Server {
 			Nodes:      cfg.ClusterNodes,
 			Shards:     cfg.ClusterShards,
 			Transport:  tr,
-			HedgeDelay: cfg.ClusterHedgeDelay,
+			HedgeFloor: cfg.ClusterHedgeDelay,
 		}); err == nil {
 			s.router = r
 		}
@@ -460,11 +447,11 @@ func (s *Server) evalError(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.Canceled):
 		httpErrorCode(w, statusClientClosedRequest, "client_closed_request",
 			"client closed the request: %v", err)
-	case errors.Is(err, shard.ErrFailed):
+	case cluster.Unavailable(err):
 		// After the context cases: a deadline that tripped inside a
-		// shard is still a 504. A shard-infrastructure failure is
-		// transient — the shard heals on its next success — so a retry
-		// is worth hinting.
+		// routed shard is still a 504. Node unavailability is transient
+		// — failover and breaker recovery heal it — so a retry is worth
+		// hinting.
 		w.Header().Set("Retry-After", "1")
 		httpErrorCode(w, http.StatusServiceUnavailable, "shard_unavailable",
 			"shard failed during evaluation: %v", err)
@@ -517,10 +504,14 @@ func (s *Server) evalOptions(w http.ResponseWriter, req certainRequest) (core.Op
 	return opts, true
 }
 
+// decodeJSON decodes a request body capped at maxBodyBytes: a body over
+// the cap is 413 body_too_large, any other decode failure 400.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed JSON body: %v", err)
+		if !bodyTooLarge(w, err) {
+			httpError(w, http.StatusBadRequest, "malformed JSON body: %v", err)
+		}
 		return false
 	}
 	return true
@@ -557,36 +548,34 @@ func (s *Server) compileTraced(w http.ResponseWriter, text string, tr *trace.Tra
 // resolveDB produces the evaluation index a certain/answers request
 // runs against: for a stored snapshot (by name) the index cached on the
 // snapshot — built once per snapshot version and reused across requests
-// — and for inline facts a fresh index over the parsed database. When
-// sharding is enabled, a stored snapshot also yields its cached shard
-// pool (inline facts fall back to an ephemeral pool built inside core).
+// — and for inline facts a fresh index over the parsed database.
 // Exactly one of "db" and "facts" must be set.
-func (s *Server) resolveDB(w http.ResponseWriter, req certainRequest, plan *core.Plan, tr *trace.Tracer) (*match.Index, *shard.Pool, *dbRef, bool) {
+func (s *Server) resolveDB(w http.ResponseWriter, req certainRequest, plan *core.Plan, tr *trace.Tracer) (*match.Index, *dbRef, bool) {
 	switch {
 	case req.DB != "" && req.Facts != "":
 		httpError(w, http.StatusBadRequest, "set either \"db\" or \"facts\", not both")
-		return nil, nil, nil, false
+		return nil, nil, false
 	case req.DB != "":
 		snap, ok := s.store.Get(req.DB)
 		if !ok {
 			httpError(w, http.StatusNotFound, "unknown database %q", req.DB)
-			return nil, nil, nil, false
+			return nil, nil, false
 		}
-		return snap.IndexTraced(tr), snap.ShardPool(s.shards, s.hedge), &dbRef{Name: snap.Name, Version: snap.Version}, true
+		return snap.IndexTraced(tr), &dbRef{Name: snap.Name, Version: snap.Version}, true
 	case req.Facts != "":
 		d, err := db.ParseFacts(plan.Query.Schema(), req.Facts)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "facts: %v", err)
-			return nil, nil, nil, false
+			return nil, nil, false
 		}
 		if !d.ConsistentFor() {
 			httpError(w, http.StatusBadRequest, "a mode-c relation of the input violates its primary key")
-			return nil, nil, nil, false
+			return nil, nil, false
 		}
-		return match.NewIndex(d), nil, nil, true
+		return match.NewIndex(d), nil, true
 	default:
 		httpError(w, http.StatusBadRequest, "missing \"db\" (stored database name) or \"facts\" (inline facts)")
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
 }
 
@@ -622,50 +611,31 @@ func (s *Server) notReadyReasons() []string {
 	if n := s.store.IndexStats().Building(); n > 0 {
 		reasons = append(reasons, fmt.Sprintf("%d snapshot index build(s) in flight", n))
 	}
-	if n := s.store.ShardStats().Building; n > 0 {
-		reasons = append(reasons, fmt.Sprintf("%d shard index build(s) in flight", n))
-	}
 	if len(s.sem) >= cap(s.sem) {
 		reasons = append(reasons, fmt.Sprintf("admission saturated (%d in flight)", cap(s.sem)))
 	}
 	return reasons
 }
 
-// shardsInfo summarizes the shard clusters across every snapshot for
-// the readiness body; all zero when sharding is disabled or no pool has
-// been built yet.
-type shardsInfo struct {
-	Total     int `json:"total"`
-	Ready     int `json:"ready"`
-	Building  int `json:"building"`
-	Unhealthy int `json:"unhealthy,omitempty"`
-}
-
 type readyzResponse struct {
-	Status string     `json:"status"` // "ready" or "not_ready"
-	Error  string     `json:"error,omitempty"`
-	Code   string     `json:"code,omitempty"`
-	Shards shardsInfo `json:"shards"`
+	Status string `json:"status"` // "ready" or "not_ready"
+	Error  string `json:"error,omitempty"`
+	Code   string `json:"code,omitempty"`
 }
 
 // handleReadyz is readiness: whether this instance should receive new
-// traffic right now. The body reports the shard-cluster state either
-// way — a fresh snapshot swap shows building > 0 (and not_ready) until
-// every shard finished rebuilding its partition.
+// traffic right now, with the reasons when it should not.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	st := s.store.ShardStats()
-	si := shardsInfo{Total: st.Total, Ready: st.Ready, Building: st.Building, Unhealthy: st.Unhealthy}
 	if reasons := s.notReadyReasons(); len(reasons) > 0 {
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, readyzResponse{
 			Status: "not_ready",
 			Error:  "not ready: " + strings.Join(reasons, "; "),
 			Code:   "not_ready",
-			Shards: si,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, readyzResponse{Status: "ready", Shards: si})
+	writeJSON(w, http.StatusOK, readyzResponse{Status: "ready"})
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
@@ -712,12 +682,10 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts.Tracer = tr
-	ix, pool, ref, ok := s.resolveDB(w, req, plan, tr)
+	ix, ref, ok := s.resolveDB(w, req, plan, tr)
 	if !ok {
 		return
 	}
-	opts.Shards = s.shards
-	opts.ShardPool = pool
 	ctx, cancel := s.evalContext(r, req.TimeoutMs)
 	defer cancel()
 	res, err := plan.CertainIndexedCtx(ctx, ix, opts)
@@ -789,7 +757,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts.Tracer = tr
-	ix, _, ref, ok := s.resolveDB(w, req, plan, tr)
+	ix, ref, ok := s.resolveDB(w, req, plan, tr)
 	if !ok {
 		return
 	}
@@ -871,12 +839,10 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts.Tracer = tr
-	ix, pool, ref, ok := s.resolveDB(w, req, plan, tr)
+	ix, ref, ok := s.resolveDB(w, req, plan, tr)
 	if !ok {
 		return
 	}
-	opts.Shards = s.shards
-	opts.ShardPool = pool
 	free := make([]query.Var, len(req.Free))
 	for i, name := range req.Free {
 		free[i] = query.Var(name)
@@ -1026,12 +992,7 @@ func bodyTooLarge(w http.ResponseWriter, err error) bool {
 func (s *Server) handleDBMutate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req mutateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		if bodyTooLarge(w, err) {
-			return
-		}
-		httpError(w, http.StatusBadRequest, "malformed JSON body: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Insert) == 0 && len(req.Delete) == 0 && len(req.Upsert) == 0 {

@@ -529,4 +529,13 @@ func TestDBBodyTooLarge(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Code != "body_too_large" {
 		t.Errorf("mutate error envelope = %+v (%v)", er, err)
 	}
+	// The JSON evaluation endpoints share the decoder: an oversized
+	// body is 413 too, not a 400 for the truncated JSON.
+	rec = do(t, h, "POST", "/v1/certain", `{"query": "R(x | y)", "facts": "`+big+`"}`, nil)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("certain: %d %s", rec.Code, rec.Body.String())
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Code != "body_too_large" {
+		t.Errorf("certain error envelope = %+v (%v)", er, err)
+	}
 }

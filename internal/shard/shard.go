@@ -1,98 +1,115 @@
-// Package shard is the key-partitioned scatter-gather tier of the
-// evaluation engines: a deterministic "cluster in a process". A
-// db.DB snapshot is split into N shards by a hash of the block key —
-// every block (the unit of the Lemma 9 test) lives entirely on one
-// shard — and each shard owns an independently built block index over
-// its part plus a channel-based worker that executes evaluation tasks
-// against it. A coordinator (in package core) scatters the top level of
-// an evaluation across the shards and merges: FO certainty is an
-// early-exit existential over the shards' block partitions, and certain
-// answers are a set union of per-shard answer sets.
+// Package shard is the key-hash partition of a snapshot's blocks that
+// the scatter-gather tier (package cluster) splits its work by. A
+// db.DB snapshot is divided into N logical shards by a hash of the
+// block key — every block (the unit of the Lemma 9 test) lives entirely
+// on one shard — and a Partition lists, per shard and relation, the
+// columnar block indices that shard owns.
 //
-// Sharding partitions the top-level *work*, not the data closure:
+// The partition splits the top-level *work*, not the data closure:
 // deeper levels of the Lemma 10 recursion probe blocks of other
-// relations, so every shard task evaluates its residues against the
-// full shared snapshot. That keeps the merge semantics exact — a shard
-// returning true is definitive, false requires every shard, and a shard
-// failure is an error, never a wrong boolean.
-//
-// The cluster behaviors of a real multi-node topology are modeled
-// in-process and are deterministic under test: per-shard health states
-// (Building → Ready / Unhealthy) feed the readiness probe, the
-// faultinject hooks "shard.index" and "shard.eval" (and their
-// per-shard variants "shard.index.<id>" / "shard.eval.<id>") inject
-// latency and failures, and hedged duplicate dispatch bounds the
-// latency cost of a straggler shard.
+// relations, so every shard evaluates its residues against the full
+// shared snapshot. That keeps the merge exact — the top level of the
+// rewriting is an existential over one relation's blocks, so FO
+// certainty is an OR of per-shard verdicts and certain answers a union
+// of per-shard answer sets.
 package shard
 
 import (
-	"fmt"
-	"hash/fnv"
-	"runtime"
+	"maps"
 
 	"cqa/internal/db"
-	"cqa/internal/trace"
 )
-
-// Workers normalizes a requested worker count the way every pool in the
-// repository should: a request of <= 0 selects GOMAXPROCS, and the
-// result is clamped to the number of jobs so no worker is ever idle by
-// construction. Used by the flat certain-answers pool and the shard
-// pool's parallel index build.
-func Workers(requested, jobs int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > jobs {
-		w = jobs
-	}
-	return w
-}
 
 // Of returns the shard owning the block with the given ID, for n
 // shards: an FNV-1a hash of the canonical block ID modulo n. The
 // assignment is a pure function of the block key, so every build of the
-// same snapshot at the same shard count partitions identically.
+// same snapshot at the same width partitions identically — which is
+// what lets replicated nodes agree on ownership without coordination.
 func Of(blockID string, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	h.Write([]byte(blockID))
-	return int(h.Sum64() % uint64(n))
-}
-
-// Health is the state of one shard as fed to the readiness probe.
-type Health int32
-
-const (
-	// HealthBuilding is a shard whose block index build has not yet
-	// completed; readiness fails while any shard reports it.
-	HealthBuilding Health = iota
-	// HealthReady is a shard serving evaluations normally.
-	HealthReady
-	// HealthUnhealthy is a shard whose last index build or evaluation
-	// failed for a reason other than the request's own limits.
-	HealthUnhealthy
-)
-
-// String names the health state.
-func (h Health) String() string {
-	switch h {
-	case HealthBuilding:
-		return "building"
-	case HealthReady:
-		return "ready"
-	case HealthUnhealthy:
-		return "unhealthy"
+	// FNV-1a, 64-bit, inlined so hashing a block allocates nothing.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(blockID); i++ {
+		h ^= uint64(blockID[i])
+		h *= 1099511628211
 	}
-	return "unknown"
+	return int(h % uint64(n))
 }
 
-// View is the read-only face of one shard handed to an evaluation task:
-// the shard's own span partition plus the full snapshot for residue
-// probes.
+// Partition is the Of-hash partition of one snapshot's columnar view at
+// one width: for every relation with facts, the indices of the columnar
+// blocks each shard owns. It is immutable once built and safe for
+// concurrent use; the block data itself stays in the snapshot — a
+// partition is a set of views, not a copy.
+type Partition struct {
+	db *db.DB
+	n  int
+	// spans[rel][id] are the columnar block indices of rel that shard
+	// id owns, in columnar order. Every per-shard slice is non-nil, so
+	// a span-restricted walk over a shard owning nothing visits
+	// nothing (nil would mean every block).
+	spans map[string][][]int32
+}
+
+// NewPartition partitions d's columnar view n ways (n < 1 is treated
+// as 1) in one pass that hashes each block once. The caller must not
+// modify d afterwards.
+func NewPartition(d *db.DB, n int) *Partition {
+	if n < 1 {
+		n = 1
+	}
+	col := d.Columnar()
+	p := &Partition{db: d, n: n, spans: make(map[string][][]int32, len(col.RelNames()))}
+	for _, name := range col.RelNames() {
+		p.spans[name] = splitRel(col.Rel(name), n)
+	}
+	return p
+}
+
+// splitRel assigns every columnar block of the relation to its owning
+// shard.
+func splitRel(cr *db.ColRel, n int) [][]int32 {
+	out := make([][]int32, n)
+	for i := range out {
+		out[i] = []int32{}
+	}
+	for bi, blk := range cr.Blocks {
+		id := Of(blk.ID, n)
+		out[id] = append(out[id], int32(bi))
+	}
+	return out
+}
+
+// Derive builds the partition of an Apply-derived snapshot from this
+// one without re-partitioning the database: only the relations the
+// change set names are split again (their columnar block indices
+// moved); every other relation aliases this partition's span lists.
+// The child must be the result of applying the change set to this
+// partition's database. Derive only reads the receiver, so it is safe
+// while the parent still serves requests.
+func (p *Partition) Derive(child *db.DB, ch *db.ChangeSet) *Partition {
+	np := &Partition{db: child, n: p.n, spans: maps.Clone(p.spans)}
+	col := child.Columnar()
+	for name := range ch.Rels {
+		if cr := col.Rel(name); cr != nil {
+			np.spans[name] = splitRel(cr, np.n)
+		} else {
+			delete(np.spans, name)
+		}
+	}
+	return np
+}
+
+// N returns the partition width.
+func (p *Partition) N() int { return p.n }
+
+// View returns the face of shard id (0 <= id < N()).
+func (p *Partition) View(id int) View { return View{ID: id, DB: p.db, p: p} }
+
+// View is the read-only face of one shard: its span lists plus the full
+// snapshot for residue probes.
 type View struct {
 	// ID is the shard number, 0-based.
 	ID int
@@ -100,7 +117,7 @@ type View struct {
 	// boundaries (BlockByKey probes of other relations) go here.
 	DB *db.DB
 
-	s *shardState
+	p *Partition
 }
 
 // SpansOf returns the shard-owned columnar block indices of the named
@@ -109,33 +126,18 @@ type View struct {
 // SweepSpans). It is nil when the snapshot has no facts for the
 // relation, where those walks decide false on their own. The slice is
 // shared; do not modify.
-func (v *View) SpansOf(relName string) []int32 {
-	return v.s.spans[relName]
+func (v View) SpansOf(relName string) []int32 {
+	if sp := v.p.spans[relName]; sp != nil {
+		return sp[v.ID]
+	}
+	return nil
 }
 
-// NumBlocks returns the number of blocks this shard owns.
-func (v *View) NumBlocks() int { return v.s.numBlocks }
-
-// NewView builds a standalone view of shard id (of n) over d, outside
-// any pool: the same Of-hash partition a pool shard would own, built
-// synchronously on the caller. A remote cluster node uses it when the
-// partition width a request names differs from the width of the pool
-// its snapshot already cached — correctness must not depend on every
-// node being configured with the same local fan-out. The build fires
-// the "shard.index" fault hooks and wraps a failure in ErrFailed,
-// exactly like a pool build.
-func NewView(d *db.DB, id, n int) (*View, error) {
-	if n < 1 {
-		n = 1
+// NumBlocks returns the number of blocks the shard owns.
+func (v View) NumBlocks() int {
+	n := 0
+	for _, sp := range v.p.spans {
+		n += len(sp[v.ID])
 	}
-	if id < 0 || id >= n {
-		return nil, fmt.Errorf("shard: view id %d out of range [0,%d)", id, n)
-	}
-	p := &Pool{db: d, n: n}
-	s := &shardState{id: id, pool: p, hist: trace.NewHistogram(nil)}
-	if err := s.build(); err != nil {
-		return nil, fmt.Errorf("%w: shard %d index build: %w", ErrFailed, id, err)
-	}
-	s.built.Store(true)
-	return &View{ID: id, DB: d, s: s}, nil
+	return n
 }

@@ -1,16 +1,15 @@
 package shard
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"runtime"
+	"hash/fnv"
+	"math/rand"
+	"sort"
 	"testing"
-	"time"
 
 	"cqa/internal/db"
-	"cqa/internal/evalctx"
-	"cqa/internal/faultinject"
+	"cqa/internal/query"
+	"cqa/internal/schema"
 )
 
 func testDB(t *testing.T, text string) *db.DB {
@@ -20,51 +19,6 @@ func testDB(t *testing.T, text string) *db.DB {
 		t.Fatalf("ParseFacts: %v", err)
 	}
 	return d
-}
-
-func chainDB(t *testing.T, n int) *db.DB {
-	t.Helper()
-	d := db.New()
-	for i := 0; i < n; i++ {
-		f, err := db.ParseFact(nil, fmt.Sprintf("R(x%d | y%d)", i, i))
-		if err != nil {
-			t.Fatalf("ParseFact: %v", err)
-		}
-		d.Add(f)
-	}
-	return d
-}
-
-// waitBuilt polls until every shard's initial build settled (the
-// Building gauge reaches zero), failing the test on timeout.
-func waitBuilt(t *testing.T, p *Pool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Building() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("shards still building after 5s: %d", p.Building())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestWorkers(t *testing.T) {
-	maxprocs := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		requested, jobs, want int
-	}{
-		{0, 1000, maxprocs},
-		{-3, 1000, maxprocs},
-		{8, 3, 3},
-		{2, 100, 2},
-		{1, 100, 1},
-		{0, 0, 0},
-	}
-	for _, c := range cases {
-		if got := Workers(c.requested, c.jobs); got != c.want {
-			t.Errorf("Workers(%d, %d) = %d, want %d", c.requested, c.jobs, got, c.want)
-		}
-	}
 }
 
 func TestOf(t *testing.T) {
@@ -81,8 +35,12 @@ func TestOf(t *testing.T) {
 			if got < 0 || got >= n {
 				t.Fatalf("Of(%q, %d) = %d out of range", id, n, got)
 			}
-			if again := Of(id, n); again != got {
-				t.Fatalf("Of(%q, %d) not deterministic: %d then %d", id, n, got, again)
+			// Ownership is part of the wire contract between a router
+			// and its nodes: it must stay the standard FNV-1a.
+			h := fnv.New64a()
+			h.Write([]byte(id))
+			if want := int(h.Sum64() % uint64(n)); got != want {
+				t.Fatalf("Of(%q, %d) = %d, FNV-1a says %d", id, n, got, want)
 			}
 		}
 	}
@@ -94,9 +52,12 @@ func TestOf(t *testing.T) {
 	if len(hit) < 2 {
 		t.Errorf("300 keys landed on %d of 4 shards; hash is degenerate", len(hit))
 	}
+	if allocs := testing.AllocsPerRun(100, func() { Of("R\x00k1", 4) }); allocs != 0 {
+		t.Errorf("Of allocates %v per call", allocs)
+	}
 }
 
-func TestPoolPartition(t *testing.T) {
+func TestPartition(t *testing.T) {
 	d := testDB(t, `
 R(a | 1)
 R(a | 2)
@@ -106,228 +67,198 @@ S(b, y | 2)
 T(z | 9)
 `)
 	const n = 3
-	p := NewPool(d, n, PoolOptions{})
-	defer p.Close()
-	waitBuilt(t, p)
-
+	p := NewPartition(d, n)
+	if p.N() != n {
+		t.Fatalf("partition width %d, want %d", p.N(), n)
+	}
 	seen := map[string]int{} // block ID -> owning shard
 	total := 0
 	for id := 0; id < n; id++ {
-		got, err := Do(context.Background(), p, id, nil, func(v *View, chk *evalctx.Checker) (int, error) {
-			if v.ID != id {
-				t.Errorf("view ID %d, want %d", v.ID, id)
-			}
-			if v.DB != d {
-				t.Errorf("view DB is not the shared snapshot")
-			}
-			count := 0
-			for _, rel := range d.Relations() {
-				cr := d.Columnar().Rel(rel)
-				for _, bi := range v.SpansOf(rel) {
-					b := cr.Blocks[bi]
-					if owner, dup := seen[b.ID]; dup {
-						t.Errorf("block %q on shards %d and %d", b.ID, owner, id)
-					}
-					seen[b.ID] = id
-					if want := Of(b.ID, n); want != id {
-						t.Errorf("block %q on shard %d, hash says %d", b.ID, id, want)
-					}
-					if b.Facts[0].Rel.Name != rel {
-						t.Errorf("block %q grouped under relation %q", b.ID, rel)
-					}
-					count++
-				}
-			}
-			if count != v.NumBlocks() {
-				t.Errorf("shard %d: NumBlocks() = %d, walked %d", id, v.NumBlocks(), count)
-			}
-			return count, nil
-		})
-		if err != nil {
-			t.Fatalf("Do(shard %d): %v", id, err)
+		v := p.View(id)
+		if v.ID != id || v.DB != d {
+			t.Fatalf("view %d: ID %d, shared snapshot %v", id, v.ID, v.DB == d)
 		}
-		total += got
+		count := 0
+		for _, rel := range d.Relations() {
+			sp := v.SpansOf(rel)
+			if sp == nil {
+				t.Fatalf("shard %d: nil spans for %s (nil means every block)", id, rel)
+			}
+			cr := d.Columnar().Rel(rel)
+			for _, bi := range sp {
+				b := cr.Blocks[bi]
+				if owner, dup := seen[b.ID]; dup {
+					t.Errorf("block %q on shards %d and %d", b.ID, owner, id)
+				}
+				seen[b.ID] = id
+				if want := Of(b.ID, n); want != id {
+					t.Errorf("block %q on shard %d, hash says %d", b.ID, id, want)
+				}
+				if b.Facts[0].Rel.Name != rel {
+					t.Errorf("block %q grouped under relation %q", b.ID, rel)
+				}
+				count++
+			}
+		}
+		if count != v.NumBlocks() {
+			t.Errorf("shard %d: NumBlocks() = %d, walked %d", id, v.NumBlocks(), count)
+		}
+		if v.SpansOf("Missing") != nil {
+			t.Errorf("shard %d: spans for a relation without facts", id)
+		}
+		total += count
 	}
 	if total != d.NumBlocks() {
 		t.Errorf("shards own %d blocks in total, snapshot has %d", total, d.NumBlocks())
 	}
-}
-
-func TestPoolCloseInline(t *testing.T) {
-	d := testDB(t, "R(a | 1)")
-	p := NewPool(d, 2, PoolOptions{})
-	waitBuilt(t, p)
-	p.Close()
-	p.Close() // idempotent
-
-	// Dispatch after Close still completes, inline in the caller.
-	got, err := Do(context.Background(), p, 1, nil, func(v *View, chk *evalctx.Checker) (string, error) {
-		return "inline", nil
-	})
-	if err != nil || got != "inline" {
-		t.Fatalf("Do after Close = (%q, %v), want (inline, nil)", got, err)
+	if w := NewPartition(d, 0); w.N() != 1 || w.View(0).NumBlocks() != d.NumBlocks() {
+		t.Errorf("width 0 partition: N %d, %d blocks", w.N(), w.View(0).NumBlocks())
 	}
 }
 
-func TestHealthLifecycle(t *testing.T) {
-	defer faultinject.Reset()
-	d := chainDB(t, 40)
-	boom := errors.New("boom")
-
-	// A pool whose every initial build fails: shards end Unhealthy, the
-	// Building gauge still settles at zero, and errors carry ErrFailed.
-	faultinject.Set("shard.index", func(int) error { return boom })
-	p := NewPool(d, 2, PoolOptions{})
-	defer p.Close()
-	waitBuilt(t, p)
-	st := p.Stats()
-	if st.Unhealthy != 2 || st.Ready != 0 || st.Building != 0 {
-		t.Fatalf("after failed builds: %+v", st)
+// partitionFingerprint renders every shard's span lists in a canonical
+// form (the owned blocks' facts, via the columnar view), for comparing a
+// derived partition against a cold build.
+func partitionFingerprint(t *testing.T, p *Partition) []string {
+	t.Helper()
+	var out []string
+	for rel, perShard := range p.spans {
+		if len(perShard) != p.n {
+			t.Fatalf("%s: %d span lists, width %d", rel, len(perShard), p.n)
+		}
+		// Spans must point at blocks the shard owns in the columnar
+		// view of the partition's database, and cover the relation.
+		cr := p.db.Columnar().Rel(rel)
+		if cr == nil {
+			t.Fatalf("spans for relation %s without facts", rel)
+		}
+		covered := 0
+		for id, sp := range perShard {
+			covered += len(sp)
+			out = append(out, fmt.Sprintf("s%d spans %s %d", id, rel, len(sp)))
+			for _, bi := range sp {
+				b := cr.Blocks[bi]
+				if Of(b.ID, p.n) != id {
+					t.Fatalf("shard %d span %d of %s not owned", id, bi, rel)
+				}
+				facts := make([]string, len(b.Facts))
+				for i, f := range b.Facts {
+					facts[i] = f.String()
+				}
+				sort.Strings(facts)
+				out = append(out, fmt.Sprintf("s%d %s %q %v", id, rel, b.ID, facts))
+			}
+		}
+		if covered != cr.Rel.NumBlocks() {
+			t.Fatalf("%s: %d spans across shards, %d columnar blocks", rel, covered, cr.Rel.NumBlocks())
+		}
 	}
-	_, err := Do(context.Background(), p, 0, nil, func(v *View, chk *evalctx.Checker) (bool, error) {
-		return true, nil
-	})
-	if !errors.Is(err, ErrFailed) || !errors.Is(err, boom) {
-		t.Fatalf("eval on unbuilt shard: %v, want ErrFailed wrapping boom", err)
+	for id := 0; id < p.n; id++ {
+		out = append(out, fmt.Sprintf("s%d total %d", id, p.View(id).NumBlocks()))
 	}
-
-	// Clearing the fault lets the next task rebuild and heal the shard.
-	faultinject.Clear("shard.index")
-	ok, err := Do(context.Background(), p, 0, nil, func(v *View, chk *evalctx.Checker) (bool, error) {
-		return v.NumBlocks() >= 0, nil
-	})
-	if err != nil || !ok {
-		t.Fatalf("eval after clearing fault: (%v, %v)", ok, err)
-	}
-	st = p.Stats()
-	if st.Shards[0].Health != HealthReady {
-		t.Fatalf("shard 0 health %v after successful rebuild, want ready", st.Shards[0].Health)
-	}
-
-	// An injected evaluation fault flips the shard unhealthy...
-	faultinject.SetWindow("shard.eval.0", 0, 1, func(int) error { return boom })
-	_, err = Do(context.Background(), p, 0, nil, func(v *View, chk *evalctx.Checker) (bool, error) {
-		return true, nil
-	})
-	if !errors.Is(err, ErrFailed) {
-		t.Fatalf("injected eval fault: %v, want ErrFailed", err)
-	}
-	if h := p.Stats().Shards[0].Health; h != HealthUnhealthy {
-		t.Fatalf("shard 0 health %v after eval fault, want unhealthy", h)
-	}
-
-	// ...a benign error (the request's own limits) does not...
-	_, err = Do(context.Background(), p, 1, nil, func(v *View, chk *evalctx.Checker) (bool, error) {
-		return false, evalctx.ErrBudgetExceeded
-	})
-	if !errors.Is(err, evalctx.ErrBudgetExceeded) {
-		t.Fatalf("budget error: %v", err)
-	}
-	if h := p.Stats().Shards[1].Health; h != HealthReady {
-		t.Fatalf("shard 1 health %v after budget error, want ready", h)
-	}
-
-	// ...and a success heals.
-	if _, err := Do(context.Background(), p, 0, nil, func(v *View, chk *evalctx.Checker) (bool, error) {
-		return true, nil
-	}); err != nil {
-		t.Fatalf("healing eval: %v", err)
-	}
-	st = p.Stats()
-	if h := st.Shards[0].Health; h != HealthReady {
-		t.Fatalf("shard 0 health %v after success, want ready", h)
-	}
-	if st.Shards[0].Evals == 0 || st.Shards[0].Failures == 0 {
-		t.Fatalf("shard 0 counters not accounted: %+v", st.Shards[0])
-	}
-	if st.Shards[0].Blocks == 0 && st.Shards[1].Blocks == 0 {
-		t.Fatalf("no shard reports blocks: %+v", st.Shards)
-	}
+	sort.Strings(out)
+	return out
 }
 
-func TestHealthString(t *testing.T) {
-	for h, want := range map[Health]string{
-		HealthBuilding:  "building",
-		HealthReady:     "ready",
-		HealthUnhealthy: "unhealthy",
-		Health(99):      "unknown",
-	} {
-		if got := h.String(); got != want {
-			t.Errorf("Health(%d).String() = %q, want %q", h, got, want)
+// TestDeriveMatchesRebuild drives random mutation chains and checks the
+// derived partition is identical to a cold NewPartition of the same
+// version.
+func TestDeriveMatchesRebuild(t *testing.T) {
+	relR := schema.NewRelation("R", 2, 1)
+	relS := schema.NewRelation("S", 3, 2)
+	rng := rand.New(rand.NewSource(11))
+	randFact := func() db.Fact {
+		if rng.Intn(2) == 0 {
+			return db.NewFact(relR,
+				query.Const(fmt.Sprintf("k%d", rng.Intn(12))),
+				query.Const(fmt.Sprintf("v%d", rng.Intn(4))))
+		}
+		return db.NewFact(relS,
+			query.Const(fmt.Sprintf("a%d", rng.Intn(6))),
+			query.Const(fmt.Sprintf("b%d", rng.Intn(6))),
+			query.Const(fmt.Sprintf("v%d", rng.Intn(4))))
+	}
+	for _, n := range []int{1, 3, 5} {
+		cur := db.New()
+		for i := 0; i < 20; i++ {
+			cur.Add(randFact())
+		}
+		part := NewPartition(cur, n)
+		for step := 0; step < 12; step++ {
+			var delta db.Delta
+			for i := 0; i < 1+rng.Intn(5); i++ {
+				f := randFact()
+				if rng.Intn(3) == 0 {
+					delta.Delete(f)
+				} else {
+					delta.Insert(f)
+				}
+			}
+			child, res, err := cur.ApplyChanges(delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if child == cur {
+				continue
+			}
+			derived := part.Derive(child, res.Changes)
+			got := partitionFingerprint(t, derived)
+			want := partitionFingerprint(t, NewPartition(child, n))
+			if len(got) != len(want) {
+				t.Fatalf("n=%d step %d: %d vs %d partition entries\n%v\n%v",
+					n, step, len(got), len(want), got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d step %d: partition differs:\n  derived %s\n  rebuilt %s",
+						n, step, got[i], want[i])
+				}
+			}
+			part, cur = derived, child
 		}
 	}
 }
 
-func TestHedging(t *testing.T) {
-	defer faultinject.Reset()
-	d := testDB(t, "R(a | 1)")
-	p := NewPool(d, 1, PoolOptions{Hedge: 5 * time.Millisecond})
-	defer p.Close()
-	waitBuilt(t, p)
+// TestDeriveServesQueries checks a derived partition reads the child's
+// blocks — including a relation the delta empties — and leaves the
+// parent's untouched.
+func TestDeriveServesQueries(t *testing.T) {
+	d := testDB(t, `
+		R(a | 1)
+		R(b | 1)
+		R(c | 2)
+		T(z | 9)
+	`)
+	part := NewPartition(d, 3)
+	relR := d.Blocks()[0].Facts[0].Rel
+	relT := d.Columnar().Rel("T").Blocks[0].Facts[0].Rel
+	var delta db.Delta
+	delta.Insert(db.NewFact(relR, "d", "9"))
+	delta.Delete(db.NewFact(relR, "b", "1"))
+	delta.Delete(db.NewFact(relT, "z", "9"))
+	child, res, err := d.ApplyChanges(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived := part.Derive(child, res.Changes)
 
-	// Only the first (primary) execution sleeps; the hedged duplicate
-	// runs clean and wins.
-	faultinject.SetWindow("shard.eval.0", 0, 1, func(int) error {
-		time.Sleep(300 * time.Millisecond)
-		return nil
-	})
-	start := time.Now()
-	got, err := Do(context.Background(), p, 0, nil, func(v *View, chk *evalctx.Checker) (int, error) {
-		return 42, nil
-	})
-	if err != nil || got != 42 {
-		t.Fatalf("hedged Do = (%d, %v), want (42, nil)", got, err)
-	}
-	if took := time.Since(start); took >= 300*time.Millisecond {
-		t.Errorf("hedged call took %v; the duplicate did not win", took)
-	}
-	st := p.Stats()
-	if st.Hedges < 1 || st.HedgeWins < 1 {
-		t.Errorf("hedge counters = %d/%d, want >= 1 each", st.Hedges, st.HedgeWins)
-	}
-}
-
-func TestDoCancellation(t *testing.T) {
-	defer faultinject.Reset()
-	d := testDB(t, "R(a | 1)")
-	p := NewPool(d, 1, PoolOptions{})
-	defer p.Close()
-	waitBuilt(t, p)
-
-	faultinject.SetWindow("shard.eval.0", 0, 1, func(int) error {
-		time.Sleep(200 * time.Millisecond)
-		return nil
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	_, err := Do(ctx, p, 0, nil, func(v *View, chk *evalctx.Checker) (bool, error) {
-		return true, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Do: %v, want context.Canceled", err)
-	}
-}
-
-func TestStatsSummary(t *testing.T) {
-	d := chainDB(t, 20)
-	p := NewPool(d, 4, PoolOptions{})
-	defer p.Close()
-	waitBuilt(t, p)
-	st := p.Stats()
-	if st.Total != 4 || st.Ready != 4 || st.Building != 0 || st.Unhealthy != 0 {
-		t.Fatalf("fresh pool stats: %+v", st)
-	}
-	blocks := 0
-	for _, s := range st.Shards {
-		blocks += s.Blocks
-		if s.Hist == nil {
-			t.Fatalf("shard %d has no histogram", s.ID)
+	factsOf := func(p *Partition, rel string) int {
+		total := 0
+		cr := p.db.Columnar().Rel(rel)
+		for i := 0; i < p.N(); i++ {
+			for _, bi := range p.View(i).SpansOf(rel) {
+				total += len(cr.Blocks[bi].Facts)
+			}
 		}
+		return total
 	}
-	if blocks != d.NumBlocks() {
-		t.Fatalf("stats report %d blocks, snapshot has %d", blocks, d.NumBlocks())
+	if got := factsOf(derived, "R"); got != 3 {
+		t.Errorf("derived partition sees %d R facts, want 3", got)
+	}
+	if sp := derived.View(0).SpansOf("T"); sp != nil {
+		t.Errorf("derived partition keeps spans %v for the emptied relation T", sp)
+	}
+	if got := factsOf(part, "R"); got != 3 || part.View(0).SpansOf("T") == nil {
+		t.Errorf("Derive modified the parent partition")
 	}
 }

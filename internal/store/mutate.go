@@ -193,18 +193,14 @@ func (s *Store) publishDelta(cur *Snapshot, child *db.DB, res *db.ApplyResult, m
 		s.mu.Unlock()
 		panic(fmt.Errorf("store: commit: %w", err))
 	}
-	// Derive the shard pool before the swap so the first sharded read of
-	// the new version reuses the parent's partitions instead of
-	// rebuilding n shards. A closed parent pool (racing Delete) just
-	// leaves the child to build lazily.
-	if pp := cur.shardPool.Load(); pp != nil {
-		if dp := pp.Derive(child, res.Changes); dp != nil {
-			snap.shardPool.Store(dp)
-		}
+	// Derive the partition before the swap so the first routed read of
+	// the new version reuses the parent's span lists instead of
+	// re-partitioning the snapshot.
+	if pp := cur.partition.Load(); pp != nil {
+		snap.partition.Store(pp.Derive(child, res.Changes))
 	}
 	s.dbs[cur.Name] = snap
 	s.mu.Unlock()
-	go cur.ClosePool()
 	return snap, true
 }
 

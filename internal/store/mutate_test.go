@@ -248,21 +248,21 @@ func TestApplyDeltaFreshRead(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaDerivesPool checks the shard pool of the parent
-// snapshot carries over to the child incrementally.
-func TestApplyDeltaDerivesPool(t *testing.T) {
+// TestApplyDeltaDerivesPartition checks the partition cached on the
+// parent snapshot carries over to the child by Derive, and that a
+// parent without one leaves the child to build lazily.
+func TestApplyDeltaDerivesPartition(t *testing.T) {
 	s := New()
 	snap1, err := s.PutFacts("prod", "R(a | 1)\nR(b | 2)\nR(c | 3)\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := snap1.ShardPool(3, 0)
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Building() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pool never built")
-		}
-		time.Sleep(time.Millisecond)
+	p1 := snap1.Partition(3)
+	if snap1.Partition(3) != p1 {
+		t.Fatal("partition not cached on the snapshot")
+	}
+	if other := snap1.Partition(2); other == p1 || other.N() != 2 || snap1.Partition(3) != p1 {
+		t.Fatal("a second width must get an uncached partition and keep the cached one")
 	}
 	var delta db.Delta
 	delta.Insert(mustFact(t, "R(d | 4)"))
@@ -270,19 +270,31 @@ func TestApplyDeltaDerivesPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := snap2.ShardStats()
-	if !ok {
-		t.Fatal("child snapshot has no derived pool")
+	derived := snap2.partition.Load()
+	if derived == nil {
+		t.Fatal("child snapshot has no derived partition")
 	}
-	if st.Total != 3 || st.Building != 0 || st.Ready != 3 {
-		t.Errorf("derived pool stats = %+v", st)
+	if snap2.Partition(3) != derived || derived.View(0).DB != snap2.DB {
+		t.Fatal("child does not serve its derived partition")
 	}
 	total := 0
-	for _, sh := range snap2.ShardPool(3, 0).Stats().Shards {
-		total += sh.Blocks
+	for id := 0; id < derived.N(); id++ {
+		total += derived.View(id).NumBlocks()
 	}
 	if total != 4 {
 		t.Errorf("derived partition covers %d blocks, want 4", total)
+	}
+
+	// No partition on the parent: nothing to derive.
+	if _, err := s.PutFacts("cold", "R(a | 1)\n"); err != nil {
+		t.Fatal(err)
+	}
+	snap3, _, err := s.ApplyDelta("cold", delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap3.partition.Load() != nil {
+		t.Error("child of an unpartitioned parent got a partition")
 	}
 }
 
@@ -423,9 +435,9 @@ func TestWALCrashMidCommit(t *testing.T) {
 }
 
 // TestMutationLifecycleRaces hammers one name with concurrent full
-// uploads, deltas, deletes, and reads that force index builds and shard
-// pools, while replaced snapshots close their pools asynchronously. Run
-// with -race; the assertions are weak on purpose — the test exists to
+// uploads, deltas, deletes, and reads that force index builds and
+// partitions, while deltas derive partitions from replaced snapshots.
+// Run with -race; the assertions are weak on purpose — the test exists to
 // let the race detector watch the snapshot lifecycle under fire.
 func TestMutationLifecycleRaces(t *testing.T) {
 	s := New()
@@ -457,7 +469,7 @@ func TestMutationLifecycleRaces(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // reads: index builds and shard pools
+	go func() { // reads: index builds and partitions
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			snap, ok := s.Get("prod")
@@ -465,9 +477,7 @@ func TestMutationLifecycleRaces(t *testing.T) {
 				continue
 			}
 			snap.Index()
-			if p := snap.ShardPool(2, 0); p != nil {
-				p.Stats()
-			}
+			snap.Partition(2).View(1).NumBlocks()
 			snap.DB.Blocks()
 		}
 	}()

@@ -35,51 +35,44 @@ type Snapshot struct {
 	index   atomic.Pointer[match.Index]
 	stats   *IndexStats // shared with the owning store; nil for bare snapshots
 
-	shardMu   sync.Mutex
-	shardPool atomic.Pointer[shard.Pool]
+	partMu    sync.Mutex
+	partition atomic.Pointer[shard.Partition]
 }
 
-// ShardPool returns the snapshot's shard cluster for the requested
-// fan-out, built on first use and shared by every subsequent request
-// against this snapshot version — the sharded analogue of Index. A
-// request for n <= 1 (sharding disabled) returns nil. Replacing the
-// snapshot (Put) closes the replaced version's pool; requests that
-// already hold it keep completing, because a closed pool degrades to
-// inline execution. Safe for concurrent use.
-func (s *Snapshot) ShardPool(n int, hedge time.Duration) *shard.Pool {
-	if n <= 1 {
-		return nil
+// Partition returns the snapshot's key-hash partition at width n (n < 1
+// is treated as 1): the span lists a cluster node evaluates one logical
+// shard over. The first width requested is built once and cached for
+// the snapshot version, like Index, and an Apply-derived child inherits
+// it by Derive; a request naming another width gets an uncached
+// partition, so a node configured for one fan-out still answers a
+// router using another. Safe for concurrent use.
+func (s *Snapshot) Partition(n int) *shard.Partition {
+	if n < 1 {
+		n = 1
 	}
-	if p := s.shardPool.Load(); p != nil {
-		return p
+	p := s.partition.Load()
+	if p == nil {
+		p = s.buildPartition(n)
 	}
-	s.shardMu.Lock()
-	defer s.shardMu.Unlock()
-	if p := s.shardPool.Load(); p != nil {
-		return p
+	if p.N() != n {
+		return shard.NewPartition(s.DB, n)
 	}
-	p := shard.NewPool(s.DB, n, shard.PoolOptions{Hedge: hedge})
-	s.shardPool.Store(p)
 	return p
 }
 
-// ShardStats returns the snapshot's shard-cluster summary; ok is false
-// when no pool was ever built for this snapshot.
-func (s *Snapshot) ShardStats() (shard.Stats, bool) {
-	p := s.shardPool.Load()
-	if p == nil {
-		return shard.Stats{}, false
+// buildPartition caches the first partition built for the snapshot. As
+// in IndexTraced, the pointer is published only after a completed
+// build, under the mutex, so a build that panics is retried rather than
+// cached.
+func (s *Snapshot) buildPartition(n int) *shard.Partition {
+	s.partMu.Lock()
+	defer s.partMu.Unlock()
+	if p := s.partition.Load(); p != nil {
+		return p
 	}
-	return p.Stats(), true
-}
-
-// ClosePool shuts down the snapshot's shard cluster, if one was built.
-// Called when the snapshot is replaced or deleted; in-flight requests
-// holding the pool still complete (closed pools execute inline).
-func (s *Snapshot) ClosePool() {
-	if p := s.shardPool.Load(); p != nil {
-		p.Close()
-	}
+	p := shard.NewPartition(s.DB, n)
+	s.partition.Store(p)
+	return p
 }
 
 // Index returns the evaluation index of the snapshot — the match.Index
@@ -202,9 +195,6 @@ func (s *Store) Put(name string, d *db.DB) *Snapshot {
 	snap.Version = 1
 	if prev, ok := s.dbs[name]; ok {
 		snap.Version = prev.Version + 1
-		// Asynchronously: Close drains the old pool's queued tasks, and
-		// the store lock must not wait behind a long evaluation.
-		go prev.ClosePool()
 	}
 	if s.wal != nil {
 		facts := d.Facts()
@@ -248,48 +238,14 @@ func (s *Store) Get(name string) (*Snapshot, bool) {
 func (s *Store) Delete(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap, ok := s.dbs[name]
-	if ok {
-		if s.wal != nil {
-			if err := s.wal.Append(wal.Record{Op: "delete", Name: name}); err != nil {
-				panic(fmt.Errorf("store: wal append: %w", err))
-			}
+	_, ok := s.dbs[name]
+	if ok && s.wal != nil {
+		if err := s.wal.Append(wal.Record{Op: "delete", Name: name}); err != nil {
+			panic(fmt.Errorf("store: wal append: %w", err))
 		}
-		go snap.ClosePool()
 	}
 	delete(s.dbs, name)
 	return ok
-}
-
-// ShardStats aggregates the shard-cluster state across every snapshot
-// that has built a pool: totals for the readiness probe and metrics.
-// Snapshots without a pool (sharding disabled or never requested)
-// contribute nothing.
-type ShardStats struct {
-	Total     int
-	Ready     int
-	Building  int
-	Unhealthy int
-	Hedges    int64
-	HedgeWins int64
-}
-
-// ShardStats sums the per-snapshot pool summaries.
-func (s *Store) ShardStats() ShardStats {
-	var out ShardStats
-	for _, snap := range s.List() {
-		st, ok := snap.ShardStats()
-		if !ok {
-			continue
-		}
-		out.Total += st.Total
-		out.Ready += st.Ready
-		out.Building += st.Building
-		out.Unhealthy += st.Unhealthy
-		out.Hedges += st.Hedges
-		out.HedgeWins += st.HedgeWins
-	}
-	return out
 }
 
 // List returns the current snapshots sorted by name.

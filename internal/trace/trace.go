@@ -49,14 +49,6 @@ const (
 	// StageSampling is the degraded repair-sampling path of a
 	// budget-exhausted coNP evaluation.
 	StageSampling
-	// StageShard is one per-shard evaluation task of the scatter-gather
-	// path: a request evaluated over N shards closes N spans of this
-	// stage (plus one per hedged duplicate), so MaxUs vs the mean span
-	// exposes straggler amplification.
-	StageShard
-	// StageShardIndex is the per-shard block-index build of a sharded
-	// snapshot (the shard-local analogue of StageIndexBuild).
-	StageShardIndex
 	// StageCount is the #CERTAINTY repair-counting engine: constraint
 	// extraction, component factorization, and the per-component exact
 	// enumeration or Monte Carlo estimation.
@@ -66,8 +58,7 @@ const (
 
 var stageNames = [numStages]string{
 	"normalize", "compile", "index-build", "purify", "match",
-	"eliminator", "ptime", "conp", "sampling", "shard", "shard-index",
-	"count",
+	"eliminator", "ptime", "conp", "sampling", "count",
 }
 
 // String names the stage as it appears in breakdowns and metrics.
@@ -279,8 +270,8 @@ type StageStats struct {
 	Spans int64 `json:"spans"`
 	// Micros is the total duration across those spans.
 	Micros int64 `json:"us"`
-	// MaxUs is the longest single span of the stage; on fan-out stages
-	// (shard) the gap between MaxUs and Micros/Spans is the straggler.
+	// MaxUs is the longest single span of the stage; its gap to
+	// Micros/Spans shows one span running long.
 	MaxUs int64 `json:"maxUs,omitempty"`
 	// Counters holds the non-zero effort counters of the stage.
 	Counters map[string]int64 `json:"counters,omitempty"`
