@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check chaos chaos-net bench bench-smoke fuzz fuzz-smoke cover vet fmt fmt-check perfbench-check experiments clean
+.PHONY: all build test test-short race check chaos chaos-net bench bench-smoke fuzz fuzz-smoke cover vet fmt fmt-check perfbench-check examples-check experiments clean
 
 all: build test
 
@@ -25,8 +25,9 @@ race:
 # db store, core worker pool, db index, trace ring), the seeded
 # differential fuzz corpus, the coverage floors, a one-iteration
 # smoke run of the evaluation benchmarks plus the BENCH_eval.json
-# freshness gate, and the perfbench module's vet and tests.
-check: build fmt-check test bench-smoke fuzz-smoke cover chaos-net perfbench-check
+# freshness gate, the perfbench module's vet and tests, and a run of
+# every example program.
+check: build fmt-check test bench-smoke fuzz-smoke cover chaos-net perfbench-check examples-check
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 	$(GO) test -race ./internal/server ./internal/plancache ./internal/store ./internal/core ./internal/db ./internal/rewrite ./internal/trace ./internal/shard ./internal/sym ./internal/colstore ./internal/counting
@@ -90,6 +91,14 @@ vet:
 perfbench-check:
 	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
+# The examples are the documented library entry points and nothing
+# else runs them: build and run each, failing on a nonzero exit.
+examples-check:
+	@for d in examples/*/; do \
+		echo "examples-check: $$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
+
 # Fails when gofmt would rewrite any file, listing the offenders.
 fmt-check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -106,11 +115,13 @@ fmt-check:
 # and the cluster router (retry/hedge/breaker/partial-failure logic is
 # exactly the code that only runs when something is already wrong),
 # and the repair-counting engine (an off-by-one in the factorized count
-# is invisible to the decision tests). Floors are a few points under
+# is invisible to the decision tests), and the core entry points and
+# the server's evaluate pipeline (each job has one entry point, so its
+# behaviour tests are all that pins it). Floors are a few points under
 # current coverage so they catch deleted tests, not noise.
 cover:
 	$(GO) test -cover ./internal/... | tee cover.out
-	@status=0; for spec in trace:90 rewrite:70 conp:75 shard:80 sym:90 colstore:90 db:80 store:80 cluster:80 counting:85; do \
+	@status=0; for spec in trace:90 rewrite:70 conp:75 shard:80 sym:90 colstore:90 db:80 store:80 cluster:80 counting:85 core:85 server:88; do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		pct=$$(awk -v p="cqa/internal/$$pkg" '$$2 == p { for (i=1;i<=NF;i++) if ($$i ~ /%$$/) { sub(/%/,"",$$i); print $$i; exit } }' cover.out); \
 		if [ -z "$$pct" ]; then echo "cover: no coverage reported for internal/$$pkg"; status=1; \

@@ -6,6 +6,7 @@ package cqa
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -89,7 +90,11 @@ func benchmarkCertainFO(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Certain(q, d, core.Options{Engine: core.EngineFO}); err != nil {
+		plan, err := core.Compile(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d), core.Options{Engine: core.EngineFO}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -347,13 +352,13 @@ func benchmarkCertainAcyclic(b *testing.B, blocks int) {
 		b.Fatal(err)
 	}
 	d := falsifiedChainDB(blocks)
-	if res, err := plan.Certain(d, core.Options{}); err != nil || res.Certain {
+	if res, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d), core.Options{}); err != nil || res.Certain {
 		b.Fatalf("want certain=false, err=nil; got %v, %v", res.Certain, err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.Certain(d, core.Options{}); err != nil {
+		if _, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d), core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -373,13 +378,13 @@ func BenchmarkCertainAnswersPool(b *testing.B) {
 	}
 	d := chainDB(500, 0.3, 7)
 	free := []query.Var{"x"}
-	if _, err := plan.CertainAnswers(free, d, core.Options{}); err != nil {
+	if _, err := plan.CertainAnswersIndexedCtx(context.Background(), free, match.NewIndex(d), core.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.CertainAnswers(free, d, core.Options{}); err != nil {
+		if _, err := plan.CertainAnswersIndexedCtx(context.Background(), free, match.NewIndex(d), core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

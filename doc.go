@@ -5,8 +5,13 @@
 // The module root carries the repository-level benchmark harness; the
 // library lives under internal/ with core as the public facade:
 //
-//	cls, _ := core.Classify(q)                   // FO / P\FO / coNP-complete
-//	res, _ := core.Certain(q, db, core.Options{}) // certain answer
+//	cls, _ := core.Classify(q) // FO / P\FO / coNP-complete
+//	plan, _ := core.Compile(q) // per-query work, done once
+//	res, _ := plan.CertainIndexedCtx(ctx, match.NewIndex(d), core.Options{})
+//
+// A compiled plan has one entry point per job: CertainIndexedCtx
+// (certainty), CertainAnswersIndexedCtx (certain answers) and
+// CountIndexedCtx (#CERTAINTY repair counts).
 //
 // See README.md for the guided tour, DESIGN.md for the system inventory,
 // and EXPERIMENTS.md for the paper-vs-measured record.

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -61,7 +62,11 @@ func main() {
 	fmt.Printf("(%d facts, %d conflicting blocks, %.0f repairs)\n\n",
 		d.Len(), blocks, d.NumRepairs())
 
-	answers, err := core.CertainAnswers(q, []query.Var{"pid"}, d, core.Options{})
+	plan, err := core.Compile(q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	answers, err := plan.CertainAnswersIndexedCtx(context.Background(), []query.Var{"pid"}, match.NewIndex(d), core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,11 +5,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"cqa/internal/core"
 	"cqa/internal/db"
+	"cqa/internal/match"
 	"cqa/internal/query"
 	"cqa/internal/rewrite"
 )
@@ -44,8 +46,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Is the query true in EVERY repair?
-	res, err := core.Certain(q, d, core.Options{})
+	// Is the query true in EVERY repair? Compile does the per-query work
+	// once (Lemma 3); the plan then evaluates against an index of the
+	// data.
+	plan, err := core.Compile(q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d), core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +77,7 @@ func main() {
 	d2 := d.Filter(func(f db.Fact) bool {
 		return f.String() != "Dept(Marketing | Sydney)"
 	})
-	res2, err := core.Certain(q, d2, core.Options{})
+	res2, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d2), core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,12 +11,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"cqa/internal/core"
 	"cqa/internal/counting"
 	"cqa/internal/db"
+	"cqa/internal/match"
 	"cqa/internal/query"
 	"cqa/internal/rewrite"
 	"cqa/internal/sqlmini"
@@ -63,7 +65,11 @@ func main() {
 		log.Fatal(err)
 	}
 	// And the native engine.
-	res, err := core.Certain(q, d, core.Options{})
+	plan, err := core.Compile(q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d), core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

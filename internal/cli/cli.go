@@ -9,7 +9,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"sort"
 	"strings"
@@ -23,6 +22,7 @@ import (
 	"cqa/internal/evalctx"
 	"cqa/internal/experiments"
 	"cqa/internal/markov"
+	"cqa/internal/match"
 	"cqa/internal/ptime"
 	"cqa/internal/query"
 	"cqa/internal/rewrite"
@@ -48,7 +48,7 @@ func RunClassify(args []string, stdout, stderr io.Writer) int {
 	}
 	if *cat {
 		for _, e := range catalog.Entries() {
-			cls, err := core.ClassifyString(e.Query)
+			cls, err := core.Classify(e.MustQuery())
 			if err != nil {
 				fmt.Fprintf(stderr, "%s: %v\n", e.Name, err)
 				return 1
@@ -150,7 +150,6 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	answers := fs.String("answers", "", "comma-separated free variables: report certain answers")
 	possible := fs.Bool("possible", false, "also report POSSIBILITY(q) (true in some repair)")
 	count := fs.Bool("count", false, "also report the number of satisfying repairs (exact, or an anytime estimate on oversized components)")
-	fraction := fs.Int("fraction", 0, "estimate the satisfying-repair fraction with N samples")
 	showTrace := fs.Bool("trace", false, "print the Theorem 4 pipeline trace (ptime engine)")
 	showStages := fs.Bool("stages", false, "print the per-stage duration/counter breakdown after evaluation")
 	timeout := fs.Duration("timeout", 0, "wall-clock evaluation deadline (0 = none)")
@@ -192,6 +191,12 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "cqa-certain:", err)
 		return 2
 	}
+	plan, err := core.Compile(q)
+	if err != nil {
+		fmt.Fprintln(stderr, "cqa-certain:", err)
+		return 2
+	}
+	ix := match.NewIndex(d)
 	opts := core.Options{Engine: engine, MaxSteps: *maxSteps, Approximate: *approx}
 	if *showStages {
 		opts.Tracer = trace.New()
@@ -211,7 +216,7 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				free = append(free, query.Var(name))
 			}
 		}
-		vals, err := core.CertainAnswersCtx(ctx, q, free, d, opts)
+		vals, err := plan.CertainAnswersIndexedCtx(ctx, free, ix, opts)
 		if err != nil {
 			fmt.Fprintln(stderr, "cqa-certain:", err)
 			return 2
@@ -241,7 +246,7 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	res, err := core.CertainCtx(ctx, q, d, opts)
+	res, err := plan.CertainIndexedCtx(ctx, ix, opts)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -269,7 +274,7 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		// degrades to a sampled estimate instead of refusing.
 		copts := opts
 		copts.Approximate = true
-		cres, err := core.CountCtx(ctx, q, d, copts)
+		cres, err := plan.CountIndexedCtx(ctx, ix, copts)
 		switch {
 		case err != nil:
 			fmt.Fprintln(stderr, "cqa-certain: count:", err)
@@ -279,14 +284,6 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		default:
 			fmt.Fprintf(stdout, "satisfying repairs: ~%.4f of %v (±%.4f, %d of %d components sampled)\n",
 				cres.Fraction, cres.Total, cres.Confidence, cres.Sampled, cres.Components)
-		}
-	}
-	if *fraction > 0 {
-		est, err := core.CertainFraction(q, d, *fraction, rand.New(rand.NewSource(1)))
-		if err != nil {
-			fmt.Fprintln(stderr, "cqa-certain: fraction:", err)
-		} else {
-			fmt.Fprintf(stdout, "estimated satisfying fraction: %.4f (%d samples)\n", est, *fraction)
 		}
 	}
 	if !res.Certain && *showRepair {

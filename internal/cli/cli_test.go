@@ -212,16 +212,31 @@ func TestCertainCountPossibleFraction(t *testing.T) {
 	stdin := strings.NewReader("R(a | b)\nR(a | dead)\nS(b | c)\n")
 	code := RunCertain([]string{
 		"-q", "R(x | y), S(y | z)", "-db", "-",
-		"-possible", "-count", "-fraction", "200",
+		"-possible", "-count",
 	}, stdin, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
 	o := out.String()
-	for _, frag := range []string{"possible: true", "satisfying repairs: 1 of 2", "estimated satisfying fraction:"} {
+	for _, frag := range []string{"possible: true", "satisfying repairs: 1 of 2"} {
 		if !strings.Contains(o, frag) {
 			t.Errorf("output missing %q:\n%s", frag, o)
 		}
+	}
+	// The satisfying fraction is -count's to report; there is no second
+	// sampler behind a -fraction flag: passing it is a usage error, and
+	// -h does not list it.
+	errb.Reset()
+	if code := RunCertain([]string{"-q", "R(x | y)", "-db", "-", "-fraction", "200"}, strings.NewReader(""), &out, &errb); code != 2 {
+		t.Errorf("-fraction should exit 2, got %d", code)
+	}
+	errb.Reset()
+	RunCertain([]string{"-h"}, strings.NewReader(""), &out, &errb)
+	if !strings.Contains(errb.String(), "\n  -count") {
+		t.Fatalf("unexpected -h layout:\n%s", errb.String())
+	}
+	if strings.Contains(errb.String(), "\n  -fraction ") {
+		t.Errorf("cqa-certain -h still lists -fraction:\n%s", errb.String())
 	}
 }
 

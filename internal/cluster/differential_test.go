@@ -57,7 +57,7 @@ func TestClusterDifferential(t *testing.T) {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
 		ix := match.NewIndex(d)
-		mono, err := plan.CertainIndexed(ix, core.Options{})
+		mono, err := plan.CertainIndexedCtx(context.Background(), ix, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: monolithic: %v", seed, err)
 		}
@@ -169,7 +169,7 @@ func TestRouterDifferentialWidths(t *testing.T) {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
 		ix := match.NewIndex(d)
-		mono, err := plan.CertainIndexed(ix, core.Options{})
+		mono, err := plan.CertainIndexedCtx(context.Background(), ix, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: monolithic: %v", seed, err)
 		}

@@ -37,7 +37,7 @@ func Exec(ctx context.Context, cache *plancache.Cache, st *store.Store, req *Eva
 	if err := faultinject.Fire("cluster.node.exec"); err != nil {
 		return nil, fmt.Errorf("%w: injected node fault: %w", ErrUnavailable, err)
 	}
-	plan, _, err := cache.GetOrCompile(req.Query)
+	plan, _, err := cache.GetOrCompile(req.Query, nil)
 	if err != nil {
 		return nil, &RequestError{Code: "bad_query", Msg: err.Error()}
 	}
@@ -136,21 +136,28 @@ func checkOwned(ctx context.Context, plan *core.Plan, ix *match.Index, free []qu
 	return out, nil
 }
 
-// freeVars parses and validates the wire form of the free variables
-// against the plan's query, mirroring the coordinator-side validation
-// so a node never silently accepts a binding the local path would 422.
+// freeVars parses the wire form of the free variables and validates
+// them against the plan's query with the check every answers path
+// shares, so a node never silently accepts a binding the coordinator
+// would refuse.
 func freeVars(plan *core.Plan, names []string) ([]query.Var, error) {
-	vars := plan.Query.Vars()
 	free := make([]query.Var, len(names))
 	for i, s := range names {
-		v := query.Var(s)
-		if !vars.Has(v) {
-			return nil, &RequestError{Code: "bad_request",
-				Msg: fmt.Sprintf("free variable %s does not occur in %s", v, plan.Query)}
-		}
-		free[i] = v
+		free[i] = query.Var(s)
+	}
+	if err := checkFree(plan, free); err != nil {
+		return nil, err
 	}
 	return free, nil
+}
+
+// checkFree runs core.CheckFree and reports a violation as the
+// permanent bad_request defect it is, at the router and on a node.
+func checkFree(plan *core.Plan, free []query.Var) error {
+	if err := core.CheckFree(plan.Query, free); err != nil {
+		return &RequestError{Code: "bad_request", Msg: err.Error()}
+	}
+	return nil
 }
 
 func encodeValuations(vs []query.Valuation) []map[string]string {

@@ -327,12 +327,8 @@ func (r *Router) scatterBool(ctx context.Context, chk *evalctx.Checker, plan *co
 // the request (a partial union would silently drop answers — there is
 // no sound degraded answer set). Answers return sorted by binding key.
 func (r *Router) CertainAnswers(ctx context.Context, plan *core.Plan, dbName string, free []query.Var, opts core.Options) ([]query.Valuation, error) {
-	vars := plan.Query.Vars()
-	for _, v := range free {
-		if !vars.Has(v) {
-			return nil, &RequestError{Code: "bad_request",
-				Msg: fmt.Sprintf("free variable %s does not occur in %s", v, plan.Query)}
-		}
+	if err := checkFree(plan, free); err != nil {
+		return nil, err
 	}
 	chk := evalctx.New(ctx, evalctx.Limits{MaxSteps: opts.MaxSteps, MemoCap: opts.MemoCap})
 	base := EvalRequest{

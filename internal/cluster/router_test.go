@@ -43,7 +43,11 @@ const falsifiableDB = "R(a | b)\nR(a | c)\nS(b | z1)\nR(d | e)\nR(d | e2)\nS(e |
 
 func compilePlan(t *testing.T, text string) *core.Plan {
 	t.Helper()
-	plan, err := core.CompileString(text)
+	q, _, err := core.Normalize(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.Compile(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +56,7 @@ func compilePlan(t *testing.T, text string) *core.Plan {
 
 func monoCertain(t *testing.T, plan *core.Plan, d *db.DB) bool {
 	t.Helper()
-	res, err := plan.CertainIndexed(match.NewIndex(d), core.Options{})
+	res, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +125,7 @@ func TestRouterRetriesOneWayPartition(t *testing.T) {
 	if err != nil {
 		t.Fatalf("answers under one-way partition: %v", err)
 	}
-	monoAns, err := plan.CertainAnswers(free, d, core.Options{})
+	monoAns, err := plan.CertainAnswersIndexedCtx(context.Background(), free, match.NewIndex(d), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestCancelMidEliminatorWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := match.NewIndex(d)
-	want, err := plan.CertainIndexed(ix, Options{})
+	want, err := plan.CertainIndexedCtx(context.Background(), ix, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCancelMidCoNPEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := match.NewIndex(d)
-	want, err := plan.CertainIndexed(ix, Options{Engine: EngineCoNP})
+	want, err := plan.CertainIndexedCtx(context.Background(), ix, Options{Engine: EngineCoNP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestAnswersCancellationConsistent(t *testing.T) {
 	}
 	ix := match.NewIndex(d)
 	free := []query.Var{query.Var("x1")}
-	want, err := plan.CertainAnswersIndexed(free, ix, Options{Workers: 4})
+	want, err := plan.CertainAnswersIndexedCtx(context.Background(), free, ix, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

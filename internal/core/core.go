@@ -2,8 +2,16 @@
 // CERTAINTY(q) per the trichotomy of Koutris & Wijsen (PODS 2015,
 // Theorem 1) and certain query answering with automatic engine selection.
 //
-//	cls, _ := core.Classify(q)        // FO, P\FO, or coNP-complete
-//	res, _ := core.Certain(q, db, core.Options{})
+//	cls, _ := core.Classify(q) // FO, P\FO, or coNP-complete
+//	plan, _ := core.Compile(q) // the per-query work, done once (Lemma 3)
+//	res, _ := plan.CertainIndexedCtx(ctx, match.NewIndex(d), core.Options{})
+//
+// A compiled Plan has one entry point per job: CertainIndexedCtx
+// decides certainty, CertainAnswersIndexedCtx enumerates the certain
+// answers of a non-Boolean query, and CountIndexedCtx counts the
+// satisfying repairs (#CERTAINTY). Each takes a context and an
+// evaluation index; context.Background() with no budget in Options is
+// the plain, unchecked call.
 //
 // Engines:
 //
@@ -20,13 +28,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"cqa/internal/attack"
 	"cqa/internal/conp"
 	"cqa/internal/db"
-	"cqa/internal/match"
 	"cqa/internal/query"
 	"cqa/internal/rewrite"
 	"cqa/internal/schema"
@@ -69,15 +75,6 @@ func Classify(q query.Query) (Classification, error) {
 		HasCycle:       g.HasCycle(),
 		HasStrongCycle: g.HasStrongCycle(),
 	}, nil
-}
-
-// ClassifyString parses and classifies a query in the textual syntax.
-func ClassifyString(s string) (Classification, error) {
-	q, err := query.Parse(s)
-	if err != nil {
-		return Classification{}, err
-	}
-	return Classify(q)
 }
 
 // Engine selects the solving strategy.
@@ -133,17 +130,17 @@ func ParseEngine(s string) (Engine, error) {
 }
 
 // DefaultSamples is the sampling budget used when a budget-exhausted
-// coNP evaluation degrades to CertainFraction and Options.Samples is
+// coNP evaluation degrades to CertainFractionChecked and Options.Samples is
 // unset.
 const DefaultSamples = 200
 
-// Options configure Certain.
+// Options configure an evaluation.
 type Options struct {
 	// Engine forces a specific engine; EngineAuto selects by class.
 	Engine Engine
-	// Workers bounds the worker pool CertainAnswers uses to check
-	// candidate bindings; <= 0 selects GOMAXPROCS. 1 forces sequential
-	// checking.
+	// Workers bounds the worker pool CertainAnswersIndexedCtx uses to
+	// check candidate bindings; <= 0 selects GOMAXPROCS. 1 forces
+	// sequential checking.
 	Workers int
 	// MaxSteps bounds the total engine steps of one evaluation (search
 	// nodes, recursion levels, block branches — shared across the answer
@@ -155,7 +152,7 @@ type Options struct {
 	// Exhaustion is silent: engines keep computing without caching.
 	MemoCap int
 	// Approximate degrades a budget-exhausted coNP-engine evaluation to
-	// CertainFraction sampling instead of failing: the Result then
+	// CertainFractionChecked sampling instead of failing: the Result then
 	// carries Approximate=true and the estimated satisfying fraction.
 	Approximate bool
 	// Samples is the sampling budget of the degraded path; <= 0 selects
@@ -212,27 +209,29 @@ func CheckSignatures(q query.Query, d *db.DB) error {
 	return nil
 }
 
-// Certain decides whether every repair of d satisfies q. It is a thin
-// wrapper that compiles a Plan and runs it once; callers that evaluate
-// the same query against many databases should Compile once (or use a
-// plancache.Cache) and call Plan.Certain directly.
-func Certain(q query.Query, d *db.DB, opts Options) (Result, error) {
-	p, err := Compile(q)
-	if err != nil {
-		return Result{}, err
-	}
-	return p.Certain(d, opts)
+// FreeVarError reports a designated free variable that does not occur
+// in the query. Every answers path — local evaluation, the cluster
+// router, a cluster node validating its wire input — refuses it with
+// this one error, so the request gets the same diagnosis on each.
+type FreeVarError struct {
+	Var   query.Var
+	Query query.Query
 }
 
-// CertainCtx is Certain under a context: the evaluation engines poll
-// ctx cooperatively (see evalctx) and return ctx.Err() — never a wrong
-// boolean — when the deadline passes or the context is cancelled.
-func CertainCtx(ctx context.Context, q query.Query, d *db.DB, opts Options) (Result, error) {
-	p, err := Compile(q)
-	if err != nil {
-		return Result{}, err
+func (e *FreeVarError) Error() string {
+	return fmt.Sprintf("free variable %s does not occur in %s", e.Var, e.Query)
+}
+
+// CheckFree verifies that every free variable occurs in q, returning a
+// *FreeVarError on the first that does not.
+func CheckFree(q query.Query, free []query.Var) error {
+	vars := q.Vars()
+	for _, v := range free {
+		if !vars.Has(v) {
+			return &FreeVarError{Var: v, Query: q}
+		}
 	}
-	return p.CertainIndexedCtx(ctx, match.NewIndex(d), opts)
+	return nil
 }
 
 // FalsifyingRepair returns a repair of d that falsifies q, when one
@@ -252,28 +251,4 @@ func FalsifyingRepair(q query.Query, d *db.DB) (repair []db.Fact, found bool, er
 // for FO-classified queries (Theorem 2 / Lemma 10).
 func Rewriting(q query.Query) (rewrite.Formula, error) {
 	return rewrite.Rewriting(q)
-}
-
-// CertainAnswers lifts certainty to non-Boolean queries, as the paper
-// notes is possible without fundamental changes: for a query q with
-// designated free variables, it returns every binding of the free
-// variables (drawn from embeddings of q into d) whose instantiated
-// Boolean query is certain. Bindings are returned in deterministic order.
-// It compiles q once and delegates to Plan.CertainAnswers.
-func CertainAnswers(q query.Query, free []query.Var, d *db.DB, opts Options) ([]query.Valuation, error) {
-	p, err := Compile(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.CertainAnswers(free, d, opts)
-}
-
-// CertainAnswersCtx is CertainAnswers under a context and the resource
-// budgets of opts.
-func CertainAnswersCtx(ctx context.Context, q query.Query, free []query.Var, d *db.DB, opts Options) ([]query.Valuation, error) {
-	p, err := Compile(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.CertainAnswersIndexedCtx(ctx, free, match.NewIndex(d), opts)
 }

@@ -23,6 +23,42 @@ func factsDB(t *testing.T, q query.Query, lines string) *db.DB {
 	return d
 }
 
+// evalCertain, evalAnswers and evalCount compile q and evaluate it
+// once over a fresh index of d: the one-shot shape most tests here
+// share.
+func evalCertain(q query.Query, d *db.DB, opts Options) (Result, error) {
+	p, err := Compile(q)
+	if err != nil {
+		return Result{}, err
+	}
+	return p.CertainIndexedCtx(context.Background(), match.NewIndex(d), opts)
+}
+
+func evalAnswers(q query.Query, free []query.Var, d *db.DB, opts Options) ([]query.Valuation, error) {
+	p, err := Compile(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.CertainAnswersIndexedCtx(context.Background(), free, match.NewIndex(d), opts)
+}
+
+func evalCount(ctx context.Context, q query.Query, d *db.DB, opts Options) (CountResult, error) {
+	p, err := Compile(q)
+	if err != nil {
+		return CountResult{}, err
+	}
+	return p.CountIndexedCtx(ctx, match.NewIndex(d), opts)
+}
+
+// classifyText parses and classifies a query in the textual syntax.
+func classifyText(s string) (Classification, error) {
+	q, err := query.Parse(s)
+	if err != nil {
+		return Classification{}, err
+	}
+	return Classify(q)
+}
+
 func TestClassifyString(t *testing.T) {
 	cases := []struct {
 		q    string
@@ -33,18 +69,18 @@ func TestClassifyString(t *testing.T) {
 		{"R(x | y), S(u | y)", CoNPComplete},
 	}
 	for _, c := range cases {
-		got, err := ClassifyString(c.q)
+		got, err := classifyText(c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Class != c.want {
-			t.Errorf("ClassifyString(%q) = %v, want %v", c.q, got.Class, c.want)
+			t.Errorf("classifyText(%q) = %v, want %v", c.q, got.Class, c.want)
 		}
 	}
-	if _, err := ClassifyString("R(x | y), R(y | z)"); err == nil {
+	if _, err := classifyText("R(x | y), R(y | z)"); err == nil {
 		t.Error("self-join should be rejected")
 	}
-	if _, err := ClassifyString("R(("); err == nil {
+	if _, err := classifyText("R(("); err == nil {
 		t.Error("syntax error should be reported")
 	}
 }
@@ -61,7 +97,7 @@ func TestCertainAutoDispatch(t *testing.T) {
 	for _, c := range cases {
 		q := query.MustParse(c.q)
 		d := workload.RandomDB(rand.New(rand.NewSource(1)), q, workload.DefaultDBParams())
-		res, err := Certain(q, d, Options{})
+		res, err := evalCertain(q, d, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.q, err)
 		}
@@ -84,7 +120,7 @@ func TestCertainForcedEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range []Engine{EngineFO, EnginePTime, EngineCoNP, EngineNaive} {
-			res, err := Certain(q, d, Options{Engine: e})
+			res, err := evalCertain(q, d, Options{Engine: e})
 			if err != nil {
 				t.Fatalf("engine %v: %v", e, err)
 			}
@@ -94,11 +130,11 @@ func TestCertainForcedEngines(t *testing.T) {
 		}
 	}
 	// Forcing FO on a cyclic query errors.
-	if _, err := Certain(workload.Q0(), db.New(), Options{Engine: EngineFO}); err == nil {
+	if _, err := evalCertain(workload.Q0(), db.New(), Options{Engine: EngineFO}); err == nil {
 		t.Error("FO engine must reject cyclic attack graphs")
 	}
 	// Forcing PTime on a coNP query errors.
-	if _, err := Certain(workload.NonKeyJoinQuery(), db.New(), Options{Engine: EnginePTime}); err == nil {
+	if _, err := evalCertain(workload.NonKeyJoinQuery(), db.New(), Options{Engine: EnginePTime}); err == nil {
 		t.Error("PTime engine must reject strong cycles")
 	}
 }
@@ -152,7 +188,7 @@ func TestCertainAnswers(t *testing.T) {
 		Supplier(globex | DE)
 		Supplier(initech | US)
 	`)
-	answers, err := CertainAnswers(q, []query.Var{"pid"}, d, Options{})
+	answers, err := evalAnswers(q, []query.Var{"pid"}, d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +196,7 @@ func TestCertainAnswers(t *testing.T) {
 		t.Errorf("answers = %v, want [pid=p1]", answers)
 	}
 	// Unknown free variable errors.
-	if _, err := CertainAnswers(q, []query.Var{"nope"}, d, Options{}); err == nil {
+	if _, err := evalAnswers(q, []query.Var{"nope"}, d, Options{}); err == nil {
 		t.Error("unknown free variable accepted")
 	}
 }
@@ -175,7 +211,7 @@ func TestCertainAnswersAgainstOracle(t *testing.T) {
 		if d.NumRepairs() > 1<<12 {
 			continue
 		}
-		answers, err := CertainAnswers(q, []query.Var{"x"}, d, Options{})
+		answers, err := evalAnswers(q, []query.Var{"x"}, d, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,22 +267,18 @@ func TestSignatureMismatchTypedError(t *testing.T) {
 	for _, qs := range []string{"R(x | y, z)", "R(x | y, z), S(y | w)"} {
 		q := query.MustParse(qs)
 		for _, e := range []Engine{EngineAuto, EngineFO, EnginePTime, EngineCoNP, EngineNaive} {
-			_, err := Certain(q, d, Options{Engine: e})
-			check(fmt.Sprintf("Certain(%s, %v)", qs, e), err)
+			_, err := evalCertain(q, d, Options{Engine: e})
+			check(fmt.Sprintf("evalCertain(%s, %v)", qs, e), err)
 		}
-		_, err := CertainCtx(ctx, q, d, Options{})
-		check("CertainCtx", err)
-		_, err = CertainAnswers(q, []query.Var{"x"}, d, Options{})
-		check("CertainAnswers", err)
-		_, err = CertainAnswersCtx(ctx, q, []query.Var{"y"}, d, Options{})
-		check("CertainAnswersCtx", err)
-		_, err = CountCtx(ctx, q, d, Options{})
-		check("CountCtx", err)
+		_, err := evalAnswers(q, []query.Var{"x"}, d, Options{})
+		check("CertainAnswersIndexedCtx", err)
+		_, err = evalCount(ctx, q, d, Options{})
+		check("CountIndexedCtx", err)
 		_, _, err = FalsifyingRepair(q, d)
 		check("FalsifyingRepair", err)
 	}
 	// A relation the database does not hold constrains nothing.
-	if _, err := Certain(query.MustParse("T(x | y, z)"), d, Options{}); err != nil {
+	if _, err := evalCertain(query.MustParse("T(x | y, z)"), d, Options{}); err != nil {
 		t.Errorf("absent relation: %v", err)
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"context"
 
 	"cqa/internal/counting"
-	"cqa/internal/db"
 	"cqa/internal/evalctx"
 	"cqa/internal/match"
-	"cqa/internal/query"
 )
 
 // CountResult reports a repair-counting (#CERTAINTY) evaluation: the
@@ -20,18 +18,8 @@ type CountResult struct {
 	Class Class
 }
 
-// Count counts the repairs of d satisfying the plan's query. See
-// CountIndexedCtx for options and degradation semantics.
-func (p *Plan) Count(d *db.DB, opts Options) (CountResult, error) {
-	return p.CountIndexedCtx(context.Background(), match.NewIndex(d), opts)
-}
-
-// CountIndexed is Count over a prebuilt evaluation index.
-func (p *Plan) CountIndexed(ix *match.Index, opts Options) (CountResult, error) {
-	return p.CountIndexedCtx(context.Background(), ix, opts)
-}
-
-// CountIndexedCtx counts repairs under the caller's context and budget,
+// CountIndexedCtx counts the repairs of the indexed database that
+// satisfy the plan's query, under the caller's context and budget,
 // built into an evalctx.Checker exactly like the decision engines:
 // cancellation and MaxSteps exhaustion surface as errors mid-count. The
 // counter factorizes the instance into constraint components and
@@ -61,14 +49,4 @@ func (p *Plan) CountIndexedCtx(ctx context.Context, ix *match.Index, opts Option
 		return CountResult{}, err
 	}
 	return CountResult{Result: res, Class: p.Class}, nil
-}
-
-// CountCtx is the package-level facade: compile q and count the repairs
-// of d satisfying it.
-func CountCtx(ctx context.Context, q query.Query, d *db.DB, opts Options) (CountResult, error) {
-	p, err := Compile(q)
-	if err != nil {
-		return CountResult{}, err
-	}
-	return p.CountIndexedCtx(ctx, match.NewIndex(d), opts)
 }

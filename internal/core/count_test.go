@@ -33,7 +33,7 @@ func TestCountCtxAgainstNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := CountCtx(context.Background(), q, d, Options{})
+		res, err := evalCount(context.Background(), q, d, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestCountCtxAgainstNaive(t *testing.T) {
 			t.Fatalf("count %v/%v vs oracle %d/%d\nq=%s\ndb:\n%s",
 				res.Satisfying, res.Total, sat, total, q, d)
 		}
-		dec, err := Certain(q, d, Options{Engine: EngineCoNP})
+		dec, err := evalCertain(q, d, Options{Engine: EngineCoNP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,12 +60,12 @@ func TestCountCtxBudgetAndCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(821))
 	d := workload.HardInstance(rng, 6, 12, 2)
 
-	if _, err := CountCtx(context.Background(), q, d, Options{MaxSteps: 1}); !errors.Is(err, evalctx.ErrBudgetExceeded) {
+	if _, err := evalCount(context.Background(), q, d, Options{MaxSteps: 1}); !errors.Is(err, evalctx.ErrBudgetExceeded) {
 		t.Errorf("MaxSteps=1: err = %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CountCtx(ctx, q, d, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := evalCount(ctx, q, d, Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled: err = %v", err)
 	}
 }
@@ -92,10 +92,10 @@ func TestCountCtxApproximate(t *testing.T) {
 	d.Add(fact(sRel, "hub", "z0"))
 	d.Add(fact(sRel, "hub", "z1"))
 
-	if _, err := CountCtx(context.Background(), q, d, Options{}); !errors.Is(err, counting.ErrComponentTooLarge) {
+	if _, err := evalCount(context.Background(), q, d, Options{}); !errors.Is(err, counting.ErrComponentTooLarge) {
 		t.Fatalf("exact on oversized: err = %v", err)
 	}
-	res, err := CountCtx(context.Background(), q, d, Options{Approximate: true, Samples: 256})
+	res, err := evalCount(context.Background(), q, d, Options{Approximate: true, Samples: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCountCtxApproximate(t *testing.T) {
 	// the oversized component was sampled.
 	d.Add(fact(rRel, "forced", "g"))
 	d.Add(fact(sRel, "g", "h"))
-	res, err = CountCtx(context.Background(), q, d, Options{Approximate: true, Samples: 64})
+	res, err = evalCount(context.Background(), q, d, Options{Approximate: true, Samples: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

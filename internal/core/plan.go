@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"cqa/internal/conp"
-	"cqa/internal/db"
 	"cqa/internal/evalctx"
 	"cqa/internal/match"
 	"cqa/internal/naive"
@@ -63,16 +62,6 @@ func Compile(q query.Query) (*Plan, error) {
 	return p, nil
 }
 
-// CompileString parses, normalizes, and compiles a query in the textual
-// syntax.
-func CompileString(s string) (*Plan, error) {
-	q, _, err := Normalize(s)
-	if err != nil {
-		return nil, err
-	}
-	return Compile(q)
-}
-
 // Key returns the normalized cache key of the plan's query: the
 // canonical (atom-sorted) text produced by Normalize.
 func (p *Plan) Key() string { return p.key }
@@ -92,21 +81,11 @@ func (p *Plan) Engine(opts Options) Engine {
 	}
 }
 
-// Certain decides whether every repair of d satisfies the plan's query,
-// reusing the compiled classification instead of re-running Classify.
-func (p *Plan) Certain(d *db.DB, opts Options) (Result, error) {
-	return p.CertainIndexed(match.NewIndex(d), opts)
-}
-
-// CertainIndexed is Certain against a pre-built index — the serving hot
-// path, where the index is cached per database snapshot and shared
-// across requests and goroutines.
-func (p *Plan) CertainIndexed(ix *match.Index, opts Options) (Result, error) {
-	return p.CertainIndexedCtx(context.Background(), ix, opts)
-}
-
-// CertainIndexedCtx is CertainIndexed under a context and the resource
-// budgets of opts: the engines poll cooperatively and return ctx.Err()
+// CertainIndexedCtx decides whether every repair of the indexed
+// database satisfies the plan's query, reusing the compiled
+// classification. On the serving hot path the index is cached per
+// snapshot and shared across requests and goroutines. The engines poll
+// ctx and the budgets of opts cooperatively and return ctx.Err()
 // (or evalctx.ErrBudgetExceeded) instead of a wrong boolean when cut
 // short. When the coNP engine exhausts its step budget and
 // opts.Approximate is set, the decision degrades to repair sampling and
@@ -168,7 +147,7 @@ func (p *Plan) CertainChecked(ctx context.Context, ix *match.Index, opts Options
 
 // degradeToSampling is the graceful-degradation path of a coNP-class
 // evaluation whose exact search ran out of its step budget: estimate
-// the satisfying-repair fraction by uniform sampling (CertainFraction)
+// the satisfying-repair fraction by uniform sampling (CertainFractionChecked)
 // under the same context — the request deadline still applies — and
 // report the answer as approximate. The RNG is fixed, so the same
 // request degrades to the same estimate.
@@ -196,14 +175,11 @@ func (p *Plan) degradeToSampling(ctx context.Context, ix *match.Index, opts Opti
 	}, nil
 }
 
-// CertainAnswers lifts the plan to non-Boolean queries: for the given
-// free variables it returns every binding (drawn from embeddings into d)
-// whose instantiated Boolean query is certain, in deterministic order.
-func (p *Plan) CertainAnswers(free []query.Var, d *db.DB, opts Options) ([]query.Valuation, error) {
-	return p.CertainAnswersIndexed(free, match.NewIndex(d), opts)
-}
-
-// CertainAnswersIndexed is CertainAnswers against a pre-built index.
+// CertainAnswersIndexedCtx lifts the plan to non-Boolean queries, as
+// the paper notes is possible without fundamental changes: for the
+// given free variables it returns every binding (drawn from embeddings
+// into the indexed database) whose instantiated Boolean query is
+// certain, in deterministic order.
 //
 // Candidate bindings are the projections of embeddings into the
 // database; each candidate's certainty check is independent, so the
@@ -214,25 +190,19 @@ func (p *Plan) CertainAnswers(free []query.Var, d *db.DB, opts Options) ([]query
 // and the elimination order are inherited and no per-binding
 // reclassification or query substitution happens. For the other classes
 // instantiation can only make the query easier, and each binding is
-// dispatched through Certain, which classifies the instantiated query.
-func (p *Plan) CertainAnswersIndexed(free []query.Var, ix *match.Index, opts Options) ([]query.Valuation, error) {
-	return p.CertainAnswersIndexedCtx(context.Background(), free, ix, opts)
-}
-
-// CertainAnswersIndexedCtx is CertainAnswersIndexed under a context and
-// the budgets of opts. One checker governs the whole request: candidate
-// enumeration polls it, and every pool worker runs a Fork sharing the
-// same step budget. On cancellation or budget exhaustion the feeding
+// dispatched through CertainChecked on the instantiated query.
+//
+// One checker, built from ctx and the budgets of opts, governs the
+// whole request: candidate enumeration polls it, and every pool worker
+// runs a Fork sharing the same step budget. On cancellation or budget exhaustion the feeding
 // loop stops, the workers drain and exit — no goroutine outlives the
 // call — and the request returns the checker's error, never a partial
-// answer set. A signature mismatch between the query and the stored
-// data is refused with a *SignatureError.
+// answer set. A free variable outside the query is refused with a
+// *FreeVarError, a signature mismatch between the query and the stored
+// data with a *SignatureError.
 func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, ix *match.Index, opts Options) ([]query.Valuation, error) {
-	vars := p.Query.Vars()
-	for _, v := range free {
-		if !vars.Has(v) {
-			return nil, fmt.Errorf("core: free variable %s does not occur in %s", v, p.Query)
-		}
+	if err := CheckFree(p.Query, free); err != nil {
+		return nil, err
 	}
 	if err := CheckSignatures(p.Query, ix.DB); err != nil {
 		return nil, err

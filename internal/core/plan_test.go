@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -13,8 +15,8 @@ import (
 )
 
 // TestPlanReuseAgreesWithOracle: one compiled plan answers many
-// databases, agreeing with the brute-force oracle and with the one-shot
-// Certain wrapper on every engine.
+// databases, agreeing with the brute-force oracle and with a plan
+// compiled afresh for each database.
 func TestPlanReuseAgreesWithOracle(t *testing.T) {
 	for _, qs := range []string{
 		"R(x | y), S(y | z)",   // FO
@@ -36,16 +38,16 @@ func TestPlanReuseAgreesWithOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := p.Certain(d, Options{})
+			res, err := p.CertainIndexedCtx(context.Background(), match.NewIndex(d), Options{})
 			if err != nil {
 				t.Fatalf("%s: %v", qs, err)
 			}
 			if res.Certain != want {
 				t.Errorf("%s trial %d: plan=%v oracle=%v", qs, trial, res.Certain, want)
 			}
-			wrapped, err := Certain(q, d, Options{})
-			if err != nil || wrapped != res {
-				t.Errorf("%s trial %d: wrapper %+v (%v) != plan %+v", qs, trial, wrapped, err, res)
+			fresh, err := evalCertain(q, d, Options{})
+			if err != nil || fresh != res {
+				t.Errorf("%s trial %d: fresh plan %+v (%v) != reused plan %+v", qs, trial, fresh, err, res)
 			}
 		}
 	}
@@ -76,10 +78,10 @@ func TestPlanForcedEngineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Certain(nil, Options{Engine: EngineFO}); err == nil {
+	if _, err := p.CertainIndexedCtx(context.Background(), match.NewIndex(nil), Options{Engine: EngineFO}); err == nil {
 		t.Error("FO engine on a cyclic plan must error")
 	}
-	if _, err := p.Certain(nil, Options{Engine: Engine(99)}); err == nil {
+	if _, err := p.CertainIndexedCtx(context.Background(), match.NewIndex(nil), Options{Engine: Engine(99)}); err == nil {
 		t.Error("unknown engine must error")
 	}
 }
@@ -124,16 +126,16 @@ func TestPlanCertainAnswersMatchesPackageLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		d := workload.RandomDB(rng, q, workload.DefaultDBParams())
-		got, err := p.CertainAnswers([]query.Var{"x"}, d, Options{})
+		got, err := p.CertainAnswersIndexedCtx(context.Background(), []query.Var{"x"}, match.NewIndex(d), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := CertainAnswers(q, []query.Var{"x"}, d, Options{})
+		want, err := evalAnswers(q, []query.Var{"x"}, d, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: plan answers %v, package answers %v", trial, got, want)
+			t.Fatalf("trial %d: reused plan answers %v, fresh plan answers %v", trial, got, want)
 		}
 		for i := range got {
 			if got[i].Key() != want[i].Key() {
@@ -141,8 +143,9 @@ func TestPlanCertainAnswersMatchesPackageLevel(t *testing.T) {
 			}
 		}
 	}
-	if _, err := p.CertainAnswers([]query.Var{"nope"}, nil, Options{}); err == nil {
-		t.Error("unknown free variable accepted")
+	var fv *FreeVarError
+	if _, err := p.CertainAnswersIndexedCtx(context.Background(), []query.Var{"nope"}, match.NewIndex(nil), Options{}); !errors.As(err, &fv) || fv.Var != "nope" {
+		t.Errorf("unknown free variable: err = %v, want *FreeVarError for nope", err)
 	}
 }
 
@@ -169,11 +172,11 @@ func TestCertainAnswersParallelMatchesSequential(t *testing.T) {
 			if d.NumRepairs() > 1<<12 {
 				continue
 			}
-			seq, err := p.CertainAnswers(tc.free, d, Options{Workers: 1})
+			seq, err := p.CertainAnswersIndexedCtx(context.Background(), tc.free, match.NewIndex(d), Options{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s: sequential: %v", tc.qs, err)
 			}
-			par, err := p.CertainAnswers(tc.free, d, Options{Workers: 8})
+			par, err := p.CertainAnswersIndexedCtx(context.Background(), tc.free, match.NewIndex(d), Options{Workers: 8})
 			if err != nil {
 				t.Fatalf("%s: parallel: %v", tc.qs, err)
 			}
@@ -203,7 +206,7 @@ func TestCertainAnswersSharedIndexConcurrent(t *testing.T) {
 	dp.SeedMatches = 8
 	d := workload.RandomDB(rng, q, dp)
 	ix := match.NewIndex(d)
-	want, err := p.CertainAnswersIndexed([]query.Var{"x"}, ix, Options{Workers: 1})
+	want, err := p.CertainAnswersIndexedCtx(context.Background(), []query.Var{"x"}, ix, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +215,7 @@ func TestCertainAnswersSharedIndexConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := p.CertainAnswersIndexed([]query.Var{"x"}, ix, Options{Workers: 4})
+			got, err := p.CertainAnswersIndexedCtx(context.Background(), []query.Var{"x"}, ix, Options{Workers: 4})
 			if err != nil {
 				t.Error(err)
 				return

@@ -34,21 +34,16 @@ func Possible(q query.Query, d *db.DB) bool {
 	return possible
 }
 
-// CertainFraction estimates the fraction of repairs of d that satisfy q
-// by uniform sampling: each block independently picks a uniform fact,
-// which induces the uniform distribution over repairs. This approximates
-// the counting problem #CERTAINTY(q) studied by Maslowski and Wijsen
-// (cited as [12] in the paper); the decision problem's certainty
-// corresponds to a fraction of 1.
-func CertainFraction(q query.Query, d *db.DB, samples int, rng *rand.Rand) (float64, error) {
-	return CertainFractionChecked(q, d, samples, rng, nil)
-}
-
-// CertainFractionChecked is CertainFraction under a cancellation/budget
-// checker, polled once per sampled repair (a sample is coarse work — a
-// full repair draw plus a satisfaction test — so the poll is immediate,
-// not amortized). It is the graceful-degradation target of
-// budget-exhausted coNP evaluations. A nil checker enforces nothing.
+// CertainFractionChecked estimates the fraction of repairs of d that
+// satisfy q by uniform sampling: each block independently picks a
+// uniform fact, which induces the uniform distribution over repairs.
+// This approximates the counting problem #CERTAINTY(q) studied by
+// Maslowski and Wijsen (cited as [12] in the paper); the decision
+// problem's certainty corresponds to a fraction of 1. It is the
+// graceful-degradation target of budget-exhausted coNP evaluations.
+// The checker is polled once per sampled repair (a sample is coarse
+// work — a full repair draw plus a satisfaction test — so the poll is
+// immediate, not amortized); a nil checker enforces nothing.
 func CertainFractionChecked(q query.Query, d *db.DB, samples int, rng *rand.Rand, chk *evalctx.Checker) (float64, error) {
 	if samples <= 0 {
 		return 0, fmt.Errorf("core: need a positive sample count")

@@ -42,7 +42,7 @@ func TestPossibleVsCertain(t *testing.T) {
 		R(a | dead)
 		S(b | c)
 	`)
-	res, err := Certain(q, d, Options{})
+	res, err := evalCertain(q, d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCertainFractionAgainstExactCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		exact := float64(sat) / float64(total)
-		est, err := CertainFraction(q, d, 3000, rng)
+		est, err := CertainFractionChecked(q, d, 3000, rng, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestCertainFractionAgainstExactCount(t *testing.T) {
 			t.Errorf("estimate %.3f vs exact %.3f", est, exact)
 		}
 	}
-	if _, err := CertainFraction(q, workload.RandomDB(rng, q, workload.DefaultDBParams()), 0, rng); err == nil {
+	if _, err := CertainFractionChecked(q, workload.RandomDB(rng, q, workload.DefaultDBParams()), 0, rng, nil); err == nil {
 		t.Error("zero samples should error")
 	}
 }
@@ -97,7 +97,7 @@ func TestCertainImpliesPossible(t *testing.T) {
 		if d.NumRepairs() > 1<<12 {
 			continue
 		}
-		res, err := Certain(q, d, Options{Engine: EngineNaive})
+		res, err := evalCertain(q, d, Options{Engine: EngineNaive})
 		if err != nil {
 			continue
 		}

@@ -1,18 +1,20 @@
 //go:build !race
 
 // Zero-allocation pin for the full serving hot path: Plan →
-// CertainIndexed → interned eliminator, with the default (nil) checker
+// CertainIndexedCtx → interned eliminator, with the default (nil) checker
 // and no sharding. Excluded under the race detector, whose
 // instrumentation allocates.
 
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
 	"cqa/internal/db"
 	"cqa/internal/match"
+	"cqa/internal/query"
 )
 
 // TestWarmCertainIndexedZeroAlloc: the end-to-end Boolean FO request
@@ -20,7 +22,7 @@ import (
 // is the property the bench-smoke gate checks in BENCH_eval.json
 // (warm "certain" rows must report 0 allocs/op).
 func TestWarmCertainIndexedZeroAlloc(t *testing.T) {
-	p, err := CompileString("R(x | y), S(y | z)")
+	p, err := Compile(query.MustParse("R(x | y), S(y | z)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +37,12 @@ func TestWarmCertainIndexedZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := match.NewIndex(d)
-	if _, err := p.CertainIndexed(ix, Options{}); err != nil {
+	if _, err := p.CertainIndexedCtx(context.Background(), ix, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
-	allocs := testing.AllocsPerRun(500, func() { p.CertainIndexed(ix, Options{}) })
+	allocs := testing.AllocsPerRun(500, func() { p.CertainIndexedCtx(context.Background(), ix, Options{}) })
 	if allocs != 0 {
-		t.Fatalf("warm CertainIndexed allocates %.1f/op, want 0", allocs)
+		t.Fatalf("warm CertainIndexedCtx allocates %.1f/op, want 0", allocs)
 	}
 }

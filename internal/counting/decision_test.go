@@ -1,11 +1,13 @@
 package counting_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"cqa/internal/core"
 	"cqa/internal/counting"
+	"cqa/internal/match"
 	"cqa/internal/workload"
 )
 
@@ -22,7 +24,11 @@ func TestCountConsistentWithDecision(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		certain, errC := core.Certain(q, d, core.Options{Engine: core.EngineCoNP})
+		plan, errC := core.Compile(q)
+		if errC != nil {
+			t.Fatal(errC)
+		}
+		certain, errC := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d), core.Options{Engine: core.EngineCoNP})
 		if errC != nil {
 			t.Fatal(errC)
 		}

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -58,13 +59,13 @@ func CheckCounting(q query.Query, d *db.DB) (skipped bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("compile: %w", err)
 	}
-	dec, err := plan.CertainIndexed(match.NewIndex(d), core.Options{})
+	dec, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d), core.Options{})
 	if err != nil {
-		return false, fmt.Errorf("CertainIndexed: %w", err)
+		return false, fmt.Errorf("CertainIndexedCtx: %w", err)
 	}
 	allSat := res.Satisfying.Cmp(res.Total) == 0
 	if allSat != dec.Certain {
-		return false, fmt.Errorf("counting says %v/%v repairs satisfy but CertainIndexed/%s = %v\nquery: %s\ndb:\n%s",
+		return false, fmt.Errorf("counting says %v/%v repairs satisfy but CertainIndexedCtx/%s = %v\nquery: %s\ndb:\n%s",
 			res.Satisfying, res.Total, dec.Engine, dec.Certain, q, d)
 	}
 	return false, nil

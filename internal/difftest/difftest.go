@@ -7,6 +7,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -95,12 +96,12 @@ func Check(q query.Query, d *db.DB) (skipped bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("compile: %w", err)
 	}
-	res, err := plan.CertainIndexed(match.NewIndex(d), core.Options{})
+	res, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d), core.Options{})
 	if err != nil {
-		return false, fmt.Errorf("CertainIndexed: %w", err)
+		return false, fmt.Errorf("CertainIndexedCtx: %w", err)
 	}
 	if res.Certain != want {
-		return false, disagree("CertainIndexed/"+res.Engine.String(), res.Certain)
+		return false, disagree("CertainIndexedCtx/"+res.Engine.String(), res.Certain)
 	}
 
 	// The class-specific engines, each on the classes it is sound for.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -72,7 +73,7 @@ func runE21(r *Runner) error {
 		var exactRes core.CountResult
 		exactT := timeIt(func() {
 			var err error
-			exactRes, err = plan.CountIndexed(cix, core.Options{})
+			exactRes, err = plan.CountIndexedCtx(context.Background(), cix, core.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -85,7 +86,7 @@ func runE21(r *Runner) error {
 		var approxRes core.CountResult
 		approxT := timeIt(func() {
 			var err error
-			approxRes, err = plan.CountIndexed(ix, core.Options{Approximate: true})
+			approxRes, err = plan.CountIndexedCtx(context.Background(), ix, core.Options{Approximate: true})
 			if err != nil {
 				panic(err)
 			}

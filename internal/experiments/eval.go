@@ -272,13 +272,13 @@ func RunEval(quick bool) (*EvalReport, error) {
 	for _, blocks := range sizes {
 		d := evalFalsifiedChainDB(q, blocks)
 		ix := match.NewIndex(d)
-		if res, err := plan.CertainIndexed(ix, core.Options{}); err != nil || res.Certain {
+		if res, err := plan.CertainIndexedCtx(context.Background(), ix, core.Options{}); err != nil || res.Certain {
 			return nil, fmt.Errorf("experiments: eval instance (%d blocks) not falsified: %v, %v", blocks, res.Certain, err)
 		}
 		warm := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.CertainIndexed(ix, core.Options{}); err != nil {
+				if _, err := plan.CertainIndexedCtx(context.Background(), ix, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -288,7 +288,7 @@ func RunEval(quick bool) (*EvalReport, error) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				d.ResetCaches()
-				if _, err := plan.Certain(d, core.Options{}); err != nil {
+				if _, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d), core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -329,7 +329,7 @@ func RunEval(quick bool) (*EvalReport, error) {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.CertainAnswers(free, ad, core.Options{Workers: w}); err != nil {
+				if _, err := plan.CertainAnswersIndexedCtx(context.Background(), free, match.NewIndex(ad), core.Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -488,7 +488,7 @@ func runMutationEval(q query.Query, plan *core.Plan, quick bool, rep *EvalReport
 	tRel := schema.NewRelation("T", 2, 1)
 	d.Add(db.Fact{Rel: tRel, Args: []query.Const{"t0", "v0"}})
 	ix := match.NewIndex(d)
-	if res, err := plan.CertainIndexed(ix, core.Options{}); err != nil || res.Certain {
+	if res, err := plan.CertainIndexedCtx(context.Background(), ix, core.Options{}); err != nil || res.Certain {
 		return fmt.Errorf("experiments: mutation instance (%d blocks) not falsified: %v, %v", blocks, res.Certain, err)
 	}
 
@@ -560,13 +560,13 @@ func runMutationEval(q query.Query, plan *core.Plan, quick bool, rep *EvalReport
 		return err
 	}
 	cix := match.NewIndex(child)
-	if res, err := plan.CertainIndexed(cix, core.Options{}); err != nil || res.Certain {
+	if res, err := plan.CertainIndexedCtx(context.Background(), cix, core.Options{}); err != nil || res.Certain {
 		return fmt.Errorf("experiments: derived mutation instance changed the answer: %v, %v", res.Certain, err)
 	}
 	read := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := plan.CertainIndexed(cix, core.Options{}); err != nil {
+			if _, err := plan.CertainIndexedCtx(context.Background(), cix, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -592,7 +592,7 @@ func runCountEval(q query.Query, plan *core.Plan, quick bool, rep *EvalReport) e
 	for _, blocks := range evalCountSizes(quick) {
 		d := evalFalsifiedChainDB(q, blocks)
 		ix := match.NewIndex(d)
-		res, err := plan.CountIndexed(ix, core.Options{})
+		res, err := plan.CountIndexedCtx(context.Background(), ix, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -602,7 +602,7 @@ func runCountEval(q query.Query, plan *core.Plan, quick bool, rep *EvalReport) e
 		exact := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.CountIndexed(ix, core.Options{}); err != nil {
+				if _, err := plan.CountIndexedCtx(context.Background(), ix, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -615,7 +615,7 @@ func runCountEval(q query.Query, plan *core.Plan, quick bool, rep *EvalReport) e
 
 		hd := evalHubDB(q, blocks)
 		hix := match.NewIndex(hd)
-		hres, err := plan.CountIndexed(hix, core.Options{Approximate: true})
+		hres, err := plan.CountIndexedCtx(context.Background(), hix, core.Options{Approximate: true})
 		if err != nil {
 			return err
 		}
@@ -626,7 +626,7 @@ func runCountEval(q query.Query, plan *core.Plan, quick bool, rep *EvalReport) e
 		approx := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.CountIndexed(hix, core.Options{Approximate: true}); err != nil {
+				if _, err := plan.CountIndexedCtx(context.Background(), hix, core.Options{Approximate: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

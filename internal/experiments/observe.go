@@ -136,7 +136,7 @@ func runE17Overhead(r *Runner) error {
 		blocks = 1000
 	}
 	ix := match.NewIndex(evalFalsifiedChainDB(q, blocks))
-	if _, err := plan.CertainIndexed(ix, core.Options{}); err != nil {
+	if _, err := plan.CertainIndexedCtx(context.Background(), ix, core.Options{}); err != nil {
 		return err
 	}
 

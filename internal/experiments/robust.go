@@ -139,7 +139,7 @@ func runE16Overhead(r *Runner) error {
 	}
 	ix := match.NewIndex(evalFalsifiedChainDB(q, blocks))
 	// Warm the memoized structures so both measurements see a warm index.
-	if _, err := plan.CertainIndexed(ix, core.Options{}); err != nil {
+	if _, err := plan.CertainIndexedCtx(context.Background(), ix, core.Options{}); err != nil {
 		return err
 	}
 
@@ -165,7 +165,7 @@ func runE16Overhead(r *Runner) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	bareNs := bench(func() error {
-		_, err := plan.CertainIndexed(ix, core.Options{})
+		_, err := plan.CertainIndexedCtx(context.Background(), ix, core.Options{})
 		return err
 	})
 	checkedNs := bench(func() error {
@@ -180,7 +180,7 @@ func runE16Overhead(r *Runner) error {
 		Title:   fmt.Sprintf("context-check overhead, warm indexed FO path (chain/%d)", blocks),
 		Headers: []string{"variant", "checker", "ns/op", "overhead"},
 	}
-	t.AddRow("CertainIndexed", "nil (unlimited)", bareNs, "baseline")
+	t.AddRow("nil checker", "nil (unlimited)", bareNs, "baseline")
 	t.AddRow("CertainIndexedCtx", "cancellable ctx", checkedNs,
 		fmt.Sprintf("%+.2f%%", 100*(checkedNs-bareNs)/bareNs))
 	t.AddRow("CertainIndexedCtx", "ctx + step budget", budgetedNs,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -185,7 +186,11 @@ func runE5(r *Runner) error {
 		d := scalingDB(rng, n, 0.3)
 		var certain bool
 		foT := timeIt(func() {
-			res, err := core.Certain(q, d, core.Options{Engine: core.EngineFO})
+			plan, err := core.Compile(q)
+			if err != nil {
+				panic(err)
+			}
+			res, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d), core.Options{Engine: core.EngineFO})
 			if err != nil {
 				panic(err)
 			}
@@ -464,6 +469,3 @@ func runE12(r *Runner) error {
 	t.Fprint(r.Out)
 	return nil
 }
-
-// Ensure core is linked for the CLI path (ClassifyString reuse in E-runs).
-var _ = core.EngineAuto

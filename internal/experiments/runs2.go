@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"cqa/internal/core"
 	"cqa/internal/counting"
 	"cqa/internal/db"
+	"cqa/internal/match"
 	"cqa/internal/query"
 	"cqa/internal/workload"
 )
@@ -49,7 +51,7 @@ func runE13(r *Runner) error {
 			return err
 		}
 		exact := res.Fraction
-		est, err := core.CertainFraction(q, d, 2000, rng)
+		est, err := core.CertainFractionChecked(q, d, 2000, rng, nil)
 		if err != nil {
 			return err
 		}
@@ -105,7 +107,11 @@ func runE14(r *Runner) error {
 				}
 			})
 			kwT := timeIt(func() {
-				res, err := core.Certain(q, d, core.Options{Engine: core.EngineFO})
+				plan, err := core.Compile(q)
+				if err != nil {
+					panic(err)
+				}
+				res, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d), core.Options{Engine: core.EngineFO})
 				if err != nil {
 					panic(err)
 				}
@@ -127,6 +133,10 @@ func init() {
 func runE15(r *Runner) error {
 	rng := rand.New(rand.NewSource(r.Seed + 15))
 	q := query.MustParse("R(x | y), S(y | z)")
+	plan, err := core.Compile(q)
+	if err != nil {
+		return err
+	}
 	rates := []float64{0, 0.1, 0.25, 0.5, 0.75, 1.0}
 	trials := 40
 	blocks := 12
@@ -148,7 +158,7 @@ func runE15(r *Runner) error {
 			p.ExtraPerBlock = rate
 			p.Noise = 0
 			d := workload.RandomDB(rng, q, p)
-			res, err := core.Certain(q, d, core.Options{})
+			res, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d), core.Options{})
 			if err != nil {
 				return err
 			}

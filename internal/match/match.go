@@ -300,7 +300,7 @@ func RelevantFact(q query.Query, d *db.DB, f db.Fact) bool {
 // Facts of relations not occurring in q are never relevant and are
 // removed up front (their blocks never interact with q).
 func Purify(q query.Query, d *db.DB) *db.DB {
-	pd, _ := PurifyTrace(q, d)
+	pd, _, _ := PurifyTraceChecked(q, d, nil)
 	return pd
 }
 
@@ -311,22 +311,16 @@ type Removal struct {
 	Witness db.Fact
 }
 
-// PurifyTrace is Purify but additionally returns the removals in
-// chronological order. The trace lets callers turn a falsifying repair of
-// the purified database into a falsifying repair of the original one:
-// walk the removals in reverse order, adding each witness fact (it was
-// irrelevant when removed, so it cannot complete an embedding against the
-// facts that remained).
-func PurifyTrace(q query.Query, d *db.DB) (*db.DB, []Removal) {
-	pd, removals, _ := PurifyTraceChecked(q, d, nil)
-	return pd, removals
-}
-
-// PurifyTraceChecked is PurifyTrace under a cancellation/budget checker.
-// Purification is polynomial but not cheap — each fixpoint round
-// re-enumerates every embedding — so on large instances it can dominate
-// the latency of a cut-short evaluation; the rounds poll the checker
-// per embedding and per scanned fact. A nil checker enforces nothing.
+// PurifyTraceChecked is Purify but additionally returns the removals in
+// chronological order. The trace lets callers turn a falsifying repair
+// of the purified database into a falsifying repair of the original
+// one: walk the removals in reverse order, adding each witness fact (it
+// was irrelevant when removed, so it cannot complete an embedding
+// against the facts that remained). Purification is polynomial but not
+// cheap — each fixpoint round re-enumerates every embedding — so on
+// large instances it can dominate the latency of a cut-short
+// evaluation; the rounds poll the checker per embedding and per scanned
+// fact. A nil checker enforces nothing.
 func PurifyTraceChecked(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, []Removal, error) {
 	tr := chk.Tracer()
 	sp := tr.Begin(trace.StagePurify)

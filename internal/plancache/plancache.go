@@ -112,17 +112,12 @@ func (c *Cache) Put(key string, p *core.Plan) {
 // GetOrCompile normalizes the query text, returns the cached plan on a
 // hit, and compiles + inserts on a miss. Concurrent misses on the same
 // key may compile twice; compilation is pure, so the duplicate work is
-// harmless and the last insert wins.
-func (c *Cache) GetOrCompile(text string) (p *core.Plan, hit bool, err error) {
-	return c.GetOrCompileTraced(text, nil)
-}
-
-// GetOrCompileTraced is GetOrCompile with stage tracing: normalization
-// is recorded under the "normalize" stage, and a miss's compilation
-// under "compile" — a hit records no compile span, which is exactly the
-// signal that distinguishes a cold query from a warm one in a request
-// trace. A nil tracer records nothing.
-func (c *Cache) GetOrCompileTraced(text string, tr *trace.Tracer) (p *core.Plan, hit bool, err error) {
+// harmless and the last insert wins. Normalization is traced under the
+// "normalize" stage, and a miss's compilation under "compile" — a hit
+// records no compile span, which is exactly the signal that
+// distinguishes a cold query from a warm one in a request trace. A nil
+// tracer records nothing.
+func (c *Cache) GetOrCompile(text string, tr *trace.Tracer) (p *core.Plan, hit bool, err error) {
 	sp := tr.Begin(trace.StageNormalize)
 	q, key, err := core.Normalize(text)
 	sp.End()

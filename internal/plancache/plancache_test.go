@@ -32,15 +32,15 @@ func TestLRUEvictionOrder(t *testing.T) {
 	c := New(2 * shardCount)
 	keys := sameShardKeys(t, c, 3)
 	for _, k := range keys[:2] {
-		if _, hit, err := c.GetOrCompile(k); err != nil || hit {
+		if _, hit, err := c.GetOrCompile(k, nil); err != nil || hit {
 			t.Fatalf("prime %q: hit=%v err=%v", k, hit, err)
 		}
 	}
 	// Touch keys[0] so keys[1] becomes the LRU victim.
-	if _, hit, err := c.GetOrCompile(keys[0]); err != nil || !hit {
+	if _, hit, err := c.GetOrCompile(keys[0], nil); err != nil || !hit {
 		t.Fatalf("bump %q: hit=%v err=%v", keys[0], hit, err)
 	}
-	if _, hit, err := c.GetOrCompile(keys[2]); err != nil || hit {
+	if _, hit, err := c.GetOrCompile(keys[2], nil); err != nil || hit {
 		t.Fatalf("insert %q: hit=%v err=%v", keys[2], hit, err)
 	}
 	if _, ok := c.Get(keys[0]); !ok {
@@ -57,7 +57,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 func TestCapacityBound(t *testing.T) {
 	c := New(shardCount) // one plan per shard
 	for i := 0; i < 100; i++ {
-		if _, _, err := c.GetOrCompile(fmt.Sprintf("R%d(x | y), S%d(y | z)", i, i)); err != nil {
+		if _, _, err := c.GetOrCompile(fmt.Sprintf("R%d(x | y), S%d(y | z)", i, i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,11 +72,11 @@ func TestCapacityBound(t *testing.T) {
 
 func TestGetOrCompileNormalizes(t *testing.T) {
 	c := New(0)
-	p1, hit, err := c.GetOrCompile("  S(y | z),R(x | y) ")
+	p1, hit, err := c.GetOrCompile("  S(y | z),R(x | y) ", nil)
 	if err != nil || hit {
 		t.Fatalf("first: hit=%v err=%v", hit, err)
 	}
-	p2, hit, err := c.GetOrCompile("R(x | y), S(y | z)")
+	p2, hit, err := c.GetOrCompile("R(x | y), S(y | z)", nil)
 	if err != nil || !hit {
 		t.Fatalf("variant should hit: hit=%v err=%v", hit, err)
 	}
@@ -89,7 +89,7 @@ func TestGetOrCompileNormalizes(t *testing.T) {
 	if p1.Class != core.FO || p1.Formula == nil {
 		t.Errorf("cached plan incomplete: %+v", p1)
 	}
-	if _, _, err := c.GetOrCompile("R(("); err == nil {
+	if _, _, err := c.GetOrCompile("R((", nil); err == nil {
 		t.Error("parse error must propagate")
 	}
 	st := c.Stats()
@@ -113,7 +113,7 @@ func TestConcurrentGetOrCompile(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
 				text := queries[(g+i)%len(queries)]
-				p, _, err := c.GetOrCompile(text)
+				p, _, err := c.GetOrCompile(text, nil)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return

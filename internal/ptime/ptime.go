@@ -71,17 +71,11 @@ func CertainTraced(q query.Query, d *db.DB, trace bool) (bool, *Stats, []string,
 	return ok, st, ctx.trace, err
 }
 
-// CertainNoStrongCycle runs the Theorem 4 algorithm for a query already
-// known to have no strong attack cycle (for example from a compiled
-// plan), skipping the attack-graph construction and strong-cycle check
-// that Certain performs on every call. The result is meaningless on
-// strong-cycle queries.
-func CertainNoStrongCycle(q query.Query, d *db.DB) (bool, *Stats, error) {
-	return CertainNoStrongCycleChecked(q, d, nil)
-}
-
-// CertainNoStrongCycleChecked is CertainNoStrongCycle under a
-// cancellation/budget checker: the lemma loops poll chk once per
+// CertainNoStrongCycleChecked runs the Theorem 4 algorithm for a query
+// already known to have no strong attack cycle (for example from a
+// compiled plan), skipping the attack-graph construction and
+// strong-cycle check that Certain performs on every call. The result is
+// meaningless on strong-cycle queries. The lemma loops poll chk once per
 // recursion level and per Lemma 9 branch, and the exact-search fallback
 // inherits the same checker, so one budget governs the whole pipeline.
 // A non-nil error means the evaluation was cut short and the boolean is

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"cqa/internal/attack"
-	"cqa/internal/match"
 	"cqa/internal/query"
 )
 
@@ -49,22 +48,9 @@ type Eliminator struct {
 	ievalPool  sync.Pool
 }
 
-// CompileEliminator builds the eliminator for q, or an error when the
-// attack graph of q is cyclic (CERTAINTY(q) is not in FO there).
-func CompileEliminator(q query.Query) (*Eliminator, error) {
-	g, err := attack.BuildGraph(q)
-	if err != nil {
-		return nil, err
-	}
-	if g.HasCycle() {
-		return nil, fmt.Errorf("rewrite: attack graph of %s is cyclic; CERTAINTY is not in FO", q)
-	}
-	return CompileAcyclic(q)
-}
-
-// CompileAcyclic builds the eliminator for a query already known to be
-// acyclic (for example from a cached classification), skipping the
-// cycle check. It mirrors the recursion of Rewriting: at each step the
+// CompileAcyclic builds the eliminator for a query known to be acyclic
+// (core.Compile calls it only for FO-classified plans). Acyclicity is
+// not re-checked, but a residue with no unattacked atom is an error. It mirrors the recursion of Rewriting: at each step the
 // variables bound by earlier atoms are treated as constants — exactly
 // the shape of the residue queries the data-side recursion produces —
 // and the first unattacked atom is chosen.
@@ -127,22 +113,6 @@ func CompileAcyclic(q query.Query) (*Eliminator, error) {
 
 // Order returns the compiled elimination order (shared; do not modify).
 func (e *Eliminator) Order() []query.Atom { return e.order }
-
-// Certain decides CERTAINTY of the compiled query over the indexed
-// database.
-func (e *Eliminator) Certain(ix *match.Index) bool {
-	ok, _ := e.CertainChecked(ix, nil, nil)
-	return ok
-}
-
-// CertainWith decides certainty of the compiled query instantiated by
-// the initial valuation (typically a candidate binding of free
-// variables). Instantiation never adds attacks (Lemma 6), so the
-// compiled order remains valid; initial is not modified.
-func (e *Eliminator) CertainWith(ix *match.Index, initial query.Valuation) bool {
-	ok, _ := e.CertainChecked(ix, initial, nil)
-	return ok
-}
 
 // SweepableFree reports whether the certain-answers block sweep applies
 // to the given free variables: every free variable occurs among the key

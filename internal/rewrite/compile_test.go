@@ -10,6 +10,17 @@ import (
 	"cqa/internal/workload"
 )
 
+// certain runs the eliminator with no checker, failing the test on an
+// error.
+func certain(t *testing.T, el *Eliminator, ix *match.Index, initial query.Valuation) bool {
+	t.Helper()
+	ok, err := el.CertainChecked(ix, initial, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
 func TestCompileAcyclicOrder(t *testing.T) {
 	q := query.MustParse("R(x | y), S(y | z)")
 	el, err := CompileAcyclic(q)
@@ -22,8 +33,8 @@ func TestCompileAcyclicOrder(t *testing.T) {
 	}
 }
 
-func TestCompileEliminatorRejectsCyclic(t *testing.T) {
-	if _, err := CompileEliminator(workload.Q0()); err == nil {
+func TestCompileAcyclicRejectsCyclic(t *testing.T) {
+	if _, err := CompileAcyclic(workload.Q0()); err == nil {
 		t.Fatal("expected error for cyclic attack graph")
 	}
 }
@@ -33,7 +44,7 @@ func TestEliminatorEmptyQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !el.Certain(match.NewIndex(factsDB(t, "R(a | b)"))) {
+	if !certain(t, el, match.NewIndex(factsDB(t, "R(a | b)")), nil) {
 		t.Error("empty query must be certain on every instance")
 	}
 }
@@ -53,7 +64,7 @@ func TestEliminatorDifferentialVsNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %s: %v", q, err)
 		}
-		got := el.Certain(match.NewIndex(d))
+		got := certain(t, el, match.NewIndex(d), nil)
 		want, err := naive.Certain(q, d)
 		if err != nil {
 			t.Fatal(err)
@@ -93,17 +104,17 @@ func TestCertainWithMatchesSubstitute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := el.CertainWith(match.NewIndex(d), binding)
+		got := certain(t, el, match.NewIndex(d), binding)
 		want, err := naive.Certain(q.Substitute(binding), d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("CertainWith=%v naive(substituted)=%v\nq = %s\nbinding = %v\ndb:\n%s",
+			t.Fatalf("CertainChecked=%v naive(substituted)=%v\nq = %s\nbinding = %v\ndb:\n%s",
 				got, want, q, binding, d)
 		}
 		if len(binding) != 1 {
-			t.Fatal("CertainWith modified the caller's valuation")
+			t.Fatal("CertainChecked modified the caller's valuation")
 		}
 	}
 }
@@ -125,7 +136,7 @@ func TestEliminatorSharedAcrossGoroutines(t *testing.T) {
 	ix := match.NewIndex(d)
 	done := make(chan bool, 8)
 	for w := 0; w < 8; w++ {
-		go func() { done <- el.Certain(ix) }()
+		go func() { ok, _ := el.CertainChecked(ix, nil, nil); done <- ok }()
 	}
 	for w := 0; w < 8; w++ {
 		if !<-done {

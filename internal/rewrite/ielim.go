@@ -450,9 +450,12 @@ func (ev *ieval) blockCertain(level int, b int32) bool {
 	return good
 }
 
-// CertainChecked is CertainWith under a cancellation/budget checker: the
-// walk polls chk once per recursion step and unwinds as soon as the
-// checker trips. A non-nil error means the evaluation was cut short (or
+// CertainChecked decides CERTAINTY of the compiled query over the
+// indexed database, instantiated by the initial valuation (typically a
+// candidate binding of free variables; nil for the Boolean query).
+// Instantiation never adds attacks (Lemma 6), so the compiled order
+// remains valid; initial is not modified. The walk polls chk once per
+// recursion step and unwinds as soon as the checker trips. A non-nil error means the evaluation was cut short (or
 // the stored signatures contradict the query) and the boolean is
 // meaningless — callers must check the error first. A nil checker
 // enforces nothing.

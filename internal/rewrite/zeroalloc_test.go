@@ -35,9 +35,9 @@ func TestWarmCertainZeroAlloc(t *testing.T) {
 		S(b | u)
 	`)
 	ix := match.NewIndex(d)
-	el.Certain(ix) // warm: build columnar view, prog, eval state
-	runtime.GC()   // the cache must survive a collection (strong ref, not sync.Pool)
-	if allocs := testing.AllocsPerRun(500, func() { el.Certain(ix) }); allocs != 0 {
+	el.CertainChecked(ix, nil, nil) // warm: build columnar view, prog, eval state
+	runtime.GC()                    // the cache must survive a collection (strong ref, not sync.Pool)
+	if allocs := testing.AllocsPerRun(500, func() { el.CertainChecked(ix, nil, nil) }); allocs != 0 {
 		t.Fatalf("warm FO Certain allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"cqa/internal/cluster"
 	"cqa/internal/faultinject"
+	"cqa/internal/trace"
 	"cqa/internal/wal"
 )
 
@@ -148,6 +151,99 @@ func TestClusterRoutedAnswersHTTP(t *testing.T) {
 	rec = do(t, h, "POST", "/v1/answers", fmt.Sprintf(`{"query": %q, "db": "nosuch", "free": ["x"]}`, clusterTestQuery), nil)
 	if rec.Code != 404 {
 		t.Fatalf("unknown db through the cluster front: %d", rec.Code)
+	}
+}
+
+// newLoopbackFront returns a routing front over one in-process node,
+// both holding the test database, with every evaluation slow-logged.
+func newLoopbackFront(t *testing.T) *Server {
+	t.Helper()
+	node := cluster.NewLocalNode("solo")
+	if _, err := node.Store.PutFacts("corpus", clusterTestDB); err != nil {
+		t.Fatal(err)
+	}
+	front := New(Config{
+		CacheSize: 64, MaxWorkers: 8,
+		ClusterNodes:     []string{"solo"},
+		ClusterShards:    2,
+		ClusterTransport: cluster.NewLoopback(node),
+		SlowLogThreshold: time.Nanosecond,
+	})
+	if _, err := front.Store().PutFacts("corpus", clusterTestDB); err != nil {
+		t.Fatal(err)
+	}
+	return front
+}
+
+// TestUnknownFreeVariableSameStatusRoutedAndLocal: an answers request
+// naming a free variable outside the query is the same request defect
+// whether the front evaluates it or routes it — 400 bad_request on
+// both.
+func TestUnknownFreeVariableSameStatusRoutedAndLocal(t *testing.T) {
+	local := newTestServer()
+	if _, err := local.Store().PutFacts("corpus", clusterTestDB); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"query": %q, "db": "corpus", "free": ["nosuch"]}`, clusterTestQuery)
+	for name, h := range map[string]http.Handler{"local": local.Handler(), "routed": newLoopbackFront(t).Handler()} {
+		rec := do(t, h, "POST", "/v1/answers", body, nil)
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+			t.Fatalf("%s: error envelope: %v\n%s", name, err, rec.Body.String())
+		}
+		if rec.Code != 400 || er.Code != "bad_request" {
+			t.Errorf("%s: %d %q (%s), want 400 bad_request", name, rec.Code, er.Code, er.Error)
+		}
+	}
+}
+
+// TestClusterRoutedTrace: a traced request on a routing front returns
+// the front's stage breakdown (normalize, plus compile on a plan-cache
+// miss) and its slow-log entry carries the same stages. The front
+// builds no evaluation index of its own.
+func TestClusterRoutedTrace(t *testing.T) {
+	front := newLoopbackFront(t)
+	h := front.Handler()
+	stageNames := func(st []trace.StageStats) []string {
+		var names []string
+		for _, s := range st {
+			names = append(names, s.Stage)
+		}
+		return names
+	}
+	var cert certainResponse
+	if rec := doTraced(t, h, "POST", "/v1/certain", fmt.Sprintf(`{"query": %q, "db": "corpus"}`, clusterTestQuery), &cert); rec.Code != 200 {
+		t.Fatalf("routed certain: %d %s", rec.Code, rec.Body.String())
+	}
+	var ans answersResponse
+	if rec := doTraced(t, h, "POST", "/v1/answers", fmt.Sprintf(`{"query": %q, "db": "corpus", "free": ["x"]}`, clusterTestQuery), &ans); rec.Code != 200 {
+		t.Fatalf("routed answers: %d %s", rec.Code, rec.Body.String())
+	}
+	if cert.Trace == nil || ans.Trace == nil {
+		t.Fatalf("routed traced response without trace: certain %+v, answers %+v", cert.Trace, ans.Trace)
+	}
+	// The first request compiled the plan; the second hit the cache.
+	if got := strings.Join(stageNames(cert.Trace.Stages), ","); got != "normalize,compile" {
+		t.Errorf("routed certain stages = %s, want normalize,compile", got)
+	}
+	if got := strings.Join(stageNames(ans.Trace.Stages), ","); got != "normalize" {
+		t.Errorf("routed answers stages = %s, want normalize", got)
+	}
+	var slow slowlogResponse
+	if rec := do(t, h, "GET", "/debug/slowlog", "", &slow); rec.Code != 200 || len(slow.Entries) != 2 {
+		t.Fatalf("slowlog: %d, %d entries, want 2", rec.Code, len(slow.Entries))
+	}
+	for _, e := range slow.Entries {
+		want := cert.Trace.Stages
+		if e.Endpoint == "answers" {
+			want = ans.Trace.Stages
+		}
+		if got, w := strings.Join(stageNames(e.Trace), ","), strings.Join(stageNames(want), ","); got != w {
+			t.Errorf("%s slow-log stages = %s, response stages %s", e.Endpoint, got, w)
+		}
+	}
+	if n := front.Store().IndexStats().Misses(); n != 0 {
+		t.Errorf("routing front built %d local indexes, want 0", n)
 	}
 }
 

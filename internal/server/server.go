@@ -430,6 +430,7 @@ const statusClientClosedRequest = 499
 func (s *Server) evalError(w http.ResponseWriter, err error) {
 	var reqErr *cluster.RequestError
 	var sigErr *core.SignatureError
+	var freeErr *core.FreeVarError
 	switch {
 	case errors.As(err, &reqErr):
 		// A cluster node diagnosed the request itself as defective;
@@ -439,6 +440,10 @@ func (s *Server) evalError(w http.ResponseWriter, err error) {
 		// The stored database and the query disagree about a relation's
 		// signature: a defect of the request, not of the evaluation.
 		httpErrorCode(w, http.StatusBadRequest, "signature_mismatch", "%v", sigErr)
+	case errors.As(err, &freeErr):
+		// The same defect a routed request gets from the cluster's
+		// check: one status and code on both paths.
+		httpErrorCode(w, http.StatusBadRequest, "bad_request", "%v", freeErr)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.timeouts.Add(1)
 		w.Header().Set("Retry-After", "1")
@@ -518,21 +523,16 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // compile resolves the query text through the shared plan cache,
-// translating errors to a 400. It records cache status in the response
-// headers so the logging middleware can report it.
-func (s *Server) compile(w http.ResponseWriter, text string) (*core.Plan, bool, bool) {
-	return s.compileTraced(w, text, nil)
-}
-
-// compileTraced is compile with the request's stage tracer (nil when
-// the request did not opt in): normalization and a miss's compilation
-// show up as stages in the response breakdown.
-func (s *Server) compileTraced(w http.ResponseWriter, text string, tr *trace.Tracer) (*core.Plan, bool, bool) {
+// translating errors to a 400, and records the cache status in the
+// response headers so the logging middleware can report it. The
+// request's stage tracer (nil when the request did not opt in) shows
+// normalization and a miss's compilation in the response breakdown.
+func (s *Server) compile(w http.ResponseWriter, text string, tr *trace.Tracer) (*core.Plan, bool, bool) {
 	if text == "" {
 		httpError(w, http.StatusBadRequest, "missing \"query\"")
 		return nil, false, false
 	}
-	plan, hit, err := s.cache.GetOrCompileTraced(text, tr)
+	plan, hit, err := s.cache.GetOrCompile(text, tr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return nil, false, false
@@ -545,12 +545,15 @@ func (s *Server) compileTraced(w http.ResponseWriter, text string, tr *trace.Tra
 	return plan, hit, true
 }
 
-// resolveDB produces the evaluation index a certain/answers request
-// runs against: for a stored snapshot (by name) the index cached on the
-// snapshot — built once per snapshot version and reused across requests
-// — and for inline facts a fresh index over the parsed database.
-// Exactly one of "db" and "facts" must be set.
-func (s *Server) resolveDB(w http.ResponseWriter, req certainRequest, plan *core.Plan, tr *trace.Tracer) (*match.Index, *dbRef, bool) {
+// resolveDB produces the evaluation index a request runs against: for
+// a stored snapshot (by name) the index cached on the snapshot — built
+// once per snapshot version and reused across requests — and for
+// inline facts a fresh index over the parsed database. A routed
+// request gets no index: the routing front holds a replica of the data
+// (uploads are replicated) only to diagnose a missing database or a
+// signature mismatch with the same 404/400 as local evaluation, and the
+// nodes build the indexes. Exactly one of "db" and "facts" must be set.
+func (s *Server) resolveDB(w http.ResponseWriter, req certainRequest, plan *core.Plan, tr *trace.Tracer, routed bool) (*match.Index, *dbRef, bool) {
 	switch {
 	case req.DB != "" && req.Facts != "":
 		httpError(w, http.StatusBadRequest, "set either \"db\" or \"facts\", not both")
@@ -561,7 +564,15 @@ func (s *Server) resolveDB(w http.ResponseWriter, req certainRequest, plan *core
 			httpError(w, http.StatusNotFound, "unknown database %q", req.DB)
 			return nil, nil, false
 		}
-		return snap.IndexTraced(tr), &dbRef{Name: snap.Name, Version: snap.Version}, true
+		ref := &dbRef{Name: snap.Name, Version: snap.Version}
+		if !routed {
+			return snap.IndexTraced(tr), ref, true
+		}
+		if err := core.CheckSignatures(plan.Query, snap.DB); err != nil {
+			s.evalError(w, err)
+			return nil, nil, false
+		}
+		return nil, ref, true
 	case req.Facts != "":
 		d, err := db.ParseFacts(plan.Query.Schema(), req.Facts)
 		if err != nil {
@@ -577,6 +588,92 @@ func (s *Server) resolveDB(w http.ResponseWriter, req certainRequest, plan *core
 		httpError(w, http.StatusBadRequest, "missing \"db\" (stored database name) or \"facts\" (inline facts)")
 		return nil, nil, false
 	}
+}
+
+// evalJob is one evaluating endpoint's share of the evaluate pipeline:
+// its engine call and its response.
+type evalJob struct {
+	// endpoint labels the slow-log entry.
+	endpoint string
+	// routable lets the cluster router run the job: on a routing front
+	// a stored-database request then evaluates through s.router and
+	// builds no local index. Inline facts always evaluate locally.
+	routable bool
+	// run is the engine call, against e.ix, or through s.router when
+	// e.ix is nil. It returns the engine label of the slow-log entry.
+	run func(ctx context.Context, e *evalRun) (engine string, err error)
+	// respond writes the success response.
+	respond func(e *evalRun)
+}
+
+// evalRun is what the pipeline resolved for one request.
+type evalRun struct {
+	plan *core.Plan
+	hit  bool
+	opts core.Options
+	ix   *match.Index // nil when the request is routed
+	ref  *dbRef       // nil for inline facts
+	// elapsed and trace are set once run returns.
+	elapsed time.Duration
+	trace   *traceInfo
+}
+
+// evaluate is the pipeline of the evaluating endpoints: compile the
+// query, resolve the options and the database, run the job's engine
+// call under the request deadline, record the evaluation in the
+// latency histograms and the slow log, and either map the error onto
+// the failure taxonomy or let the job respond.
+func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, req certainRequest, job evalJob) {
+	var tr *trace.Tracer
+	if traceRequested(r) {
+		tr = trace.New()
+	}
+	// start covers the whole pipeline — normalize/compile, snapshot
+	// index resolution, engine — matching what the stage breakdown
+	// decomposes and what the slow log should charge.
+	start := time.Now()
+	plan, hit, ok := s.compile(w, req.Query, tr)
+	if !ok {
+		return
+	}
+	opts, ok := s.evalOptions(w, req)
+	if !ok {
+		return
+	}
+	opts.Tracer = tr
+	routed := job.routable && s.router != nil && req.DB != "" && req.Facts == ""
+	ix, ref, ok := s.resolveDB(w, req, plan, tr, routed)
+	if !ok {
+		return
+	}
+	ctx, cancel := s.evalContext(r, req.TimeoutMs)
+	defer cancel()
+	e := &evalRun{plan: plan, hit: hit, opts: opts, ix: ix, ref: ref}
+	engine, err := job.run(ctx, e)
+	e.elapsed = time.Since(start)
+	e.trace = traceJSON(tr, e.elapsed)
+	entry := slowEntry{
+		Time:     start.UTC().Format(time.RFC3339Nano),
+		Endpoint: job.endpoint,
+		Query:    plan.Query.String(),
+		Class:    classLabel(plan.Class),
+		Engine:   engine,
+		dur:      e.elapsed,
+	}
+	if ref != nil {
+		entry.DB = ref.Name
+	}
+	if tr != nil {
+		entry.Trace = e.trace.Stages
+	}
+	if err != nil {
+		entry.Error = err.Error()
+		s.observeEval(entry)
+		s.evalError(w, err)
+		return
+	}
+	s.observeEval(entry)
+	job.respond(e)
 }
 
 func parseEngine(w http.ResponseWriter, name string) (core.Options, bool) {
@@ -643,7 +740,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	plan, hit, ok := s.compile(w, req.Query)
+	plan, hit, ok := s.compile(w, req.Query, nil)
 	if !ok {
 		return
 	}
@@ -656,79 +753,58 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleCertain serves CERTAINTY(q). On a routing front, failedShards
+// > 0 means the router concluded from a partial scatter (every
+// survivor false, the rest unreachable after retries): the response is
+// explicitly degraded with X-CQA-Degraded: partial-shards and
+// approximate: true — never a silently weaker boolean.
 func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 	var req certainRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	var tr *trace.Tracer
-	if traceRequested(r) {
-		tr = trace.New()
-	}
-	// start covers the whole evaluation pipeline — normalize/compile,
-	// snapshot index resolution, engine — matching what the stage
-	// breakdown decomposes and what the slow log should charge.
-	start := time.Now()
-	plan, hit, ok := s.compileTraced(w, req.Query, tr)
-	if !ok {
-		return
-	}
-	opts, ok := s.evalOptions(w, req)
-	if !ok {
-		return
-	}
-	if s.router != nil && req.DB != "" && req.Facts == "" {
-		s.certainViaCluster(w, r, req, plan, hit, start, opts)
-		return
-	}
-	opts.Tracer = tr
-	ix, ref, ok := s.resolveDB(w, req, plan, tr)
-	if !ok {
-		return
-	}
-	ctx, cancel := s.evalContext(r, req.TimeoutMs)
-	defer cancel()
-	res, err := plan.CertainIndexedCtx(ctx, ix, opts)
-	elapsed := time.Since(start)
-	entry := slowEntry{
-		Time:     start.UTC().Format(time.RFC3339Nano),
-		Endpoint: "certain",
-		Query:    plan.Query.String(),
-		Class:    classLabel(plan.Class),
-		dur:      elapsed,
-	}
-	if ref != nil {
-		entry.DB = ref.Name
-	}
-	if tr != nil {
-		entry.Trace = tr.Breakdown()
-	}
-	if err != nil {
-		entry.Error = err.Error()
-		s.observeEval(entry)
-		s.evalError(w, err)
-		return
-	}
-	entry.Engine = res.Engine.String()
-	s.observeEval(entry)
-	resp := certainResponse{
-		Query:   plan.Query.String(),
-		Certain: res.Certain,
-		Class:   res.Class.String(),
-		Engine:  res.Engine.String(),
-		Cached:  hit,
-		DB:      ref,
-		Trace:   traceJSON(tr, elapsed),
-	}
-	if res.Approximate {
-		s.metrics.degraded.Add(1)
-		frac := res.Fraction
-		resp.Approximate = true
-		resp.Fraction = &frac
-		w.Header().Set("X-CQA-Degraded", "sampling")
-	}
-	w.Header().Set("X-CQA-Engine", res.Engine.String())
-	writeJSON(w, http.StatusOK, resp)
+	var res core.Result
+	var failedShards int
+	s.evaluate(w, r, req, evalJob{
+		endpoint: "certain",
+		routable: true,
+		run: func(ctx context.Context, e *evalRun) (string, error) {
+			var err error
+			if e.ix == nil {
+				res, failedShards, err = s.router.Certain(ctx, e.plan, req.DB, e.opts)
+			} else {
+				res, err = e.plan.CertainIndexedCtx(ctx, e.ix, e.opts)
+			}
+			if err != nil {
+				return "", err
+			}
+			return res.Engine.String(), nil
+		},
+		respond: func(e *evalRun) {
+			resp := certainResponse{
+				Query:   e.plan.Query.String(),
+				Certain: res.Certain,
+				Class:   res.Class.String(),
+				Engine:  res.Engine.String(),
+				Cached:  e.hit,
+				DB:      e.ref,
+				Trace:   e.trace,
+			}
+			if res.Approximate {
+				s.metrics.degraded.Add(1)
+				frac := res.Fraction
+				resp.Approximate = true
+				resp.Fraction = &frac
+				if failedShards > 0 {
+					w.Header().Set("X-CQA-Degraded", "partial-shards")
+				} else {
+					w.Header().Set("X-CQA-Degraded", "sampling")
+				}
+			}
+			w.Header().Set("X-CQA-Engine", res.Engine.String())
+			writeJSON(w, http.StatusOK, resp)
+		},
+	})
 }
 
 // handleCount serves #CERTAINTY: the number of repairs satisfying the
@@ -742,75 +818,46 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	var tr *trace.Tracer
-	if traceRequested(r) {
-		tr = trace.New()
-	}
-	// As in handleCertain: charge compile + resolve + engine.
-	start := time.Now()
-	plan, hit, ok := s.compileTraced(w, req.Query, tr)
-	if !ok {
-		return
-	}
-	opts, ok := s.evalOptions(w, req)
-	if !ok {
-		return
-	}
-	opts.Tracer = tr
-	ix, ref, ok := s.resolveDB(w, req, plan, tr)
-	if !ok {
-		return
-	}
-	ctx, cancel := s.evalContext(r, req.TimeoutMs)
-	defer cancel()
-	res, err := plan.CountIndexedCtx(ctx, ix, opts)
-	elapsed := time.Since(start)
-	entry := slowEntry{
-		Time:     start.UTC().Format(time.RFC3339Nano),
-		Endpoint: "count",
-		Query:    plan.Query.String(),
-		Class:    classLabel(plan.Class),
-		Engine:   "count",
-		dur:      elapsed,
-	}
-	if ref != nil {
-		entry.DB = ref.Name
-	}
-	if tr != nil {
-		entry.Trace = tr.Breakdown()
-	}
-	if err != nil {
-		entry.Error = err.Error()
-		s.observeEval(entry)
-		s.evalError(w, err)
-		return
-	}
-	s.observeEval(entry)
-	s.metrics.countHist.Observe(elapsed)
-	resp := countResponse{
-		Query:      plan.Query.String(),
-		Total:      res.Total.String(),
-		Fraction:   res.Fraction,
-		Exact:      res.Exact,
-		Components: res.Components,
-		Sampled:    res.Sampled,
-		Class:      res.Class.String(),
-		Cached:     hit,
-		DB:         ref,
-		Trace:      traceJSON(tr, elapsed),
-	}
-	if res.Exact {
-		s.metrics.countExact.Add(1)
-		resp.Satisfying = res.Satisfying.String()
-	} else {
-		s.metrics.countApprox.Add(1)
-		conf := res.Confidence
-		resp.Confidence = &conf
-		w.Header().Set("X-CQA-Degraded", "count-sampling")
-	}
-	writeJSON(w, http.StatusOK, resp)
+	var res core.CountResult
+	s.evaluate(w, r, req, evalJob{
+		endpoint: "count",
+		run: func(ctx context.Context, e *evalRun) (string, error) {
+			var err error
+			res, err = e.plan.CountIndexedCtx(ctx, e.ix, e.opts)
+			return "count", err
+		},
+		respond: func(e *evalRun) {
+			s.metrics.countHist.Observe(e.elapsed)
+			resp := countResponse{
+				Query:      e.plan.Query.String(),
+				Total:      res.Total.String(),
+				Fraction:   res.Fraction,
+				Exact:      res.Exact,
+				Components: res.Components,
+				Sampled:    res.Sampled,
+				Class:      res.Class.String(),
+				Cached:     e.hit,
+				DB:         e.ref,
+				Trace:      e.trace,
+			}
+			if res.Exact {
+				s.metrics.countExact.Add(1)
+				resp.Satisfying = res.Satisfying.String()
+			} else {
+				s.metrics.countApprox.Add(1)
+				conf := res.Confidence
+				resp.Confidence = &conf
+				w.Header().Set("X-CQA-Degraded", "count-sampling")
+			}
+			writeJSON(w, http.StatusOK, resp)
+		},
+	})
 }
 
+// handleAnswers serves the certain answers of a non-Boolean query. The
+// routed union merge fails closed — any shard that stays unreachable
+// after retries surfaces as 503 shard_unavailable via evalError; there
+// is no degraded answer set.
 func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	var req certainRequest
 	if !decodeJSON(w, r, &req) {
@@ -820,75 +867,43 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing \"free\": the designated free variables")
 		return
 	}
-	var tr *trace.Tracer
-	if traceRequested(r) {
-		tr = trace.New()
-	}
-	// As in handleCertain: charge compile + resolve + engine.
-	start := time.Now()
-	plan, hit, ok := s.compileTraced(w, req.Query, tr)
-	if !ok {
-		return
-	}
-	opts, ok := s.evalOptions(w, req)
-	if !ok {
-		return
-	}
-	if s.router != nil && req.DB != "" && req.Facts == "" {
-		s.answersViaCluster(w, r, req, plan, hit, start, opts)
-		return
-	}
-	opts.Tracer = tr
-	ix, ref, ok := s.resolveDB(w, req, plan, tr)
-	if !ok {
-		return
-	}
 	free := make([]query.Var, len(req.Free))
 	for i, name := range req.Free {
 		free[i] = query.Var(name)
 	}
-	ctx, cancel := s.evalContext(r, req.TimeoutMs)
-	defer cancel()
-	vals, err := plan.CertainAnswersIndexedCtx(ctx, free, ix, opts)
-	elapsed := time.Since(start)
-	entry := slowEntry{
-		Time:     start.UTC().Format(time.RFC3339Nano),
-		Endpoint: "answers",
-		Query:    plan.Query.String(),
-		Class:    classLabel(plan.Class),
-		Engine:   plan.Engine(opts).String(),
-		dur:      elapsed,
-	}
-	if ref != nil {
-		entry.DB = ref.Name
-	}
-	if tr != nil {
-		entry.Trace = tr.Breakdown()
-	}
-	if err != nil {
-		entry.Error = err.Error()
-		s.observeEval(entry)
-		s.evalError(w, err)
-		return
-	}
-	s.observeEval(entry)
-	answers := make([]map[string]string, len(vals))
-	for i, v := range vals {
-		m := make(map[string]string, len(v))
-		for x, c := range v {
-			m[string(x)] = string(c)
-		}
-		answers[i] = m
-	}
-	writeJSON(w, http.StatusOK, answersResponse{
-		Query:   plan.Query.String(),
-		Free:    req.Free,
-		Answers: answers,
-		Count:   len(answers),
-		Class:   plan.Class.String(),
-		Cached:  hit,
-		DB:      ref,
-		Trace:   traceJSON(tr, elapsed),
+	var vals []query.Valuation
+	s.evaluate(w, r, req, evalJob{
+		endpoint: "answers",
+		routable: true,
+		run: func(ctx context.Context, e *evalRun) (string, error) {
+			var err error
+			if e.ix == nil {
+				vals, err = s.router.CertainAnswers(ctx, e.plan, req.DB, free, e.opts)
+			} else {
+				vals, err = e.plan.CertainAnswersIndexedCtx(ctx, free, e.ix, e.opts)
+			}
+			return e.plan.Engine(e.opts).String(), err
+		},
+		respond: func(e *evalRun) {
+			answers := make([]map[string]string, len(vals))
+			for i, v := range vals {
+				m := make(map[string]string, len(v))
+				for x, c := range v {
+					m[string(x)] = string(c)
+				}
+				answers[i] = m
+			}
+			writeJSON(w, http.StatusOK, answersResponse{
+				Query:   e.plan.Query.String(),
+				Free:    req.Free,
+				Answers: answers,
+				Count:   len(answers),
+				Class:   e.plan.Class.String(),
+				Cached:  e.hit,
+				DB:      e.ref,
+				Trace:   e.trace,
+			})
+		},
 	})
 }
 
@@ -897,7 +912,7 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	plan, hit, ok := s.compile(w, req.Query)
+	plan, hit, ok := s.compile(w, req.Query, nil)
 	if !ok {
 		return
 	}

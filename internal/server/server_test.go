@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 
 	"cqa/internal/catalog"
 	"cqa/internal/core"
+	"cqa/internal/match"
 	"cqa/internal/workload"
 )
 
@@ -220,9 +222,11 @@ func TestAnswersEndpoint(t *testing.T) {
 	if rec := do(t, h, "POST", "/v1/answers", `{"query": "R(x | y)", "facts": "R(a | b)\n"}`, nil); rec.Code != 400 {
 		t.Errorf("missing free: %d", rec.Code)
 	}
+	// An unknown free variable is a request defect: 400 bad_request,
+	// the status a cluster-routed front returns too.
 	rec = do(t, h, "POST", "/v1/answers", `{"query": "R(x | y)", "free": ["nope"], "facts": "R(a | b)\n"}`, nil)
-	if rec.Code != 422 {
-		t.Errorf("unknown free var: %d", rec.Code)
+	if rec.Code != 400 || !strings.Contains(rec.Body.String(), `"code": "bad_request"`) {
+		t.Errorf("unknown free var: %d %s", rec.Code, rec.Body.String())
 	}
 }
 
@@ -300,7 +304,11 @@ func TestCertainAllCatalogQueries(t *testing.T) {
 	for _, e := range catalog.Entries() {
 		q := e.MustQuery()
 		d := workload.RandomDB(rng, q, p)
-		want, err := core.Certain(q, d, core.Options{})
+		plan, err := core.Compile(q)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", e.Name, err)
+		}
+		want, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(d), core.Options{})
 		if err != nil {
 			t.Fatalf("%s: local: %v", e.Name, err)
 		}

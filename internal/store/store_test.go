@@ -1,11 +1,13 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 
 	"cqa/internal/core"
+	"cqa/internal/match"
 	"cqa/internal/query"
 )
 
@@ -171,7 +173,7 @@ func TestConcurrentSwapAndRead(t *testing.T) {
 					t.Errorf("reader %d: db vanished", r)
 					return
 				}
-				if _, err := plan.Certain(snap.DB, core.Options{}); err != nil {
+				if _, err := plan.CertainIndexedCtx(context.Background(), match.NewIndex(snap.DB), core.Options{}); err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}
