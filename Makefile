@@ -117,11 +117,13 @@ fmt-check:
 # and the repair-counting engine (an off-by-one in the factorized count
 # is invisible to the decision tests), and the core entry points and
 # the server's evaluate pipeline (each job has one entry point, so its
-# behaviour tests are all that pins it). Floors are a few points under
-# current coverage so they catch deleted tests, not noise.
+# behaviour tests are all that pins it), and the query and match layers
+# the answer table and the candidate projection live in. Floors are a
+# few points under current coverage so they catch deleted tests, not
+# noise.
 cover:
 	$(GO) test -cover ./internal/... | tee cover.out
-	@status=0; for spec in trace:90 rewrite:70 conp:75 shard:80 sym:90 colstore:90 db:80 store:80 cluster:80 counting:85 core:85 server:88; do \
+	@status=0; for spec in trace:90 rewrite:85 query:84 match:83 conp:75 shard:80 sym:90 colstore:90 db:80 store:80 cluster:80 counting:85 core:85 server:88; do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		pct=$$(awk -v p="cqa/internal/$$pkg" '$$2 == p { for (i=1;i<=NF;i++) if ($$i ~ /%$$/) { sub(/%/,"",$$i); print $$i; exit } }' cover.out); \
 		if [ -z "$$pct" ]; then echo "cover: no coverage reported for internal/$$pkg"; status=1; \

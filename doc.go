@@ -11,7 +11,10 @@
 //
 // A compiled plan has one entry point per job: CertainIndexedCtx
 // (certainty), CertainAnswersIndexedCtx (certain answers) and
-// CountIndexedCtx (#CERTAINTY repair counts).
+// CountIndexedCtx (#CERTAINTY repair counts). Certain answers come back
+// as one query.Answers table — a row of constants per answer, in the
+// order of the free variables passed in — sorted into the one answer
+// order every path, local or routed, returns.
 //
 // See README.md for the guided tour, DESIGN.md for the system inventory,
 // and EXPERIMENTS.md for the paper-vs-measured record.

@@ -72,7 +72,7 @@ func main() {
 	}
 	fmt.Println("products certainly supplied from DE (true in every repair):")
 	for _, a := range answers {
-		fmt.Printf("  pid = %s\n", a["pid"])
+		fmt.Printf("  pid = %s\n", a[0])
 	}
 	// p1: acme is consistently German -> certain.
 	// p2: might be initech (US) -> not certain.

@@ -216,15 +216,15 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				free = append(free, query.Var(name))
 			}
 		}
-		vals, err := plan.CertainAnswersIndexedCtx(ctx, free, ix, opts)
+		rows, err := plan.CertainAnswersIndexedCtx(ctx, free, ix, opts)
 		if err != nil {
 			fmt.Fprintln(stderr, "cqa-certain:", err)
 			return 2
 		}
-		for _, v := range vals {
-			fmt.Fprintln(stdout, v)
+		for _, row := range rows {
+			fmt.Fprintln(stdout, query.Binding(free, row))
 		}
-		fmt.Fprintf(stderr, "%d certain answer(s)\n", len(vals))
+		fmt.Fprintf(stderr, "%d certain answer(s)\n", len(rows))
 		printStages(stdout, opts.Tracer)
 		return 0
 	}

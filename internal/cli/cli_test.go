@@ -127,24 +127,36 @@ func TestCertainStagesFlag(t *testing.T) {
 }
 
 func TestCertainAnswersFlag(t *testing.T) {
-	var out, errb bytes.Buffer
-	stdin := strings.NewReader(`
+	const facts = `
 		Product(p1 | acme)
 		Product(p2 | globex)
 		Product(p2 | initech)
+		Product(p3 | acme)
+		Product(p 4 | acme)
 		Supplier(acme | DE)
 		Supplier(globex | DE)
 		Supplier(initech | US)
-	`)
-	code := RunCertain([]string{
-		"-q", "Product(pid | sid), Supplier(sid | 'DE')",
-		"-db", "-", "-answers", "pid",
-	}, stdin, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "p1") || strings.Contains(out.String(), "p2") {
-		t.Errorf("answers:\n%s", out.String())
+	`
+	for _, tc := range []struct {
+		free, want string
+	}{
+		{"pid", "{pid -> p 4}\n{pid -> p1}\n{pid -> p3}\n"},
+		{"sid,pid", "{pid -> p 4, sid -> acme}\n{pid -> p1, sid -> acme}\n{pid -> p3, sid -> acme}\n"},
+	} {
+		var out, errb bytes.Buffer
+		code := RunCertain([]string{
+			"-q", "Product(pid | sid), Supplier(sid | 'DE')",
+			"-db", "-", "-answers", tc.free,
+		}, strings.NewReader(facts), &out, &errb)
+		if code != 0 {
+			t.Fatalf("-answers %s: exit %d: %s", tc.free, code, errb.String())
+		}
+		if out.String() != tc.want {
+			t.Errorf("-answers %s: stdout\n%s\nwant\n%s", tc.free, out.String(), tc.want)
+		}
+		if errb.String() != "3 certain answer(s)\n" {
+			t.Errorf("-answers %s: stderr %q", tc.free, errb.String())
+		}
 	}
 }
 

@@ -30,6 +30,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+
+	"cqa/internal/query"
 )
 
 // ErrUnavailable marks a retryable infrastructure failure: the node is
@@ -73,9 +75,8 @@ const (
 	// KindSweep derives and decides the shard's certain answers in one
 	// batched columnar pass (sweepable FO plans); the router unions.
 	KindSweep Kind = "sweep"
-	// KindCheck enumerates the candidate answers locally (the order is
-	// deterministic, so every node agrees) and checks only the
-	// candidates whose binding key hashes to the request's shard; the
+	// KindCheck enumerates the candidate answers locally and checks
+	// only the candidates whose row hashes to the request's shard; the
 	// router unions the disjoint per-shard answer sets.
 	KindCheck Kind = "check"
 )
@@ -93,8 +94,8 @@ type EvalRequest struct {
 	Shard  int `json:"shard"`
 	Shards int `json:"shards"`
 	// Free are the free variables of an answers request (KindSweep /
-	// KindCheck), in the caller's order.
-	Free []string `json:"free,omitempty"`
+	// KindCheck), in the caller's order: the columns of the answers.
+	Free []query.Var `json:"free,omitempty"`
 	// Engine is the resolved engine name ("fo", "ptime", "conp",
 	// "naive"); empty selects auto.
 	Engine string `json:"engine,omitempty"`
@@ -116,8 +117,9 @@ type EvalResponse struct {
 	// Certain is the Boolean verdict (KindBool / KindSingle).
 	Certain bool `json:"certain"`
 	// Answers are the shard's certain answers (KindSweep / KindCheck),
-	// each a free-variable binding.
-	Answers []map[string]string `json:"answers,omitempty"`
+	// rows over Free. A reply in another shape fails to decode, so the
+	// router counts the node unavailable.
+	Answers query.Answers `json:"answers,omitempty"`
 	// Approximate / Fraction report a KindSingle coNP evaluation that
 	// degraded to repair sampling on the node.
 	Approximate bool    `json:"approximate,omitempty"`

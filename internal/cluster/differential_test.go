@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -22,11 +23,11 @@ func freeVarsOf(q query.Query) []query.Var {
 	return vars
 }
 
-func answerKeySet(t *testing.T, vals []query.Valuation) map[string]bool {
+func answerKeySet(t *testing.T, free []query.Var, tab query.Answers) map[string]bool {
 	t.Helper()
-	keys := make(map[string]bool, len(vals))
-	for _, v := range vals {
-		k := v.Key()
+	keys := make(map[string]bool, len(tab))
+	for _, row := range tab {
+		k := query.Binding(free, row).Key()
 		if keys[k] {
 			t.Fatalf("duplicate answer %s", k)
 		}
@@ -66,7 +67,7 @@ func TestClusterDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: monolithic answers: %v", seed, err)
 		}
-		monoKeys := answerKeySet(t, monoAns)
+		monoKeys := answerKeySet(t, free, monoAns)
 
 		// Fresh replicated topology per case: every node holds the full
 		// instance, so any shard can fail over to any replica.
@@ -120,7 +121,7 @@ func TestClusterDifferential(t *testing.T) {
 			}
 			failedOK++
 		} else {
-			keys := answerKeySet(t, ans)
+			keys := answerKeySet(t, free, ans)
 			if len(keys) != len(monoKeys) {
 				t.Fatalf("seed %d: cluster answers %d, monolithic %d\nquery: %s (free %v)\ndb:\n%s",
 					seed, len(keys), len(monoKeys), q, free, d)
@@ -178,7 +179,7 @@ func TestRouterDifferentialWidths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: monolithic answers: %v", seed, err)
 		}
-		monoKeys := answerKeySet(t, monoAns)
+		monoKeys := answerKeySet(t, free, monoAns)
 
 		nodes := make([]*cluster.LocalNode, len(names))
 		for i, name := range names {
@@ -203,7 +204,7 @@ func TestRouterDifferentialWidths(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d width %d: answers: %v", seed, k, err)
 			}
-			keys := answerKeySet(t, ans)
+			keys := answerKeySet(t, free, ans)
 			if len(keys) != len(monoKeys) {
 				t.Fatalf("seed %d width %d: %d answers, monolithic %d\nquery: %s (free %v)\ndb:\n%s",
 					seed, k, len(keys), len(monoKeys), q, free, d)
@@ -213,6 +214,10 @@ func TestRouterDifferentialWidths(t *testing.T) {
 					t.Fatalf("seed %d width %d: answer %s missing\nquery: %s (free %v)\ndb:\n%s",
 						seed, k, mk, q, free, d)
 				}
+			}
+			if !slices.EqualFunc(ans, monoAns, slices.Equal) {
+				t.Fatalf("seed %d width %d: routed answers %v, monolithic %v: same set, different order",
+					seed, k, ans, monoAns)
 			}
 		}
 		checked++

@@ -77,26 +77,20 @@ func Exec(ctx context.Context, cache *plancache.Cache, st *store.Store, req *Eva
 		resp.Approximate = res.Approximate
 		resp.Fraction = res.Fraction
 	case KindSweep:
-		free, ferr := freeVars(plan, req.Free)
-		if ferr != nil {
-			return nil, ferr
+		if err := checkFree(plan, req.Free); err != nil {
+			return nil, err
 		}
-		if !plan.ScatterableFO(opts) || !plan.Elim.SweepableFree(free) {
+		if !plan.ScatterableFO(opts) || !plan.Elim.SweepableFree(req.Free) {
 			return nil, &RequestError{Code: "bad_request",
 				Msg: fmt.Sprintf("plan for %q is not sweepable over %v", req.Query, req.Free)}
 		}
 		spans := snap.Partition(req.Shards).View(req.Shard).SpansOf(plan.TopRelation())
-		var out []query.Valuation
-		out, err = plan.Elim.SweepSpans(ix, spans, free, chk)
-		resp.Answers = encodeValuations(out)
+		resp.Answers, err = plan.Elim.SweepSpans(ix, spans, req.Free, nil, chk)
 	case KindCheck:
-		free, ferr := freeVars(plan, req.Free)
-		if ferr != nil {
-			return nil, ferr
+		if err := checkFree(plan, req.Free); err != nil {
+			return nil, err
 		}
-		var out []query.Valuation
-		out, err = checkOwned(ctx, plan, ix, free, req, opts, chk)
-		resp.Answers = encodeValuations(out)
+		resp.Answers, err = checkOwned(ctx, plan, ix, req, opts, chk)
 	default:
 		return nil, &RequestError{Code: "bad_request", Msg: fmt.Sprintf("unknown kind %q", req.Kind)}
 	}
@@ -107,48 +101,23 @@ func Exec(ctx context.Context, cache *plancache.Cache, st *store.Store, req *Eva
 	return resp, nil
 }
 
-// checkOwned is the KindCheck body: enumerate every candidate answer
-// (the deterministic first-seen order makes ownership agreement free),
-// check the ones whose binding key hashes to this shard, and return the
-// certain ones. Candidates run inline on the request goroutine — the
-// request is already one shard's worth of work.
-func checkOwned(ctx context.Context, plan *core.Plan, ix *match.Index, free []query.Var, req *EvalRequest, opts core.Options, chk *evalctx.Checker) ([]query.Valuation, error) {
-	candidates, err := plan.EnumerateCandidates(ix, free, opts, chk)
+// checkOwned is the KindCheck body: enumerate every candidate answer and
+// check, inline on the request goroutine, the ones whose row hashes to
+// this shard.
+func checkOwned(ctx context.Context, plan *core.Plan, ix *match.Index, req *EvalRequest, opts core.Options, chk *evalctx.Checker) (query.Answers, error) {
+	candidates, err := plan.EnumerateCandidates(ix, req.Free, opts, chk)
 	if err != nil {
 		return nil, err
 	}
-	var out []query.Valuation
-	for _, proj := range candidates {
-		if shard.Of(proj.Key(), req.Shards) != req.Shard {
-			continue
-		}
-		if err := chk.Err(); err != nil {
-			return nil, err
-		}
-		ok, err := plan.CheckCandidate(ctx, ix, opts, proj, chk)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, proj)
+	k := 0
+	for _, row := range candidates {
+		if shard.Of(query.Binding(req.Free, row).Key(), req.Shards) == req.Shard {
+			copy(candidates[k], row)
+			k++
 		}
 	}
-	return out, nil
-}
-
-// freeVars parses the wire form of the free variables and validates
-// them against the plan's query with the check every answers path
-// shares, so a node never silently accepts a binding the coordinator
-// would refuse.
-func freeVars(plan *core.Plan, names []string) ([]query.Var, error) {
-	free := make([]query.Var, len(names))
-	for i, s := range names {
-		free[i] = query.Var(s)
-	}
-	if err := checkFree(plan, free); err != nil {
-		return nil, err
-	}
-	return free, nil
+	opts.Workers = 1
+	return plan.CheckCandidates(ctx, ix, req.Free, candidates[:k], opts, chk)
 }
 
 // checkFree runs core.CheckFree and reports a violation as the
@@ -158,34 +127,4 @@ func checkFree(plan *core.Plan, free []query.Var) error {
 		return &RequestError{Code: "bad_request", Msg: err.Error()}
 	}
 	return nil
-}
-
-func encodeValuations(vs []query.Valuation) []map[string]string {
-	if len(vs) == 0 {
-		return nil
-	}
-	out := make([]map[string]string, len(vs))
-	for i, v := range vs {
-		m := make(map[string]string, len(v))
-		for x, c := range v {
-			m[string(x)] = string(c)
-		}
-		out[i] = m
-	}
-	return out
-}
-
-func decodeValuations(ms []map[string]string) []query.Valuation {
-	if len(ms) == 0 {
-		return nil
-	}
-	out := make([]query.Valuation, len(ms))
-	for i, m := range ms {
-		v := make(query.Valuation, len(m))
-		for x, c := range m {
-			v[query.Var(x)] = query.Const(c)
-		}
-		out[i] = v
-	}
-	return out
 }

@@ -15,7 +15,6 @@ import (
 	"cqa/internal/core"
 	"cqa/internal/evalctx"
 	"cqa/internal/query"
-	"cqa/internal/rewrite"
 	"cqa/internal/shard"
 	"cqa/internal/trace"
 )
@@ -322,11 +321,13 @@ func (r *Router) scatterBool(ctx context.Context, chk *evalctx.Checker, plan *co
 // CertainAnswers computes the certain answers for the plan's free
 // variables over the named replicated database. Sweepable FO plans
 // scatter a batched columnar sweep; everything else scatters candidate
-// checks by binding-key ownership. The merge is a set union, so it
-// fails closed: any shard that stays unreachable after retries fails
-// the request (a partial union would silently drop answers — there is
-// no sound degraded answer set). Answers return sorted by binding key.
-func (r *Router) CertainAnswers(ctx context.Context, plan *core.Plan, dbName string, free []query.Var, opts core.Options) ([]query.Valuation, error) {
+// checks by row ownership. The merge is a set union, so it fails
+// closed: any shard that stays unreachable after retries, or answers
+// with a row that is not one column per free variable, fails the
+// request (a partial union would silently drop answers — there is no
+// sound degraded answer set). The shards' answer sets are disjoint, so
+// the union is their concatenation, sorted into the answer order.
+func (r *Router) CertainAnswers(ctx context.Context, plan *core.Plan, dbName string, free []query.Var, opts core.Options) (query.Answers, error) {
 	if err := checkFree(plan, free); err != nil {
 		return nil, err
 	}
@@ -339,10 +340,7 @@ func (r *Router) CertainAnswers(ctx context.Context, plan *core.Plan, dbName str
 		MemoCap:     opts.MemoCap,
 		Approximate: opts.Approximate,
 		Samples:     opts.Samples,
-		Free:        make([]string, len(free)),
-	}
-	for i, v := range free {
-		base.Free[i] = string(v)
+		Free:        free,
 	}
 	if plan.ScatterableFO(opts) && plan.Elim.SweepableFree(free) {
 		base.Kind = KindSweep
@@ -350,7 +348,7 @@ func (r *Router) CertainAnswers(ctx context.Context, plan *core.Plan, dbName str
 		base.Kind = KindCheck
 	}
 	n := r.cfg.Shards
-	parts := make([][]query.Valuation, n)
+	parts := make([]query.Answers, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for id := 0; id < n; id++ {
@@ -364,7 +362,7 @@ func (r *Router) CertainAnswers(ctx context.Context, plan *core.Plan, dbName str
 				errs[id] = err
 				return
 			}
-			parts[id] = decodeValuations(resp.Answers)
+			parts[id] = resp.Answers
 		}(id)
 	}
 	wg.Wait()
@@ -373,15 +371,17 @@ func (r *Router) CertainAnswers(ctx context.Context, plan *core.Plan, dbName str
 			return nil, err
 		}
 	}
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	out := make([]query.Valuation, 0, total)
-	for _, part := range parts {
+	var out query.Answers
+	for id, part := range parts {
+		for _, row := range part {
+			if len(row) != len(free) {
+				return nil, fmt.Errorf("%w: shard %d answered a row of %d columns for %d free variables",
+					ErrUnavailable, id, len(row), len(free))
+			}
+		}
 		out = append(out, part...)
 	}
-	rewrite.SortValuationsByKey(out)
+	out.Sort(free)
 	return out, nil
 }
 

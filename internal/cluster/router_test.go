@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -514,5 +517,50 @@ func TestRouterCarriesMemoCap(t *testing.T) {
 			}
 		}
 		rec.mu.Unlock()
+	}
+}
+
+// TestRouterAnswersRejectMalformedReply: a shard reply whose answers are
+// not rows of one column per free variable — the object form an older
+// node sends, or a row of the wrong width — fails the request as
+// unavailable through the real HTTP transport. It never decodes to an
+// empty or truncated answer set.
+func TestRouterAnswersRejectMalformedReply(t *testing.T) {
+	plan, err := core.Compile(query.MustParse("R(x | y), S(y | z)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := []query.Var{"x"}
+	for _, tc := range []struct {
+		name, body string
+		want       int // answers; -1 = an unavailable error
+	}{
+		{"rows", `{"certain": false, "answers": [["a"]], "steps": 1}`, 2},
+		{"none", `{"certain": false, "steps": 1}`, 0},
+		{"object form", `{"certain": false, "answers": [{"x": "a"}], "steps": 1}`, -1},
+		{"wide row", `{"certain": false, "answers": [["a", "b"]], "steps": 1}`, -1},
+		{"empty row", `{"certain": false, "answers": [[]], "steps": 1}`, -1},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, tc.body) //nolint:errcheck
+		}))
+		r, err := cluster.NewRouter(cluster.Config{
+			Nodes:        []string{ts.URL},
+			Shards:       2,
+			Transport:    &cluster.HTTPTransport{},
+			MaxAttempts:  1,
+			RetryBackoff: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, err := r.CertainAnswers(context.Background(), plan, "corpus", free, core.Options{})
+		ts.Close()
+		switch {
+		case tc.want < 0 && !cluster.Unavailable(err):
+			t.Errorf("%s: answers %v, err %v, want an unavailable error", tc.name, ans, err)
+		case tc.want >= 0 && (err != nil || len(ans) != tc.want):
+			t.Errorf("%s: answers %v, err %v, want %d answers", tc.name, ans, err, tc.want)
+		}
 	}
 }

@@ -29,6 +29,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"cqa/internal/attack"
 	"cqa/internal/conp"
@@ -210,25 +211,35 @@ func CheckSignatures(q query.Query, d *db.DB) error {
 }
 
 // FreeVarError reports a designated free variable that does not occur
-// in the query. Every answers path — local evaluation, the cluster
-// router, a cluster node validating its wire input — refuses it with
-// this one error, so the request gets the same diagnosis on each.
+// in the query, or that is listed twice. Every answers path — local
+// evaluation, the cluster router, a cluster node validating its wire
+// input — refuses it with this one error, so the request gets the same
+// diagnosis on each.
 type FreeVarError struct {
 	Var   query.Var
 	Query query.Query
+	// Repeated reports a variable listed twice: an answer row has one
+	// column per listed variable.
+	Repeated bool
 }
 
 func (e *FreeVarError) Error() string {
+	if e.Repeated {
+		return fmt.Sprintf("free variable %s is listed twice", e.Var)
+	}
 	return fmt.Sprintf("free variable %s does not occur in %s", e.Var, e.Query)
 }
 
-// CheckFree verifies that every free variable occurs in q, returning a
-// *FreeVarError on the first that does not.
+// CheckFree verifies that every free variable occurs in q and is listed
+// once, returning a *FreeVarError on the first that is not.
 func CheckFree(q query.Query, free []query.Var) error {
 	vars := q.Vars()
-	for _, v := range free {
+	for i, v := range free {
 		if !vars.Has(v) {
 			return &FreeVarError{Var: v, Query: q}
+		}
+		if slices.Contains(free[:i], v) {
+			return &FreeVarError{Var: v, Query: q, Repeated: true}
 		}
 	}
 	return nil

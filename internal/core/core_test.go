@@ -34,7 +34,7 @@ func evalCertain(q query.Query, d *db.DB, opts Options) (Result, error) {
 	return p.CertainIndexedCtx(context.Background(), match.NewIndex(d), opts)
 }
 
-func evalAnswers(q query.Query, free []query.Var, d *db.DB, opts Options) ([]query.Valuation, error) {
+func evalAnswers(q query.Query, free []query.Var, d *db.DB, opts Options) (query.Answers, error) {
 	p, err := Compile(q)
 	if err != nil {
 		return nil, err
@@ -192,12 +192,17 @@ func TestCertainAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(answers) != 1 || answers[0]["pid"] != "p1" {
+	if len(answers) != 1 || answers[0][0] != "p1" {
 		t.Errorf("answers = %v, want [pid=p1]", answers)
 	}
 	// Unknown free variable errors.
 	if _, err := evalAnswers(q, []query.Var{"nope"}, d, Options{}); err == nil {
 		t.Error("unknown free variable accepted")
+	}
+	// A repeated free variable errors: a row has one column per name.
+	var fv *FreeVarError
+	if _, err := evalAnswers(q, []query.Var{"pid", "sid", "pid"}, d, Options{}); !errors.As(err, &fv) || !fv.Repeated || fv.Var != "pid" || fv.Error() != "free variable pid is listed twice" {
+		t.Errorf("repeated free variable: err = %v, want a repeated *FreeVarError for pid", err)
 	}
 }
 
@@ -217,7 +222,7 @@ func TestCertainAnswersAgainstOracle(t *testing.T) {
 		}
 		got := map[query.Const]bool{}
 		for _, a := range answers {
-			got[a["x"]] = true
+			got[a[0]] = true
 		}
 		// Recompute by brute force over candidate x values.
 		cands := map[query.Const]bool{}

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"cqa/internal/conp"
 	"cqa/internal/evalctx"
@@ -177,30 +179,24 @@ func (p *Plan) degradeToSampling(ctx context.Context, ix *match.Index, opts Opti
 
 // CertainAnswersIndexedCtx lifts the plan to non-Boolean queries, as
 // the paper notes is possible without fundamental changes: for the
-// given free variables it returns every binding (drawn from embeddings
-// into the indexed database) whose instantiated Boolean query is
-// certain, in deterministic order.
+// given free variables it returns every tuple of constants (drawn from
+// embeddings into the indexed database) whose instantiated Boolean
+// query is certain, as one answer table — rows in the order of free,
+// sorted into the answer order (query.Answers.Sort) that every path,
+// routed or local, returns.
 //
-// Candidate bindings are the projections of embeddings into the
-// database; each candidate's certainty check is independent, so the
-// checks run on a bounded worker pool (Options.Workers) sharing the
-// read-only index. For FO plans each candidate is decided by the
-// compiled eliminator seeded with the candidate binding: instantiating
-// variables with constants never adds attacks (Lemma 6), so acyclicity
-// and the elimination order are inherited and no per-binding
-// reclassification or query substitution happens. For the other classes
-// instantiation can only make the query easier, and each binding is
-// dispatched through CertainChecked on the instantiated query.
+// When the free variables are the key variables of the plan's top atom,
+// one block sweep derives and decides every candidate. Otherwise the
+// candidates are the projections of the query's embeddings
+// (EnumerateCandidates), each decided by CheckCandidates.
 //
 // One checker, built from ctx and the budgets of opts, governs the
-// whole request: candidate enumeration polls it, and every pool worker
-// runs a Fork sharing the same step budget. On cancellation or budget exhaustion the feeding
-// loop stops, the workers drain and exit — no goroutine outlives the
-// call — and the request returns the checker's error, never a partial
-// answer set. A free variable outside the query is refused with a
-// *FreeVarError, a signature mismatch between the query and the stored
-// data with a *SignatureError.
-func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, ix *match.Index, opts Options) ([]query.Valuation, error) {
+// whole request, and no goroutine outlives the call: on cancellation or
+// budget exhaustion it returns the checker's error, never a partial
+// answer set. A free variable outside the query or listed twice is
+// refused with a *FreeVarError, a signature mismatch between the query
+// and the stored data with a *SignatureError.
+func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, ix *match.Index, opts Options) (query.Answers, error) {
 	if err := CheckFree(p.Query, free); err != nil {
 		return nil, err
 	}
@@ -211,20 +207,15 @@ func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, i
 	if err := chk.Check(); err != nil {
 		return nil, err
 	}
-	fastFO := p.ScatterableFO(opts)
 
-	// Batched block sweep (fast FO plans whose free variables read off
-	// the top atom's key): all candidates are derived and decided in
-	// one pass over the top relation's column spans, sharing one memo
-	// and one evaluation state — no join enumeration, no per-candidate
-	// eliminator walk. Answers come back in the canonical binding-key
-	// order, the same order the routed merge produces.
-	if fastFO && p.Elim.SweepableFree(free) {
-		out, err := p.Elim.SweepSpans(ix, nil, free, chk)
+	// The sweep shares one memo and evaluation state across all blocks:
+	// no join enumeration, no per-candidate eliminator walk.
+	if p.ScatterableFO(opts) && p.Elim.SweepableFree(free) {
+		out, err := p.Elim.SweepSpans(ix, nil, free, nil, chk)
 		if err != nil {
 			return nil, err
 		}
-		rewrite.SortValuationsByKey(out)
+		out.Sort(free)
 		return out, nil
 	}
 
@@ -232,71 +223,56 @@ func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, i
 	if err != nil {
 		return nil, err
 	}
+	return p.CheckCandidates(ctx, ix, free, candidates, opts, chk)
+}
 
-	check := func(proj query.Valuation, wchk *evalctx.Checker) (bool, error) {
-		return p.CheckCandidate(ctx, ix, opts, proj, wchk)
-	}
-
-	workers := poolSize(opts.Workers, len(candidates))
-
-	certain := make([]bool, len(candidates))
-	errs := make([]error, len(candidates))
-	if workers <= 1 {
-		for i, proj := range candidates {
-			if err := chk.Err(); err != nil {
-				return nil, err
-			}
-			certain[i], errs[i] = check(proj, chk)
-		}
-	} else {
-		// Warm the shared index once so the workers never race to build
-		// it (the build is atomic either way; this just avoids duplicate
-		// work on a cold snapshot).
-		ix.DB.Blocks()
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				// Each worker forks the request checker: a private poll
-				// counter over the shared deadline and step budget.
-				wchk := chk.Fork()
-				for i := range jobs {
-					if err := wchk.Err(); err != nil {
-						errs[i] = err
-						continue // drain the channel; never block the feeder
-					}
-					certain[i], errs[i] = check(candidates[i], wchk)
-				}
-			}()
-		}
-		done := ctx.Done()
-	feed:
-		for i := range candidates {
-			select {
-			case jobs <- i:
-			case <-done:
-				break feed
+// CheckCandidates decides each row of a candidate table and returns the
+// certain ones, in place and in their order. FO plans seed the compiled
+// eliminator with the row's binding (Lemma 6: instantiation never adds
+// attacks); every other class substitutes the binding and dispatches
+// the instantiated Boolean query through CertainChecked. The checks are
+// independent, so Options.Workers goroutines share them, each on a Fork
+// of chk (the caller's goroutine is one of them); a tripped checker
+// stops each worker at its next candidate and the call returns the
+// first error in row order, never a partial table. A cluster node runs
+// it on the candidates its shard owns.
+func (p *Plan) CheckCandidates(ctx context.Context, ix *match.Index, free []query.Var, cands query.Answers, opts Options, chk *evalctx.Checker) (query.Answers, error) {
+	certain := make([]bool, len(cands))
+	errs := make([]error, len(cands))
+	var next atomic.Int64
+	run := func(wchk *evalctx.Checker) {
+		for i := int(next.Add(1) - 1); i < len(cands); i = int(next.Add(1) - 1) {
+			if errs[i] = wchk.Err(); errs[i] == nil {
+				certain[i], errs[i] = p.checkCandidate(ctx, ix, opts, query.Binding(free, cands[i]), wchk)
 			}
 		}
-		close(jobs)
-		wg.Wait()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	workers := poolSize(opts.Workers, len(cands))
+	if workers > 1 {
+		ix.DB.Blocks() // build the shared index once, not in every worker
 	}
-
-	var out []query.Valuation
-	for i, proj := range candidates {
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wchk := chk.Fork() // before run(chk) below starts polling chk
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(wchk)
+		}()
+	}
+	run(chk)
+	wg.Wait()
+	k := 0
+	for i, row := range cands {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
 		if certain[i] {
-			out = append(out, proj)
+			copy(cands[k], row)
+			k++
 		}
 	}
-	return out, nil
+	return cands[:k], nil
 }
 
 // poolSize normalizes the requested worker count of the candidate-check
@@ -330,54 +306,43 @@ func (p *Plan) TopRelation() string {
 	return p.Elim.Order()[0].Rel.Name
 }
 
-// EnumerateCandidates collects the candidate answers: deduplicated
-// projections of the embeddings of the plan's query into the database,
-// in deterministic first-seen order. Any certain answer must be one of
-// these (the instantiated query must hold in the repair d' ⊆ d... every
-// repair embeds it into d). Exported because a cluster node enumerates
-// the same candidates locally and checks only the ones its shard owns —
-// determinism of this order is what lets nodes agree on ownership
-// without coordination.
-func (p *Plan) EnumerateCandidates(ix *match.Index, free []query.Var, opts Options, chk *evalctx.Checker) ([]query.Valuation, error) {
-	freeSet := query.NewVarSet(free...)
-	var candidates []query.Valuation
-	seen := make(map[string]bool)
+// EnumerateCandidates collects the candidate answers: the projections
+// of the embeddings of the plan's query into the database onto free, as
+// one answer table sorted and deduplicated. Any certain answer must be
+// one of these (every repair embeds the instantiated query into d).
+// Exported because a cluster node enumerates the same candidates
+// locally and checks only the ones its shard owns.
+func (p *Plan) EnumerateCandidates(ix *match.Index, free []query.Var, opts Options, chk *evalctx.Checker) (query.Answers, error) {
+	var tab query.Answers
 	sp := opts.Tracer.Begin(trace.StageMatch)
 	ix.MatchChecked(p.Query, query.Valuation{}, chk, func(m query.Valuation) bool {
-		proj := m.Restrict(freeSet)
-		k := proj.Key()
-		if !seen[k] {
-			seen[k] = true
-			candidates = append(candidates, proj)
+		var row []query.Const
+		tab, row = tab.Add(len(free))
+		for j, v := range free {
+			row[j] = m[v]
 		}
 		return true
 	})
+	tab.Sort(free)
+	tab = slices.CompactFunc(tab, slices.Equal)
 	sp.End()
-	opts.Tracer.Add(trace.StageMatch, trace.CtrMatches, int64(len(candidates)))
+	opts.Tracer.Add(trace.StageMatch, trace.CtrMatches, int64(len(tab)))
 	if err := chk.Err(); err != nil {
 		return nil, err
 	}
-	return candidates, nil
+	return tab, nil
 }
 
-// CheckCandidate decides one candidate binding: FO plans seed the
-// compiled eliminator with the binding (Lemma 6 — instantiation never
-// adds attacks), every other class substitutes and re-dispatches the
-// instantiated Boolean query.
-func (p *Plan) CheckCandidate(ctx context.Context, ix *match.Index, opts Options, proj query.Valuation, wchk *evalctx.Checker) (bool, error) {
+func (p *Plan) checkCandidate(ctx context.Context, ix *match.Index, opts Options, binding query.Valuation, wchk *evalctx.Checker) (bool, error) {
 	if p.ScatterableFO(opts) {
-		return p.Elim.CertainChecked(ix, proj, wchk)
+		return p.Elim.CertainChecked(ix, binding, wchk)
 	}
-	qi := p.Query.Substitute(proj)
-	pi, err := Compile(qi)
+	pi, err := Compile(p.Query.Substitute(binding))
 	if err != nil {
 		return false, err
 	}
 	res, err := pi.CertainChecked(ctx, match.NewIndex(ix.DB), Options{Engine: opts.Engine}, wchk)
-	if err != nil {
-		return false, err
-	}
-	return res.Certain, nil
+	return res.Certain, err
 }
 
 // Normalize parses a query in the textual syntax and returns it in

@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -138,7 +141,7 @@ func TestPlanCertainAnswersMatchesPackageLevel(t *testing.T) {
 			t.Fatalf("trial %d: reused plan answers %v, fresh plan answers %v", trial, got, want)
 		}
 		for i := range got {
-			if got[i].Key() != want[i].Key() {
+			if !slices.Equal(got[i], want[i]) {
 				t.Fatalf("trial %d: answer %d differs: %v vs %v", trial, i, got[i], want[i])
 			}
 		}
@@ -184,7 +187,7 @@ func TestCertainAnswersParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("%s trial %d: sequential %v != parallel %v", tc.qs, trial, seq, par)
 			}
 			for i := range seq {
-				if seq[i].Key() != par[i].Key() {
+				if !slices.Equal(seq[i], par[i]) {
 					t.Fatalf("%s trial %d: answer %d: %v != %v (order must be deterministic)",
 						tc.qs, trial, i, seq[i], par[i])
 				}
@@ -244,5 +247,42 @@ func TestPoolSize(t *testing.T) {
 		if got := poolSize(c.requested, c.jobs); got != c.want {
 			t.Errorf("poolSize(%d, %d) = %d, want %d", c.requested, c.jobs, got, c.want)
 		}
+	}
+}
+
+// TestEnumerateCandidatesDedups: far more matches than distinct
+// candidates — each of 500 blocks projects onto one of eight values —
+// still yields each candidate once, in the answer order, and the
+// candidate checks keep exactly the certain ones.
+func TestEnumerateCandidatesDedups(t *testing.T) {
+	q := query.MustParse("R(x | y), S(y | z)")
+	p, err := Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for i := 0; i < 500; i++ {
+		fmt.Fprintf(&b, "R(k%d | m%d)\n", i, i%7)
+	}
+	for j := 0; j < 7; j++ {
+		fmt.Fprintf(&b, "S(m%d | z%d)\n", j, 6-j)
+	}
+	fmt.Fprintf(&b, "S(m0 | z9)\n") // the m0 block is inconsistent: z6 is no answer
+	d := factsDB(t, q, b.String())
+	free := []query.Var{"z"}
+	cands, err := p.EnumerateCandidates(match.NewIndex(d), free, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := query.Answers{{"z0"}, {"z1"}, {"z2"}, {"z3"}, {"z4"}, {"z5"}, {"z6"}, {"z9"}}
+	if !slices.EqualFunc(cands, want, slices.Equal) {
+		t.Fatalf("candidates %v, want %v", cands, want)
+	}
+	got, err := p.CertainAnswersIndexedCtx(context.Background(), free, match.NewIndex(d), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := want[:6]; !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("answers %v, want %v", got, want)
 	}
 }

@@ -62,8 +62,8 @@ const (
 		"before it left production is kept under baseline_pre_pr. " +
 		"answers-flat/answers-sharded: certain answers of x on a large certain chain — the " +
 		"monolithic sweep vs the routed scatter-gather (cluster.Router.CertainAnswers over four " +
-		"in-process LocalNodes behind a perfect Loopback: per-shard columnar span sweeps, answers " +
-		"encoded to the wire form and decoded, merged by sorted key) at increasing shard counts; " +
+		"in-process LocalNodes behind a perfect Loopback: per-shard columnar span sweeps into answer " +
+		"tables, concatenated and sorted into the answer order) at increasing shard counts; " +
 		"one request warms every node's snapshot index and cached partition outside the timed " +
 		"loop, as a serving node caches them per snapshot version. " +
 		"mutate-apply/mutate-rebuild: one single-fact delta against the warm instance — the MVCC " +
@@ -395,8 +395,8 @@ func RunEval(quick bool) (*EvalReport, error) {
 
 // loopbackRouter is the topology of the answers-sharded rows: a Router
 // of the given width over four in-process nodes holding d as "bench",
-// behind a perfect Loopback — the partition, the wire form and the
-// merge, without a network.
+// behind a perfect Loopback — the partition, the per-shard answer
+// tables and the merge, without a network or its JSON encoding.
 func loopbackRouter(d *db.DB, width int) (*cluster.Router, error) {
 	names := []string{"c0", "c1", "c2", "c3"}
 	nodes := make([]*cluster.LocalNode, len(names))

@@ -21,7 +21,6 @@ package rewrite
 
 import (
 	"fmt"
-	"sort"
 
 	"cqa/internal/db"
 	"cqa/internal/evalctx"
@@ -562,39 +561,42 @@ func (e *Eliminator) CertainOverSpans(ix *match.Index, spans []int32, chk *evalc
 
 // SweepSpans is the certain-answers block sweep (see SweepableFree,
 // which must hold for free): for each listed block of the top relation
-// (nil = every block) the candidate binding is read off the block key,
-// the block runs the Lemma 9 test under it, and the passing bindings
-// are returned in span order. The memo table is shared across the whole
-// sweep — bindings eliminated from the residue's relevant set let
-// distinct candidates share entries. A non-nil error means the sweep
-// was cut short and the slice is meaningless.
-func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var, chk *evalctx.Checker) ([]query.Valuation, error) {
+// (nil = every block) the candidate answer is read off the block key,
+// the block runs the Lemma 9 test under it, and the passing answers are
+// appended to out as rows over free, in span order. The memo table is
+// shared across the whole sweep — bindings eliminated from the
+// residue's relevant set let distinct candidates share entries. A warm
+// sweep into a table truncated to out[:0] allocates nothing. A non-nil
+// error means the sweep was cut short and the table is meaningless.
+func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var, out query.Answers, chk *evalctx.Checker) (query.Answers, error) {
 	c := ix.DB.Columnar()
 	p, cr, n, err := e.topSpans(c, spans)
 	if err != nil {
 		return nil, err
 	}
-	// Column position of each free variable in the top atom's key.
+	// Column position of each free variable in the top atom's key, in a
+	// stack buffer so a warm sweep allocates nothing.
 	lv := &p.levels[0]
-	freeCol := make([]int, len(free))
-	for j, v := range free {
+	var colBuf [8]int
+	freeCol := colBuf[:0]
+	for _, v := range free {
 		slot, known := e.varSlot[v]
-		freeCol[j] = -1
+		col := -1
 		for i, t := range lv.key {
 			if known && t.slot == slot {
-				freeCol[j] = i
+				col = i
 				break
 			}
 		}
-		if freeCol[j] < 0 {
+		if col < 0 {
 			return nil, fmt.Errorf("rewrite: free variable %s is not a key variable of %s", v, e.order[0])
 		}
+		freeCol = append(freeCol, col)
 	}
 	if cr == nil {
-		return nil, chk.Err()
+		return out, chk.Err()
 	}
 	r := cr.Rel
-	var out []query.Valuation
 	ev := e.acquire(c, p, chk)
 	sp := chk.Tracer().Begin(trace.StageEliminator)
 	for i := 0; i < n; i++ {
@@ -608,11 +610,11 @@ func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var
 		ev.trSteps++
 		if ev.blockCertain(0, b) && ev.chk.Err() == nil {
 			lo, _ := r.Span(b)
-			val := make(query.Valuation, len(free))
-			for j, v := range free {
-				val[v] = query.Const(c.Syms.String(r.Col(freeCol[j])[lo]))
+			var row []query.Const
+			out, row = out.Add(len(free))
+			for j, col := range freeCol {
+				row[j] = query.Const(c.Syms.String(r.Col(col)[lo]))
 			}
-			out = append(out, val)
 		}
 	}
 	sp.End()
@@ -622,59 +624,4 @@ func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var
 		return nil, err
 	}
 	return out, nil
-}
-
-// SweepSpanBits is the zero-allocation batched answers kernel: it
-// decides the Lemma 9 test for each listed block of the top relation
-// (nil = every block of the columnar view) and writes the verdicts into
-// out, which must have room for one entry per swept block. Candidate
-// materialization is the caller's concern, so a warm kernel performs no
-// allocation at all.
-func (e *Eliminator) SweepSpanBits(ix *match.Index, spans []int32, out []bool, chk *evalctx.Checker) error {
-	c := ix.DB.Columnar()
-	p, cr, n, err := e.topSpans(c, spans)
-	if err != nil {
-		return err
-	}
-	if cr == nil {
-		return chk.Err()
-	}
-	if len(out) < n {
-		return fmt.Errorf("rewrite: verdict buffer holds %d entries, the sweep needs %d", len(out), n)
-	}
-	ev := e.acquire(c, p, chk)
-	sp := chk.Tracer().Begin(trace.StageEliminator)
-	for i := 0; i < n; i++ {
-		b := int32(i)
-		if spans != nil {
-			b = spans[i]
-		}
-		if ev.chk.Step() != nil {
-			break
-		}
-		ev.trSteps++
-		out[i] = ev.blockCertain(0, b)
-	}
-	sp.End()
-	ev.flush(chk)
-	e.release(ev)
-	return chk.Err()
-}
-
-// SortValuationsByKey sorts answer bindings into the canonical
-// binding-key order the scatter-gather merge uses, computing each key
-// once (decorate-sort-undecorate).
-func SortValuationsByKey(vals []query.Valuation) {
-	type keyed struct {
-		key string
-		val query.Valuation
-	}
-	all := make([]keyed, len(vals))
-	for i, v := range vals {
-		all[i] = keyed{key: v.Key(), val: v}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
-	for i, k := range all {
-		vals[i] = k.val
-	}
 }

@@ -146,9 +146,8 @@ func TestInternedRejectsConflictingSignature(t *testing.T) {
 	wantErr("CertainChecked", err)
 	_, err = el.CertainOverSpans(ix, nil, nil)
 	wantErr("CertainOverSpans", err)
-	_, err = el.SweepSpans(ix, nil, []query.Var{"x"}, nil)
+	_, err = el.SweepSpans(ix, nil, []query.Var{"x"}, nil, nil)
 	wantErr("SweepSpans", err)
-	wantErr("SweepSpanBits", el.SweepSpanBits(ix, nil, make([]bool, 4), nil))
 }
 
 // TestCertainOverSpansPartition: nil spans decide exactly Certain, and
@@ -221,10 +220,10 @@ func referenceAnswers(q query.Query, el *Eliminator, free []query.Var, d *db.DB)
 	return out
 }
 
-func keySet(vals []query.Valuation) map[string]bool {
-	m := make(map[string]bool, len(vals))
-	for _, v := range vals {
-		m[v.Key()] = true
+func keySet(tab query.Answers, free []query.Var) map[string]bool {
+	m := make(map[string]bool, len(tab))
+	for _, row := range tab {
+		m[query.Binding(free, row).Key()] = true
 	}
 	return m
 }
@@ -243,7 +242,7 @@ func sameKeys(a, b map[string]bool) bool {
 
 // TestSweepSpansMatchesReference: the interned sweep produces the
 // answer set the reference recursion certifies candidate by candidate,
-// flat and under a partition, and the bit kernel agrees block by block.
+// flat and under a partition whose parts append to one table.
 func TestSweepSpansMatchesReference(t *testing.T) {
 	q := query.MustParse("R(x | y), S(y | z)")
 	el, err := CompileAcyclic(q)
@@ -265,53 +264,31 @@ func TestSweepSpansMatchesReference(t *testing.T) {
 	}
 	ix := match.NewIndex(d)
 	want := referenceAnswers(q, el, free, d)
-	got, err := el.SweepSpans(ix, nil, free, nil)
+	got, err := el.SweepSpans(ix, nil, free, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameKeys(keySet(got), want) {
+	if !sameKeys(keySet(got, free), want) {
 		t.Fatalf("SweepSpans answers %v, reference answers %v", got, want)
 	}
-	// Partitioned sweep unions to the same set.
+	// Partitioned sweeps appending to one table union to the same set.
 	cr := d.Columnar().Rel("R")
 	parts := make([][]int32, 2)
 	for b := 0; b < cr.Rel.NumBlocks(); b++ {
 		parts[b%2] = append(parts[b%2], int32(b))
 	}
-	union := make(map[string]bool)
+	var union query.Answers
 	for _, part := range parts {
-		vals, err := el.SweepSpans(ix, part, free, nil)
+		union, err = el.SweepSpans(ix, part, free, union, nil)
 		if err != nil {
 			t.Fatalf("partitioned SweepSpans: %v", err)
 		}
-		for _, v := range vals {
-			union[v.Key()] = true
-		}
 	}
-	if !sameKeys(union, want) {
+	if len(union) != len(got) || !sameKeys(keySet(union, free), want) {
 		t.Fatalf("partitioned union %v, want %v", union, want)
 	}
-
-	// The bit kernel agrees block-by-block with the materialized sweep.
-	bits := make([]bool, cr.Rel.NumBlocks())
-	if err := el.SweepSpanBits(ix, nil, bits, nil); err != nil {
-		t.Fatalf("SweepSpanBits: %v", err)
-	}
-	passing := 0
-	for _, b := range bits {
-		if b {
-			passing++
-		}
-	}
-	if passing != len(got) {
-		t.Fatalf("SweepSpanBits reports %d passing blocks, SweepSpans returned %d answers", passing, len(got))
-	}
-	// Undersized output buffer is refused.
-	if err := el.SweepSpanBits(ix, nil, make([]bool, cr.Rel.NumBlocks()-1), nil); err == nil {
-		t.Fatal("SweepSpanBits accepted an undersized output buffer")
-	}
 	// Free variables off the top atom's key are refused.
-	if _, err := el.SweepSpans(ix, nil, []query.Var{"z"}, nil); err == nil {
+	if _, err := el.SweepSpans(ix, nil, []query.Var{"z"}, nil, nil); err == nil {
 		t.Fatal("SweepSpans accepted a free variable outside the top key")
 	}
 }
@@ -328,11 +305,11 @@ func TestSweepSpansRandomDifferential(t *testing.T) {
 	free := []query.Var{"x"}
 	for trial := 0; trial < 80; trial++ {
 		d := workload.RandomDB(rng, q, workload.DefaultDBParams())
-		got, err := el.SweepSpans(match.NewIndex(d), nil, free, nil)
+		got, err := el.SweepSpans(match.NewIndex(d), nil, free, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := referenceAnswers(q, el, free, d); !sameKeys(keySet(got), want) {
+		if want := referenceAnswers(q, el, free, d); !sameKeys(keySet(got, free), want) {
 			t.Fatalf("SweepSpans %v, reference %v\ndb:\n%s", got, want, d)
 		}
 	}

@@ -42,10 +42,10 @@ func TestWarmCertainZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSweepSpanBitsZeroAlloc pins the batched answers kernel: deciding
-// every block of the top relation into a caller-owned buffer allocates
+// TestSweepSpansZeroAlloc pins the batched answers kernel: sweeping
+// every block of the top relation into a reused answer table allocates
 // nothing once warm.
-func TestSweepSpanBitsZeroAlloc(t *testing.T) {
+func TestSweepSpansZeroAlloc(t *testing.T) {
 	q := query.MustParse("R(x | y), S(y | z)")
 	el, err := CompileAcyclic(q)
 	if err != nil {
@@ -60,17 +60,17 @@ func TestSweepSpanBitsZeroAlloc(t *testing.T) {
 		S(c | t)
 	`)
 	ix := match.NewIndex(d)
-	cr := d.Columnar().Rel("R")
-	if cr == nil {
-		t.Fatal("fixture relation R missing from columnar view")
+	free := []query.Var{"x"}
+	tab, err := el.SweepSpans(ix, nil, free, nil, nil)
+	if err != nil {
+		t.Fatalf("SweepSpans: %v", err)
 	}
-	bits := make([]bool, cr.Rel.NumBlocks())
-	if err := el.SweepSpanBits(ix, nil, bits, nil); err != nil {
-		t.Fatalf("SweepSpanBits: %v", err)
+	if len(tab) != 2 || tab[0][0] != "a" || tab[1][0] != "d" {
+		t.Fatalf("SweepSpans answers %v, want [[a] [d]]", tab)
 	}
 	runtime.GC()
-	allocs := testing.AllocsPerRun(500, func() { el.SweepSpanBits(ix, nil, bits, nil) })
+	allocs := testing.AllocsPerRun(500, func() { tab, _ = el.SweepSpans(ix, nil, free, tab[:0], nil) })
 	if allocs != 0 {
-		t.Fatalf("warm SweepSpanBits allocates %.1f/op, want 0", allocs)
+		t.Fatalf("warm SweepSpans into a reused table allocates %.1f/op, want 0", allocs)
 	}
 }

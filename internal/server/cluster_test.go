@@ -128,7 +128,7 @@ func TestClusterRoutedAnswersHTTP(t *testing.T) {
 	}
 	h := front.Handler()
 	body := fmt.Sprintf(`{"query": %q, "db": "corpus", "free": ["x"]}`, clusterTestQuery)
-	var resp answersResponse
+	var resp answersBody
 	rec := do(t, h, "POST", "/v1/answers", body, &resp)
 	if rec.Code != 200 {
 		t.Fatalf("routed answers: %d %s", rec.Code, rec.Body.String())
@@ -139,7 +139,7 @@ func TestClusterRoutedAnswersHTTP(t *testing.T) {
 	if _, err := local.Store().PutFacts("corpus", clusterTestDB); err != nil {
 		t.Fatal(err)
 	}
-	var want answersResponse
+	var want answersBody
 	if rec := do(t, local.Handler(), "POST", "/v1/answers", body, &want); rec.Code != 200 {
 		t.Fatalf("local answers: %d", rec.Code)
 	}
@@ -197,6 +197,41 @@ func TestUnknownFreeVariableSameStatusRoutedAndLocal(t *testing.T) {
 	}
 }
 
+// TestRepeatedFreeVariableRejected: a free variable listed twice is a
+// request defect on every answers path — the local handler, the routing
+// front, and a shard node validating its wire input — 400 bad_request
+// on each.
+func TestRepeatedFreeVariableRejected(t *testing.T) {
+	local := newTestServer()
+	if _, err := local.Store().PutFacts("corpus", clusterTestDB); err != nil {
+		t.Fatal(err)
+	}
+	node, _ := newShardNode(t)
+	answers := fmt.Sprintf(`{"query": %q, "db": "corpus", "free": ["x", "z", "x"]}`, clusterTestQuery)
+	shardEval := func(kind cluster.Kind, free string) string {
+		return fmt.Sprintf(`{"query": %q, "db": "corpus", "kind": %q, "shard": 0, "shards": 2, "free": %s}`,
+			clusterTestQuery, kind, free)
+	}
+	for _, tc := range []struct {
+		name, path, body string
+		h                http.Handler
+	}{
+		{"local", "/v1/answers", answers, local.Handler()},
+		{"routed", "/v1/answers", answers, newLoopbackFront(t).Handler()},
+		{"node check", "/v1/shard/eval", shardEval(cluster.KindCheck, `["z", "z"]`), node.Handler()},
+		{"node sweep", "/v1/shard/eval", shardEval(cluster.KindSweep, `["x", "x"]`), node.Handler()},
+	} {
+		rec := do(t, tc.h, "POST", tc.path, tc.body, nil)
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+			t.Fatalf("%s: error envelope: %v\n%s", tc.name, err, rec.Body.String())
+		}
+		if rec.Code != 400 || er.Code != "bad_request" || !strings.Contains(er.Error, "listed twice") {
+			t.Errorf("%s: %d %q (%s), want 400 bad_request", tc.name, rec.Code, er.Code, er.Error)
+		}
+	}
+}
+
 // TestClusterRoutedTrace: a traced request on a routing front returns
 // the front's stage breakdown (normalize, plus compile on a plan-cache
 // miss) and its slow-log entry carries the same stages. The front
@@ -215,7 +250,7 @@ func TestClusterRoutedTrace(t *testing.T) {
 	if rec := doTraced(t, h, "POST", "/v1/certain", fmt.Sprintf(`{"query": %q, "db": "corpus"}`, clusterTestQuery), &cert); rec.Code != 200 {
 		t.Fatalf("routed certain: %d %s", rec.Code, rec.Body.String())
 	}
-	var ans answersResponse
+	var ans answersBody
 	if rec := doTraced(t, h, "POST", "/v1/answers", fmt.Sprintf(`{"query": %q, "db": "corpus", "free": ["x"]}`, clusterTestQuery), &ans); rec.Code != 200 {
 		t.Fatalf("routed answers: %d %s", rec.Code, rec.Body.String())
 	}
@@ -380,7 +415,7 @@ func TestShardedInlineFacts(t *testing.T) {
 	if cert.Certain {
 		t.Fatalf("inline certain = true, want false (block a may pick c)")
 	}
-	var ans answersResponse
+	var ans answersBody
 	rec = do(t, h, "POST", "/v1/answers",
 		`{"query": "R(x | y), S(y | z)", "facts": "R(a | b)\nS(b | z1)\nR(d | e)", "free": ["x"]}`, &ans)
 	if rec.Code != 200 || ans.Count != 1 || ans.Answers[0]["x"] != "a" {

@@ -21,6 +21,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -271,11 +272,11 @@ type classifyResponse struct {
 }
 
 type certainRequest struct {
-	Query  string   `json:"query"`
-	DB     string   `json:"db,omitempty"`     // name of an uploaded database
-	Facts  string   `json:"facts,omitempty"`  // inline facts, one per line
-	Engine string   `json:"engine,omitempty"` // auto (default), fo, ptime, conp, naive
-	Free   []string `json:"free,omitempty"`   // /v1/answers only
+	Query  string      `json:"query"`
+	DB     string      `json:"db,omitempty"`     // name of an uploaded database
+	Facts  string      `json:"facts,omitempty"`  // inline facts, one per line
+	Engine string      `json:"engine,omitempty"` // auto (default), fo, ptime, conp, naive
+	Free   []query.Var `json:"free,omitempty"`   // /v1/answers only
 	// TimeoutMs overrides the server's default evaluation deadline for
 	// this request, capped by the server's MaxTimeout.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
@@ -341,16 +342,55 @@ type countResponse struct {
 }
 
 type answersResponse struct {
-	Query   string              `json:"query"`
-	Free    []string            `json:"free"`
-	Answers []map[string]string `json:"answers"`
-	Count   int                 `json:"count"`
-	Class   string              `json:"class"`
-	Cached  bool                `json:"cached"`
-	DB      *dbRef              `json:"db,omitempty"`
+	Query   string      `json:"query"`
+	Free    []query.Var `json:"free"`
+	Answers answerTable `json:"answers"`
+	Count   int         `json:"count"`
+	Class   string      `json:"class"`
+	Cached  bool        `json:"cached"`
+	DB      *dbRef      `json:"db,omitempty"`
 	// Trace is the per-stage breakdown; present only when the request
 	// carried an X-CQA-Trace header.
 	Trace *traceInfo `json:"trace,omitempty"`
+}
+
+// answerTable renders a certain-answer table as the JSON clients read,
+// [{"x": "a", "y": "b"}, ...] with keys in sorted order — the bytes
+// encoding/json writes for a []map[string]string — straight from the
+// rows. Variables and constants go through encoding/json's string
+// encoder; the newline it ends each value with is whitespace that the
+// compaction of a MarshalJSON result removes.
+type answerTable struct {
+	free []query.Var
+	rows query.Answers
+}
+
+func (a answerTable) MarshalJSON() ([]byte, error) {
+	cols := query.SortedColumns(a.free)
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	b.WriteByte('[')
+	for i, row := range a.rows {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('{')
+		for k, c := range cols {
+			if k > 0 {
+				b.WriteByte(',')
+			}
+			if err := enc.Encode(a.free[c]); err != nil {
+				return nil, err
+			}
+			b.WriteByte(':')
+			if err := enc.Encode(row[c]); err != nil {
+				return nil, err
+			}
+		}
+		b.WriteByte('}')
+	}
+	b.WriteByte(']')
+	return b.Bytes(), nil
 }
 
 type rewriteRequest struct {
@@ -867,37 +907,25 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing \"free\": the designated free variables")
 		return
 	}
-	free := make([]query.Var, len(req.Free))
-	for i, name := range req.Free {
-		free[i] = query.Var(name)
-	}
-	var vals []query.Valuation
+	var rows query.Answers
 	s.evaluate(w, r, req, evalJob{
 		endpoint: "answers",
 		routable: true,
 		run: func(ctx context.Context, e *evalRun) (string, error) {
 			var err error
 			if e.ix == nil {
-				vals, err = s.router.CertainAnswers(ctx, e.plan, req.DB, free, e.opts)
+				rows, err = s.router.CertainAnswers(ctx, e.plan, req.DB, req.Free, e.opts)
 			} else {
-				vals, err = e.plan.CertainAnswersIndexedCtx(ctx, free, e.ix, e.opts)
+				rows, err = e.plan.CertainAnswersIndexedCtx(ctx, req.Free, e.ix, e.opts)
 			}
 			return e.plan.Engine(e.opts).String(), err
 		},
 		respond: func(e *evalRun) {
-			answers := make([]map[string]string, len(vals))
-			for i, v := range vals {
-				m := make(map[string]string, len(v))
-				for x, c := range v {
-					m[string(x)] = string(c)
-				}
-				answers[i] = m
-			}
 			writeJSON(w, http.StatusOK, answersResponse{
 				Query:   e.plan.Query.String(),
 				Free:    req.Free,
-				Answers: answers,
-				Count:   len(answers),
+				Answers: answerTable{free: req.Free, rows: rows},
+				Count:   len(rows),
 				Class:   e.plan.Class.String(),
 				Cached:  e.hit,
 				DB:      e.ref,

@@ -207,11 +207,18 @@ func TestIndexCacheCounters(t *testing.T) {
 	}
 }
 
+// answersBody is a client's decoding of an answers response: the
+// answer table as the objects it is rendered to.
+type answersBody struct {
+	answersResponse
+	Answers []map[string]string `json:"answers"`
+}
+
 func TestAnswersEndpoint(t *testing.T) {
 	h := newTestServer().Handler()
 	body := `{"query": "Product(pid | sid), Supplier(sid | 'DE')", "free": ["pid"],
 		"facts": "Product(p1 | acme)\nProduct(p2 | globex)\nProduct(p2 | initech)\nSupplier(acme | DE)\nSupplier(globex | DE)\nSupplier(initech | US)\n"}`
-	var resp answersResponse
+	var resp answersBody
 	rec := do(t, h, "POST", "/v1/answers", body, &resp)
 	if rec.Code != 200 {
 		t.Fatalf("answers: %d %s", rec.Code, rec.Body.String())
@@ -335,8 +342,10 @@ func TestCertainAllCatalogQueries(t *testing.T) {
 
 // TestConcurrentCertainAndUploads hammers the plan cache from 32
 // goroutines while snapshots are swapped underneath; run with -race.
+// The admission gate has a slot per goroutine, so no reader is shed
+// (TestAdmissionShedding covers shedding).
 func TestConcurrentCertainAndUploads(t *testing.T) {
-	srv := New(Config{CacheSize: 8, MaxWorkers: 16})
+	srv := New(Config{CacheSize: 8, MaxWorkers: 32})
 	h := srv.Handler()
 	queries := []string{
 		"R(x | y), S(y | z)",
