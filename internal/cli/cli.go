@@ -154,7 +154,7 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	showStages := fs.Bool("stages", false, "print the per-stage duration/counter breakdown after evaluation")
 	timeout := fs.Duration("timeout", 0, "wall-clock evaluation deadline (0 = none)")
 	maxSteps := fs.Int64("max-steps", 0, "engine step budget (0 = unlimited)")
-	approx := fs.Bool("approx", false, "degrade a budget-exhausted coNP evaluation to repair sampling")
+	approx := fs.Bool("approx", false, "degrade a budget-exhausted coNP evaluation to the repair counter's estimate")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -252,7 +252,7 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		case errors.Is(err, context.DeadlineExceeded):
 			fmt.Fprintf(stderr, "cqa-certain: evaluation deadline of %s exceeded\n", *timeout)
 		case errors.Is(err, evalctx.ErrBudgetExceeded):
-			fmt.Fprintf(stderr, "cqa-certain: step budget of %d exhausted (use -approx to degrade to sampling)\n", *maxSteps)
+			fmt.Fprintf(stderr, "cqa-certain: step budget of %d exhausted (use -approx to degrade to the repair counter's estimate)\n", *maxSteps)
 		default:
 			fmt.Fprintln(stderr, "cqa-certain:", err)
 		}
@@ -262,7 +262,7 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "engine:  %s\n", res.Engine)
 	fmt.Fprintf(stdout, "certain: %v\n", res.Certain)
 	if res.Approximate {
-		fmt.Fprintf(stdout, "approximate: true (sampled satisfying fraction %.4f)\n", res.Fraction)
+		fmt.Fprintf(stdout, "approximate: true (estimated satisfying fraction %.4f)\n", res.Fraction)
 	}
 	printStages(stdout, opts.Tracer)
 	if *possible {

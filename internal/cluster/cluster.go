@@ -121,7 +121,7 @@ type EvalResponse struct {
 	// router counts the node unavailable.
 	Answers query.Answers `json:"answers,omitempty"`
 	// Approximate / Fraction report a KindSingle coNP evaluation that
-	// degraded to repair sampling on the node.
+	// degraded to the repair counter's estimate on the node.
 	Approximate bool    `json:"approximate,omitempty"`
 	Fraction    float64 `json:"fraction,omitempty"`
 	// Steps is the engine work the node spent on this request; the

@@ -1,11 +1,12 @@
 // Package colstore implements the column-wise (struct-of-arrays) fact
 // layout of the evaluation hot path: each relation stores its facts as
 // flat []sym.ID columns, with blocks — the unit of the Lemma 9 test —
-// as contiguous row spans over key-sorted columns, and a ground-key →
-// block open-addressing hash table probed without allocating. The
-// package knows nothing about databases or queries; internal/db builds
-// one Rel per relation and keeps the row-oriented []Fact API as
-// the compatibility surface.
+// as contiguous row spans in the order the builder adds them, and a
+// ground-key → block open-addressing hash table probed without
+// allocating. The package knows nothing about databases or queries;
+// internal/db builds one Rel per relation, in the relation's block
+// order, and keeps the row-oriented []Fact API as the compatibility
+// surface.
 package colstore
 
 import (

@@ -46,22 +46,18 @@ func CertainChecked(q query.Query, d *db.DB, chk *evalctx.Checker) (bool, Stats,
 }
 
 // CertainNoPurify is Certain with Lemma 1 purification disabled; the
-// search then runs over every block of the input. Exists for the E9
-// ablation experiment — results are identical, only effort differs.
+// search then runs over every constrained block of the input. Exists
+// for the E9 ablation experiment — results are identical, only effort
+// differs.
 func CertainNoPurify(q query.Query, d *db.DB) (bool, Stats) {
 	var stats Stats
 	if q.Empty() {
 		return true, stats
 	}
-	pd := d.Filter(func(f db.Fact) bool { return q.HasRel(f.Rel.Name) })
-	matches := match.AllMatches(q, pd)
-	stats.Matches = len(matches)
-	if len(matches) == 0 {
-		return false, stats
-	}
-	s := newSearch(q, pd, matches)
-	stats.Blocks = len(s.blocks)
-	return !s.solve(&stats), stats
+	cs, _ := match.NewIndex(d).Constraints(q, nil)
+	stats.Matches = cs.Embeddings
+	stats.Blocks = len(cs.Blocks)
+	return !newSearch(cs, nil).solveRec(&stats), stats
 }
 
 // FalsifyingRepair searches for a repair of d that falsifies q. The
@@ -87,43 +83,39 @@ func FalsifyingRepairChecked(q query.Query, d *db.DB, chk *evalctx.Checker) ([]d
 	if err != nil {
 		return nil, false, stats, err
 	}
-	matches, err := match.AllMatchesChecked(q, pd, chk)
+	tr := chk.Tracer()
+	sp := tr.Begin(trace.StageMatch)
+	cs, err := match.NewIndex(pd).Constraints(q, chk)
+	sp.End()
 	if err != nil {
 		return nil, false, stats, err
 	}
-	stats.Matches = len(matches)
+	tr.Add(trace.StageMatch, trace.CtrMatches, int64(cs.Embeddings))
+	stats.Matches = cs.Embeddings
+	stats.Blocks = len(cs.Blocks)
 
-	var repair []db.Fact
-	found := false
-	if len(matches) == 0 {
-		// No embedding inside the purified database: every repair of it
-		// falsifies q. Take the first fact of each remaining block.
-		found = true
-		for _, b := range pd.Blocks() {
-			repair = append(repair, b.Facts[0])
-		}
-	} else {
-		s := newSearch(q, pd, matches)
-		s.chk = chk
-		stats.Blocks = len(s.blocks)
-		sp := chk.Tracer().Begin(trace.StageCoNP)
-		found = s.solve(&stats)
-		sp.End()
-		if err := chk.Err(); err != nil {
-			flushStats(chk.Tracer(), stats)
-			return nil, false, stats, err
-		}
-		if found {
-			repair = s.repair()
-		}
+	s := newSearch(cs, chk)
+	sp = tr.Begin(trace.StageCoNP)
+	found := s.solveRec(&stats)
+	sp.End()
+	flushStats(tr, stats)
+	if err := chk.Err(); err != nil {
+		return nil, false, stats, err
 	}
-	flushStats(chk.Tracer(), stats)
 	if !found {
 		return nil, false, stats, nil
 	}
-	// Complete the repair across purified-away blocks, newest removal
-	// first: each witness was irrelevant with respect to everything added
-	// so far, so it cannot close an embedding.
+	// A falsifying choice over the constrained blocks extends to a
+	// falsifying repair of pd with any fact of the others, and then of
+	// d with the purification witnesses, newest removal first: each
+	// witness was irrelevant with respect to everything added so far,
+	// so it cannot close an embedding.
+	repair := s.repair()
+	for _, b := range pd.Blocks() {
+		if !cs.Constrained(b) {
+			repair = append(repair, b.Facts[0])
+		}
+	}
 	for i := len(ptrace) - 1; i >= 0; i-- {
 		repair = append(repair, ptrace[i].Witness)
 	}
@@ -142,14 +134,17 @@ func flushStats(tr *trace.Tracer, stats Stats) {
 	tr.Add(trace.StageCoNP, trace.CtrMatches, int64(stats.Matches))
 }
 
+// search is the exclusion DPLL over one repair-constraint form. Facts
+// are numbered flat: block b's slot i is fact off[b]+i.
 type search struct {
 	// chk aborts the enumeration when its context is cancelled or its
 	// step budget runs out; solveRec's boolean is meaningless once the
 	// checker has tripped (the caller surfaces chk.Err() instead).
-	chk   *evalctx.Checker
-	facts []db.Fact // all facts of the purified db
-	// blocks[b] lists fact indices of block b.
-	blocks [][]int
+	chk    *evalctx.Checker
+	blocks []db.Block
+	// off[b] is the flat index of block b's first fact; off[len(blocks)]
+	// is the fact count.
+	off []int
 	// blockOf[f] is the block index of fact f.
 	blockOf []int
 	// constraints[c] lists the fact indices of embedding c; each
@@ -161,7 +156,7 @@ type search struct {
 	// construction (their block is committed to some other fact).
 	forbidden []bool
 	// forbCount[b] counts forbidden facts of block b; it must stay
-	// strictly below len(blocks[b]).
+	// strictly below the block's size.
 	forbCount []int
 	// dead[c] counts forbidden facts of constraint c; dead > 0 means the
 	// embedding is blocked.
@@ -170,61 +165,30 @@ type search struct {
 	alive int
 }
 
-func newSearch(q query.Query, pd *db.DB, matches []query.Valuation) *search {
-	s := &search{}
-	factIdx := make(map[string]int)
-	for _, f := range pd.Facts() {
-		factIdx[f.ID()] = len(s.facts)
-		s.facts = append(s.facts, f)
+func newSearch(cs *match.Constraints, chk *evalctx.Checker) *search {
+	s := &search{chk: chk, blocks: cs.Blocks, off: make([]int, len(cs.Blocks)+1)}
+	for b, blk := range cs.Blocks {
+		s.off[b+1] = s.off[b] + len(blk.Facts)
+		for range blk.Facts {
+			s.blockOf = append(s.blockOf, b)
+		}
 	}
-	blockIdx := make(map[string]int)
-	s.blockOf = make([]int, len(s.facts))
-	for i, f := range s.facts {
-		bid := f.BlockID()
-		b, ok := blockIdx[bid]
-		if !ok {
-			b = len(s.blocks)
-			blockIdx[bid] = b
-			s.blocks = append(s.blocks, nil)
-		}
-		s.blocks[b] = append(s.blocks[b], i)
-		s.blockOf[i] = b
-	}
-	s.inConstraints = make([][]int, len(s.facts))
-	for _, v := range matches {
-		ground, err := db.GroundQuery(q, v)
-		if err != nil {
-			continue
-		}
-		if !db.ConsistentSet(ground) {
-			// An embedding that is internally inconsistent can never be
-			// fully contained in a repair; drop the constraint.
-			continue
-		}
-		seen := make(map[int]bool, len(ground))
-		var c []int
-		for _, f := range ground {
-			fi, ok := factIdx[f.ID()]
-			if !ok {
-				// Embedding uses a purified-away fact; cannot happen since
-				// matches were computed on the purified db.
-				continue
-			}
-			if !seen[fi] {
-				seen[fi] = true
-				c = append(c, fi)
-			}
-		}
-		ci := len(s.constraints)
-		s.constraints = append(s.constraints, c)
-		for _, fi := range c {
+	n := s.off[len(cs.Blocks)]
+	s.inConstraints = make([][]int, n)
+	s.constraints = make([][]int, len(cs.Cons))
+	for ci, refs := range cs.Cons {
+		c := make([]int, len(refs))
+		for i, r := range refs {
+			fi := s.off[r.Block] + int(r.Slot)
+			c[i] = fi
 			s.inConstraints[fi] = append(s.inConstraints[fi], ci)
 		}
+		s.constraints[ci] = c
 	}
-	s.forbidden = make([]bool, len(s.facts))
-	s.forbCount = make([]int, len(s.blocks))
-	s.dead = make([]int, len(s.constraints))
-	s.alive = len(s.constraints)
+	s.forbidden = make([]bool, n)
+	s.forbCount = make([]int, len(cs.Blocks))
+	s.dead = make([]int, len(cs.Cons))
+	s.alive = len(cs.Cons)
 	return s
 }
 
@@ -254,7 +218,8 @@ func (s *search) unforbid(fi int) {
 
 // canForbid reports whether excluding fi keeps its block viable.
 func (s *search) canForbid(fi int) bool {
-	return !s.forbidden[fi] && s.forbCount[s.blockOf[fi]] < len(s.blocks[s.blockOf[fi]])-1
+	b := s.blockOf[fi]
+	return !s.forbidden[fi] && s.forbCount[b] < s.off[b+1]-s.off[b]-1
 }
 
 // chooseFact commits fi's block to fi by excluding every sibling; it
@@ -264,7 +229,8 @@ func (s *search) chooseFact(fi int, trail []int) ([]int, bool) {
 	if s.forbidden[fi] {
 		return trail, false
 	}
-	for _, g := range s.blocks[s.blockOf[fi]] {
+	b := s.blockOf[fi]
+	for g := s.off[b]; g < s.off[b+1]; g++ {
 		if g == fi || s.forbidden[g] {
 			continue
 		}
@@ -274,27 +240,16 @@ func (s *search) chooseFact(fi int, trail []int) ([]int, bool) {
 	return trail, true
 }
 
-func (s *search) solve(stats *Stats) bool {
-	return s.solveRec(stats)
-}
-
-// repair returns one fact per block, avoiding forbidden facts; valid only
-// after solve returned true.
+// repair returns the first non-forbidden fact of every block; valid
+// only after solveRec returned true, when every block keeps one.
 func (s *search) repair() []db.Fact {
 	out := make([]db.Fact, 0, len(s.blocks))
-	for b, facts := range s.blocks {
-		picked := -1
-		for _, fi := range facts {
-			if !s.forbidden[fi] {
-				picked = fi
-				break
-			}
+	for b, blk := range s.blocks {
+		fi := s.off[b]
+		for s.forbidden[fi] {
+			fi++
 		}
-		if picked == -1 {
-			picked = facts[0] // unreachable: forbCount < len is invariant
-		}
-		_ = b
-		out = append(out, s.facts[picked])
+		out = append(out, blk.Facts[fi-s.off[b]])
 	}
 	return out
 }

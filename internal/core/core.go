@@ -130,11 +130,6 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineAuto, fmt.Errorf("core: unknown engine %q", s)
 }
 
-// DefaultSamples is the sampling budget used when a budget-exhausted
-// coNP evaluation degrades to CertainFractionChecked and Options.Samples is
-// unset.
-const DefaultSamples = 200
-
 // Options configure an evaluation.
 type Options struct {
 	// Engine forces a specific engine; EngineAuto selects by class.
@@ -152,12 +147,16 @@ type Options struct {
 	// (eliminator and ptime memo tables); <= 0 means unlimited.
 	// Exhaustion is silent: engines keep computing without caching.
 	MemoCap int
-	// Approximate degrades a budget-exhausted coNP-engine evaluation to
-	// CertainFractionChecked sampling instead of failing: the Result then
-	// carries Approximate=true and the estimated satisfying fraction.
+	// Approximate selects the anytime estimate over failing. A
+	// budget-exhausted coNP-engine decision degrades to the repair
+	// counter's estimate of the satisfying fraction (the Result then
+	// carries Approximate=true), and a count whose constraint component
+	// is too large to enumerate samples that component instead of
+	// returning counting.ErrComponentTooLarge.
 	Approximate bool
-	// Samples is the sampling budget of the degraded path; <= 0 selects
-	// DefaultSamples.
+	// Samples is the Monte Carlo draw count per estimated constraint
+	// component, for degraded decisions and counts alike; <= 0 selects
+	// counting.DefaultSamples.
 	Samples int
 	// Tracer, when non-nil, records a per-stage breakdown of the
 	// evaluation (durations plus engine effort counters); it rides into
@@ -172,9 +171,9 @@ type Result struct {
 	Class   Class
 	Engine  Engine // engine that produced the answer
 	// Approximate marks a degraded answer: the exact evaluation ran out
-	// of its step budget and Certain was estimated by repair sampling
-	// (Certain is then "every sampled repair satisfied q", and Fraction
-	// is the sampled satisfying fraction).
+	// of its step budget, Fraction is the repair counter's estimate of
+	// the satisfying fraction (exact when every constraint component
+	// fit the enumeration bound), and Certain is Fraction >= 1.
 	Approximate bool
 	Fraction    float64 // meaningful only when Approximate
 }

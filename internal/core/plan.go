@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"cqa/internal/conp"
+	"cqa/internal/counting"
 	"cqa/internal/evalctx"
 	"cqa/internal/match"
 	"cqa/internal/naive"
@@ -90,8 +90,9 @@ func (p *Plan) Engine(opts Options) Engine {
 // ctx and the budgets of opts cooperatively and return ctx.Err()
 // (or evalctx.ErrBudgetExceeded) instead of a wrong boolean when cut
 // short. When the coNP engine exhausts its step budget and
-// opts.Approximate is set, the decision degrades to repair sampling and
-// the Result reports Approximate=true. A database storing a relation of
+// opts.Approximate is set, the decision degrades to the repair
+// counter's satisfying-fraction estimate and the Result reports
+// Approximate=true. A database storing a relation of
 // the query under another signature is refused with a *SignatureError.
 func (p *Plan) CertainIndexedCtx(ctx context.Context, ix *match.Index, opts Options) (Result, error) {
 	if err := CheckSignatures(p.Query, ix.DB); err != nil {
@@ -148,32 +149,26 @@ func (p *Plan) CertainChecked(ctx context.Context, ix *match.Index, opts Options
 }
 
 // degradeToSampling is the graceful-degradation path of a coNP-class
-// evaluation whose exact search ran out of its step budget: estimate
-// the satisfying-repair fraction by uniform sampling (CertainFractionChecked)
-// under the same context — the request deadline still applies — and
-// report the answer as approximate. The RNG is fixed, so the same
-// request degrades to the same estimate.
+// evaluation whose exact search ran out of its step budget: the repair
+// counter estimates the satisfying-repair fraction under the same
+// context — the request deadline still applies — and the answer is
+// reported as approximate. The counter's sampling is seeded, so the
+// same request degrades to the same estimate, the one CountIndexedCtx
+// reports for that query and database.
 func (p *Plan) degradeToSampling(ctx context.Context, ix *match.Index, opts Options) (Result, error) {
-	samples := opts.Samples
-	if samples <= 0 {
-		samples = DefaultSamples
-	}
 	// A fresh checker: the step budget is spent, but the context of the
-	// exhausted evaluation still bounds the sampling wall-clock.
+	// exhausted evaluation still bounds the estimate's wall-clock.
 	chk := evalctx.NewTraced(ctx, evalctx.Limits{}, opts.Tracer)
-	sp := opts.Tracer.Begin(trace.StageSampling)
-	frac, err := CertainFractionChecked(p.Query, ix.DB, samples, rand.New(rand.NewSource(1)), chk)
-	sp.End()
-	opts.Tracer.Add(trace.StageSampling, trace.CtrSteps, int64(samples))
+	res, err := counting.Count(p.Query, ix, chk, counting.Options{Samples: opts.Samples})
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{
-		Certain:     frac >= 1,
+		Certain:     res.Fraction >= 1,
 		Class:       p.Class,
 		Engine:      EngineCoNP,
 		Approximate: true,
-		Fraction:    frac,
+		Fraction:    res.Fraction,
 	}, nil
 }
 
@@ -248,8 +243,10 @@ func (p *Plan) CheckCandidates(ctx context.Context, ix *match.Index, free []quer
 		}
 	}
 	workers := poolSize(opts.Workers, len(cands))
-	if workers > 1 {
-		ix.DB.Blocks() // build the shared index once, not in every worker
+	if workers > 1 && !p.ScatterableFO(opts) {
+		// Build the row index once, not in every worker. FO checks run
+		// on the columnar eliminator and never read it.
+		ix.DB.Blocks()
 	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {

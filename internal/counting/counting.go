@@ -85,16 +85,11 @@ func SatisfyingRepairs(q query.Query, d *db.DB) (Result, error) {
 	return Count(q, match.NewIndex(d), nil, Options{Exact: true})
 }
 
-// ref addresses one fact as (block ordinal, slot in block) over the
-// dense ordinals assigned to constrained blocks.
-type ref struct{ b, s int32 }
-
 // Count counts the repairs of ix.DB satisfying q under the checker's
 // cancellation and step budget. It polls chk per enumerated embedding
 // candidate, per exact assignment slot, and per Monte Carlo sample; a
 // nil checker enforces nothing.
 func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (Result, error) {
-	d := ix.DB
 	tr := chk.Tracer()
 	sp := tr.Begin(trace.StageCount)
 	defer sp.End()
@@ -115,7 +110,7 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 	}
 
 	total := big.NewInt(1)
-	for _, b := range d.Blocks() {
+	for _, b := range ix.DB.Blocks() {
 		total.Mul(total, big.NewInt(int64(len(b.Facts))))
 	}
 	res := Result{Total: total, Exact: true}
@@ -125,57 +120,19 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 		return res, nil
 	}
 
-	// Enumerate the consistent ground embeddings of q: each one is a
-	// constraint — a set of (block, slot) refs whose joint survival in a
-	// repair satisfies q. Blocks are given dense ordinals on first touch,
-	// so only constrained blocks enter the component machinery; all other
-	// blocks contribute equal factors to both counts.
-	blockOrd := map[string]int32{}
-	var blockFacts [][]db.Fact
-	var constraints [][]ref
-	bad := false
-	ix.MatchChecked(q, query.Valuation{}, chk, func(v query.Valuation) bool {
-		ground, err := db.GroundQuery(q, v)
-		if err != nil || !db.ConsistentSet(ground) {
-			// A grounding that collides inside one block can never
-			// survive a repair whole; it constrains nothing.
-			return true
-		}
-		c := make([]ref, 0, len(ground))
-		for _, f := range ground {
-			blk := d.BlockOf(f)
-			bo, ok := blockOrd[blk.ID]
-			if !ok {
-				bo = int32(len(blockFacts))
-				blockOrd[blk.ID] = bo
-				blockFacts = append(blockFacts, blk.Facts)
-			}
-			slot := int32(-1)
-			for s, g := range blockFacts[bo] {
-				if g.Equal(f) {
-					slot = int32(s)
-					break
-				}
-			}
-			if slot < 0 {
-				bad = true
-				return false
-			}
-			c = append(c, ref{b: bo, s: slot})
-		}
-		constraints = append(constraints, c)
-		return true
-	})
-	if err := chk.Err(); err != nil {
+	// Each consistent embedding of q is a constraint: a repair keeping
+	// all of its refs satisfies q. Only constrained blocks enter the
+	// component machinery; all other blocks contribute equal factors to
+	// both counts.
+	cs, err := ix.Constraints(q, chk)
+	if err != nil {
 		return Result{}, err
 	}
-	if bad {
-		return Result{}, errors.New("counting: matched fact missing from its block")
-	}
+	blocks, constraints := cs.Blocks, cs.Cons
 	tr.Add(trace.StageCount, trace.CtrMatches, int64(len(constraints)))
 
 	// Union blocks sharing a constraint into components.
-	parent := make([]int32, len(blockFacts))
+	parent := make([]int32, len(blocks))
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -188,29 +145,29 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 		return x
 	}
 	for _, c := range constraints {
-		r0 := find(c[0].b)
+		r0 := find(c[0].Block)
 		for _, fr := range c[1:] {
-			parent[find(fr.b)] = r0
+			parent[find(fr.Block)] = r0
 			r0 = find(r0)
 		}
 	}
-	compOf := make([]int32, len(blockFacts))
+	compOf := make([]int32, len(blocks))
 	var compBlocks [][]int32
-	for b := range blockFacts {
+	for b := range blocks {
 		root := find(int32(b))
 		if int(root) == b {
 			compOf[b] = int32(len(compBlocks))
 			compBlocks = append(compBlocks, nil)
 		}
 	}
-	for b := range blockFacts {
+	for b := range blocks {
 		ci := compOf[find(int32(b))]
 		compOf[b] = ci
 		compBlocks[ci] = append(compBlocks[ci], int32(b))
 	}
-	compCons := make([][][]ref, len(compBlocks))
+	compCons := make([][][]match.Ref, len(compBlocks))
 	for _, c := range constraints {
-		ci := compOf[c[0].b]
+		ci := compOf[c[0].Block]
 		compCons[ci] = append(compCons[ci], c)
 	}
 
@@ -228,7 +185,7 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 		if err := chk.Check(); err != nil {
 			return Result{}, err
 		}
-		comp := localizeComponent(compBlocks[ci], blockFacts, compCons[ci])
+		comp := localizeComponent(compBlocks[ci], blocks, compCons[ci])
 		res.Components++
 		if comp.alwaysSat {
 			// Some constraint is fully forced (every block it touches
@@ -282,14 +239,14 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 	}
 	if res.Exact {
 		// Unconstrained blocks scale the falsifying count to the full
-		// database; they multiply Total identically, so the fraction is
+		// database: their product is Total over the constrained blocks'
+		// product. They multiply Total identically, so the fraction is
 		// untouched.
-		for _, b := range d.Blocks() {
-			if _, ok := blockOrd[b.ID]; ok {
-				continue
-			}
-			falsifying.Mul(falsifying, big.NewInt(int64(len(b.Facts))))
+		constrained := big.NewInt(1)
+		for _, b := range blocks {
+			constrained.Mul(constrained, big.NewInt(int64(len(b.Facts))))
 		}
+		falsifying.Mul(falsifying, constrained.Quo(total, constrained))
 		res.Satisfying = new(big.Int).Sub(total, falsifying)
 		res.Fraction = exactFraction(res.Satisfying, total)
 		return res, nil
@@ -304,38 +261,36 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 // each constraint reduced to refs into the free blocks and attached at
 // the deepest free block it mentions for subtree pruning.
 type component struct {
-	sizes     []int       // fact count per free block
-	facts     [][]db.Fact // facts per free block (sampling)
-	byDepth   [][][]ref   // constraints attached at their deepest free block
-	cons      [][]ref     // all localized constraints (sampling)
-	alwaysSat bool        // a constraint became empty: fully forced
+	sizes     []int           // fact count per free block
+	byDepth   [][][]match.Ref // constraints attached at their deepest free block
+	cons      [][]match.Ref   // all localized constraints (sampling)
+	alwaysSat bool            // a constraint became empty: fully forced
 }
 
 // localizeComponent remaps a component's constraints from global block
 // ordinals to dense free-block indices. Facts in single-fact blocks are
 // always chosen in every repair, so their refs vanish; a constraint with
 // no refs left is satisfied by every assignment.
-func localizeComponent(bs []int32, blockFacts [][]db.Fact, cons [][]ref) *component {
+func localizeComponent(bs []int32, blocks []db.Block, cons [][]match.Ref) *component {
 	comp := &component{}
 	local := map[int32]int32{}
 	for _, b := range bs {
-		if len(blockFacts[b]) < 2 {
+		if len(blocks[b].Facts) < 2 {
 			continue
 		}
 		local[b] = int32(len(comp.sizes))
-		comp.sizes = append(comp.sizes, len(blockFacts[b]))
-		comp.facts = append(comp.facts, blockFacts[b])
+		comp.sizes = append(comp.sizes, len(blocks[b].Facts))
 	}
-	comp.byDepth = make([][][]ref, len(comp.sizes))
+	comp.byDepth = make([][][]match.Ref, len(comp.sizes))
 	for _, c := range cons {
-		lc := make([]ref, 0, len(c))
+		lc := make([]match.Ref, 0, len(c))
 		depth := int32(-1)
 		for _, fr := range c {
-			lb, ok := local[fr.b]
+			lb, ok := local[fr.Block]
 			if !ok {
 				continue // forced block: the ref always holds
 			}
-			lc = append(lc, ref{b: lb, s: fr.s})
+			lc = append(lc, match.Ref{Block: lb, Slot: fr.Slot})
 			if lb > depth {
 				depth = lb
 			}
@@ -392,7 +347,7 @@ func countComponentExact(comp *component, chk *evalctx.Checker) (int64, error) {
 			for _, c := range comp.byDepth[i] {
 				all := true
 				for _, fr := range c {
-					if sel[fr.b] != fr.s {
+					if sel[fr.Block] != fr.Slot {
 						all = false
 						break
 					}
@@ -436,7 +391,7 @@ func sampleComponent(comp *component, n int, rng *rand.Rand, chk *evalctx.Checke
 		for _, c := range comp.cons {
 			all := true
 			for _, fr := range c {
-				if sel[fr.b] != fr.s {
+				if sel[fr.Block] != fr.Slot {
 					all = false
 					break
 				}

@@ -12,15 +12,15 @@ import (
 )
 
 // ColRel is the columnar view of one relation: the
-// struct-of-arrays storage plus the row-oriented blocks aligned with
-// its block order, so span indices translate to Block values (and their
-// string IDs) without re-deriving anything.
+// struct-of-arrays storage laid out in the relation segment's block
+// order, plus that segment's blocks, so span indices translate to
+// Block values (and their string IDs) without re-deriving anything.
 type ColRel struct {
 	// Rel is the column store: blocks as contiguous row spans over flat
 	// interned columns.
 	Rel *colstore.Rel
-	// Blocks are the same blocks in the same order as Rel's spans —
-	// Blocks[b] holds the facts of span b. Shared with the row index.
+	// Blocks are the segment's own blocks, in the order of Rel's spans:
+	// Blocks[b] holds the facts of span b. Shared with the database.
 	Blocks []Block
 	// Relation is the signature every stored fact carries.
 	Relation schema.Relation
@@ -104,42 +104,7 @@ func (d *DB) buildColumnar() *ColDB {
 		if len(seg.blocks) == 0 {
 			continue
 		}
-		blocks := seg.blocks
-		rel := seg.rel
-		// Key-sort the blocks by interned key tuple: a deterministic
-		// layout that keeps equal prefixes adjacent. Keys are unique
-		// per relation, so the order is total.
-		ord := make([]int, len(blocks))
-		for i := range ord {
-			ord[i] = i
-		}
-		keyOf := func(i int) []query.Const { return blocks[i].Facts[0].Key() }
-		sort.Slice(ord, func(a, b int) bool {
-			ka, kb := keyOf(ord[a]), keyOf(ord[b])
-			for i := range ka {
-				ia := c.Syms.Intern(string(ka[i]))
-				ib := c.Syms.Intern(string(kb[i]))
-				if ia != ib {
-					return ia < ib
-				}
-			}
-			return false
-		})
-		b := colstore.NewBuilder(name, rel.Arity, rel.KeyLen)
-		aligned := make([]Block, 0, len(blocks))
-		row := make([]sym.ID, rel.Arity)
-		for _, bi := range ord {
-			blk := blocks[bi]
-			b.StartBlock()
-			for _, f := range blk.Facts {
-				for i, a := range f.Args {
-					row[i] = c.Syms.Intern(string(a))
-				}
-				b.AddRow(row)
-			}
-			aligned = append(aligned, blk)
-		}
-		c.rels[name] = &ColRel{Rel: b.Build(), Blocks: aligned, Relation: rel}
+		c.rels[name] = buildColRel(c.Syms, seg)
 	}
 	c.names = make([]string, 0, len(c.rels))
 	for name := range c.rels {
@@ -188,34 +153,45 @@ func deriveColumnar(parent *ColDB, child *DB, ch *ChangeSet) *ColDB {
 	return c
 }
 
-// spliceColRel rebuilds one touched relation's columnar form from the
-// parent's, in O(delta) probe work plus column memcpy of the surviving
-// rows. New blocks append after the parent's block order (the answer
-// paths sort by key at the end, so block order is layout, not
-// semantics); modified blocks keep their position, so span indices of
-// untouched blocks never move unless a block was removed.
-func spliceColRel(syms *sym.Table, seg *relSeg, pr *ColRel, rc *RelChange) *ColRel {
+// buildColRel lays a relation out column-wise in its segment's block
+// order, so span b holds the facts of the segment's block b and the
+// segment's own block slice serves as ColRel.Blocks.
+func buildColRel(syms *sym.Table, seg *relSeg) *ColRel {
 	rel := seg.rel
 	b := colstore.NewBuilder(rel.Name, rel.Arity, rel.KeyLen)
 	row := make([]sym.ID, rel.Arity)
-	addBlock := func(blk Block) {
-		b.StartBlock()
-		for _, f := range blk.Facts {
-			for i, a := range f.Args {
-				row[i] = syms.Intern(string(a))
-			}
-			b.AddRow(row)
-		}
+	for _, blk := range seg.blocks {
+		addBlock(b, syms, row, blk)
 	}
+	return &ColRel{Rel: b.Build(), Blocks: seg.blocks, Relation: rel}
+}
+
+// addBlock interns one block's facts and appends them as the next span.
+func addBlock(b *colstore.Builder, syms *sym.Table, row []sym.ID, blk Block) {
+	b.StartBlock()
+	for _, f := range blk.Facts {
+		for i, a := range f.Args {
+			row[i] = syms.Intern(string(a))
+		}
+		b.AddRow(row)
+	}
+}
+
+// spliceColRel rebuilds one touched relation's columnar form from the
+// parent's, in O(delta) probe work plus column memcpy of the surviving
+// rows. It follows the order ApplyChanges gives the child segment:
+// modified blocks keep their position, removed blocks drop out with
+// the survivors' order preserved, and added blocks append at the end.
+// So the result's spans line up with the child segment's blocks, which
+// it shares as ColRel.Blocks.
+func spliceColRel(syms *sym.Table, seg *relSeg, pr *ColRel, rc *RelChange) *ColRel {
 	if pr == nil {
-		// New (or previously empty) relation: build wholesale, blocks in
-		// segment order.
-		aligned := append([]Block(nil), seg.blocks...)
-		for _, blk := range seg.blocks {
-			addBlock(blk)
-		}
-		return &ColRel{Rel: b.Build(), Blocks: aligned, Relation: rel}
+		// New (or previously empty) relation: build wholesale.
+		return buildColRel(syms, seg)
 	}
+	rel := seg.rel
+	b := colstore.NewBuilder(rel.Name, rel.Arity, rel.KeyLen)
+	row := make([]sym.ID, rel.Arity)
 	// Locate removed and modified blocks in the parent's block order via
 	// the interned key probe; their constants are parent data, so the
 	// lookups cannot miss.
@@ -248,28 +224,23 @@ func spliceColRel(syms *sym.Table, seg *relSeg, pr *ColRel, rc *RelChange) *ColR
 		patches = append(patches, patch{idx: locate(blk), blk: blk, mod: true})
 	}
 	sort.Slice(patches, func(i, j int) bool { return patches[i].idx < patches[j].idx })
-	aligned := make([]Block, 0, len(seg.blocks))
 	cur := int32(0)
 	for _, p := range patches {
 		if p.idx > cur {
 			b.AddSpans(pr.Rel, int(cur), int(p.idx))
-			aligned = append(aligned, pr.Blocks[cur:p.idx]...)
 		}
 		if p.mod {
-			addBlock(p.blk)
-			aligned = append(aligned, p.blk)
+			addBlock(b, syms, row, p.blk)
 		}
 		cur = p.idx + 1
 	}
 	if nb := int32(pr.Rel.NumBlocks()); cur < nb {
 		b.AddSpans(pr.Rel, int(cur), int(nb))
-		aligned = append(aligned, pr.Blocks[cur:nb]...)
 	}
 	for _, blk := range rc.Added {
-		addBlock(blk)
-		aligned = append(aligned, blk)
+		addBlock(b, syms, row, blk)
 	}
-	return &ColRel{Rel: b.Build(), Blocks: aligned, Relation: rel}
+	return &ColRel{Rel: b.Build(), Blocks: seg.blocks, Relation: rel}
 }
 
 // maxProbeKey bounds the stack buffer of the interned ground-key probe;

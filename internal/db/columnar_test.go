@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -187,6 +188,67 @@ func TestColumnarDeterministicLayout(t *testing.T) {
 		for b := range r1.Blocks {
 			if r1.Blocks[b].ID != r2.Blocks[b].ID {
 				t.Fatalf("%s block %d differs: %s vs %s", name, b, r1.Blocks[b].ID, r2.Blocks[b].ID)
+			}
+		}
+	}
+}
+
+// TestColumnarFollowsSegmentOrder: after random Apply sequences, span
+// i of every derived ColRel holds exactly the facts of the segment's
+// block i, in order, and ColRel.Blocks is the segment's own slice.
+func TestColumnarFollowsSegmentOrder(t *testing.T) {
+	rels := []schema.Relation{relR, relS, schema.NewRelation("T", 3, 2)}
+	rng := rand.New(rand.NewSource(17))
+	randFact := func() Fact {
+		rel := rels[rng.Intn(len(rels))]
+		args := make([]query.Const, rel.Arity)
+		for i := range args {
+			args[i] = query.Const('a' + rune(rng.Intn(5)))
+		}
+		return Fact{Rel: rel, Args: args}
+	}
+	for trial := 0; trial < 30; trial++ {
+		cur := New()
+		for i := 0; i < 4+rng.Intn(12); i++ {
+			cur.Add(randFact())
+		}
+		cur.Columnar()
+		for step := 0; step < 8; step++ {
+			var delta Delta
+			for i := 0; i < 1+rng.Intn(5); i++ {
+				switch f := randFact(); rng.Intn(3) {
+				case 0:
+					delta.Insert(f)
+				case 1:
+					delta.Delete(f)
+				default:
+					delta.UpsertBlock([]Fact{f})
+				}
+			}
+			next, err := cur.Apply(delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur = next
+			c := cur.Columnar()
+			for _, name := range cur.Relations() {
+				seg, cr := cur.rels[name], c.Rel(name)
+				if cr.Rel.NumBlocks() != len(seg.blocks) || len(cr.Blocks) != len(seg.blocks) || &cr.Blocks[0] != &seg.blocks[0] {
+					t.Fatalf("trial %d step %d: %s view does not share the segment's %d blocks", trial, step, name, len(seg.blocks))
+				}
+				for b, blk := range seg.blocks {
+					lo, hi := cr.Rel.Span(int32(b))
+					if int(hi-lo) != len(blk.Facts) {
+						t.Fatalf("trial %d step %d: %s span %d has %d rows, block has %d facts", trial, step, name, b, hi-lo, len(blk.Facts))
+					}
+					for r, f := range blk.Facts {
+						for i, a := range f.Args {
+							if got := c.Syms.String(cr.Rel.At(i, lo+int32(r))); got != string(a) {
+								t.Fatalf("trial %d step %d: %s span %d row %d col %d = %q, block fact %s", trial, step, name, b, r, i, got, f)
+							}
+						}
+					}
+				}
 			}
 		}
 	}

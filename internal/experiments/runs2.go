@@ -21,7 +21,6 @@ func init() {
 }
 
 func runE13(r *Runner) error {
-	rng := rand.New(rand.NewSource(r.Seed + 13))
 	q := workload.Q0()
 	sizes := []int{4, 8, 16, 32, 64}
 	if r.Quick {
@@ -51,15 +50,19 @@ func runE13(r *Runner) error {
 			return err
 		}
 		exact := res.Fraction
-		est, err := core.CertainFractionChecked(q, d, 2000, rng, nil)
+		// ComponentLimit 1 forces every component onto the Monte Carlo
+		// path the counter takes beyond its enumeration bound.
+		est, err := counting.Count(q, match.NewIndex(d), nil, counting.Options{
+			ComponentLimit: 1, Samples: 2000, Seed: r.Seed + 13,
+		})
 		if err != nil {
 			return err
 		}
-		t.AddRow(n, res.Total.String(), exact, est, absf(exact-est), res.Components)
+		t.AddRow(n, res.Total.String(), exact, est.Fraction, absf(exact-est.Fraction), res.Components)
 	}
 	t.Notes = append(t.Notes,
 		"exact counts factorize over independent constraint components (cf. the #CERTAINTY dichotomy of Maslowski & Wijsen)",
-		"the sampling estimator converges at the usual 1/sqrt(N) rate")
+		"the estimate column is the repair counter forced to sample every component (2000 draws each); per-component errors compound across the product")
 	t.Fprint(r.Out)
 	return nil
 }

@@ -1,0 +1,90 @@
+package match
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+
+	"cqa/internal/evalctx"
+	"cqa/internal/query"
+)
+
+// TestConstraintsForm pins the repair-constraint form on a small
+// instance: blocks in first-touch order, one constraint per embedding
+// in join order, refs as (block ordinal, slot) in atom order.
+func TestConstraintsForm(t *testing.T) {
+	q := query.MustParse("R(x | y), S(y | z)")
+	d := factsDB(t, `
+		R(a | b)
+		R(a | c)
+		R(d | b)
+		S(b | e)
+		S(b | f)
+		S(c | e)
+		T(u | v)
+	`)
+	cs, err := NewIndex(d).Constraints(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, b := range cs.Blocks {
+		ids = append(ids, b.Facts[0].String())
+	}
+	wantIDs := []string{"R(a | b)", "S(b | e)", "S(c | e)", "R(d | b)"}
+	if !reflect.DeepEqual(ids, wantIDs) {
+		t.Errorf("blocks %v, want %v", ids, wantIDs)
+	}
+	want := [][]Ref{
+		{{0, 0}, {1, 0}}, // R(a|b) S(b|e)
+		{{0, 0}, {1, 1}}, // R(a|b) S(b|f)
+		{{0, 1}, {2, 0}}, // R(a|c) S(c|e)
+		{{3, 0}, {1, 0}}, // R(d|b) S(b|e)
+		{{3, 0}, {1, 1}}, // R(d|b) S(b|f)
+	}
+	if !reflect.DeepEqual(cs.Cons, want) || cs.Embeddings != len(want) {
+		t.Errorf("constraints %v (%d embeddings), want %v", cs.Cons, cs.Embeddings, want)
+	}
+	for _, b := range d.Blocks() {
+		if got, wantC := cs.Constrained(b), b.Facts[0].Rel.Name != "T"; got != wantC {
+			t.Errorf("Constrained(%s) = %v", b.ID, got)
+		}
+	}
+}
+
+// TestConstraintsSelfJoin: with a self-join, an embedding mapping two
+// atoms to distinct facts of one block is inconsistent and constrains
+// nothing, while one mapping both to the same fact keeps a single ref.
+func TestConstraintsSelfJoin(t *testing.T) {
+	q, err := query.ParseAtomList("R(x | y), R(x | z)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := factsDB(t, `
+		R(a | b)
+		R(a | c)
+	`)
+	cs, err := NewIndex(d).Constraints(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]Ref{{{0, 0}}, {{0, 1}}}
+	if cs.Embeddings != 4 || !reflect.DeepEqual(cs.Cons, want) || len(cs.Blocks) != 1 {
+		t.Errorf("%d embeddings, constraints %v over %d blocks; want 4, %v over 1", cs.Embeddings, cs.Cons, len(cs.Blocks), want)
+	}
+}
+
+// TestConstraintsCancelled: a checker that has tripped returns its
+// error and no form.
+func TestConstraintsCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	chk := evalctx.New(ctx, evalctx.Limits{})
+	chk.Check() // trip it: the join's next poll fails at once
+	d := factsDB(t, "R(a | b)\nS(b | c)\n")
+	cs, err := NewIndex(d).Constraints(query.MustParse("R(x | y), S(y | z)"), chk)
+	if !errors.Is(err, context.Canceled) || cs != nil {
+		t.Errorf("cancelled build: %v, %v", cs, err)
+	}
+}

@@ -38,9 +38,6 @@ func TestDifferentialExample6(t *testing.T) {
 		}
 		sats += st.Saturations
 		diss += st.Dissolutions
-		if st.Fallbacks > 0 {
-			t.Logf("trial %d: %d fallbacks", trial, st.Fallbacks)
-		}
 	}
 	t.Logf("saturations=%d dissolutions=%d", sats, diss)
 	if sats == 0 {

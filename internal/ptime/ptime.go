@@ -15,11 +15,11 @@
 package ptime
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"cqa/internal/attack"
-	"cqa/internal/conp"
 	"cqa/internal/db"
 	"cqa/internal/dissolve"
 	"cqa/internal/evalctx"
@@ -39,11 +39,15 @@ type Stats struct {
 	Saturations  int // Lemma 11 atoms added
 	GPurifyRuns  int
 	TFacts       int // facts emitted by dissolution encodings
-	// Fallbacks counts subinstances routed to the exact search because a
-	// structural invariant of the reduction could not be established
-	// (see the package comment); 0 on every instance we have generated.
-	Fallbacks int
 }
+
+// ErrInvariant reports a P-class instance on which a structural
+// invariant of the reduction could not be established: the Lemma 11
+// saturation database came out inconsistent, or Lemma 15's premier
+// Markov cycle was not found. The algorithm then has no sound next
+// step, so it fails closed rather than answer; no generated instance
+// has reached either case. Match it with errors.Is.
+var ErrInvariant = errors.New("ptime: reduction invariant violated")
 
 // Certain decides CERTAINTY(q) for queries without a strong attack cycle.
 // It returns an error when the attack graph has a strong cycle (the
@@ -76,8 +80,8 @@ func CertainTraced(q query.Query, d *db.DB, trace bool) (bool, *Stats, []string,
 // compiled plan), skipping the attack-graph construction and
 // strong-cycle check that Certain performs on every call. The result is
 // meaningless on strong-cycle queries. The lemma loops poll chk once per
-// recursion level and per Lemma 9 branch, and the exact-search fallback
-// inherits the same checker, so one budget governs the whole pipeline.
+// recursion level and per Lemma 9 branch, so one budget governs the
+// whole pipeline.
 // A non-nil error means the evaluation was cut short and the boolean is
 // meaningless. A nil checker enforces nothing.
 func CertainNoStrongCycleChecked(q query.Query, d *db.DB, chk *evalctx.Checker) (bool, *Stats, error) {
@@ -279,15 +283,9 @@ func (s *solver) branch(q query.Query, d *db.DB, depth int) (bool, error) {
 		}
 		nd, err := steps[0].TransformDB(gd)
 		if err != nil {
-			// The projection was inconsistent: our Lemma 11 database
-			// construction does not cover this instance. Fall back to the
-			// exact engine rather than give a wrong answer.
-			s.stats.Fallbacks++
-			certain, _, cerr := conp.CertainChecked(q, d, s.chk)
-			if cerr != nil {
-				return false, cerr
-			}
-			return certain, nil
+			// The projection was inconsistent: the Lemma 11 database
+			// construction does not cover this instance.
+			return false, fmt.Errorf("%w: saturation step %s of %s: %v", ErrInvariant, steps[0].Name, q, err)
 		}
 		s.stats.Saturations++
 		s.tracef(depth, "saturate (Lemma 11): %s", steps[0].Name)
@@ -369,15 +367,9 @@ func (s *solver) dissolveCase(q query.Query, gd *db.DB, depth int) (bool, error)
 	c := m.PremierCycle(g)
 	if c == nil {
 		// Lemma 15 guarantees a premier cycle in this regime; reaching
-		// this point means our saturation diverged from the technical
-		// report's construction on this query. Stay sound: exact search.
-		s.stats.Fallbacks++
-		s.tracef(depth, "FALLBACK: no premier cycle; exact search")
-		certain, _, err := conp.CertainChecked(q, gd, s.chk)
-		if err != nil {
-			return false, err
-		}
-		return certain, nil
+		// this point means the saturation diverged from the technical
+		// report's construction on this query.
+		return false, fmt.Errorf("%w: no premier Markov cycle in %s", ErrInvariant, q)
 	}
 	s.tracef(depth, "dissolve premier Markov cycle %v (Definition 5)", c)
 	dd, err := dissolve.Dissolve(q, m, c)

@@ -20,7 +20,7 @@ func TestSoakDifferential(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9001))
 	stats := struct {
-		instances, dissolutions, saturations, fallbacks int
+		instances, dissolutions, saturations int
 	}{}
 	check := func(q query.Query, d *db.DB) {
 		if d.NumRepairs() > 1<<14 {
@@ -40,7 +40,6 @@ func TestSoakDifferential(t *testing.T) {
 		stats.instances++
 		stats.dissolutions += st.Dissolutions
 		stats.saturations += st.Saturations
-		stats.fallbacks += st.Fallbacks
 	}
 
 	// Sweep 1: random P-class queries, deeper than the regular tests.
@@ -82,12 +81,9 @@ func TestSoakDifferential(t *testing.T) {
 		check(ex6, workload.RandomDB(rng, ex6, dp))
 	}
 
-	t.Logf("soak: %d instances, %d dissolutions, %d saturations, %d fallbacks",
-		stats.instances, stats.dissolutions, stats.saturations, stats.fallbacks)
+	t.Logf("soak: %d instances, %d dissolutions, %d saturations",
+		stats.instances, stats.dissolutions, stats.saturations)
 	if stats.instances < 300 {
 		t.Errorf("soak covered only %d instances", stats.instances)
-	}
-	if stats.fallbacks > 0 {
-		t.Logf("NOTE: %d exact-search fallbacks occurred (sound but outside the Lemma 11 construction)", stats.fallbacks)
 	}
 }

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"cqa/internal/faultinject"
+	"cqa/internal/ptime"
 	"cqa/internal/workload"
 )
 
@@ -100,6 +102,22 @@ func TestBudgetExhaustionDegradesToSampling(t *testing.T) {
 	mustJSON(t, rec.Body.Bytes(), &eresp)
 	if eresp.Code != "budget_exhausted" {
 		t.Errorf("code %q, want budget_exhausted", eresp.Code)
+	}
+}
+
+// TestEngineInvariantFailsClosed: a ptime reduction invariant that
+// could not be established answers 500 engine_invariant, never a
+// verdict and never the 422 of a defective request.
+func TestEngineInvariantFailsClosed(t *testing.T) {
+	rec := httptest.NewRecorder()
+	newTestServer().evalError(rec, fmt.Errorf("%w: no premier Markov cycle in R(x | y)", ptime.ErrInvariant))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var eresp errorResponse
+	mustJSON(t, rec.Body.Bytes(), &eresp)
+	if eresp.Code != "engine_invariant" || !strings.Contains(eresp.Error, "R(x | y)") {
+		t.Errorf("error body %+v", eresp)
 	}
 }
 

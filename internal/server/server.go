@@ -42,6 +42,7 @@ import (
 	"cqa/internal/evalctx"
 	"cqa/internal/match"
 	"cqa/internal/plancache"
+	"cqa/internal/ptime"
 	"cqa/internal/query"
 	"cqa/internal/rewrite"
 	"cqa/internal/store"
@@ -255,7 +256,8 @@ func (s *Server) Handler() http.Handler {
 type errorResponse struct {
 	Error string `json:"error"`
 	// Code is a stable machine-readable cause: "deadline_exceeded",
-	// "budget_exhausted", "overloaded", "not_ready", "internal_panic".
+	// "budget_exhausted", "overloaded", "not_ready", "internal_panic",
+	// "engine_invariant".
 	Code string `json:"code,omitempty"`
 }
 
@@ -284,12 +286,16 @@ type certainRequest struct {
 	// downwards-or-equal of the server cap, enforced loosely: a request
 	// cannot disable the budget).
 	MaxSteps int64 `json:"maxSteps,omitempty"`
-	// Approximate controls graceful degradation of a budget-exhausted
-	// coNP evaluation to repair sampling; nil means the server default
-	// (enabled). Explicitly false turns exhaustion into a
-	// budget_exhausted error.
+	// Approximate controls graceful degradation: a budget-exhausted
+	// coNP decision falls back to the repair counter's estimate, and a
+	// count samples an oversized constraint component. nil means the
+	// server default (enabled). Explicitly false turns exhaustion into
+	// a budget_exhausted error and an oversized component into
+	// component_too_large.
 	Approximate *bool `json:"approximate,omitempty"`
-	// Samples is the sampling budget of the degraded path.
+	// Samples is the Monte Carlo draw count per estimated constraint
+	// component, on /v1/count and on a degraded decision alike; 0
+	// selects counting.DefaultSamples.
 	Samples int `json:"samples,omitempty"`
 }
 
@@ -306,9 +312,10 @@ type certainResponse struct {
 	Cached  bool   `json:"cached"`
 	DB      *dbRef `json:"db,omitempty"`
 	// Approximate marks a degraded answer: the exact coNP search ran
-	// out of its step budget and Certain reports whether every sampled
-	// repair satisfied the query; Fraction is the sampled satisfying
-	// fraction.
+	// out of its step budget, and Fraction is the satisfying-repair
+	// fraction /v1/count reports for the same query, database and
+	// samples (an estimate when a constraint component was sampled);
+	// Certain is then Fraction >= 1.
 	Approximate bool     `json:"approximate,omitempty"`
 	Fraction    *float64 `json:"fraction,omitempty"`
 	// Trace is the per-stage breakdown; present only when the request
@@ -464,7 +471,8 @@ const statusClientClosedRequest = 499
 // could not finish in time — retrying with a longer timeoutMs or a
 // smaller database may succeed), a spent step budget without
 // degradation is a 422 (deterministic: retrying is pointless), a
-// cancelled client is logged as 499, and everything else keeps the
+// cancelled client is logged as 499, a ptime reduction invariant that
+// failed is a 500 (the engine's defect), and everything else keeps the
 // pre-existing 422 semantics (e.g. forcing the fo engine on a cyclic
 // query).
 func (s *Server) evalError(w http.ResponseWriter, err error) {
@@ -503,6 +511,11 @@ func (s *Server) evalError(w http.ResponseWriter, err error) {
 	case errors.Is(err, evalctx.ErrBudgetExceeded):
 		httpErrorCode(w, http.StatusUnprocessableEntity, "budget_exhausted",
 			"evaluation step budget exhausted: %v", err)
+	case errors.Is(err, ptime.ErrInvariant):
+		// The polynomial algorithm met an instance its reduction does
+		// not cover: a defect of the engine, not of the request.
+		httpErrorCode(w, http.StatusInternalServerError, "engine_invariant",
+			"evaluation failed closed: %v", err)
 	case errors.Is(err, counting.ErrComponentTooLarge):
 		// Only reachable with approximate explicitly false: the default
 		// counting contract degrades oversized components to sampling.

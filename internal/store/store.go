@@ -122,11 +122,10 @@ func (s *Snapshot) IndexTraced(tr *trace.Tracer) *match.Index {
 		panic(err)
 	}
 	ix := match.NewIndex(s.DB)
-	// Warm the memoized structures now so the build cost is paid exactly
-	// once, here, rather than by whichever request happens to touch a
-	// cold structure first.
-	s.DB.Blocks()
-	s.DB.ActiveDomain()
+	// Warm the columnar view now so its build cost is paid exactly once,
+	// here, rather than by whichever request touches it first. The FO
+	// engine reads only the view; the row index (DB.Blocks) is left to
+	// the first request of an engine that reads it.
 	s.DB.Columnar()
 	s.index.Store(ix)
 	if s.stats != nil {

@@ -46,19 +46,17 @@ const (
 	StagePTime
 	// StageCoNP is the DPLL falsifying-repair search.
 	StageCoNP
-	// StageSampling is the degraded repair-sampling path of a
-	// budget-exhausted coNP evaluation.
-	StageSampling
 	// StageCount is the #CERTAINTY repair-counting engine: constraint
 	// extraction, component factorization, and the per-component exact
-	// enumeration or Monte Carlo estimation.
+	// enumeration or Monte Carlo estimation — for /v1/count and for the
+	// degraded estimate of a budget-exhausted coNP decision alike.
 	StageCount
 	numStages
 )
 
 var stageNames = [numStages]string{
 	"normalize", "compile", "index-build", "purify", "match",
-	"eliminator", "ptime", "conp", "sampling", "count",
+	"eliminator", "ptime", "conp", "count",
 }
 
 // String names the stage as it appears in breakdowns and metrics.
