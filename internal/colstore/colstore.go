@@ -5,8 +5,7 @@
 // ground-key → block open-addressing hash table probed without
 // allocating. The package knows nothing about databases or queries;
 // internal/db builds one Rel per relation, in the relation's block
-// order, and keeps the row-oriented []Fact API as the compatibility
-// surface.
+// order, as a view derived from the blocks, where the facts are stored.
 package colstore
 
 import (

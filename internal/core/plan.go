@@ -243,11 +243,6 @@ func (p *Plan) CheckCandidates(ctx context.Context, ix *match.Index, free []quer
 		}
 	}
 	workers := poolSize(opts.Workers, len(cands))
-	if workers > 1 && !p.ScatterableFO(opts) {
-		// Build the row index once, not in every worker. FO checks run
-		// on the columnar eliminator and never read it.
-		ix.DB.Blocks()
-	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wchk := chk.Fork() // before run(chk) below starts polling chk

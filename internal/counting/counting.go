@@ -110,8 +110,10 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 	}
 
 	total := big.NewInt(1)
-	for _, b := range ix.DB.Blocks() {
-		total.Mul(total, big.NewInt(int64(len(b.Facts))))
+	for _, name := range ix.DB.Relations() {
+		for _, b := range ix.DB.BlocksOf(name) {
+			total.Mul(total, big.NewInt(int64(len(b.Facts))))
+		}
 	}
 	res := Result{Total: total, Exact: true}
 	if q.Empty() {

@@ -72,11 +72,10 @@ func (c *ColDB) RelNames() []string { return c.names }
 func (c *ColDB) Progs() *sync.Map { return &c.progs }
 
 // Columnar returns the memoized columnar view, building it on first
-// use. Like index(), racing builders may construct the view twice; the
-// build is deterministic (interning order follows fact order), so
-// either result is identical and readers stay consistent. ResetCaches
-// drops the view along with the row index; Apply derives the child's
-// view incrementally instead of dropping it.
+// use. Racing builders may construct the view twice; the build is
+// deterministic (interning order follows fact order), so either result
+// is identical and readers stay consistent. ResetCaches drops the view;
+// Apply derives the child's view incrementally instead of dropping it.
 func (d *DB) Columnar() *ColDB {
 	if c := d.colMemo.Load(); c != nil {
 		return c
@@ -91,14 +90,9 @@ func (d *DB) buildColumnar() *ColDB {
 		Syms: sym.NewTable(),
 		rels: make(map[string]*ColRel, len(d.rels)),
 	}
-	// Intern every constant in Facts() order first, so the ID
-	// assignment is a pure function of the fact sequence regardless of
-	// relation-map iteration order below.
-	for _, f := range d.Facts() {
-		for _, a := range f.Args {
-			c.Syms.Intern(string(a))
-		}
-	}
+	// Interning walks the segments in fact order (first-seen relation,
+	// block, slot), so the ID assignment is a pure function of the fact
+	// sequence.
 	for _, name := range d.relOrder {
 		seg := d.rels[name]
 		if len(seg.blocks) == 0 {

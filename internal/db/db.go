@@ -1,14 +1,15 @@
 // Package db implements uncertain databases: finite sets of facts whose
 // relations carry primary keys that may be violated. It provides blocks
 // (maximal sets of key-equal facts), repairs (maximal consistent subsets,
-// obtained by picking exactly one fact per block), and the bookkeeping the
-// solvers need: indexes, active domains, and repair enumeration.
+// obtained by picking exactly one fact per block), ground-key block
+// probes, and repair enumeration.
 //
 // A DB is organized as per-relation segments (relSeg): each relation owns
-// its block slice and key→block table. That layout is what makes MVCC
-// writes cheap — Apply builds the next version by cloning only the
-// touched relations' segments and aliasing the rest, so a single-fact
-// delta costs O(touched relation), not O(database).
+// its block slice and key→block table, and the blocks are the only place
+// a fact is stored. That layout is what makes MVCC writes cheap — Apply
+// builds the next version by cloning only the touched relations'
+// segments and aliasing the rest, so a single-fact delta costs
+// O(touched relation), not O(database).
 package db
 
 import (
@@ -150,11 +151,6 @@ type relSeg struct {
 	blocks []Block
 	byID   map[string]int // block ID -> position in blocks
 
-	// facts is the relation's facts in insertion order; nil on cloned
-	// segments, which rebuild it lazily from the blocks (lazyFacts).
-	facts     []Fact
-	lazyFacts atomic.Pointer[[]Fact]
-
 	// shared marks the blocks slice and byID table as aliased by another
 	// version: a mutation must clone the segment first. cow marks the
 	// Facts slices inside blocks as possibly aliased: a mutation must
@@ -187,115 +183,36 @@ func (s *relSeg) checkSignature(f Fact) error {
 		f, f.Rel, f.Rel.Name, s.rel)
 }
 
-// factsView returns the segment's facts, materializing them from the
-// blocks on first use for cloned segments.
-func (s *relSeg) factsView() []Fact {
-	if s.facts != nil {
-		return s.facts
-	}
-	if p := s.lazyFacts.Load(); p != nil {
-		return *p
-	}
-	n := 0
-	for _, b := range s.blocks {
-		n += len(b.Facts)
-	}
-	fs := make([]Fact, 0, n)
-	for _, b := range s.blocks {
-		fs = append(fs, b.Facts...)
-	}
-	s.lazyFacts.CompareAndSwap(nil, &fs)
-	return *s.lazyFacts.Load()
-}
-
 // DB is an uncertain database: a set of facts organized into per-relation
 // segments. The zero value is not ready; use New.
 //
-// Every engine path loads a database once and then only reads it, so the
-// derived lookup structures — the global block slice, the active domain,
-// and the columnar view — are memoized on first use and invalidated by
-// Add. Concurrent readers are safe (memos are published through atomic
-// pointers); mutation (Add, Apply) must not race with other mutations of
-// the same DB. Apply is safe to run concurrently with readers of the
-// receiver: it never modifies anything readers look at.
+// The segments' blocks are the database's one stored form: every fact
+// list (Facts, FactsOf, Blocks) is built from them on demand, in one
+// order — relations in first-seen order, then block order, then the
+// order within the block. The only derived structure is the columnar
+// view, memoized on first use and dropped by Add. Concurrent readers are
+// safe (the view is published through an atomic pointer); mutation (Add,
+// Apply) must not race with other mutations of the same DB. Apply is
+// safe to run concurrently with readers of the receiver: it never
+// modifies anything readers look at.
 type DB struct {
 	rels     map[string]*relSeg
 	relOrder []string // relation names in first-seen order
 	nfacts   int
 	nblocks  int
 
-	// log holds the facts in global insertion order for databases built
-	// by Add/FromFacts, preserving the historical Facts()/String()
-	// ordering exactly. Apply-derived versions leave it nil and serve
-	// Facts() grouped by relation (first-seen relation order, then block
-	// order, then within-block insertion order).
-	log []Fact
-
 	// sharedOrder marks relOrder as aliased by another version: an
 	// extension must copy first, or sibling versions appending into one
 	// backing array would corrupt each other.
 	sharedOrder bool
 
-	memo    atomic.Pointer[dbIndex]
 	colMemo atomic.Pointer[ColDB]
 }
 
-// dbIndex holds the derived global read-only structures. It is built in
-// one pass over the segments and shared by all readers, who must treat
-// everything inside as immutable.
-type dbIndex struct {
-	blocks []Block       // all blocks, grouped by relation in first-seen order
-	adom   []query.Const // active domain, sorted
-	facts  []Fact        // global fact order; only set when the DB has no log
-}
-
-// index returns the memoized lookup structures, building them on first
-// use. Racing builders may construct the index twice; both results are
-// identical and either may win the publish, so readers are always
-// consistent.
-func (d *DB) index() *dbIndex {
-	if ix := d.memo.Load(); ix != nil {
-		return ix
-	}
-	ix := d.buildIndex()
-	d.memo.CompareAndSwap(nil, ix)
-	return d.memo.Load()
-}
-
-func (d *DB) buildIndex() *dbIndex {
-	ix := &dbIndex{blocks: make([]Block, 0, d.nblocks)}
-	for _, name := range d.relOrder {
-		ix.blocks = append(ix.blocks, d.rels[name].blocks...)
-	}
-	seen := make(map[query.Const]bool)
-	for _, b := range ix.blocks {
-		for _, f := range b.Facts {
-			for _, c := range f.Args {
-				seen[c] = true
-			}
-		}
-	}
-	ix.adom = make([]query.Const, 0, len(seen))
-	for c := range seen {
-		ix.adom = append(ix.adom, c)
-	}
-	sort.Slice(ix.adom, func(i, j int) bool { return ix.adom[i] < ix.adom[j] })
-	if d.log == nil {
-		facts := make([]Fact, 0, d.nfacts)
-		for _, name := range d.relOrder {
-			facts = append(facts, d.rels[name].factsView()...)
-		}
-		ix.facts = facts
-	}
-	return ix
-}
-
-// ResetCaches drops the memoized lookup structures — the global index and
-// the columnar view both rebuild on next use. Add calls it
-// automatically — it is exported only so cold-path benchmarks can
-// measure the first-request cost of an index build.
+// ResetCaches drops the memoized columnar view, which rebuilds on next
+// use. Add calls it automatically — it is exported only so cold-path
+// benchmarks can measure the first-request cost of a view build.
 func (d *DB) ResetCaches() {
-	d.memo.Store(nil)
 	d.colMemo.Store(nil)
 }
 
@@ -315,7 +232,7 @@ func FromFacts(facts ...Fact) *DB {
 
 // Add inserts a fact; duplicates are ignored. It returns true if the fact
 // was new. A duplicate insert is a pure no-op: it does not invalidate the
-// memoized index or columnar view (see TestAddDuplicateKeepsCaches).
+// memoized columnar view (see TestAddDuplicateKeepsCaches).
 // Every relation name has one signature (arity, key length, mode), fixed
 // by its first fact: Add panics on a fact that contradicts it, like
 // NewFact on a wrong argument count. Insert returns the error instead.
@@ -377,16 +294,6 @@ func (d *DB) Insert(f Fact) (bool, error) {
 		d.rels[name] = seg
 		d.appendRelOrder(name)
 	}
-	if seg.facts != nil {
-		seg.facts = append(seg.facts, f)
-	} else if len(seg.blocks) == 1 && len(seg.blocks[0].Facts) == 1 {
-		seg.facts = []Fact{f}
-	} else {
-		seg.lazyFacts.Store(nil)
-	}
-	if d.log != nil || d.nfacts == 0 {
-		d.log = append(d.log, f)
-	}
 	d.nfacts++
 	d.ResetCaches()
 	return true, nil
@@ -424,29 +331,35 @@ func (d *DB) Has(f Fact) bool {
 // Len returns the number of facts.
 func (d *DB) Len() int { return d.nfacts }
 
-// Facts returns all facts. For databases built by Add the order is the
-// global insertion order; Apply-derived versions group facts by relation
-// (first-seen relation order, then block order, then within-block
-// insertion order). The caller must not modify the returned slice.
+// Facts returns all facts, built fresh from the blocks: relations in
+// first-seen order, then block order, then the order within the block.
+// A database and any copy of it built from this list (Clone, a String
+// round trip) list their facts identically.
 func (d *DB) Facts() []Fact {
-	if d.log != nil {
-		return d.log
-	}
 	if d.nfacts == 0 {
 		return nil
 	}
-	return d.index().facts
+	facts := make([]Fact, 0, d.nfacts)
+	for _, name := range d.relOrder {
+		for _, b := range d.rels[name].blocks {
+			facts = append(facts, b.Facts...)
+		}
+	}
+	return facts
 }
 
-// FactsOf returns the facts of the named relation in insertion order.
-// The returned slice is memoized and shared; the caller must not modify
-// it.
+// FactsOf returns the facts of the named relation, built fresh from its
+// blocks in block order.
 func (d *DB) FactsOf(relName string) []Fact {
 	seg := d.rels[relName]
 	if seg == nil {
 		return nil
 	}
-	return seg.factsView()
+	var facts []Fact
+	for _, b := range seg.blocks {
+		facts = append(facts, b.Facts...)
+	}
+	return facts
 }
 
 // Signature returns the signature stored for the named relation; ok
@@ -476,11 +389,15 @@ func (d *DB) Relations() []string {
 	return names
 }
 
-// Blocks returns all blocks, grouped by relation in first-seen order.
-// The returned slice and the fact slices inside are memoized and shared;
+// Blocks returns all blocks, grouped by relation in first-seen order, in
+// a fresh slice. The fact slices inside are shared with the database;
 // the caller must not modify them.
 func (d *DB) Blocks() []Block {
-	return d.index().blocks
+	blocks := make([]Block, 0, d.nblocks)
+	for _, name := range d.relOrder {
+		blocks = append(blocks, d.rels[name].blocks...)
+	}
+	return blocks
 }
 
 // BlocksOf returns the blocks of the named relation in first-seen order.
@@ -584,10 +501,24 @@ func (d *DB) NumRepairs() float64 {
 }
 
 // ActiveDomain returns adom(db): the set of constants occurring in the
-// database, sorted. The returned slice is memoized and shared; the
-// caller must not modify it.
+// database, sorted, in a fresh slice.
 func (d *DB) ActiveDomain() []query.Const {
-	return d.index().adom
+	seen := make(map[query.Const]bool)
+	for _, seg := range d.rels {
+		for _, b := range seg.blocks {
+			for _, f := range b.Facts {
+				for _, c := range f.Args {
+					seen[c] = true
+				}
+			}
+		}
+	}
+	adom := make([]query.Const, 0, len(seen))
+	for c := range seen {
+		adom = append(adom, c)
+	}
+	sort.Slice(adom, func(i, j int) bool { return adom[i] < adom[j] })
+	return adom
 }
 
 // Clone returns an independent copy of the database.
@@ -608,15 +539,6 @@ func (d *DB) Filter(keep func(Fact) bool) *DB {
 		}
 	}
 	return c
-}
-
-// Without returns a new database with the given facts removed.
-func (d *DB) Without(facts []Fact) *DB {
-	drop := make(map[string]bool, len(facts))
-	for _, f := range facts {
-		drop[f.ID()] = true
-	}
-	return d.Filter(func(f Fact) bool { return !drop[f.ID()] })
 }
 
 // RestrictRels returns a new database containing only facts of the named

@@ -142,8 +142,8 @@ func TestFilterWithoutRestrict(t *testing.T) {
 	if got := d.RestrictRels(map[string]bool{"R": true}); got.Len() != 1 {
 		t.Errorf("restrict: %d", got.Len())
 	}
-	if got := d.Without([]Fact{NewFact(relR, "a", "1")}); got.Len() != 1 || got.Facts()[0].Rel.Name != "S" {
-		t.Errorf("without: %v", got)
+	if got := d.Filter(func(f Fact) bool { return f.Rel.Name != "R" }); got.Len() != 1 || got.Facts()[0].Rel.Name != "S" {
+		t.Errorf("filter: %v", got)
 	}
 }
 
@@ -214,10 +214,15 @@ func TestParseFactsWithSchema(t *testing.T) {
 }
 
 func TestParseFactErrors(t *testing.T) {
-	for _, bad := range []string{"R(a", "Ra)", "R()", "R(a,,b)"} {
+	for _, bad := range []string{"R(a", "Ra)", "R()", "R(a,,b)", "R(a\x00 | b)"} {
 		if _, err := ParseFact(nil, bad); err == nil {
 			t.Errorf("ParseFact(%q) should fail", bad)
 		}
+	}
+	// Block IDs join key constants with NUL, so these two facts would
+	// share one block although their keys differ.
+	if _, err := ParseFacts(nil, "R(a\x00, b | x)\nR(a, \x00b | y)"); err == nil || !strings.HasPrefix(err.Error(), "line 1:") {
+		t.Errorf("NUL constant not rejected on line 1: %v", err)
 	}
 }
 
@@ -283,9 +288,8 @@ func TestBlockByKey(t *testing.T) {
 	}
 }
 
-// TestIndexInvalidationOnAdd: the memoized block/key/active-domain
-// structures are rebuilt after a mutation, so readers never see stale
-// derived state.
+// TestIndexInvalidationOnAdd: key probes, the active domain and the
+// block lists see every mutation, so readers never see stale state.
 func TestIndexInvalidationOnAdd(t *testing.T) {
 	d := FromFacts(NewFact(relR, "a", "1"))
 	if _, ok := d.BlockByKey("R", []query.Const{"b"}); ok {
@@ -310,40 +314,9 @@ func TestIndexInvalidationOnAdd(t *testing.T) {
 	}
 }
 
-// TestDerivedSlicesMemoized: repeated reads return the same backing
-// arrays (no per-call rebuild), and ResetCaches forces a fresh build.
-func TestDerivedSlicesMemoized(t *testing.T) {
-	d := FromFacts(
-		NewFact(relR, "a", "1"),
-		NewFact(relR, "b", "2"),
-	)
-	b1, b2 := d.BlocksOf("R"), d.BlocksOf("R")
-	if &b1[0] != &b2[0] {
-		t.Error("BlocksOf rebuilt between calls")
-	}
-	f1, f2 := d.FactsOf("R"), d.FactsOf("R")
-	if &f1[0] != &f2[0] {
-		t.Error("FactsOf rebuilt between calls")
-	}
-	a1, a2 := d.ActiveDomain(), d.ActiveDomain()
-	if &a1[0] != &a2[0] {
-		t.Error("ActiveDomain rebuilt between calls")
-	}
-	g1 := d.Blocks()
-	d.ResetCaches()
-	// BlocksOf and FactsOf now read the relation segment (canonical
-	// storage, not a derived cache), so only the global memoized
-	// structures rebuild after a reset.
-	if g2 := d.Blocks(); &g2[0] == &g1[0] {
-		t.Error("ResetCaches did not invalidate the memoized index")
-	}
-	if a3 := d.ActiveDomain(); &a3[0] == &a1[0] {
-		t.Error("ResetCaches did not invalidate the memoized active domain")
-	}
-}
-
-// TestConcurrentIndexReads: concurrent first reads of the lazily built
-// index are safe and consistent; run with -race.
+// TestConcurrentIndexReads: concurrent reads, including the first build
+// of the columnar view the key probe consults, are safe and consistent;
+// run with -race.
 func TestConcurrentIndexReads(t *testing.T) {
 	d := New()
 	for i := 0; i < 200; i++ {
@@ -352,7 +325,7 @@ func TestConcurrentIndexReads(t *testing.T) {
 	done := make(chan int, 8)
 	for w := 0; w < 8; w++ {
 		go func() {
-			n := len(d.Blocks()) + len(d.ActiveDomain()) + len(d.FactsOf("R"))
+			n := len(d.Blocks()) + len(d.ActiveDomain()) + len(d.FactsOf("R")) + len(d.Columnar().RelNames())
 			if _, ok := d.BlockByKey("R", []query.Const{"k"}); !ok {
 				n = -1
 			}

@@ -12,25 +12,17 @@ import (
 
 // TestAddDuplicateKeepsCaches pins the no-op contract of duplicate
 // inserts: Add must decide the duplicate before touching any state, so
-// the memoized index and columnar view stay valid (a serving snapshot
-// replaying an idempotent write must not lose its warm caches).
+// the memoized columnar view stays valid (a serving snapshot replaying
+// an idempotent write must not lose its warm view).
 func TestAddDuplicateKeepsCaches(t *testing.T) {
 	d := FromFacts(
 		NewFact(relR, "a", "1"),
 		NewFact(relR, "a", "2"),
 		NewFact(relS, "x", "y", "z"),
 	)
-	blocks := d.Blocks()
-	adom := d.ActiveDomain()
 	col := d.Columnar()
 	if d.Add(NewFact(relR, "a", "2")) {
 		t.Fatal("duplicate add reported true")
-	}
-	if b2 := d.Blocks(); &b2[0] != &blocks[0] {
-		t.Error("duplicate add invalidated the memoized block index")
-	}
-	if a2 := d.ActiveDomain(); &a2[0] != &adom[0] {
-		t.Error("duplicate add invalidated the memoized active domain")
 	}
 	if d.Columnar() != col {
 		t.Error("duplicate add invalidated the columnar view")
@@ -38,9 +30,6 @@ func TestAddDuplicateKeepsCaches(t *testing.T) {
 	// A genuinely new fact still invalidates.
 	if !d.Add(NewFact(relR, "a", "3")) {
 		t.Fatal("new add reported false")
-	}
-	if b2 := d.Blocks(); len(b2) > 0 && &b2[0] == &blocks[0] {
-		t.Error("real add did not invalidate the memoized block index")
 	}
 	if d.Columnar() == col {
 		t.Error("real add did not invalidate the columnar view")
@@ -131,10 +120,6 @@ func TestApplyStructuralSharing(t *testing.T) {
 	}
 	if &pr[0] == &cr[0] {
 		t.Error("touched relation still aliases the parent")
-	}
-	// The shared FactsOf view of the untouched relation is also shared.
-	if pf, cf := d.FactsOf("S"), child.FactsOf("S"); &pf[0] != &cf[0] {
-		t.Error("untouched FactsOf not shared")
 	}
 }
 
@@ -373,8 +358,8 @@ func TestApplyDerivedFactsOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Derived versions group Facts() by relation in first-seen order: S
-	// first (it was added first), then R's blocks in order.
+	// Facts() lists relations in first-seen order: S first (it was added
+	// first), then R's blocks in order.
 	got := child.Facts()
 	want := []string{"S(x, y | z)", "R(a | 1)", "R(a | 2)", "R(b | 1)"}
 	if len(got) != len(want) {

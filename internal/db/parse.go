@@ -45,7 +45,13 @@ func ParseFacts(s *schema.Schema, text string) (*DB, error) {
 }
 
 // ParseFact parses a single fact like "R(a, b | c)". See ParseFacts.
+// A NUL byte is rejected anywhere in the line: block and fact IDs join
+// constants with NUL, so a constant holding one could make two distinct
+// keys collide.
 func ParseFact(s *schema.Schema, line string) (Fact, error) {
+	if strings.IndexByte(line, 0) >= 0 {
+		return Fact{}, fmt.Errorf("db: fact %q contains a NUL byte", line)
+	}
 	open := strings.IndexByte(line, '(')
 	if open < 0 || !strings.HasSuffix(line, ")") {
 		return Fact{}, fmt.Errorf("db: malformed fact %q", line)

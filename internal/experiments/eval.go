@@ -240,9 +240,9 @@ func evalChainDB(q query.Query, n int) *db.DB {
 // RunEval measures the plan-compiled, index-backed evaluation path
 // (experiment E-index) with the testing benchmark driver and returns the
 // report: one certainty decision per op against a pre-compiled plan, at
-// several instance sizes, with a warm index (memoized block/key
-// structures reused across ops — the serving hot path) and a cold one
-// (caches dropped every op, so each op pays the index build). Quick
+// several instance sizes, with a warm index (the memoized columnar view
+// reused across ops — the serving hot path) and a cold one (the view
+// dropped every op, so each op pays its build). Quick
 // shrinks the size sweep.
 func RunEval(quick bool) (*EvalReport, error) {
 	q := query.MustParse(evalQueryText)

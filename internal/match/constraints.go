@@ -23,7 +23,7 @@ type Constraints struct {
 	// whether a repair satisfies q.
 	Blocks []db.Block
 	// Cons holds one constraint per consistent embedding, in the order
-	// MatchChecked yields them. Refs follow the query's atom order; a
+	// the join yields them. Refs follow the query's atom order; a
 	// fact two atoms share appears once.
 	Cons [][]Ref
 	// Embeddings counts every embedding enumerated, including the
@@ -46,33 +46,15 @@ func (c *Constraints) Constrained(b db.Block) bool {
 // A nil checker enforces nothing.
 func (ix *Index) Constraints(q query.Query, chk *evalctx.Checker) (*Constraints, error) {
 	cs := &Constraints{ord: make(map[*db.Fact]int32)}
-	type hit struct {
-		blk  db.Block
-		slot int32
-	}
-	hits := make([]hit, q.Len())
 	kept := make([]db.Block, 0, q.Len()) // the block of each kept ref
-	var key []query.Const
-	ix.MatchChecked(q, query.Valuation{}, chk, func(v query.Valuation) bool {
+	ix.walk(q, query.Valuation{}, chk, func(_ query.Valuation, hits []hit) bool {
 		cs.Embeddings++
-		// Locate each atom's image: the block by its ground key, the
-		// slot by the ground non-key values. The join matched every
-		// atom to a fact of this database, so neither lookup can miss.
-		for i, a := range q.Atoms {
-			key = key[:0]
-			for _, t := range a.KeyArgs() {
-				c, _ := v.Apply(t)
-				key = append(key, c)
-			}
-			blk, _ := ix.DB.BlockByKey(a.Rel.Name, key)
-			hits[i] = hit{blk: blk, slot: slotOf(blk.Facts, a, v)}
-		}
 		c := make([]Ref, 0, len(hits))
 		kept = kept[:0]
 	next:
 		for i, h := range hits {
 			for _, g := range hits[:i] {
-				if &g.blk.Facts[0] != &h.blk.Facts[0] {
+				if !g.sameBlock(h) {
 					continue
 				}
 				if g.slot != h.slot {
@@ -103,22 +85,4 @@ func (ix *Index) Constraints(q query.Query, chk *evalctx.Checker) (*Constraints,
 		return nil, err
 	}
 	return cs, nil
-}
-
-// slotOf returns the position in facts of the fact the atom maps to
-// under v.
-func slotOf(facts []db.Fact, a query.Atom, v query.Valuation) int32 {
-	for s, f := range facts {
-		same := true
-		for j := a.Rel.KeyLen; j < len(a.Args); j++ {
-			if c, _ := v.Apply(a.Args[j]); c != f.Args[j] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return int32(s)
-		}
-	}
-	return -1
 }

@@ -36,27 +36,6 @@ func (g GBlock) NumRepairs() int {
 	return n
 }
 
-// Repairs enumerates the repairs of the gblock (one fact per block),
-// stopping early when yield returns false. The slice passed to yield is
-// reused; copy to retain.
-func (g GBlock) Repairs(yield func([]db.Fact) bool) {
-	repair := make([]db.Fact, len(g.Blocks))
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(g.Blocks) {
-			return yield(repair)
-		}
-		for _, f := range g.Blocks[i].Facts {
-			repair[i] = f
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0)
-}
-
 // GBlocks groups the simple-key mode-i facts of d by their key constant.
 // Gblocks are defined (Definition 7) in the regime where every mode-i atom
 // is simple-key; facts of composite-key mode-i relations are skipped, so
@@ -94,30 +73,53 @@ func GBlocks(d *db.DB) ([]GBlock, error) {
 // GRelevant reports whether the consistent fact set s is grelevant for q
 // in d (Definition 6): s extends to a repair r of d in which some fact of
 // s is relevant. Equivalently, some match theta of q in d has
-// theta(q) ∩ s ≠ ∅ and theta(q) ∪ s consistent.
+// theta(q) ∩ s ≠ ∅ and theta(q) ∪ s consistent. Facts of s absent from
+// d make it not grelevant.
 func GRelevant(q query.Query, d *db.DB, s []db.Fact) bool {
-	ix := NewIndex(d)
-	return gRelevant(q, ix, s)
+	choice := make([]hit, len(s))
+	for i, f := range s {
+		blk := d.BlockOf(f)
+		choice[i].slot = -1
+		for j, g := range blk.Facts {
+			if g.Equal(f) {
+				choice[i] = hit{blk: blk, slot: int32(j)}
+				break
+			}
+		}
+		if choice[i].slot < 0 {
+			return false
+		}
+	}
+	return gRelevant(q, NewIndex(d), choice)
 }
 
-func gRelevant(q query.Query, ix *Index, s []db.Fact) bool {
-	chosen := make(map[string]string, len(s)) // block ID -> fact ID
-	for _, f := range s {
-		chosen[f.BlockID()] = f.ID()
-	}
-	for _, f := range s {
+// gRelevant is GRelevant for a choice of one fact in each of some
+// blocks of ix's database. The join's hits place every matched fact, so
+// consistency and the clash with the choice are slot comparisons within
+// a block.
+func gRelevant(q query.Query, ix *Index, choice []hit) bool {
+	for _, c := range choice {
+		f := *c.fact()
+		atom, ok := q.AtomWithRel(f.Rel.Name)
+		if !ok {
+			continue
+		}
+		val := query.Valuation{}
+		if _, ok := unify(atom, f, val); !ok {
+			continue
+		}
 		found := false
-		ix.MatchesWith(q, f, func(v query.Valuation) bool {
-			facts, err := db.GroundQuery(q, v)
-			if err != nil {
-				return true // partial match over a subset query; cannot happen here
-			}
-			if !db.ConsistentSet(facts) {
-				return true
-			}
-			for _, g := range facts {
-				if want, ok := chosen[g.BlockID()]; ok && want != g.ID() {
-					return true // clashes with s inside a shared block
+		ix.walk(q.Remove(atom), val, nil, func(_ query.Valuation, hits []hit) bool {
+			for i, h := range hits {
+				for _, g := range hits[:i] {
+					if g.sameBlock(h) && g.slot != h.slot {
+						return true // theta(q) is inconsistent
+					}
+				}
+				for _, g := range choice {
+					if g.sameBlock(h) && g.slot != h.slot {
+						return true // clashes with the choice inside a shared block
+					}
 				}
 			}
 			found = true
@@ -146,25 +148,47 @@ func GPurify(q query.Query, d *db.DB) (*db.DB, error) {
 			return nil, err
 		}
 		ix := NewIndex(cur)
-		var removed []db.Fact
+		removed := make(map[*db.Fact]bool) // removed blocks, by first fact
 		for _, g := range gblocks {
-			bad := false
-			g.Repairs(func(s []db.Fact) bool {
-				if !gRelevant(q, ix, s) {
-					bad = true
-					return false
-				}
-				return true
-			})
-			if bad {
+			if !g.allGRelevant(q, ix) {
 				for _, b := range g.Blocks {
-					removed = append(removed, b.Facts...)
+					removed[&b.Facts[0]] = true
 				}
 			}
 		}
 		if len(removed) == 0 {
 			return cur, nil
 		}
-		cur = Purify(q, cur.Without(removed))
+		var kept []db.Block
+		for _, b := range cur.Blocks() {
+			if !removed[&b.Facts[0]] {
+				kept = append(kept, b)
+			}
+		}
+		cur = Purify(q, fromBlocks(kept))
+	}
+}
+
+// allGRelevant reports whether every repair of the gblock — one slot per
+// block, enumerated like an odometer — is grelevant.
+func (g GBlock) allGRelevant(q query.Query, ix *Index) bool {
+	choice := make([]hit, len(g.Blocks))
+	for i, b := range g.Blocks {
+		choice[i] = hit{blk: b}
+	}
+	for {
+		if !gRelevant(q, ix, choice) {
+			return false
+		}
+		i := 0
+		for ; i < len(choice); i++ {
+			if choice[i].slot++; int(choice[i].slot) < len(choice[i].blk.Facts) {
+				break
+			}
+			choice[i].slot = 0
+		}
+		if i == len(choice) {
+			return true
+		}
 	}
 }

@@ -12,49 +12,35 @@ import (
 	"cqa/internal/trace"
 )
 
-// Index wraps a database with the lookup structures the join needs:
-// facts by relation and blocks by (relation, key value). Since the
-// database memoizes those structures itself, an Index is now a zero-cost
-// view — NewIndex does no per-relation copying — and one database shared
-// by many goroutines needs no per-caller index construction.
+// Index is the join's view of a database: the relations' blocks, probed
+// by (relation, key value) when an atom's key is bound and scanned
+// otherwise. It holds no copy of its own — NewIndex does no
+// per-relation work — so one database shared by many goroutines needs
+// no per-caller index construction.
 type Index struct {
 	DB *db.DB
 }
 
-// NewIndex builds an index over the database. It is O(1): the lookup
-// structures live in the database and are built once on first use.
+// NewIndex builds an index over the database. It is O(1): the blocks
+// and their key tables live in the database.
 func NewIndex(d *db.DB) *Index {
 	return &Index{DB: d}
 }
 
-// candidates returns the facts that could match the atom under the current
-// valuation: the block (one hash probe) when the key is fully bound,
-// otherwise all facts of the relation. The key buffer lives on the
-// stack for ordinary key widths — the probe itself does not retain it —
-// so the join's per-atom probes stay allocation-free.
-func (ix *Index) candidates(a query.Atom, val query.Valuation) []db.Fact {
-	keyBound := true
-	var buf [8]query.Const
-	var keyArgs []query.Const
-	if a.Rel.KeyLen <= len(buf) {
-		keyArgs = buf[:a.Rel.KeyLen]
-	} else {
-		keyArgs = make([]query.Const, a.Rel.KeyLen)
-	}
-	for i, t := range a.KeyArgs() {
-		c, ok := val.Apply(t)
-		if !ok {
-			keyBound = false
-			break
-		}
-		keyArgs[i] = c
-	}
-	if keyBound {
-		b, _ := ix.DB.BlockByKey(a.Rel.Name, keyArgs)
-		return b.Facts
-	}
-	return ix.DB.FactsOf(a.Rel.Name)
+// hit is the fact one atom matched: its block and its slot in the
+// block's Facts. The zero hit (nil Facts) marks an atom the join has not
+// matched yet.
+type hit struct {
+	blk  db.Block
+	slot int32
 }
+
+// fact returns the matched fact in place, so its address identifies it
+// within the database version.
+func (h hit) fact() *db.Fact { return &h.blk.Facts[h.slot] }
+
+// sameBlock reports whether two hits lie in one block.
+func (h hit) sameBlock(g hit) bool { return &h.blk.Facts[0] == &g.blk.Facts[0] }
 
 // unify attempts to extend val so that the atom maps onto the fact.
 // It returns the list of variables newly bound (for undo) and whether the
@@ -148,23 +134,29 @@ func (ix *Index) Match(q query.Query, partial query.Valuation, yield func(query.
 // false; callers distinguish abort from exhaustion via chk.Err(). A nil
 // checker enforces nothing.
 func (ix *Index) MatchChecked(q query.Query, partial query.Valuation, chk *evalctx.Checker, yield func(query.Valuation) bool) bool {
-	val := partial.Clone()
-	used := make([]bool, q.Len())
-	return ix.matchRec(q, used, val, chk, yield)
+	return ix.walk(q, partial, chk, func(v query.Valuation, _ []hit) bool { return yield(v) })
 }
 
-func (ix *Index) matchRec(q query.Query, used []bool, val query.Valuation, chk *evalctx.Checker, yield func(query.Valuation) bool) bool {
+// walk is the backtracking join. Besides the valuation it hands yield
+// the hit of every atom, in atom order (reused across calls), so readers
+// that need the matched facts take them from the blocks the join
+// visited instead of grounding the atoms again.
+func (ix *Index) walk(q query.Query, partial query.Valuation, chk *evalctx.Checker, yield func(query.Valuation, []hit) bool) bool {
+	val := partial.Clone()
+	hits := make([]hit, q.Len())
+	return ix.walkRec(q, hits, val, chk, yield)
+}
+
+func (ix *Index) walkRec(q query.Query, hits []hit, val query.Valuation, chk *evalctx.Checker, yield func(query.Valuation, []hit) bool) bool {
 	// Find the next atom: prefer fully-bound keys (block lookup), then the
 	// atom with the most bound positions.
 	next := -1
 	bestBound := -1
 	bestKey := false
-	remaining := 0
 	for i, a := range q.Atoms {
-		if used[i] {
+		if hits[i].blk.Facts != nil {
 			continue
 		}
-		remaining++
 		b, kb := boundCount(a, val)
 		if kb && !bestKey {
 			next, bestBound, bestKey = i, b, true
@@ -172,13 +164,46 @@ func (ix *Index) matchRec(q query.Query, used []bool, val query.Valuation, chk *
 			next, bestBound = i, b
 		}
 	}
-	if remaining == 0 {
-		return yield(val)
+	if next < 0 {
+		return yield(val, hits)
 	}
 	a := q.Atoms[next]
-	used[next] = true
-	defer func() { used[next] = false }()
-	for _, f := range ix.candidates(a, val) {
+	defer func() { hits[next] = hit{} }()
+	if bestKey {
+		blk, ok := ix.probe(a, val)
+		return !ok || ix.scan(q, next, blk, hits, val, chk, yield)
+	}
+	for _, blk := range ix.DB.BlocksOf(a.Rel.Name) {
+		if !ix.scan(q, next, blk, hits, val, chk, yield) {
+			return false
+		}
+	}
+	return true
+}
+
+// probe returns the one block that can match an atom whose key val
+// binds fully. The key buffer lives on the stack for ordinary key
+// widths — the probe itself does not retain it — so the join's per-atom
+// probes stay allocation-free.
+func (ix *Index) probe(a query.Atom, val query.Valuation) (db.Block, bool) {
+	var buf [8]query.Const
+	var key []query.Const
+	if a.Rel.KeyLen <= len(buf) {
+		key = buf[:a.Rel.KeyLen]
+	} else {
+		key = make([]query.Const, a.Rel.KeyLen)
+	}
+	for i, t := range a.KeyArgs() {
+		key[i], _ = val.Apply(t)
+	}
+	return ix.DB.BlockByKey(a.Rel.Name, key)
+}
+
+// scan unifies atom i with each fact of blk in slot order and recurses
+// on every success.
+func (ix *Index) scan(q query.Query, i int, blk db.Block, hits []hit, val query.Valuation, chk *evalctx.Checker, yield func(query.Valuation, []hit) bool) bool {
+	a := q.Atoms[i]
+	for s, f := range blk.Facts {
 		if chk.Step() != nil {
 			return false
 		}
@@ -186,7 +211,8 @@ func (ix *Index) matchRec(q query.Query, used []bool, val query.Valuation, chk *
 		if !ok {
 			continue
 		}
-		cont := ix.matchRec(q, used, val, chk, yield)
+		hits[i] = hit{blk: blk, slot: int32(s)}
+		cont := ix.walkRec(q, hits, val, chk, yield)
 		for _, v := range added {
 			delete(val, v)
 		}
@@ -256,23 +282,6 @@ func AllMatches(q query.Query, d *db.DB) []query.Valuation {
 	return NewIndex(d).All(q)
 }
 
-// AllMatchesChecked is AllMatches under a cancellation/budget checker,
-// polled once per enumerated match. A nil checker enforces nothing.
-func AllMatchesChecked(q query.Query, d *db.DB, chk *evalctx.Checker) ([]query.Valuation, error) {
-	sp := chk.Tracer().Begin(trace.StageMatch)
-	var out []query.Valuation
-	NewIndex(d).MatchChecked(q, query.Valuation{}, chk, func(v query.Valuation) bool {
-		out = append(out, v.Clone())
-		return true
-	})
-	sp.End()
-	chk.Tracer().Add(trace.StageMatch, trace.CtrMatches, int64(len(out)))
-	if err := chk.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // RelevantFact reports whether f is relevant for q in d.
 func RelevantFact(q query.Query, d *db.DB, f db.Fact) bool {
 	ix := NewIndex(d)
@@ -325,59 +334,67 @@ func PurifyTraceChecked(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, 
 	tr := chk.Tracer()
 	sp := tr.Begin(trace.StagePurify)
 	defer sp.End()
-	var removals []Removal
-	cur := d.Filter(func(f db.Fact) bool {
-		if q.HasRel(f.Rel.Name) {
-			return true
-		}
-		return false
-	})
 	// Blocks of relations outside q never join with anything; record them
 	// first with an arbitrary witness.
-	seen := make(map[string]bool)
-	for _, f := range d.Facts() {
-		if !q.HasRel(f.Rel.Name) && !seen[f.BlockID()] {
-			seen[f.BlockID()] = true
-			removals = append(removals, Removal{BlockID: f.BlockID(), Witness: f})
+	var removals []Removal
+	var kept []db.Block
+	for _, b := range d.Blocks() {
+		if q.HasRel(b.Facts[0].Rel.Name) {
+			kept = append(kept, b)
+		} else {
+			removals = append(removals, Removal{BlockID: b.ID, Witness: b.Facts[0]})
 		}
 	}
+	cur := fromBlocks(kept)
 	for {
 		tr.Add(trace.StagePurify, trace.CtrRounds, 1)
 		if err := chk.Check(); err != nil {
 			return nil, nil, err
 		}
-		// One embedding enumeration marks every relevant fact; anything
-		// unmarked is irrelevant and dooms its whole block.
-		ix := NewIndex(cur)
-		relevant := make(map[string]bool, cur.Len())
-		ix.MatchChecked(q, query.Valuation{}, chk, func(v query.Valuation) bool {
-			for _, a := range q.Atoms {
-				if f, err := db.FactFromAtom(a, v); err == nil {
-					relevant[f.ID()] = true
-				}
+		// One embedding enumeration marks every relevant fact, by its
+		// place in its block; anything unmarked is irrelevant and dooms
+		// its whole block.
+		relevant := make(map[*db.Fact]bool, cur.Len())
+		NewIndex(cur).walk(q, query.Valuation{}, chk, func(_ query.Valuation, hits []hit) bool {
+			for _, h := range hits {
+				relevant[h.fact()] = true
 			}
 			return true
 		})
-		dropBlocks := make(map[string]bool)
-		for _, f := range cur.Facts() {
+		kept = kept[:0]
+		dropped := false
+	blocks:
+		for _, b := range cur.Blocks() {
 			if chk.Step() != nil {
 				break
 			}
-			if dropBlocks[f.BlockID()] {
-				continue
+			for s := range b.Facts {
+				if !relevant[&b.Facts[s]] {
+					removals = append(removals, Removal{BlockID: b.ID, Witness: b.Facts[s]})
+					dropped = true
+					continue blocks
+				}
 			}
-			if !relevant[f.ID()] {
-				dropBlocks[f.BlockID()] = true
-				removals = append(removals, Removal{BlockID: f.BlockID(), Witness: f})
-			}
+			kept = append(kept, b)
 		}
 		if err := chk.Err(); err != nil {
 			return nil, nil, err
 		}
-		if len(dropBlocks) == 0 {
+		if !dropped {
 			tr.Add(trace.StagePurify, trace.CtrFacts, int64(len(removals)))
 			return cur, removals, nil
 		}
-		cur = cur.Filter(func(f db.Fact) bool { return !dropBlocks[f.BlockID()] })
+		cur = fromBlocks(kept)
 	}
+}
+
+// fromBlocks returns a database holding the given blocks, in order.
+func fromBlocks(blocks []db.Block) *db.DB {
+	d := db.New()
+	for _, b := range blocks {
+		for _, f := range b.Facts {
+			d.Add(f)
+		}
+	}
+	return d
 }

@@ -174,8 +174,9 @@ func (s *solver) solve(q query.Query, d *db.DB, depth int) (bool, error) {
 		return v, nil
 	}
 
-	// Step 1: purify; an empty purified database admits no embedding, so
-	// some repair falsifies q.
+	// Step 1: purify. Every fact of a purified database lies on an
+	// embedding (Lemma 1), so it admits none exactly when it is empty, and
+	// then some repair falsifies q.
 	pd, _, err := match.PurifyTraceChecked(q, d, s.chk)
 	if err != nil {
 		return false, err
@@ -183,11 +184,7 @@ func (s *solver) solve(q query.Query, d *db.DB, depth int) (bool, error) {
 	if pd.Len() != d.Len() {
 		s.tracef(depth, "purify (Lemma 1): %d -> %d facts", d.Len(), pd.Len())
 	}
-	ms, err := match.AllMatchesChecked(q, pd, s.chk)
-	if err != nil {
-		return false, err
-	}
-	if len(ms) == 0 {
+	if pd.Len() == 0 {
 		s.tracef(depth, "no embedding survives purification: NOT certain")
 		s.memoPut(d, q.Canonical(), false)
 		return false, nil
@@ -262,11 +259,8 @@ func (s *solver) branch(q query.Query, d *db.DB, depth int) (bool, error) {
 		if gd.Len() != d.Len() {
 			s.tracef(depth, "gpurify (Lemma 17): %d -> %d facts", d.Len(), gd.Len())
 		}
-		gms, err := match.AllMatchesChecked(q, gd, s.chk)
-		if err != nil {
-			return false, err
-		}
-		if len(gms) == 0 {
+		// gd is purified too, so it is empty iff no embedding survives.
+		if gd.Len() == 0 {
 			s.tracef(depth, "no embedding survives gpurification: NOT certain")
 			return false, nil
 		}

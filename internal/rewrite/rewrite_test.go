@@ -32,13 +32,15 @@ func TestCertainPath(t *testing.T) {
 	if err != nil || !got {
 		t.Fatalf("Certain = %v, %v; want true", got, err)
 	}
-	d.Add(db.Fact{Rel: d.Facts()[0].Rel, Args: []query.Const{"a", "dead"}})
+	rRel, _ := d.Signature("R")
+	sRel, _ := d.Signature("S")
+	d.Add(db.Fact{Rel: rRel, Args: []query.Const{"a", "dead"}})
 	got, err = Certain(q, d)
 	if err != nil || got {
 		t.Fatalf("Certain = %v, %v; want false after adding R(a | dead)", got, err)
 	}
 	// Adding S(dead | c) restores certainty: both R-choices now join.
-	d.Add(db.Fact{Rel: d.Facts()[1].Rel, Args: []query.Const{"dead", "c"}})
+	d.Add(db.Fact{Rel: sRel, Args: []query.Const{"dead", "c"}})
 	got, err = Certain(q, d)
 	if err != nil || !got {
 		t.Fatalf("Certain = %v, %v; want true after adding S(dead | c)", got, err)

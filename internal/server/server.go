@@ -1091,6 +1091,9 @@ func (s *Server) handleDBMutate(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, store.ErrNotFound):
 		httpError(w, http.StatusNotFound, "unknown database %q", name)
 		return
+	case errors.Is(err, store.ErrCommitAborted):
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
 	case err != nil:
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -527,6 +527,21 @@ func TestDBPutRejectsConflictingSignature(t *testing.T) {
 	}
 }
 
+// TestDBPutRejectsNULConstant: block IDs join key constants with NUL,
+// so R(a\x00, b | x) and R(a, \x00b | y) would share one block and
+// break every later evaluation of the database. The upload is a 400
+// that publishes nothing.
+func TestDBPutRejectsNULConstant(t *testing.T) {
+	h := newTestServer().Handler()
+	rec := do(t, h, "PUT", "/v1/db/nul", "R(a\x00, b | x)\nR(a, \x00b | y)\n", nil)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "NUL") {
+		t.Fatalf("put with a NUL constant: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, h, "GET", "/v1/db/nul", "", nil); rec.Code != http.StatusNotFound {
+		t.Errorf("rejected upload published a snapshot: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
 func TestDBBodyTooLarge(t *testing.T) {
 	h := newTestServer().Handler()
 	big := strings.Repeat("x", maxBodyBytes+1)

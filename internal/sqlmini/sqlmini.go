@@ -118,20 +118,23 @@ func (o operand) value(e *env) (string, error) {
 
 func (x exists) eval(e *env) (bool, error) {
 	found := false
-	for _, f := range e.d.FactsOf(x.rel) {
-		e.rows[x.alias] = f
-		ok := true
-		if x.where != nil {
-			var err error
-			ok, err = x.where.eval(e)
-			if err != nil {
-				delete(e.rows, x.alias)
-				return false, err
+rows:
+	for _, b := range e.d.BlocksOf(x.rel) {
+		for _, f := range b.Facts {
+			e.rows[x.alias] = f
+			ok := true
+			if x.where != nil {
+				var err error
+				ok, err = x.where.eval(e)
+				if err != nil {
+					delete(e.rows, x.alias)
+					return false, err
+				}
 			}
-		}
-		if ok {
-			found = true
-			break
+			if ok {
+				found = true
+				break rows
+			}
 		}
 	}
 	delete(e.rows, x.alias)

@@ -17,6 +17,11 @@ import (
 // ErrNotFound reports a mutation against a name with no snapshot.
 var ErrNotFound = errors.New("store: database not found")
 
+// ErrCommitAborted reports a delta whose batch, or an earlier batch of
+// the same name it was queued behind, panicked while committing (a WAL
+// append failure or an injected fault): the delta was not published.
+var ErrCommitAborted = errors.New("store: commit aborted by a panic; delta not published")
+
 // mutator serializes the deltas of one name into group commits: the
 // first arrival becomes the leader and commits everything queued behind
 // it as one Apply, so a burst of concurrent writers pays one version
@@ -40,6 +45,16 @@ type pendingDelta struct {
 func (p *pendingDelta) finish(snap *Snapshot, res *db.ApplyResult, err error) {
 	p.snap, p.res, p.err = snap, res, err
 	close(p.done)
+}
+
+// abort fails the delta with ErrCommitAborted unless a commit already
+// finished it. Only the leader finishes deltas, so the check is not racy.
+func (p *pendingDelta) abort() {
+	select {
+	case <-p.done:
+	default:
+		p.finish(nil, nil, ErrCommitAborted)
+	}
 }
 
 func (s *Store) mutatorFor(name string) *mutator {
@@ -79,8 +94,26 @@ func (s *Store) ApplyDelta(name string, delta db.Delta) (*Snapshot, *db.ApplyRes
 		return p.snap, p.res, p.err
 	}
 	m.busy = true
+	var batch []*pendingDelta
+	committed := false
+	defer func() {
+		if committed {
+			return
+		}
+		// commitBatch panicked and the panic is unwinding through here:
+		// release the name and fail everything not yet finished, or its
+		// waiters and every later writer would block forever.
+		m.mu.Lock()
+		rest := append(batch, m.queue...)
+		m.queue = nil
+		m.busy = false
+		m.mu.Unlock()
+		for _, p := range rest {
+			p.abort()
+		}
+	}()
 	for len(m.queue) > 0 {
-		batch := m.queue
+		batch = m.queue
 		m.queue = nil
 		m.mu.Unlock()
 		s.commitBatch(name, batch)
@@ -88,6 +121,7 @@ func (s *Store) ApplyDelta(name string, delta db.Delta) (*Snapshot, *db.ApplyRes
 	}
 	m.busy = false
 	m.mu.Unlock()
+	committed = true
 	return p.snap, p.res, p.err
 }
 
@@ -165,10 +199,10 @@ func (s *Store) publishDelta(cur *Snapshot, child *db.DB, res *db.ApplyResult, m
 		LoadedAt:  time.Now(),
 		stats:     cur.stats,
 	}
-	// The child needs no index build of its own: its memoized structures
-	// derive from the parent's (Apply already respliced the columnar
-	// view), so the eval index publishes eagerly and the first read after
-	// the write skips the cold-start path entirely.
+	// The child needs no index build of its own: Apply already
+	// respliced the parent's columnar view into it, so the eval index
+	// publishes eagerly and the first read after the write skips the
+	// cold-start path entirely.
 	snap.index.Store(match.NewIndex(child))
 
 	s.mu.Lock()

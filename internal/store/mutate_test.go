@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -358,6 +359,56 @@ func TestWALReplayRestoresChain(t *testing.T) {
 	}
 }
 
+// TestFactOrderAcrossCopies: a parsed database, its Clone, its WAL
+// put/replay copy and an Apply-derived version holding the same facts
+// list Facts() identically — relation, then block, then slot order —
+// although the upload interleaves relations and blocks.
+func TestFactOrderAcrossCopies(t *testing.T) {
+	const text = "S(x | 1)\nR(a | 1)\nS(y | 2)\nR(b | 3)\nR(a | 2)\n"
+	parsed, err := db.ParseFacts(nil, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	l, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := New()
+	s1.SetWAL(l)
+	if _, err := s1.PutFacts("prod", text); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	s2 := New()
+	if _, err := s2.ReplayWAL(dir); err != nil {
+		t.Fatal(err)
+	}
+	replayed, _ := s2.Get("prod")
+	base, err := db.ParseFacts(nil, "S(x | 1)\nR(a | 1)\nS(y | 2)\nR(b | 3)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var delta db.Delta
+	delta.Insert(mustFact(t, "R(a | 2)"))
+	derived, err := base.Apply(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"S(x | 1)", "S(y | 2)", "R(a | 1)", "R(a | 2)", "R(b | 3)"}
+	for name, d := range map[string]*db.DB{
+		"parsed": parsed, "clone": parsed.Clone(), "replayed": replayed.DB, "derived": derived,
+	} {
+		var got []string
+		for _, f := range d.Facts() {
+			got = append(got, f.String())
+		}
+		if strings.Join(got, "; ") != strings.Join(want, "; ") {
+			t.Errorf("%s Facts() = %v, want %v", name, got, want)
+		}
+	}
+}
+
 // TestWALCrashMidCommit simulates the process dying between the journal
 // append and the in-memory publish: the acknowledged-but-unpublished
 // delta must reappear on replay (redo semantics), restoring the exact
@@ -431,6 +482,81 @@ func TestWALCrashMidCommit(t *testing.T) {
 	}
 	if snap4.Version != 4 {
 		t.Errorf("post-recovery version %d, want 4", snap4.Version)
+	}
+}
+
+// TestCommitFaultReleasesWriters: a commit that panics (here the
+// store.commit hook; a WAL append failure panics the same way) must not
+// wedge the name. The delta queued into the faulted batch fails with
+// ErrCommitAborted, and a later delta publishes.
+func TestCommitFaultReleasesWriters(t *testing.T) {
+	defer faultinject.Reset()
+	s := New()
+	if _, err := s.PutFacts("prod", "R(a | 1)\n"); err != nil {
+		t.Fatal(err)
+	}
+	m := s.mutatorFor("prod")
+	m.mu.Lock()
+	m.busy = true // park the waiter in the queue
+	m.mu.Unlock()
+	waiter := make(chan error, 1)
+	go func() {
+		var delta db.Delta
+		delta.Insert(mustFact(t, "R(w | 1)"))
+		_, _, err := s.ApplyDelta("prod", delta)
+		waiter <- err
+	}()
+	for {
+		m.mu.Lock()
+		n := len(m.queue)
+		m.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m.mu.Lock()
+	m.busy = false
+	m.mu.Unlock()
+	faultinject.SetWindow("store.commit", 0, 1, func(int) error {
+		return fmt.Errorf("simulated commit fault")
+	})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("commit fault did not panic")
+			}
+		}()
+		var lead db.Delta
+		lead.Insert(mustFact(t, "R(lead | 1)"))
+		s.ApplyDelta("prod", lead) //nolint:errcheck // panics
+	}()
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, ErrCommitAborted) {
+			t.Errorf("queued waiter got %v, want ErrCommitAborted", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("queued waiter still blocked after the faulted commit")
+	}
+	later := make(chan error, 1)
+	go func() {
+		var delta db.Delta
+		delta.Insert(mustFact(t, "R(later | 1)"))
+		_, _, err := s.ApplyDelta("prod", delta)
+		later <- err
+	}()
+	select {
+	case err := <-later:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a delta after the faulted commit is still blocked")
+	}
+	snap, _ := s.Get("prod")
+	if snap.Version != 2 || !snap.DB.Has(mustFact(t, "R(later | 1)")) || snap.DB.Has(mustFact(t, "R(w | 1)")) {
+		t.Errorf("after the fault: version %d, facts %v", snap.Version, snap.DB)
 	}
 }
 

@@ -76,7 +76,7 @@ func (s *Snapshot) buildPartition(n int) *shard.Partition {
 }
 
 // Index returns the evaluation index of the snapshot — the match.Index
-// plus the underlying block/key/active-domain structures — built on
+// over the database's blocks, with the columnar view warmed — built on
 // first use and shared by every subsequent request against this
 // snapshot version. Replacing the snapshot (Put) publishes a fresh
 // Snapshot and therefore a fresh index, so invalidation rides the
@@ -123,9 +123,8 @@ func (s *Snapshot) IndexTraced(tr *trace.Tracer) *match.Index {
 	}
 	ix := match.NewIndex(s.DB)
 	// Warm the columnar view now so its build cost is paid exactly once,
-	// here, rather than by whichever request touches it first. The FO
-	// engine reads only the view; the row index (DB.Blocks) is left to
-	// the first request of an engine that reads it.
+	// here, rather than by whichever request touches it first. The row
+	// engines read the blocks themselves, which need no build.
 	s.DB.Columnar()
 	s.index.Store(ix)
 	if s.stats != nil {

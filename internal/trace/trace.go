@@ -32,13 +32,13 @@ const (
 	// StageCompile is plan compilation: attack-graph classification
 	// plus, for FO queries, the rewriting and the eliminator.
 	StageCompile
-	// StageIndexBuild is the snapshot evaluation-index build (blocks by
-	// key, active domain) on a cold snapshot version.
+	// StageIndexBuild is the snapshot evaluation-index build (the
+	// columnar view) on a cold snapshot version.
 	StageIndexBuild
 	// StagePurify is Lemma 1 purification (and its fixpoint rounds).
 	StagePurify
-	// StageMatch is embedding enumeration (AllMatches) outside an
-	// engine's inner loop.
+	// StageMatch is embedding enumeration (the backtracking join)
+	// outside an engine's inner loop.
 	StageMatch
 	// StageEliminator is the compiled FO atom-elimination walk.
 	StageEliminator

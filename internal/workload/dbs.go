@@ -55,17 +55,19 @@ func RandomDB(rng *rand.Rand, q query.Query, p DBParams) *db.DB {
 		p.Domain = 1
 	}
 	d := db.New()
-	addRespectingModeC := func(f db.Fact) {
+	addRespectingModeC := func(f db.Fact) bool {
 		if f.Rel.Mode == schema.ModeC {
 			for _, g := range d.BlockOf(f).Facts {
 				if !g.Equal(f) {
-					return // would make a mode-c relation inconsistent
+					return false // would make a mode-c relation inconsistent
 				}
 			}
 		}
-		d.Add(f)
+		return d.Add(f)
 	}
-	// Seed embeddings.
+	// Seed embeddings, remembered in insertion order: the extra facts
+	// below draw from the generator in that order.
+	var seeded []db.Fact
 	for s := 0; s < p.SeedMatches; s++ {
 		val := RandomValuation(rng, q, p.Domain)
 		for _, a := range q.Atoms {
@@ -73,13 +75,13 @@ func RandomDB(rng *rand.Rand, q query.Query, p DBParams) *db.DB {
 			if err != nil {
 				continue
 			}
-			addRespectingModeC(f)
+			if addRespectingModeC(f) {
+				seeded = append(seeded, f)
+			}
 		}
 	}
 	// Extra facts inside existing blocks: copy a fact and rerandomize its
 	// non-key positions within the pools of the atom's variables.
-	var seeded []db.Fact
-	seeded = append(seeded, d.Facts()...)
 	for _, f := range seeded {
 		if f.Rel.Mode == schema.ModeC {
 			continue
