@@ -104,7 +104,9 @@ func TestCancelMidCoNPEnumeration(t *testing.T) {
 func TestDeadlineLatencyCoNP(t *testing.T) {
 	q := workload.NonKeyJoinQuery()
 	rng := rand.New(rand.NewSource(5))
-	d := workload.HardInstance(rng, 60, 400, 6)
+	// Sized so the full search takes several times the deadline; a
+	// smaller instance can finish first and the test then skips.
+	d := workload.HardInstance(rng, 120, 1000, 6)
 	plan, err := Compile(q)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +171,9 @@ func TestBudgetExhaustionAndDegradation(t *testing.T) {
 func TestAnswersPoolNoGoroutineLeak(t *testing.T) {
 	q := workload.NonKeyJoinQuery()
 	rng := rand.New(rand.NewSource(11))
-	d := workload.HardInstance(rng, 40, 200, 5)
+	// Sized so the answer pool is still busy at the deadline: at 40
+	// variables and 200 clauses it can finish in under 50ms.
+	d := workload.HardInstance(rng, 80, 600, 6)
 	plan, err := Compile(q)
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,10 @@ func uploadHard(t *testing.T, h http.Handler, name string, vars, clauses, vals i
 func TestDeadlineReturnsStructuredTimeout(t *testing.T) {
 	s := newTestServer()
 	h := s.Handler()
-	uploadHard(t, h, "hard", 60, 400, 6)
+	// Sized so the full search takes several times the 100ms deadline:
+	// at 60 variables and 400 clauses it finishes in about 85ms and the
+	// test would skip instead of bounding anything.
+	uploadHard(t, h, "hard", 120, 1000, 6)
 	body := `{"query": "R(x | y), S(u | y)", "db": "hard", "engine": "conp",
 		"timeoutMs": 100, "approximate": false}`
 	// Warm the snapshot index and the plan cache: the latency bound is
