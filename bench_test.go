@@ -179,7 +179,7 @@ func BenchmarkPurify(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		match.Purify(q, d)
+		match.Purify(q, d, nil)
 	}
 }
 

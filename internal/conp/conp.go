@@ -63,9 +63,9 @@ func CertainNoPurify(q query.Query, d *db.DB) (bool, Stats) {
 // FalsifyingRepair searches for a repair of d that falsifies q. The
 // boolean result reports whether one exists; when it does, the returned
 // facts form a complete repair of d (one fact per block) that does not
-// satisfy q. Blocks removed by purification are completed with the
-// irrelevant witness facts from the purification trace, in reverse
-// removal order, which preserves falsification.
+// satisfy q: the search's choice on the blocks purification keeps, the
+// purification witness on the blocks it drops, and the first fact of
+// every block no embedding touches.
 func FalsifyingRepair(q query.Query, d *db.DB) ([]db.Fact, bool, Stats) {
 	repair, found, stats, _ := FalsifyingRepairChecked(q, d, nil)
 	return repair, found, stats
@@ -79,22 +79,22 @@ func FalsifyingRepairChecked(q query.Query, d *db.DB, chk *evalctx.Checker) ([]d
 	if q.Empty() {
 		return nil, false, stats, nil // the empty query is true in every repair
 	}
-	pd, ptrace, err := match.PurifyTraceChecked(q, d, chk)
-	if err != nil {
-		return nil, false, stats, err
-	}
 	tr := chk.Tracer()
 	sp := tr.Begin(trace.StageMatch)
-	cs, err := match.NewIndex(pd).Constraints(q, chk)
+	cs, err := match.NewIndex(d).Constraints(q, chk)
 	sp.End()
 	if err != nil {
 		return nil, false, stats, err
 	}
 	tr.Add(trace.StageMatch, trace.CtrMatches, int64(cs.Embeddings))
-	stats.Matches = cs.Embeddings
-	stats.Blocks = len(cs.Blocks)
+	sp = tr.Begin(trace.StagePurify)
+	pc, witnesses := cs.Purified()
+	sp.End()
+	tr.Add(trace.StagePurify, trace.CtrFacts, int64(d.NumBlocks()-len(pc.Blocks)))
+	stats.Matches = pc.Embeddings
+	stats.Blocks = len(pc.Blocks)
 
-	s := newSearch(cs, chk)
+	s := newSearch(pc, chk)
 	sp = tr.Begin(trace.StageCoNP)
 	found := s.solveRec(&stats)
 	sp.End()
@@ -105,19 +105,13 @@ func FalsifyingRepairChecked(q query.Query, d *db.DB, chk *evalctx.Checker) ([]d
 	if !found {
 		return nil, false, stats, nil
 	}
-	// A falsifying choice over the constrained blocks extends to a
-	// falsifying repair of pd with any fact of the others, and then of
-	// d with the purification witnesses, newest removal first: each
-	// witness was irrelevant with respect to everything added so far,
-	// so it cannot close an embedding.
-	repair := s.repair()
-	for _, b := range pd.Blocks() {
+	// No witness can close an embedding (see match.Constraints.Purified),
+	// and a block no embedding touches cannot either.
+	repair := append(s.repair(), witnesses...)
+	for _, b := range d.Blocks() {
 		if !cs.Constrained(b) {
 			repair = append(repair, b.Facts[0])
 		}
-	}
-	for i := len(ptrace) - 1; i >= 0; i-- {
-		repair = append(repair, ptrace[i].Witness)
 	}
 	return repair, true, stats, nil
 }

@@ -1,6 +1,7 @@
 package conp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"cqa/internal/match"
 	"cqa/internal/naive"
 	"cqa/internal/query"
+	"cqa/internal/schema"
 	"cqa/internal/workload"
 )
 
@@ -33,34 +35,76 @@ func TestCertainBasic(t *testing.T) {
 	}
 }
 
+// TestCertainFalsifiable: on every non-certain instance — a crafted
+// one, each non-certain effort pin, and a noisy instance whose
+// purification drops whole blocks and whose relation outside q no
+// embedding touches — FalsifyingRepair returns a complete repair of d
+// (one fact of d per block) on which q is false.
 func TestCertainFalsifiable(t *testing.T) {
-	q := query.MustParse("R(x | y), S(y | z)")
-	d := factsDB(t, `
+	type instance struct {
+		name string
+		q    query.Query
+		d    *db.DB
+	}
+	cases := []instance{{"crafted", query.MustParse("R(x | y), S(y | z)"), factsDB(t, `
 		R(a | b)
 		R(a | dead)
 		S(b | c)
-	`)
-	// The repair choosing R(a | dead) falsifies q.
-	got, _ := Certain(q, d)
-	if got {
-		t.Errorf("q should not be certain on %s", d)
+	`)}}
+	for _, p := range effortPins {
+		if !p.certain {
+			cases = append(cases, instance{p.name, workload.SATQuery(), p.build()})
+		}
 	}
-	repair, found, _ := FalsifyingRepair(q, d)
-	if !found {
-		t.Fatal("expected a falsifying repair")
+	cases = append(cases, instance{"noisy", workload.NonKeyJoinQuery(), noisyInstance()})
+	for _, c := range cases {
+		if got, _ := Certain(c.q, c.d); got {
+			t.Errorf("%s: q should not be certain", c.name)
+		}
+		repair, found, _ := FalsifyingRepair(c.q, c.d)
+		if !found {
+			t.Errorf("%s: expected a falsifying repair", c.name)
+			continue
+		}
+		if match.Satisfies(c.q, db.FromFacts(repair...)) {
+			t.Errorf("%s: returned repair %v satisfies q", c.name, repair)
+		}
+		if !db.ConsistentSet(repair) || len(repair) != c.d.NumBlocks() {
+			t.Errorf("%s: repair of %d facts for %d blocks is not one fact per block", c.name, len(repair), c.d.NumBlocks())
+		}
+		for _, f := range repair {
+			if !c.d.Has(f) {
+				t.Errorf("%s: repair fact %s is not in d", c.name, f)
+			}
+		}
 	}
-	r := db.FromFacts(repair...)
-	if match.Satisfies(q, r) {
-		t.Errorf("returned repair %v satisfies q", repair)
+}
+
+// noisyInstance is an E9-style instance of R(x | y), S(u | y): seeded
+// embeddings, every other R-block diluted with a fact that joins nothing (so
+// purification drops it, and then the S-blocks it cascades to), noise
+// blocks in both relations, and blocks of a relation outside q. Three
+// blocks survive purification, and the search backtracks among them.
+func noisyInstance() *db.DB {
+	rng := rand.New(rand.NewSource(7))
+	q := workload.NonKeyJoinQuery()
+	p := workload.DefaultDBParams()
+	p.SeedMatches, p.Domain = 6, 3
+	d := workload.RandomDB(rng, q, p)
+	r, s := q.Atoms[0].Rel, q.Atoms[1].Rel
+	for i, b := range d.BlocksOf("R") {
+		if i%2 == 0 {
+			d.Add(db.NewFact(r, b.Facts[0].Args[0], "dead_"+b.Facts[0].Args[0]))
+		}
 	}
-	// The repair must be a complete, consistent selection: one fact per
-	// block of d.
-	if !db.ConsistentSet(repair) {
-		t.Errorf("falsifying repair is inconsistent: %v", repair)
+	zout := schema.NewRelation("Zout", 2, 1)
+	for i := 0; i < 20; i++ {
+		n := query.Const(fmt.Sprint(i))
+		d.Add(db.NewFact(r, "noise_x"+n, "noise_ry"+n))
+		d.Add(db.NewFact(s, "noise_u"+n, "noise_sy"+n))
+		d.Add(db.NewFact(zout, "k"+n[:1], "v"+n))
 	}
-	if len(repair) != d.NumBlocks() {
-		t.Errorf("repair covers %d blocks, db has %d", len(repair), d.NumBlocks())
-	}
+	return d
 }
 
 func TestEmptyQueryAndEmptyDB(t *testing.T) {

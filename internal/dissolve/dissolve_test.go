@@ -19,7 +19,7 @@ import (
 // reduction requires (q must already be simple-key, constant-free).
 func prepare(t *testing.T, q query.Query, d *db.DB) *db.DB {
 	t.Helper()
-	pd := match.Purify(q, d)
+	pd, _ := match.Purify(q, d, nil)
 	td, err := simplify.TypeDB(q, pd)
 	if err != nil {
 		t.Fatal(err)

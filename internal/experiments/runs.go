@@ -318,7 +318,7 @@ func runE9(r *Runner) error {
 			d.Add(db.Fact{Rel: rRel, Args: []query.Const{query.Const(fmt.Sprintf("dead_x%d", i)), query.Const(fmt.Sprintf("dead_ry%d", i))}})
 			d.Add(db.Fact{Rel: sRel, Args: []query.Const{query.Const(fmt.Sprintf("dead_u%d", i)), query.Const(fmt.Sprintf("dead_sy%d", i))}})
 		}
-		pd := match.Purify(q, d)
+		pd, _ := match.Purify(q, d, nil)
 		var a, b bool
 		ta := timeIt(func() { a, _ = conp.Certain(q, d) })
 		tb := timeIt(func() { b, _ = conp.CertainNoPurify(q, d) })

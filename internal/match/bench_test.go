@@ -56,7 +56,7 @@ func BenchmarkPurifyNoisy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Purify(q, d)
+		Purify(q, d, nil)
 	}
 }
 

@@ -47,9 +47,10 @@ func (c *Constraints) Constrained(b db.Block) bool {
 func (ix *Index) Constraints(q query.Query, chk *evalctx.Checker) (*Constraints, error) {
 	cs := &Constraints{ord: make(map[*db.Fact]int32)}
 	kept := make([]db.Block, 0, q.Len()) // the block of each kept ref
+	var refs []Ref                       // backs the constraints, which slice it
 	ix.walk(q, query.Valuation{}, chk, func(_ query.Valuation, hits []hit) bool {
 		cs.Embeddings++
-		c := make([]Ref, 0, len(hits))
+		n := len(refs)
 		kept = kept[:0]
 	next:
 		for i, h := range hits {
@@ -60,13 +61,15 @@ func (ix *Index) Constraints(q query.Query, chk *evalctx.Checker) (*Constraints,
 				if g.slot != h.slot {
 					// Two distinct facts of one block never survive a
 					// repair together: the embedding constrains nothing.
+					refs = refs[:n]
 					return true
 				}
 				continue next // a fact an earlier atom already holds
 			}
-			c = append(c, Ref{Slot: h.slot})
+			refs = append(refs, Ref{Slot: h.slot})
 			kept = append(kept, h.blk)
 		}
+		c := refs[n:len(refs):len(refs)]
 		// Number the blocks only once the embedding proved consistent,
 		// so a dropped embedding leaves no block behind.
 		for i, blk := range kept {
@@ -85,4 +88,99 @@ func (ix *Index) Constraints(q query.Query, chk *evalctx.Checker) (*Constraints,
 		return nil, err
 	}
 	return cs, nil
+}
+
+// Purified is Lemma 1 on the form. A block with a fact in no live
+// constraint is dropped, that fact becomes its witness, and every
+// constraint through the block dies; dropping repeats until each fact
+// of each surviving block lies on a live constraint. For a
+// self-join-free query every embedding is consistent, so this is
+// exactly round-based purification of the database, with no second
+// join. Purified returns the form of the purified database — the live
+// constraints in order, over the surviving blocks renumbered in
+// first-touch order, with Embeddings counting the live constraints —
+// and the witness of every dropped block in drop order. A witness was in no live constraint when its block went, so
+// a falsifying choice over the surviving blocks stays falsifying with
+// the witnesses added.
+func (c *Constraints) Purified() (*Constraints, []db.Fact) {
+	// Facts are numbered flat: block b's slot s is fact off[b]+s, and
+	// on[at[f]:at[f+1]] lists the constraints through fact f.
+	off := make([]int32, len(c.Blocks)+1)
+	for b, blk := range c.Blocks {
+		off[b+1] = off[b] + int32(len(blk.Facts))
+	}
+	at := make([]int32, off[len(c.Blocks)]+1)
+	for _, con := range c.Cons {
+		for _, r := range con {
+			at[off[r.Block]+r.Slot+1]++
+		}
+	}
+	for f := 1; f < len(at); f++ {
+		at[f] += at[f-1]
+	}
+	live := make([]int32, len(at)-1) // live constraints through each fact
+	on := make([]int32, at[len(at)-1])
+	for ci, con := range c.Cons {
+		for _, r := range con {
+			f := off[r.Block] + r.Slot
+			on[at[f]+live[f]] = int32(ci)
+			live[f]++
+		}
+	}
+	// drops lists the dropped blocks with their witness slots; the loop
+	// below works through it while it grows.
+	var drops []Ref
+	gone := make([]bool, len(c.Blocks))
+	for b := range c.Blocks {
+		for f := off[b]; f < off[b+1]; f++ {
+			if live[f] == 0 {
+				drops = append(drops, Ref{Block: int32(b), Slot: f - off[b]})
+				gone[b] = true
+				break
+			}
+		}
+	}
+	dead := make([]bool, len(c.Cons))
+	for i := 0; i < len(drops); i++ {
+		b := drops[i].Block
+		for _, ci := range on[at[off[b]]:at[off[b+1]]] {
+			if dead[ci] {
+				continue
+			}
+			dead[ci] = true
+			for _, r := range c.Cons[ci] {
+				f := off[r.Block] + r.Slot
+				if live[f]--; live[f] == 0 && !gone[r.Block] {
+					drops = append(drops, r)
+					gone[r.Block] = true
+				}
+			}
+		}
+	}
+	pc := &Constraints{ord: make(map[*db.Fact]int32, len(c.Blocks)-len(drops))}
+	renum := make([]int32, len(c.Blocks)) // new ordinal + 1; 0 = not yet touched
+	refs := make([]Ref, len(on))          // backs the live constraints
+	for ci, con := range c.Cons {
+		if dead[ci] {
+			continue
+		}
+		nc := refs[:len(con):len(con)]
+		refs = refs[len(con):]
+		for i, r := range con {
+			if renum[r.Block] == 0 {
+				blk := c.Blocks[r.Block]
+				pc.ord[&blk.Facts[0]] = int32(len(pc.Blocks))
+				pc.Blocks = append(pc.Blocks, blk)
+				renum[r.Block] = int32(len(pc.Blocks))
+			}
+			nc[i] = Ref{Block: renum[r.Block] - 1, Slot: r.Slot}
+		}
+		pc.Cons = append(pc.Cons, nc)
+	}
+	pc.Embeddings = len(pc.Cons)
+	witnesses := make([]db.Fact, len(drops))
+	for i, r := range drops {
+		witnesses[i] = c.Blocks[r.Block].Facts[r.Slot]
+	}
+	return pc, witnesses
 }

@@ -141,7 +141,7 @@ func gRelevant(q query.Query, ix *Index, choice []hit) bool {
 // The caller must ensure all mode-i atoms of q and all mode-i facts of d
 // are simple-key; d should already be typed relative to q.
 func GPurify(q query.Query, d *db.DB) (*db.DB, error) {
-	cur := Purify(q, d)
+	cur, _ := Purify(q, d, nil)
 	for {
 		gblocks, err := GBlocks(cur)
 		if err != nil {
@@ -159,13 +159,7 @@ func GPurify(q query.Query, d *db.DB) (*db.DB, error) {
 		if len(removed) == 0 {
 			return cur, nil
 		}
-		var kept []db.Block
-		for _, b := range cur.Blocks() {
-			if !removed[&b.Facts[0]] {
-				kept = append(kept, b)
-			}
-		}
-		cur = Purify(q, fromBlocks(kept))
+		cur, _ = Purify(q, subDB(cur, func(b db.Block) bool { return !removed[&b.Facts[0]] }), nil)
 	}
 }
 

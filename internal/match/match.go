@@ -1,15 +1,14 @@
 // Package match evaluates conjunctive queries over uncertain databases:
 // it enumerates valuations theta with theta(q) ⊆ db via a backtracking
-// join, decides relevance of facts (Section 3 of Koutris & Wijsen, PODS
-// 2015), and implements purification (Lemma 1) and gpurification
-// (Definition 7 / Lemma 17).
+// join, builds the repair-constraint form of a query over a database,
+// and implements purification (Lemma 1 of Koutris & Wijsen, PODS 2015)
+// on that form and gpurification (Definition 7 / Lemma 17).
 package match
 
 import (
 	"cqa/internal/db"
 	"cqa/internal/evalctx"
 	"cqa/internal/query"
-	"cqa/internal/trace"
 )
 
 // Index is the join's view of a database: the relations' blocks, probed
@@ -244,34 +243,6 @@ func (ix *Index) All(q query.Query) []query.Valuation {
 	return out
 }
 
-// MatchesWith enumerates the matches theta with fact ∈ theta(q): the fact
-// is unified with the (unique, by self-join-freeness) atom of its relation
-// first. When q has no atom with the fact's relation there are no such
-// matches.
-func (ix *Index) MatchesWith(q query.Query, f db.Fact, yield func(query.Valuation) bool) bool {
-	atom, ok := q.AtomWithRel(f.Rel.Name)
-	if !ok {
-		return true
-	}
-	val := query.Valuation{}
-	if _, ok := unify(atom, f, val); !ok {
-		return true
-	}
-	rest := q.Remove(atom)
-	return ix.Match(rest, val, yield)
-}
-
-// Relevant reports whether the fact is relevant for q in db: some
-// valuation theta has fact ∈ theta(q) ⊆ db.
-func (ix *Index) Relevant(q query.Query, f db.Fact) bool {
-	found := false
-	ix.MatchesWith(q, f, func(query.Valuation) bool {
-		found = true
-		return false
-	})
-	return found
-}
-
 // Satisfies reports whether db |= q.
 func Satisfies(q query.Query, d *db.DB) bool {
 	return NewIndex(d).Exists(q, query.Valuation{})
@@ -282,19 +253,9 @@ func AllMatches(q query.Query, d *db.DB) []query.Valuation {
 	return NewIndex(d).All(q)
 }
 
-// RelevantFact reports whether f is relevant for q in d.
-func RelevantFact(q query.Query, d *db.DB, f db.Fact) bool {
-	ix := NewIndex(d)
-	found := false
-	ix.MatchesWith(q, f, func(query.Valuation) bool {
-		found = true
-		return false
-	})
-	return found
-}
-
 // Purify implements Lemma 1: it computes a database that is purified
-// relative to q (every fact is relevant) and has the same certain answer.
+// relative to the self-join-free query q (every fact is relevant) and
+// has the same certain answer.
 //
 // The key subtlety: an irrelevant fact cannot simply be dropped, because a
 // repair may choose it and thereby contribute nothing towards satisfying
@@ -302,99 +263,33 @@ func RelevantFact(q query.Query, d *db.DB, f db.Fact) bool {
 // if some repair of the remainder falsifies q, extending it with the
 // irrelevant fact yields a falsifying repair of the original database, and
 // conversely every repair of the original extends a repair of the
-// remainder. Removals can make further facts irrelevant, so the procedure
-// iterates to a fixpoint; each round deletes at least one block, so it
-// terminates after polynomially many rounds.
-//
-// Facts of relations not occurring in q are never relevant and are
-// removed up front (their blocks never interact with q).
-func Purify(q query.Query, d *db.DB) *db.DB {
-	pd, _, _ := PurifyTraceChecked(q, d, nil)
-	return pd
+// remainder. Removals can make further facts irrelevant, so removal runs
+// to a fixpoint, over the repair-constraint form (see Purified): the
+// join runs once. Facts of relations not occurring in q lie on no
+// embedding, so their blocks go too. The checker is polled by the join;
+// a nil checker enforces nothing. When every block survives, Purify
+// returns d itself.
+func Purify(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
+	cs, err := NewIndex(d).Constraints(q, chk)
+	if err != nil {
+		return nil, err
+	}
+	if pc, _ := cs.Purified(); len(pc.Blocks) < d.NumBlocks() {
+		return subDB(d, pc.Constrained), nil
+	}
+	return d, nil
 }
 
-// Removal records one purification step: the block identified by BlockID
-// was removed because Witness was irrelevant at the time of removal.
-type Removal struct {
-	BlockID string
-	Witness db.Fact
-}
-
-// PurifyTraceChecked is Purify but additionally returns the removals in
-// chronological order. The trace lets callers turn a falsifying repair
-// of the purified database into a falsifying repair of the original
-// one: walk the removals in reverse order, adding each witness fact (it
-// was irrelevant when removed, so it cannot complete an embedding
-// against the facts that remained). Purification is polynomial but not
-// cheap — each fixpoint round re-enumerates every embedding — so on
-// large instances it can dominate the latency of a cut-short
-// evaluation; the rounds poll the checker per embedding and per scanned
-// fact. A nil checker enforces nothing.
-func PurifyTraceChecked(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, []Removal, error) {
-	tr := chk.Tracer()
-	sp := tr.Begin(trace.StagePurify)
-	defer sp.End()
-	// Blocks of relations outside q never join with anything; record them
-	// first with an arbitrary witness.
-	var removals []Removal
-	var kept []db.Block
+// subDB returns a database holding the blocks of d that keep selects,
+// in d's block order.
+func subDB(d *db.DB, keep func(db.Block) bool) *db.DB {
+	out := db.New()
 	for _, b := range d.Blocks() {
-		if q.HasRel(b.Facts[0].Rel.Name) {
-			kept = append(kept, b)
-		} else {
-			removals = append(removals, Removal{BlockID: b.ID, Witness: b.Facts[0]})
+		if keep(b) {
+			for _, f := range b.Facts {
+				out.Add(f)
+			}
 		}
 	}
-	cur := fromBlocks(kept)
-	for {
-		tr.Add(trace.StagePurify, trace.CtrRounds, 1)
-		if err := chk.Check(); err != nil {
-			return nil, nil, err
-		}
-		// One embedding enumeration marks every relevant fact, by its
-		// place in its block; anything unmarked is irrelevant and dooms
-		// its whole block.
-		relevant := make(map[*db.Fact]bool, cur.Len())
-		NewIndex(cur).walk(q, query.Valuation{}, chk, func(_ query.Valuation, hits []hit) bool {
-			for _, h := range hits {
-				relevant[h.fact()] = true
-			}
-			return true
-		})
-		kept = kept[:0]
-		dropped := false
-	blocks:
-		for _, b := range cur.Blocks() {
-			if chk.Step() != nil {
-				break
-			}
-			for s := range b.Facts {
-				if !relevant[&b.Facts[s]] {
-					removals = append(removals, Removal{BlockID: b.ID, Witness: b.Facts[s]})
-					dropped = true
-					continue blocks
-				}
-			}
-			kept = append(kept, b)
-		}
-		if err := chk.Err(); err != nil {
-			return nil, nil, err
-		}
-		if !dropped {
-			tr.Add(trace.StagePurify, trace.CtrFacts, int64(len(removals)))
-			return cur, removals, nil
-		}
-		cur = fromBlocks(kept)
-	}
-}
-
-// fromBlocks returns a database holding the given blocks, in order.
-func fromBlocks(blocks []db.Block) *db.DB {
-	d := db.New()
-	for _, b := range blocks {
-		for _, f := range b.Facts {
-			d.Add(f)
-		}
-	}
-	return d
+	return out
 }

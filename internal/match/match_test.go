@@ -115,7 +115,7 @@ func TestPurifyExample1(t *testing.T) {
 		R(a | b, c)
 		R(d | b, f)
 	`)
-	p := Purify(q, d)
+	p, _ := Purify(q, d, nil)
 	if p.Len() != 1 {
 		t.Fatalf("purified db has %d facts, want 1:\n%s", p.Len(), p)
 	}
@@ -136,7 +136,7 @@ func TestPurifyDropsForeignRelations(t *testing.T) {
 		R(a | b)
 		Zother(a | b)
 	`)
-	p := Purify(q, d)
+	p, _ := Purify(q, d, nil)
 	if p.Len() != 1 || p.Facts()[0].Rel.Name != "R" {
 		t.Errorf("purify should drop facts of relations outside q: %s", p)
 	}
@@ -151,10 +151,10 @@ func TestRelevantFact(t *testing.T) {
 	`)
 	rel := d.Facts()[0]
 	dead := d.Facts()[1]
-	if !RelevantFact(q, d, rel) {
+	if !relevant(q, d, rel) {
 		t.Errorf("%s should be relevant", rel)
 	}
-	if RelevantFact(q, d, dead) {
+	if relevant(q, d, dead) {
 		t.Errorf("%s should be irrelevant (no joining S-fact)", dead)
 	}
 }
@@ -258,10 +258,9 @@ func TestPurifyIsPurified(t *testing.T) {
 		p.Atoms = 1 + rng.Intn(3)
 		q := workload.RandomQuery(rng, p)
 		d := workload.RandomDB(rng, q, workload.DefaultDBParams())
-		pd := Purify(q, d)
-		ix := NewIndex(pd)
+		pd, _ := Purify(q, d, nil)
 		for _, f := range pd.Facts() {
-			if !ix.Relevant(q, f) {
+			if !relevant(q, pd, f) {
 				t.Fatalf("purified db keeps irrelevant fact %s for %s\ndb:\n%s", f, q, pd)
 			}
 		}
@@ -280,7 +279,7 @@ func TestPurifyBlockWithIrrelevantFactIsRemoved(t *testing.T) {
 	`)
 	// R(a|2) is irrelevant (no S-fact with y=2), so block R(a|*) goes;
 	// then S(u|1) loses its join partner and goes too.
-	pd := Purify(q, d)
+	pd, _ := Purify(q, d, nil)
 	if pd.Len() != 0 {
 		t.Errorf("expected empty purified db, got:\n%s", pd)
 	}

@@ -177,7 +177,7 @@ func (s *solver) solve(q query.Query, d *db.DB, depth int) (bool, error) {
 	// Step 1: purify. Every fact of a purified database lies on an
 	// embedding (Lemma 1), so it admits none exactly when it is empty, and
 	// then some repair falsifies q.
-	pd, _, err := match.PurifyTraceChecked(q, d, s.chk)
+	pd, err := match.Purify(q, d, s.chk)
 	if err != nil {
 		return false, err
 	}

@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -9,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cqa/internal/workload"
 )
 
 // doTraced is do with the X-CQA-Trace opt-in header set.
@@ -119,6 +123,33 @@ func TestTraceCoNPStages(t *testing.T) {
 		if !stages[want] {
 			t.Errorf("coNP trace missing stage %q: %+v", want, resp.Trace.Stages)
 		}
+	}
+}
+
+// TestTraceStageSumWithinTotal: the stages of a traced P-class request
+// partition its time instead of nesting, so their durations add up to
+// no more than the request total. Purification runs inside the ptime
+// engine's own span and opens none of its own.
+func TestTraceStageSumWithinTotal(t *testing.T) {
+	h := newTestServer().Handler()
+	d := workload.Q0Instance(rand.New(rand.NewSource(4)), 400, 2)
+	if rec := do(t, h, "PUT", "/v1/db/q0", d.String(), nil); rec.Code != 200 {
+		t.Fatalf("upload: %d", rec.Code)
+	}
+	body := fmt.Sprintf(`{"query": %q, "db": "q0"}`, workload.Q0().String())
+	do(t, h, "POST", "/v1/certain", body, nil) // warm the plan and the index
+	var resp certainResponse
+	if rec := doTraced(t, h, "POST", "/v1/certain", body, &resp); rec.Code != 200 {
+		t.Fatalf("traced: %d %s", rec.Code, rec.Body.String())
+	}
+	var sum int64
+	sawPTime := false
+	for _, st := range resp.Trace.Stages {
+		sum += st.Micros
+		sawPTime = sawPTime || st.Stage == "ptime"
+	}
+	if !sawPTime || sum > resp.Trace.TotalUs {
+		t.Errorf("stage sum %dus exceeds the %dus total: %+v", sum, resp.Trace.TotalUs, resp.Trace.Stages)
 	}
 }
 

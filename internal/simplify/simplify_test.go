@@ -50,7 +50,7 @@ func TestTypeDBPreservesCertainty(t *testing.T) {
 		p.Atoms = 1 + rng.Intn(3)
 		q := workload.RandomQuery(rng, p)
 		d := workload.RandomDB(rng, q, workload.DefaultDBParams())
-		pd := match.Purify(q, d)
+		pd, _ := match.Purify(q, d, nil)
 		if pd.NumRepairs() > 1<<12 {
 			continue
 		}
@@ -139,7 +139,7 @@ func TestElimPatternsPreservesCertainty(t *testing.T) {
 		if !changed {
 			continue
 		}
-		d := match.Purify(q, workload.RandomDB(rng, q, workload.DefaultDBParams()))
+		d, _ := match.Purify(q, workload.RandomDB(rng, q, workload.DefaultDBParams()), nil)
 		if d.NumRepairs() > 1<<12 {
 			continue
 		}

@@ -35,7 +35,9 @@ const (
 	// StageIndexBuild is the snapshot evaluation-index build (the
 	// columnar view) on a cold snapshot version.
 	StageIndexBuild
-	// StagePurify is Lemma 1 purification (and its fixpoint rounds).
+	// StagePurify is the coNP engine's Lemma 1 purification: the
+	// fixpoint over the repair-constraint form that the match stage's
+	// one join built. The ptime engine purifies inside its own span.
 	StagePurify
 	// StageMatch is embedding enumeration (the backtracking join)
 	// outside an engine's inner loop.
@@ -86,9 +88,8 @@ const (
 	CtrBranches
 	// CtrDissolutions counts Markov-cycle dissolutions.
 	CtrDissolutions
-	// CtrRounds counts fixpoint rounds (purification).
-	CtrRounds
-	// CtrFacts counts facts touched or removed by the stage.
+	// CtrFacts counts facts touched by the stage, or the blocks
+	// purification removes.
 	CtrFacts
 	// CtrMatches counts enumerated embeddings.
 	CtrMatches
@@ -103,7 +104,7 @@ const (
 
 var counterNames = [numCounters]string{
 	"steps", "memo_hits", "memo_misses", "nodes", "restarts",
-	"branches", "dissolutions", "rounds", "facts", "matches",
+	"branches", "dissolutions", "facts", "matches",
 	"components", "samples",
 }
 
