@@ -39,7 +39,7 @@ check: build fmt-check test bench-smoke fuzz-smoke cover chaos-net perfbench-che
 # rather than the happy path.
 chaos:
 	$(GO) test -race ./internal/faultinject ./internal/evalctx
-	$(GO) test -race -run 'Cancel|Deadline|Budget|Leak|Fault|Shedding|Draining|Liveness|Readiness|Degrad|Unavailable' ./internal/core ./internal/server ./internal/counting ./internal/match
+	$(GO) test -race -run 'Cancel|Deadline|Budget|Leak|Fault|Shedding|Draining|Liveness|Readiness|Degrad|Unavailable' ./internal/core ./internal/server ./internal/counting ./internal/match ./internal/ptime
 	$(GO) test -race -run 'Crash|Races|Fallback|CommitFault' ./internal/store
 
 # Network-chaos gate: the remote shard tier under the race detector —
@@ -129,7 +129,7 @@ fmt-check:
 # deleted test.
 cover:
 	$(GO) test -cover ./internal/... | tee cover.out
-	@status=0; for spec in trace:90 rewrite:85 query:84 match:92 conp:85 ptime:76 shard:80 sym:90 colstore:90 db:90 store:85 cluster:80 counting:90 core:85 server:88; do \
+	@status=0; for spec in trace:90 rewrite:85 query:84 match:93 conp:85 ptime:86 shard:80 sym:90 colstore:90 db:90 store:85 cluster:80 counting:90 core:85 server:88; do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		pct=$$(awk -v p="cqa/internal/$$pkg" '$$2 == p { for (i=1;i<=NF;i++) if ($$i ~ /%$$/) { sub(/%/,"",$$i); print $$i; exit } }' cover.out); \
 		if [ -z "$$pct" ]; then echo "cover: no coverage reported for internal/$$pkg"; status=1; \

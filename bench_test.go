@@ -190,7 +190,7 @@ func BenchmarkGPurify(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := match.GPurify(q, d); err != nil {
+		if _, err := match.GPurify(q, d, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
+	"cqa/internal/db"
 	"cqa/internal/evalctx"
 	"cqa/internal/match"
 	"cqa/internal/query"
@@ -103,10 +105,12 @@ func TestCancelMidCoNPEnumeration(t *testing.T) {
 // amortized poll interval must not let the engine overrun the deadline.
 func TestDeadlineLatencyCoNP(t *testing.T) {
 	q := workload.NonKeyJoinQuery()
-	rng := rand.New(rand.NewSource(5))
-	// Sized so the full search takes several times the deadline; a
-	// smaller instance can finish first and the test then skips.
-	d := workload.HardInstance(rng, 120, 1000, 6)
+	// The SAT reduction of an unsatisfiable random 3-CNF at 4.3 clauses
+	// per variable: the falsifying-repair search must exhaust, which
+	// takes 2-3s on a 2-vCPU host, while the join takes about a
+	// millisecond. An instance whose cost is the join can finish first,
+	// and the test then skips.
+	d := workload.SATInstance(workload.RandomCNF(rand.New(rand.NewSource(2)), 34, 146, 3))
 	plan, err := Compile(q)
 	if err != nil {
 		t.Fatal(err)
@@ -169,11 +173,19 @@ func TestBudgetExhaustionAndDegradation(t *testing.T) {
 // evaluation mid-flight and verifies every pool worker exits: the
 // goroutine count returns to its pre-call level.
 func TestAnswersPoolNoGoroutineLeak(t *testing.T) {
-	q := workload.NonKeyJoinQuery()
-	rng := rand.New(rand.NewSource(11))
-	// Sized so the answer pool is still busy at the deadline: at 40
-	// variables and 200 clauses it can finish in under 50ms.
-	d := workload.HardInstance(rng, 80, 600, 6)
+	// Sized so the answer pool is still busy at the deadline: each of
+	// the four candidates t is the SAT reduction of a random 3-CNF at 34
+	// variables and 4.3 clauses per variable, whose check is a
+	// falsifying-repair search of 0.3-3s rather than a join.
+	q := query.MustParse("R(t, x | y), S(t, u | y)")
+	d := db.New()
+	for k := int64(1); k <= 4; k++ {
+		tag := query.Const(fmt.Sprint("f", k))
+		for _, f := range workload.SATInstance(workload.RandomCNF(rand.New(rand.NewSource(k)), 34, 146, 3)).Facts() {
+			a, _ := q.AtomWithRel(f.Rel.Name)
+			d.Add(db.NewFact(a.Rel, tag, f.Args[0], f.Args[1]))
+		}
+	}
 	plan, err := Compile(q)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +195,7 @@ func TestAnswersPoolNoGoroutineLeak(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err = plan.CertainAnswersIndexedCtx(ctx, []query.Var{query.Var("x")}, ix, Options{Engine: EngineCoNP, Workers: 8})
+	_, err = plan.CertainAnswersIndexedCtx(ctx, []query.Var{query.Var("t")}, ix, Options{Engine: EngineCoNP, Workers: 8})
 	if err == nil {
 		t.Skip("instance solved before the deadline; no mid-flight pool to leak")
 	}

@@ -175,7 +175,7 @@ func TestLongCycleDetectionAgainstBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, st, err := dd.TransformDB(d)
+		_, st, err := dd.TransformDB(d, nil)
 		if err != nil {
 			// Cross-component edges: the instance is not gpurified; the
 			// reduction correctly refuses. Skip.

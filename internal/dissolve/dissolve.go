@@ -13,6 +13,7 @@ import (
 
 	"cqa/internal/db"
 	"cqa/internal/dgraph"
+	"cqa/internal/evalctx"
 	"cqa/internal/markov"
 	"cqa/internal/match"
 	"cqa/internal/query"
@@ -140,8 +141,10 @@ type Stats struct {
 //
 // The database must be typed, purified and gpurified relative to q, with
 // every mode-i atom simple-key and the Cq-atoms free of constants and
-// repeated variables — exactly the regime Lemma 12 establishes.
-func (dd *Dissolution) TransformDB(d *db.DB) (*db.DB, Stats, error) {
+// repeated variables — exactly the regime Lemma 12 establishes. The
+// checker is polled by the join that builds G(db); a tripped checker
+// returns its error. A nil checker enforces nothing.
+func (dd *Dissolution) TransformDB(d *db.DB, chk *evalctx.Checker) (*db.DB, Stats, error) {
 	var st Stats
 	k := len(dd.C)
 
@@ -151,7 +154,7 @@ func (dd *Dissolution) TransformDB(d *db.DB) (*db.DB, Stats, error) {
 	realizations := make(map[edgeKey]map[string]query.Valuation)
 	var layerErr error
 	ix := match.NewIndex(d)
-	ix.Match(dd.Q, query.Valuation{}, func(v query.Valuation) bool {
+	ix.MatchChecked(dd.Q, query.Valuation{}, chk, func(v query.Valuation) bool {
 		st.Matches++
 		for i := 0; i < k; i++ {
 			a := v[dd.C[i]]
@@ -173,6 +176,9 @@ func (dd *Dissolution) TransformDB(d *db.DB) (*db.DB, Stats, error) {
 		}
 		return true
 	})
+	if err := chk.Err(); err != nil {
+		return nil, st, err
+	}
 	if layerErr != nil {
 		return nil, st, layerErr
 	}

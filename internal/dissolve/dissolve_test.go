@@ -20,11 +20,11 @@ import (
 func prepare(t *testing.T, q query.Query, d *db.DB) *db.DB {
 	t.Helper()
 	pd, _ := match.Purify(q, d, nil)
-	td, err := simplify.TypeDB(q, pd)
+	td, err := simplify.TypeDB(q, pd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd, err := match.GPurify(q, td)
+	gd, err := match.GPurify(q, td, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestTransformPreservesCertaintyQ0(t *testing.T) {
 			continue // the solver answers false before dissolving
 		}
 		dd, _ := mustDissolve(t, q)
-		nd, _, err := dd.TransformDB(gd)
+		nd, _, err := dd.TransformDB(gd, nil)
 		if err != nil {
 			t.Fatalf("transform: %v\ndb:\n%s", err, gd)
 		}
@@ -178,7 +178,7 @@ func TestExample14SupportFailure(t *testing.T) {
 		t.Skip("gpurification already resolved the instance")
 	}
 	dd, _ := mustDissolve(t, q)
-	nd, st, err := dd.TransformDB(gd)
+	nd, st, err := dd.TransformDB(gd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestExample18MultipleTFacts(t *testing.T) {
 	}
 	gd := prepare(t, q, d)
 	dd, _ := mustDissolve(t, q)
-	nd, st, err := dd.TransformDB(gd)
+	nd, st, err := dd.TransformDB(gd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestLongCycleDeletion(t *testing.T) {
 		return
 	}
 	dd, _ := mustDissolve(t, q)
-	nd, st, err := dd.TransformDB(gd)
+	nd, st, err := dd.TransformDB(gd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestComponentConstantsConsistent(t *testing.T) {
 	}
 	gd := prepare(t, q, d)
 	dd, _ := mustDissolve(t, q)
-	nd, st, err := dd.TransformDB(gd)
+	nd, st, err := dd.TransformDB(gd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

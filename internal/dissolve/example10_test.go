@@ -91,7 +91,7 @@ func TestExample10(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, st, err := dd.TransformDB(gd)
+	nd, st, err := dd.TransformDB(gd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

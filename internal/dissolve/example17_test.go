@@ -68,7 +68,7 @@ func TestExample17(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, st, err := dd.TransformDB(gd)
+	nd, st, err := dd.TransformDB(gd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestExample19(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, st, err := dd.TransformDB(gd)
+	nd, st, err := dd.TransformDB(gd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestLemma18Semantics(t *testing.T) {
 			continue
 		}
 		dd, _ := mustDissolve(t, q)
-		nd, st, err := dd.TransformDB(gd)
+		nd, st, err := dd.TransformDB(gd, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

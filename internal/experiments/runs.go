@@ -326,7 +326,7 @@ func runE9(r *Runner) error {
 	}
 	t.Notes = append(t.Notes,
 		"purification never changes the answer (Lemma 1) and shrinks noisy instances ~100x in facts;",
-		"end-to-end time is comparable here because embedding enumeration, which both paths share, dominates")
+		"both paths share the one join; the purifying path also assembles a full falsifying repair over every input block, most of its extra time")
 	t.Fprint(r.Out)
 	return nil
 }

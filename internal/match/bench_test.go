@@ -67,7 +67,57 @@ func BenchmarkGPurifyQ0(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := GPurify(q, d); err != nil {
+		if _, err := GPurify(q, d, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// plantedSATDB has the shape of a SAT database of the serve-hard
+// serving workload: the SAT reductions (workload.SATInstance) of three
+// random 14-variable, 60-clause 3-CNFs, each satisfied by a hidden
+// assignment, with their constants prefixed apart — 84 R facts and 540
+// S facts.
+func plantedSATDB(rng *rand.Rand) *db.DB {
+	const vars, clauses = 14, 60
+	d := db.New()
+	for k := 0; k < 3; k++ {
+		hidden := make([]bool, vars+1)
+		for v := 1; v <= vars; v++ {
+			hidden[v] = rng.Intn(2) == 0
+		}
+		f := workload.CNF{Vars: vars}
+		for len(f.Clauses) < clauses {
+			c := workload.RandomCNF(rng, vars, 1, 3).Clauses[0]
+			for _, lit := range c {
+				if (lit > 0) == hidden[max(lit, -lit)] {
+					f.Clauses = append(f.Clauses, c)
+					break
+				}
+			}
+		}
+		for _, fact := range workload.SATInstance(f).Facts() {
+			args := make([]query.Const, len(fact.Args))
+			for i, a := range fact.Args {
+				args[i] = query.Const(fmt.Sprintf("f%d_%s", k, a))
+			}
+			d.Add(db.NewFact(fact.Rel, args...))
+		}
+	}
+	return d
+}
+
+// BenchmarkConstraintsSAT builds the repair-constraint form of the SAT
+// reduction's query R(x | y), S(u | y) over a planted SAT database. S's
+// key is never bound, so each R fact reaches its S facts through the
+// lookup table on y.
+func BenchmarkConstraintsSAT(b *testing.B) {
+	q := workload.SATQuery()
+	ix := NewIndex(plantedSATDB(rand.New(rand.NewSource(1))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ix.Constraints(q, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

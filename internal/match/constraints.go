@@ -48,7 +48,8 @@ func (ix *Index) Constraints(q query.Query, chk *evalctx.Checker) (*Constraints,
 	cs := &Constraints{ord: make(map[*db.Fact]int32)}
 	kept := make([]db.Block, 0, q.Len()) // the block of each kept ref
 	var refs []Ref                       // backs the constraints, which slice it
-	ix.walk(q, query.Valuation{}, chk, func(_ query.Valuation, hits []hit) bool {
+	p := compile(q, nil)
+	ix.walk(p, make([]query.Const, len(p.vars)), chk, func(hits []hit) bool {
 		cs.Embeddings++
 		n := len(refs)
 		kept = kept[:0]

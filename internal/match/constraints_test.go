@@ -3,11 +3,13 @@ package match
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"cqa/internal/evalctx"
 	"cqa/internal/query"
+	"cqa/internal/workload"
 )
 
 // TestConstraintsForm pins the repair-constraint form on a small
@@ -76,7 +78,11 @@ func TestConstraintsSelfJoin(t *testing.T) {
 }
 
 // TestConstraintsCancelled: a checker that has tripped returns its
-// error and no form.
+// error and no form. On the SAT reduction's shape the S atom is served
+// from a lookup table, and a checker that trips while the join builds
+// or reads it does the same. The join polls once per candidate fact and
+// once per fact the table indexes: the first R fact scans S, the second
+// builds the table, the rest read it.
 func TestConstraintsCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -86,5 +92,29 @@ func TestConstraintsCancelled(t *testing.T) {
 	cs, err := NewIndex(d).Constraints(query.MustParse("R(x | y), S(y | z)"), chk)
 	if !errors.Is(err, context.Canceled) || cs != nil {
 		t.Errorf("cancelled build: %v, %v", cs, err)
+	}
+
+	q := workload.SATQuery()
+	if p := compile(q, nil); p.steps[1].access != lookup {
+		t.Fatalf("S step compiled to access %d, want the lookup table", p.steps[1].access)
+	}
+	sat := workload.SATInstance(workload.RandomCNF(rand.New(rand.NewSource(4)), 12, 50, 3))
+	full, err := NewIndex(sat).Constraints(q, nil)
+	if err != nil || len(full.Cons) == 0 {
+		t.Fatalf("unchecked build: %v, %v", full, err)
+	}
+	nr, ns := int64(len(sat.FactsOf("R"))), int64(len(sat.FactsOf("S")))
+	for _, budget := range []int64{ns + 5, 2*ns + 1, 2*ns + nr} { // in the build, at its end, reading it
+		chk := evalctx.New(context.Background(), evalctx.Limits{MaxSteps: budget, Interval: 1})
+		cs, err := NewIndex(sat).Constraints(q, chk)
+		if !errors.Is(err, evalctx.ErrBudgetExceeded) || cs != nil {
+			t.Errorf("budget %d: %v, %v; want the budget error and no form", budget, cs, err)
+		}
+	}
+	// Each S fact is a candidate of one R fact at most, so the whole
+	// build fits in nr + 3·ns polls; a scan per R fact would take nr·ns.
+	chk = evalctx.New(context.Background(), evalctx.Limits{MaxSteps: nr + 3*ns, Interval: 1})
+	if cs, err := NewIndex(sat).Constraints(q, chk); err != nil || !reflect.DeepEqual(cs.Cons, full.Cons) {
+		t.Errorf("budget %d: %v; want the unchecked form", nr+3*ns, err)
 	}
 }

@@ -1,9 +1,11 @@
 package match
 
 import (
+	"slices"
 	"sort"
 
 	"cqa/internal/db"
+	"cqa/internal/evalctx"
 	"cqa/internal/query"
 	"cqa/internal/schema"
 )
@@ -90,26 +92,49 @@ func GRelevant(q query.Query, d *db.DB, s []db.Fact) bool {
 			return false
 		}
 	}
-	return gRelevant(q, NewIndex(d), choice)
+	return gRelevant(q, relevances(q), NewIndex(d), choice, nil)
+}
+
+// relevance is the join gRelevant runs from one atom of q: seed
+// unifies the atom with a fact, binding the atom's variables into the
+// first slots, and rest walks the other atoms from there.
+type relevance struct {
+	seed []op
+	rest *joinPlan
+}
+
+// relevances compiles the join gRelevant runs from each atom of q. The
+// plans depend on q alone, so one compilation serves every round of
+// GPurify.
+func relevances(q query.Query) []relevance {
+	out := make([]relevance, q.Len())
+	for i, a := range q.Atoms {
+		seed := compile(query.Query{Atoms: q.Atoms[i : i+1]}, nil)
+		out[i] = relevance{seed: seed.steps[0].ops, rest: compile(q.Remove(a), seed.vars)}
+	}
+	return out
 }
 
 // gRelevant is GRelevant for a choice of one fact in each of some
 // blocks of ix's database. The join's hits place every matched fact, so
 // consistency and the clash with the choice are slot comparisons within
-// a block.
-func gRelevant(q query.Query, ix *Index, choice []hit) bool {
+// a block. A fact is unified with the first atom of its relation. The
+// checker is polled by the join; once it trips gRelevant reports false
+// and the caller surfaces chk.Err().
+func gRelevant(q query.Query, rels []relevance, ix *Index, choice []hit, chk *evalctx.Checker) bool {
 	for _, c := range choice {
-		f := *c.fact()
-		atom, ok := q.AtomWithRel(f.Rel.Name)
-		if !ok {
+		f := c.fact()
+		i := slices.IndexFunc(q.Atoms, func(a query.Atom) bool { return a.Rel.Name == f.Rel.Name })
+		if i < 0 {
 			continue
 		}
-		val := query.Valuation{}
-		if _, ok := unify(atom, f, val); !ok {
+		r := rels[i]
+		slots := make([]query.Const, len(r.rest.vars))
+		if !unify(r.seed, f.Args, slots) {
 			continue
 		}
 		found := false
-		ix.walk(q.Remove(atom), val, nil, func(_ query.Valuation, hits []hit) bool {
+		ix.walk(r.rest, slots, chk, func(hits []hit) bool {
 			for i, h := range hits {
 				for _, g := range hits[:i] {
 					if g.sameBlock(h) && g.slot != h.slot {
@@ -139,9 +164,15 @@ func gRelevant(q query.Query, ix *Index, choice []hit) bool {
 // to q: every repair of every gblock is grelevant.
 //
 // The caller must ensure all mode-i atoms of q and all mode-i facts of d
-// are simple-key; d should already be typed relative to q.
-func GPurify(q query.Query, d *db.DB) (*db.DB, error) {
-	cur, _ := Purify(q, d, nil)
+// are simple-key; d should already be typed relative to q. The checker
+// is polled by every join; a tripped checker returns its error and no
+// database. A nil checker enforces nothing.
+func GPurify(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
+	cur, err := Purify(q, d, chk)
+	if err != nil {
+		return nil, err
+	}
+	rels := relevances(q)
 	for {
 		gblocks, err := GBlocks(cur)
 		if err != nil {
@@ -150,28 +181,34 @@ func GPurify(q query.Query, d *db.DB) (*db.DB, error) {
 		ix := NewIndex(cur)
 		removed := make(map[*db.Fact]bool) // removed blocks, by first fact
 		for _, g := range gblocks {
-			if !g.allGRelevant(q, ix) {
+			if !g.allGRelevant(q, rels, ix, chk) {
 				for _, b := range g.Blocks {
 					removed[&b.Facts[0]] = true
 				}
+			}
+			if err := chk.Err(); err != nil {
+				return nil, err
 			}
 		}
 		if len(removed) == 0 {
 			return cur, nil
 		}
-		cur, _ = Purify(q, subDB(cur, func(b db.Block) bool { return !removed[&b.Facts[0]] }), nil)
+		cur, err = Purify(q, subDB(cur, func(b db.Block) bool { return !removed[&b.Facts[0]] }), chk)
+		if err != nil {
+			return nil, err
+		}
 	}
 }
 
 // allGRelevant reports whether every repair of the gblock — one slot per
 // block, enumerated like an odometer — is grelevant.
-func (g GBlock) allGRelevant(q query.Query, ix *Index) bool {
+func (g GBlock) allGRelevant(q query.Query, rels []relevance, ix *Index, chk *evalctx.Checker) bool {
 	choice := make([]hit, len(g.Blocks))
 	for i, b := range g.Blocks {
 		choice[i] = hit{blk: b}
 	}
 	for {
-		if !gRelevant(q, ix, choice) {
+		if !gRelevant(q, rels, ix, choice, chk) {
 			return false
 		}
 		i := 0

@@ -207,7 +207,7 @@ func TestGPurifyExample11(t *testing.T) {
 	if !GRelevant(q, d, s2) {
 		t.Errorf("{R(a,1), S(a,1)} should be grelevant")
 	}
-	gp, err := GPurify(q, d)
+	gp, err := GPurify(q, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestGPurifyKeepsSupportedBlocks(t *testing.T) {
 		S(a | 3)
 	`)
 	// Repair {R(a,1), S(a,2)} is still not grelevant; removal expected.
-	gp, err := GPurify(q, d)
+	gp, err := GPurify(q, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestGPurifyKeepsSupportedBlocks(t *testing.T) {
 		R(a | 1)
 		S(a | 1)
 	`)
-	gp2, err := GPurify(q, d2)
+	gp2, err := GPurify(q, d2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func purifyRounds(q query.Query, d *db.DB) (*db.DB, int) {
 	cur := subDB(d, func(b db.Block) bool { return q.HasRel(b.Facts[0].Rel.Name) })
 	for rounds := 1; ; rounds++ {
 		relevant := make(map[*db.Fact]bool)
-		NewIndex(cur).walk(q, query.Valuation{}, nil, func(_ query.Valuation, hits []hit) bool {
+		oracleWalk(NewIndex(cur), q, query.Valuation{}, func(_ query.Valuation, hits []hit) bool {
 			for _, h := range hits {
 				relevant[h.fact()] = true
 			}
@@ -55,7 +55,7 @@ func relevant(q query.Query, d *db.DB, f db.Fact) bool {
 	if !ok {
 		return false
 	}
-	if _, ok := unify(atom, f, val); !ok {
+	if _, ok := oracleUnify(atom, f, val); !ok {
 		return false
 	}
 	return NewIndex(d).Exists(q.Remove(atom), val)
@@ -166,5 +166,39 @@ func TestPurifyCancelled(t *testing.T) {
 	pd, err := Purify(query.MustParse("R(x | y), S(y | z)"), d, chk)
 	if !errors.Is(err, context.Canceled) || pd != nil {
 		t.Errorf("cancelled purification: %v, %v", pd, err)
+	}
+}
+
+// TestGPurifyCancelled: gpurification polls the checker in every join,
+// so a budget that runs out in its first purification or in the
+// grelevance walks after it returns the budget error and no database.
+// ExistsChecked surfaces a tripped checker the same way.
+func TestGPurifyCancelled(t *testing.T) {
+	q := workload.Q0()
+	d := workload.Q0Instance(rand.New(rand.NewSource(9)), 100, 2)
+	const unlimited = 1 << 40
+	chk := evalctx.New(context.Background(), evalctx.Limits{MaxSteps: unlimited, Interval: 1})
+	want, err := GPurify(q, d, chk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, _ := chk.Remaining()
+	used := unlimited - left
+	for _, budget := range []int64{10, used - 10} {
+		chk := evalctx.New(context.Background(), evalctx.Limits{MaxSteps: budget, Interval: 1})
+		if gd, err := GPurify(q, d, chk); !errors.Is(err, evalctx.ErrBudgetExceeded) || gd != nil {
+			t.Errorf("budget %d of %d: %v, %v; want the budget error and no database", budget, used, gd, err)
+		}
+	}
+	if got, _ := GPurify(q, d, nil); got.String() != want.String() {
+		t.Errorf("unchecked gpurification differs from the checked one")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tripped := evalctx.New(ctx, evalctx.Limits{})
+	tripped.Check()
+	if ok, err := NewIndex(d).ExistsChecked(q, query.Valuation{}, tripped); ok || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled ExistsChecked: %v, %v", ok, err)
 	}
 }

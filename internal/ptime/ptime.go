@@ -80,8 +80,11 @@ func CertainTraced(q query.Query, d *db.DB, trace bool) (bool, *Stats, []string,
 // compiled plan), skipping the attack-graph construction and
 // strong-cycle check that Certain performs on every call. The result is
 // meaningless on strong-cycle queries. The lemma loops poll chk once per
-// recursion level and per Lemma 9 branch, so one budget governs the
-// whole pipeline.
+// recursion level and per Lemma 9 branch, every join of the pipeline
+// (purification, gpurification, the saturation projection, G(db) and
+// the satisfaction test) polls it per candidate fact, and the typing,
+// pattern-elimination and key-packing copies poll it per fact, so one
+// budget governs the whole pipeline.
 // A non-nil error means the evaluation was cut short and the boolean is
 // meaningless. A nil checker enforces nothing.
 func CertainNoStrongCycleChecked(q query.Query, d *db.DB, chk *evalctx.Checker) (bool, *Stats, error) {
@@ -168,7 +171,7 @@ func (s *solver) solve(q query.Query, d *db.DB, depth int) (bool, error) {
 	if q.InconsistencyCount() == 0 {
 		// All atoms are known consistent: the only repair keeps every
 		// mode-c fact, so certainty coincides with satisfaction.
-		return match.Satisfies(q, d), nil
+		return match.NewIndex(d).ExistsChecked(q, query.Valuation{}, s.chk)
 	}
 	if v, ok := s.memoGet(d, q.Canonical()); ok {
 		return v, nil
@@ -189,14 +192,14 @@ func (s *solver) solve(q query.Query, d *db.DB, depth int) (bool, error) {
 		s.memoPut(d, q.Canonical(), false)
 		return false, nil
 	}
-	td, err := simplify.TypeDB(q, pd)
+	td, err := simplify.TypeDB(q, pd, s.chk)
 	if err != nil {
 		return false, err
 	}
 	cur, curDB := q, td
 
 	if step, changed := simplify.ElimPatterns(cur); changed {
-		curDB, err = step.TransformDB(curDB)
+		curDB, err = step.TransformDB(curDB, s.chk)
 		if err != nil {
 			return false, err
 		}
@@ -208,7 +211,7 @@ func (s *solver) solve(q query.Query, d *db.DB, depth int) (bool, error) {
 		return false, err
 	}
 	if changed {
-		curDB, err = step.TransformDB(curDB)
+		curDB, err = step.TransformDB(curDB, s.chk)
 		if err != nil {
 			return false, err
 		}
@@ -252,7 +255,7 @@ func (s *solver) branch(q query.Query, d *db.DB, depth int) (bool, error) {
 		// All mode-i atoms are attacked: gpurify, then saturate one step
 		// if needed, else dissolve.
 		s.stats.GPurifyRuns++
-		gd, err := match.GPurify(q, d)
+		gd, err := match.GPurify(q, d, s.chk)
 		if err != nil {
 			return false, err
 		}
@@ -275,7 +278,10 @@ func (s *solver) branch(q query.Query, d *db.DB, depth int) (bool, error) {
 		if err != nil || len(steps) == 0 {
 			return false, fmt.Errorf("ptime: saturation of %s failed: %v", q, err)
 		}
-		nd, err := steps[0].TransformDB(gd)
+		nd, err := steps[0].TransformDB(gd, s.chk)
+		if cerr := s.chk.Err(); cerr != nil {
+			return false, cerr
+		}
 		if err != nil {
 			// The projection was inconsistent: the Lemma 11 database
 			// construction does not cover this instance.
@@ -373,7 +379,7 @@ func (s *solver) dissolveCase(q query.Query, gd *db.DB, depth int) (bool, error)
 	if dd.QStar.InconsistencyCount() >= q.InconsistencyCount() {
 		return false, fmt.Errorf("ptime: dissolution did not decrease incnt on %s", q)
 	}
-	nd, dst, err := dd.TransformDB(gd)
+	nd, dst, err := dd.TransformDB(gd, s.chk)
 	if err != nil {
 		return false, err
 	}

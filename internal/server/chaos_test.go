@@ -31,9 +31,14 @@ func TestDeadlineReturnsStructuredTimeout(t *testing.T) {
 	s := newTestServer()
 	h := s.Handler()
 	// Sized so the full search takes several times the 100ms deadline:
-	// at 60 variables and 400 clauses it finishes in about 85ms and the
-	// test would skip instead of bounding anything.
-	uploadHard(t, h, "hard", 120, 1000, 6)
+	// the SAT reduction of an unsatisfiable random 3-CNF at 4.3 clauses
+	// per variable, whose search must exhaust (2-3s on a 2-vCPU host).
+	// An instance whose cost is the join finishes in milliseconds, and
+	// the test would skip instead of bounding anything.
+	unsat := workload.SATInstance(workload.RandomCNF(rand.New(rand.NewSource(2)), 34, 146, 3))
+	if rec := do(t, h, "PUT", "/v1/db/hard", unsat.String()+"\n", nil); rec.Code != 200 {
+		t.Fatalf("upload: %d %s", rec.Code, rec.Body.String())
+	}
 	body := `{"query": "R(x | y), S(u | y)", "db": "hard", "engine": "conp",
 		"timeoutMs": 100, "approximate": false}`
 	// Warm the snapshot index and the plan cache: the latency bound is

@@ -2,6 +2,7 @@ package simplify
 
 import (
 	"cqa/internal/db"
+	"cqa/internal/evalctx"
 	"cqa/internal/query"
 	"cqa/internal/schema"
 )
@@ -44,9 +45,12 @@ func SimulateConsistent(q query.Query) (Step, bool) {
 	return Step{
 		Name: "simulate-consistent",
 		Q:    query.NewQuery(newAtoms...),
-		TransformDB: func(d *db.DB) (*db.DB, error) {
+		TransformDB: func(d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
 			out := db.New()
 			for _, f := range d.Facts() {
+				if err := chk.Step(); err != nil {
+					return nil, err
+				}
 				p, ok := pairs[f.Rel.Name]
 				if !ok {
 					out.Add(f)

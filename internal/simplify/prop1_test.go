@@ -50,7 +50,7 @@ func TestProposition1(t *testing.T) {
 		if d.NumRepairs() > 1<<11 {
 			continue
 		}
-		nd, err := step.TransformDB(d)
+		nd, err := step.TransformDB(d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,6 +25,7 @@ import (
 
 	"cqa/internal/attack"
 	"cqa/internal/db"
+	"cqa/internal/evalctx"
 	"cqa/internal/fd"
 	"cqa/internal/match"
 	"cqa/internal/query"
@@ -34,11 +35,13 @@ import (
 // Step is one query transformation together with the matching database
 // transformation. TransformDB must be applied to any database that the
 // original query would have been evaluated on (after the preceding steps'
-// transformations).
+// transformations). A transformation polls the checker once per fact
+// it copies or embedding it reads, and returns the checker's error once
+// it trips; a nil checker enforces nothing.
 type Step struct {
 	Name        string
 	Q           query.Query
-	TransformDB func(d *db.DB) (*db.DB, error)
+	TransformDB func(d *db.DB, chk *evalctx.Checker) (*db.DB, error)
 }
 
 // Pipeline is a sequence of steps ending in the fully simplified query.
@@ -60,7 +63,7 @@ func (p *Pipeline) Final() query.Query {
 func (p *Pipeline) Apply(d *db.DB) (*db.DB, error) {
 	cur := d
 	for _, s := range p.Steps {
-		next, err := s.TransformDB(cur)
+		next, err := s.TransformDB(cur, nil)
 		if err != nil {
 			return nil, fmt.Errorf("simplify: step %s: %w", s.Name, err)
 		}
@@ -81,10 +84,14 @@ func typeTag(v query.Var, c query.Const) query.Const {
 // Constants at constant positions are left alone; purification guarantees
 // they match the query constant. The mapping is injective per position,
 // so blocks and embeddings transfer bijectively and the certain answer is
-// unchanged.
-func TypeDB(q query.Query, d *db.DB) (*db.DB, error) {
+// unchanged. The checker is polled once per fact; a tripped checker
+// returns its error. A nil checker enforces nothing.
+func TypeDB(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
 	out := db.New()
 	for _, f := range d.Facts() {
+		if err := chk.Step(); err != nil {
+			return nil, err
+		}
 		atom, ok := q.AtomWithRel(f.Rel.Name)
 		if !ok {
 			return nil, fmt.Errorf("fact %s has no atom in %s (purify first)", f, q)
@@ -164,9 +171,12 @@ func ElimPatterns(q query.Query) (Step, bool) {
 	step := Step{
 		Name: "elim-patterns",
 		Q:    q2,
-		TransformDB: func(d *db.DB) (*db.DB, error) {
+		TransformDB: func(d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
 			out := db.New()
 			for _, f := range d.Facts() {
+				if err := chk.Step(); err != nil {
+					return nil, err
+				}
 				if dr, ok := byRel[f.Rel.Name]; ok {
 					args := make([]query.Const, len(dr.keep))
 					for i, p := range dr.keep {
@@ -279,9 +289,12 @@ func PackCompositeKeys(q query.Query) (Step, bool, error) {
 	step := Step{
 		Name: "pack-keys",
 		Q:    q2,
-		TransformDB: func(d *db.DB) (*db.DB, error) {
+		TransformDB: func(d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
 			out := db.New()
 			for _, f := range d.Facts() {
+				if err := chk.Step(); err != nil {
+					return nil, err
+				}
 				facts := []db.Fact{f}
 				if p, ok := packs[f.Rel.Name]; ok {
 					key := f.Args[:p.k]
@@ -381,11 +394,11 @@ func Saturate(q query.Query) ([]Step, error) {
 		steps = append(steps, Step{
 			Name: "saturate-" + name,
 			Q:    next,
-			TransformDB: func(d *db.DB) (*db.DB, error) {
+			TransformDB: func(d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
 				out := d.Clone()
 				seen := make(map[query.Const]query.Const)
 				ok := true
-				match.NewIndex(d).Match(qBefore, query.Valuation{}, func(v query.Valuation) bool {
+				match.NewIndex(d).MatchChecked(qBefore, query.Valuation{}, chk, func(v query.Valuation) bool {
 					a, b := v[x], v[z]
 					if prev, dup := seen[a]; dup {
 						if prev != b {
@@ -398,6 +411,9 @@ func Saturate(q query.Query) ([]Step, error) {
 					out.Add(db.Fact{Rel: rel, Args: []query.Const{a, b}})
 					return true
 				})
+				if err := chk.Err(); err != nil {
+					return nil, err
+				}
 				if !ok {
 					return nil, fmt.Errorf("saturation projection %s(%s | %s) is inconsistent; Lemma 11 preconditions violated", name, x, z)
 				}

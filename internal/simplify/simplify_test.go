@@ -25,7 +25,7 @@ func factsDB(t *testing.T, lines string) *db.DB {
 func TestTypeDB(t *testing.T) {
 	q := query.MustParse("R(x | y, 'k')")
 	d := factsDB(t, "R(a | b, k)")
-	td, err := TypeDB(q, d)
+	td, err := TypeDB(q, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ func TestTypeDB(t *testing.T) {
 		t.Errorf("typed fact = %s", f)
 	}
 	// Non-matching constant must error (unpurified input).
-	if _, err := TypeDB(q, factsDB(t, "R(a | b, wrong)")); err == nil {
+	if _, err := TypeDB(q, factsDB(t, "R(a | b, wrong)"), nil); err == nil {
 		t.Error("pattern mismatch not detected")
 	}
 	// Unknown relation must error.
-	if _, err := TypeDB(q, factsDB(t, "Z(a | b)")); err == nil {
+	if _, err := TypeDB(q, factsDB(t, "Z(a | b)"), nil); err == nil {
 		t.Error("foreign relation not detected")
 	}
 }
@@ -54,7 +54,7 @@ func TestTypeDBPreservesCertainty(t *testing.T) {
 		if pd.NumRepairs() > 1<<12 {
 			continue
 		}
-		td, err := TypeDB(q, pd)
+		td, err := TypeDB(q, pd, nil)
 		if err != nil {
 			t.Fatalf("TypeDB on purified db: %v\nq=%s\ndb:\n%s", err, q, pd)
 		}
@@ -83,7 +83,7 @@ func TestElimPatternsRepeatedVar(t *testing.T) {
 		t.Errorf("rewritten atom = %s", a)
 	}
 	d := factsDB(t, "R(a | b, a)")
-	nd, err := step.TransformDB(d)
+	nd, err := step.TransformDB(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestElimPatternsPreservesCertainty(t *testing.T) {
 		if d.NumRepairs() > 1<<12 {
 			continue
 		}
-		nd, err := step.TransformDB(d)
+		nd, err := step.TransformDB(d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestPackCompositeKeys(t *testing.T) {
 		R(a, b | c)
 		S(b, c | a)
 	`)
-	nd, err := step.TransformDB(d)
+	nd, err := step.TransformDB(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestTransformNameCollision(t *testing.T) {
 	if !changed {
 		t.Fatal("expected elim-patterns to change the query")
 	}
-	if _, err := elim.TransformDB(factsDB(t, "R(a | c)\nR_p(a | b, d)")); err == nil {
+	if _, err := elim.TransformDB(factsDB(t, "R(a | c)\nR_p(a | b, d)"), nil); err == nil {
 		t.Error("elim-patterns merged R_p[1,1] and R_p[3,1] into one database")
 	}
 	for _, qs := range []string{"R(x, y | z), R_k(x | y)", "R_k(x | y), R(x, y | z)"} {
@@ -351,7 +351,7 @@ func TestTransformNameCollision(t *testing.T) {
 		if err != nil || !changed {
 			t.Fatalf("pack %s: %v %v", qs, changed, err)
 		}
-		if _, err := pack.TransformDB(factsDB(t, "R(a, b | c)\nR_k(a | b)")); err == nil {
+		if _, err := pack.TransformDB(factsDB(t, "R(a, b | c)\nR_k(a | b)"), nil); err == nil {
 			t.Errorf("pack-keys on %s merged R_k[4,1] and R_k[2,1] into one database", qs)
 		}
 	}
