@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check chaos chaos-net bench bench-smoke fuzz fuzz-smoke cover vet fmt fmt-check perfbench-check examples-check experiments clean
+.PHONY: all build test test-short race check chaos chaos-net bench bench-smoke fuzz fuzz-smoke cover vet fmt fmt-check perfbench-check examples-check deps-check experiments clean
 
 all: build test
 
@@ -25,9 +25,9 @@ race:
 # db store, core worker pool, db index, trace ring), the seeded
 # differential fuzz corpus, the coverage floors, a one-iteration
 # smoke run of the evaluation benchmarks plus the BENCH_eval.json
-# freshness gate, the perfbench module's vet and tests, and a run of
-# every example program.
-check: build fmt-check test bench-smoke fuzz-smoke cover chaos-net perfbench-check examples-check
+# freshness gate, the perfbench module's vet and tests, a run of
+# every example program, and the cqa-serve dependency check.
+check: build fmt-check test bench-smoke fuzz-smoke cover chaos-net perfbench-check examples-check deps-check
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 	$(GO) test -race ./internal/server ./internal/plancache ./internal/store ./internal/core ./internal/db ./internal/rewrite ./internal/trace ./internal/shard ./internal/sym ./internal/colstore ./internal/counting
@@ -39,7 +39,7 @@ check: build fmt-check test bench-smoke fuzz-smoke cover chaos-net perfbench-che
 # rather than the happy path.
 chaos:
 	$(GO) test -race ./internal/faultinject ./internal/evalctx
-	$(GO) test -race -run 'Cancel|Deadline|Budget|Leak|Fault|Shedding|Draining|Liveness|Readiness|Degrad|Unavailable' ./internal/core ./internal/server ./internal/counting ./internal/match ./internal/ptime
+	$(GO) test -race -run 'Cancel|Deadline|Budget|Leak|Fault|Shedding|Draining|Liveness|Readiness|Degrad|Unavailable' ./internal/core ./internal/server ./internal/counting ./internal/conp ./internal/match ./internal/ptime
 	$(GO) test -race -run 'Crash|Races|Fallback|CommitFault' ./internal/store
 
 # Network-chaos gate: the remote shard tier under the race detector —
@@ -98,6 +98,14 @@ examples-check:
 		echo "examples-check: $$d"; \
 		$(GO) run ./$$d >/dev/null || exit 1; \
 	done
+
+# cqa-serve links only the serving path: fails when the service binary
+# depends on the experiment harness, the baselines, the workload
+# generators or the SQL oracle.
+deps-check:
+	@bad=$$($(GO) list -deps ./cmd/cqa-serve | grep -E '^cqa/internal/(experiments|baseline|workload|sqlmini)$$'); \
+	if [ -n "$$bad" ]; then echo "deps-check: cmd/cqa-serve links:"; echo "$$bad"; exit 1; fi; \
+	echo "deps-check: cmd/cqa-serve links none of experiments, baseline, workload, sqlmini"
 
 # Fails when gofmt would rewrite any file, listing the offenders.
 fmt-check:

@@ -26,9 +26,9 @@ package main
 import (
 	"os"
 
-	"cqa/internal/cli"
+	"cqa/internal/servecmd"
 )
 
 func main() {
-	os.Exit(cli.RunServe(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(servecmd.Run(os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -1,6 +1,8 @@
 // Package cli implements the command-line tools as testable functions:
 // each Run* takes argument slices and writers and returns a process exit
-// code. The cmd/ binaries are thin wrappers around these.
+// code. The cmd/ binaries are thin wrappers around these, except
+// cqa-serve, whose command lives in package servecmd so the service
+// binary does not link the experiment harness.
 package cli
 
 import (

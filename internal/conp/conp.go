@@ -9,7 +9,9 @@
 // most-constrained-block ordering. It is exponential in the worst case —
 // necessarily so for the coNP-complete queries of Theorem 3 (unless
 // P = NP) — but it is exact for every query and doubles as a
-// cross-checking engine for the polynomial-time cases.
+// cross-checking engine for the polynomial-time cases. The same search,
+// run to the end, counts the falsifying choices: package counting uses
+// it for every component it counts exactly.
 package conp
 
 import (
@@ -22,7 +24,7 @@ import (
 
 // Stats reports search effort.
 type Stats struct {
-	Blocks    int // decision variables after purification
+	Blocks    int // decision variables (after purification when deciding)
 	Matches   int // constraints
 	Decisions int // assignments explored
 	Backtrack int // failed subtrees
@@ -50,14 +52,14 @@ func CertainChecked(q query.Query, d *db.DB, chk *evalctx.Checker) (bool, Stats,
 // for the E9 ablation experiment — results are identical, only effort
 // differs.
 func CertainNoPurify(q query.Query, d *db.DB) (bool, Stats) {
-	var stats Stats
 	if q.Empty() {
-		return true, stats
+		return true, Stats{}
 	}
 	cs, _ := match.NewIndex(d).Constraints(q, nil)
+	found, stats := NewSearch(cs, nil).decide()
 	stats.Matches = cs.Embeddings
 	stats.Blocks = len(cs.Blocks)
-	return !newSearch(cs, nil).solveRec(&stats), stats
+	return !found, stats
 }
 
 // FalsifyingRepair searches for a repair of d that falsifies q. The
@@ -75,29 +77,28 @@ func FalsifyingRepair(q query.Query, d *db.DB) ([]db.Fact, bool, Stats) {
 // budget checker. On a non-nil error the search was abandoned mid-way:
 // the repair is nil and the boolean meaningless.
 func FalsifyingRepairChecked(q query.Query, d *db.DB, chk *evalctx.Checker) ([]db.Fact, bool, Stats, error) {
-	var stats Stats
 	if q.Empty() {
-		return nil, false, stats, nil // the empty query is true in every repair
+		return nil, false, Stats{}, nil // the empty query is true in every repair
 	}
 	tr := chk.Tracer()
 	sp := tr.Begin(trace.StageMatch)
 	cs, err := match.NewIndex(d).Constraints(q, chk)
 	sp.End()
 	if err != nil {
-		return nil, false, stats, err
+		return nil, false, Stats{}, err
 	}
 	tr.Add(trace.StageMatch, trace.CtrMatches, int64(cs.Embeddings))
 	sp = tr.Begin(trace.StagePurify)
 	pc, witnesses := cs.Purified()
 	sp.End()
 	tr.Add(trace.StagePurify, trace.CtrFacts, int64(d.NumBlocks()-len(pc.Blocks)))
+
+	s := NewSearch(pc, chk)
+	sp = tr.Begin(trace.StageCoNP)
+	found, stats := s.decide()
+	sp.End()
 	stats.Matches = pc.Embeddings
 	stats.Blocks = len(pc.Blocks)
-
-	s := newSearch(pc, chk)
-	sp = tr.Begin(trace.StageCoNP)
-	found := s.solveRec(&stats)
-	sp.End()
 	flushStats(tr, stats)
 	if err := chk.Err(); err != nil {
 		return nil, false, stats, err
@@ -128,70 +129,84 @@ func flushStats(tr *trace.Tracer, stats Stats) {
 	tr.Add(trace.StageCoNP, trace.CtrMatches, int64(stats.Matches))
 }
 
-// search is the exclusion DPLL over one repair-constraint form. Facts
-// are numbered flat: block b's slot i is fact off[b]+i.
-type search struct {
-	// chk aborts the enumeration when its context is cancelled or its
-	// step budget runs out; solveRec's boolean is meaningless once the
-	// checker has tripped (the caller surfaces chk.Err() instead).
-	chk    *evalctx.Checker
-	blocks []db.Block
-	// off[b] is the flat index of block b's first fact; off[len(blocks)]
-	// is the fact count.
-	off []int
-	// blockOf[f] is the block index of fact f.
-	blockOf []int
-	// constraints[c] lists the fact indices of embedding c; each
-	// constraint forbids choosing all of its facts simultaneously.
-	constraints [][]int
-	// inConstraints[f] lists constraint indices containing fact f.
-	inConstraints [][]int
+// Search is the exclusion DPLL over one repair-constraint form. A
+// choice of one fact per block falsifies q iff it leaves out some fact
+// of every constraint. The search decides, stopping at the first such
+// choice, and counts, summing them over a run to the end. Facts are
+// numbered flat by the form's Incidence.
+type Search struct {
+	// chk aborts the search when its context is cancelled or its step
+	// budget runs out; a run's result is meaningless once it has tripped
+	// (the callers surface chk.Err() instead).
+	chk *evalctx.Checker
+	cs  *match.Constraints
+	in  match.Incidence
 	// forbidden[f] marks facts excluded from the repair under
 	// construction (their block is committed to some other fact).
 	forbidden []bool
 	// forbCount[b] counts forbidden facts of block b; it must stay
 	// strictly below the block's size.
-	forbCount []int
+	forbCount []int32
 	// dead[c] counts forbidden facts of constraint c; dead > 0 means the
 	// embedding is blocked.
-	dead []int
-	// alive counts constraints with dead == 0 (not yet blocked).
+	dead []int32
+	// cons are the constraints a run branches on; alive counts those
+	// not yet blocked.
+	cons  []int32
 	alive int
+	// blocks are the blocks a counting run multiplies out at each leaf,
+	// nil while deciding; falsifying sums the leaves.
+	blocks     []int32
+	falsifying int64
+	stats      Stats
+	// trail stacks the facts that commitments forbade, for undo; each
+	// node pops back to where it started.
+	trail []match.Ref
 }
 
-func newSearch(cs *match.Constraints, chk *evalctx.Checker) *search {
-	s := &search{chk: chk, blocks: cs.Blocks, off: make([]int, len(cs.Blocks)+1)}
-	for b, blk := range cs.Blocks {
-		s.off[b+1] = s.off[b] + len(blk.Facts)
-		for range blk.Facts {
-			s.blockOf = append(s.blockOf, b)
-		}
+// NewSearch prepares the search over cs under the checker.
+func NewSearch(cs *match.Constraints, chk *evalctx.Checker) *Search {
+	in := cs.Incidence()
+	return &Search{chk: chk, cs: cs, in: in,
+		forbidden: make([]bool, len(in.At)-1),
+		forbCount: make([]int32, len(cs.Blocks)),
+		dead:      make([]int32, len(cs.Cons)),
 	}
-	n := s.off[len(cs.Blocks)]
-	s.inConstraints = make([][]int, n)
-	s.constraints = make([][]int, len(cs.Cons))
-	for ci, refs := range cs.Cons {
-		c := make([]int, len(refs))
-		for i, r := range refs {
-			fi := s.off[r.Block] + int(r.Slot)
-			c[i] = fi
-			s.inConstraints[fi] = append(s.inConstraints[fi], ci)
-		}
-		s.constraints[ci] = c
-	}
-	s.forbidden = make([]bool, n)
-	s.forbCount = make([]int, len(cs.Blocks))
-	s.dead = make([]int, len(cs.Cons))
-	s.alive = len(cs.Cons)
-	return s
 }
 
-// forbid excludes fact fi; the caller guarantees fi is not yet forbidden
-// and that its block retains at least one candidate.
-func (s *search) forbid(fi int) {
-	s.forbidden[fi] = true
-	s.forbCount[s.blockOf[fi]]++
-	for _, ci := range s.inConstraints[fi] {
+// decide reports whether some choice over all of the form's blocks
+// falsifies q, with the effort spent.
+func (s *Search) decide() (bool, Stats) {
+	s.cons = make([]int32, len(s.cs.Cons))
+	for ci := range s.cons {
+		s.cons[ci] = int32(ci)
+	}
+	s.blocks, s.alive, s.stats = nil, len(s.cons), Stats{}
+	found := s.run()
+	return found, s.stats
+}
+
+// Count returns the number of choices of one fact per block in blocks
+// that falsify every constraint in cons, with the effort spent. The
+// constraints in cons must be exactly those touching blocks, as in a
+// connected component of the form, and the product of the blocks'
+// sizes must fit an int64. A tripped checker returns its error.
+func (s *Search) Count(cons, blocks []int32) (int64, Stats, error) {
+	s.cons, s.blocks, s.alive, s.falsifying = cons, blocks, len(cons), 0
+	s.stats = Stats{Blocks: len(blocks), Matches: len(cons)}
+	s.run()
+	if err := s.chk.Err(); err != nil {
+		return 0, s.stats, err
+	}
+	return s.falsifying, s.stats, nil
+}
+
+// forbid excludes fact f of block b; the caller guarantees f is not yet
+// forbidden and that b retains another candidate.
+func (s *Search) forbid(b, f int32) {
+	s.forbidden[f] = true
+	s.forbCount[b]++
+	for _, ci := range s.in.On[s.in.At[f]:s.in.At[f+1]] {
 		if s.dead[ci] == 0 {
 			s.alive--
 		}
@@ -199,10 +214,10 @@ func (s *search) forbid(fi int) {
 	}
 }
 
-func (s *search) unforbid(fi int) {
-	s.forbidden[fi] = false
-	s.forbCount[s.blockOf[fi]]--
-	for _, ci := range s.inConstraints[fi] {
+func (s *Search) unforbid(b, f int32) {
+	s.forbidden[f] = false
+	s.forbCount[b]--
+	for _, ci := range s.in.On[s.in.At[f]:s.in.At[f+1]] {
 		s.dead[ci]--
 		if s.dead[ci] == 0 {
 			s.alive++
@@ -210,91 +225,88 @@ func (s *search) unforbid(fi int) {
 	}
 }
 
-// canForbid reports whether excluding fi keeps its block viable.
-func (s *search) canForbid(fi int) bool {
-	b := s.blockOf[fi]
-	return !s.forbidden[fi] && s.forbCount[b] < s.off[b+1]-s.off[b]-1
-}
-
-// chooseFact commits fi's block to fi by excluding every sibling; it
-// returns the facts newly forbidden (for undo) and whether the commitment
-// is possible (fi itself must not be forbidden).
-func (s *search) chooseFact(fi int, trail []int) ([]int, bool) {
-	if s.forbidden[fi] {
-		return trail, false
-	}
-	b := s.blockOf[fi]
-	for g := s.off[b]; g < s.off[b+1]; g++ {
-		if g == fi || s.forbidden[g] {
-			continue
+// choose commits block r.Block to fact r by excluding every sibling
+// still allowed, pushing each onto the trail.
+func (s *Search) choose(r match.Ref) {
+	lo := s.in.Off[r.Block]
+	for g := lo; g < s.in.Off[r.Block+1]; g++ {
+		if g-lo != r.Slot && !s.forbidden[g] {
+			s.forbid(r.Block, g)
+			s.trail = append(s.trail, match.Ref{Block: r.Block, Slot: g - lo})
 		}
-		s.forbid(g)
-		trail = append(trail, g)
 	}
-	return trail, true
 }
 
 // repair returns the first non-forbidden fact of every block; valid
-// only after solveRec returned true, when every block keeps one.
-func (s *search) repair() []db.Fact {
-	out := make([]db.Fact, 0, len(s.blocks))
-	for b, blk := range s.blocks {
-		fi := s.off[b]
-		for s.forbidden[fi] {
-			fi++
+// only after decide found a falsifying choice, when every block keeps
+// one.
+func (s *Search) repair() []db.Fact {
+	out := make([]db.Fact, 0, len(s.cs.Blocks))
+	for b, blk := range s.cs.Blocks {
+		f := s.in.Off[b]
+		for s.forbidden[f] {
+			f++
 		}
-		out = append(out, blk.Facts[fi-s.off[b]])
+		out = append(out, blk.Facts[f-s.in.Off[b]])
 	}
 	return out
 }
 
-// solveRec is an exclusion-based DPLL. A falsifying repair exists iff
-// every embedding loses at least one fact while every block keeps at
-// least one. While some constraint is alive, pick the one with the
-// fewest facts and split its satisfaction into DISJOINT branches:
-// branch i commits facts 1..i-1 to their blocks (they stay chosen) and
-// excludes fact i. Any falsifier blocks the constraint at some first
-// position, so exactly one branch covers it.
-func (s *search) solveRec(stats *Stats) bool {
+// run is the exclusion DPLL. A choice falsifies q iff every constraint
+// loses at least one fact while every block keeps at least one. While
+// some constraint is alive, pick the one with the fewest facts and
+// split its blocking into DISJOINT branches: branch i commits facts
+// 1..i-1 to their blocks (they stay chosen) and excludes fact i. Every
+// falsifying choice blocks the constraint at some first position, so
+// exactly one branch covers it. A leaf with no live constraint is the
+// set of choices that keep one allowed fact per block, all falsifying:
+// deciding stops there, counting adds the set's size and goes on.
+// (A live constraint's facts are never forbidden, and its blocks are
+// distinct, so a commitment to one of them always succeeds.)
+func (s *Search) run() bool {
 	if s.chk.Step() != nil {
 		return false
 	}
 	if s.alive == 0 {
-		return true
-	}
-	best := -1
-	for ci := range s.constraints {
-		if s.dead[ci] != 0 {
-			continue
+		if s.blocks == nil {
+			return true
 		}
-		if best == -1 || len(s.constraints[ci]) < len(s.constraints[best]) {
-			best = ci
+		n := int64(1)
+		for _, b := range s.blocks {
+			n *= int64(s.in.Off[b+1] - s.in.Off[b] - s.forbCount[b])
+		}
+		s.falsifying += n
+		return false
+	}
+	// The scan is the search's hot loop: it reads locals only.
+	best, bestLen := int32(-1), 0
+	cons, dead := s.cs.Cons, s.dead
+	for _, ci := range s.cons {
+		if dead[ci] == 0 && (best == -1 || len(cons[ci]) < bestLen) {
+			best, bestLen = ci, len(cons[ci])
 		}
 	}
-	c := s.constraints[best]
-	var trail []int
-	ok := true
-	for i, fi := range c {
-		if ok && s.canForbid(fi) {
-			stats.Decisions++
-			s.forbid(fi)
-			if s.solveRec(stats) {
+	c := cons[best]
+	mark := len(s.trail)
+	for i, r := range c {
+		if s.forbCount[r.Block] < s.in.Off[r.Block+1]-s.in.Off[r.Block]-1 {
+			s.stats.Decisions++
+			f := s.in.Off[r.Block] + r.Slot
+			s.forbid(r.Block, f)
+			if s.run() {
 				return true
 			}
-			s.unforbid(fi)
+			s.unforbid(r.Block, f)
 		}
-		if i == len(c)-1 {
-			break
-		}
-		// Commit fi for the remaining branches.
-		trail, ok = s.chooseFact(fi, trail)
-		if !ok {
-			break
+		if i < len(c)-1 {
+			s.choose(r)
 		}
 	}
-	for k := len(trail) - 1; k >= 0; k-- {
-		s.unforbid(trail[k])
+	for k := len(s.trail) - 1; k >= mark; k-- {
+		r := s.trail[k]
+		s.unforbid(r.Block, s.in.Off[r.Block]+r.Slot)
 	}
-	stats.Backtrack++
+	s.trail = s.trail[:mark]
+	s.stats.Backtrack++
 	return false
 }

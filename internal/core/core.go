@@ -151,7 +151,7 @@ type Options struct {
 	// budget-exhausted coNP-engine decision degrades to the repair
 	// counter's estimate of the satisfying fraction (the Result then
 	// carries Approximate=true), and a count whose constraint component
-	// is too large to enumerate samples that component instead of
+	// is too large to count exactly samples that component instead of
 	// returning counting.ErrComponentTooLarge.
 	Approximate bool
 	// Samples is the Monte Carlo draw count per estimated constraint
@@ -173,7 +173,7 @@ type Result struct {
 	// Approximate marks a degraded answer: the exact evaluation ran out
 	// of its step budget, Fraction is the repair counter's estimate of
 	// the satisfying fraction (exact when every constraint component
-	// fit the enumeration bound), and Certain is Fraction >= 1.
+	// fit the exact count bound), and Certain is Fraction >= 1.
 	Approximate bool
 	Fraction    float64 // meaningful only when Approximate
 }

@@ -22,9 +22,10 @@ type CountResult struct {
 // satisfy the plan's query, under the caller's context and budget,
 // built into an evalctx.Checker exactly like the decision engines:
 // cancellation and MaxSteps exhaustion surface as errors mid-count. The
-// counter factorizes the instance into constraint components and
-// enumerates each exactly while the assignment space fits the
-// per-component bound and the remaining step budget; beyond that,
+// counter factorizes the instance into constraint components and counts
+// each exactly, with the coNP engine's search run to the end, while the
+// component's assignment space fits the per-component bound and the
+// remaining step budget; beyond that,
 // opts.Approximate selects the anytime path — the oversized component
 // is estimated by uniform repair sampling (deterministically seeded,
 // opts.Samples draws) and the result carries Exact=false with a

@@ -7,14 +7,16 @@
 // The counter factorizes the instance: blocks interact only through the
 // embeddings of q, so the "constraint graph" (blocks joined by a shared
 // embedding) splits into independent components whose falsifying
-// assignment counts multiply. Within a component it enumerates
-// exhaustively with constraint-indexed pruning over slot arrays; the
-// per-component state space is capped, and a component that exceeds the
-// cap (or the caller's remaining step budget) is estimated by uniform
-// Monte Carlo repair sampling instead — the counter is exact where the
-// space fits and an anytime estimator with a confidence interval beyond
-// it (the problem is #P-hard in general). Exact-only callers set
-// Options.Exact and get ErrComponentTooLarge instead of an estimate.
+// assignment counts multiply. A component is counted exactly by the
+// coNP engine's exclusion DPLL (conp.Search), run to the end instead of
+// to its first falsifying leaf: its branches are disjoint, so summing
+// the leaves' sizes is exact. A component whose assignment space
+// exceeds the cap (or the caller's remaining step budget) is estimated
+// by uniform Monte Carlo repair sampling instead — the counter is exact
+// where the space fits and an anytime estimator with a confidence
+// interval beyond it (the problem is #P-hard in general). Exact-only
+// callers set Options.Exact and get ErrComponentTooLarge instead of an
+// estimate.
 package counting
 
 import (
@@ -24,6 +26,7 @@ import (
 	"math/big"
 	"math/rand"
 
+	"cqa/internal/conp"
 	"cqa/internal/db"
 	"cqa/internal/evalctx"
 	"cqa/internal/faultinject"
@@ -32,8 +35,9 @@ import (
 	"cqa/internal/trace"
 )
 
-// DefaultComponentLimit caps the assignments enumerated exactly per
-// component when Options.ComponentLimit is unset.
+// DefaultComponentLimit caps the assignment space of a component counted
+// exactly when Options.ComponentLimit is unset. It keeps every exact
+// count within an int64.
 const DefaultComponentLimit = 1 << 22
 
 // DefaultSamples is the Monte Carlo sample count drawn per oversized
@@ -42,15 +46,15 @@ const DefaultComponentLimit = 1 << 22
 // under the rule of three at the extremes.
 const DefaultSamples = 4096
 
-// ErrComponentTooLarge reports a constraint component whose exact
-// assignment space exceeds the enumeration bound while Options.Exact
-// forbids estimation.
-var ErrComponentTooLarge = errors.New("counting: component assignment space exceeds the exact enumeration bound")
+// ErrComponentTooLarge reports a constraint component whose assignment
+// space exceeds the component limit or the remaining step budget while
+// Options.Exact forbids estimation. The message names the bound.
+var ErrComponentTooLarge = errors.New("counting: component assignment space exceeds the exact count bound")
 
 // Options tunes one Count call.
 type Options struct {
-	// ComponentLimit caps the assignments enumerated exactly within one
-	// constraint component; a component whose space exceeds it (or the
+	// ComponentLimit caps the assignment space of a constraint component
+	// counted exactly; a component whose space exceeds it (or the
 	// checker's remaining step budget) is estimated instead. <= 0 selects
 	// DefaultComponentLimit.
 	ComponentLimit int64
@@ -75,7 +79,7 @@ type Result struct {
 	Sampled    int      // components estimated by Monte Carlo sampling
 	Fraction   float64  // Satisfying/Total, exact ratio or estimate midpoint
 	Confidence float64  // 95% confidence half-width on Fraction; 0 when Exact
-	Exact      bool     // every component enumerated exactly
+	Exact      bool     // every component counted exactly
 }
 
 // SatisfyingRepairs counts the repairs of d satisfying q exactly,
@@ -87,8 +91,8 @@ func SatisfyingRepairs(q query.Query, d *db.DB) (Result, error) {
 
 // Count counts the repairs of ix.DB satisfying q under the checker's
 // cancellation and step budget. It polls chk per enumerated embedding
-// candidate, per exact assignment slot, and per Monte Carlo sample; a
-// nil checker enforces nothing.
+// candidate, per search node, and per Monte Carlo sample; a nil checker
+// enforces nothing.
 func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (Result, error) {
 	tr := chk.Tracer()
 	sp := tr.Begin(trace.StageCount)
@@ -167,10 +171,10 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 		compOf[b] = ci
 		compBlocks[ci] = append(compBlocks[ci], int32(b))
 	}
-	compCons := make([][][]match.Ref, len(compBlocks))
-	for _, c := range constraints {
-		ci := compOf[c[0].Block]
-		compCons[ci] = append(compCons[ci], c)
+	compCons := make([][]int32, len(compBlocks))
+	for ci, c := range constraints {
+		k := compOf[c[0].Block]
+		compCons[k] = append(compCons[k], int32(ci))
 	}
 
 	// Falsifying assignments factorize over components. Exact components
@@ -179,17 +183,19 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 	falsifying := big.NewInt(1)
 	fracLo, fracHi := 1.0, 1.0
 	rng := rand.New(rand.NewSource(seed))
-	var totalSamples int64
-	for ci := range compBlocks {
+	var totalSamples, nodes int64
+	search := conp.NewSearch(cs, chk)
+	var sizes []int
+	var sel []int32 // the sampler's choice per block ordinal
+	for ci, bs := range compBlocks {
 		if err := faultinject.Fire("counting.component"); err != nil {
 			return Result{}, fmt.Errorf("counting: component %d: %w", ci, err)
 		}
 		if err := chk.Check(); err != nil {
 			return Result{}, err
 		}
-		comp := localizeComponent(compBlocks[ci], blocks, compCons[ci])
 		res.Components++
-		if comp.alwaysSat {
+		if forced(cs, compCons[ci]) {
 			// Some constraint is fully forced (every block it touches
 			// has one fact): all assignments of this component satisfy
 			// q, exactly, regardless of the component's size.
@@ -197,29 +203,37 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 			falsifying.SetInt64(0)
 			continue
 		}
-		space, fits := componentSpace(comp.sizes, limit)
-		if fits {
-			if rem, ok := chk.Remaining(); ok && space > rem {
-				fits = false
-			}
+		sizes = sizes[:0]
+		for _, b := range bs {
+			sizes = append(sizes, len(blocks[b].Facts))
 		}
-		if fits {
-			fals, err := countComponentExact(comp, chk)
+		space, fits := componentSpace(sizes, limit)
+		rem, budgeted := chk.Remaining()
+		overBudget := fits && budgeted && space > rem
+		if fits && !overBudget {
+			fals, st, err := search.Count(compCons[ci], bs)
 			if err != nil {
 				return Result{}, err
 			}
-			tr.Add(trace.StageCount, trace.CtrSteps, space)
+			nodes += int64(st.Decisions)
 			falsifying.Mul(falsifying, big.NewInt(fals))
 			r := float64(fals) / float64(space)
 			fracLo *= r
 			fracHi *= r
 			continue
 		}
+		if opts.Exact && overBudget {
+			return Result{}, fmt.Errorf("%w (component %d, %d blocks: space %d over the %d steps left in the budget)",
+				ErrComponentTooLarge, ci, len(bs), space, rem)
+		}
 		if opts.Exact {
 			return Result{}, fmt.Errorf("%w (component %d, %d blocks over limit %d)",
-				ErrComponentTooLarge, ci, len(comp.sizes), limit)
+				ErrComponentTooLarge, ci, len(bs), limit)
 		}
-		lo, hi, err := sampleComponent(comp, samples, rng, chk)
+		if sel == nil {
+			sel = make([]int32, len(blocks))
+		}
+		lo, hi, err := sampleComponent(cs, bs, compCons[ci], sel, samples, rng, chk)
 		if err != nil {
 			return Result{}, err
 		}
@@ -229,6 +243,7 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 		fracLo *= lo
 		fracHi *= hi
 	}
+	tr.Add(trace.StageCount, trace.CtrNodes, nodes)
 	tr.Add(trace.StageCount, trace.CtrComponents, int64(res.Components))
 	tr.Add(trace.StageCount, trace.CtrSamples, totalSamples)
 
@@ -258,53 +273,19 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 	return res, nil
 }
 
-// component is one constraint component in local form: free blocks (two
-// or more facts) indexed densely, forced single-fact blocks dropped, and
-// each constraint reduced to refs into the free blocks and attached at
-// the deepest free block it mentions for subtree pruning.
-type component struct {
-	sizes     []int           // fact count per free block
-	byDepth   [][][]match.Ref // constraints attached at their deepest free block
-	cons      [][]match.Ref   // all localized constraints (sampling)
-	alwaysSat bool            // a constraint became empty: fully forced
-}
-
-// localizeComponent remaps a component's constraints from global block
-// ordinals to dense free-block indices. Facts in single-fact blocks are
-// always chosen in every repair, so their refs vanish; a constraint with
-// no refs left is satisfied by every assignment.
-func localizeComponent(bs []int32, blocks []db.Block, cons [][]match.Ref) *component {
-	comp := &component{}
-	local := map[int32]int32{}
-	for _, b := range bs {
-		if len(blocks[b].Facts) < 2 {
-			continue
-		}
-		local[b] = int32(len(comp.sizes))
-		comp.sizes = append(comp.sizes, len(blocks[b].Facts))
-	}
-	comp.byDepth = make([][][]match.Ref, len(comp.sizes))
-	for _, c := range cons {
-		lc := make([]match.Ref, 0, len(c))
-		depth := int32(-1)
-		for _, fr := range c {
-			lb, ok := local[fr.Block]
-			if !ok {
-				continue // forced block: the ref always holds
-			}
-			lc = append(lc, match.Ref{Block: lb, Slot: fr.Slot})
-			if lb > depth {
-				depth = lb
+// forced reports whether some constraint in cons touches only
+// single-fact blocks, so that every repair keeps it.
+func forced(cs *match.Constraints, cons []int32) bool {
+next:
+	for _, ci := range cons {
+		for _, r := range cs.Cons[ci] {
+			if len(cs.Blocks[r.Block].Facts) > 1 {
+				continue next
 			}
 		}
-		if len(lc) == 0 {
-			comp.alwaysSat = true
-			return comp
-		}
-		comp.cons = append(comp.cons, lc)
-		comp.byDepth[depth] = append(comp.byDepth[depth], lc)
+		return true
 	}
-	return comp
+	return false
 }
 
 // componentSpace computes the product of the block sizes without ever
@@ -327,72 +308,29 @@ func componentSpace(sizes []int, limit int64) (int64, bool) {
 	return space, true
 }
 
-// countComponentExact counts the falsifying assignments — one fact per
-// free block such that no constraint keeps all its facts — over slot
-// arrays. Constraints prune at the deepest block they mention: once one
-// is fully chosen the whole subtree satisfies q and contributes nothing.
-func countComponentExact(comp *component, chk *evalctx.Checker) (int64, error) {
-	sel := make([]int32, len(comp.sizes))
-	var count int64
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(comp.sizes) {
-			count++
-			return nil
-		}
-		for s := 0; s < comp.sizes[i]; s++ {
-			if err := chk.Step(); err != nil {
-				return err
-			}
-			sel[i] = int32(s)
-			satisfied := false
-			for _, c := range comp.byDepth[i] {
-				all := true
-				for _, fr := range c {
-					if sel[fr.Block] != fr.Slot {
-						all = false
-						break
-					}
-				}
-				if all {
-					satisfied = true
-					break
-				}
-			}
-			if satisfied {
-				continue
-			}
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return 0, err
-	}
-	return count, nil
-}
-
 // sampleComponent draws n uniform assignments of the component's free
 // blocks — each is a uniform repair restricted to the component — and
 // returns a 95% confidence interval [lo, hi] on its falsifying fraction:
 // a normal approximation in the interior, the rule of three at the
-// boundary outcomes where the variance estimate degenerates.
-func sampleComponent(comp *component, n int, rng *rand.Rand, chk *evalctx.Checker) (lo, hi float64, err error) {
-	sel := make([]int32, len(comp.sizes))
+// boundary outcomes where the variance estimate degenerates. sel holds
+// a choice per block ordinal of cs and is overwritten on the
+// component's blocks only. A single-fact block is never drawn: it keeps
+// slot 0, which every ref into it names.
+func sampleComponent(cs *match.Constraints, blocks, cons, sel []int32, n int, rng *rand.Rand, chk *evalctx.Checker) (lo, hi float64, err error) {
 	fals := 0
 	for k := 0; k < n; k++ {
 		if err := chk.Step(); err != nil {
 			return 0, 0, err
 		}
-		for i, sz := range comp.sizes {
-			sel[i] = int32(rng.Intn(sz))
+		for _, b := range blocks {
+			if sz := len(cs.Blocks[b].Facts); sz > 1 {
+				sel[b] = int32(rng.Intn(sz))
+			}
 		}
 		satisfied := false
-		for _, c := range comp.cons {
+		for _, ci := range cons {
 			all := true
-			for _, fr := range c {
+			for _, fr := range cs.Cons[ci] {
 				if sel[fr.Block] != fr.Slot {
 					all = false
 					break

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cqa/internal/db"
@@ -59,6 +60,30 @@ func TestCountBudgetDegrades(t *testing.T) {
 	}
 	if res.Exact || res.Sampled != 1 {
 		t.Errorf("tight budget should sample: exact=%v sampled=%d", res.Exact, res.Sampled)
+	}
+}
+
+// TestCountExactRefusalNamesBound: under Exact, a component refused for
+// the step budget and one refused for the component limit are both
+// ErrComponentTooLarge, and each message names the bound that failed.
+func TestCountExactRefusalNamesBound(t *testing.T) {
+	q, d := hubInstance(t, 12) // space 2^13, well under the limit
+	chk := evalctx.New(context.Background(), evalctx.Limits{MaxSteps: 2000})
+	_, err := Count(q, match.NewIndex(d), chk, Options{Exact: true})
+	if !errors.Is(err, ErrComponentTooLarge) {
+		t.Fatalf("want ErrComponentTooLarge, got %v", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "space 8192 over the") ||
+		!strings.Contains(msg, "steps left in the budget") || strings.Contains(msg, "limit") {
+		t.Errorf("budget refusal names the wrong bound: %s", msg)
+	}
+	q, d = hubInstance(t, 64)
+	_, err = Count(q, match.NewIndex(d), nil, Options{Exact: true})
+	if !errors.Is(err, ErrComponentTooLarge) {
+		t.Fatalf("want ErrComponentTooLarge, got %v", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "over limit 4194304") || strings.Contains(msg, "budget") {
+		t.Errorf("limit refusal names the wrong bound: %s", msg)
 	}
 }
 

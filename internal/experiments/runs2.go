@@ -51,7 +51,7 @@ func runE13(r *Runner) error {
 		}
 		exact := res.Fraction
 		// ComponentLimit 1 forces every component onto the Monte Carlo
-		// path the counter takes beyond its enumeration bound.
+		// path the counter takes beyond its exact count bound.
 		est, err := counting.Count(q, match.NewIndex(d), nil, counting.Options{
 			ComponentLimit: 1, Samples: 2000, Seed: r.Seed + 13,
 		})

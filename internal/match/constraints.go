@@ -91,6 +91,41 @@ func (ix *Index) Constraints(q query.Query, chk *evalctx.Checker) (*Constraints,
 	return cs, nil
 }
 
+// Incidence numbers the facts of a form flat and lists the constraints
+// through each fact. Block b's slot s is fact Off[b]+s, Off[len(Blocks)]
+// is the fact count, and On[At[f]:At[f+1]] lists the constraints through
+// fact f in ascending order.
+type Incidence struct{ Off, At, On []int32 }
+
+// Incidence builds the form's flat fact numbering and its fact to
+// constraint incidence.
+func (c *Constraints) Incidence() Incidence {
+	off := make([]int32, len(c.Blocks)+1)
+	for b, blk := range c.Blocks {
+		off[b+1] = off[b] + int32(len(blk.Facts))
+	}
+	// Count each fact's constraints, sum them so at[f] ends f's run, then
+	// fill the runs back to front, leaving at[f] at their starts.
+	at := make([]int32, off[len(c.Blocks)]+1)
+	for _, con := range c.Cons {
+		for _, r := range con {
+			at[off[r.Block]+r.Slot]++
+		}
+	}
+	for f := 1; f < len(at); f++ {
+		at[f] += at[f-1]
+	}
+	on := make([]int32, at[len(at)-1])
+	for ci := len(c.Cons) - 1; ci >= 0; ci-- {
+		for _, r := range c.Cons[ci] {
+			f := off[r.Block] + r.Slot
+			at[f]--
+			on[at[f]] = int32(ci)
+		}
+	}
+	return Incidence{Off: off, At: at, On: on}
+}
+
 // Purified is Lemma 1 on the form. A block with a fact in no live
 // constraint is dropped, that fact becomes its witness, and every
 // constraint through the block dies; dropping repeats until each fact
@@ -104,29 +139,11 @@ func (ix *Index) Constraints(q query.Query, chk *evalctx.Checker) (*Constraints,
 // a falsifying choice over the surviving blocks stays falsifying with
 // the witnesses added.
 func (c *Constraints) Purified() (*Constraints, []db.Fact) {
-	// Facts are numbered flat: block b's slot s is fact off[b]+s, and
-	// on[at[f]:at[f+1]] lists the constraints through fact f.
-	off := make([]int32, len(c.Blocks)+1)
-	for b, blk := range c.Blocks {
-		off[b+1] = off[b] + int32(len(blk.Facts))
-	}
-	at := make([]int32, off[len(c.Blocks)]+1)
-	for _, con := range c.Cons {
-		for _, r := range con {
-			at[off[r.Block]+r.Slot+1]++
-		}
-	}
-	for f := 1; f < len(at); f++ {
-		at[f] += at[f-1]
-	}
+	in := c.Incidence()
+	off, at, on := in.Off, in.At, in.On
 	live := make([]int32, len(at)-1) // live constraints through each fact
-	on := make([]int32, at[len(at)-1])
-	for ci, con := range c.Cons {
-		for _, r := range con {
-			f := off[r.Block] + r.Slot
-			on[at[f]+live[f]] = int32(ci)
-			live[f]++
-		}
+	for f := range live {
+		live[f] = at[f+1] - at[f]
 	}
 	// drops lists the dropped blocks with their witness slots; the loop
 	// below works through it while it grows.

@@ -35,7 +35,7 @@ type metrics struct {
 	// requests that published or idempotently reached a version).
 	mutations atomic.Uint64
 	// countExact / countApprox split successful /v1/count requests by
-	// whether every component was enumerated exactly or at least one
+	// whether every component was counted exactly or at least one
 	// degraded to Monte Carlo sampling.
 	countExact  atomic.Uint64
 	countApprox atomic.Uint64

@@ -861,7 +861,7 @@ func (s *Server) handleCertain(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCount serves #CERTAINTY: the number of repairs satisfying the
-// query, exact while every constraint component fits the enumeration
+// query, exact while every constraint component fits the exact count
 // bound and the step budget, an anytime confidence-interval estimate
 // beyond that (unless the request set approximate: false). Counting
 // always evaluates locally — the factorized counter is not sharded, and

@@ -49,9 +49,10 @@ const (
 	// StageCoNP is the DPLL falsifying-repair search.
 	StageCoNP
 	// StageCount is the #CERTAINTY repair-counting engine: constraint
-	// extraction, component factorization, and the per-component exact
-	// enumeration or Monte Carlo estimation — for /v1/count and for the
-	// degraded estimate of a budget-exhausted coNP decision alike.
+	// extraction, component factorization, and per component either the
+	// coNP exclusion search run to the end (its nodes are the stage's
+	// "nodes" counter) or Monte Carlo estimation — for /v1/count and for
+	// the degraded estimate of a budget-exhausted coNP decision alike.
 	StageCount
 	numStages
 )
