@@ -55,13 +55,14 @@ chaos-net:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One iteration of the E-index evaluation benchmarks (verifies the
-# compiled-plan and worker-pool paths still run end to end without
-# paying for a full timed sweep), then the BENCH_eval.json freshness
+# One iteration of the E-index evaluation benchmarks and of the
+# polynomial engine's gpurification and q0 benchmarks (verifies the
+# compiled-plan, worker-pool and Theorem 4 paths still run end to end
+# without paying for a full timed sweep), then the BENCH_eval.json freshness
 # gate: regenerate a quick report and validate both it and the
 # checked-in artifact against the current harness shape.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='CertainAcyclic|CertainAnswersPool' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='CertainAcyclic|CertainAnswersPool|GPurify|CertainPTimeQ0n100$$' -benchtime=1x .
 	$(GO) run ./cmd/cqa-bench -quick -evaljson /tmp/cqa_eval_smoke.json
 	$(GO) run ./cmd/cqa-bench -quick -evalcheck /tmp/cqa_eval_smoke.json
 	$(GO) run ./cmd/cqa-bench -evalcheck BENCH_eval.json

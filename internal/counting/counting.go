@@ -157,37 +157,36 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 			r0 = find(r0)
 		}
 	}
+	// Number the components in the order of their root blocks, then
+	// list each component's blocks and constraints as runs of two flat
+	// arrays, both ascending.
 	compOf := make([]int32, len(blocks))
-	var compBlocks [][]int32
+	ncomp := 0
 	for b := range blocks {
-		root := find(int32(b))
-		if int(root) == b {
-			compOf[b] = int32(len(compBlocks))
-			compBlocks = append(compBlocks, nil)
+		if find(int32(b)) == int32(b) {
+			compOf[b] = int32(ncomp)
+			ncomp++
 		}
 	}
 	for b := range blocks {
-		ci := compOf[find(int32(b))]
-		compOf[b] = ci
-		compBlocks[ci] = append(compBlocks[ci], int32(b))
+		compOf[b] = compOf[find(int32(b))]
 	}
-	compCons := make([][]int32, len(compBlocks))
-	for ci, c := range constraints {
-		k := compOf[c[0].Block]
-		compCons[k] = append(compCons[k], int32(ci))
-	}
+	compBlocks, blockAt := runs(len(blocks), ncomp, func(b int) int32 { return compOf[b] })
+	compCons, consAt := runs(len(constraints), ncomp, func(ci int) int32 { return compOf[constraints[ci][0].Block] })
 
 	// Falsifying assignments factorize over components. Exact components
 	// contribute a point falsifying ratio; sampled ones an interval, and
 	// the product of intervals bounds the overall falsifying fraction.
-	falsifying := big.NewInt(1)
+	falsifying, factor := big.NewInt(1), new(big.Int)
 	fracLo, fracHi := 1.0, 1.0
 	rng := rand.New(rand.NewSource(seed))
 	var totalSamples, nodes int64
 	search := conp.NewSearch(cs, chk)
 	var sizes []int
 	var sel []int32 // the sampler's choice per block ordinal
-	for ci, bs := range compBlocks {
+	for ci := 0; ci < ncomp; ci++ {
+		bs := compBlocks[blockAt[ci]:blockAt[ci+1]:blockAt[ci+1]]
+		cons := compCons[consAt[ci]:consAt[ci+1]:consAt[ci+1]]
 		if err := faultinject.Fire("counting.component"); err != nil {
 			return Result{}, fmt.Errorf("counting: component %d: %w", ci, err)
 		}
@@ -195,7 +194,7 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 			return Result{}, err
 		}
 		res.Components++
-		if forced(cs, compCons[ci]) {
+		if forced(cs, cons) {
 			// Some constraint is fully forced (every block it touches
 			// has one fact): all assignments of this component satisfy
 			// q, exactly, regardless of the component's size.
@@ -211,12 +210,12 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 		rem, budgeted := chk.Remaining()
 		overBudget := fits && budgeted && space > rem
 		if fits && !overBudget {
-			fals, st, err := search.Count(compCons[ci], bs)
+			fals, st, err := search.Count(cons, bs)
 			if err != nil {
 				return Result{}, err
 			}
 			nodes += int64(st.Decisions)
-			falsifying.Mul(falsifying, big.NewInt(fals))
+			falsifying.Mul(falsifying, factor.SetInt64(fals))
 			r := float64(fals) / float64(space)
 			fracLo *= r
 			fracHi *= r
@@ -233,7 +232,7 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 		if sel == nil {
 			sel = make([]int32, len(blocks))
 		}
-		lo, hi, err := sampleComponent(cs, bs, compCons[ci], sel, samples, rng, chk)
+		lo, hi, err := sampleComponent(cs, bs, cons, sel, samples, rng, chk)
 		if err != nil {
 			return Result{}, err
 		}
@@ -271,6 +270,27 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 	res.Fraction = 1 - (fracLo+fracHi)/2
 	res.Confidence = (fracHi - fracLo) / 2
 	return res, nil
+}
+
+// runs lists 0..n-1 grouped by key, which lies in [0, k), as runs of
+// one flat array: group g is flat[at[g]:at[g+1]], in ascending order.
+func runs(n, k int, key func(int) int32) (flat, at []int32) {
+	// Count each group, sum the counts so at[g] ends g's run, then fill
+	// the runs back to front, leaving at[g] at their starts.
+	at = make([]int32, k+1)
+	for i := 0; i < n; i++ {
+		at[key(i)]++
+	}
+	for g := 1; g <= k; g++ {
+		at[g] += at[g-1]
+	}
+	flat = make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		g := key(i)
+		at[g]--
+		flat[at[g]] = int32(i)
+	}
+	return flat, at
 }
 
 // forced reports whether some constraint in cons touches only

@@ -81,7 +81,8 @@ const (
 		"not the mean, is the serving-relevant number for a scatter that cannot early-exit. " +
 		"count-exact/count-approx: the repair-counting engine (#CERTAINTY) at the same sweep sizes — " +
 		"count-exact is one exact satisfying-repair count per op on the warm falsified chain (many " +
-		"tiny constraint components, all enumerated); count-approx is one anytime count per op on a " +
+		"tiny constraint components, each counted exactly by the falsifying-repair search); count-approx " +
+		"is one anytime count per op on a " +
 		"hub instance whose single component has assignment space 2^blocks, so the counter degrades " +
 		"to the seeded Monte Carlo estimator and the row measures the sampling path's latency."
 )
@@ -204,7 +205,7 @@ func evalFalsifiedChainDB(q query.Query, blocks int) *db.DB {
 // R-blocks that each choose between a shared hub y-value and a dead end,
 // plus one two-fact S-block on the hub. Every matching R-fact joins the
 // same S-block, so the whole instance is ONE constraint component with
-// assignment space 2^blocks — far past the exact enumeration bound at
+// assignment space 2^blocks — far past the exact-count bound at
 // the sweep sizes — while the match count stays linear in blocks.
 func evalHubDB(q query.Query, blocks int) *db.DB {
 	d := db.New()
@@ -581,11 +582,12 @@ func runMutationEval(q query.Query, plan *core.Plan, quick bool, rep *EvalReport
 
 // runCountEval measures the repair-counting engine (#CERTAINTY) at the
 // eval sweep sizes. count-exact is one exact count per op on the warm
-// falsified chain instance — many tiny constraint components, every one
-// enumerated, so the row tracks the factorized counting throughput of
-// the serving path. count-approx is one anytime count per op on the hub
-// instance of the same block count, whose single component has
-// assignment space 2^blocks: the exact enumerator must degrade to the
+// falsified chain instance — many tiny constraint components, each
+// counted exactly by the falsifying-repair search (conp.Search.Count),
+// so the row tracks the factorized counting throughput of the serving
+// path. count-approx is one anytime count per op on the hub instance of
+// the same block count, whose single component has assignment space
+// 2^blocks, past the exact-count bound: the counter must degrade to the
 // seeded Monte Carlo estimator, so the row is the sampling path's
 // latency at the same instance scale.
 func runCountEval(q query.Query, plan *core.Plan, quick bool, rep *EvalReport) error {

@@ -126,6 +126,70 @@ func (c *Constraints) Incidence() Incidence {
 	return Incidence{Off: off, At: at, On: on}
 }
 
+// purge is the Lemma 1 fixpoint on a form, kept as a work list so
+// that a caller can drop more blocks and settle again. A block goes
+// when one of its facts lies on no live constraint, or when a caller
+// drops it; settling kills every constraint through a gone block,
+// which can leave further facts on no live constraint.
+type purge struct {
+	c *Constraints
+	Incidence
+	live  []int32 // live constraints through each fact
+	gone  []bool  // per block
+	dead  []bool  // per constraint
+	drops []Ref   // the gone blocks with their witness slots, in drop order
+	done  int     // drops[:done] are settled
+}
+
+// purge drops every block of the form with a fact on no constraint and
+// settles.
+func (c *Constraints) purge() *purge {
+	p := &purge{c: c, Incidence: c.Incidence(), gone: make([]bool, len(c.Blocks)), dead: make([]bool, len(c.Cons))}
+	p.live = make([]int32, len(p.At)-1)
+	for f := range p.live {
+		p.live[f] = p.At[f+1] - p.At[f]
+	}
+	for b := range c.Blocks {
+		for f := p.Off[b]; f < p.Off[b+1]; f++ {
+			if p.live[f] == 0 {
+				p.drop(Ref{Block: int32(b), Slot: f - p.Off[b]})
+				break
+			}
+		}
+	}
+	p.settle()
+	return p
+}
+
+// drop marks r's block gone, with r's slot as its witness, unless it
+// already is.
+func (p *purge) drop(r Ref) {
+	if !p.gone[r.Block] {
+		p.gone[r.Block] = true
+		p.drops = append(p.drops, r)
+	}
+}
+
+// settle works through the drops not yet settled, including the ones
+// it adds.
+func (p *purge) settle() {
+	for ; p.done < len(p.drops); p.done++ {
+		b := p.drops[p.done].Block
+		for _, ci := range p.On[p.At[p.Off[b]]:p.At[p.Off[b+1]]] {
+			if p.dead[ci] {
+				continue
+			}
+			p.dead[ci] = true
+			for _, r := range p.c.Cons[ci] {
+				f := p.Off[r.Block] + r.Slot
+				if p.live[f]--; p.live[f] == 0 {
+					p.drop(r)
+				}
+			}
+		}
+	}
+}
+
 // Purified is Lemma 1 on the form. A block with a fact in no live
 // constraint is dropped, that fact becomes its witness, and every
 // constraint through the block dies; dropping repeats until each fact
@@ -135,51 +199,16 @@ func (c *Constraints) Incidence() Incidence {
 // join. Purified returns the form of the purified database — the live
 // constraints in order, over the surviving blocks renumbered in
 // first-touch order, with Embeddings counting the live constraints —
-// and the witness of every dropped block in drop order. A witness was in no live constraint when its block went, so
-// a falsifying choice over the surviving blocks stays falsifying with
-// the witnesses added.
+// and the witness of every dropped block in drop order. A witness was
+// in no live constraint when its block went, so a falsifying choice
+// over the surviving blocks stays falsifying with the witnesses added.
 func (c *Constraints) Purified() (*Constraints, []db.Fact) {
-	in := c.Incidence()
-	off, at, on := in.Off, in.At, in.On
-	live := make([]int32, len(at)-1) // live constraints through each fact
-	for f := range live {
-		live[f] = at[f+1] - at[f]
-	}
-	// drops lists the dropped blocks with their witness slots; the loop
-	// below works through it while it grows.
-	var drops []Ref
-	gone := make([]bool, len(c.Blocks))
-	for b := range c.Blocks {
-		for f := off[b]; f < off[b+1]; f++ {
-			if live[f] == 0 {
-				drops = append(drops, Ref{Block: int32(b), Slot: f - off[b]})
-				gone[b] = true
-				break
-			}
-		}
-	}
-	dead := make([]bool, len(c.Cons))
-	for i := 0; i < len(drops); i++ {
-		b := drops[i].Block
-		for _, ci := range on[at[off[b]]:at[off[b+1]]] {
-			if dead[ci] {
-				continue
-			}
-			dead[ci] = true
-			for _, r := range c.Cons[ci] {
-				f := off[r.Block] + r.Slot
-				if live[f]--; live[f] == 0 && !gone[r.Block] {
-					drops = append(drops, r)
-					gone[r.Block] = true
-				}
-			}
-		}
-	}
-	pc := &Constraints{ord: make(map[*db.Fact]int32, len(c.Blocks)-len(drops))}
+	p := c.purge()
+	pc := &Constraints{ord: make(map[*db.Fact]int32, len(c.Blocks)-len(p.drops))}
 	renum := make([]int32, len(c.Blocks)) // new ordinal + 1; 0 = not yet touched
-	refs := make([]Ref, len(on))          // backs the live constraints
+	refs := make([]Ref, len(p.On))        // backs the live constraints
 	for ci, con := range c.Cons {
-		if dead[ci] {
+		if p.dead[ci] {
 			continue
 		}
 		nc := refs[:len(con):len(con)]
@@ -196,8 +225,8 @@ func (c *Constraints) Purified() (*Constraints, []db.Fact) {
 		pc.Cons = append(pc.Cons, nc)
 	}
 	pc.Embeddings = len(pc.Cons)
-	witnesses := make([]db.Fact, len(drops))
-	for i, r := range drops {
+	witnesses := make([]db.Fact, len(p.drops))
+	for i, r := range p.drops {
 		witnesses[i] = c.Blocks[r.Block].Facts[r.Slot]
 	}
 	return pc, witnesses

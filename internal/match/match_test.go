@@ -159,9 +159,12 @@ func TestRelevantFact(t *testing.T) {
 	}
 }
 
-// TestGBlocksGrouping: gblocks group simple-key mode-i facts by key
-// constant across relations.
+// TestGBlocksGrouping: gblocks group simple-key mode-i blocks by key
+// constant across relations; mode-c blocks are in none.
 func TestGBlocksGrouping(t *testing.T) {
+	// No variable is shared, so every fact lies on an embedding and
+	// every block is in the form.
+	q := query.MustParse("R(x | y), S(u | v), T#c(w | z)")
 	d := factsDB(t, `
 		R(a | 1)
 		R(a | 2)
@@ -169,21 +172,27 @@ func TestGBlocksGrouping(t *testing.T) {
 		S(b | 4)
 		T#c(a | 9)
 	`)
-	gbs, err := GBlocks(d)
+	cs, err := NewIndex(d).Constraints(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gbs := cs.gblocks()
 	if len(gbs) != 2 {
 		t.Fatalf("got %d gblocks, want 2 (keys a and b)", len(gbs))
 	}
-	var ga GBlock
+	var ga []int32
 	for _, g := range gbs {
-		if g.Key == "a" {
+		if cs.Blocks[g[0]].Facts[0].Args[0] == "a" {
 			ga = g
 		}
 	}
-	if ga.Size() != 3 || len(ga.Blocks) != 2 || ga.NumRepairs() != 2 {
-		t.Errorf("gblock a: size=%d blocks=%d repairs=%d", ga.Size(), len(ga.Blocks), ga.NumRepairs())
+	size, repairs := 0, 1
+	for _, b := range ga {
+		size += len(cs.Blocks[b].Facts)
+		repairs *= len(cs.Blocks[b].Facts)
+	}
+	if size != 3 || len(ga) != 2 || repairs != 2 {
+		t.Errorf("gblock a: size=%d blocks=%d repairs=%d", size, len(ga), repairs)
 	}
 }
 
@@ -200,11 +209,11 @@ func TestGPurifyExample11(t *testing.T) {
 		S(a | 2)
 	`)
 	s := []db.Fact{d.Facts()[0], d.Facts()[3]} // R(a|1), S(a|2)
-	if GRelevant(q, d, s) {
+	if gRelevant(q, d, s) {
 		t.Errorf("{R(a,1), S(a,2)} should not be grelevant")
 	}
 	s2 := []db.Fact{d.Facts()[0], d.Facts()[2]} // R(a|1), S(a|1)
-	if !GRelevant(q, d, s2) {
+	if !gRelevant(q, d, s2) {
 		t.Errorf("{R(a,1), S(a,1)} should be grelevant")
 	}
 	gp, err := GPurify(q, d, nil)

@@ -209,7 +209,7 @@ func referenceAnswers(q query.Query, el *Eliminator, free []query.Var, d *db.DB)
 	out := make(map[string]bool)
 	for _, b := range d.BlocksOf(top.Rel.Name) {
 		binding := query.Valuation{}
-		if !unifyArgs(top.KeyArgs(), b.Facts[0].Key(), binding) {
+		if !match.UnifyTerms(top.KeyArgs(), b.Facts[0].Key(), binding) {
 			continue
 		}
 		binding = binding.Restrict(query.NewVarSet(free...))

@@ -15,6 +15,7 @@ import (
 
 	"cqa/internal/attack"
 	"cqa/internal/db"
+	"cqa/internal/match"
 	"cqa/internal/query"
 )
 
@@ -100,13 +101,13 @@ func (e *evaluator) certainUncached(q query.Query) bool {
 			continue
 		}
 		theta := query.Valuation{}
-		if !unifyArgs(f.KeyArgs(), b.Facts[0].Key(), theta) {
+		if !match.UnifyTerms(f.KeyArgs(), b.Facts[0].Key(), theta) {
 			continue
 		}
 		allGood := true
 		for _, fact := range b.Facts {
 			thetaPlus := theta.Clone()
-			if !unifyArgs(f.NonKeyArgs(), fact.NonKey(), thetaPlus) {
+			if !match.UnifyTerms(f.NonKeyArgs(), fact.NonKey(), thetaPlus) {
 				allGood = false
 				break
 			}
@@ -133,29 +134,4 @@ func groundKey(a query.Atom) ([]query.Const, bool) {
 		key[i] = t.Const()
 	}
 	return key, true
-}
-
-// unifyArgs extends val so that the terms map onto the constants; it
-// reports failure on constant mismatches or inconsistent repeated
-// variables. val is extended in place (only on success paths for the
-// bindings made so far; callers clone when needed).
-func unifyArgs(terms []query.Term, consts []query.Const, val query.Valuation) bool {
-	for i, t := range terms {
-		c := consts[i]
-		if t.IsConst() {
-			if t.Const() != c {
-				return false
-			}
-			continue
-		}
-		v := t.Var()
-		if bound, ok := val[v]; ok {
-			if bound != c {
-				return false
-			}
-			continue
-		}
-		val[v] = c
-	}
-	return true
 }

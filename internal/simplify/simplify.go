@@ -44,34 +44,6 @@ type Step struct {
 	TransformDB func(d *db.DB, chk *evalctx.Checker) (*db.DB, error)
 }
 
-// Pipeline is a sequence of steps ending in the fully simplified query.
-type Pipeline struct {
-	Input query.Query
-	Steps []Step
-}
-
-// Final returns the query produced by the last step (or the input when no
-// steps were needed).
-func (p *Pipeline) Final() query.Query {
-	if len(p.Steps) == 0 {
-		return p.Input
-	}
-	return p.Steps[len(p.Steps)-1].Q
-}
-
-// Apply runs every step's database transformation in order.
-func (p *Pipeline) Apply(d *db.DB) (*db.DB, error) {
-	cur := d
-	for _, s := range p.Steps {
-		next, err := s.TransformDB(cur, nil)
-		if err != nil {
-			return nil, fmt.Errorf("simplify: step %s: %w", s.Name, err)
-		}
-		cur = next
-	}
-	return cur, nil
-}
-
 // typeTag builds the typed constant for value c at a position whose query
 // term is the variable v.
 func typeTag(v query.Var, c query.Const) query.Const {

@@ -288,24 +288,6 @@ func TestSaturateProducesSaturated(t *testing.T) {
 	}
 }
 
-func TestPipelineApply(t *testing.T) {
-	q := query.MustParse("R(x | y, x)")
-	step, _ := ElimPatterns(q)
-	p := &Pipeline{Input: q, Steps: []Step{step}}
-	if !p.Final().Equal(step.Q) {
-		t.Error("Final wrong")
-	}
-	d := factsDB(t, "R(a | b, a)")
-	nd, err := p.Apply(d)
-	if err != nil || nd.Len() != 1 {
-		t.Errorf("Apply: %v %v", nd, err)
-	}
-	empty := &Pipeline{Input: q}
-	if !empty.Final().Equal(q) {
-		t.Error("empty pipeline Final")
-	}
-}
-
 func TestNormalizeQuery(t *testing.T) {
 	q := query.MustParse("R(x, y | z, x), S(y | z)")
 	n, err := NormalizeQuery(q)
