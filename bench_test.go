@@ -154,6 +154,55 @@ func BenchmarkCertainCoNPVars8(b *testing.B)  { benchmarkCertainCoNP(b, 8) }
 func BenchmarkCertainCoNPVars16(b *testing.B) { benchmarkCertainCoNP(b, 16) }
 func BenchmarkCertainCoNPVars24(b *testing.B) { benchmarkCertainCoNP(b, 24) }
 
+// plantedCNF draws a random 3-CNF whose clauses all hold under a hidden
+// assignment: the formula is satisfiable, so CERTAINTY(R(x | y),
+// S(u | y)) is false on its SAT reduction.
+func plantedCNF(rng *rand.Rand, vars, clauses int) workload.CNF {
+	hidden := make([]bool, vars+1)
+	for v := 1; v <= vars; v++ {
+		hidden[v] = rng.Intn(2) == 0
+	}
+	f := workload.CNF{Vars: vars}
+	for len(f.Clauses) < clauses {
+		c := workload.RandomCNF(rng, vars, 1, 3).Clauses[0]
+		for _, lit := range c {
+			if v := max(lit, -lit); (lit > 0) == hidden[v] {
+				f.Clauses = append(f.Clauses, c)
+				break
+			}
+		}
+	}
+	return f
+}
+
+// BenchmarkCertainCoNPPlantedSAT is the coNP request of perfbench's
+// serve-hard workload: the union of three planted 14-variable,
+// 60-clause SAT reductions, constants prefixed apart, decided through
+// the compiled plan on one shared index.
+func BenchmarkCertainCoNPPlantedSAT(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	d := db.New()
+	for k := 0; k < 3; k++ {
+		prefix := fmt.Sprintf("f%d_", k)
+		for _, f := range workload.SATInstance(plantedCNF(rng, 14, 60)).Facts() {
+			d.Add(db.NewFact(f.Rel, query.Const(prefix)+f.Args[0], query.Const(prefix)+f.Args[1]))
+		}
+	}
+	plan, err := core.Compile(workload.SATQuery())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := match.NewIndex(d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := plan.CertainIndexedCtx(context.Background(), ix, core.Options{})
+		if err != nil || res.Certain {
+			b.Fatalf("certain=%v, err=%v; a planted formula is satisfiable", res.Certain, err)
+		}
+	}
+}
+
 // --- E8: rewriting construction ---
 
 func BenchmarkRewritingConstruction(b *testing.B) {

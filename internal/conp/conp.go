@@ -5,8 +5,11 @@
 // (domain: the facts of the block) and one "not all chosen" constraint per
 // embedding of q into db.
 //
-// The solver runs DPLL-style backtracking with violation pruning and a
-// most-constrained-block ordering. It is exponential in the worst case —
+// The solver runs DPLL-style backtracking with violation pruning. It
+// branches on the first live constraint in (length, index) order — for a
+// self-join-free q every constraint has |q| facts, so that is index
+// order — and keeps its position in that order from node to node instead
+// of rescanning the constraints. It is exponential in the worst case —
 // necessarily so for the coNP-complete queries of Theorem 3 (unless
 // P = NP) — but it is exact for every query and doubles as a
 // cross-checking engine for the polynomial-time cases. The same search,
@@ -150,10 +153,20 @@ type Search struct {
 	// dead[c] counts forbidden facts of constraint c; dead > 0 means the
 	// embedding is blocked.
 	dead []int32
-	// cons are the constraints a run branches on; alive counts those
-	// not yet blocked.
+	// cons are the constraints a run branches on, by ascending length,
+	// ties by their position in the caller's list; alive counts those
+	// not yet blocked. A node branches on the first live entry of cons.
 	cons  []int32
 	alive int
+	// next is the position in cons before which every constraint is
+	// dead at the current node.
+	next int
+	// order backs cons when the caller's list is not already sorted; it
+	// is reused from run to run.
+	order []int32
+	// onBranch, when set, sees each node's branching constraint before
+	// the node branches on it; tests check the pick against a full scan.
+	onBranch func(ci int32)
 	// blocks are the blocks a counting run multiplies out at each leaf,
 	// nil while deciding; falsifying sums the leaves.
 	blocks     []int32
@@ -177,11 +190,12 @@ func NewSearch(cs *match.Constraints, chk *evalctx.Checker) *Search {
 // decide reports whether some choice over all of the form's blocks
 // falsifies q, with the effort spent.
 func (s *Search) decide() (bool, Stats) {
-	s.cons = make([]int32, len(s.cs.Cons))
-	for ci := range s.cons {
-		s.cons[ci] = int32(ci)
+	all := make([]int32, len(s.cs.Cons))
+	for ci := range all {
+		all[ci] = int32(ci)
 	}
-	s.blocks, s.alive, s.stats = nil, len(s.cons), Stats{}
+	s.setCons(all)
+	s.blocks, s.stats = nil, Stats{}
 	found := s.run()
 	return found, s.stats
 }
@@ -192,13 +206,40 @@ func (s *Search) decide() (bool, Stats) {
 // connected component of the form, and the product of the blocks'
 // sizes must fit an int64. A tripped checker returns its error.
 func (s *Search) Count(cons, blocks []int32) (int64, Stats, error) {
-	s.cons, s.blocks, s.alive, s.falsifying = cons, blocks, len(cons), 0
+	s.setCons(cons)
+	s.blocks, s.falsifying = blocks, 0
 	s.stats = Stats{Blocks: len(blocks), Matches: len(cons)}
 	s.run()
 	if err := s.chk.Err(); err != nil {
 		return 0, s.stats, err
 	}
 	return s.falsifying, s.stats, nil
+}
+
+// setCons makes cons the constraints of the next run. Unless they are
+// already in ascending length, it lists them in the reused order buffer
+// shortest first, each length in the caller's order: one pass per
+// length, and a constraint has at most one ref per atom of q.
+func (s *Search) setCons(cons []int32) {
+	s.cons, s.alive, s.next = cons, len(cons), 0
+	sorted, longest := true, 0
+	for _, ci := range cons {
+		n := len(s.cs.Cons[ci])
+		sorted = sorted && n >= longest
+		longest = max(longest, n)
+	}
+	if sorted {
+		return
+	}
+	s.order = s.order[:0]
+	for n := 0; n <= longest; n++ {
+		for _, ci := range cons {
+			if len(s.cs.Cons[ci]) == n {
+				s.order = append(s.order, ci)
+			}
+		}
+	}
+	s.cons = s.order
 }
 
 // forbid excludes fact f of block b; the caller guarantees f is not yet
@@ -254,13 +295,14 @@ func (s *Search) repair() []db.Fact {
 
 // run is the exclusion DPLL. A choice falsifies q iff every constraint
 // loses at least one fact while every block keeps at least one. While
-// some constraint is alive, pick the one with the fewest facts and
-// split its blocking into DISJOINT branches: branch i commits facts
-// 1..i-1 to their blocks (they stay chosen) and excludes fact i. Every
-// falsifying choice blocks the constraint at some first position, so
-// exactly one branch covers it. A leaf with no live constraint is the
-// set of choices that keep one allowed fact per block, all falsifying:
-// deciding stops there, counting adds the set's size and goes on.
+// some constraint is alive, pick the first live one in cons — the one
+// with the fewest facts, ties to the earliest — and split its blocking
+// into DISJOINT branches: branch i commits facts 1..i-1 to their blocks
+// (they stay chosen) and excludes fact i. Every falsifying choice blocks
+// the constraint at some first position, so exactly one branch covers
+// it. A leaf with no live constraint is the set of choices that keep one
+// allowed fact per block, all falsifying: deciding stops there, counting
+// adds the set's size and goes on.
 // (A live constraint's facts are never forbidden, and its blocks are
 // distinct, so a commitment to one of them always succeeds.)
 func (s *Search) run() bool {
@@ -278,15 +320,19 @@ func (s *Search) run() bool {
 		s.falsifying += n
 		return false
 	}
-	// The scan is the search's hot loop: it reads locals only.
-	best, bestLen := int32(-1), 0
-	cons, dead := s.cs.Cons, s.dead
-	for _, ci := range s.cons {
-		if dead[ci] == 0 && (best == -1 || len(cons[ci]) < bestLen) {
-			best, bestLen = ci, len(cons[ci])
-		}
+	// Constraints only die going down the tree, and a node's own
+	// commitments never revive one that was dead at its entry: every
+	// entry of cons before the parent's next is still dead here, so the
+	// node skips forward from there, and puts next back when it
+	// backtracks so its parent's next branch starts from the right place.
+	saved := s.next
+	for s.dead[s.cons[s.next]] != 0 {
+		s.next++
 	}
-	c := cons[best]
+	if s.onBranch != nil {
+		s.onBranch(s.cons[s.next])
+	}
+	c := s.cs.Cons[s.cons[s.next]]
 	mark := len(s.trail)
 	for i, r := range c {
 		if s.forbCount[r.Block] < s.in.Off[r.Block+1]-s.in.Off[r.Block]-1 {
@@ -307,6 +353,7 @@ func (s *Search) run() bool {
 		s.unforbid(r.Block, s.in.Off[r.Block]+r.Slot)
 	}
 	s.trail = s.trail[:mark]
+	s.next = saved
 	s.stats.Backtrack++
 	return false
 }

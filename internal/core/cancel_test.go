@@ -107,10 +107,10 @@ func TestDeadlineLatencyCoNP(t *testing.T) {
 	q := workload.NonKeyJoinQuery()
 	// The SAT reduction of an unsatisfiable random 3-CNF at 4.3 clauses
 	// per variable: the falsifying-repair search must exhaust, which
-	// takes 2-3s on a 2-vCPU host, while the join takes about a
-	// millisecond. An instance whose cost is the join can finish first,
-	// and the test then skips.
-	d := workload.SATInstance(workload.RandomCNF(rand.New(rand.NewSource(2)), 34, 146, 3))
+	// takes 51M decisions, 3.6-3.8s on a 2-vCPU Xeon, while the join
+	// takes about a millisecond. An instance whose cost is the join can
+	// finish first, and the test then skips.
+	d := workload.SATInstance(workload.RandomCNF(rand.New(rand.NewSource(2)), 40, 172, 3))
 	plan, err := Compile(q)
 	if err != nil {
 		t.Fatal(err)
@@ -174,14 +174,15 @@ func TestBudgetExhaustionAndDegradation(t *testing.T) {
 // goroutine count returns to its pre-call level.
 func TestAnswersPoolNoGoroutineLeak(t *testing.T) {
 	// Sized so the answer pool is still busy at the deadline: each of
-	// the four candidates t is the SAT reduction of a random 3-CNF at 34
+	// the four candidates t is the SAT reduction of a random 3-CNF at 42
 	// variables and 4.3 clauses per variable, whose check is a
-	// falsifying-repair search of 0.3-3s rather than a join.
+	// falsifying-repair search of 1.2-4.5s on a 2-vCPU Xeon rather than
+	// a join.
 	q := query.MustParse("R(t, x | y), S(t, u | y)")
 	d := db.New()
 	for k := int64(1); k <= 4; k++ {
 		tag := query.Const(fmt.Sprint("f", k))
-		for _, f := range workload.SATInstance(workload.RandomCNF(rand.New(rand.NewSource(k)), 34, 146, 3)).Facts() {
+		for _, f := range workload.SATInstance(workload.RandomCNF(rand.New(rand.NewSource(k)), 42, 181, 3)).Facts() {
 			a, _ := q.AtomWithRel(f.Rel.Name)
 			d.Add(db.NewFact(a.Rel, tag, f.Args[0], f.Args[1]))
 		}

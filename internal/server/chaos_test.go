@@ -30,12 +30,12 @@ func uploadHard(t *testing.T, h http.Handler, name string, vars, clauses, vals i
 func TestDeadlineReturnsStructuredTimeout(t *testing.T) {
 	s := newTestServer()
 	h := s.Handler()
-	// Sized so the full search takes several times the 100ms deadline:
-	// the SAT reduction of an unsatisfiable random 3-CNF at 4.3 clauses
-	// per variable, whose search must exhaust (2-3s on a 2-vCPU host).
-	// An instance whose cost is the join finishes in milliseconds, and
-	// the test would skip instead of bounding anything.
-	unsat := workload.SATInstance(workload.RandomCNF(rand.New(rand.NewSource(2)), 34, 146, 3))
+	// Sized so the full search takes many times the 100ms deadline: the
+	// SAT reduction of an unsatisfiable random 3-CNF at 4.3 clauses per
+	// variable, whose search must exhaust (51M decisions, 3.6-3.8s on a
+	// 2-vCPU Xeon). An instance whose cost is the join finishes in
+	// milliseconds, and the test would skip instead of bounding anything.
+	unsat := workload.SATInstance(workload.RandomCNF(rand.New(rand.NewSource(2)), 40, 172, 3))
 	if rec := do(t, h, "PUT", "/v1/db/hard", unsat.String()+"\n", nil); rec.Code != 200 {
 		t.Fatalf("upload: %d %s", rec.Code, rec.Body.String())
 	}
