@@ -133,9 +133,10 @@ fmt-check:
 # and the repair-counting engine (an off-by-one in the factorized count
 # is invisible to the decision tests), and the core entry points and
 # the server's evaluate pipeline (each job has one entry point, so its
-# behaviour tests are all that pins it), and the query and match layers
+# behaviour tests are all that pins it), the query and match layers
 # the answer table, the candidate projection and the repair-constraint
-# builder live in. Floors are a
+# builder live in, and the Lemma 11/12 simplifications and the Markov
+# cycle dissolution the Theorem 4 engine reduces through. Floors are a
 # few points under current coverage so they catch deleted tests, not
 # noise — except match, conp and ptime, whose floors sit at their
 # measured coverage: purification, the coNP search and the Theorem 4
@@ -143,7 +144,7 @@ fmt-check:
 # deleted test.
 cover:
 	$(GO) test -cover ./internal/... | tee cover.out
-	@status=0; for spec in trace:90 rewrite:85 query:84 match:93 conp:85 ptime:86 shard:80 sym:90 colstore:90 db:90 store:85 cluster:80 counting:90 core:85 server:88; do \
+	@status=0; for spec in trace:90 rewrite:85 query:84 match:93 conp:85 ptime:86 shard:80 sym:90 colstore:90 db:90 store:85 cluster:80 counting:90 core:85 server:88 dissolve:89 simplify:83; do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		pct=$$(awk -v p="cqa/internal/$$pkg" '$$2 == p { for (i=1;i<=NF;i++) if ($$i ~ /%$$/) { sub(/%/,"",$$i); print $$i; exit } }' cover.out); \
 		if [ -z "$$pct" ]; then echo "cover: no coverage reported for internal/$$pkg"; status=1; \

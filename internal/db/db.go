@@ -443,13 +443,16 @@ func (d *DB) BlockByKey(relName string, key []query.Const) (Block, bool) {
 	if seg == nil {
 		return Block{}, false
 	}
-	var b strings.Builder
-	b.WriteString(relName)
+	// The block ID (see Fact.BlockID) is built in a stack buffer, and
+	// the map lookup on string(id) copies nothing: a probe whose ID fits
+	// the buffer allocates nothing.
+	var buf [128]byte
+	id := append(buf[:0], relName...)
 	for _, c := range key {
-		b.WriteByte('\x00')
-		b.WriteString(string(c))
+		id = append(id, 0)
+		id = append(id, c...)
 	}
-	bi, ok := seg.byID[b.String()]
+	bi, ok := seg.byID[string(id)]
 	if !ok {
 		return Block{}, false
 	}

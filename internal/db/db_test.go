@@ -288,6 +288,30 @@ func TestBlockByKey(t *testing.T) {
 	}
 }
 
+// TestBlockByKeyRowPathAllocs: a probe of a database with no columnar
+// view, hit or miss, allocates nothing.
+func TestBlockByKeyRowPathAllocs(t *testing.T) {
+	d := FromFacts(
+		NewFact(relR, "a", "1"),
+		NewFact(relS, "a", "b", "c"),
+	)
+	if d.colMemo.Load() != nil {
+		t.Fatal("the database has a columnar view; the row path is not probed")
+	}
+	hit, miss := []query.Const{"a", "b"}, []query.Const{"zzz"}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := d.BlockByKey("S", hit); !ok {
+			t.Fatal("BlockByKey(S, (a,b)) missed")
+		}
+		if _, ok := d.BlockByKey("R", miss); ok {
+			t.Fatal("BlockByKey(R, zzz) hit")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("row-path BlockByKey: %v allocs per probe pair, want 0", allocs)
+	}
+}
+
 // TestIndexInvalidationOnAdd: key probes, the active domain and the
 // block lists see every mutation, so readers never see stale state.
 func TestIndexInvalidationOnAdd(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cqa/internal/attack"
+	"cqa/internal/workload"
 )
 
 // TestDifferentialSeeded runs the deterministic corpus: at least 500
@@ -60,4 +61,41 @@ func FuzzDifferential(f *testing.F) {
 			t.Fatalf("seed %d shape %d: %v", seed, shape%NumShapes, err)
 		}
 	})
+}
+
+// TestSharedPoolDifferential replays generated cases with their
+// per-variable pools merged (x_3 and y_3 both become 3), so a constant
+// can sit under two variables of the query. The generators type every
+// database they make, so the seeded corpus alone cannot show whether
+// an engine leans on typing; here none may. Cases the merge makes
+// illegal (an inconsistent mode-c relation) are skipped.
+func TestSharedPoolDifferential(t *testing.T) {
+	seeds := int64(1000)
+	if testing.Short() {
+		seeds = 300
+	}
+	checked, ptimeCases := 0, 0
+	for seed := int64(0); seed < seeds; seed++ {
+		shape := byte(seed % NumShapes)
+		q, d := Generate(seed, shape)
+		d = workload.SharePools(d)
+		if !d.ConsistentFor() {
+			continue
+		}
+		sk, err := Check(q, d)
+		if err != nil {
+			t.Fatalf("seed %d shape %d, shared pools: %v", seed, shape, err)
+		}
+		if sk {
+			continue
+		}
+		checked++
+		if cls, _, _ := attack.Classify(q); cls == attack.PTime {
+			ptimeCases++
+		}
+	}
+	t.Logf("verified %d shared-pool cases, %d in P \\ FO", checked, ptimeCases)
+	if ptimeCases == 0 {
+		t.Error("no shared-pool case in P \\ FO: the P engine's untyped path went unchecked")
+	}
 }

@@ -114,6 +114,15 @@ func Dissolve(q query.Query, m *markov.Graph, c []query.Var) (*Dissolution, erro
 	return dd, nil
 }
 
+// vertex identifies a vertex of G(db): a constant of layer i, the pool
+// type(x_i) of the cycle's i-th variable. The paper's database is typed,
+// so there a constant lies in one layer; keying by the layer builds the
+// same graph on a database that is not typed.
+type vertex struct {
+	layer int
+	c     query.Const
+}
+
 // edgeKey identifies a directed edge of G(db).
 type edgeKey struct {
 	layer int // i: edge goes from type(x_i) to type(x_(i+1 mod k))
@@ -139,9 +148,10 @@ type Stats struct {
 // support q into T/U facts, deletes (by omission) the components Lemma 16
 // lets us ignore, and returns a legal input for CERTAINTY(dissolve(C,q)).
 //
-// The database must be typed, purified and gpurified relative to q, with
-// every mode-i atom simple-key and the Cq-atoms free of constants and
-// repeated variables — exactly the regime Lemma 12 establishes. The
+// The database must be purified and gpurified relative to q, with every
+// mode-i atom simple-key and the Cq-atoms free of constants and repeated
+// variables — exactly the regime Lemma 12 establishes. It need not be
+// typed: a vertex is a (layer, constant) pair. The
 // checker is polled by the join that builds G(db); a tripped checker
 // returns its error. A nil checker enforces nothing.
 func (dd *Dissolution) TransformDB(d *db.DB, chk *evalctx.Checker) (*db.DB, Stats, error) {
@@ -150,21 +160,15 @@ func (dd *Dissolution) TransformDB(d *db.DB, chk *evalctx.Checker) (*db.DB, Stat
 
 	// 1. Build G(db): one edge (theta(x_i), theta(x_(i+1))) per embedding
 	// and position, collecting the realizations theta[X_i].
-	layerOf := make(map[query.Const]int)
+	vid := make(map[vertex]int) // numbered in step 2
 	realizations := make(map[edgeKey]map[string]query.Valuation)
-	var layerErr error
 	ix := match.NewIndex(d)
 	ix.MatchChecked(dd.Q, query.Valuation{}, chk, func(v query.Valuation) bool {
 		st.Matches++
 		for i := 0; i < k; i++ {
 			a := v[dd.C[i]]
 			b := v[dd.C[(i+1)%k]]
-			if prev, ok := layerOf[a]; ok && prev != i {
-				layerErr = fmt.Errorf("dissolve: constant %s occurs in type(%s) and type(%s); database is not typed",
-					a, dd.C[prev], dd.C[i])
-				return false
-			}
-			layerOf[a] = i
+			vid[vertex{i, a}] = -1
 			ek := edgeKey{layer: i, from: a, to: b}
 			reals := realizations[ek]
 			if reals == nil {
@@ -179,20 +183,28 @@ func (dd *Dissolution) TransformDB(d *db.DB, chk *evalctx.Checker) (*db.DB, Stat
 	if err := chk.Err(); err != nil {
 		return nil, st, err
 	}
-	if layerErr != nil {
-		return nil, st, layerErr
-	}
 
-	// 2. Vertex numbering and strong components.
-	var verts []query.Const
-	vid := make(map[query.Const]int)
-	for c := range layerOf {
-		vid[c] = -1
-		verts = append(verts, c)
+	// 2. Vertex numbering and strong components. Vertices sort as their
+	// typed constants x_i:c would: by the string x_i + ":", then by
+	// constant. That fixes the component order, and with it the Dcomp
+	// names and the T-fact order.
+	tag := make([]string, k)
+	for i, x := range dd.C {
+		tag[i] = string(x) + ":"
 	}
-	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
-	for i, c := range verts {
-		vid[c] = i
+	verts := make([]vertex, 0, len(vid))
+	for x := range vid {
+		verts = append(verts, x)
+	}
+	sort.Slice(verts, func(i, j int) bool {
+		a, b := verts[i], verts[j]
+		if a.layer != b.layer {
+			return tag[a.layer] < tag[b.layer]
+		}
+		return a.c < b.c
+	})
+	for i, x := range verts {
+		vid[x] = i
 	}
 	st.Vertices = len(verts)
 	g := dgraph.New(len(verts))
@@ -210,15 +222,18 @@ func (dd *Dissolution) TransformDB(d *db.DB, chk *evalctx.Checker) (*db.DB, Stat
 		return edges[i].to < edges[j].to
 	})
 	st.Edges = len(edges)
+	ends := func(ek edgeKey) (int, int) {
+		return vid[vertex{ek.layer, ek.from}], vid[vertex{(ek.layer + 1) % k, ek.to}]
+	}
 	for _, ek := range edges {
-		g.AddEdge(vid[ek.from], vid[ek.to])
+		g.AddEdge(ends(ek))
 	}
 	comp, ncomp := g.SCC()
 
 	// After gpurification every strong component is initial: no edge may
 	// cross components.
 	for _, ek := range edges {
-		if comp[vid[ek.from]] != comp[vid[ek.to]] {
+		if from, to := ends(ek); comp[from] != comp[to] {
 			return nil, st, fmt.Errorf("dissolve: edge %s -> %s crosses strong components; database is not gpurified", ek.from, ek.to)
 		}
 	}
@@ -262,7 +277,7 @@ func (dd *Dissolution) TransformDB(d *db.DB, chk *evalctx.Checker) (*db.DB, Stat
 			st.BadComponents++
 			continue
 		}
-		cycles, long := dd.analyzeComponent(g, comp, cIdx, verts, layerOf)
+		cycles, long := dd.analyzeComponent(g, comp, cIdx, verts)
 		if long {
 			st.LongCycles++
 			st.BadComponents++
@@ -304,8 +319,8 @@ func (dd *Dissolution) TransformDB(d *db.DB, chk *evalctx.Checker) (*db.DB, Stat
 			// U_i facts: every vertex of the component in layer i points
 			// to the component constant.
 			for _, v := range vs {
-				if layerOf[verts[v]] == i {
-					out.Add(db.Fact{Rel: dd.URels[i], Args: []query.Const{verts[v], dConst}})
+				if verts[v].layer == i {
+					out.Add(db.Fact{Rel: dd.URels[i], Args: []query.Const{verts[v].c, dConst}})
 				}
 			}
 		}
@@ -316,14 +331,14 @@ func (dd *Dissolution) TransformDB(d *db.DB, chk *evalctx.Checker) (*db.DB, Stat
 // analyzeComponent enumerates the elementary cycles of length k in the
 // component (as constant sequences starting at layer 0) and reports
 // whether an elementary cycle strictly longer than k exists.
-func (dd *Dissolution) analyzeComponent(g *dgraph.Graph, comp []int, cIdx int, verts []query.Const, layerOf map[query.Const]int) (cycles [][]query.Const, long bool) {
+func (dd *Dissolution) analyzeComponent(g *dgraph.Graph, comp []int, cIdx int, verts []vertex) (cycles [][]query.Const, long bool) {
 	k := len(dd.C)
 	inComp := func(v int) bool { return comp[v] == cIdx }
 
 	// DFS all k-step layered paths from each layer-0 vertex.
 	var starts []int
 	for v := range verts {
-		if inComp(v) && layerOf[verts[v]] == 0 {
+		if inComp(v) && verts[v].layer == 0 {
 			starts = append(starts, v)
 		}
 	}
@@ -334,10 +349,10 @@ func (dd *Dissolution) analyzeComponent(g *dgraph.Graph, comp []int, cIdx int, v
 			if v == start {
 				cyc := make([]query.Const, k)
 				for i := 0; i < k; i++ {
-					cyc[i] = verts[path[i]]
+					cyc[i] = verts[path[i]].c
 				}
 				cycles = append(cycles, cyc)
-			} else if layerOf[verts[v]] == 0 && !long {
+			} else if verts[v].layer == 0 && !long {
 				// Path of length k between distinct layer-0 vertices:
 				// check for a return path avoiding the interior
 				// (the paper's decomposition of long elementary cycles).

@@ -11,20 +11,15 @@ import (
 	"cqa/internal/naive"
 	"cqa/internal/query"
 	"cqa/internal/schema"
-	"cqa/internal/simplify"
 	"cqa/internal/workload"
 )
 
-// prepare purifies, types and gpurifies a database for q; the regime the
+// prepare purifies and gpurifies a database for q; the regime the
 // reduction requires (q must already be simple-key, constant-free).
 func prepare(t *testing.T, q query.Query, d *db.DB) *db.DB {
 	t.Helper()
 	pd, _ := match.Purify(q, d, nil)
-	td, err := simplify.TypeDB(q, pd, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gd, err := match.GPurify(q, td, nil)
+	gd, err := match.GPurify(q, pd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,18 +105,23 @@ func TestDissolveRejectsBadCycles(t *testing.T) {
 
 // TestTransformPreservesCertaintyQ0 validates the Lemma 13/18 reduction
 // end-to-end on q0: certainty before equals certainty after, using the
-// brute-force oracle on both sides.
+// brute-force oracle on both sides. Every generated instance is also
+// checked with x's and y's pools merged, where one constant can be a
+// vertex of both layers of G(db).
 func TestTransformPreservesCertaintyQ0(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	q := workload.Q0()
-	checked := 0
+	checked, shared := 0, 0
+	var raws []*db.DB
 	for trial := 0; trial < 600; trial++ {
-		var raw *db.DB
 		if trial%2 == 0 {
-			raw = workload.RandomDB(rng, q, workload.DefaultDBParams())
+			raws = append(raws, workload.RandomDB(rng, q, workload.DefaultDBParams()))
 		} else {
-			raw = workload.Q0Instance(rng, 2+rng.Intn(4), 1+rng.Intn(2))
+			raws = append(raws, workload.Q0Instance(rng, 2+rng.Intn(4), 1+rng.Intn(2)))
 		}
+		raws = append(raws, workload.SharePools(raws[len(raws)-1]))
+	}
+	for i, raw := range raws {
 		if raw.NumRepairs() > 1<<12 {
 			continue
 		}
@@ -153,9 +153,12 @@ func TestTransformPreservesCertaintyQ0(t *testing.T) {
 				want, got, gd, nd)
 		}
 		checked++
+		if i%2 == 1 {
+			shared++
+		}
 	}
-	if checked < 25 {
-		t.Fatalf("only %d instances checked", checked)
+	if checked < 25 || shared < 25 {
+		t.Fatalf("only %d instances checked, %d with shared pools", checked, shared)
 	}
 }
 

@@ -134,8 +134,8 @@ func TestExample19(t *testing.T) {
 		}
 	}
 	// Row multiset: gamma appears once (via y1=1, y2=2), beta twice
-	// (y1=1 and y1=3, both with y2=6). Typed constants embed the plain
-	// names, so substring checks identify the rows.
+	// (y1=1 and y1=3, both with y2=6); substring checks identify the
+	// rows.
 	gammaRows, betaRows := 0, 0
 	for _, f := range tf {
 		s := f.String()

@@ -1,7 +1,10 @@
 package match
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"cqa/internal/db"
@@ -9,18 +12,103 @@ import (
 	"cqa/internal/workload"
 )
 
+// satisfiedInstantiations returns, for a repair r and a variable set X,
+// the canonical keys of the valuations theta over X such that
+// r |= theta(q) — the data underlying the frugality preorder of the
+// paper's Section 3.
+func satisfiedInstantiations(q query.Query, r *db.DB, x query.VarSet) map[string]bool {
+	out := make(map[string]bool)
+	NewIndex(r).Match(q, query.Valuation{}, func(v query.Valuation) bool {
+		out[v.Restrict(x).Key()] = true
+		return true
+	})
+	return out
+}
+
+// precedesFrugal reports r1 ⪯X_q r2: every X-instantiation of q
+// satisfied by r1 is satisfied by r2.
+func precedesFrugal(q query.Query, x query.VarSet, r1, r2 *db.DB) bool {
+	s1 := satisfiedInstantiations(q, r1, x)
+	s2 := satisfiedInstantiations(q, r2, x)
+	for k := range s1 {
+		if !s2[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// frugalRepairs enumerates the X-frugal repairs of d (the minimal
+// elements of the ⪯X_q preorder) by exhaustive enumeration; it is the
+// reference the Lemma 2 tests below validate on small databases.
+func frugalRepairs(q query.Query, x query.VarSet, d *db.DB) ([][]db.Fact, error) {
+	const maxRepairs = 1 << 14
+	if d.NumRepairs() > maxRepairs {
+		return nil, fmt.Errorf("match: %g repairs exceed the frugality bound %d", d.NumRepairs(), maxRepairs)
+	}
+	type entry struct {
+		facts []db.Fact
+		sat   map[string]bool
+	}
+	var all []entry
+	d.Repairs(func(facts []db.Fact) bool {
+		r := db.FromFacts(facts...)
+		all = append(all, entry{
+			facts: append([]db.Fact(nil), facts...),
+			sat:   satisfiedInstantiations(q, r, x),
+		})
+		return true
+	})
+	subset := func(a, b map[string]bool) bool {
+		for k := range a {
+			if !b[k] {
+				return false
+			}
+		}
+		return true
+	}
+	var out [][]db.Fact
+	for i, e := range all {
+		minimal := true
+		for j, f := range all {
+			if i == j {
+				continue
+			}
+			// f ⪯ e strictly: sat(f) ⊂ sat(e).
+			if subset(f.sat, e.sat) && !subset(e.sat, f.sat) {
+				minimal = false
+				break
+			}
+		}
+		if minimal {
+			out = append(out, e.facts)
+		}
+	}
+	return out, nil
+}
+
+// formatRepair renders a repair deterministically for diagnostics.
+func formatRepair(facts []db.Fact) string {
+	parts := make([]string, len(facts))
+	for i, f := range facts {
+		parts[i] = f.String()
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, ", ")
+}
+
 func TestSatisfiedInstantiations(t *testing.T) {
 	q := query.MustParse("R(x | y)")
 	d := factsDB(t, `
 		R(a | 1)
 		R(b | 2)
 	`)
-	sat := SatisfiedInstantiations(q, d, query.NewVarSet("x"))
+	sat := satisfiedInstantiations(q, d, query.NewVarSet("x"))
 	if len(sat) != 2 || !sat["x=a"] || !sat["x=b"] {
 		t.Errorf("sat = %v", sat)
 	}
 	// Empty X: any embedding yields the single empty instantiation.
-	sat = SatisfiedInstantiations(q, d, query.NewVarSet())
+	sat = satisfiedInstantiations(q, d, query.NewVarSet())
 	if len(sat) != 1 || !sat[""] {
 		t.Errorf("sat for empty X = %v", sat)
 	}
@@ -31,10 +119,10 @@ func TestPrecedesFrugal(t *testing.T) {
 	r1 := factsDB(t, "R(a | b)\nS(b | c)")
 	r2 := factsDB(t, "R(a | dead)\nS(b | c)")
 	x := query.NewVarSet("x")
-	if !PrecedesFrugal(q, x, r2, r1) {
+	if !precedesFrugal(q, x, r2, r1) {
 		t.Error("r2 satisfies nothing; it precedes everything")
 	}
-	if PrecedesFrugal(q, x, r1, r2) {
+	if precedesFrugal(q, x, r1, r2) {
 		t.Error("r1 satisfies x=a which r2 does not")
 	}
 }
@@ -46,7 +134,7 @@ func TestFrugalRepairsSimple(t *testing.T) {
 		R(a | dead)
 		S(b | c)
 	`)
-	frugal, err := FrugalRepairs(q, query.NewVarSet("x"), d)
+	frugal, err := frugalRepairs(q, query.NewVarSet("x"), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +150,7 @@ func TestFrugalRepairsSimple(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("frugal repair should pick R(a | dead): %s", FormatRepair(frugal[0]))
+		t.Errorf("frugal repair should pick R(a | dead): %s", formatRepair(frugal[0]))
 	}
 }
 
@@ -94,7 +182,7 @@ func TestLemma2(t *testing.T) {
 			}
 			return true
 		})
-		frugal, err := FrugalRepairs(q, x, d)
+		frugal, err := frugalRepairs(q, x, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +213,7 @@ func TestFrugalRepairsBound(t *testing.T) {
 		d.Add(db.Fact{Rel: rel, Args: []query.Const{key, "1"}})
 		d.Add(db.Fact{Rel: rel, Args: []query.Const{key, "2"}})
 	}
-	if _, err := FrugalRepairs(q, query.NewVarSet("x"), d); err == nil {
+	if _, err := frugalRepairs(q, query.NewVarSet("x"), d); err == nil {
 		t.Error("2^20 repairs should exceed the bound")
 	}
 }

@@ -27,7 +27,9 @@ import (
 // block order. When every block of d survives, GPurify returns d itself.
 //
 // The caller must ensure all mode-i atoms of q and all mode-i facts of d
-// are simple-key; d should already be typed relative to q. The checker
+// are simple-key. d need not be typed relative to q: gblocks are keyed
+// by the atom's key term as well as the key constant, which is what
+// typing would make the constant carry. The checker
 // is polled by the join and once per gblock repair, whose number is
 // exponential in the gblock's size; a tripped checker returns its error
 // and no database. A nil checker enforces nothing.
@@ -37,7 +39,7 @@ func GPurify(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
 		return nil, err
 	}
 	p := cs.purge()
-	gblocks := cs.gblocks()
+	gblocks := cs.gblocks(q)
 	pick := make([]int32, len(cs.Blocks)) // the repair's slot in each block of the gblock at hand, else -1
 	for b := range pick {
 		pick[b] = -1
@@ -75,22 +77,31 @@ func GPurify(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
 }
 
 // gblocks groups the form's blocks into generalized blocks (Definition
-// 7): the blocks of simple-key mode-i relations, by key constant, in
-// first-touch order. Gblocks are defined in the regime where every
-// mode-i atom is simple-key; blocks of composite-key mode-i relations
-// are in no gblock.
-func (c *Constraints) gblocks() [][]int32 {
-	byKey := make(map[query.Const]int)
+// 7): the blocks of simple-key mode-i relations, by the pair (key term
+// of the relation's atom in q, key constant), in first-touch order. On a
+// database typed relative to q the key constant alone would decide, as
+// each variable owns its pool; the pair decides the same on any
+// database. Gblocks are defined in the regime where every mode-i atom
+// is simple-key; blocks of composite-key mode-i relations are in no
+// gblock.
+func (c *Constraints) gblocks(q query.Query) [][]int32 {
+	type gkey struct {
+		term query.Term
+		key  query.Const
+	}
+	byKey := make(map[gkey]int)
 	var out [][]int32
 	for b, blk := range c.Blocks {
-		rel := blk.Facts[0].Rel
-		if rel.Mode == schema.ModeC || !rel.SimpleKey() {
+		f := blk.Facts[0]
+		if f.Rel.Mode == schema.ModeC || !f.Rel.SimpleKey() {
 			continue
 		}
-		i, ok := byKey[blk.Facts[0].Args[0]]
+		a, _ := q.AtomWithRel(f.Rel.Name) // an embedding of q touched the block
+		k := gkey{a.Args[0], f.Args[0]}
+		i, ok := byKey[k]
 		if !ok {
 			i = len(out)
-			byKey[blk.Facts[0].Args[0]] = i
+			byKey[k] = i
 			out = append(out, nil)
 		}
 		out[i] = append(out[i], int32(b))

@@ -58,8 +58,30 @@ func gRelevant(q query.Query, d *db.DB, s []db.Fact) bool {
 	return grelevantAmong(embeddings(q, d), s)
 }
 
+// typed returns d typed relative to q, the convention of the paper's
+// proofs (Lemma 12): the constant c at a position whose term in q is the
+// variable x becomes "x:c", so distinct variables draw on disjoint
+// pools. Constant positions, and facts of relations q does not use, are
+// copied unchanged. The tagging is injective per position, so blocks,
+// embeddings and the block order carry over.
+func typed(q query.Query, d *db.DB) *db.DB {
+	out := db.New()
+	for _, f := range d.Facts() {
+		args := slices.Clone(f.Args)
+		if a, ok := q.AtomWithRel(f.Rel.Name); ok {
+			for i, t := range a.Args {
+				if t.IsVar() {
+					args[i] = query.Const(string(t.Var()) + ":" + string(args[i]))
+				}
+			}
+		}
+		out.Add(db.Fact{Rel: f.Rel, Args: args})
+	}
+	return out
+}
+
 // oracleGBlocks groups the simple-key mode-i blocks of d by key constant,
-// in key order (Definition 7).
+// in key order: Definition 7, for a d typed relative to the query.
 func oracleGBlocks(d *db.DB) [][]db.Block {
 	byKey := make(map[query.Const][]db.Block)
 	for _, b := range d.Blocks() {
@@ -82,10 +104,11 @@ func oracleGBlocks(d *db.DB) [][]db.Block {
 }
 
 // gpurifyRounds is the round-based reading of Lemma 17, kept as the
-// reference for GPurify: each round purifies the current database (by
-// purifyRounds), enumerates its embeddings, and removes every gblock
-// with a repair that no embedding image makes grelevant, until a round
-// removes nothing. It reports the rounds it ran.
+// reference for GPurify on a d typed relative to q: each round purifies
+// the current database (by purifyRounds), enumerates its embeddings,
+// and removes every gblock with a repair that no embedding image makes
+// grelevant, until a round removes nothing. It reports the rounds it
+// ran.
 func gpurifyRounds(q query.Query, d *db.DB) (*db.DB, int) {
 	cur, _ := purifyRounds(q, d)
 	for rounds := 1; ; rounds++ {
@@ -125,7 +148,9 @@ func allRepairsGRelevant(images [][]db.Fact, g []db.Block) bool {
 
 // sharedQ0Instance draws the given number of facts of q0's relations
 // R0 and S0 over one pool of nodes, so R0 and S0 blocks share key
-// constants and gblocks span both relations.
+// constants: the instance is not typed, and an R0 block (key term x)
+// and an S0 block (key term y) with one key constant are in different
+// gblocks.
 func sharedQ0Instance(rng *rand.Rand, nodes, facts int) *db.DB {
 	q := workload.Q0()
 	d := db.New()
@@ -140,7 +165,9 @@ func sharedQ0Instance(rng *rand.Rand, nodes, facts int) *db.DB {
 // keeps exactly the facts the round-based oracle keeps, in the same
 // order, on seeded instances of q0 (over disjoint and over shared node
 // pools), of Example 11's query, of random simple-key queries, and of
-// cascadeQuery.
+// cascadeQuery, each generated one also with its variables' pools
+// merged. GPurify runs on the instance as it is; the oracle runs on its
+// typed copy, and so does the comparison.
 func TestGPurifyMatchesRoundOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1501_07864))
 	ex11 := query.MustParse("R(x | y), S(x | y)")
@@ -172,17 +199,19 @@ func TestGPurifyMatchesRoundOracle(t *testing.T) {
 			q = workload.RandomSimpleKeyQuery(rng, 1+rng.Intn(4), 3, 2+rng.Intn(3))
 			d = workload.RandomDB(rng, q, p)
 		}
-		want, rounds := gpurifyRounds(q, d)
-		got, err := GPurify(q, d, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g, w := got.String(), want.String(); g != w {
-			t.Fatalf("q = %s\ndb:\n%s\nGPurify kept:\n%s\noracle kept:\n%s", q, d, g, w)
-		}
-		instances++
-		if rounds > 1 {
-			dropping++
+		for _, d := range []*db.DB{d, workload.SharePools(d)} {
+			want, rounds := gpurifyRounds(q, typed(q, d))
+			got, err := GPurify(q, d, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := typed(q, got).String(), want.String(); g != w {
+				t.Fatalf("q = %s\ndb:\n%s\nGPurify kept (typed):\n%s\noracle kept:\n%s", q, d, g, w)
+			}
+			instances++
+			if rounds > 1 {
+				dropping++
+			}
 		}
 	}
 	t.Logf("%d instances, %d dropping a gblock", instances, dropping)

@@ -2,6 +2,9 @@ package match
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"cqa/internal/db"
@@ -159,40 +162,68 @@ func TestRelevantFact(t *testing.T) {
 	}
 }
 
-// TestGBlocksGrouping: gblocks group simple-key mode-i blocks by key
-// constant across relations; mode-c blocks are in none.
+// TestGBlocksGrouping: a gblock (Definition 7) is the simple-key mode-i
+// blocks whose key constants lie in the pool of one key term, so blocks
+// group by (key term, key constant), across relations; mode-c blocks are
+// in none. The paper's typed databases let the constant alone decide;
+// these are not typed, and blocks of distinct key terms with one
+// constant stay apart.
 func TestGBlocksGrouping(t *testing.T) {
-	// No variable is shared, so every fact lies on an embedding and
-	// every block is in the form.
-	q := query.MustParse("R(x | y), S(u | v), T#c(w | z)")
-	d := factsDB(t, `
-		R(a | 1)
-		R(a | 2)
-		S(a | 3)
-		S(b | 4)
-		T#c(a | 9)
-	`)
-	cs, err := NewIndex(d).Constraints(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gbs := cs.gblocks()
-	if len(gbs) != 2 {
-		t.Fatalf("got %d gblocks, want 2 (keys a and b)", len(gbs))
-	}
-	var ga []int32
-	for _, g := range gbs {
-		if cs.Blocks[g[0]].Facts[0].Args[0] == "a" {
-			ga = g
+	for _, tc := range []struct {
+		name, q, facts string
+		want           []string // each gblock's blocks as "Rel:key", sorted
+	}{{
+		name: "one key variable",
+		q:    "R(x | y), S(x | z), T#c(w | v)",
+		facts: `
+			R(a | 1)
+			R(a | 2)
+			S(a | 3)
+			R(b | 4)
+			S(b | 5)
+			T#c(a | 9)
+		`,
+		want: []string{"R:a S:a", "R:b S:b"},
+	}, {
+		name: "two key variables, one constant",
+		q:    "R(x | y), S(u | v)",
+		facts: `
+			R(a | 1)
+			R(a | 2)
+			S(a | 3)
+			S(b | 4)
+		`,
+		want: []string{"R:a", "S:a", "S:b"},
+	}, {
+		name: "key variable and key constant",
+		q:    "R(x | y), S('a' | z), T('a' | w)",
+		facts: `
+			R(a | 1)
+			S(a | 2)
+			S(a | 3)
+			T(a | 4)
+		`,
+		want: []string{"R:a", "S:a T:a"},
+	}} {
+		q := query.MustParse(tc.q)
+		cs, err := NewIndex(factsDB(t, tc.facts)).Constraints(q, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	size, repairs := 0, 1
-	for _, b := range ga {
-		size += len(cs.Blocks[b].Facts)
-		repairs *= len(cs.Blocks[b].Facts)
-	}
-	if size != 3 || len(ga) != 2 || repairs != 2 {
-		t.Errorf("gblock a: size=%d blocks=%d repairs=%d", size, len(ga), repairs)
+		var got []string
+		for _, g := range cs.gblocks(q) {
+			var blocks []string
+			for _, b := range g {
+				f := cs.Blocks[b].Facts[0]
+				blocks = append(blocks, f.Rel.Name+":"+string(f.Args[0]))
+			}
+			sort.Strings(blocks)
+			got = append(got, strings.Join(blocks, " "))
+		}
+		sort.Strings(got)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: gblocks %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 

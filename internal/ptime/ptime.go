@@ -5,13 +5,20 @@
 // The recursion follows the proof of Theorem 4, by induction on the
 // number of mode-i atoms:
 //
-//  1. simplify the instance (purify, type, Lemma 12 pattern elimination
-//     and key packing, Lemma 11 saturation);
+//  1. simplify the instance (purify, Lemma 12 pattern elimination and
+//     key packing, Lemma 11 saturation);
 //  2. if some mode-i atom is unattacked, branch over its blocks via
 //     Lemma 9 and recurse on the instantiated residue query;
 //  3. otherwise gpurify (Lemma 17), pick a premier Markov cycle
 //     (Lemma 15), dissolve it (Definition 5, Lemmas 13/18), and recurse
 //     on dissolve(C, q) — the mode-i atom count strictly decreases.
+//
+// The proof assumes a database typed relative to q (Lemma 12: every
+// variable owns a pool of constants no other variable uses). The
+// engine never copies the data to tag its constants. The two steps that
+// read types take a constant's variable from the query instead:
+// match.GPurify groups gblocks by (key term, key constant), and
+// dissolve's G(db) identifies a vertex by (layer, constant).
 package ptime
 
 import (
@@ -82,7 +89,7 @@ func CertainTraced(q query.Query, d *db.DB, trace bool) (bool, *Stats, []string,
 // meaningless on strong-cycle queries. The lemma loops poll chk once per
 // recursion level and per Lemma 9 branch, every join of the pipeline
 // (purification, gpurification, the saturation projection, G(db) and
-// the satisfaction test) polls it per candidate fact, and the typing,
+// the satisfaction test) polls it per candidate fact, and the
 // pattern-elimination and key-packing copies poll it per fact, so one
 // budget governs the whole pipeline.
 // A non-nil error means the evaluation was cut short and the boolean is
@@ -192,11 +199,7 @@ func (s *solver) solve(q query.Query, d *db.DB, depth int) (bool, error) {
 		s.memoPut(d, q.Canonical(), false)
 		return false, nil
 	}
-	td, err := simplify.TypeDB(q, pd, s.chk)
-	if err != nil {
-		return false, err
-	}
-	cur, curDB := q, td
+	cur, curDB := q, pd
 
 	if step, changed := simplify.ElimPatterns(cur); changed {
 		curDB, err = step.TransformDB(curDB, s.chk)

@@ -2,17 +2,21 @@
 // and the saturation of Lemma 11 (Koutris & Wijsen, PODS 2015), as joint
 // query/database transformations that preserve the certain answer:
 //
-//  1. typing: constants at variable positions are tagged with the
-//     variable's name, making the database typed relative to q;
-//  2. pattern elimination: repeated variables inside an atom and
+//  1. pattern elimination: repeated variables inside an atom and
 //     constants outside simple-key key positions are projected away
 //     (sound after purification, when every fact matches its pattern);
-//  3. key packing: composite-key mode-i atoms become simple-key via an
+//  2. key packing: composite-key mode-i atoms become simple-key via an
 //     injective tuple coding plus consistent Enc/Dec companion relations
 //     that preserve the functional-dependency structure in both
 //     directions;
-//  4. saturation: Lemma 11's T^c(x, z) atoms are added until the query is
+//  3. saturation: Lemma 11's T^c(x, z) atoms are added until the query is
 //     saturated (Definition 3).
+//
+// Lemma 12 also makes the database typed relative to q, every variable
+// owning its own pool of constants. No step here copies the data to do
+// so: the readers of types, gblock grouping in match.GPurify and the
+// layers of G(db) in package dissolve, take a constant's variable from
+// the query's term at its position.
 //
 // Each step is represented as a Step: the rewritten query plus a database
 // transformer. The pipeline validates its own applicability conditions
@@ -42,46 +46,6 @@ type Step struct {
 	Name        string
 	Q           query.Query
 	TransformDB func(d *db.DB, chk *evalctx.Checker) (*db.DB, error)
-}
-
-// typeTag builds the typed constant for value c at a position whose query
-// term is the variable v.
-func typeTag(v query.Var, c query.Const) query.Const {
-	return query.Const(string(v) + ":" + string(c))
-}
-
-// TypeDB makes a purified database typed relative to q: every constant at
-// a variable position is prefixed with the variable's name, so the pools
-// of distinct variables become disjoint (the paper's type(x) convention).
-// Constants at constant positions are left alone; purification guarantees
-// they match the query constant. The mapping is injective per position,
-// so blocks and embeddings transfer bijectively and the certain answer is
-// unchanged. The checker is polled once per fact; a tripped checker
-// returns its error. A nil checker enforces nothing.
-func TypeDB(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
-	out := db.New()
-	for _, f := range d.Facts() {
-		if err := chk.Step(); err != nil {
-			return nil, err
-		}
-		atom, ok := q.AtomWithRel(f.Rel.Name)
-		if !ok {
-			return nil, fmt.Errorf("fact %s has no atom in %s (purify first)", f, q)
-		}
-		args := make([]query.Const, len(f.Args))
-		for i, t := range atom.Args {
-			if t.IsVar() {
-				args[i] = typeTag(t.Var(), f.Args[i])
-			} else {
-				if t.Const() != f.Args[i] {
-					return nil, fmt.Errorf("fact %s does not match pattern %s (purify first)", f, atom)
-				}
-				args[i] = f.Args[i]
-			}
-		}
-		out.Add(db.Fact{Rel: f.Rel, Args: args})
-	}
-	return out, nil
 }
 
 // ElimPatterns removes repeated variables inside atoms and constants

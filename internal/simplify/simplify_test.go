@@ -22,56 +22,6 @@ func factsDB(t *testing.T, lines string) *db.DB {
 	return d
 }
 
-func TestTypeDB(t *testing.T) {
-	q := query.MustParse("R(x | y, 'k')")
-	d := factsDB(t, "R(a | b, k)")
-	td, err := TypeDB(q, d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := td.Facts()[0]
-	if f.Args[0] != "x:a" || f.Args[1] != "y:b" || f.Args[2] != "k" {
-		t.Errorf("typed fact = %s", f)
-	}
-	// Non-matching constant must error (unpurified input).
-	if _, err := TypeDB(q, factsDB(t, "R(a | b, wrong)"), nil); err == nil {
-		t.Error("pattern mismatch not detected")
-	}
-	// Unknown relation must error.
-	if _, err := TypeDB(q, factsDB(t, "Z(a | b)"), nil); err == nil {
-		t.Error("foreign relation not detected")
-	}
-}
-
-func TestTypeDBPreservesCertainty(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 150; trial++ {
-		p := workload.DefaultQueryParams()
-		p.Atoms = 1 + rng.Intn(3)
-		q := workload.RandomQuery(rng, p)
-		d := workload.RandomDB(rng, q, workload.DefaultDBParams())
-		pd, _ := match.Purify(q, d, nil)
-		if pd.NumRepairs() > 1<<12 {
-			continue
-		}
-		td, err := TypeDB(q, pd, nil)
-		if err != nil {
-			t.Fatalf("TypeDB on purified db: %v\nq=%s\ndb:\n%s", err, q, pd)
-		}
-		want, err := naive.Certain(q, pd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := naive.Certain(q, td)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("typing changed certainty: %v -> %v\nq=%s", want, got, q)
-		}
-	}
-}
-
 func TestElimPatternsRepeatedVar(t *testing.T) {
 	q := query.MustParse("R(x | y, x)")
 	step, changed := ElimPatterns(q)

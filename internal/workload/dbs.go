@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"cqa/internal/db"
 	"cqa/internal/query"
@@ -30,11 +31,32 @@ func DefaultDBParams() DBParams {
 	return DBParams{SeedMatches: 3, Domain: 3, ExtraPerBlock: 0.7, Noise: 2}
 }
 
-// constFor returns the c-th constant of the pool belonging to a variable;
-// pools are disjoint across variables, so generated databases are
-// automatically typed relative to the query.
+// constFor returns the c-th constant of the pool belonging to a variable.
+// Pools are disjoint across variables, so a generated database is typed
+// relative to its query (the convention of the paper's Lemma 12). No
+// engine relies on that; SharePools undoes it.
 func constFor(v query.Var, c int) query.Const {
 	return query.Const(fmt.Sprintf("%s_%d", v, c))
+}
+
+// SharePools returns a copy of d in which every constant drops its pool
+// prefix, the text up to its first '_' (x_3 and y_3 both become 3), so
+// the variables' pools merge and d is no longer typed relative to its
+// query. Constants without '_' are kept. The copy may merge facts, and
+// it may violate a mode-c key constraint; ConsistentFor tells.
+func SharePools(d *db.DB) *db.DB {
+	out := db.New()
+	for _, f := range d.Facts() {
+		args := make([]query.Const, len(f.Args))
+		for i, c := range f.Args {
+			if _, rest, ok := strings.Cut(string(c), "_"); ok {
+				c = query.Const(rest)
+			}
+			args[i] = c
+		}
+		out.Add(db.Fact{Rel: f.Rel, Args: args})
+	}
+	return out
 }
 
 // RandomValuation draws a valuation over vars(q) with each variable bound

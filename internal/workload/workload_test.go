@@ -6,6 +6,7 @@ import (
 
 	"cqa/internal/attack"
 	"cqa/internal/conp"
+	"cqa/internal/db"
 	"cqa/internal/naive"
 	"cqa/internal/schema"
 )
@@ -121,6 +122,19 @@ func TestRandomValuationTyped(t *testing.T) {
 		if len(c) < len(want) || string(c[:len(want)]) != want {
 			t.Errorf("constant %s not drawn from pool of %s", c, x)
 		}
+	}
+}
+
+// TestSharePools: pool prefixes go, so constants of distinct variables
+// meet, and constants without a prefix stay.
+func TestSharePools(t *testing.T) {
+	r := schema.NewRelation("R", 3, 1)
+	d := db.New()
+	d.Add(db.NewFact(r, "x_3", "y_3", "k"))
+	d.Add(db.NewFact(r, "x_1", "y_2_0", "k"))
+	got := SharePools(d).String()
+	if want := db.FromFacts(db.NewFact(r, "3", "3", "k"), db.NewFact(r, "1", "2_0", "k")).String(); got != want {
+		t.Errorf("SharePools =\n%s\nwant\n%s", got, want)
 	}
 }
 
