@@ -56,16 +56,18 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of the E-index evaluation benchmarks, of the
-# polynomial engine's gpurification and q0 benchmarks and of the coNP
-# engine's planted-SAT benchmark (verifies the compiled-plan,
-# worker-pool, Theorem 4 and repair-search paths still run end to end
-# without paying for a full timed sweep), then the BENCH_eval.json freshness
-# gate: regenerate a quick report into a temporary file of its own (so
-# concurrent runs in two checkouts do not clobber each other's), validate
-# both it and the checked-in artifact against the current harness shape,
-# and remove the temporary report however the target ends.
+# polynomial engine's gpurification and q0 benchmarks, of the coNP
+# engine's planted-SAT benchmark and of the repair counter on the
+# serving benchmark's count shape (verifies the compiled-plan,
+# worker-pool, Theorem 4, repair-search and counting paths still run
+# end to end without paying for a full timed sweep), then the
+# BENCH_eval.json freshness gate: regenerate a quick report into a
+# temporary file of its own (so concurrent runs in two checkouts do not
+# clobber each other's), validate both it and the checked-in artifact
+# against the current harness shape, and remove the temporary report
+# however the target ends.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='CertainAcyclic|CertainAnswersPool|GPurify|CertainPTimeQ0n100$$|CertainCoNPPlantedSAT' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='CertainAcyclic|CertainAnswersPool|GPurify|CertainPTimeQ0n100$$|CertainCoNPPlantedSAT|CountServeHardShape' -benchtime=1x .
 	@report=$$(mktemp -t cqa_eval_smoke.XXXXXX) && trap 'rm -f "$$report"' EXIT && \
 		echo "bench-smoke: eval report $$report" && \
 		$(GO) run ./cmd/cqa-bench -quick -evaljson "$$report" && \

@@ -13,6 +13,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"cqa/internal/attack"
@@ -292,6 +294,67 @@ func BenchmarkCountingFactorized(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCountServeHardShape counts the repairs of a database shaped
+// like the serving benchmark's /v1/count instances: 2,500 components of
+// C1(x | y), C2(y | z), with no hub and with a 64-block hub component
+// that is sampled. The columnar view is warmed first, as the store
+// warms every snapshot.
+func BenchmarkCountServeHardShape(b *testing.B) {
+	q := query.MustParse("C1(x | y), C2(y | z)")
+	for _, hub := range []int{0, 64} {
+		b.Run(fmt.Sprintf("hub%d", hub), func(b *testing.B) {
+			d, err := db.ParseFacts(q.Schema(), countShapeFacts(rand.New(rand.NewSource(1)), 2500, hub))
+			if err != nil {
+				b.Fatal(err)
+			}
+			d.Columnar()
+			ix := match.NewIndex(d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := counting.Count(q, ix, nil, counting.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// countShapeFacts renders comps components for C1(x | y), C2(y | z): one
+// C1 block of two or three facts, exactly one pointing at a y with no
+// C2 block, the others at y's with C2 blocks of one or two facts. With
+// hub > 0 one more component has hub C1 blocks that each choose between
+// a shared y and a dead end, so its 2^hub assignments exceed the exact
+// bound. It mirrors the count instance of the serving benchmark (a
+// module of its own, so its generator cannot be imported).
+func countShapeFacts(rng *rand.Rand, comps, hub int) string {
+	var b strings.Builder
+	line := func(rel, key, val string) { fmt.Fprintf(&b, "%s(%s | %s)\n", rel, key, val) }
+	for i := 0; i < comps; i++ {
+		x := "x" + strconv.Itoa(i)
+		ys := 2 + rng.Intn(2)
+		line("C1", x, "dead"+strconv.Itoa(i))
+		for k := 1; k < ys; k++ {
+			y := fmt.Sprintf("y%d_%d", i, k)
+			line("C1", x, y)
+			zs := 1 + rng.Intn(2)
+			for z := 0; z < zs; z++ {
+				line("C2", y, "z"+strconv.Itoa(z))
+			}
+		}
+	}
+	for j := 0; j < hub; j++ {
+		h := "h" + strconv.Itoa(j)
+		line("C1", h, "hub")
+		line("C1", h, "hubdead"+strconv.Itoa(j))
+	}
+	if hub > 0 {
+		line("C2", "hub", "z0")
+		line("C2", "hub", "z1")
+	}
+	return b.String()
 }
 
 // --- E14: baseline engine ---

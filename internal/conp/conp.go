@@ -112,9 +112,11 @@ func FalsifyingRepairChecked(q query.Query, d *db.DB, chk *evalctx.Checker) ([]d
 	// No witness can close an embedding (see match.Constraints.Purified),
 	// and a block no embedding touches cannot either.
 	repair := append(s.repair(), witnesses...)
-	for _, b := range d.Blocks() {
-		if !cs.Constrained(b) {
-			repair = append(repair, b.Facts[0])
+	for _, name := range d.RelationOrder() {
+		for pos, b := range d.BlocksOf(name) {
+			if !cs.Constrained(name, pos) {
+				repair = append(repair, b.Facts[0])
+			}
 		}
 	}
 	return repair, true, stats, nil

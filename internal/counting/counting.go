@@ -17,6 +17,12 @@
 // interval beyond it (the problem is #P-hard in general). Exact-only
 // callers set Options.Exact and get ErrComponentTooLarge instead of an
 // estimate.
+//
+// The repair products (all blocks, the constrained blocks, and the
+// components' falsifying counts) are taken in a machine word and
+// flushed into one reused big.Int only when the next factor would
+// overflow it, so a count over thousands of small blocks does a few
+// dozen big.Int multiplications, not one per block.
 package counting
 
 import (
@@ -24,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"math/rand"
 
 	"cqa/internal/conp"
@@ -113,12 +120,13 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 		seed = 1
 	}
 
-	total := big.NewInt(1)
-	for _, name := range ix.DB.Relations() {
+	prod := newProduct()
+	for _, name := range ix.DB.RelationOrder() {
 		for _, b := range ix.DB.BlocksOf(name) {
-			total.Mul(total, big.NewInt(int64(len(b.Facts))))
+			prod.mul(uint64(len(b.Facts)))
 		}
 	}
+	total := prod.value()
 	res := Result{Total: total, Exact: true}
 	if q.Empty() {
 		res.Satisfying = new(big.Int).Set(total)
@@ -177,7 +185,7 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 	// Falsifying assignments factorize over components. Exact components
 	// contribute a point falsifying ratio; sampled ones an interval, and
 	// the product of intervals bounds the overall falsifying fraction.
-	falsifying, factor := big.NewInt(1), new(big.Int)
+	falsifying := newProduct()
 	fracLo, fracHi := 1.0, 1.0
 	rng := rand.New(rand.NewSource(seed))
 	var totalSamples, nodes int64
@@ -199,7 +207,7 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 			// has one fact): all assignments of this component satisfy
 			// q, exactly, regardless of the component's size.
 			fracLo, fracHi = 0, 0
-			falsifying.SetInt64(0)
+			falsifying.mul(0)
 			continue
 		}
 		sizes = sizes[:0]
@@ -215,7 +223,7 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 				return Result{}, err
 			}
 			nodes += int64(st.Decisions)
-			falsifying.Mul(falsifying, factor.SetInt64(fals))
+			falsifying.mul(uint64(fals))
 			r := float64(fals) / float64(space)
 			fracLo *= r
 			fracHi *= r
@@ -250,7 +258,7 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 	// the falsifying product outright, so the overall count is exact even
 	// when other components had to be sampled: every repair satisfies q.
 	// (Sampled still records the estimation effort that turned out moot.)
-	if !res.Exact && falsifying.Sign() == 0 {
+	if !res.Exact && falsifying.zero() {
 		res.Exact = true
 	}
 	if res.Exact {
@@ -258,18 +266,65 @@ func Count(q query.Query, ix *match.Index, chk *evalctx.Checker, opts Options) (
 		// database: their product is Total over the constrained blocks'
 		// product. They multiply Total identically, so the fraction is
 		// untouched.
-		constrained := big.NewInt(1)
+		prod = newProduct()
 		for _, b := range blocks {
-			constrained.Mul(constrained, big.NewInt(int64(len(b.Facts))))
+			prod.mul(uint64(len(b.Facts)))
 		}
-		falsifying.Mul(falsifying, constrained.Quo(total, constrained))
-		res.Satisfying = new(big.Int).Sub(total, falsifying)
+		constrained := prod.value()
+		fals := falsifying.value()
+		fals.Mul(fals, constrained.Quo(total, constrained))
+		res.Satisfying = fals.Sub(total, fals)
 		res.Fraction = exactFraction(res.Satisfying, total)
 		return res, nil
 	}
 	res.Fraction = 1 - (fracLo+fracHi)/2
 	res.Confidence = (fracHi - fracLo) / 2
 	return res, nil
+}
+
+// product multiplies non-negative factors in a machine word, and
+// flushes the word into one reused big.Int only when the next factor
+// would overflow it (bits.Mul64), so a product of small block sizes
+// costs one big.Int multiplication per 64 bits of result instead of one
+// per factor.
+type product struct {
+	word uint64  // the factors not yet flushed
+	acc  big.Int // the flushed factors
+	tmp  big.Int // the word, as a big.Int operand
+}
+
+// newProduct returns the empty product, 1.
+func newProduct() *product {
+	p := &product{word: 1}
+	p.acc.SetInt64(1)
+	return p
+}
+
+// mul multiplies the product by x.
+func (p *product) mul(x uint64) {
+	if hi, lo := bits.Mul64(p.word, x); hi == 0 {
+		p.word = lo
+		return
+	}
+	p.flush()
+	p.word = x
+}
+
+// flush multiplies the word into the accumulator.
+func (p *product) flush() {
+	if p.word != 1 {
+		p.acc.Mul(&p.acc, p.tmp.SetUint64(p.word))
+		p.word = 1
+	}
+}
+
+// zero reports whether the product is 0.
+func (p *product) zero() bool { return p.word == 0 || p.acc.Sign() == 0 }
+
+// value returns the product in a fresh big.Int.
+func (p *product) value() *big.Int {
+	p.flush()
+	return new(big.Int).Set(&p.acc)
 }
 
 // runs lists 0..n-1 grouped by key, which lies in [0, k), as runs of

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"cqa/internal/colstore"
-	"cqa/internal/query"
 	"cqa/internal/schema"
 	"cqa/internal/sym"
 )
@@ -238,38 +237,5 @@ func spliceColRel(syms *sym.Table, seg *relSeg, pr *ColRel, rc *RelChange) *ColR
 }
 
 // maxProbeKey bounds the stack buffer of the interned ground-key probe;
-// longer keys (arity > 8 key positions) fall back to the string path.
+// longer keys (arity > 8 key positions) take the string path.
 const maxProbeKey = 8
-
-// blockByKey is the interned ground-key probe. The third result
-// reports whether the view could decide the probe at all: false sends
-// the caller to the string-keyed path (a key wider than maxProbeKey),
-// while a decided miss — including a constant the database never
-// mentions — is final.
-func (c *ColDB) blockByKey(relName string, key []query.Const) (Block, bool, bool) {
-	cr := c.rels[relName]
-	if cr == nil {
-		return Block{}, false, true
-	}
-	if cr.Relation.KeyLen != len(key) {
-		// No block of this relation has a key of that length; the miss
-		// is final.
-		return Block{}, false, true
-	}
-	if len(key) > maxProbeKey {
-		return Block{}, false, false
-	}
-	var buf [maxProbeKey]sym.ID
-	for i, k := range key {
-		id, ok := c.Syms.Lookup(string(k))
-		if !ok {
-			return Block{}, false, true
-		}
-		buf[i] = id
-	}
-	b, ok := cr.Rel.BlockByKey(buf[:len(key)])
-	if !ok {
-		return Block{}, false, true
-	}
-	return cr.Blocks[b], true, true
-}

@@ -70,6 +70,63 @@ func TestColumnarMatchesRowView(t *testing.T) {
 	}
 }
 
+// TestRelBlockByKeyPositions: a resolved relation's probe returns each
+// block's position in BlocksOf, on the row map and on the columnar view
+// alike, for a key wider than the interned probe's buffer too, and
+// misses on absent keys and relations.
+func TestRelBlockByKeyPositions(t *testing.T) {
+	wide := schema.Relation{Name: "W", Arity: maxProbeKey + 2, KeyLen: maxProbeKey + 1}
+	build := func() *DB {
+		d := colTestDB()
+		for i := 0; i < 5; i++ {
+			args := make([]query.Const, wide.Arity)
+			for j := range args {
+				args[j] = query.Const(fmt.Sprintf("w%d_%d", i, j))
+			}
+			d.Add(NewFact(wide, args...))
+		}
+		return d
+	}
+	warm := build()
+	warm.Columnar()
+	for _, d := range []*DB{build(), warm} {
+		for _, name := range []string{"R", "S", "W"} {
+			r := d.Rel(name)
+			if !sameBlocks(r.Blocks(), d.BlocksOf(name)) {
+				t.Fatalf("Rel(%s).Blocks differs from BlocksOf", name)
+			}
+			for pos, b := range d.BlocksOf(name) {
+				if got, ok := r.BlockByKey(b.Facts[0].Key()); !ok || got != pos {
+					t.Errorf("Rel(%s).BlockByKey(%v) = %d, %v; want %d", name, b.Facts[0].Key(), got, ok, pos)
+				}
+			}
+		}
+		if _, ok := d.Rel("R").BlockByKey([]query.Const{"nope"}); ok {
+			t.Error("probe found a block for an unknown constant")
+		}
+		if _, ok := d.Rel("W").BlockByKey(make([]query.Const, wide.KeyLen)); ok {
+			t.Error("wide probe found a block for an absent key")
+		}
+		if r := d.Rel("Q"); len(r.Blocks()) != 0 {
+			t.Error("an absent relation resolved to blocks")
+		} else if _, ok := r.BlockByKey([]query.Const{"k0"}); ok {
+			t.Error("probe found a block of an absent relation")
+		}
+	}
+}
+
+func sameBlocks(a, b []Block) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || !sameFacts(a[i].Facts, b[i].Facts) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestColumnarBlockByKey compares the interned probe against the
 // string-keyed path on every block key plus misses.
 func TestColumnarBlockByKey(t *testing.T) {

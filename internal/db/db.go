@@ -22,6 +22,7 @@ import (
 
 	"cqa/internal/query"
 	"cqa/internal/schema"
+	"cqa/internal/sym"
 )
 
 // Fact is an R-fact: an atom without variables.
@@ -389,6 +390,11 @@ func (d *DB) Relations() []string {
 	return names
 }
 
+// RelationOrder returns the relation names in first-seen order, the
+// order Blocks and Facts group by; a relation emptied by Apply keeps
+// its place. Shared; do not modify.
+func (d *DB) RelationOrder() []string { return d.relOrder }
+
 // Blocks returns all blocks, grouped by relation in first-seen order, in
 // a fresh slice. The fact slices inside are shared with the database;
 // the caller must not modify them.
@@ -429,34 +435,90 @@ func (d *DB) BlockOf(f Fact) Block {
 // fully instantiated, the one candidate block is hash-looked-up instead
 // of scanning every block of the relation.
 func (d *DB) BlockByKey(relName string, key []query.Const) (Block, bool) {
-	// When the columnar view is already built (the serving hot path
-	// warms it per snapshot), probe its interned key table instead of
-	// building a string — zero allocations on hit and miss alike. The
-	// view is only consulted, never built here, so row-only callers
-	// (ptime residues, purification) never pay for a columnar build.
-	if c := d.colMemo.Load(); c != nil {
-		if blk, ok, decided := c.blockByKey(relName, key); decided {
-			return blk, ok
-		}
+	r := d.Rel(relName)
+	if i, ok := r.BlockByKey(key); ok {
+		return r.blocks[i], true
 	}
-	seg := d.rels[relName]
+	return Block{}, false
+}
+
+// Rel is one relation of a database version, resolved once for any
+// number of probes: its blocks and the key table a probe reads. A
+// block's identity within the version is (relation, position in
+// Blocks).
+type Rel struct {
+	name   string
+	blocks []Block
+	byID   map[string]int // the row-path key table; nil when col answers every probe
+	col    *ColRel        // the columnar view's relation; nil when no view is built
+	syms   *sym.Table
+}
+
+// Rel resolves the named relation. When the columnar view is already
+// built (the serving hot path warms it per snapshot), probes read its
+// interned key table; the view is only consulted, never built here, so
+// row-only callers (ptime residues, purification) never pay for a
+// columnar build. A relation with no facts resolves to one with no
+// blocks.
+func (d *DB) Rel(name string) Rel {
+	if c := d.colMemo.Load(); c != nil {
+		cr := c.rels[name]
+		if cr == nil {
+			return Rel{}
+		}
+		r := Rel{blocks: cr.Blocks, col: cr, syms: c.Syms}
+		if cr.Relation.KeyLen > maxProbeKey {
+			r.name, r.byID = name, d.rels[name].byID
+		}
+		return r
+	}
+	seg := d.rels[name]
 	if seg == nil {
-		return Block{}, false
+		return Rel{}
+	}
+	return Rel{name: name, blocks: seg.blocks, byID: seg.byID}
+}
+
+// Blocks returns the relation's blocks in first-seen order, the order
+// BlocksOf returns. Shared with the database; do not modify.
+func (r Rel) Blocks() []Block { return r.blocks }
+
+// BlockByKey answers a ground-key probe in O(1): the position in Blocks
+// of the block whose primary-key value equals key, if any. On the
+// columnar view a key constant the database never mentions is a miss
+// without a table probe, and a probe allocates nothing on hit and miss
+// alike; keys wider than maxProbeKey take the row path.
+func (r Rel) BlockByKey(key []query.Const) (int, bool) {
+	if r.col != nil && len(key) <= maxProbeKey {
+		if r.col.Relation.KeyLen != len(key) {
+			// No block of this relation has a key of that length.
+			return 0, false
+		}
+		var buf [maxProbeKey]sym.ID
+		for i, k := range key {
+			id, ok := r.syms.Lookup(string(k))
+			if !ok {
+				return 0, false
+			}
+			buf[i] = id
+		}
+		b, ok := r.col.Rel.BlockByKey(buf[:len(key)])
+		return int(b), ok
+	}
+	if r.byID == nil {
+		return 0, false
 	}
 	// The block ID (see Fact.BlockID) is built in a stack buffer, and
 	// the map lookup on string(id) copies nothing: a probe whose ID fits
 	// the buffer allocates nothing.
 	var buf [128]byte
-	id := append(buf[:0], relName...)
+	id := append(buf[:0], r.name...)
 	for _, c := range key {
 		id = append(id, 0)
 		id = append(id, c...)
 	}
-	bi, ok := seg.byID[string(id)]
-	if !ok {
-		return Block{}, false
-	}
-	return seg.blocks[bi], true
+	bi, ok := r.byID[string(id)]
+	return bi, ok
 }
 
 // Consistent reports whether no two distinct facts are key-equal, i.e.

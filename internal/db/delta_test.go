@@ -430,10 +430,15 @@ func TestApplyColumnarDerive(t *testing.T) {
 		}
 	}
 	// Probes through the derived view agree with the row path.
+	rel := child.Rel("R")
+	if rel.col != cR {
+		t.Fatal("the child's probe does not read the derived view")
+	}
 	for _, key := range []string{"a", "b", "c"} {
-		blk, ok, decided := cc.blockByKey("R", []query.Const{query.Const(key)})
-		if !decided {
-			t.Fatalf("probe %s undecided", key)
+		pos, ok := rel.BlockByKey([]query.Const{query.Const(key)})
+		var blk Block
+		if ok {
+			blk = rel.Blocks()[pos]
 		}
 		rowBlk, rowOK := func() (Block, bool) {
 			seg := child.rels["R"]

@@ -1,6 +1,8 @@
 package match
 
 import (
+	"slices"
+
 	"cqa/internal/db"
 	"cqa/internal/evalctx"
 	"cqa/internal/query"
@@ -17,6 +19,10 @@ type Ref struct{ Block, Slot int32 }
 // consistent embedding is one constraint over (block, fact) choices,
 // and the coNP falsifying-repair search and the #CERTAINTY repair
 // counter are two questions about the same constraint set.
+//
+// A block of the database is identified by (relation, position in the
+// relation's blocks); the form numbers the ones it touches through a
+// dense array per relation, indexed by position.
 type Constraints struct {
 	// Blocks are the blocks some consistent embedding touches, numbered
 	// in first-touch order. The choice in any other block cannot decide
@@ -31,32 +37,59 @@ type Constraints struct {
 	// can keep whole and that therefore constrain nothing.
 	Embeddings int
 
-	ord map[*db.Fact]int32 // block identity (its first fact) -> ordinal
+	rels []string       // the relations of q, by relation index
+	num  [][]int32      // per relation index: block position -> ordinal + 1, 0 = untouched
+	at   []blockAddress // per ordinal: the block's (relation index, position)
 }
 
-// Constrained reports whether some constraint touches the block.
-func (c *Constraints) Constrained(b db.Block) bool {
-	_, ok := c.ord[&b.Facts[0]]
-	return ok
+// blockAddress is a block's identity within one database version.
+type blockAddress struct{ rel, pos int32 }
+
+// Constrained reports whether some constraint touches the block at pos
+// in the named relation's blocks (db.DB.BlocksOf).
+func (c *Constraints) Constrained(rel string, pos int) bool {
+	num := c.numbering(rel)
+	return num != nil && num[pos] != 0
+}
+
+// numbering returns the named relation's dense numbering, nil for a
+// relation q does not mention.
+func (c *Constraints) numbering(rel string) []int32 {
+	if i := slices.Index(c.rels, rel); i >= 0 {
+		return c.num[i]
+	}
+	return nil
 }
 
 // Constraints streams the embeddings of a non-empty query q once and
-// returns its repair-constraint form over the index. The checker is
-// polled by the join; a tripped checker returns its error and no form.
-// A nil checker enforces nothing.
+// returns its repair-constraint form over the index. Blocks are
+// numbered as the walk first touches them, through the dense per
+// relation numbering, and recorded by address; the Blocks list is
+// built once after the walk, and every constraint is sliced from one
+// refs array. The checker is polled by the join; a tripped checker
+// returns its error and no form. A nil checker enforces nothing.
 func (ix *Index) Constraints(q query.Query, chk *evalctx.Checker) (*Constraints, error) {
-	cs := &Constraints{ord: make(map[*db.Fact]int32)}
-	kept := make([]db.Block, 0, q.Len()) // the block of each kept ref
-	var refs []Ref                       // backs the constraints, which slice it
 	p := compile(q, nil)
-	ix.walk(p, make([]query.Const, len(p.vars)), chk, func(hits []hit) bool {
+	rels := p.resolve(ix.DB)
+	cs := &Constraints{rels: p.rels, num: make([][]int32, len(rels))}
+	for i, r := range rels {
+		cs.num[i] = make([]int32, len(r.Blocks()))
+	}
+	relOf := make([]int32, q.Len()) // atom -> relation index
+	for _, st := range p.steps {
+		relOf[st.atom] = int32(st.rel)
+	}
+	kept := make([]int32, 0, q.Len()) // the relation of each kept ref
+	var refs []Ref                    // every constraint's refs, back to back
+	var ends []int32                  // constraint i ends at refs[ends[i]]
+	walk(p, rels, make([]query.Const, len(p.vars)), chk, func(hits []hit) bool {
 		cs.Embeddings++
 		n := len(refs)
 		kept = kept[:0]
 	next:
 		for i, h := range hits {
-			for _, g := range hits[:i] {
-				if !g.sameBlock(h) {
+			for j, g := range hits[:i] {
+				if relOf[j] != relOf[i] || g.pos != h.pos {
 					continue
 				}
 				if g.slot != h.slot {
@@ -67,26 +100,40 @@ func (ix *Index) Constraints(q query.Query, chk *evalctx.Checker) (*Constraints,
 				}
 				continue next // a fact an earlier atom already holds
 			}
-			refs = append(refs, Ref{Slot: h.slot})
-			kept = append(kept, h.blk)
+			refs = append(refs, Ref{Block: h.pos, Slot: h.slot})
+			kept = append(kept, relOf[i])
 		}
-		c := refs[n:len(refs):len(refs)]
 		// Number the blocks only once the embedding proved consistent,
-		// so a dropped embedding leaves no block behind.
-		for i, blk := range kept {
-			b, ok := cs.ord[&blk.Facts[0]]
-			if !ok {
-				b = int32(len(cs.Blocks))
-				cs.ord[&blk.Facts[0]] = b
-				cs.Blocks = append(cs.Blocks, blk)
+		// so a dropped embedding leaves no block behind. Until then a
+		// ref's Block holds the block's position.
+		for k, ri := range kept {
+			r := &refs[n+k]
+			b := cs.num[ri][r.Block]
+			if b == 0 {
+				cs.at = append(cs.at, blockAddress{ri, r.Block})
+				b = int32(len(cs.at))
+				cs.num[ri][r.Block] = b
 			}
-			c[i].Block = b
+			r.Block = b - 1
 		}
-		cs.Cons = append(cs.Cons, c)
+		ends = append(ends, int32(len(refs)))
 		return true
 	})
 	if err := chk.Err(); err != nil {
 		return nil, err
+	}
+	if len(ends) == 0 {
+		return cs, nil
+	}
+	cs.Blocks = make([]db.Block, len(cs.at))
+	for b, a := range cs.at {
+		cs.Blocks[b] = rels[a.rel].Blocks()[a.pos]
+	}
+	cs.Cons = make([][]Ref, len(ends))
+	lo := int32(0)
+	for i, hi := range ends {
+		cs.Cons[i] = refs[lo:hi:hi]
+		lo = hi
 	}
 	return cs, nil
 }
@@ -204,9 +251,12 @@ func (p *purge) settle() {
 // over the surviving blocks stays falsifying with the witnesses added.
 func (c *Constraints) Purified() (*Constraints, []db.Fact) {
 	p := c.purge()
-	pc := &Constraints{ord: make(map[*db.Fact]int32, len(c.Blocks)-len(p.drops))}
-	renum := make([]int32, len(c.Blocks)) // new ordinal + 1; 0 = not yet touched
-	refs := make([]Ref, len(p.On))        // backs the live constraints
+	n := len(c.Blocks) - len(p.drops) // every surviving block lies on a live constraint
+	pc := &Constraints{Blocks: make([]db.Block, 0, n), rels: c.rels, num: make([][]int32, len(c.num)), at: make([]blockAddress, 0, n)}
+	for i, num := range c.num {
+		pc.num[i] = make([]int32, len(num))
+	}
+	refs := make([]Ref, len(p.On)) // backs the live constraints
 	for ci, con := range c.Cons {
 		if p.dead[ci] {
 			continue
@@ -214,13 +264,15 @@ func (c *Constraints) Purified() (*Constraints, []db.Fact) {
 		nc := refs[:len(con):len(con)]
 		refs = refs[len(con):]
 		for i, r := range con {
-			if renum[r.Block] == 0 {
-				blk := c.Blocks[r.Block]
-				pc.ord[&blk.Facts[0]] = int32(len(pc.Blocks))
-				pc.Blocks = append(pc.Blocks, blk)
-				renum[r.Block] = int32(len(pc.Blocks))
+			a := c.at[r.Block]
+			b := pc.num[a.rel][a.pos]
+			if b == 0 {
+				pc.at = append(pc.at, a)
+				pc.Blocks = append(pc.Blocks, c.Blocks[r.Block])
+				b = int32(len(pc.at))
+				pc.num[a.rel][a.pos] = b
 			}
-			nc[i] = Ref{Block: renum[r.Block] - 1, Slot: r.Slot}
+			nc[i] = Ref{Block: b - 1, Slot: r.Slot}
 		}
 		pc.Cons = append(pc.Cons, nc)
 	}

@@ -48,9 +48,11 @@ func TestConstraintsForm(t *testing.T) {
 	if !reflect.DeepEqual(cs.Cons, want) || cs.Embeddings != len(want) {
 		t.Errorf("constraints %v (%d embeddings), want %v", cs.Cons, cs.Embeddings, want)
 	}
-	for _, b := range d.Blocks() {
-		if got, wantC := cs.Constrained(b), b.Facts[0].Rel.Name != "T"; got != wantC {
-			t.Errorf("Constrained(%s) = %v", b.ID, got)
+	for _, name := range d.RelationOrder() {
+		for pos, b := range d.BlocksOf(name) {
+			if got, wantC := cs.Constrained(name, pos), name != "T"; got != wantC {
+				t.Errorf("Constrained(%s) = %v", b.ID, got)
+			}
 		}
 	}
 }

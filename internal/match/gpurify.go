@@ -70,10 +70,7 @@ func GPurify(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
 	if len(cs.Blocks)-len(p.drops) == d.NumBlocks() {
 		return d, nil
 	}
-	return subDB(d, func(b db.Block) bool {
-		o, ok := cs.ord[&b.Facts[0]]
-		return ok && !p.gone[o]
-	}), nil
+	return subDB(d, cs, func(o int32) bool { return !p.gone[o] }), nil
 }
 
 // gblocks groups the form's blocks into generalized blocks (Definition
@@ -89,6 +86,12 @@ func (c *Constraints) gblocks(q query.Query) [][]int32 {
 		term query.Term
 		key  query.Const
 	}
+	terms := make([]query.Term, len(c.rels)) // the first term of each relation's atom
+	for i, name := range c.rels {
+		if a, _ := q.AtomWithRel(name); len(a.Args) > 0 {
+			terms[i] = a.Args[0]
+		}
+	}
 	byKey := make(map[gkey]int)
 	var out [][]int32
 	for b, blk := range c.Blocks {
@@ -96,8 +99,7 @@ func (c *Constraints) gblocks(q query.Query) [][]int32 {
 		if f.Rel.Mode == schema.ModeC || !f.Rel.SimpleKey() {
 			continue
 		}
-		a, _ := q.AtomWithRel(f.Rel.Name) // an embedding of q touched the block
-		k := gkey{a.Args[0], f.Args[0]}
+		k := gkey{terms[c.at[b].rel], f.Args[0]}
 		i, ok := byKey[k]
 		if !ok {
 			i = len(out)

@@ -124,7 +124,7 @@ func gpurifyRounds(q query.Query, d *db.DB) (*db.DB, int) {
 		if len(removed) == 0 {
 			return cur, rounds
 		}
-		cur, _ = purifyRounds(q, subDB(cur, func(b db.Block) bool { return !removed[&b.Facts[0]] }))
+		cur, _ = purifyRounds(q, keepBlocks(cur, func(b db.Block) bool { return !removed[&b.Facts[0]] }))
 	}
 }
 

@@ -1,6 +1,8 @@
 package match
 
 import (
+	"slices"
+
 	"cqa/internal/db"
 	"cqa/internal/evalctx"
 	"cqa/internal/query"
@@ -40,13 +42,14 @@ const (
 )
 
 // step is one atom of the compiled join, with one op per argument
-// position in position order. A probe takes its key from
+// position in position order. rel indexes the plan's relation names;
+// atoms of one relation share it. A probe takes its key from
 // ops[:keyLen]. A lookup table holds the facts whose constants match,
 // keyed by their value at position tableKey, the first position bound
 // by an earlier step (-1 when only constants are bound).
 type step struct {
 	atom     int
-	rel      string
+	rel      int
 	access   access
 	keyLen   int
 	tableKey int
@@ -58,13 +61,14 @@ type step struct {
 // serves any number of walks.
 type joinPlan struct {
 	vars  []query.Var // slot -> variable; the variables bound on entry first
+	rels  []string    // the steps' relation names, each once
 	steps []step
 }
 
 // compile orders q's atoms the way the join visits them when the
 // variables in bound are bound on entry, and compiles each into ops.
 func compile(q query.Query, bound []query.Var) *joinPlan {
-	p := &joinPlan{vars: append([]query.Var(nil), bound...), steps: make([]step, 0, q.Len())}
+	p := &joinPlan{vars: append([]query.Var(nil), bound...), rels: make([]string, 0, q.Len()), steps: make([]step, 0, q.Len())}
 	done := make([]bool, q.Len())
 	for range q.Atoms {
 		next, bestBound, bestKey := -1, -1, false
@@ -111,7 +115,11 @@ func (p *joinPlan) boundCount(a query.Atom) (bound int, keyFullyBound bool) {
 
 // compileStep compiles atom i and numbers the variables it binds.
 func (p *joinPlan) compileStep(i int, a query.Atom, bound int, keyBound bool) step {
-	st := step{atom: i, rel: a.Rel.Name, keyLen: a.Rel.KeyLen, tableKey: -1, ops: make([]op, len(a.Args))}
+	st := step{atom: i, rel: slices.Index(p.rels, a.Rel.Name), keyLen: a.Rel.KeyLen, tableKey: -1, ops: make([]op, len(a.Args))}
+	if st.rel < 0 {
+		st.rel = len(p.rels)
+		p.rels = append(p.rels, a.Rel.Name)
+	}
 	switch {
 	case keyBound:
 		st.access = probeKey
@@ -161,16 +169,24 @@ func unify(ops []op, args, slots []query.Const) bool {
 	return true
 }
 
+// resolve resolves the plan's relations in d, by relation index.
+func (p *joinPlan) resolve(d *db.DB) []db.Rel {
+	rels := make([]db.Rel, len(p.rels))
+	for i, name := range p.rels {
+		rels[i] = d.Rel(name)
+	}
+	return rels
+}
+
 // table is a lookup step's index over its relation, built inside one
-// walk. refs lists the facts whose constants match, as (block ordinal in
-// the relation, slot). Entries are numbered from 1; head maps a value at
+// walk. refs lists the facts whose constants match, as (block position
+// in the relation, slot). Entries are numbered from 1; head maps a value at
 // the step's tableKey position to the first entry with it, next[e-1] is
 // the entry after e with the same value, and 0 ends a chain. A chain
 // lists its facts in block then slot order, the order a scan meets
 // them. The table refers to the database's blocks and copies no fact.
 type table struct {
 	scanned bool // the step's first visit scanned instead
-	blocks  []db.Block
 	head    map[query.Const]int32
 	refs    []Ref
 	next    []int32
@@ -178,8 +194,8 @@ type table struct {
 
 // joiner is the state of one walk of a compiled join.
 type joiner struct {
-	ix     *Index
 	p      *joinPlan
+	rels   []db.Rel // by relation index
 	chk    *evalctx.Checker
 	slots  []query.Const
 	hits   []hit   // by atom index
@@ -187,14 +203,15 @@ type joiner struct {
 	yield  func([]hit) bool
 }
 
-// walk runs the compiled join with slots holding the values of the
-// variables bound on entry, calling yield with the hit of every atom in
-// atom order (reused across calls) for each embedding; the slots then
-// hold the embedding's values. The checker is polled once per candidate
-// fact and once per fact a lookup table indexes. It returns false when
-// yield stopped the walk or the checker tripped.
-func (ix *Index) walk(p *joinPlan, slots []query.Const, chk *evalctx.Checker, yield func([]hit) bool) bool {
-	r := joiner{ix: ix, p: p, chk: chk, slots: slots, hits: make([]hit, len(p.steps)), yield: yield}
+// walk runs the compiled join over the plan's relations resolved in
+// rels, with slots holding the values of the variables bound on entry,
+// calling yield with the hit of every atom in atom order (reused across
+// calls) for each embedding; the slots then hold the embedding's
+// values. The checker is polled once per candidate fact and once per
+// fact a lookup table indexes. It returns false when yield stopped the
+// walk or the checker tripped.
+func walk(p *joinPlan, rels []db.Rel, slots []query.Const, chk *evalctx.Checker, yield func([]hit) bool) bool {
+	r := joiner{p: p, rels: rels, chk: chk, slots: slots, hits: make([]hit, len(p.steps)), yield: yield}
 	for _, st := range p.steps {
 		if st.access == lookup {
 			r.tables = make([]table, len(p.steps))
@@ -220,8 +237,9 @@ func (r *joiner) rec(d int) bool {
 				key = append(key, r.slots[o.slot])
 			}
 		}
-		blk, ok := r.ix.DB.BlockByKey(st.rel, key)
-		return !ok || r.scan(d, blk, st.keyLen)
+		rel := &r.rels[st.rel]
+		pos, ok := rel.BlockByKey(key)
+		return !ok || r.scan(d, rel.Blocks()[pos], int32(pos), st.keyLen)
 	case lookup:
 		// The first visit scans, so a step met once costs what a scan
 		// does; from the second on it reads the table.
@@ -234,17 +252,18 @@ func (r *joiner) rec(d int) bool {
 		}
 		t.scanned = true
 	}
-	for _, blk := range r.ix.DB.BlocksOf(st.rel) {
-		if !r.scan(d, blk, 0) {
+	for pos, blk := range r.rels[st.rel].Blocks() {
+		if !r.scan(d, blk, int32(pos), 0) {
 			return false
 		}
 	}
 	return true
 }
 
-// scan unifies step d's atom with each fact of blk in slot order, from
-// position from on, and recurses on every success.
-func (r *joiner) scan(d int, blk db.Block, from int) bool {
+// scan unifies step d's atom with each fact of blk, the block at pos in
+// its relation, in slot order, from position from on, and recurses on
+// every success.
+func (r *joiner) scan(d int, blk db.Block, pos int32, from int) bool {
 	st := &r.p.steps[d]
 	for s := range blk.Facts {
 		if r.chk.Step() != nil {
@@ -253,7 +272,7 @@ func (r *joiner) scan(d int, blk db.Block, from int) bool {
 		if !unify(st.ops[from:], blk.Facts[s].Args[from:], r.slots) {
 			continue
 		}
-		r.hits[st.atom] = hit{blk: blk, slot: int32(s)}
+		r.hits[st.atom] = hit{blk: blk, pos: pos, slot: int32(s)}
 		if !r.rec(d + 1) {
 			return false
 		}
@@ -274,11 +293,11 @@ func (r *joiner) probeTable(d int, st *step, t *table) bool {
 			return false
 		}
 		ref := t.refs[e-1]
-		blk := t.blocks[ref.Block]
+		blk := r.rels[st.rel].Blocks()[ref.Block]
 		if !unify(st.ops, blk.Facts[ref.Slot].Args, r.slots) {
 			continue
 		}
-		r.hits[st.atom] = hit{blk: blk, slot: ref.Slot}
+		r.hits[st.atom] = hit{blk: blk, pos: ref.Block, slot: ref.Slot}
 		if !r.rec(d + 1) {
 			return false
 		}
@@ -290,15 +309,15 @@ func (r *joiner) probeTable(d int, st *step, t *table) bool {
 // It walks the facts backwards, so each chain, grown at its head, lists
 // them forwards. It reports false when the checker tripped.
 func (r *joiner) build(st *step, t *table) bool {
-	t.blocks = r.ix.DB.BlocksOf(st.rel)
+	blocks := r.rels[st.rel].Blocks()
 	n := 0
-	for _, blk := range t.blocks {
+	for _, blk := range blocks {
 		n += len(blk.Facts)
 	}
 	t.head = make(map[query.Const]int32)
 	t.refs, t.next = make([]Ref, 0, n), make([]int32, 0, n)
-	for b := len(t.blocks) - 1; b >= 0; b-- {
-		facts := t.blocks[b].Facts
+	for b := len(blocks) - 1; b >= 0; b-- {
+		facts := blocks[b].Facts
 	facts:
 		for s := len(facts) - 1; s >= 0; s-- {
 			if r.chk.Step() != nil {

@@ -29,19 +29,19 @@ func NewIndex(d *db.DB) *Index {
 	return &Index{DB: d}
 }
 
-// hit is the fact one atom matched: its block and its slot in the
-// block's Facts.
+// hit is the fact one atom matched: its block, the block's position in
+// its relation's blocks (db.Rel.Blocks), and its slot in the block's
+// Facts. Within a database version, (relation, pos) identifies the
+// block.
 type hit struct {
 	blk  db.Block
+	pos  int32
 	slot int32
 }
 
 // fact returns the matched fact in place, so its address identifies it
 // within the database version.
 func (h hit) fact() *db.Fact { return &h.blk.Facts[h.slot] }
-
-// sameBlock reports whether two hits lie in one block.
-func (h hit) sameBlock(g hit) bool { return &h.blk.Facts[0] == &g.blk.Facts[0] }
 
 // UnifyTerms extends val so that the terms map onto the constants,
 // reporting failure on constant mismatches or inconsistent repeated
@@ -91,7 +91,7 @@ func (ix *Index) MatchChecked(q query.Query, partial query.Valuation, chk *evalc
 		slots[i] = partial[v] // the zero Const for the variables the join binds
 	}
 	val := partial.Clone()
-	return ix.walk(p, slots, chk, func([]hit) bool {
+	return walk(p, p.resolve(ix.DB), slots, chk, func([]hit) bool {
 		for i, v := range p.vars {
 			val[v] = slots[i]
 		}
@@ -174,19 +174,25 @@ func Purify(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
 		return nil, err
 	}
 	if pc, _ := cs.Purified(); len(pc.Blocks) < d.NumBlocks() {
-		return subDB(d, pc.Constrained), nil
+		return subDB(d, pc, func(int32) bool { return true }), nil
 	}
 	return d, nil
 }
 
-// subDB returns a database holding the blocks of d that keep selects,
-// in d's block order.
-func subDB(d *db.DB, keep func(db.Block) bool) *db.DB {
+// subDB returns a database holding the blocks of d that the form c
+// touches and keep selects by ordinal, in d's block order.
+func subDB(d *db.DB, c *Constraints, keep func(ord int32) bool) *db.DB {
 	out := db.New()
-	for _, b := range d.Blocks() {
-		if keep(b) {
-			for _, f := range b.Facts {
-				out.Add(f)
+	for _, name := range d.RelationOrder() {
+		num := c.numbering(name)
+		if num == nil {
+			continue
+		}
+		for pos, b := range d.BlocksOf(name) {
+			if o := num[pos]; o != 0 && keep(o-1) {
+				for _, f := range b.Facts {
+					out.Add(f)
+				}
 			}
 		}
 	}

@@ -39,13 +39,13 @@ func oracleRec(ix *Index, q query.Query, hits []hit, val query.Valuation, yield 
 	}
 	a := q.Atoms[next]
 	defer func() { hits[next] = hit{} }()
-	scan := func(blk db.Block) bool {
+	scan := func(blk db.Block, pos int) bool {
 		for s, f := range blk.Facts {
 			added, ok := oracleUnify(a, f, val)
 			if !ok {
 				continue
 			}
-			hits[next] = hit{blk: blk, slot: int32(s)}
+			hits[next] = hit{blk: blk, pos: int32(pos), slot: int32(s)}
 			cont := oracleRec(ix, q, hits, val, yield)
 			for _, v := range added {
 				delete(val, v)
@@ -62,10 +62,12 @@ func oracleRec(ix *Index, q query.Query, hits []hit, val query.Valuation, yield 
 			key[i], _ = val.Apply(t)
 		}
 		blk, ok := ix.DB.BlockByKey(a.Rel.Name, key)
-		return !ok || scan(blk)
+		// The position is found by searching the relation's blocks for
+		// the block's ID, not by the positional probe under test.
+		return !ok || scan(blk, slices.IndexFunc(ix.DB.BlocksOf(a.Rel.Name), func(b db.Block) bool { return b.ID == blk.ID }))
 	}
-	for _, blk := range ix.DB.BlocksOf(a.Rel.Name) {
-		if !scan(blk) {
+	for pos, blk := range ix.DB.BlocksOf(a.Rel.Name) {
+		if !scan(blk, pos) {
 			return false
 		}
 	}
@@ -124,7 +126,8 @@ func oracleUnify(a query.Atom, f db.Fact, val query.Valuation) ([]query.Var, boo
 // repeated variables within an atom, composite keys, partial
 // valuations (some binding variables outside q), facts that miss an
 // atom's constant, relations absent from
-// the database, and atoms whose key is unbound while other positions
+// the database, probes on the row map and on a warmed columnar view,
+// and atoms whose key is unbound while other positions
 // are bound (the lookup-table path, met more than once per walk).
 func TestCompiledJoinMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2015))
@@ -192,6 +195,9 @@ func TestCompiledJoinMatchesOracle(t *testing.T) {
 				partials++
 			}
 		}
+		if trial%4 < 2 {
+			d.Columnar() // probes read the interned key table
+		}
 		ix := NewIndex(d)
 		var wantVals, wantHits, gotVals, gotHits []string
 		oracleWalk(ix, q, partial, func(v query.Valuation, hits []hit) bool {
@@ -208,7 +214,7 @@ func TestCompiledJoinMatchesOracle(t *testing.T) {
 		for i, v := range p.vars {
 			slots[i] = partial[v]
 		}
-		ix.walk(p, slots, nil, func(hits []hit) bool {
+		walk(p, p.resolve(d), slots, nil, func(hits []hit) bool {
 			gotHits = append(gotHits, fmt.Sprint(hits))
 			return true
 		})

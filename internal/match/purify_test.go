@@ -20,7 +20,7 @@ import (
 // uses, and rebuilds the database from the surviving blocks, until a
 // round drops nothing. It reports the rounds it ran.
 func purifyRounds(q query.Query, d *db.DB) (*db.DB, int) {
-	cur := subDB(d, func(b db.Block) bool { return q.HasRel(b.Facts[0].Rel.Name) })
+	cur := keepBlocks(d, func(b db.Block) bool { return q.HasRel(b.Facts[0].Rel.Name) })
 	for rounds := 1; ; rounds++ {
 		relevant := make(map[*db.Fact]bool)
 		oracleWalk(NewIndex(cur), q, query.Valuation{}, func(_ query.Valuation, hits []hit) bool {
@@ -30,7 +30,7 @@ func purifyRounds(q query.Query, d *db.DB) (*db.DB, int) {
 			return true
 		})
 		dropped := false
-		next := subDB(cur, func(b db.Block) bool {
+		next := keepBlocks(cur, func(b db.Block) bool {
 			for s := range b.Facts {
 				if !relevant[&b.Facts[s]] {
 					dropped = true
@@ -44,6 +44,20 @@ func purifyRounds(q query.Query, d *db.DB) (*db.DB, int) {
 		}
 		cur = next
 	}
+}
+
+// keepBlocks returns a database holding the blocks of d that keep
+// selects, in d's block order.
+func keepBlocks(d *db.DB, keep func(db.Block) bool) *db.DB {
+	out := db.New()
+	for _, b := range d.Blocks() {
+		if keep(b) {
+			for _, f := range b.Facts {
+				out.Add(f)
+			}
+		}
+	}
+	return out
 }
 
 // relevant reports whether f is relevant for q in d (Section 3): some

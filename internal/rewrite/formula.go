@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"cqa/internal/attack"
-	"cqa/internal/db"
 	"cqa/internal/query"
 )
 
@@ -16,9 +15,6 @@ import (
 // iff every repair satisfies q.
 type Formula interface {
 	format(b *strings.Builder)
-	// eval model-checks the formula over d under the environment env,
-	// quantifying over the active domain.
-	eval(d *db.DB, adom []query.Const, env query.Valuation) bool
 }
 
 // TrueF is the true sentence.
@@ -112,71 +108,6 @@ func Format(f Formula) string {
 	var b strings.Builder
 	f.format(&b)
 	return b.String()
-}
-
-func (TrueF) eval(*db.DB, []query.Const, query.Valuation) bool  { return true }
-func (FalseF) eval(*db.DB, []query.Const, query.Valuation) bool { return false }
-
-func (f AtomF) eval(d *db.DB, _ []query.Const, env query.Valuation) bool {
-	fact, err := db.FactFromAtom(f.Atom.Substitute(env), env)
-	if err != nil {
-		return false
-	}
-	return d.Has(fact)
-}
-
-func (f EqF) eval(_ *db.DB, _ []query.Const, env query.Valuation) bool {
-	l, okL := env.Apply(f.L)
-	r, okR := env.Apply(f.R)
-	return okL && okR && l == r
-}
-
-func (f AndF) eval(d *db.DB, adom []query.Const, env query.Valuation) bool {
-	for _, g := range f.Fs {
-		if !g.eval(d, adom, env) {
-			return false
-		}
-	}
-	return true
-}
-
-func (f ImpliesF) eval(d *db.DB, adom []query.Const, env query.Valuation) bool {
-	return !f.L.eval(d, adom, env) || f.R.eval(d, adom, env)
-}
-
-func (f ExistsF) eval(d *db.DB, adom []query.Const, env query.Valuation) bool {
-	return quantEval(f.Vars, f.F, d, adom, env, false)
-}
-
-func (f ForallF) eval(d *db.DB, adom []query.Const, env query.Valuation) bool {
-	return quantEval(f.Vars, f.F, d, adom, env, true)
-}
-
-func quantEval(vars []query.Var, body Formula, d *db.DB, adom []query.Const, env query.Valuation, forall bool) bool {
-	if len(vars) == 0 {
-		return body.eval(d, adom, env)
-	}
-	v, rest := vars[0], vars[1:]
-	for _, c := range adom {
-		env[v] = c
-		ok := quantEval(rest, body, d, adom, env, forall)
-		delete(env, v)
-		if forall && !ok {
-			return false
-		}
-		if !forall && ok {
-			return true
-		}
-	}
-	return forall
-}
-
-// Eval model-checks a closed formula over the database, with quantifiers
-// ranging over the active domain. Exponential in quantifier depth; meant
-// for validating rewritings on small instances, not for production
-// evaluation (use Certain for that).
-func Eval(f Formula, d *db.DB) bool {
-	return f.eval(d, d.ActiveDomain(), query.Valuation{})
 }
 
 // Rewriting returns the consistent first-order rewriting of CERTAINTY(q)

@@ -76,7 +76,7 @@ func TestRewriteExample5(t *testing.T) {
 		R(1 | a)
 		S(a | b)
 	`)
-	if !Eval(f, good) {
+	if !modelCheck(f, good) {
 		t.Errorf("rewriting false on a certain instance:\n%s", s)
 	}
 	bad := factsDB(t, `
@@ -84,7 +84,7 @@ func TestRewriteExample5(t *testing.T) {
 		S(a | b)
 		S(a | zz)
 	`)
-	if Eval(f, bad) {
+	if modelCheck(f, bad) {
 		t.Errorf("rewriting true on an uncertain instance (block S(a|*) has a non-b fact)")
 	}
 }
@@ -157,7 +157,7 @@ func TestFormulaAgreesWithDirectEvaluator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := Eval(f, d); got != direct {
+		if got := modelCheck(f, d); got != direct {
 			t.Fatalf("formula=%v direct=%v\nq = %s\nrewriting = %s\ndb:\n%s",
 				got, direct, q, Format(f), d)
 		}
@@ -173,7 +173,7 @@ func TestEmptyQueryCertain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Eval(f, db.New()) {
+	if !modelCheck(f, db.New()) {
 		t.Fatal("rewriting of empty query should be true")
 	}
 }
