@@ -109,11 +109,11 @@ examples-check:
 
 # cqa-serve links only the serving path: fails when the service binary
 # depends on the experiment harness, the baselines, the workload
-# generators or the SQL oracle.
+# generators, the SQL oracle or the repair-enumeration oracle.
 deps-check:
-	@bad=$$($(GO) list -deps ./cmd/cqa-serve | grep -E '^cqa/internal/(experiments|baseline|workload|sqlmini)$$'); \
+	@bad=$$($(GO) list -deps ./cmd/cqa-serve | grep -E '^cqa/internal/(experiments|baseline|workload|sqlmini|naive)$$'); \
 	if [ -n "$$bad" ]; then echo "deps-check: cmd/cqa-serve links:"; echo "$$bad"; exit 1; fi; \
-	echo "deps-check: cmd/cqa-serve links none of experiments, baseline, workload, sqlmini"
+	echo "deps-check: cmd/cqa-serve links none of experiments, baseline, workload, sqlmini, naive"
 
 # Fails when gofmt would rewrite any file, listing the offenders.
 fmt-check:

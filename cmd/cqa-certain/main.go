@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	cqa-certain -q 'R(x | y), S(y | z)' -db facts.txt [-engine auto|fo|ptime|conp|naive] [-repair]
+//	cqa-certain -q 'R(x | y), S(y | z)' -db facts.txt [-engine auto|fo|ptime|conp] [-repair]
 //	echo 'R(a | b)' | cqa-certain -q 'R(x | y)' -db -
 //
 // The database file holds one fact per line, e.g. "R(a | b)"; blank

@@ -147,7 +147,7 @@ func RunCertain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	qs := fs.String("q", "", "the Boolean conjunctive query")
 	dbPath := fs.String("db", "", "path to the facts file ('-' for stdin)")
-	engineName := fs.String("engine", "auto", "engine: auto, fo, ptime, conp, naive")
+	engineName := fs.String("engine", "auto", "engine: auto, fo, ptime, conp")
 	showRepair := fs.Bool("repair", false, "print a falsifying repair when not certain")
 	answers := fs.String("answers", "", "comma-separated free variables: report certain answers")
 	possible := fs.Bool("possible", false, "also report POSSIBILITY(q) (true in some repair)")

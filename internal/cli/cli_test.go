@@ -170,8 +170,10 @@ func TestCertainEngineAndErrors(t *testing.T) {
 	if code := RunCertain([]string{"-q", "R(x | y)"}, nil, &out, &errb); code != 2 {
 		t.Error("missing -db should exit 2")
 	}
-	if code := RunCertain([]string{"-q", "R(x | y)", "-db", "-", "-engine", "zzz"}, strings.NewReader(""), &out, &errb); code != 2 {
-		t.Error("bad engine should exit 2")
+	for _, engine := range []string{"zzz", "naive"} {
+		if code := RunCertain([]string{"-q", "R(x | y)", "-db", "-", "-engine", engine}, strings.NewReader(""), &out, &errb); code != 2 {
+			t.Errorf("engine %s should exit 2", engine)
+		}
 	}
 	// Mode-c violation in the input.
 	stdin = strings.NewReader("T#c(a | 1)\nT#c(a | 2)\n")

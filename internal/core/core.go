@@ -21,10 +21,11 @@
 //     dissolution); polynomial, for strong-cycle-free attack graphs.
 //   - EngineCoNP: DPLL search for a falsifying repair; exact for every
 //     query, exponential in the worst case.
-//   - EngineNaive: brute-force repair enumeration; test oracle.
 //
 // EngineAuto picks the cheapest engine that is sound for the query's
-// class.
+// class. The repair-enumeration oracle (package naive) is not an
+// engine: it checks the engines in tests and experiments, and a
+// request cannot select it.
 package core
 
 import (
@@ -91,8 +92,6 @@ const (
 	EnginePTime
 	// EngineCoNP runs the exact falsifying-repair search (any query).
 	EngineCoNP
-	// EngineNaive enumerates all repairs (small instances only).
-	EngineNaive
 )
 
 // String names the engine.
@@ -106,14 +105,12 @@ func (e Engine) String() string {
 		return "ptime"
 	case EngineCoNP:
 		return "conp"
-	case EngineNaive:
-		return "naive"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine maps an engine name ("auto", "fo", "ptime", "conp",
-// "naive") to an Engine.
+// ParseEngine maps an engine name ("auto", "fo", "ptime", "conp") to an
+// Engine.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "auto", "":
@@ -124,8 +121,6 @@ func ParseEngine(s string) (Engine, error) {
 		return EnginePTime, nil
 	case "conp":
 		return EngineCoNP, nil
-	case "naive":
-		return EngineNaive, nil
 	}
 	return EngineAuto, fmt.Errorf("core: unknown engine %q", s)
 }

@@ -119,7 +119,7 @@ func TestCertainForcedEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range []Engine{EngineFO, EnginePTime, EngineCoNP, EngineNaive} {
+		for _, e := range []Engine{EngineFO, EnginePTime, EngineCoNP} {
 			res, err := evalCertain(q, d, Options{Engine: e})
 			if err != nil {
 				t.Fatalf("engine %v: %v", e, err)
@@ -142,15 +142,18 @@ func TestCertainForcedEngines(t *testing.T) {
 func TestParseEngine(t *testing.T) {
 	for name, want := range map[string]Engine{
 		"": EngineAuto, "auto": EngineAuto, "fo": EngineFO,
-		"ptime": EnginePTime, "conp": EngineCoNP, "naive": EngineNaive,
+		"ptime": EnginePTime, "conp": EngineCoNP,
 	} {
 		got, err := ParseEngine(name)
 		if err != nil || got != want {
 			t.Errorf("ParseEngine(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := ParseEngine("zzz"); err == nil {
-		t.Error("unknown engine accepted")
+	// The repair-enumeration oracle is not an engine a caller can pick.
+	for _, name := range []string{"zzz", "naive"} {
+		if _, err := ParseEngine(name); err == nil {
+			t.Errorf("engine %q accepted", name)
+		}
 	}
 	if EngineCoNP.String() != "conp" || Engine(99).String() == "" {
 		t.Error("Engine.String wrong")
@@ -271,7 +274,7 @@ func TestSignatureMismatchTypedError(t *testing.T) {
 	ctx := context.Background()
 	for _, qs := range []string{"R(x | y, z)", "R(x | y, z), S(y | w)"} {
 		q := query.MustParse(qs)
-		for _, e := range []Engine{EngineAuto, EngineFO, EnginePTime, EngineCoNP, EngineNaive} {
+		for _, e := range []Engine{EngineAuto, EngineFO, EnginePTime, EngineCoNP} {
 			_, err := evalCertain(q, d, Options{Engine: e})
 			check(fmt.Sprintf("evalCertain(%s, %v)", qs, e), err)
 		}

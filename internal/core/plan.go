@@ -13,7 +13,6 @@ import (
 	"cqa/internal/counting"
 	"cqa/internal/evalctx"
 	"cqa/internal/match"
-	"cqa/internal/naive"
 	"cqa/internal/ptime"
 	"cqa/internal/query"
 	"cqa/internal/rewrite"
@@ -105,8 +104,8 @@ func (p *Plan) CertainIndexedCtx(ctx context.Context, ix *match.Index, opts Opti
 // CertainChecked is the single certainty decision under the caller's
 // checker: the engine opts select, including the Approximate
 // degradation of a budget-exhausted coNP search. A cluster node runs it
-// for a routed decision that cannot be scattered (ptime / conp / naive
-// / cyclic plans), charging the work to the checker of the routed
+// for a routed decision that cannot be scattered (ptime / conp /
+// cyclic plans), charging the work to the checker of the routed
 // request. Unlike CertainIndexedCtx it does not check signatures; the
 // caller has.
 func (p *Plan) CertainChecked(ctx context.Context, ix *match.Index, opts Options, chk *evalctx.Checker) (Result, error) {
@@ -134,10 +133,6 @@ func (p *Plan) CertainChecked(ctx context.Context, ix *match.Index, opts Options
 		res.Certain, _, err = conp.CertainChecked(p.Query, ix.DB, chk)
 		if errors.Is(err, evalctx.ErrBudgetExceeded) && opts.Approximate {
 			return p.degradeToSampling(ctx, ix, opts)
-		}
-	case EngineNaive:
-		if err = chk.Check(); err == nil {
-			res.Certain, err = naive.Certain(p.Query, ix.DB)
 		}
 	default:
 		err = fmt.Errorf("core: unknown engine %v", engine)

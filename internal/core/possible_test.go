@@ -68,11 +68,11 @@ func TestCertainImpliesPossible(t *testing.T) {
 		if d.NumRepairs() > 1<<12 {
 			continue
 		}
-		res, err := evalCertain(q, d, Options{Engine: EngineNaive})
+		certain, err := naive.Certain(q, d)
 		if err != nil {
 			continue
 		}
-		if res.Certain && q.Len() > 0 && d.NumBlocks() > 0 {
+		if certain && q.Len() > 0 && d.NumBlocks() > 0 {
 			if !Possible(q, d) {
 				t.Fatalf("certain but not possible?! q=%s\ndb:\n%s", q, d)
 			}

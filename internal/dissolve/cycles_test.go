@@ -7,6 +7,7 @@ import (
 
 	"cqa/internal/db"
 	"cqa/internal/markov"
+	"cqa/internal/match"
 	"cqa/internal/query"
 	"cqa/internal/schema"
 )
@@ -175,7 +176,11 @@ func TestLongCycleDetectionAgainstBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, st, err := dd.TransformDB(d, nil)
+		cs, err := match.NewIndex(d).Constraints(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := dd.TransformDB(cs, nil)
 		if err != nil {
 			// Cross-component edges: the instance is not gpurified; the
 			// reduction correctly refuses. Skip.

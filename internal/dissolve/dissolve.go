@@ -3,12 +3,15 @@
 // (Koutris & Wijsen, PODS 2015, Section 6.5): given a premier Markov
 // cycle C of a simplified query q, it rewrites q to dissolve(C, q) and an
 // input database to a matching instance, strictly decreasing the number
-// of mode-i atoms while preserving the certain answer.
+// of mode-i atoms while preserving the certain answer. The database side
+// joins nothing: it reads the embeddings of q off the gpurified
+// repair-constraint form (match.GPurify) into one sorted slab of rows.
 package dissolve
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cqa/internal/db"
@@ -32,8 +35,6 @@ type Dissolution struct {
 	UVar  query.Var   // the fresh variable u
 	YVars []query.Var // ȳ: vars(q0) minus the cycle variables, fixed order
 	Xi    []query.VarSet
-
-	m *markov.Graph
 }
 
 // Dissolve computes dissolve(C, q) per Definition 5. The cycle must be an
@@ -60,7 +61,7 @@ func Dissolve(q query.Query, m *markov.Graph, c []query.Var) (*Dissolution, erro
 		}
 	}
 
-	dd := &Dissolution{Q: q, C: c, m: m}
+	dd := &Dissolution{Q: q, C: c}
 	var q0Atoms []query.Atom
 	for _, x := range c {
 		q0Atoms = append(q0Atoms, m.Cq(x)...)
@@ -123,16 +124,9 @@ type vertex struct {
 	c     query.Const
 }
 
-// edgeKey identifies a directed edge of G(db).
-type edgeKey struct {
-	layer int // i: edge goes from type(x_i) to type(x_(i+1 mod k))
-	from  query.Const
-	to    query.Const
-}
-
 // Stats reports what the reduction did, for ablation experiments.
 type Stats struct {
-	Matches        int // embeddings of q enumerated
+	Matches        int // embeddings of q read
 	Vertices       int // vertices of G(db)
 	Edges          int // edges of G(db)
 	Components     int // strong components processed
@@ -143,163 +137,232 @@ type Stats struct {
 	LongCycles     int // components with an elementary cycle longer than k
 }
 
+// layer locates in q what layer i of G(db) reads from an embedding:
+// the cycle variable x_i, whose value is the vertex, and the variables
+// X_i of the realization, by name.
+type layer struct {
+	x     match.Arg
+	names []query.Var
+	args  []match.Arg // of names
+}
+
+// row is the edge and realization that the embedding of constraint con
+// yields at layer i: the edge (θ(x_i), θ(x_(i+1))) between the vertices
+// numbered from and to, and the realization θ[X_i].
+type row struct{ layer, con, from, to int32 }
+
+// edge is an edge of G(db) between the vertices numbered from and to,
+// realized by the rows [lo, hi).
+type edge struct{ layer, from, to, lo, hi int }
+
+// gdb is G(db) read off a form of q: one slab of rows, sorted by edge
+// and then by realization with duplicate realizations dropped, the
+// vertices, and the edges over the slab. Each variable of ȳ is read
+// from the realizations of the first layer whose X_i holds it.
+type gdb struct {
+	cs     *match.Constraints
+	layers []layer
+	ys     []struct{ layer, at int } // by ȳ: the layer, and the index in its args
+	rows   []row
+	verts  []vertex
+	edges  []edge
+}
+
+func (g *gdb) value(r row, a match.Arg) query.Const { return g.cs.Value(int(r.con), a) }
+
+// cmpEdge orders rows by edge: (layer, θ(x_i), θ(x_(i+1))). The
+// vertices of a layer are numbered in the order of their constants.
+func (g *gdb) cmpEdge(r, s row) int {
+	return cmp.Or(int(r.layer-s.layer), int(r.from-s.from), int(r.to-s.to))
+}
+
+// cmpRow orders rows by edge and then by realization, in the order of the realizations' query.Valuation.Key strings: the
+// text x1=c1,x2=c2,... over X_i by name. Constants compare as strings
+// until one is a proper prefix of the other; the text after it, which
+// goes on with the next variable, then decides.
+func (g *gdb) cmpRow(r, s row) int {
+	if c := g.cmpEdge(r, s); c != 0 {
+		return c
+	}
+	l := &g.layers[r.layer]
+	for j, a := range l.args {
+		x, y := g.value(r, a), g.value(s, a)
+		if x == y {
+			continue
+		}
+		if n := min(len(x), len(y)); x[:n] != y[:n] || j == len(l.args)-1 {
+			return strings.Compare(string(x), string(y))
+		}
+		return strings.Compare(g.keyTail(r, j), g.keyTail(s, j))
+	}
+	return 0
+}
+
+// keyTail is the text of r's realization key from its j-th constant on.
+func (g *gdb) keyTail(r row, j int) string {
+	l := &g.layers[r.layer]
+	var b strings.Builder
+	b.WriteString(string(g.value(r, l.args[j])))
+	for j++; j < len(l.args); j++ {
+		b.WriteString("," + string(l.names[j]) + "=" + string(g.value(r, l.args[j])))
+	}
+	return b.String()
+}
+
+// cycleEdges returns the edges of a cycle given by its vertices, one
+// per layer.
+func (g *gdb) cycleEdges(cyc []int) []edge {
+	k := len(cyc)
+	es := make([]edge, k)
+	for i, v := range cyc {
+		j, _ := slices.BinarySearchFunc(g.edges, edge{layer: i, from: v, to: cyc[(i+1)%k]}, func(e, t edge) int {
+			return cmp.Or(e.layer-t.layer, e.from-t.from, e.to-t.to)
+		})
+		es[i] = g.edges[j]
+	}
+	return es
+}
+
 // TransformDB performs the reduction of Lemma 18: it encodes the strong
 // components of G(db) whose elementary cycles all have length k and
 // support q into T/U facts, deletes (by omission) the components Lemma 16
 // lets us ignore, and returns a legal input for CERTAINTY(dissolve(C,q)).
 //
-// The database must be purified and gpurified relative to q, with every
-// mode-i atom simple-key and the Cq-atoms free of constants and repeated
-// variables — exactly the regime Lemma 12 establishes. It need not be
-// typed: a vertex is a (layer, constant) pair. The
-// checker is polled by the join that builds G(db); a tripped checker
-// returns its error. A nil checker enforces nothing.
-func (dd *Dissolution) TransformDB(d *db.DB, chk *evalctx.Checker) (*db.DB, Stats, error) {
-	var st Stats
+// The database is given by a repair-constraint form of q over it, every
+// constraint of which is read as an embedding (match.GPurify returns
+// such a form): it must be purified and gpurified relative to q, with
+// every mode-i atom simple-key and the Cq-atoms free of constants and
+// repeated variables — exactly the regime Lemma 12 establishes. It need
+// not be typed: a vertex is a (layer, constant) pair. The output holds
+// the form's blocks outside the Cq-atoms' relations, then the T and U
+// facts. The checker is polled once per constraint read, per edge of
+// G(db), per strong component and per step of the cycle search; a
+// tripped checker returns its error. A nil checker enforces nothing.
+func (dd *Dissolution) TransformDB(cs *match.Constraints, chk *evalctx.Checker) (*db.DB, Stats, error) {
 	k := len(dd.C)
+	st := Stats{Matches: len(cs.Cons)}
+	g := &gdb{cs: cs, layers: make([]layer, k)}
+	for i := range g.layers {
+		l := &g.layers[i]
+		l.x, l.names = match.ArgOf(dd.Q, dd.C[i]), dd.Xi[i].Sorted()
+		for _, v := range l.names {
+			l.args = append(l.args, match.ArgOf(dd.Q, v))
+		}
+	}
+	g.ys = make([]struct{ layer, at int }, len(dd.YVars))
+	for n, y := range dd.YVars {
+		i := slices.IndexFunc(dd.Xi, func(x query.VarSet) bool { return x.Has(y) })
+		g.ys[n].layer, g.ys[n].at = i, slices.Index(g.layers[i].names, y)
+	}
 
-	// 1. Build G(db): one edge (theta(x_i), theta(x_(i+1))) per embedding
-	// and position, collecting the realizations theta[X_i].
-	vid := make(map[vertex]int) // numbered in step 2
-	realizations := make(map[edgeKey]map[string]query.Valuation)
-	ix := match.NewIndex(d)
-	ix.MatchChecked(dd.Q, query.Valuation{}, chk, func(v query.Valuation) bool {
-		st.Matches++
-		for i := 0; i < k; i++ {
-			a := v[dd.C[i]]
-			b := v[dd.C[(i+1)%k]]
-			vid[vertex{i, a}] = -1
-			ek := edgeKey{layer: i, from: a, to: b}
-			reals := realizations[ek]
-			if reals == nil {
-				reals = make(map[string]query.Valuation)
-				realizations[ek] = reals
+	// 1. Vertex numbering. Vertices sort as their typed constants x_i:c
+	// would: by the string x_i + ":", then by constant. That fixes the
+	// component order, and with it the Dcomp names and the T-fact order.
+	// vid[ci*k+i] numbers the vertex θ(x_i) of constraint ci.
+	n := len(cs.Cons)
+	order := make([]int, k)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return strings.Compare(string(dd.C[a])+":", string(dd.C[b])+":")
+	})
+	type xAt struct {
+		c  query.Const // θ(x_i)
+		ci int32
+	}
+	vid := make([]int32, n*k)
+	xs := make([]xAt, n)
+	g.verts = make([]vertex, 0, n*k)
+	for _, i := range order {
+		for ci := range xs {
+			xs[ci] = xAt{cs.Value(ci, g.layers[i].x), int32(ci)}
+		}
+		slices.SortFunc(xs, func(a, b xAt) int { return strings.Compare(string(a.c), string(b.c)) })
+		for j, x := range xs {
+			if j == 0 || x.c != xs[j-1].c {
+				g.verts = append(g.verts, vertex{i, x.c})
 			}
-			mu := v.Restrict(dd.Xi[i])
-			reals[mu.Key()] = mu.Clone()
+			vid[int(x.ci)*k+i] = int32(len(g.verts) - 1)
 		}
-		return true
-	})
-	if err := chk.Err(); err != nil {
-		return nil, st, err
 	}
 
-	// 2. Vertex numbering and strong components. Vertices sort as their
-	// typed constants x_i:c would: by the string x_i + ":", then by
-	// constant. That fixes the component order, and with it the Dcomp
-	// names and the T-fact order.
-	tag := make([]string, k)
-	for i, x := range dd.C {
-		tag[i] = string(x) + ":"
-	}
-	verts := make([]vertex, 0, len(vid))
-	for x := range vid {
-		verts = append(verts, x)
-	}
-	sort.Slice(verts, func(i, j int) bool {
-		a, b := verts[i], verts[j]
-		if a.layer != b.layer {
-			return tag[a.layer] < tag[b.layer]
+	// 2. G(db): one row per embedding and position, sorted by edge and
+	// realization, so that duplicate realizations sit together and each
+	// edge's realizations form one run.
+	g.rows = make([]row, 0, k*n)
+	for ci := range cs.Cons {
+		if err := chk.Step(); err != nil {
+			return nil, st, err
 		}
-		return a.c < b.c
-	})
-	for i, x := range verts {
-		vid[x] = i
-	}
-	st.Vertices = len(verts)
-	g := dgraph.New(len(verts))
-	var edges []edgeKey
-	for ek := range realizations {
-		edges = append(edges, ek)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].layer != edges[j].layer {
-			return edges[i].layer < edges[j].layer
+		for i := 0; i < k; i++ {
+			g.rows = append(g.rows, row{int32(i), int32(ci), vid[ci*k+i], vid[ci*k+(i+1)%k]})
 		}
-		if edges[i].from != edges[j].from {
-			return edges[i].from < edges[j].from
+	}
+	slices.SortFunc(g.rows, g.cmpRow)
+	g.rows = slices.CompactFunc(g.rows, func(r, s row) bool { return g.cmpRow(r, s) == 0 })
+	g.edges = make([]edge, 0, len(g.rows))
+	gr := dgraph.New(len(g.verts))
+	for i, r := range g.rows {
+		if i > 0 && g.cmpEdge(g.rows[i-1], r) == 0 {
+			g.edges[len(g.edges)-1].hi++
+			continue
 		}
-		return edges[i].to < edges[j].to
-	})
-	st.Edges = len(edges)
-	ends := func(ek edgeKey) (int, int) {
-		return vid[vertex{ek.layer, ek.from}], vid[vertex{(ek.layer + 1) % k, ek.to}]
+		if err := chk.Step(); err != nil {
+			return nil, st, err
+		}
+		g.edges = append(g.edges, edge{int(r.layer), int(r.from), int(r.to), i, i + 1})
+		gr.AddEdge(int(r.from), int(r.to))
 	}
-	for _, ek := range edges {
-		g.AddEdge(ends(ek))
-	}
-	comp, ncomp := g.SCC()
+	st.Vertices, st.Edges = len(g.verts), len(g.edges)
+	comp, ncomp := gr.SCC()
 
 	// After gpurification every strong component is initial: no edge may
 	// cross components.
-	for _, ek := range edges {
-		if from, to := ends(ek); comp[from] != comp[to] {
-			return nil, st, fmt.Errorf("dissolve: edge %s -> %s crosses strong components; database is not gpurified", ek.from, ek.to)
+	for _, e := range g.edges {
+		if comp[e.from] != comp[e.to] {
+			return nil, st, fmt.Errorf("dissolve: edge %s -> %s crosses strong components; database is not gpurified", g.verts[e.from].c, g.verts[e.to].c)
 		}
 	}
 
 	// 3. Process each component.
-	out := db.New()
-	q0Rels := make(map[string]bool)
-	for _, a := range dd.Q0.Atoms {
-		q0Rels[a.Rel.Name] = true
+	q0Rels := make([]string, len(dd.Q0.Atoms))
+	for i, a := range dd.Q0.Atoms {
+		q0Rels[i] = a.Rel.Name
 	}
-	for _, f := range d.Facts() {
-		if !q0Rels[f.Rel.Name] {
-			out.Add(f)
-		}
-	}
+	out := cs.Copy(q0Rels...)
 
 	compVerts := make([][]int, ncomp)
-	for i := range verts {
+	for i := range g.verts {
 		compVerts[comp[i]] = append(compVerts[comp[i]], i)
 	}
 	// Adjacency restricted by component is the whole graph (components
-	// are edge-closed as checked above).
+	// are edge-closed as checked above), and every vertex starts an edge.
 	for cIdx := 0; cIdx < ncomp; cIdx++ {
-		vs := compVerts[cIdx]
-		if len(vs) == 0 {
-			continue
-		}
-		// Skip components with no edges at all (isolated vertices cannot
-		// occur in gpurified inputs, but tolerate them: their facts are
-		// dropped, which matches Lemma 16 since they admit no cycle and
-		// hence a non-grelevant repair).
-		hasEdge := false
-		for _, v := range vs {
-			if len(g.Succ(v)) > 0 {
-				hasEdge = true
-				break
-			}
+		if err := chk.Step(); err != nil {
+			return nil, st, err
 		}
 		st.Components++
-		if !hasEdge {
-			st.BadComponents++
-			continue
+		cycles, long, err := dd.analyzeComponent(gr, comp, cIdx, g.verts, chk)
+		if err != nil {
+			return nil, st, err
 		}
-		cycles, long := dd.analyzeComponent(g, comp, cIdx, verts)
 		if long {
 			st.LongCycles++
 			st.BadComponents++
 			continue
 		}
 		// Support check per cycle; all must support q to keep D.
-		var supported [][]query.Const
-		bad := false
-		for _, cyc := range cycles {
-			ok := dd.supports(cyc, realizations)
-			if !ok {
-				st.SupportFailure++
-				bad = true
-				break
-			}
-			supported = append(supported, cyc)
+		edges := make([][]edge, len(cycles))
+		for n, cyc := range cycles {
+			edges[n] = g.cycleEdges(cyc)
 		}
-		if bad {
+		if slices.ContainsFunc(edges, func(es []edge) bool { return !dd.supports(g, es) }) {
+			st.SupportFailure++
 			st.BadComponents++
 			continue
 		}
-		if len(supported) == 0 {
+		if len(cycles) == 0 {
 			// A strongly connected component with an edge contains a
 			// cycle; its length is a multiple of k, and no k-cycle means
 			// a longer one exists.
@@ -309,18 +372,16 @@ func (dd *Dissolution) TransformDB(d *db.DB, chk *evalctx.Checker) (*db.DB, Stat
 		}
 		// 4. Encode the component.
 		dConst := query.Const(fmt.Sprintf("Dcomp%d", cIdx))
-		for _, cyc := range supported {
+		for n, cyc := range cycles {
 			st.KCycles++
-			if err := dd.emitCycle(out, cyc, dConst, realizations, &st); err != nil {
-				return nil, st, err
-			}
+			st.TFacts += dd.emitCycle(out, g, cyc, edges[n], dConst)
 		}
 		for i := 0; i < k; i++ {
 			// U_i facts: every vertex of the component in layer i points
 			// to the component constant.
-			for _, v := range vs {
-				if verts[v].layer == i {
-					out.Add(db.Fact{Rel: dd.URels[i], Args: []query.Const{verts[v].c, dConst}})
+			for _, v := range compVerts[cIdx] {
+				if g.verts[v].layer == i {
+					out.Add(db.Fact{Rel: dd.URels[i], Args: []query.Const{g.verts[v].c, dConst}})
 				}
 			}
 		}
@@ -329,9 +390,11 @@ func (dd *Dissolution) TransformDB(d *db.DB, chk *evalctx.Checker) (*db.DB, Stat
 }
 
 // analyzeComponent enumerates the elementary cycles of length k in the
-// component (as constant sequences starting at layer 0) and reports
-// whether an elementary cycle strictly longer than k exists.
-func (dd *Dissolution) analyzeComponent(g *dgraph.Graph, comp []int, cIdx int, verts []vertex) (cycles [][]query.Const, long bool) {
+// component (as vertex sequences starting at layer 0) and reports
+// whether an elementary cycle strictly longer than k exists. The
+// checker is polled once per step of the path search; a tripped checker
+// returns its error.
+func (dd *Dissolution) analyzeComponent(g *dgraph.Graph, comp []int, cIdx int, verts []vertex, chk *evalctx.Checker) (cycles [][]int, long bool, err error) {
 	k := len(dd.C)
 	inComp := func(v int) bool { return comp[v] == cIdx }
 
@@ -345,13 +408,12 @@ func (dd *Dissolution) analyzeComponent(g *dgraph.Graph, comp []int, cIdx int, v
 	path := make([]int, 0, k+1)
 	var rec func(v, depth, start int)
 	rec = func(v, depth, start int) {
+		if err = chk.Step(); err != nil {
+			return
+		}
 		if depth == k {
 			if v == start {
-				cyc := make([]query.Const, k)
-				for i := 0; i < k; i++ {
-					cyc[i] = verts[path[i]].c
-				}
-				cycles = append(cycles, cyc)
+				cycles = append(cycles, slices.Clone(path))
 			} else if verts[v].layer == 0 && !long {
 				// Path of length k between distinct layer-0 vertices:
 				// check for a return path avoiding the interior
@@ -374,44 +436,38 @@ func (dd *Dissolution) analyzeComponent(g *dgraph.Graph, comp []int, cIdx int, v
 			path = append(path, v)
 			rec(w, depth+1, start)
 			path = path[:len(path)-1]
-			if long {
+			if long || err != nil {
 				return
 			}
 		}
 	}
 	for _, s := range starts {
-		rec(s, 0, s)
+		if rec(s, 0, s); err != nil {
+			return nil, false, err
+		}
 		if long {
-			return nil, true
+			return nil, true, nil
 		}
 	}
-	return cycles, false
+	return cycles, false, nil
 }
 
-// supports implements the support check: for all positions i ≠ j and all
-// realizations µi, µj of the cycle's edges, µi and µj agree on Xi ∩ Xj.
-func (dd *Dissolution) supports(cyc []query.Const, realizations map[edgeKey]map[string]query.Valuation) bool {
-	k := len(dd.C)
-	deltas := make([][]query.Valuation, k)
-	for i := 0; i < k; i++ {
-		ek := edgeKey{layer: i, from: cyc[i], to: cyc[(i+1)%k]}
-		for _, mu := range realizations[ek] {
-			deltas[i] = append(deltas[i], mu)
-		}
-		if len(deltas[i]) == 0 {
-			return false // edge not realized; cannot happen for enumerated cycles
-		}
-	}
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			shared := dd.Xi[i].Intersect(dd.Xi[j])
-			if len(shared) == 0 {
-				continue
-			}
-			for _, mi := range deltas[i] {
-				for _, mj := range deltas[j] {
-					if !mi.AgreesOn(mj, shared) {
-						return false
+// supports implements the support check on a cycle given by its edges:
+// for all positions i ≠ j and all realizations µi, µj of the cycle's
+// edges, µi and µj agree on Xi ∩ Xj.
+func (dd *Dissolution) supports(g *gdb, es []edge) bool {
+	for i := range es {
+		for j := i + 1; j < len(es); j++ {
+			for n, v := range g.layers[i].names {
+				if !dd.Xi[j].Has(v) {
+					continue
+				}
+				a := g.layers[i].args[n]
+				for _, ri := range g.rows[es[i].lo:es[i].hi] {
+					for _, rj := range g.rows[es[j].lo:es[j].hi] {
+						if g.value(ri, a) != g.value(rj, a) {
+							return false
+						}
 					}
 				}
 			}
@@ -420,70 +476,36 @@ func (dd *Dissolution) supports(cyc []query.Const, realizations map[edgeKey]map[
 	return true
 }
 
-// emitCycle adds the T-facts for one supported k-cycle: one fact per
-// element of the cross product ∆0 × ... × ∆(k-1) (Section 6.5). The
-// support check guarantees the realizations merge into a well-defined
-// valuation µ over the cycle variables and ȳ.
-func (dd *Dissolution) emitCycle(out *db.DB, cyc []query.Const, dConst query.Const, realizations map[edgeKey]map[string]query.Valuation, st *Stats) error {
-	k := len(dd.C)
-	deltas := make([][]query.Valuation, k)
-	for i := 0; i < k; i++ {
-		ek := edgeKey{layer: i, from: cyc[i], to: cyc[(i+1)%k]}
-		var keys []string
-		for key := range realizations[ek] {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			deltas[i] = append(deltas[i], realizations[ek][key])
-		}
-		if len(deltas[i]) == 0 {
-			return fmt.Errorf("dissolve: cycle edge %s -> %s has no realization", cyc[i], cyc[(i+1)%k])
-		}
-	}
-	idx := make([]int, k)
-	for {
-		mu := query.Valuation{}
-		for i := 0; i < k; i++ {
-			cand := deltas[i][idx[i]]
-			if !mu.Compatible(cand) {
-				return fmt.Errorf("dissolve: incompatible realizations for supported cycle %s", componentTag(cyc))
-			}
-			for v, c := range cand {
-				mu[v] = c
-			}
-		}
+// emitCycle adds the T-facts for one supported k-cycle, given by its
+// vertices and its edges, and returns their number: one fact per
+// element of the cross product ∆0 × ... × ∆(k-1) of its edges'
+// realizations (Section 6.5). The support check guarantees the
+// realizations merge into a well-defined valuation µ over the cycle
+// variables and ȳ, so each y of ȳ can be read from any realization
+// that binds it.
+func (dd *Dissolution) emitCycle(out *db.DB, g *gdb, cyc []int, es []edge, dConst query.Const) int {
+	idx := make([]int, len(es))
+	for emitted := 1; ; emitted++ {
 		args := make([]query.Const, 0, dd.TRel.Arity)
 		args = append(args, dConst)
-		args = append(args, cyc...)
-		for _, y := range dd.YVars {
-			c, ok := mu[y]
-			if !ok {
-				return fmt.Errorf("dissolve: realization does not bind %s on cycle %s", y, componentTag(cyc))
-			}
-			args = append(args, c)
+		for _, v := range cyc {
+			args = append(args, g.verts[v].c)
+		}
+		for _, y := range g.ys {
+			args = append(args, g.value(g.rows[es[y.layer].lo+idx[y.layer]], g.layers[y.layer].args[y.at]))
 		}
 		out.Add(db.Fact{Rel: dd.TRel, Args: args})
-		st.TFacts++
 		// Advance the odometer over the cross product.
-		i := k - 1
+		i := len(es) - 1
 		for ; i >= 0; i-- {
 			idx[i]++
-			if idx[i] < len(deltas[i]) {
+			if idx[i] < es[i].hi-es[i].lo {
 				break
 			}
 			idx[i] = 0
 		}
 		if i < 0 {
-			return nil
+			return emitted
 		}
 	}
-}
-
-func componentTag(cyc []query.Const) string {
-	parts := make([]string, len(cyc))
-	for i, c := range cyc {
-		parts[i] = string(c)
-	}
-	return strings.Join(parts, "|")
 }

@@ -15,15 +15,16 @@ import (
 )
 
 // prepare purifies and gpurifies a database for q; the regime the
-// reduction requires (q must already be simple-key, constant-free).
-func prepare(t *testing.T, q query.Query, d *db.DB) *db.DB {
+// reduction requires (q must already be simple-key, constant-free). It
+// returns the gpurified database and its form.
+func prepare(t *testing.T, q query.Query, d *db.DB) (*db.DB, *match.Constraints) {
 	t.Helper()
 	pd, _ := match.Purify(q, d, nil)
-	gd, err := match.GPurify(q, pd, nil)
+	gf, err := match.GPurify(q, pd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gd
+	return gf.Copy(), gf
 }
 
 func mustDissolve(t *testing.T, q query.Query) (*Dissolution, *markov.Graph) {
@@ -125,12 +126,12 @@ func TestTransformPreservesCertaintyQ0(t *testing.T) {
 		if raw.NumRepairs() > 1<<12 {
 			continue
 		}
-		gd := prepare(t, q, raw)
+		gd, gf := prepare(t, q, raw)
 		if len(match.AllMatches(q, gd)) == 0 {
 			continue // the solver answers false before dissolving
 		}
 		dd, _ := mustDissolve(t, q)
-		nd, _, err := dd.TransformDB(gd, nil)
+		nd, _, err := dd.TransformDB(gf, nil)
 		if err != nil {
 			t.Fatalf("transform: %v\ndb:\n%s", err, gd)
 		}
@@ -176,12 +177,12 @@ func TestExample14SupportFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd := prepare(t, q, d)
+	gd, gf := prepare(t, q, d)
 	if gd.Len() == 0 {
 		t.Skip("gpurification already resolved the instance")
 	}
 	dd, _ := mustDissolve(t, q)
-	nd, st, err := dd.TransformDB(gd, nil)
+	nd, st, err := dd.TransformDB(gf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,9 +215,9 @@ func TestExample18MultipleTFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd := prepare(t, q, d)
+	gd, gf := prepare(t, q, d)
 	dd, _ := mustDissolve(t, q)
-	nd, st, err := dd.TransformDB(gd, nil)
+	nd, st, err := dd.TransformDB(gf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestLongCycleDeletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd := prepare(t, q, d)
+	gd, gf := prepare(t, q, d)
 	if gd.Len() == 0 {
 		// gpurification may already remove everything; then the solver
 		// answers false straight away, which matches the oracle.
@@ -260,7 +261,7 @@ func TestLongCycleDeletion(t *testing.T) {
 		return
 	}
 	dd, _ := mustDissolve(t, q)
-	nd, st, err := dd.TransformDB(gd, nil)
+	nd, st, err := dd.TransformDB(gf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +286,9 @@ func TestComponentConstantsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd := prepare(t, q, d)
+	_, gf := prepare(t, q, d)
 	dd, _ := mustDissolve(t, q)
-	nd, st, err := dd.TransformDB(gd, nil)
+	nd, st, err := dd.TransformDB(gf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestExample10(t *testing.T) {
 		t.Fatalf("Example 10 narrative: db01 guarantees q in every repair")
 	}
 
-	gd := prepare(t, q, d)
+	gd, gf := prepare(t, q, d)
 	// db03 is a repair of itself that falsifies q, so it is not
 	// grelevant and gpurification already removes it (Lemma 16 applied
 	// at the gblock level).
@@ -91,7 +91,7 @@ func TestExample10(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, st, err := dd.TransformDB(gd, nil)
+	nd, st, err := dd.TransformDB(gf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

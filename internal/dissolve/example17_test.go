@@ -60,7 +60,7 @@ func TestExample17(t *testing.T) {
 		t.Fatal("Example 17's instance should not be certain")
 	}
 
-	gd := prepare(t, q, d)
+	gd, gf := prepare(t, q, d)
 	if gd.Len() == 0 {
 		return // gpurification resolved it outright, consistent with the analysis
 	}
@@ -68,7 +68,7 @@ func TestExample17(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, st, err := dd.TransformDB(gd, nil)
+	nd, st, err := dd.TransformDB(gf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestExample19(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd := prepare(t, q, d)
+	gd, gf := prepare(t, q, d)
 	if gd.Len() == 0 {
 		t.Fatalf("Example 19's instance should survive gpurification")
 	}
@@ -117,7 +117,7 @@ func TestExample19(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, st, err := dd.TransformDB(gd, nil)
+	nd, st, err := dd.TransformDB(gf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

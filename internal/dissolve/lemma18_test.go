@@ -26,12 +26,12 @@ func TestLemma18Semantics(t *testing.T) {
 		if raw.NumRepairs() > 1<<10 {
 			continue
 		}
-		gd := prepare(t, q, raw)
+		gd, gf := prepare(t, q, raw)
 		if gd.Len() == 0 || len(match.AllMatches(q, gd)) == 0 {
 			continue
 		}
 		dd, _ := mustDissolve(t, q)
-		nd, st, err := dd.TransformDB(gd, nil)
+		nd, st, err := dd.TransformDB(gf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

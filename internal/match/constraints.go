@@ -37,6 +37,7 @@ type Constraints struct {
 	// can keep whole and that therefore constrain nothing.
 	Embeddings int
 
+	db   *db.DB         // the database the form is over
 	rels []string       // the relations of q, by relation index
 	num  [][]int32      // per relation index: block position -> ordinal + 1, 0 = untouched
 	at   []blockAddress // per ordinal: the block's (relation index, position)
@@ -71,7 +72,7 @@ func (c *Constraints) numbering(rel string) []int32 {
 func (ix *Index) Constraints(q query.Query, chk *evalctx.Checker) (*Constraints, error) {
 	p := compile(q, nil)
 	rels := p.resolve(ix.DB)
-	cs := &Constraints{rels: p.rels, num: make([][]int32, len(rels))}
+	cs := &Constraints{db: ix.DB, rels: p.rels, num: make([][]int32, len(rels))}
 	for i, r := range rels {
 		cs.num[i] = make([]int32, len(r.Blocks()))
 	}
@@ -136,6 +137,60 @@ func (ix *Index) Constraints(q query.Query, chk *evalctx.Checker) (*Constraints,
 		lo = hi
 	}
 	return cs, nil
+}
+
+// NumFacts counts the facts of the form's blocks.
+func (c *Constraints) NumFacts() int {
+	n := 0
+	for _, b := range c.Blocks {
+		n += len(b.Facts)
+	}
+	return n
+}
+
+// Copy returns a database holding the form's blocks, in the block
+// order of the database the form is over, leaving out the relations
+// omit names.
+func (c *Constraints) Copy(omit ...string) *db.DB {
+	out := db.New()
+	for _, name := range c.db.RelationOrder() {
+		num := c.numbering(name)
+		if num == nil || slices.Contains(omit, name) {
+			continue
+		}
+		for pos, b := range c.db.BlocksOf(name) {
+			if num[pos] != 0 {
+				for _, f := range b.Facts {
+					out.Add(f)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// Arg is an argument position of a query: argument Pos of atom Atom.
+type Arg struct{ Atom, Pos int }
+
+// ArgOf returns the first position of v in q; v must occur in q.
+func ArgOf(q query.Query, v query.Var) Arg {
+	for i, a := range q.Atoms {
+		for j, t := range a.Args {
+			if t.IsVar() && t.Var() == v {
+				return Arg{i, j}
+			}
+		}
+	}
+	panic("match: variable " + string(v) + " is not in " + q.String())
+}
+
+// Value returns the constant constraint ci holds at argument a. The
+// form must be of a self-join-free query: each of its constraints then
+// has one ref per atom, in atom order, and the embedding it stands for
+// binds every variable to the value at any of the variable's positions.
+func (c *Constraints) Value(ci int, a Arg) query.Const {
+	r := c.Cons[ci][a.Atom]
+	return c.Blocks[r.Block].Facts[r.Slot].Args[a.Pos]
 }
 
 // Incidence numbers the facts of a form flat and lists the constraints
@@ -251,8 +306,20 @@ func (p *purge) settle() {
 // over the surviving blocks stays falsifying with the witnesses added.
 func (c *Constraints) Purified() (*Constraints, []db.Fact) {
 	p := c.purge()
+	witnesses := make([]db.Fact, len(p.drops))
+	for i, r := range p.drops {
+		witnesses[i] = c.Blocks[r.Block].Facts[r.Slot]
+	}
+	return p.form(), witnesses
+}
+
+// form returns the form of the database the work list leaves: the live
+// constraints in order, over the surviving blocks renumbered in
+// first-touch order, with Embeddings counting the live constraints.
+func (p *purge) form() *Constraints {
+	c := p.c
 	n := len(c.Blocks) - len(p.drops) // every surviving block lies on a live constraint
-	pc := &Constraints{Blocks: make([]db.Block, 0, n), rels: c.rels, num: make([][]int32, len(c.num)), at: make([]blockAddress, 0, n)}
+	pc := &Constraints{Blocks: make([]db.Block, 0, n), db: c.db, rels: c.rels, num: make([][]int32, len(c.num)), at: make([]blockAddress, 0, n)}
 	for i, num := range c.num {
 		pc.num[i] = make([]int32, len(num))
 	}
@@ -277,9 +344,5 @@ func (c *Constraints) Purified() (*Constraints, []db.Fact) {
 		pc.Cons = append(pc.Cons, nc)
 	}
 	pc.Embeddings = len(pc.Cons)
-	witnesses := make([]db.Fact, len(p.drops))
-	for i, r := range p.drops {
-		witnesses[i] = c.Blocks[r.Block].Facts[r.Slot]
-	}
-	return pc, witnesses
+	return pc
 }

@@ -30,8 +30,9 @@ func constraintsByAddress(ix *Index, q query.Query) *addressForm {
 		kept = kept[:0]
 	next:
 		for i, h := range hits {
-			for _, g := range hits[:i] {
-				if &g.blk.Facts[0] != &h.blk.Facts[0] {
+			blk := ix.DB.Rel(q.Atoms[i].Rel.Name).Blocks()[h.pos]
+			for j, g := range hits[:i] {
+				if &ix.DB.Rel(q.Atoms[j].Rel.Name).Blocks()[g.pos].Facts[0] != &blk.Facts[0] {
 					continue
 				}
 				if g.slot != h.slot {
@@ -41,7 +42,7 @@ func constraintsByAddress(ix *Index, q query.Query) *addressForm {
 				continue next
 			}
 			refs = append(refs, Ref{Slot: h.slot})
-			kept = append(kept, h.blk)
+			kept = append(kept, blk)
 		}
 		c := refs[n:len(refs):len(refs)]
 		for i, blk := range kept {

@@ -23,8 +23,8 @@ import (
 // the repair's fact on every block of the gblock it touches. Each round
 // decides every gblock on the same form, drops the blocks of the
 // gblocks with a non-grelevant repair, and settles the fixpoint again,
-// until a round drops nothing; the survivors are copied once, in d's
-// block order. When every block of d survives, GPurify returns d itself.
+// until a round drops nothing. GPurify copies no data: it returns the
+// gpurified form, compacted as Purified compacts.
 //
 // The caller must ensure all mode-i atoms of q and all mode-i facts of d
 // are simple-key. d need not be typed relative to q: gblocks are keyed
@@ -32,8 +32,8 @@ import (
 // typing would make the constant carry. The checker
 // is polled by the join and once per gblock repair, whose number is
 // exponential in the gblock's size; a tripped checker returns its error
-// and no database. A nil checker enforces nothing.
-func GPurify(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
+// and no form. A nil checker enforces nothing.
+func GPurify(q query.Query, d *db.DB, chk *evalctx.Checker) (*Constraints, error) {
 	cs, err := NewIndex(d).Constraints(q, chk)
 	if err != nil {
 		return nil, err
@@ -67,10 +67,7 @@ func GPurify(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
 		}
 		p.settle()
 	}
-	if len(cs.Blocks)-len(p.drops) == d.NumBlocks() {
-		return d, nil
-	}
-	return subDB(d, cs, func(o int32) bool { return !p.gone[o] }), nil
+	return p.form(), nil
 }
 
 // gblocks groups the form's blocks into generalized blocks (Definition

@@ -272,7 +272,7 @@ func (r *joiner) scan(d int, blk db.Block, pos int32, from int) bool {
 		if !unify(st.ops[from:], blk.Facts[s].Args[from:], r.slots) {
 			continue
 		}
-		r.hits[st.atom] = hit{blk: blk, pos: pos, slot: int32(s)}
+		r.hits[st.atom] = hit{pos: pos, slot: int32(s)}
 		if !r.rec(d + 1) {
 			return false
 		}
@@ -293,11 +293,10 @@ func (r *joiner) probeTable(d int, st *step, t *table) bool {
 			return false
 		}
 		ref := t.refs[e-1]
-		blk := r.rels[st.rel].Blocks()[ref.Block]
-		if !unify(st.ops, blk.Facts[ref.Slot].Args, r.slots) {
+		if !unify(st.ops, r.rels[st.rel].Blocks()[ref.Block].Facts[ref.Slot].Args, r.slots) {
 			continue
 		}
-		r.hits[st.atom] = hit{blk: blk, pos: ref.Block, slot: ref.Slot}
+		r.hits[st.atom] = hit{pos: ref.Block, slot: ref.Slot}
 		if !r.rec(d + 1) {
 			return false
 		}

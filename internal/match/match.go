@@ -29,19 +29,11 @@ func NewIndex(d *db.DB) *Index {
 	return &Index{DB: d}
 }
 
-// hit is the fact one atom matched: its block, the block's position in
-// its relation's blocks (db.Rel.Blocks), and its slot in the block's
-// Facts. Within a database version, (relation, pos) identifies the
-// block.
-type hit struct {
-	blk  db.Block
-	pos  int32
-	slot int32
-}
-
-// fact returns the matched fact in place, so its address identifies it
-// within the database version.
-func (h hit) fact() *db.Fact { return &h.blk.Facts[h.slot] }
+// hit is the fact one atom matched: its block's position in its
+// relation's blocks (db.Rel.Blocks) and its slot in the block's Facts.
+// Within a database version, (relation, pos) identifies the block; the
+// walk's resolved relations hold it.
+type hit struct{ pos, slot int32 }
 
 // UnifyTerms extends val so that the terms map onto the constants,
 // reporting failure on constant mismatches or inconsistent repeated
@@ -174,27 +166,7 @@ func Purify(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
 		return nil, err
 	}
 	if pc, _ := cs.Purified(); len(pc.Blocks) < d.NumBlocks() {
-		return subDB(d, pc, func(int32) bool { return true }), nil
+		return pc.Copy(), nil
 	}
 	return d, nil
-}
-
-// subDB returns a database holding the blocks of d that the form c
-// touches and keep selects by ordinal, in d's block order.
-func subDB(d *db.DB, c *Constraints, keep func(ord int32) bool) *db.DB {
-	out := db.New()
-	for _, name := range d.RelationOrder() {
-		num := c.numbering(name)
-		if num == nil {
-			continue
-		}
-		for pos, b := range d.BlocksOf(name) {
-			if o := num[pos]; o != 0 && keep(o-1) {
-				for _, f := range b.Facts {
-					out.Add(f)
-				}
-			}
-		}
-	}
-	return out
 }

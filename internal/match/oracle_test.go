@@ -17,14 +17,25 @@ import (
 // afresh — a fully bound key first, then the most bound positions, ties
 // to the lowest atom index — probes the block of a bound key and scans
 // the relation otherwise, and unifies through the valuation map.
+// An atom not yet matched holds the hit at position -1.
 func oracleWalk(ix *Index, q query.Query, partial query.Valuation, yield func(query.Valuation, []hit) bool) bool {
-	return oracleRec(ix, q, make([]hit, q.Len()), partial.Clone(), yield)
+	hits := make([]hit, q.Len())
+	for i := range hits {
+		hits[i].pos = -1
+	}
+	return oracleRec(ix, q, hits, partial.Clone(), yield)
+}
+
+// hitFact returns the fact h matched for atom a, read through d's
+// resolved relation, in place.
+func hitFact(d *db.DB, a query.Atom, h hit) *db.Fact {
+	return &d.Rel(a.Rel.Name).Blocks()[h.pos].Facts[h.slot]
 }
 
 func oracleRec(ix *Index, q query.Query, hits []hit, val query.Valuation, yield func(query.Valuation, []hit) bool) bool {
 	next, bestBound, bestKey := -1, -1, false
 	for i, a := range q.Atoms {
-		if hits[i].blk.Facts != nil {
+		if hits[i].pos >= 0 {
 			continue
 		}
 		b, kb := oracleBoundCount(a, val)
@@ -38,14 +49,14 @@ func oracleRec(ix *Index, q query.Query, hits []hit, val query.Valuation, yield 
 		return yield(val, hits)
 	}
 	a := q.Atoms[next]
-	defer func() { hits[next] = hit{} }()
+	defer func() { hits[next] = hit{pos: -1} }()
 	scan := func(blk db.Block, pos int) bool {
 		for s, f := range blk.Facts {
 			added, ok := oracleUnify(a, f, val)
 			if !ok {
 				continue
 			}
-			hits[next] = hit{blk: blk, pos: int32(pos), slot: int32(s)}
+			hits[next] = hit{pos: int32(pos), slot: int32(s)}
 			cont := oracleRec(ix, q, hits, val, yield)
 			for _, v := range added {
 				delete(val, v)

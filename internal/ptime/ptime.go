@@ -9,9 +9,11 @@
 //     key packing, Lemma 11 saturation);
 //  2. if some mode-i atom is unattacked, branch over its blocks via
 //     Lemma 9 and recurse on the instantiated residue query;
-//  3. otherwise gpurify (Lemma 17), pick a premier Markov cycle
-//     (Lemma 15), dissolve it (Definition 5, Lemmas 13/18), and recurse
-//     on dissolve(C, q) — the mode-i atom count strictly decreases.
+//  3. otherwise gpurify (Lemma 17), saturate (Lemma 11), pick a premier
+//     Markov cycle (Lemma 15), dissolve it (Definition 5, Lemmas 13/18),
+//     and recurse on dissolve(C, q) — incnt(q) strictly decreases.
+//     Saturation and dissolution read the embeddings of q off the form
+//     gpurification returns; neither joins q again.
 //
 // The proof assumes a database typed relative to q (Lemma 12: every
 // variable owns a pool of constants no other variable uses). The
@@ -88,8 +90,10 @@ func CertainTraced(q query.Query, d *db.DB, trace bool) (bool, *Stats, []string,
 // strong-cycle check that Certain performs on every call. The result is
 // meaningless on strong-cycle queries. The lemma loops poll chk once per
 // recursion level and per Lemma 9 branch, every join of the pipeline
-// (purification, gpurification, the saturation projection, G(db) and
-// the satisfaction test) polls it per candidate fact, and the
+// (purification, gpurification and the satisfaction test) polls it per
+// candidate fact, the saturation projection polls it once per
+// constraint it reads, dissolution once per constraint it reads, per
+// edge of G(db) and per step of its cycle search, and the
 // pattern-elimination and key-packing copies poll it per fact, so one
 // budget governs the whole pipeline.
 // A non-nil error means the evaluation was cut short and the boolean is
@@ -256,43 +260,40 @@ func (s *solver) branch(q query.Query, d *db.DB, depth int) (bool, error) {
 			return s.lemma9(q, q.Atoms[i], d, depth)
 		}
 		// All mode-i atoms are attacked: gpurify, then saturate one step
-		// if needed, else dissolve.
+		// if needed, else dissolve. Both read the gpurified form.
 		s.stats.GPurifyRuns++
-		gd, err := match.GPurify(q, d, s.chk)
+		gf, err := match.GPurify(q, d, s.chk)
 		if err != nil {
 			return false, err
 		}
-		if gd.Len() != d.Len() {
-			s.tracef(depth, "gpurify (Lemma 17): %d -> %d facts", d.Len(), gd.Len())
+		if n := gf.NumFacts(); n != d.Len() {
+			s.tracef(depth, "gpurify (Lemma 17): %d -> %d facts", d.Len(), n)
 		}
-		// gd is purified too, so it is empty iff no embedding survives.
-		if gd.Len() == 0 {
+		// The gpurified database is purified too, so it is empty iff no
+		// embedding survives.
+		if len(gf.Blocks) == 0 {
 			s.tracef(depth, "no embedding survives gpurification: NOT certain")
 			return false, nil
 		}
-		sat, err := simplify.IsSaturated(q)
+		step, more, err := simplify.Saturate(q)
 		if err != nil {
 			return false, err
 		}
-		if sat {
-			return s.dissolveCase(q, gd, depth)
+		if !more {
+			return s.dissolveCase(q, gf, depth)
 		}
-		steps, err := simplify.Saturate(q)
-		if err != nil || len(steps) == 0 {
-			return false, fmt.Errorf("ptime: saturation of %s failed: %v", q, err)
-		}
-		nd, err := steps[0].TransformDB(gd, s.chk)
+		nd, err := step.TransformDB(gf, s.chk)
 		if cerr := s.chk.Err(); cerr != nil {
 			return false, cerr
 		}
 		if err != nil {
 			// The projection was inconsistent: the Lemma 11 database
 			// construction does not cover this instance.
-			return false, fmt.Errorf("%w: saturation step %s of %s: %v", ErrInvariant, steps[0].Name, q, err)
+			return false, fmt.Errorf("%w: saturation step %s of %s: %v", ErrInvariant, step.Name, q, err)
 		}
 		s.stats.Saturations++
-		s.tracef(depth, "saturate (Lemma 11): %s", steps[0].Name)
-		q, d = steps[0].Q, nd
+		s.tracef(depth, "saturate (Lemma 11): %s", step.Name)
+		q, d = step.Q, nd
 	}
 }
 
@@ -356,9 +357,9 @@ func candidateBlocks(d *db.DB, f query.Atom) []db.Block {
 }
 
 // dissolveCase handles the saturated, all-mode-i-attacked regime: find a
-// premier Markov cycle and dissolve it. The database is already
-// gpurified by the caller.
-func (s *solver) dissolveCase(q query.Query, gd *db.DB, depth int) (bool, error) {
+// premier Markov cycle and dissolve it. The caller passes the gpurified
+// form of q.
+func (s *solver) dissolveCase(q query.Query, gf *match.Constraints, depth int) (bool, error) {
 	m, err := markov.Build(q)
 	if err != nil {
 		return false, err
@@ -382,7 +383,7 @@ func (s *solver) dissolveCase(q query.Query, gd *db.DB, depth int) (bool, error)
 	if dd.QStar.InconsistencyCount() >= q.InconsistencyCount() {
 		return false, fmt.Errorf("ptime: dissolution did not decrease incnt on %s", q)
 	}
-	nd, dst, err := dd.TransformDB(gd, s.chk)
+	nd, dst, err := dd.TransformDB(gf, s.chk)
 	if err != nil {
 		return false, err
 	}

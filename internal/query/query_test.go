@@ -177,37 +177,10 @@ func TestVarSetOps(t *testing.T) {
 
 func TestValuationOps(t *testing.T) {
 	v := Valuation{"x": "a", "y": "b"}
-	w := Valuation{"y": "b", "z": "c"}
-	if !v.Compatible(w) {
-		t.Error("should be compatible")
-	}
-	m := v.Merge(w)
-	if len(m) != 3 || m["z"] != "c" {
-		t.Errorf("merge = %v", m)
-	}
-	if !v.AgreesOn(w, NewVarSet("y")) {
-		t.Error("should agree on y")
-	}
-	if v.AgreesOn(w, NewVarSet("x")) {
-		t.Error("w is undefined on x: must not agree")
-	}
-	bad := Valuation{"x": "zzz"}
-	if v.Compatible(bad) {
-		t.Error("should be incompatible")
-	}
 	r := v.Restrict(NewVarSet("x"))
 	if len(r) != 1 || r["x"] != "a" {
 		t.Errorf("restrict = %v", r)
 	}
-}
-
-func TestValuationMergePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Valuation{"x": "a"}.Merge(Valuation{"x": "b"})
 }
 
 // Property: substitution never introduces new variables and removes

@@ -201,47 +201,6 @@ func (v Valuation) Restrict(s VarSet) Valuation {
 	return out
 }
 
-// AgreesOn reports whether v and w assign the same constant to every
-// variable of s on which both are defined, and are both defined on all of s.
-// Variables of s missing from either valuation count as disagreement.
-func (v Valuation) AgreesOn(w Valuation, s VarSet) bool {
-	for x := range s {
-		a, okA := v[x]
-		b, okB := w[x]
-		if !okA || !okB || a != b {
-			return false
-		}
-	}
-	return true
-}
-
-// Compatible reports whether v and w agree on every variable defined in
-// both.
-func (v Valuation) Compatible(w Valuation) bool {
-	small, large := v, w
-	if len(large) < len(small) {
-		small, large = large, small
-	}
-	for x, a := range small {
-		if b, ok := large[x]; ok && a != b {
-			return false
-		}
-	}
-	return true
-}
-
-// Merge returns the union of v and w; it panics if they are incompatible.
-func (v Valuation) Merge(w Valuation) Valuation {
-	out := v.Clone()
-	for x, b := range w {
-		if a, ok := out[x]; ok && a != b {
-			panic("query: merging incompatible valuations")
-		}
-		out[x] = b
-	}
-	return out
-}
-
 // Apply maps a term through the valuation: constants map to themselves,
 // variables to their image. The boolean result reports whether the term
 // was resolved to a constant (false when the variable is unbound).

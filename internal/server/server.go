@@ -257,9 +257,9 @@ func (s *Server) Handler() http.Handler {
 
 type errorResponse struct {
 	Error string `json:"error"`
-	// Code is a stable machine-readable cause: "deadline_exceeded",
-	// "budget_exhausted", "overloaded", "not_ready", "internal_panic",
-	// "engine_invariant".
+	// Code is a stable machine-readable cause: "bad_request",
+	// "deadline_exceeded", "budget_exhausted", "overloaded", "not_ready",
+	// "internal_panic", "engine_invariant".
 	Code string `json:"code,omitempty"`
 }
 
@@ -279,7 +279,7 @@ type certainRequest struct {
 	Query  string      `json:"query"`
 	DB     string      `json:"db,omitempty"`     // name of an uploaded database
 	Facts  string      `json:"facts,omitempty"`  // inline facts, one per line
-	Engine string      `json:"engine,omitempty"` // auto (default), fo, ptime, conp, naive
+	Engine string      `json:"engine,omitempty"` // auto (default), fo, ptime, conp
 	Free   []query.Var `json:"free,omitempty"`   // /v1/answers only
 	// TimeoutMs overrides the server's default evaluation deadline for
 	// this request, capped by the server's MaxTimeout.
@@ -734,7 +734,7 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, req certainReq
 func parseEngine(w http.ResponseWriter, name string) (core.Options, bool) {
 	engine, err := core.ParseEngine(name)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpErrorCode(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return core.Options{}, false
 	}
 	return core.Options{Engine: engine}, true

@@ -24,12 +24,16 @@ func NormalizeQuery(q query.Query) (query.Query, error) {
 	if changed {
 		q = step.Q
 	}
-	steps, err := Saturate(q)
-	if err != nil {
-		return query.Query{}, fmt.Errorf("simplify: %w", err)
+	// Each step makes K([[q]]) entail the x -> z it was missing, so
+	// saturation ends after at most |vars(q)|^2 steps.
+	for {
+		step, more, err := Saturate(q)
+		if err != nil {
+			return query.Query{}, fmt.Errorf("simplify: %w", err)
+		}
+		if !more {
+			return q, nil
+		}
+		q = step.Q
 	}
-	if len(steps) > 0 {
-		q = steps[len(steps)-1].Q
-	}
-	return q, nil
 }

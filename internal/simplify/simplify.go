@@ -18,9 +18,12 @@
 // layers of G(db) in package dissolve, take a constant's variable from
 // the query's term at its position.
 //
-// Each step is represented as a Step: the rewritten query plus a database
-// transformer. The pipeline validates its own applicability conditions
-// and reports an error rather than producing an unsound reduction.
+// Each Lemma 12 step is a Step: the rewritten query plus a database
+// transformer. A Lemma 11 step is a Saturation, whose database side
+// reads the embeddings of q off the gpurified repair-constraint form
+// (match.GPurify) instead of joining q again. The pipeline validates
+// its own applicability conditions and reports an error rather than
+// producing an unsound reduction.
 package simplify
 
 import (
@@ -40,8 +43,8 @@ import (
 // transformation. TransformDB must be applied to any database that the
 // original query would have been evaluated on (after the preceding steps'
 // transformations). A transformation polls the checker once per fact
-// it copies or embedding it reads, and returns the checker's error once
-// it trips; a nil checker enforces nothing.
+// it copies, and returns the checker's error once it trips; a nil
+// checker enforces nothing.
 type Step struct {
 	Name        string
 	Q           query.Query
@@ -255,19 +258,10 @@ func PackCompositeKeys(q query.Query) (Step, bool, error) {
 	return step, true, nil
 }
 
-// IsSaturated reports whether q is saturated (Definition 3): whenever
-// K(q) |= x -> z and K([[q]]) does not, some atom F with
-// K(q) |= x -> key(F) attacks x or z.
-func IsSaturated(q query.Query) (bool, error) {
-	x, z, err := unsaturatedPair(q)
-	if err != nil {
-		return false, err
-	}
-	return x == "" && z == "", nil
-}
-
 // unsaturatedPair returns a witness (x, z) for non-saturation, or empty
-// variables when q is saturated.
+// variables when q is saturated (Definition 3): whenever K(q) |= x -> z
+// and K([[q]]) does not, some atom F with K(q) |= x -> key(F) attacks x
+// or z.
 func unsaturatedPair(q query.Query) (query.Var, query.Var, error) {
 	g, err := attack.BuildGraph(q)
 	if err != nil {
@@ -302,63 +296,55 @@ func unsaturatedPair(q query.Query) (query.Var, query.Var, error) {
 	return "", "", nil
 }
 
-// Saturate applies Lemma 11 until q is saturated: for each witness pair
-// (x, z) it adds a fresh atom T^c(x | z). The database transformation
-// inserts T(θ(x) | θ(z)) for every embedding θ of the current query; under
-// Lemma 11's preconditions this projection is consistent — the
-// transformer verifies consistency and fails otherwise rather than emit
-// an illegal instance.
-func Saturate(q query.Query) ([]Step, error) {
-	var steps []Step
-	cur := q
-	for i := 0; ; i++ {
-		x, z, err := unsaturatedPair(cur)
-		if err != nil {
+// Saturation is one step of Lemma 11: for a witness pair (x, z) of
+// non-saturation, the query Q adds a fresh atom T^c(x | z) to the query
+// the step extends.
+type Saturation struct {
+	Name string
+	Q    query.Query
+	atom query.Atom
+	x, z match.Arg // where x and z sit in the query the step extends
+}
+
+// Saturate returns the next Lemma 11 step for q, and false when q is
+// saturated (Definition 3). Repeating it until q is saturated is Lemma
+// 11's saturation.
+func Saturate(q query.Query) (Saturation, bool, error) {
+	x, z, err := unsaturatedPair(q)
+	if err != nil || x == "" && z == "" {
+		return Saturation{}, false, err
+	}
+	name := "Tsat0"
+	for q.HasRel(name) {
+		name += "x"
+	}
+	atom := query.NewAtom(schema.Relation{Name: name, Arity: 2, KeyLen: 1, Mode: schema.ModeC}, query.V(x), query.V(z))
+	return Saturation{Name: "saturate-" + name, Q: q.Add(atom), atom: atom, x: match.ArgOf(q, x), z: match.ArgOf(q, z)}, true, nil
+}
+
+// TransformDB is the step's database side. It takes a repair-constraint
+// form of the query the step extends, every constraint of which is
+// read as an embedding θ (match.GPurify returns such a form), and
+// returns the form's blocks plus T(θ(x) | θ(z)) for every θ. Under
+// Lemma 11's preconditions this projection is consistent; TransformDB
+// verifies that and fails otherwise rather than emit an illegal
+// instance. The checker is polled once per constraint read.
+func (s Saturation) TransformDB(cs *match.Constraints, chk *evalctx.Checker) (*db.DB, error) {
+	out := cs.Copy()
+	seen := make(map[query.Const]query.Const)
+	for ci := range cs.Cons {
+		if err := chk.Step(); err != nil {
 			return nil, err
 		}
-		if x == "" && z == "" {
-			return steps, nil
+		a, b := cs.Value(ci, s.x), cs.Value(ci, s.z)
+		if prev, dup := seen[a]; dup {
+			if prev != b {
+				return nil, fmt.Errorf("saturation projection %s(%s | %s) is inconsistent; Lemma 11 preconditions violated", s.atom.Rel.Name, s.atom.Args[0], s.atom.Args[1])
+			}
+			continue
 		}
-		name := fmt.Sprintf("Tsat%d", i)
-		for cur.HasRel(name) {
-			name += "x"
-		}
-		rel := schema.Relation{Name: name, Arity: 2, KeyLen: 1, Mode: schema.ModeC}
-		atom := query.NewAtom(rel, query.V(x), query.V(z))
-		qBefore := cur
-		next := cur.Add(atom)
-		steps = append(steps, Step{
-			Name: "saturate-" + name,
-			Q:    next,
-			TransformDB: func(d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
-				out := d.Clone()
-				seen := make(map[query.Const]query.Const)
-				ok := true
-				match.NewIndex(d).MatchChecked(qBefore, query.Valuation{}, chk, func(v query.Valuation) bool {
-					a, b := v[x], v[z]
-					if prev, dup := seen[a]; dup {
-						if prev != b {
-							ok = false
-							return false
-						}
-						return true
-					}
-					seen[a] = b
-					out.Add(db.Fact{Rel: rel, Args: []query.Const{a, b}})
-					return true
-				})
-				if err := chk.Err(); err != nil {
-					return nil, err
-				}
-				if !ok {
-					return nil, fmt.Errorf("saturation projection %s(%s | %s) is inconsistent; Lemma 11 preconditions violated", name, x, z)
-				}
-				return out, nil
-			},
-		})
-		cur = next
-		if i > 2*len(q.Vars())*len(q.Vars())+4 {
-			return nil, fmt.Errorf("saturation did not converge on %s", q)
-		}
+		seen[a] = b
+		out.Add(db.Fact{Rel: s.atom.Rel, Args: []query.Const{a, b}})
 	}
+	return out, nil
 }
