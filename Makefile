@@ -56,7 +56,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of the E-index evaluation benchmarks, of the
-# polynomial engine's gpurification and q0 benchmarks, of the coNP
+# polynomial engine's gpurification and q0 benchmarks (one q0 instance,
+# and the union of 32 that serve-hard sends), of the coNP
 # engine's planted-SAT benchmark and of the repair counter on the
 # serving benchmark's count shape (verifies the compiled-plan,
 # worker-pool, Theorem 4, repair-search and counting paths still run
@@ -67,7 +68,7 @@ bench:
 # against the current harness shape, and remove the temporary report
 # however the target ends.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='CertainAcyclic|CertainAnswersPool|GPurify|CertainPTimeQ0n100$$|CertainCoNPPlantedSAT|CountServeHardShape' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='CertainAcyclic|CertainAnswersPool|GPurify|CertainPTimeQ0n100$$|CertainPTimeQ0Union|CertainCoNPPlantedSAT|CountServeHardShape' -benchtime=1x .
 	@report=$$(mktemp -t cqa_eval_smoke.XXXXXX) && trap 'rm -f "$$report"' EXIT && \
 		echo "bench-smoke: eval report $$report" && \
 		$(GO) run ./cmd/cqa-bench -quick -evaljson "$$report" && \
@@ -137,16 +138,17 @@ fmt-check:
 # the server's evaluate pipeline (each job has one entry point, so its
 # behaviour tests are all that pins it), the query and match layers
 # the answer table, the candidate projection and the repair-constraint
-# builder live in, and the Lemma 11/12 simplifications and the Markov
-# cycle dissolution the Theorem 4 engine reduces through. Floors are a
-# few points under current coverage so they catch deleted tests, not
-# noise — except match, conp and ptime, whose floors sit at their
+# builder live in, the Lemma 11/12 simplifications and the Markov
+# cycle dissolution the Theorem 4 engine reduces through, and the graph
+# toolkit whose strong components and reachability searches decide
+# every dissolution. Floors are a few points under current coverage so
+# they catch deleted tests, not noise — except match, conp and ptime, whose floors sit at their
 # measured coverage: purification, the coNP search and the Theorem 4
 # recursion are pinned by deterministic tests, so any drop there is a
 # deleted test.
 cover:
 	$(GO) test -cover ./internal/... | tee cover.out
-	@status=0; for spec in trace:90 rewrite:85 query:84 match:93 conp:85 ptime:86 shard:80 sym:90 colstore:90 db:90 store:85 cluster:80 counting:90 core:85 server:88 dissolve:89 simplify:83; do \
+	@status=0; for spec in trace:90 rewrite:85 query:84 match:93 conp:85 ptime:86 shard:80 sym:90 colstore:90 db:90 store:85 cluster:80 counting:90 core:85 server:88 dissolve:89 simplify:83 dgraph:95; do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		pct=$$(awk -v p="cqa/internal/$$pkg" '$$2 == p { for (i=1;i<=NF;i++) if ($$i ~ /%$$/) { sub(/%/,"",$$i); print $$i; exit } }' cover.out); \
 		if [ -z "$$pct" ]; then echo "cover: no coverage reported for internal/$$pkg"; status=1; \

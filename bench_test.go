@@ -123,6 +123,36 @@ func benchmarkCertainPTimeQ0(b *testing.B, nodes int) {
 func BenchmarkCertainPTimeQ0n100(b *testing.B)  { benchmarkCertainPTimeQ0(b, 100) }
 func BenchmarkCertainPTimeQ0n1000(b *testing.B) { benchmarkCertainPTimeQ0(b, 1000) }
 
+// BenchmarkCertainPTimeQ0Union is the P-engine request of perfbench's
+// serve-hard workload: the union of 32 q0 instances of 20 nodes,
+// constants prefixed apart, decided through the compiled plan on one
+// shared index with the columnar view warmed, as the store warms every
+// snapshot.
+func BenchmarkCertainPTimeQ0Union(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	q := workload.Q0()
+	d := db.New()
+	for k := 0; k < 32; k++ {
+		prefix := query.Const(fmt.Sprintf("c%d_", k))
+		for _, f := range workload.Q0Instance(rng, 20, 2).Facts() {
+			d.Add(db.NewFact(f.Rel, prefix+f.Args[0], prefix+f.Args[1]))
+		}
+	}
+	d.Columnar()
+	plan, err := core.Compile(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := match.NewIndex(d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plan.CertainIndexedCtx(context.Background(), ix, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCertainPTimeFigure2(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	q := query.MustParse("R(x | y, v), S(y | x), V1#c(v | w), W(w | v), V2#c(w | y)")

@@ -4,42 +4,68 @@
 // initial components, and shortest cycles through a vertex.
 package dgraph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
-// Graph is a directed graph on vertices 0..N-1.
+// Graph is a directed graph on vertices 0..N-1, stored as one successor
+// list per vertex. A graph built edge by edge (New, AddEdge) grows each
+// list on its own; one built from its edges at once (FromEdges) is in
+// compressed sparse row form, its lists windows of one slab.
 type Graph struct {
 	n   int
 	adj [][]int
-	has []map[int]bool
 }
 
 // New returns an empty graph with n vertices.
 func New(n int) *Graph {
-	return &Graph{
-		n:   n,
-		adj: make([][]int, n),
-		has: make([]map[int]bool, n),
+	return &Graph{n: n, adj: make([][]int, n)}
+}
+
+// FromEdges returns the graph on n vertices with the m edges
+// ends(0), ..., ends(m-1), in compressed sparse row form. Each vertex's
+// successors keep the order in which the edges are given, so for edges
+// sorted by (u, v) Succ(u) ascends. The edges must be distinct.
+func FromEdges(n, m int, ends func(i int) (u, v int)) *Graph {
+	// Count each vertex's edges and sum them, so that off[u] ends u's
+	// run; then fill the runs back to front, leaving off[u] at their
+	// starts.
+	off := make([]int, n+1)
+	for i := 0; i < m; i++ {
+		u, _ := ends(i)
+		off[u]++
 	}
+	for u := 1; u <= n; u++ {
+		off[u] += off[u-1]
+	}
+	succ := make([]int, m)
+	for i := m - 1; i >= 0; i-- {
+		u, v := ends(i)
+		off[u]--
+		succ[off[u]] = v
+	}
+	g := New(n)
+	for u := range g.adj {
+		g.adj[u] = succ[off[u]:off[u+1]:off[u+1]]
+	}
+	return g
 }
 
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
-// AddEdge inserts the directed edge u -> v (idempotent).
+// AddEdge inserts the directed edge u -> v (idempotent). It scans u's
+// successors, which suits the query-sized graphs built edge by edge.
 func (g *Graph) AddEdge(u, v int) {
-	if g.has[u] == nil {
-		g.has[u] = make(map[int]bool)
+	if !g.HasEdge(u, v) {
+		g.adj[u] = append(g.adj[u], v)
 	}
-	if g.has[u][v] {
-		return
-	}
-	g.has[u][v] = true
-	g.adj[u] = append(g.adj[u], v)
 }
 
 // HasEdge reports whether u -> v is present.
 func (g *Graph) HasEdge(u, v int) bool {
-	return g.has[u] != nil && g.has[u][v]
+	return slices.Contains(g.adj[u], v)
 }
 
 // Succ returns the successors of u in insertion order.
@@ -81,26 +107,52 @@ func (g *Graph) Reachable(start int) []bool {
 	return seen
 }
 
-// ReachableAvoiding is Reachable restricted to vertices not in avoid;
-// start itself must not be in avoid.
-func (g *Graph) ReachableAvoiding(start int, avoid map[int]bool) []bool {
-	seen := make([]bool, g.n)
-	if avoid[start] {
-		return seen
+// Search answers reachability questions on one graph over buffers sized
+// once. Each question marks vertices with a fresh stamp instead of
+// clearing a visited set, so it costs what it visits, not the graph's
+// size.
+type Search struct {
+	g     *Graph
+	stamp []uint32 // stamp[v] == gen: v is marked in the current question
+	gen   uint32
+	stack []int
+}
+
+// NewSearch returns a search over g.
+func (g *Graph) NewSearch() *Search {
+	return &Search{g: g, stamp: make([]uint32, g.n)}
+}
+
+// ReachesAvoiding reports whether to is reachable from from (a vertex
+// reaches itself) on a path through no vertex of avoid. A from in avoid
+// reaches nothing.
+func (s *Search) ReachesAvoiding(from, to int, avoid []int) bool {
+	if s.gen++; s.gen == 0 { // the stamps wrapped: forget them all
+		clear(s.stamp)
+		s.gen = 1
 	}
-	stack := []int{start}
-	seen[start] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range g.adj[u] {
-			if !seen[v] && !avoid[v] {
-				seen[v] = true
-				stack = append(stack, v)
+	for _, v := range avoid {
+		s.stamp[v] = s.gen
+	}
+	if s.stamp[from] == s.gen {
+		return false
+	}
+	s.stamp[from] = s.gen
+	s.stack = append(s.stack[:0], from)
+	for len(s.stack) > 0 {
+		u := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		if u == to {
+			return true
+		}
+		for _, v := range s.g.adj[u] {
+			if s.stamp[v] != s.gen {
+				s.stamp[v] = s.gen
+				s.stack = append(s.stack, v)
 			}
 		}
 	}
-	return seen
+	return false
 }
 
 // SCC computes strongly connected components with Tarjan's algorithm.
@@ -125,11 +177,12 @@ func (g *Graph) SCC() (comp []int, ncomp int) {
 	type frame struct {
 		v, ei int
 	}
+	var frames []frame
 	for root := 0; root < g.n; root++ {
 		if index[root] != -1 {
 			continue
 		}
-		frames := []frame{{root, 0}}
+		frames = append(frames[:0], frame{root, 0})
 		index[root] = counter
 		low[root] = counter
 		counter++

@@ -1,7 +1,10 @@
 package dgraph
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -37,12 +40,132 @@ func TestReachableAvoiding(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(0, 3)
 	g.AddEdge(3, 2)
-	r := g.ReachableAvoiding(0, map[int]bool{1: true})
-	if r[1] || !r[2] || !r[3] {
-		t.Errorf("avoiding reach = %v", r)
+	s := g.NewSearch()
+	for to, want := range []bool{true, false, true, true} {
+		if got := s.ReachesAvoiding(0, to, []int{1}); got != want {
+			t.Errorf("0 reaches %d avoiding 1: %v, want %v", to, got, want)
+		}
 	}
-	if got := g.ReachableAvoiding(1, map[int]bool{1: true}); got[1] || got[2] {
-		t.Errorf("avoided start should reach nothing: %v", got)
+	if s.ReachesAvoiding(0, 2, []int{1, 3}) {
+		t.Error("0 reaches 2 with both middle vertices avoided")
+	}
+	for _, to := range []int{1, 2} {
+		if s.ReachesAvoiding(1, to, []int{1}) {
+			t.Errorf("avoided start 1 should reach nothing, reached %d", to)
+		}
+	}
+}
+
+// randomEdges draws up to 3n distinct edges on n vertices, in random
+// order.
+func randomEdges(rng *rand.Rand, n int) [][2]int {
+	seen := map[[2]int]bool{}
+	var es [][2]int
+	for e := 0; e < 3*n; e++ {
+		uv := [2]int{rng.Intn(n), rng.Intn(n)}
+		if !seen[uv] {
+			seen[uv] = true
+			es = append(es, uv)
+		}
+	}
+	return es
+}
+
+// TestFromEdges: the graph built from its edges at once equals the one
+// built edge by edge from the same edges: each vertex's successors in
+// the order the edges come (ascending when the edges are sorted), the
+// same HasEdge and Edges, the same components. AddEdge on it leaves the
+// other vertices' successors alone.
+func TestFromEdges(t *testing.T) {
+	f := func(seed int64, sorted bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(9)
+		es := randomEdges(rng, n)
+		if sorted {
+			slices.SortFunc(es, func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
+		}
+		byOne := New(n)
+		for _, e := range es {
+			byOne.AddEdge(e[0], e[1])
+		}
+		csr := FromEdges(n, len(es), func(i int) (int, int) { return es[i][0], es[i][1] })
+		for u := 0; u < n; u++ {
+			if !slices.Equal(csr.Succ(u), byOne.Succ(u)) {
+				return false
+			}
+			if sorted && !slices.IsSorted(csr.Succ(u)) {
+				return false
+			}
+			for v := 0; v < n; v++ {
+				if csr.HasEdge(u, v) != byOne.HasEdge(u, v) {
+					return false
+				}
+			}
+		}
+		c1, n1 := csr.SCC()
+		c2, n2 := byOne.SCC()
+		if n1 != n2 || !slices.Equal(c1, c2) || !slices.Equal(csr.Edges(), byOne.Edges()) {
+			return false
+		}
+		before := make([][]int, n)
+		for u := range before {
+			before[u] = slices.Clone(csr.Succ(u))
+		}
+		u, v := rng.Intn(n), rng.Intn(n)
+		csr.AddEdge(u, v)
+		for w := 0; w < n; w++ {
+			want := before[w]
+			if w == u && !slices.Contains(want, v) {
+				want = append(want, v)
+			}
+			if !slices.Equal(csr.Succ(w), want) {
+				return false
+			}
+		}
+		return csr.HasEdge(u, v)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSearchReused: one Search answers many questions on one graph,
+// across a wrap of its stamps, and each answer is the one a fresh
+// search gives: to is marked in the reachability of from over the graph
+// with the avoided vertices' edges removed.
+func TestSearchReused(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(9)
+		es := randomEdges(rng, n)
+		g := FromEdges(n, len(es), func(i int) (int, int) { return es[i][0], es[i][1] })
+		s := g.NewSearch()
+		for q := 0; q < 20; q++ {
+			if q == 10 {
+				s.gen = math.MaxUint32 // the next question wraps the stamps
+			}
+			from, to := rng.Intn(n), rng.Intn(n)
+			var avoid []int
+			for v := 0; v < n; v++ {
+				if rng.Intn(4) == 0 {
+					avoid = append(avoid, v)
+				}
+			}
+			cut := New(n)
+			for _, e := range es {
+				if !slices.Contains(avoid, e[0]) && !slices.Contains(avoid, e[1]) {
+					cut.AddEdge(e[0], e[1])
+				}
+			}
+			want := !slices.Contains(avoid, from) && cut.Reachable(from)[to]
+			if s.ReachesAvoiding(from, to, avoid) != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -139,11 +139,14 @@ type Stats struct {
 
 // layer locates in q what layer i of G(db) reads from an embedding:
 // the cycle variable x_i, whose value is the vertex, and the variables
-// X_i of the realization, by name.
+// X_i of the realization, by name. x is a key position when x_i has
+// one, and then xKey is set: the block alone decides the vertex.
 type layer struct {
 	x     match.Arg
+	xKey  bool
 	names []query.Var
 	args  []match.Arg // of names
+	cmp   []int       // the indices of names that the edge leaves open: not x_i, not x_(i+1)
 }
 
 // row is the edge and realization that the embedding of constraint con
@@ -153,7 +156,7 @@ type row struct{ layer, con, from, to int32 }
 
 // edge is an edge of G(db) between the vertices numbered from and to,
 // realized by the rows [lo, hi).
-type edge struct{ layer, from, to, lo, hi int }
+type edge struct{ from, to, lo, hi int }
 
 // gdb is G(db) read off a form of q: one slab of rows, sorted by edge
 // and then by realization with duplicate realizations dropped, the
@@ -170,22 +173,59 @@ type gdb struct {
 
 func (g *gdb) value(r row, a match.Arg) query.Const { return g.cs.Value(int(r.con), a) }
 
-// cmpEdge orders rows by edge: (layer, θ(x_i), θ(x_(i+1))). The
-// vertices of a layer are numbered in the order of their constants.
+// cmpEdge orders rows by edge: by the numbers of θ(x_i) and
+// θ(x_(i+1)). A vertex lies in one layer, so its number decides the
+// layer.
 func (g *gdb) cmpEdge(r, s row) int {
-	return cmp.Or(int(r.layer-s.layer), int(r.from-s.from), int(r.to-s.to))
+	return cmp.Or(int(r.from-s.from), int(r.to-s.to))
 }
 
-// cmpRow orders rows by edge and then by realization, in the order of the realizations' query.Valuation.Key strings: the
-// text x1=c1,x2=c2,... over X_i by name. Constants compare as strings
-// until one is a proper prefix of the other; the text after it, which
-// goes on with the next variable, then decides.
+// sortRows sorts the rows as cmpRow orders them: by edge with two
+// stable counting passes over the vertex numbers, then each edge's run
+// by realization, where the layer leaves some variable open.
+func (g *gdb) sortRows() {
+	tmp := make([]row, len(g.rows))
+	count := make([]int32, len(g.verts)+1)
+	pass := func(dst, src []row, key func(row) int32) {
+		clear(count)
+		for _, r := range src {
+			count[key(r)+1]++
+		}
+		for v := 1; v < len(count); v++ {
+			count[v] += count[v-1]
+		}
+		for _, r := range src {
+			dst[count[key(r)]] = r
+			count[key(r)]++
+		}
+	}
+	pass(tmp, g.rows, func(r row) int32 { return r.to })
+	pass(g.rows, tmp, func(r row) int32 { return r.from })
+	for lo := 0; lo < len(g.rows); {
+		hi := lo + 1
+		for hi < len(g.rows) && g.cmpEdge(g.rows[lo], g.rows[hi]) == 0 {
+			hi++
+		}
+		if len(g.layers[g.rows[lo].layer].cmp) > 0 {
+			slices.SortFunc(g.rows[lo:hi], g.cmpRow)
+		}
+		lo = hi
+	}
+}
+
+// cmpRow orders rows by edge and then by realization, in the order of
+// the realizations' query.Valuation.Key strings: the text
+// x1=c1,x2=c2,... over X_i by name. Rows of one edge agree on x_i and
+// x_(i+1), so only the other variables are compared. Constants compare
+// as strings until one is a proper prefix of the other; the text after
+// it, which goes on with the next variable, then decides.
 func (g *gdb) cmpRow(r, s row) int {
 	if c := g.cmpEdge(r, s); c != 0 {
 		return c
 	}
 	l := &g.layers[r.layer]
-	for j, a := range l.args {
+	for _, j := range l.cmp {
+		a := l.args[j]
 		x, y := g.value(r, a), g.value(s, a)
 		if x == y {
 			continue
@@ -215,8 +255,8 @@ func (g *gdb) cycleEdges(cyc []int) []edge {
 	k := len(cyc)
 	es := make([]edge, k)
 	for i, v := range cyc {
-		j, _ := slices.BinarySearchFunc(g.edges, edge{layer: i, from: v, to: cyc[(i+1)%k]}, func(e, t edge) int {
-			return cmp.Or(e.layer-t.layer, e.from-t.from, e.to-t.to)
+		j, _ := slices.BinarySearchFunc(g.edges, edge{from: v, to: cyc[(i+1)%k]}, func(e, t edge) int {
+			return cmp.Or(e.from-t.from, e.to-t.to)
 		})
 		es[i] = g.edges[j]
 	}
@@ -233,20 +273,27 @@ func (g *gdb) cycleEdges(cyc []int) []edge {
 // such a form): it must be purified and gpurified relative to q, with
 // every mode-i atom simple-key and the Cq-atoms free of constants and
 // repeated variables — exactly the regime Lemma 12 establishes. It need
-// not be typed: a vertex is a (layer, constant) pair. The output holds
-// the form's blocks outside the Cq-atoms' relations, then the T and U
-// facts. The checker is polled once per constraint read, per edge of
-// G(db), per strong component and per step of the cycle search; a
-// tripped checker returns its error. A nil checker enforces nothing.
+// not be typed: a vertex is a (layer, constant) pair. G(db) is built
+// once, as a CSR over the sorted, deduplicated edges, and no join of q
+// runs: on a level where Lemma 12 changed nothing, the one join of the
+// level is purification's. The output holds the form's blocks outside
+// the Cq-atoms' relations, then the T and U facts. The checker is
+// polled once per constraint read, per edge of G(db), per strong
+// component and per step of the cycle search; a tripped checker returns
+// its error. A nil checker enforces nothing.
 func (dd *Dissolution) TransformDB(cs *match.Constraints, chk *evalctx.Checker) (*db.DB, Stats, error) {
 	k := len(dd.C)
 	st := Stats{Matches: len(cs.Cons)}
 	g := &gdb{cs: cs, layers: make([]layer, k)}
 	for i := range g.layers {
 		l := &g.layers[i]
-		l.x, l.names = match.ArgOf(dd.Q, dd.C[i]), dd.Xi[i].Sorted()
-		for _, v := range l.names {
+		l.x, l.xKey = keyArgOf(dd.Q, dd.C[i])
+		l.names = dd.Xi[i].Sorted()
+		for j, v := range l.names {
 			l.args = append(l.args, match.ArgOf(dd.Q, v))
+			if v != dd.C[i] && v != dd.C[(i+1)%k] {
+				l.cmp = append(l.cmp, j)
+			}
 		}
 	}
 	g.ys = make([]struct{ layer, at int }, len(dd.YVars))
@@ -258,7 +305,11 @@ func (dd *Dissolution) TransformDB(cs *match.Constraints, chk *evalctx.Checker) 
 	// 1. Vertex numbering. Vertices sort as their typed constants x_i:c
 	// would: by the string x_i + ":", then by constant. That fixes the
 	// component order, and with it the Dcomp names and the T-fact order.
-	// vid[ci*k+i] numbers the vertex θ(x_i) of constraint ci.
+	// A constraint reads θ(x_i) off one fact, or off one block when x_i
+	// has a key position, so each layer first collects its distinct
+	// facts or blocks, through a dense array over the form's facts, and
+	// string-sorts only their constants. vid[ci*k+i] numbers the vertex
+	// θ(x_i) of constraint ci.
 	n := len(cs.Cons)
 	order := make([]int, k)
 	for i := range order {
@@ -267,29 +318,56 @@ func (dd *Dissolution) TransformDB(cs *match.Constraints, chk *evalctx.Checker) 
 	slices.SortFunc(order, func(a, b int) int {
 		return strings.Compare(string(dd.C[a])+":", string(dd.C[b])+":")
 	})
-	type xAt struct {
-		c  query.Const // θ(x_i)
-		ci int32
+	off := make([]int32, len(cs.Blocks)+1) // block b's facts are numbered off[b] on
+	for b, blk := range cs.Blocks {
+		off[b+1] = off[b] + int32(len(blk.Facts))
 	}
+	type distinct struct {
+		c query.Const
+		f int32 // the fact read (the block's first, at a key position)
+	}
+	var ds []distinct
+	vof := make([]int32, off[len(cs.Blocks)]) // per fact read in the layer at hand: its vertex + 1; 0 = not met, -1 = not yet numbered
 	vid := make([]int32, n*k)
-	xs := make([]xAt, n)
 	g.verts = make([]vertex, 0, n*k)
 	for _, i := range order {
-		for ci := range xs {
-			xs[ci] = xAt{cs.Value(ci, g.layers[i].x), int32(ci)}
-		}
-		slices.SortFunc(xs, func(a, b xAt) int { return strings.Compare(string(a.c), string(b.c)) })
-		for j, x := range xs {
-			if j == 0 || x.c != xs[j-1].c {
-				g.verts = append(g.verts, vertex{i, x.c})
+		l := &g.layers[i]
+		read := func(con []match.Ref) int32 {
+			r := con[l.x.Atom]
+			if l.xKey {
+				return off[r.Block]
 			}
-			vid[int(x.ci)*k+i] = int32(len(g.verts) - 1)
+			return off[r.Block] + r.Slot
+		}
+		ds = ds[:0]
+		for ci, con := range cs.Cons {
+			if err := chk.Step(); err != nil {
+				return nil, st, err
+			}
+			if f := read(con); vof[f] == 0 {
+				ds = append(ds, distinct{cs.Value(ci, l.x), f})
+				vof[f] = -1
+			}
+		}
+		slices.SortFunc(ds, func(a, b distinct) int { return strings.Compare(string(a.c), string(b.c)) })
+		for j, e := range ds {
+			if j == 0 || e.c != ds[j-1].c {
+				g.verts = append(g.verts, vertex{i, e.c})
+			}
+			vof[e.f] = int32(len(g.verts))
+		}
+		for ci, con := range cs.Cons {
+			vid[ci*k+i] = vof[read(con)] - 1
+		}
+		for _, e := range ds {
+			vof[e.f] = 0
 		}
 	}
 
 	// 2. G(db): one row per embedding and position, sorted by edge and
 	// realization, so that duplicate realizations sit together and each
-	// edge's realizations form one run.
+	// edge's realizations form one run. The graph is built from the
+	// sorted edges at once.
 	g.rows = make([]row, 0, k*n)
 	for ci := range cs.Cons {
 		if err := chk.Step(); err != nil {
@@ -299,10 +377,9 @@ func (dd *Dissolution) TransformDB(cs *match.Constraints, chk *evalctx.Checker) 
 			g.rows = append(g.rows, row{int32(i), int32(ci), vid[ci*k+i], vid[ci*k+(i+1)%k]})
 		}
 	}
-	slices.SortFunc(g.rows, g.cmpRow)
+	g.sortRows()
 	g.rows = slices.CompactFunc(g.rows, func(r, s row) bool { return g.cmpRow(r, s) == 0 })
 	g.edges = make([]edge, 0, len(g.rows))
-	gr := dgraph.New(len(g.verts))
 	for i, r := range g.rows {
 		if i > 0 && g.cmpEdge(g.rows[i-1], r) == 0 {
 			g.edges[len(g.edges)-1].hi++
@@ -311,9 +388,9 @@ func (dd *Dissolution) TransformDB(cs *match.Constraints, chk *evalctx.Checker) 
 		if err := chk.Step(); err != nil {
 			return nil, st, err
 		}
-		g.edges = append(g.edges, edge{int(r.layer), int(r.from), int(r.to), i, i + 1})
-		gr.AddEdge(int(r.from), int(r.to))
+		g.edges = append(g.edges, edge{int(r.from), int(r.to), i, i + 1})
 	}
+	gr := dgraph.FromEdges(len(g.verts), len(g.edges), func(i int) (int, int) { return g.edges[i].from, g.edges[i].to })
 	st.Vertices, st.Edges = len(g.verts), len(g.edges)
 	comp, ncomp := gr.SCC()
 
@@ -333,9 +410,10 @@ func (dd *Dissolution) TransformDB(cs *match.Constraints, chk *evalctx.Checker) 
 	out := cs.Copy(q0Rels...)
 
 	compVerts := make([][]int, ncomp)
-	for i := range g.verts {
-		compVerts[comp[i]] = append(compVerts[comp[i]], i)
+	for v, c := range comp {
+		compVerts[c] = append(compVerts[c], v)
 	}
+	search := gr.NewSearch()
 	// Adjacency restricted by component is the whole graph (components
 	// are edge-closed as checked above), and every vertex starts an edge.
 	for cIdx := 0; cIdx < ncomp; cIdx++ {
@@ -343,7 +421,7 @@ func (dd *Dissolution) TransformDB(cs *match.Constraints, chk *evalctx.Checker) 
 			return nil, st, err
 		}
 		st.Components++
-		cycles, long, err := dd.analyzeComponent(gr, comp, cIdx, g.verts, chk)
+		cycles, long, err := dd.analyzeComponent(gr, compVerts[cIdx], g.verts, search, chk)
 		if err != nil {
 			return nil, st, err
 		}
@@ -389,22 +467,28 @@ func (dd *Dissolution) TransformDB(cs *match.Constraints, chk *evalctx.Checker) 
 	return out, st, nil
 }
 
-// analyzeComponent enumerates the elementary cycles of length k in the
-// component (as vertex sequences starting at layer 0) and reports
-// whether an elementary cycle strictly longer than k exists. The
-// checker is polled once per step of the path search; a tripped checker
-// returns its error.
-func (dd *Dissolution) analyzeComponent(g *dgraph.Graph, comp []int, cIdx int, verts []vertex, chk *evalctx.Checker) (cycles [][]int, long bool, err error) {
-	k := len(dd.C)
-	inComp := func(v int) bool { return comp[v] == cIdx }
-
-	// DFS all k-step layered paths from each layer-0 vertex.
-	var starts []int
-	for v := range verts {
-		if inComp(v) && verts[v].layer == 0 {
-			starts = append(starts, v)
+// keyArgOf returns a position of v in q, a key position when v has one,
+// and whether it is one.
+func keyArgOf(q query.Query, v query.Var) (match.Arg, bool) {
+	for i, a := range q.Atoms {
+		for j, t := range a.KeyArgs() {
+			if t.IsVar() && t.Var() == v {
+				return match.Arg{Atom: i, Pos: j}, true
+			}
 		}
 	}
+	return match.ArgOf(q, v), false
+}
+
+// analyzeComponent enumerates the elementary cycles of length k in the
+// component with the given member vertices (as vertex sequences
+// starting at layer 0) and reports whether an elementary cycle strictly
+// longer than k exists. The component must be edge-closed. Its
+// reachability questions run on search. The checker is polled once per
+// step of the path search; a tripped checker returns its error.
+func (dd *Dissolution) analyzeComponent(g *dgraph.Graph, members []int, verts []vertex, search *dgraph.Search, chk *evalctx.Checker) (cycles [][]int, long bool, err error) {
+	k := len(dd.C)
+	// DFS all k-step layered paths from each layer-0 vertex.
 	path := make([]int, 0, k+1)
 	var rec func(v, depth, start int)
 	rec = func(v, depth, start int) {
@@ -418,21 +502,11 @@ func (dd *Dissolution) analyzeComponent(g *dgraph.Graph, comp []int, cIdx int, v
 				// Path of length k between distinct layer-0 vertices:
 				// check for a return path avoiding the interior
 				// (the paper's decomposition of long elementary cycles).
-				avoid := make(map[int]bool, k-1)
-				for _, p := range path[1:] {
-					avoid[p] = true
-				}
-				reach := g.ReachableAvoiding(v, avoid)
-				if reach[start] {
-					long = true
-				}
+				long = search.ReachesAvoiding(v, start, path[1:])
 			}
 			return
 		}
 		for _, w := range g.Succ(v) {
-			if !inComp(w) {
-				continue
-			}
 			path = append(path, v)
 			rec(w, depth+1, start)
 			path = path[:len(path)-1]
@@ -441,7 +515,10 @@ func (dd *Dissolution) analyzeComponent(g *dgraph.Graph, comp []int, cIdx int, v
 			}
 		}
 	}
-	for _, s := range starts {
+	for _, s := range members {
+		if verts[s].layer != 0 {
+			continue
+		}
 		if rec(s, 0, s); err != nil {
 			return nil, false, err
 		}

@@ -77,7 +77,12 @@ func (dd *Dissolution) transformByJoin(d *db.DB) (*db.DB, Stats, error) {
 				reals = make(map[string]query.Valuation)
 				realizations[ek] = reals
 			}
-			mu := v.Restrict(dd.Xi[i])
+			mu := query.Valuation{}
+			for x, c := range v {
+				if dd.Xi[i].Has(x) {
+					mu[x] = c
+				}
+			}
 			reals[mu.Key()] = mu.Clone()
 		}
 		return true
@@ -176,7 +181,7 @@ func (dd *Dissolution) transformByJoin(d *db.DB) (*db.DB, Stats, error) {
 			st.BadComponents++
 			continue
 		}
-		cycleVerts, long, _ := dd.analyzeComponent(g, comp, cIdx, verts, nil)
+		cycleVerts, long, _ := dd.analyzeComponent(g, vs, verts, g.NewSearch(), nil)
 		var cycles [][]query.Const
 		for _, cyc := range cycleVerts {
 			cs := make([]query.Const, k)

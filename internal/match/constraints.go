@@ -169,6 +169,15 @@ func (c *Constraints) Copy(omit ...string) *db.DB {
 	return out
 }
 
+// Survivors returns a database holding the form's blocks: the database
+// the form is over when the form holds every block of it, else Copy().
+func (c *Constraints) Survivors() *db.DB {
+	if len(c.Blocks) < c.db.NumBlocks() {
+		return c.Copy()
+	}
+	return c.db
+}
+
 // Arg is an argument position of a query: argument Pos of atom Atom.
 type Arg struct{ Atom, Pos int }
 
@@ -236,11 +245,12 @@ func (c *Constraints) Incidence() Incidence {
 type purge struct {
 	c *Constraints
 	Incidence
-	live  []int32 // live constraints through each fact
-	gone  []bool  // per block
-	dead  []bool  // per constraint
-	drops []Ref   // the gone blocks with their witness slots, in drop order
-	done  int     // drops[:done] are settled
+	live   []int32 // live constraints through each fact
+	gone   []bool  // per block
+	dead   []bool  // per constraint
+	killed int     // the dead constraints
+	drops  []Ref   // the gone blocks with their witness slots, in drop order
+	done   int     // drops[:done] are settled
 }
 
 // purge drops every block of the form with a fact on no constraint and
@@ -282,6 +292,7 @@ func (p *purge) settle() {
 				continue
 			}
 			p.dead[ci] = true
+			p.killed++
 			for _, r := range p.c.Cons[ci] {
 				f := p.Off[r.Block] + r.Slot
 				if p.live[f]--; p.live[f] == 0 {
@@ -324,6 +335,9 @@ func (p *purge) form() *Constraints {
 		pc.num[i] = make([]int32, len(num))
 	}
 	refs := make([]Ref, len(p.On)) // backs the live constraints
+	if live := len(c.Cons) - p.killed; live > 0 {
+		pc.Cons = make([][]Ref, 0, live)
+	}
 	for ci, con := range c.Cons {
 		if p.dead[ci] {
 			continue

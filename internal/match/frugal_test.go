@@ -19,7 +19,13 @@ import (
 func satisfiedInstantiations(q query.Query, r *db.DB, x query.VarSet) map[string]bool {
 	out := make(map[string]bool)
 	NewIndex(r).Match(q, query.Valuation{}, func(v query.Valuation) bool {
-		out[v.Restrict(x).Key()] = true
+		theta := query.Valuation{}
+		for y, c := range v {
+			if x.Has(y) {
+				theta[y] = c
+			}
+		}
+		out[theta.Key()] = true
 		return true
 	})
 	return out

@@ -15,32 +15,46 @@ import (
 // without changing the certain answer). The result is gpurified relative
 // to q: every repair of every gblock is grelevant.
 //
-// Both steps run on the repair-constraint form, built by one join. The
-// purification fixpoint's live constraints are exactly the embeddings of
-// the database purified so far, and every embedding of a self-join-free
-// query is consistent, so a gblock repair is grelevant (Definition 6)
-// iff some live constraint passes through one of its facts and keeps
-// the repair's fact on every block of the gblock it touches. Each round
-// decides every gblock on the same form, drops the blocks of the
-// gblocks with a non-grelevant repair, and settles the fixpoint again,
-// until a round drops nothing. GPurify copies no data: it returns the
-// gpurified form, compacted as Purified compacts.
+// GPurify joins q over d once and gpurifies the form the join builds
+// (see Constraints.GPurified). A caller holding the purified form of q
+// over d already — PurifyForm's — calls GPurified on it and runs no
+// join at all. GPurify copies no data: it returns the gpurified form.
 //
 // The caller must ensure all mode-i atoms of q and all mode-i facts of d
 // are simple-key. d need not be typed relative to q: gblocks are keyed
 // by the atom's key term as well as the key constant, which is what
-// typing would make the constant carry. The checker
-// is polled by the join and once per gblock repair, whose number is
-// exponential in the gblock's size; a tripped checker returns its error
-// and no form. A nil checker enforces nothing.
+// typing would make the constant carry. The checker is polled by the
+// join and once per gblock repair, whose number is exponential in the
+// gblock's size; a tripped checker returns its error and no form. A nil
+// checker enforces nothing.
 func GPurify(q query.Query, d *db.DB, chk *evalctx.Checker) (*Constraints, error) {
 	cs, err := NewIndex(d).Constraints(q, chk)
 	if err != nil {
 		return nil, err
 	}
-	p := cs.purge()
-	gblocks := cs.gblocks(q)
-	pick := make([]int32, len(cs.Blocks)) // the repair's slot in each block of the gblock at hand, else -1
+	return cs.GPurified(q, chk)
+}
+
+// GPurified is GPurify on the form c of the self-join-free query q: it
+// runs on the form alone. The purification fixpoint's live constraints
+// are exactly the embeddings of the database purified so far, and every
+// embedding of a self-join-free query is consistent, so a gblock repair
+// is grelevant (Definition 6) iff some live constraint passes through
+// one of its facts and keeps the repair's fact on every block of the
+// gblock it touches. Each round decides every gblock on the same form,
+// drops the blocks of the gblocks with a non-grelevant repair, and
+// settles the fixpoint again, until a round drops nothing.
+//
+// A gblock of one block is grelevant on a purified form, as each of its
+// facts lies on a live constraint that touches no other block of it, so
+// only gblocks of two or more blocks are decided. When no block drops,
+// GPurified returns c itself; otherwise it returns the gpurified form,
+// compacted as Purified compacts. The checker is polled once per gblock
+// repair.
+func (c *Constraints) GPurified(q query.Query, chk *evalctx.Checker) (*Constraints, error) {
+	p := c.purge()
+	gblocks := c.gblocks(q)
+	pick := make([]int32, len(c.Blocks)) // the repair's slot in each block of the gblock at hand, else -1
 	for b := range pick {
 		pick[b] = -1
 	}
@@ -48,7 +62,7 @@ func GPurify(q query.Query, d *db.DB, chk *evalctx.Checker) (*Constraints, error
 		var doomed []int32
 		for i, g := range gblocks {
 			g = slices.DeleteFunc(g, func(b int32) bool { return p.gone[b] })
-			if gblocks[i] = g; len(g) == 0 {
+			if gblocks[i] = g; len(g) < 2 {
 				continue
 			}
 			ok, err := p.allGRelevant(g, pick, chk)
@@ -67,36 +81,48 @@ func GPurify(q query.Query, d *db.DB, chk *evalctx.Checker) (*Constraints, error
 		}
 		p.settle()
 	}
+	if len(p.drops) == 0 {
+		return c, nil
+	}
 	return p.form(), nil
 }
 
-// gblocks groups the form's blocks into generalized blocks (Definition
-// 7): the blocks of simple-key mode-i relations, by the pair (key term
-// of the relation's atom in q, key constant), in first-touch order. On a
-// database typed relative to q the key constant alone would decide, as
-// each variable owns its pool; the pair decides the same on any
-// database. Gblocks are defined in the regime where every mode-i atom
-// is simple-key; blocks of composite-key mode-i relations are in no
-// gblock.
+// gblocks groups the form's blocks into the generalized blocks
+// (Definition 7) of two or more blocks: the blocks of simple-key mode-i
+// relations, by the pair (key term of the relation's atom in q, key
+// constant), in first-touch order. On a database typed relative to q
+// the key constant alone would decide, as each variable owns its pool;
+// the pair decides the same on any database. A relation whose atom's
+// key term no other simple-key mode-i atom has puts each of its blocks
+// in a gblock of its own, so its blocks are not grouped at all. Gblocks
+// are defined in the regime where every mode-i atom is simple-key;
+// blocks of composite-key mode-i relations are in no gblock.
 func (c *Constraints) gblocks(q query.Query) [][]int32 {
 	type gkey struct {
 		term query.Term
 		key  query.Const
 	}
-	terms := make([]query.Term, len(c.rels)) // the first term of each relation's atom
+	grouped := func(a query.Atom) bool { return a.Rel.Mode == schema.ModeI && a.Rel.SimpleKey() }
+	terms := make([]query.Term, len(c.rels)) // the key term of each grouped relation's atom
+	shared := make([]bool, len(c.rels))
 	for i, name := range c.rels {
-		if a, _ := q.AtomWithRel(name); len(a.Args) > 0 {
-			terms[i] = a.Args[0]
+		a, _ := q.AtomWithRel(name)
+		if !grouped(a) {
+			continue
 		}
+		terms[i] = a.Args[0]
+		shared[i] = slices.ContainsFunc(q.Atoms, func(b query.Atom) bool {
+			return b.Rel.Name != name && grouped(b) && b.Args[0] == terms[i]
+		})
 	}
 	byKey := make(map[gkey]int)
 	var out [][]int32
 	for b, blk := range c.Blocks {
-		f := blk.Facts[0]
-		if f.Rel.Mode == schema.ModeC || !f.Rel.SimpleKey() {
+		ri := c.at[b].rel
+		if !shared[ri] {
 			continue
 		}
-		k := gkey{terms[c.at[b].rel], f.Args[0]}
+		k := gkey{terms[ri], blk.Facts[0].Args[0]}
 		i, ok := byKey[k]
 		if !ok {
 			i = len(out)
@@ -105,7 +131,7 @@ func (c *Constraints) gblocks(q query.Query) [][]int32 {
 		}
 		out[i] = append(out[i], int32(b))
 	}
-	return out
+	return slices.DeleteFunc(out, func(g []int32) bool { return len(g) < 2 })
 }
 
 // allGRelevant reports whether every repair of gblock g — one slot per

@@ -167,7 +167,9 @@ func sharedQ0Instance(rng *rand.Rand, nodes, facts int) *db.DB {
 // pools), of Example 11's query, of random simple-key queries, and of
 // cascadeQuery, each generated one also with its variables' pools
 // merged. GPurify runs on the instance as it is; the oracle runs on its
-// typed copy, and so does the comparison.
+// typed copy, and so does the comparison. On each instance,
+// gpurification continuing from Purify's form must also build the form
+// GPurify builds by joining over the purified copy.
 func TestGPurifyMatchesRoundOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1501_07864))
 	ex11 := query.MustParse("R(x | y), S(x | y)")
@@ -208,6 +210,7 @@ func TestGPurifyMatchesRoundOracle(t *testing.T) {
 			if g, w := typed(q, got.Copy()).String(), want.String(); g != w {
 				t.Fatalf("q = %s\ndb:\n%s\nGPurify kept (typed):\n%s\noracle kept:\n%s", q, d, g, w)
 			}
+			checkGPurifiedContinues(t, q, d)
 			instances++
 			if rounds > 1 {
 				dropping++
@@ -217,6 +220,41 @@ func TestGPurifyMatchesRoundOracle(t *testing.T) {
 	t.Logf("%d instances, %d dropping a gblock", instances, dropping)
 	if dropping < 100 {
 		t.Errorf("only %d instances drop a gblock; the corpus no longer exercises gpurification", dropping)
+	}
+}
+
+// checkGPurifiedContinues checks that gpurification continuing from
+// PurifyForm's form, with no join of its own, builds the form that
+// GPurify builds by joining q over the purified copy: the same
+// constraints over the same block numbering, holding the same facts.
+// The continued form's blocks are d's own blocks, not copies.
+func checkGPurifiedContinues(t *testing.T, q query.Query, d *db.DB) {
+	t.Helper()
+	pf, err := PurifyForm(q, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pf.GPurified(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := GPurify(q, pf.Survivors(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Blocks) != len(want.Blocks) || !slices.EqualFunc(got.Cons, want.Cons, slices.Equal) {
+		t.Fatalf("q = %s\ndb:\n%s\ncontinued form: %d blocks, constraints %v\njoined form: %d blocks, constraints %v",
+			q, d, len(got.Blocks), got.Cons, len(want.Blocks), want.Cons)
+	}
+	for b, blk := range got.Blocks {
+		f := blk.Facts[0]
+		own, _ := d.BlockByKey(f.Rel.Name, f.Key())
+		if &own.Facts[0] != &blk.Facts[0] || !slices.EqualFunc(blk.Facts, want.Blocks[b].Facts, db.Fact.Equal) {
+			t.Fatalf("q = %s\ndb:\n%s\nblock %d: continued %v (own block %v), joined %v", q, d, b, blk.Facts, own.Facts, want.Blocks[b].Facts)
+		}
+	}
+	if g, w := got.Copy().String(), want.Copy().String(); g != w {
+		t.Fatalf("q = %s\ndb:\n%s\ncontinued form keeps:\n%s\njoined form keeps:\n%s", q, d, g, w)
 	}
 }
 

@@ -158,15 +158,25 @@ func AllMatches(q query.Query, d *db.DB) []query.Valuation {
 // to a fixpoint, over the repair-constraint form (see Purified): the
 // join runs once. Facts of relations not occurring in q lie on no
 // embedding, so their blocks go too. The checker is polled by the join;
-// a nil checker enforces nothing. When every block survives, Purify
-// returns d itself.
+// a nil checker enforces nothing. Purify is PurifyForm's survivors: when
+// every block survives, it returns d itself.
 func Purify(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
+	pc, err := PurifyForm(q, d, chk)
+	if err != nil {
+		return nil, err
+	}
+	return pc.Survivors(), nil
+}
+
+// PurifyForm is Purify without the copy: it joins q over d once and
+// returns the repair-constraint form of the purified database (see
+// Purified). The form's GPurified continues from it without a second
+// join, and its Survivors is the database Purify returns.
+func PurifyForm(q query.Query, d *db.DB, chk *evalctx.Checker) (*Constraints, error) {
 	cs, err := NewIndex(d).Constraints(q, chk)
 	if err != nil {
 		return nil, err
 	}
-	if pc, _ := cs.Purified(); len(pc.Blocks) < d.NumBlocks() {
-		return pc.Copy(), nil
-	}
-	return d, nil
+	pc, _ := cs.Purified()
+	return pc, nil
 }

@@ -13,7 +13,9 @@
 //     Markov cycle (Lemma 15), dissolve it (Definition 5, Lemmas 13/18),
 //     and recurse on dissolve(C, q) — incnt(q) strictly decreases.
 //     Saturation and dissolution read the embeddings of q off the form
-//     gpurification returns; neither joins q again.
+//     gpurification returns; neither joins q again. Gpurification
+//     continues from purification's form when Lemma 12 changed nothing,
+//     so such a level joins q once.
 //
 // The proof assumes a database typed relative to q (Lemma 12: every
 // variable owns a pool of constants no other variable uses). The
@@ -191,42 +193,42 @@ func (s *solver) solve(q query.Query, d *db.DB, depth int) (bool, error) {
 	// Step 1: purify. Every fact of a purified database lies on an
 	// embedding (Lemma 1), so it admits none exactly when it is empty, and
 	// then some repair falsifies q.
-	pd, err := match.Purify(q, d, s.chk)
+	pf, err := match.PurifyForm(q, d, s.chk)
 	if err != nil {
 		return false, err
 	}
-	if pd.Len() != d.Len() {
-		s.tracef(depth, "purify (Lemma 1): %d -> %d facts", d.Len(), pd.Len())
+	if n := pf.NumFacts(); n != d.Len() {
+		s.tracef(depth, "purify (Lemma 1): %d -> %d facts", d.Len(), n)
 	}
-	if pd.Len() == 0 {
+	if len(pf.Blocks) == 0 {
 		s.tracef(depth, "no embedding survives purification: NOT certain")
 		s.memoPut(d, q.Canonical(), false)
 		return false, nil
 	}
-	cur, curDB := q, pd
+	cur, in := q, &data{form: pf}
 
 	if step, changed := simplify.ElimPatterns(cur); changed {
-		curDB, err = step.TransformDB(curDB, s.chk)
+		nd, err := step.TransformDB(in.db(), s.chk)
 		if err != nil {
 			return false, err
 		}
 		s.tracef(depth, "eliminate patterns (Lemma 12): %s", step.Q)
-		cur = step.Q
+		cur, in = step.Q, &data{d: nd}
 	}
 	step, changed, err := simplify.PackCompositeKeys(cur)
 	if err != nil {
 		return false, err
 	}
 	if changed {
-		curDB, err = step.TransformDB(curDB, s.chk)
+		nd, err := step.TransformDB(in.db(), s.chk)
 		if err != nil {
 			return false, err
 		}
 		s.tracef(depth, "pack composite keys (Lemma 12): %s", step.Q)
-		cur = step.Q
+		cur, in = step.Q, &data{d: nd}
 	}
 
-	res, err := s.branch(cur, curDB, depth)
+	res, err := s.branch(cur, in, depth)
 	if err != nil {
 		return false, err
 	}
@@ -234,13 +236,49 @@ func (s *solver) solve(q query.Query, d *db.DB, depth int) (bool, error) {
 	return res, nil
 }
 
+// data is the input of one level after Lemma 12: a database, or, when
+// Lemma 12 changed nothing, the purified form of the level's query over
+// the level's database. Gpurification continues from the form without
+// joining again, and the form's survivor copy is built only when a step
+// needs a database.
+type data struct {
+	form *match.Constraints // the purified form, or nil
+	d    *db.DB             // the database; nil until db builds it from form
+}
+
+// db returns the database, building the form's survivors on first use.
+func (x *data) db() *db.DB {
+	if x.d == nil {
+		x.d = x.form.Survivors()
+	}
+	return x.d
+}
+
+// facts counts the facts of the database.
+func (x *data) facts() int {
+	if x.form != nil {
+		return x.form.NumFacts()
+	}
+	return x.d.Len()
+}
+
+// gpurify gpurifies the data relative to q (Lemma 17): from the form
+// with no join when there is one, else by joining q over the database.
+func (x *data) gpurify(q query.Query, chk *evalctx.Checker) (*match.Constraints, error) {
+	if x.form != nil {
+		return x.form.GPurified(q, chk)
+	}
+	return match.GPurify(q, x.d, chk)
+}
+
 // branch dispatches between the Lemma 9 case, incremental saturation, and
 // the dissolution case. Saturation happens lazily — only when every
 // mode-i atom is attacked, which is the only case whose correctness
 // (Lemma 15) depends on it — and its database side is computed from the
 // gpurified instance, where the per-gblock support structure pins a
-// unique z-value per x-value.
-func (s *solver) branch(q query.Query, d *db.DB, depth int) (bool, error) {
+// unique z-value per x-value. Only a saturation step's new database is
+// joined afresh: the first round gpurifies the data solve hands over.
+func (s *solver) branch(q query.Query, in *data, depth int) (bool, error) {
 	for round := 0; ; round++ {
 		if round > 2*len(q.Vars())*len(q.Vars())+4 {
 			return false, fmt.Errorf("ptime: saturation loop did not converge on %s", q)
@@ -257,17 +295,17 @@ func (s *solver) branch(q query.Query, d *db.DB, depth int) (bool, error) {
 				continue
 			}
 			s.tracef(depth, "branch on unattacked atom %s (Lemma 9)", q.Atoms[i].Rel.Name)
-			return s.lemma9(q, q.Atoms[i], d, depth)
+			return s.lemma9(q, q.Atoms[i], in.db(), depth)
 		}
 		// All mode-i atoms are attacked: gpurify, then saturate one step
 		// if needed, else dissolve. Both read the gpurified form.
 		s.stats.GPurifyRuns++
-		gf, err := match.GPurify(q, d, s.chk)
+		gf, err := in.gpurify(q, s.chk)
 		if err != nil {
 			return false, err
 		}
-		if n := gf.NumFacts(); n != d.Len() {
-			s.tracef(depth, "gpurify (Lemma 17): %d -> %d facts", d.Len(), n)
+		if n, was := gf.NumFacts(), in.facts(); n != was {
+			s.tracef(depth, "gpurify (Lemma 17): %d -> %d facts", was, n)
 		}
 		// The gpurified database is purified too, so it is empty iff no
 		// embedding survives.
@@ -293,7 +331,7 @@ func (s *solver) branch(q query.Query, d *db.DB, depth int) (bool, error) {
 		}
 		s.stats.Saturations++
 		s.tracef(depth, "saturate (Lemma 11): %s", step.Name)
-		q, d = step.Q, nd
+		q, in = step.Q, &data{d: nd}
 	}
 }
 

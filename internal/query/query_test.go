@@ -176,10 +176,20 @@ func TestVarSetOps(t *testing.T) {
 }
 
 func TestValuationOps(t *testing.T) {
-	v := Valuation{"x": "a", "y": "b"}
-	r := v.Restrict(NewVarSet("x"))
-	if len(r) != 1 || r["x"] != "a" {
-		t.Errorf("restrict = %v", r)
+	v := Valuation{"y": "b", "x": "a"}
+	c := v.Clone()
+	c["x"] = "z"
+	if v["x"] != "a" || len(c) != 2 {
+		t.Errorf("clone shares its map: v = %v, clone = %v", v, c)
+	}
+	if k := v.Key(); k != "x=a,y=b" {
+		t.Errorf("Key = %q, want x=a,y=b", k)
+	}
+	if got, ok := v.Apply(V("y")); !ok || got != "b" {
+		t.Errorf("Apply(y) = %q, %v", got, ok)
+	}
+	if _, ok := v.Apply(V("w")); ok {
+		t.Error("Apply resolved an unbound variable")
 	}
 }
 

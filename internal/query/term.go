@@ -189,18 +189,6 @@ func (v Valuation) Clone() Valuation {
 	return c
 }
 
-// Restrict returns the restriction of v to the variables in s
-// (theta[V] in the paper's notation).
-func (v Valuation) Restrict(s VarSet) Valuation {
-	out := make(Valuation)
-	for k, x := range v {
-		if s.Has(k) {
-			out[k] = x
-		}
-	}
-	return out
-}
-
 // Apply maps a term through the valuation: constants map to themselves,
 // variables to their image. The boolean result reports whether the term
 // was resolved to a constant (false when the variable is unbound).

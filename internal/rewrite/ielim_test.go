@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -212,7 +213,11 @@ func referenceAnswers(q query.Query, el *Eliminator, free []query.Var, d *db.DB)
 		if !match.UnifyTerms(top.KeyArgs(), b.Facts[0].Key(), binding) {
 			continue
 		}
-		binding = binding.Restrict(query.NewVarSet(free...))
+		for x := range binding {
+			if !slices.Contains(free, x) {
+				delete(binding, x)
+			}
+		}
 		if CertainAcyclic(q.Substitute(binding), d) {
 			out[binding.Key()] = true
 		}
