@@ -22,7 +22,8 @@ race:
 # vet (plus staticcheck when it is on PATH — it is not vendored, so its
 # absence only prints a notice),
 # race-enabled tests for the concurrent packages (server, plan cache,
-# db store, core worker pool, db index, trace ring), the seeded
+# db store, core worker pool, db index, trace ring, the join over a
+# shared snapshot), the seeded
 # differential fuzz corpus, the coverage floors, a one-iteration
 # smoke run of the evaluation benchmarks plus the BENCH_eval.json
 # freshness gate, the perfbench module's vet and tests, a run of
@@ -30,7 +31,7 @@ race:
 check: build fmt-check test bench-smoke fuzz-smoke cover chaos-net perfbench-check examples-check deps-check
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
-	$(GO) test -race ./internal/server ./internal/plancache ./internal/store ./internal/core ./internal/db ./internal/rewrite ./internal/trace ./internal/shard ./internal/sym ./internal/colstore ./internal/counting
+	$(GO) test -race ./internal/server ./internal/plancache ./internal/store ./internal/core ./internal/db ./internal/rewrite ./internal/trace ./internal/shard ./internal/sym ./internal/colstore ./internal/counting ./internal/match
 
 # Chaos gate: the fault-injection, cancellation, deadline, budget,
 # shedding, and goroutine-leak suites under the race detector. This is

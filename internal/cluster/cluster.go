@@ -69,8 +69,9 @@ const (
 	// early-exit OR semantics (any true is definitive, false needs all
 	// shards).
 	KindBool Kind = "bool"
-	// KindSingle runs the entire certainty decision (ptime / conp /
-	// naive / cyclic plans) on the one shard owning the plan key.
+	// KindSingle runs the entire certainty decision (ptime / conp
+	// plans, and any plan ScatterableFO refuses) on the one shard
+	// owning the plan key.
 	KindSingle Kind = "single"
 	// KindSweep derives and decides the shard's certain answers in one
 	// batched columnar pass (sweepable FO plans); the router unions.
@@ -96,8 +97,8 @@ type EvalRequest struct {
 	// Free are the free variables of an answers request (KindSweep /
 	// KindCheck), in the caller's order: the columns of the answers.
 	Free []query.Var `json:"free,omitempty"`
-	// Engine is the resolved engine name ("fo", "ptime", "conp",
-	// "naive"); empty selects auto.
+	// Engine is the resolved engine name ("fo", "ptime", "conp"; see
+	// core.ParseEngine); empty selects auto.
 	Engine string `json:"engine,omitempty"`
 	// MaxSteps is the step budget granted to this attempt — the
 	// *remaining* request budget at dispatch time, so retries and

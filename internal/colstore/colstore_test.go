@@ -62,22 +62,19 @@ func TestBlockByKey(t *testing.T) {
 	}
 	r, tb := buildRel(t, "R", 2, 1, blocks)
 	for i := 0; i < 100; i++ {
-		id, ok := tb.Lookup(fmt.Sprintf("k%d", i))
-		if !ok {
-			t.Fatalf("key k%d not interned", i)
-		}
+		id := mustLookup(t, tb, fmt.Sprintf("k%d", i))
 		b, found := r.BlockByKey([]sym.ID{id})
 		if !found || int(b) != i {
 			t.Fatalf("BlockByKey(k%d) = (%d, %v), want (%d, true)", i, b, found, i)
 		}
 	}
 	// A value ID that is interned but is no block key.
-	v, _ := tb.Lookup("v")
+	v := mustLookup(t, tb, "v")
 	if _, found := r.BlockByKey([]sym.ID{v}); found {
 		t.Fatal("BlockByKey found a block for a non-key symbol")
 	}
 	// Wrong key length matches nothing.
-	k0, _ := tb.Lookup("k0")
+	k0 := mustLookup(t, tb, "k0")
 	if _, found := r.BlockByKey([]sym.ID{k0, v}); found {
 		t.Fatal("BlockByKey matched a key of the wrong length")
 	}
@@ -92,9 +89,7 @@ func TestBlockByKeyCompositeKey(t *testing.T) {
 		{{"a", "c", "2"}},
 		{{"b", "a", "3"}, {"b", "a", "4"}},
 	})
-	a, _ := tb.Lookup("a")
-	b, _ := tb.Lookup("b")
-	c, _ := tb.Lookup("c")
+	a, b, c := mustLookup(t, tb, "a"), mustLookup(t, tb, "b"), mustLookup(t, tb, "c")
 	cases := []struct {
 		key  []sym.ID
 		blk  int32
@@ -212,10 +207,13 @@ func TestAddSpans(t *testing.T) {
 	}
 }
 
+// mustLookup returns the ID of a constant the table already holds:
+// interning it must not grow the table.
 func mustLookup(t *testing.T, tb *sym.Table, s string) sym.ID {
 	t.Helper()
-	id, ok := tb.Lookup(s)
-	if !ok {
+	n := tb.Len()
+	id := tb.Intern(s)
+	if tb.Len() != n {
 		t.Fatalf("constant %q not interned", s)
 	}
 	return id

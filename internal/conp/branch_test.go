@@ -175,7 +175,7 @@ func TestBranchingMatchesScanOnPins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, _ := cs.Purified()
+		pc, _, _ := cs.Purified(nil)
 		all, blocks := wholeForm(pc)
 		s := NewSearch(pc, nil)
 		nodes := watchBranching(t, s, all)

@@ -92,8 +92,11 @@ func FalsifyingRepairChecked(q query.Query, d *db.DB, chk *evalctx.Checker) ([]d
 	}
 	tr.Add(trace.StageMatch, trace.CtrMatches, int64(cs.Embeddings))
 	sp = tr.Begin(trace.StagePurify)
-	pc, witnesses := cs.Purified()
+	pc, witnesses, err := cs.Purified(chk)
 	sp.End()
+	if err != nil {
+		return nil, false, Stats{}, err
+	}
 	tr.Add(trace.StagePurify, trace.CtrFacts, int64(d.NumBlocks()-len(pc.Blocks)))
 
 	s := NewSearch(pc, chk)

@@ -75,12 +75,17 @@ func budgetInstance() *match.Constraints {
 	return cs
 }
 
-// joinSteps measures the steps the constraint join takes on its own.
-func joinSteps(t *testing.T) int64 {
+// formSteps measures the steps the search's input takes on its own:
+// the constraint join and its purification.
+func formSteps(t *testing.T) int64 {
 	t.Helper()
 	const budget = 1 << 40
 	chk := evalctx.New(context.Background(), evalctx.Limits{MaxSteps: budget, Interval: 1})
-	if _, err := match.NewIndex(satPin(4, 14, 56)()).Constraints(workload.SATQuery(), chk); err != nil {
+	cs, err := match.NewIndex(satPin(4, 14, 56)()).Constraints(workload.SATQuery(), chk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cs.Purified(chk); err != nil {
 		t.Fatal(err)
 	}
 	rem, _ := chk.Remaining()
@@ -93,7 +98,7 @@ func joinSteps(t *testing.T) int64 {
 func TestSearchBudgetExceeded(t *testing.T) {
 	t.Run("decision", func(t *testing.T) {
 		tr := trace.New()
-		lim := evalctx.Limits{MaxSteps: joinSteps(t) + 10, Interval: 1}
+		lim := evalctx.Limits{MaxSteps: formSteps(t) + 10, Interval: 1}
 		chk := evalctx.NewTraced(context.Background(), lim, tr)
 		repair, found, _, err := FalsifyingRepairChecked(workload.SATQuery(), satPin(4, 14, 56)(), chk)
 		if !errors.Is(err, evalctx.ErrBudgetExceeded) {

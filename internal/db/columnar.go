@@ -10,17 +10,14 @@ import (
 	"cqa/internal/sym"
 )
 
-// ColRel is the columnar view of one relation: the
-// struct-of-arrays storage laid out in the relation segment's block
-// order, plus that segment's blocks, so span indices translate to
-// Block values (and their string IDs) without re-deriving anything.
+// ColRel is the columnar view of one relation: the struct-of-arrays
+// storage the interned FO walk reads, laid out in the relation
+// segment's block order, so span b holds the facts of the segment's
+// block b (BlocksOf(name)[b]).
 type ColRel struct {
 	// Rel is the column store: blocks as contiguous row spans over flat
 	// interned columns.
 	Rel *colstore.Rel
-	// Blocks are the segment's own blocks, in the order of Rel's spans:
-	// Blocks[b] holds the facts of span b. Shared with the database.
-	Blocks []Block
 	// Relation is the signature every stored fact carries.
 	Relation schema.Relation
 }
@@ -29,7 +26,9 @@ type ColRel struct {
 // every constant plus one ColRel per relation with facts. Every relation
 // has one signature (the db invariant Insert and Apply enforce), so
 // every relation has a columnar form. Built once per DB (see Columnar)
-// and immutable afterwards; safe for concurrent use.
+// and immutable afterwards; safe for concurrent use. Only the interned
+// FO walk reads it: every by-key probe (DB.Rel, DB.BlockByKey) reads
+// the segments' key tables, warm view or not.
 //
 // A view derived by Apply shares the parent's symbol table (it is
 // append-only, so parent IDs stay valid) and the parent's ColRel for
@@ -37,8 +36,7 @@ type ColRel struct {
 type ColDB struct {
 	Syms *sym.Table
 
-	rels  map[string]*ColRel
-	names []string // relation names, sorted
+	rels map[string]*ColRel
 
 	// progs caches evaluation programs compiled against this view,
 	// keyed by the compiled query artifact (e.g. *rewrite.Eliminator).
@@ -62,10 +60,6 @@ type ViewProg interface {
 // Rel returns the columnar relation, or nil when the relation has no
 // facts.
 func (c *ColDB) Rel(name string) *ColRel { return c.rels[name] }
-
-// RelNames returns the names of the relations with facts, sorted.
-// Shared; do not modify.
-func (c *ColDB) RelNames() []string { return c.names }
 
 // Progs returns the per-view program cache.
 func (c *ColDB) Progs() *sync.Map { return &c.progs }
@@ -99,25 +93,20 @@ func (d *DB) buildColumnar() *ColDB {
 		}
 		c.rels[name] = buildColRel(c.Syms, seg)
 	}
-	c.names = make([]string, 0, len(c.rels))
-	for name := range c.rels {
-		c.names = append(c.names, name)
-	}
-	sort.Strings(c.names)
 	return c
 }
 
-// deriveColumnar builds the child's columnar view from the parent's:
-// untouched relations alias the parent's ColRel (so span indices,
-// compiled programs, and the interned walk stay warm), and each touched
-// relation is respliced — untouched block runs copy column-wise,
-// modified blocks re-intern in place, removed blocks drop, and added
-// blocks append at the end. The shared symbol table is append-only, so
-// every parent ID stays valid in the child.
-func deriveColumnar(parent *ColDB, child *DB, ch *ChangeSet) *ColDB {
+// deriveColumnar builds the child's columnar view from pc, the view of
+// parent: untouched relations alias the parent's ColRel (so span
+// indices, compiled programs, and the interned walk stay warm), and
+// each touched relation is respliced — untouched block runs copy
+// column-wise, modified blocks re-intern in place, removed blocks drop,
+// and added blocks append at the end. The shared symbol table is
+// append-only, so every parent ID stays valid in the child.
+func deriveColumnar(parent *DB, pc *ColDB, child *DB, ch *ChangeSet) *ColDB {
 	c := &ColDB{
-		Syms: parent.Syms,
-		rels: maps.Clone(parent.rels),
+		Syms: pc.Syms,
+		rels: maps.Clone(pc.rels),
 	}
 	for name, rc := range ch.Rels {
 		seg := child.rels[name]
@@ -126,18 +115,13 @@ func deriveColumnar(parent *ColDB, child *DB, ch *ChangeSet) *ColDB {
 			delete(c.rels, name)
 			continue
 		}
-		c.rels[name] = spliceColRel(c.Syms, seg, parent.rels[name], rc)
+		c.rels[name] = spliceColRel(c.Syms, seg, parent.rels[name], pc.rels[name], rc)
 	}
-	c.names = make([]string, 0, len(c.rels))
-	for name := range c.rels {
-		c.names = append(c.names, name)
-	}
-	sort.Strings(c.names)
 	// Carry over the compiled programs that remain valid — a program
 	// whose every relation still points at the same ColRel sees an
 	// identical world, so queries over untouched relations skip the
 	// per-version recompile entirely.
-	parent.progs.Range(func(k, v any) bool {
+	pc.progs.Range(func(k, v any) bool {
 		if vp, ok := v.(ViewProg); ok && vp.ValidFor(c) {
 			c.progs.Store(k, v)
 		}
@@ -147,8 +131,7 @@ func deriveColumnar(parent *ColDB, child *DB, ch *ChangeSet) *ColDB {
 }
 
 // buildColRel lays a relation out column-wise in its segment's block
-// order, so span b holds the facts of the segment's block b and the
-// segment's own block slice serves as ColRel.Blocks.
+// order, so span b holds the facts of the segment's block b.
 func buildColRel(syms *sym.Table, seg *relSeg) *ColRel {
 	rel := seg.rel
 	b := colstore.NewBuilder(rel.Name, rel.Arity, rel.KeyLen)
@@ -156,7 +139,7 @@ func buildColRel(syms *sym.Table, seg *relSeg) *ColRel {
 	for _, blk := range seg.blocks {
 		addBlock(b, syms, row, blk)
 	}
-	return &ColRel{Rel: b.Build(), Blocks: seg.blocks, Relation: rel}
+	return &ColRel{Rel: b.Build(), Relation: rel}
 }
 
 // addBlock interns one block's facts and appends them as the next span.
@@ -171,13 +154,13 @@ func addBlock(b *colstore.Builder, syms *sym.Table, row []sym.ID, blk Block) {
 }
 
 // spliceColRel rebuilds one touched relation's columnar form from the
-// parent's, in O(delta) probe work plus column memcpy of the surviving
-// rows. It follows the order ApplyChanges gives the child segment:
-// modified blocks keep their position, removed blocks drop out with
-// the survivors' order preserved, and added blocks append at the end.
-// So the result's spans line up with the child segment's blocks, which
-// it shares as ColRel.Blocks.
-func spliceColRel(syms *sym.Table, seg *relSeg, pr *ColRel, rc *RelChange) *ColRel {
+// parent's, in O(delta) work plus column memcpy of the surviving rows.
+// It follows the order ApplyChanges gives the child segment: modified
+// blocks keep their position, removed blocks drop out with the
+// survivors' order preserved, and added blocks append at the end. So
+// the result's spans line up with the child segment's blocks, as pr's
+// spans line up with pseg's, the parent segment's.
+func spliceColRel(syms *sym.Table, seg, pseg *relSeg, pr *ColRel, rc *RelChange) *ColRel {
 	if pr == nil {
 		// New (or previously empty) relation: build wholesale.
 		return buildColRel(syms, seg)
@@ -185,9 +168,8 @@ func spliceColRel(syms *sym.Table, seg *relSeg, pr *ColRel, rc *RelChange) *ColR
 	rel := seg.rel
 	b := colstore.NewBuilder(rel.Name, rel.Arity, rel.KeyLen)
 	row := make([]sym.ID, rel.Arity)
-	// Locate removed and modified blocks in the parent's block order via
-	// the interned key probe; their constants are parent data, so the
-	// lookups cannot miss.
+	// Locate removed and modified blocks by their position in the parent
+	// segment, which is their span in pr; both kinds exist in the parent.
 	type patch struct {
 		idx int32
 		blk Block
@@ -195,20 +177,11 @@ func spliceColRel(syms *sym.Table, seg *relSeg, pr *ColRel, rc *RelChange) *ColR
 	}
 	patches := make([]patch, 0, len(rc.Removed)+len(rc.Modified))
 	locate := func(blk Block) int32 {
-		key := blk.Facts[0].Key()
-		ids := make([]sym.ID, len(key))
-		for i, k := range key {
-			id, ok := syms.Lookup(string(k))
-			if !ok {
-				panic("db: spliceColRel: key constant missing from the shared symbol table")
-			}
-			ids[i] = id
-		}
-		bi, ok := pr.Rel.BlockByKey(ids)
+		bi, ok := pseg.byID[blk.ID]
 		if !ok {
-			panic("db: spliceColRel: changed block missing from the parent view")
+			panic("db: spliceColRel: changed block missing from the parent segment")
 		}
-		return bi
+		return int32(bi)
 	}
 	for _, blk := range rc.Removed {
 		patches = append(patches, patch{idx: locate(blk)})
@@ -233,9 +206,5 @@ func spliceColRel(syms *sym.Table, seg *relSeg, pr *ColRel, rc *RelChange) *ColR
 	for _, blk := range rc.Added {
 		addBlock(b, syms, row, blk)
 	}
-	return &ColRel{Rel: b.Build(), Blocks: seg.blocks, Relation: rel}
+	return &ColRel{Rel: b.Build(), Relation: rel}
 }
-
-// maxProbeKey bounds the stack buffer of the interned ground-key probe;
-// longer keys (arity > 8 key positions) take the string path.
-const maxProbeKey = 8

@@ -28,27 +28,27 @@ func colTestDB() *DB {
 
 // TestColumnarMatchesRowView checks that the columnar view stores
 // exactly the row view's blocks: same relations, same block multiset,
-// spans aligned with the Blocks slice, and every stored argument
-// printing back to the original constant.
+// spans aligned with BlocksOf, and every stored argument printing back
+// to the original constant.
 func TestColumnarMatchesRowView(t *testing.T) {
 	d := colTestDB()
 	c := d.Columnar()
-	if got, want := len(c.RelNames()), 2; got != want {
-		t.Fatalf("RelNames = %v, want 2 relations", c.RelNames())
+	if got := d.Relations(); len(got) != 2 {
+		t.Fatalf("Relations = %v, want 2 relations", got)
 	}
-	for _, name := range c.RelNames() {
+	for _, name := range d.Relations() {
 		cr := c.Rel(name)
 		if cr == nil {
 			t.Fatalf("Rel(%q) = nil, want a columnar relation", name)
 		}
 		rowBlocks := d.BlocksOf(name)
-		if cr.Rel.NumBlocks() != len(rowBlocks) || len(cr.Blocks) != len(rowBlocks) {
+		if cr.Rel.NumBlocks() != len(rowBlocks) {
 			t.Fatalf("%s: %d columnar blocks vs %d row blocks", name, cr.Rel.NumBlocks(), len(rowBlocks))
 		}
 		seen := make(map[string]bool)
 		for b := int32(0); b < int32(cr.Rel.NumBlocks()); b++ {
 			lo, hi := cr.Rel.Span(b)
-			blk := cr.Blocks[b]
+			blk := rowBlocks[b]
 			if int(hi-lo) != len(blk.Facts) {
 				t.Fatalf("%s block %d: span has %d rows, aligned block has %d facts", name, b, hi-lo, len(blk.Facts))
 			}
@@ -71,11 +71,11 @@ func TestColumnarMatchesRowView(t *testing.T) {
 }
 
 // TestRelBlockByKeyPositions: a resolved relation's probe returns each
-// block's position in BlocksOf, on the row map and on the columnar view
-// alike, for a key wider than the interned probe's buffer too, and
-// misses on absent keys and relations.
+// block's position in BlocksOf, on a cold snapshot and on one whose
+// columnar view is built alike, for a 9-column key too, and misses on
+// absent keys and relations.
 func TestRelBlockByKeyPositions(t *testing.T) {
-	wide := schema.Relation{Name: "W", Arity: maxProbeKey + 2, KeyLen: maxProbeKey + 1}
+	wide := schema.Relation{Name: "W", Arity: 10, KeyLen: 9}
 	build := func() *DB {
 		d := colTestDB()
 		for i := 0; i < 5; i++ {
@@ -127,11 +127,12 @@ func sameBlocks(a, b []Block) bool {
 	return true
 }
 
-// TestColumnarBlockByKey compares the interned probe against the
-// string-keyed path on every block key plus misses.
+// TestColumnarBlockByKey compares the probe of a snapshot whose
+// columnar view is built against a cold one on every block key plus
+// misses: building the view changes no probe.
 func TestColumnarBlockByKey(t *testing.T) {
 	d := colTestDB()
-	fresh := colTestDB() // never builds a columnar view: the string path
+	fresh := colTestDB() // never builds a columnar view
 	d.Columnar()
 	for _, b := range fresh.Blocks() {
 		key := b.Facts[0].Key()
@@ -139,20 +140,20 @@ func TestColumnarBlockByKey(t *testing.T) {
 		got, ok := d.BlockByKey(name, key)
 		want, wok := fresh.BlockByKey(name, key)
 		if ok != wok || got.ID != want.ID || len(got.Facts) != len(want.Facts) {
-			t.Fatalf("BlockByKey(%s, %v): columnar (%v, %v) vs row (%v, %v)", name, key, got.ID, ok, want.ID, wok)
+			t.Fatalf("BlockByKey(%s, %v): warm (%v, %v) vs cold (%v, %v)", name, key, got.ID, ok, want.ID, wok)
 		}
 	}
 	if _, ok := d.BlockByKey("R", []query.Const{"nope"}); ok {
-		t.Fatal("columnar probe found a block for an unknown constant")
+		t.Fatal("warm probe found a block for an unknown constant")
 	}
 	if _, ok := d.BlockByKey("R", []query.Const{"a"}); ok {
-		t.Fatal("columnar probe found a block for a non-key constant")
+		t.Fatal("warm probe found a block for a non-key constant")
 	}
 	if _, ok := d.BlockByKey("R", []query.Const{"k0", "k1"}); ok {
-		t.Fatal("columnar probe matched a key of the wrong length")
+		t.Fatal("warm probe matched a key of the wrong length")
 	}
 	if _, ok := d.BlockByKey("Q", []query.Const{"k0"}); ok {
-		t.Fatal("columnar probe found a block of an absent relation")
+		t.Fatal("warm probe found a block of an absent relation")
 	}
 }
 
@@ -193,8 +194,8 @@ func TestColumnarRejectsConflictingSignature(t *testing.T) {
 		d.Add(NewFact(schema.Relation{Name: "R", Arity: 3, KeyLen: 1}, "c", "d", "e"))
 	}()
 	c := d.Columnar()
-	if got := c.RelNames(); len(got) != 2 || got[0] != "R" || got[1] != "S" {
-		t.Fatalf("RelNames = %v, want [R S]", got)
+	if c.Rel("R") == nil || c.Rel("S") == nil {
+		t.Fatal("a relation with facts has no columnar form")
 	}
 	if c.Rel("T") != nil {
 		t.Fatal("absent relation has a columnar form")
@@ -240,11 +241,22 @@ func TestColumnarDeterministicLayout(t *testing.T) {
 			t.Fatalf("symbol %d differs: %q vs %q", id, c1.Syms.String(sym.ID(id)), c2.Syms.String(sym.ID(id)))
 		}
 	}
-	for _, name := range c1.RelNames() {
-		r1, r2 := c1.Rel(name), c2.Rel(name)
-		for b := range r1.Blocks {
-			if r1.Blocks[b].ID != r2.Blocks[b].ID {
-				t.Fatalf("%s block %d differs: %s vs %s", name, b, r1.Blocks[b].ID, r2.Blocks[b].ID)
+	for _, name := range colTestDB().Relations() {
+		r1, r2 := c1.Rel(name).Rel, c2.Rel(name).Rel
+		if r1.NumBlocks() != r2.NumBlocks() {
+			t.Fatalf("%s: %d vs %d blocks", name, r1.NumBlocks(), r2.NumBlocks())
+		}
+		for b := int32(0); b < int32(r1.NumBlocks()); b++ {
+			lo, hi := r1.Span(b)
+			if lo2, hi2 := r2.Span(b); lo2 != lo || hi2 != hi {
+				t.Fatalf("%s block %d spans differ: [%d,%d) vs [%d,%d)", name, b, lo, hi, lo2, hi2)
+			}
+			for row := lo; row < hi; row++ {
+				for col := 0; col < r1.Arity; col++ {
+					if r1.At(col, row) != r2.At(col, row) {
+						t.Fatalf("%s block %d row %d col %d differs", name, b, row, col)
+					}
+				}
 			}
 		}
 	}
@@ -252,7 +264,7 @@ func TestColumnarDeterministicLayout(t *testing.T) {
 
 // TestColumnarFollowsSegmentOrder: after random Apply sequences, span
 // i of every derived ColRel holds exactly the facts of the segment's
-// block i, in order, and ColRel.Blocks is the segment's own slice.
+// block i, in order.
 func TestColumnarFollowsSegmentOrder(t *testing.T) {
 	rels := []schema.Relation{relR, relS, schema.NewRelation("T", 3, 2)}
 	rng := rand.New(rand.NewSource(17))
@@ -290,8 +302,8 @@ func TestColumnarFollowsSegmentOrder(t *testing.T) {
 			c := cur.Columnar()
 			for _, name := range cur.Relations() {
 				seg, cr := cur.rels[name], c.Rel(name)
-				if cr.Rel.NumBlocks() != len(seg.blocks) || len(cr.Blocks) != len(seg.blocks) || &cr.Blocks[0] != &seg.blocks[0] {
-					t.Fatalf("trial %d step %d: %s view does not share the segment's %d blocks", trial, step, name, len(seg.blocks))
+				if cr.Rel.NumBlocks() != len(seg.blocks) {
+					t.Fatalf("trial %d step %d: %s view has %d spans, segment %d blocks", trial, step, name, cr.Rel.NumBlocks(), len(seg.blocks))
 				}
 				for b, blk := range seg.blocks {
 					lo, hi := cr.Rel.Span(int32(b))

@@ -6,10 +6,12 @@
 //
 // A DB is organized as per-relation segments (relSeg): each relation owns
 // its block slice and key→block table, and the blocks are the only place
-// a fact is stored. That layout is what makes MVCC writes cheap — Apply
-// builds the next version by cloning only the touched relations'
+// a fact is stored. The key table answers every ground-key probe (the
+// join's and Lemma 9's). That layout is what makes MVCC writes cheap —
+// Apply builds the next version by cloning only the touched relations'
 // segments and aliasing the rest, so a single-fact delta costs
-// O(touched relation), not O(database).
+// O(touched relation), not O(database). The columnar view (ColDB) is
+// derived from the segments for the interned FO walk alone.
 package db
 
 import (
@@ -22,7 +24,6 @@ import (
 
 	"cqa/internal/query"
 	"cqa/internal/schema"
-	"cqa/internal/sym"
 )
 
 // Fact is an R-fact: an atom without variables.
@@ -191,7 +192,8 @@ func (s *relSeg) checkSignature(f Fact) error {
 // list (Facts, FactsOf, Blocks) is built from them on demand, in one
 // order — relations in first-seen order, then block order, then the
 // order within the block. The only derived structure is the columnar
-// view, memoized on first use and dropped by Add. Concurrent readers are
+// view the FO walk reads, memoized on first use and dropped by Add;
+// probes (Rel, BlockByKey) never consult it. Concurrent readers are
 // safe (the view is published through an atomic pointer); mutation (Add,
 // Apply) must not race with other mutations of the same DB. Apply is
 // safe to run concurrently with readers of the receiver: it never
@@ -443,35 +445,18 @@ func (d *DB) BlockByKey(relName string, key []query.Const) (Block, bool) {
 }
 
 // Rel is one relation of a database version, resolved once for any
-// number of probes: its blocks and the key table a probe reads. A
-// block's identity within the version is (relation, position in
-// Blocks).
+// number of probes: its blocks and the segment's key table a probe
+// reads. A block's identity within the version is (relation, position
+// in Blocks).
 type Rel struct {
 	name   string
 	blocks []Block
-	byID   map[string]int // the row-path key table; nil when col answers every probe
-	col    *ColRel        // the columnar view's relation; nil when no view is built
-	syms   *sym.Table
+	byID   map[string]int // block ID -> position in blocks
 }
 
-// Rel resolves the named relation. When the columnar view is already
-// built (the serving hot path warms it per snapshot), probes read its
-// interned key table; the view is only consulted, never built here, so
-// row-only callers (ptime residues, purification) never pay for a
-// columnar build. A relation with no facts resolves to one with no
-// blocks.
+// Rel resolves the named relation. A relation with no facts resolves
+// to one with no blocks.
 func (d *DB) Rel(name string) Rel {
-	if c := d.colMemo.Load(); c != nil {
-		cr := c.rels[name]
-		if cr == nil {
-			return Rel{}
-		}
-		r := Rel{blocks: cr.Blocks, col: cr, syms: c.Syms}
-		if cr.Relation.KeyLen > maxProbeKey {
-			r.name, r.byID = name, d.rels[name].byID
-		}
-		return r
-	}
 	seg := d.rels[name]
 	if seg == nil {
 		return Rel{}
@@ -484,33 +469,14 @@ func (d *DB) Rel(name string) Rel {
 func (r Rel) Blocks() []Block { return r.blocks }
 
 // BlockByKey answers a ground-key probe in O(1): the position in Blocks
-// of the block whose primary-key value equals key, if any. On the
-// columnar view a key constant the database never mentions is a miss
-// without a table probe, and a probe allocates nothing on hit and miss
-// alike; keys wider than maxProbeKey take the row path.
+// of the block whose primary-key value equals key, if any. The block ID
+// (see Fact.BlockID) is built in a stack buffer, and the map lookup on
+// string(id) copies nothing: a probe whose ID fits the buffer allocates
+// nothing.
 func (r Rel) BlockByKey(key []query.Const) (int, bool) {
-	if r.col != nil && len(key) <= maxProbeKey {
-		if r.col.Relation.KeyLen != len(key) {
-			// No block of this relation has a key of that length.
-			return 0, false
-		}
-		var buf [maxProbeKey]sym.ID
-		for i, k := range key {
-			id, ok := r.syms.Lookup(string(k))
-			if !ok {
-				return 0, false
-			}
-			buf[i] = id
-		}
-		b, ok := r.col.Rel.BlockByKey(buf[:len(key)])
-		return int(b), ok
-	}
 	if r.byID == nil {
 		return 0, false
 	}
-	// The block ID (see Fact.BlockID) is built in a stack buffer, and
-	// the map lookup on string(id) copies nothing: a probe whose ID fits
-	// the buffer allocates nothing.
 	var buf [128]byte
 	id := append(buf[:0], r.name...)
 	for _, c := range key {
@@ -604,12 +570,6 @@ func (d *DB) Filter(keep func(Fact) bool) *DB {
 		}
 	}
 	return c
-}
-
-// RestrictRels returns a new database containing only facts of the named
-// relations.
-func (d *DB) RestrictRels(names map[string]bool) *DB {
-	return d.Filter(func(f Fact) bool { return names[f.Rel.Name] })
 }
 
 // Repairs enumerates every repair of the database, invoking yield with a

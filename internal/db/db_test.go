@@ -139,9 +139,6 @@ func TestFilterWithoutRestrict(t *testing.T) {
 		NewFact(relR, "a", "1"),
 		NewFact(relS, "a", "b", "c"),
 	)
-	if got := d.RestrictRels(map[string]bool{"R": true}); got.Len() != 1 {
-		t.Errorf("restrict: %d", got.Len())
-	}
 	if got := d.Filter(func(f Fact) bool { return f.Rel.Name != "R" }); got.Len() != 1 || got.Facts()[0].Rel.Name != "S" {
 		t.Errorf("filter: %v", got)
 	}
@@ -349,7 +346,7 @@ func TestConcurrentIndexReads(t *testing.T) {
 	done := make(chan int, 8)
 	for w := 0; w < 8; w++ {
 		go func() {
-			n := len(d.Blocks()) + len(d.ActiveDomain()) + len(d.FactsOf("R")) + len(d.Columnar().RelNames())
+			n := len(d.Blocks()) + len(d.ActiveDomain()) + len(d.FactsOf("R")) + d.Columnar().Rel("R").Rel.NumBlocks()
 			if _, ok := d.BlockByKey("R", []query.Const{"k"}); !ok {
 				n = -1
 			}

@@ -395,7 +395,7 @@ func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 	// built, keeping the interned walk (and its compiled programs for
 	// untouched relations) warm across the write.
 	if pc := d.colMemo.Load(); pc != nil {
-		child.colMemo.Store(deriveColumnar(pc, child, res.Changes))
+		child.colMemo.Store(deriveColumnar(d, pc, child, res.Changes))
 	}
 	return child, res, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"cqa/internal/query"
 	"cqa/internal/schema"
+	"cqa/internal/sym"
 )
 
 // TestAddDuplicateKeepsCaches pins the no-op contract of duplicate
@@ -429,30 +430,14 @@ func TestApplyColumnarDerive(t *testing.T) {
 			t.Errorf("%s: derived %v vs rebuilt %v", name, got, want)
 		}
 	}
-	// Probes through the derived view agree with the row path.
-	rel := child.Rel("R")
-	if rel.col != cR {
-		t.Fatal("the child's probe does not read the derived view")
-	}
+	// The derived view's key table, the one the FO walk probes, agrees
+	// with the child segment's: same hits, at the same positions.
+	seg := child.rels["R"]
 	for _, key := range []string{"a", "b", "c"} {
-		pos, ok := rel.BlockByKey([]query.Const{query.Const(key)})
-		var blk Block
-		if ok {
-			blk = rel.Blocks()[pos]
-		}
-		rowBlk, rowOK := func() (Block, bool) {
-			seg := child.rels["R"]
-			bi, ok := seg.byID[NewFact(relR, query.Const(key), "_").BlockID()]
-			if !ok {
-				return Block{}, false
-			}
-			return seg.blocks[bi], true
-		}()
-		if ok != rowOK {
-			t.Errorf("probe %s: col %v row %v", key, ok, rowOK)
-		}
-		if ok && !sameFacts(blk.Facts, rowBlk.Facts) {
-			t.Errorf("probe %s returned a different block", key)
+		span, ok := cR.Rel.BlockByKey([]sym.ID{cc.Syms.Intern(key)})
+		pos, rowOK := seg.byID[NewFact(relR, query.Const(key), "_").BlockID()]
+		if ok != rowOK || (ok && int(span) != pos) {
+			t.Errorf("probe %s: view (%d, %v) vs segment (%d, %v)", key, span, ok, pos, rowOK)
 		}
 	}
 }

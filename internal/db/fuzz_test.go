@@ -44,13 +44,14 @@ func FuzzParseFact(f *testing.F) {
 		}
 		// Parse → intern → print round trip: the columnar view of a
 		// database holding the fact must intern every constant so it
-		// prints back identically, and the interned ground-key probe
-		// must find the fact's block.
+		// prints back identically, and the ground-key probe of the
+		// warmed snapshot must find the fact's block.
 		d := FromFacts(fact)
 		c := d.Columnar()
+		n := c.Syms.Len()
 		for _, a := range fact.Args {
-			id, ok := c.Syms.Lookup(string(a))
-			if !ok {
+			id := c.Syms.Intern(string(a))
+			if c.Syms.Len() != n {
 				t.Fatalf("constant %q of %q not interned", a, fact.String())
 			}
 			if got := c.Syms.String(id); got != string(a) {
@@ -59,7 +60,7 @@ func FuzzParseFact(f *testing.F) {
 		}
 		blk, ok := d.BlockByKey(fact.Rel.Name, fact.Key())
 		if !ok || len(blk.Facts) != 1 || !blk.Facts[0].Equal(fact) {
-			t.Fatalf("columnar BlockByKey lost %q: ok=%v block=%v", fact.String(), ok, blk)
+			t.Fatalf("warm BlockByKey lost %q: ok=%v block=%v", fact.String(), ok, blk)
 		}
 	})
 }

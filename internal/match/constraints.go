@@ -254,8 +254,9 @@ type purge struct {
 }
 
 // purge drops every block of the form with a fact on no constraint and
-// settles.
-func (c *Constraints) purge() *purge {
+// settles, polling the checker as settle does; a tripped checker
+// returns its error and no work list.
+func (c *Constraints) purge(chk *evalctx.Checker) (*purge, error) {
 	p := &purge{c: c, Incidence: c.Incidence(), gone: make([]bool, len(c.Blocks)), dead: make([]bool, len(c.Cons))}
 	p.live = make([]int32, len(p.At)-1)
 	for f := range p.live {
@@ -269,8 +270,10 @@ func (c *Constraints) purge() *purge {
 			}
 		}
 	}
-	p.settle()
-	return p
+	if err := p.settle(chk); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // drop marks r's block gone, with r's slot as its witness, unless it
@@ -283,9 +286,13 @@ func (p *purge) drop(r Ref) {
 }
 
 // settle works through the drops not yet settled, including the ones
-// it adds.
-func (p *purge) settle() {
+// it adds. The checker is polled once per settled block; a tripped
+// checker returns its error with the work list half settled.
+func (p *purge) settle(chk *evalctx.Checker) error {
 	for ; p.done < len(p.drops); p.done++ {
+		if err := chk.Step(); err != nil {
+			return err
+		}
 		b := p.drops[p.done].Block
 		for _, ci := range p.On[p.At[p.Off[b]]:p.At[p.Off[b+1]]] {
 			if p.dead[ci] {
@@ -301,6 +308,7 @@ func (p *purge) settle() {
 			}
 		}
 	}
+	return nil
 }
 
 // Purified is Lemma 1 on the form. A block with a fact in no live
@@ -315,19 +323,31 @@ func (p *purge) settle() {
 // and the witness of every dropped block in drop order. A witness was
 // in no live constraint when its block went, so a falsifying choice
 // over the surviving blocks stays falsifying with the witnesses added.
-func (c *Constraints) Purified() (*Constraints, []db.Fact) {
-	p := c.purge()
+// The checker is polled once per settled block and once per live
+// constraint; a tripped checker returns its error and no form. A nil
+// checker enforces nothing.
+func (c *Constraints) Purified(chk *evalctx.Checker) (*Constraints, []db.Fact, error) {
+	p, err := c.purge(chk)
+	if err != nil {
+		return nil, nil, err
+	}
+	pc, err := p.form(chk)
+	if err != nil {
+		return nil, nil, err
+	}
 	witnesses := make([]db.Fact, len(p.drops))
 	for i, r := range p.drops {
 		witnesses[i] = c.Blocks[r.Block].Facts[r.Slot]
 	}
-	return p.form(), witnesses
+	return pc, witnesses, nil
 }
 
 // form returns the form of the database the work list leaves: the live
 // constraints in order, over the surviving blocks renumbered in
 // first-touch order, with Embeddings counting the live constraints.
-func (p *purge) form() *Constraints {
+// The checker is polled once per live constraint; a tripped checker
+// returns its error and no form.
+func (p *purge) form(chk *evalctx.Checker) (*Constraints, error) {
 	c := p.c
 	n := len(c.Blocks) - len(p.drops) // every surviving block lies on a live constraint
 	pc := &Constraints{Blocks: make([]db.Block, 0, n), db: c.db, rels: c.rels, num: make([][]int32, len(c.num)), at: make([]blockAddress, 0, n)}
@@ -341,6 +361,9 @@ func (p *purge) form() *Constraints {
 	for ci, con := range c.Cons {
 		if p.dead[ci] {
 			continue
+		}
+		if err := chk.Step(); err != nil {
+			return nil, err
 		}
 		nc := refs[:len(con):len(con)]
 		refs = refs[len(con):]
@@ -358,5 +381,5 @@ func (p *purge) form() *Constraints {
 		pc.Cons = append(pc.Cons, nc)
 	}
 	pc.Embeddings = len(pc.Cons)
-	return pc
+	return pc, nil
 }

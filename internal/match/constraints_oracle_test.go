@@ -64,7 +64,7 @@ func constraintsByAddress(ix *Index, q query.Query) *addressForm {
 // constraints over the surviving blocks renumbered in first-touch order,
 // and the witnesses in drop order.
 func (c *addressForm) purifiedByAddress() (*addressForm, []db.Fact) {
-	p := c.purge()
+	p, _ := c.purge(nil)
 	pc := &addressForm{Constraints: &Constraints{}, ord: make(map[*db.Fact]int32)}
 	renum := make([]int32, len(c.Blocks)) // new ordinal + 1; 0 = not yet touched
 	for ci, con := range c.Cons {
@@ -107,7 +107,7 @@ func CheckConstraintsOracle(q query.Query, d *db.DB) error {
 	if err := sameForm(d, got, want); err != nil {
 		return fmt.Errorf("form: %w", err)
 	}
-	gotP, gotW := got.Purified()
+	gotP, gotW, _ := got.Purified(nil)
 	wantP, wantW := want.purifiedByAddress()
 	if err := sameForm(d, gotP, wantP); err != nil {
 		return fmt.Errorf("purified form: %w", err)

@@ -12,6 +12,46 @@ import (
 	"cqa/internal/workload"
 )
 
+// TestPurifiedCancelled: purification polls its checker once per
+// settled block and once per live constraint, so every step budget
+// short of the steps a full run takes trips inside Purified (and
+// GPurified) with the budget error and no form, and the full budget
+// gives the unchecked result.
+func TestPurifiedCancelled(t *testing.T) {
+	q := query.MustParse("R(x | y), S(y | z)")
+	p := workload.DefaultDBParams()
+	p.SeedMatches, p.Domain, p.ExtraPerBlock = 30, 20, 0.6
+	cs, err := NewIndex(workload.RandomDB(rand.New(rand.NewSource(5)), q, p)).Constraints(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantW, err := cs.Purified(nil)
+	if err != nil || len(wantW) == 0 || len(want.Cons) == 0 {
+		t.Fatalf("unchecked purification: %d witnesses, %v; want drops and live constraints", len(wantW), err)
+	}
+	const unlimited = 1 << 40
+	chk := evalctx.New(context.Background(), evalctx.Limits{MaxSteps: unlimited, Interval: 1})
+	got, gotW, err := cs.Purified(chk)
+	if err != nil || !reflect.DeepEqual(got.Cons, want.Cons) || !reflect.DeepEqual(gotW, wantW) {
+		t.Fatalf("checked purification differs from the unchecked one: %v", err)
+	}
+	left, _ := chk.Remaining()
+	used := unlimited - left
+	if settled := int64(len(wantW) + len(want.Cons)); used < settled {
+		t.Fatalf("purification took %d steps, want one per settled block and live constraint (%d)", used, settled)
+	}
+	for budget := int64(1); budget < used; budget++ {
+		chk := evalctx.New(context.Background(), evalctx.Limits{MaxSteps: budget, Interval: 1})
+		if pc, w, err := cs.Purified(chk); !errors.Is(err, evalctx.ErrBudgetExceeded) || pc != nil || w != nil {
+			t.Fatalf("budget %d of %d: %v; want the budget error and no form", budget, used, err)
+		}
+	}
+	chk = evalctx.New(context.Background(), evalctx.Limits{MaxSteps: 1, Interval: 1})
+	if gc, err := cs.GPurified(q, chk); !errors.Is(err, evalctx.ErrBudgetExceeded) || gc != nil {
+		t.Errorf("GPurified under one step: %v; want the budget error and no form", err)
+	}
+}
+
 // TestConstraintsForm pins the repair-constraint form on a small
 // instance: blocks in first-touch order, one constraint per embedding
 // in join order, refs as (block ordinal, slot) in atom order.

@@ -50,9 +50,13 @@ func GPurify(q query.Query, d *db.DB, chk *evalctx.Checker) (*Constraints, error
 // only gblocks of two or more blocks are decided. When no block drops,
 // GPurified returns c itself; otherwise it returns the gpurified form,
 // compacted as Purified compacts. The checker is polled once per gblock
-// repair.
+// repair, once per settled block and once per live constraint of the
+// compacted form.
 func (c *Constraints) GPurified(q query.Query, chk *evalctx.Checker) (*Constraints, error) {
-	p := c.purge()
+	p, err := c.purge(chk)
+	if err != nil {
+		return nil, err
+	}
 	gblocks := c.gblocks(q)
 	pick := make([]int32, len(c.Blocks)) // the repair's slot in each block of the gblock at hand, else -1
 	for b := range pick {
@@ -79,12 +83,14 @@ func (c *Constraints) GPurified(q query.Query, chk *evalctx.Checker) (*Constrain
 		for _, b := range doomed {
 			p.drop(Ref{Block: b})
 		}
-		p.settle()
+		if err := p.settle(chk); err != nil {
+			return nil, err
+		}
 	}
 	if len(p.drops) == 0 {
 		return c, nil
 	}
-	return p.form(), nil
+	return p.form(chk)
 }
 
 // gblocks groups the form's blocks into the generalized blocks

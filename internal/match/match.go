@@ -157,9 +157,10 @@ func AllMatches(q query.Query, d *db.DB) []query.Valuation {
 // remainder. Removals can make further facts irrelevant, so removal runs
 // to a fixpoint, over the repair-constraint form (see Purified): the
 // join runs once. Facts of relations not occurring in q lie on no
-// embedding, so their blocks go too. The checker is polled by the join;
-// a nil checker enforces nothing. Purify is PurifyForm's survivors: when
-// every block survives, it returns d itself.
+// embedding, so their blocks go too. The checker is polled by the join
+// and by the fixpoint; a nil checker enforces nothing. Purify is
+// PurifyForm's survivors: when every block survives, it returns d
+// itself.
 func Purify(q query.Query, d *db.DB, chk *evalctx.Checker) (*db.DB, error) {
 	pc, err := PurifyForm(q, d, chk)
 	if err != nil {
@@ -177,6 +178,6 @@ func PurifyForm(q query.Query, d *db.DB, chk *evalctx.Checker) (*Constraints, er
 	if err != nil {
 		return nil, err
 	}
-	pc, _ := cs.Purified()
-	return pc, nil
+	pc, _, err := cs.Purified(chk)
+	return pc, err
 }

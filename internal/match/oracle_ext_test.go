@@ -18,7 +18,7 @@ import (
 // on every generator family of the differential corpus and on queries
 // with self-joins, where two atoms can share a fact or hit two facts of
 // one block. Each database is checked cold and again with its columnar
-// view warmed, as the store warms it, so probes read both key tables.
+// view warmed, as the store warms it: the warm view changes no probe.
 func TestConstraintsMatchOracle(t *testing.T) {
 	check := func(name string, q query.Query, d *db.DB) {
 		t.Helper()

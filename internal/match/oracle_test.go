@@ -207,7 +207,7 @@ func TestCompiledJoinMatchesOracle(t *testing.T) {
 			}
 		}
 		if trial%4 < 2 {
-			d.Columnar() // probes read the interned key table
+			d.Columnar() // warm, as the store warms it: no probe may change
 		}
 		ix := NewIndex(d)
 		var wantVals, wantHits, gotVals, gotHits []string

@@ -151,7 +151,7 @@ func TestPurifiedWitnesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, witnesses := cs.Purified()
+	pc, witnesses, _ := cs.Purified(nil)
 	var got []string
 	for _, w := range witnesses {
 		got = append(got, w.String())

@@ -3,7 +3,7 @@
 // db.DB snapshot is divided into N logical shards by a hash of the
 // block key — every block (the unit of the Lemma 9 test) lives entirely
 // on one shard — and a Partition lists, per shard and relation, the
-// columnar block indices that shard owns.
+// positions of the blocks that shard owns.
 //
 // The partition splits the top-level *work*, not the data closure:
 // deeper levels of the Lemma 10 recursion probe blocks of other
@@ -38,44 +38,44 @@ func Of(blockID string, n int) int {
 	return int(h % uint64(n))
 }
 
-// Partition is the Of-hash partition of one snapshot's columnar view at
-// one width: for every relation with facts, the indices of the columnar
-// blocks each shard owns. It is immutable once built and safe for
-// concurrent use; the block data itself stays in the snapshot — a
-// partition is a set of views, not a copy.
+// Partition is the Of-hash partition of one snapshot's blocks at one
+// width: for every relation with facts, the positions of the blocks
+// each shard owns. A position indexes the relation's BlocksOf list,
+// which is also the span order of its columnar view. It is immutable
+// once built and safe for concurrent use; the block data itself stays
+// in the snapshot — a partition is a set of views, not a copy.
 type Partition struct {
 	db *db.DB
 	n  int
-	// spans[rel][id] are the columnar block indices of rel that shard
-	// id owns, in columnar order. Every per-shard slice is non-nil, so
-	// a span-restricted walk over a shard owning nothing visits
-	// nothing (nil would mean every block).
+	// spans[rel][id] are the positions of the blocks of rel that shard
+	// id owns, in block order. Every per-shard slice is non-nil, so a
+	// span-restricted walk over a shard owning nothing visits nothing
+	// (nil would mean every block).
 	spans map[string][][]int32
 }
 
-// NewPartition partitions d's columnar view n ways (n < 1 is treated
-// as 1) in one pass that hashes each block once. The caller must not
-// modify d afterwards.
+// NewPartition partitions d's blocks n ways (n < 1 is treated as 1) in
+// one pass that hashes each block once. The caller must not modify d
+// afterwards.
 func NewPartition(d *db.DB, n int) *Partition {
 	if n < 1 {
 		n = 1
 	}
-	col := d.Columnar()
-	p := &Partition{db: d, n: n, spans: make(map[string][][]int32, len(col.RelNames()))}
-	for _, name := range col.RelNames() {
-		p.spans[name] = splitRel(col.Rel(name), n)
+	names := d.Relations()
+	p := &Partition{db: d, n: n, spans: make(map[string][][]int32, len(names))}
+	for _, name := range names {
+		p.spans[name] = splitRel(d.BlocksOf(name), n)
 	}
 	return p
 }
 
-// splitRel assigns every columnar block of the relation to its owning
-// shard.
-func splitRel(cr *db.ColRel, n int) [][]int32 {
+// splitRel assigns every block of a relation to its owning shard.
+func splitRel(blocks []db.Block, n int) [][]int32 {
 	out := make([][]int32, n)
 	for i := range out {
 		out[i] = []int32{}
 	}
-	for bi, blk := range cr.Blocks {
+	for bi, blk := range blocks {
 		id := Of(blk.ID, n)
 		out[id] = append(out[id], int32(bi))
 	}
@@ -84,17 +84,16 @@ func splitRel(cr *db.ColRel, n int) [][]int32 {
 
 // Derive builds the partition of an Apply-derived snapshot from this
 // one without re-partitioning the database: only the relations the
-// change set names are split again (their columnar block indices
-// moved); every other relation aliases this partition's span lists.
+// change set names are split again (their block positions moved);
+// every other relation aliases this partition's span lists.
 // The child must be the result of applying the change set to this
 // partition's database. Derive only reads the receiver, so it is safe
 // while the parent still serves requests.
 func (p *Partition) Derive(child *db.DB, ch *db.ChangeSet) *Partition {
 	np := &Partition{db: child, n: p.n, spans: maps.Clone(p.spans)}
-	col := child.Columnar()
 	for name := range ch.Rels {
-		if cr := col.Rel(name); cr != nil {
-			np.spans[name] = splitRel(cr, np.n)
+		if blocks := child.BlocksOf(name); blocks != nil {
+			np.spans[name] = splitRel(blocks, np.n)
 		} else {
 			delete(np.spans, name)
 		}
@@ -120,7 +119,7 @@ type View struct {
 	p *Partition
 }
 
-// SpansOf returns the shard-owned columnar block indices of the named
+// SpansOf returns the positions of the shard-owned blocks of the named
 // relation, valid against the snapshot's columnar view — the input of
 // the span-restricted walks (rewrite.Eliminator.CertainOverSpans,
 // SweepSpans). It is nil when the snapshot has no facts for the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -84,9 +85,9 @@ T(z | 9)
 			if sp == nil {
 				t.Fatalf("shard %d: nil spans for %s (nil means every block)", id, rel)
 			}
-			cr := d.Columnar().Rel(rel)
+			blocks := d.BlocksOf(rel)
 			for _, bi := range sp {
-				b := cr.Blocks[bi]
+				b := blocks[bi]
 				if owner, dup := seen[b.ID]; dup {
 					t.Errorf("block %q on shards %d and %d", b.ID, owner, id)
 				}
@@ -114,11 +115,17 @@ T(z | 9)
 	if w := NewPartition(d, 0); w.N() != 1 || w.View(0).NumBlocks() != d.NumBlocks() {
 		t.Errorf("width 0 partition: N %d, %d blocks", w.N(), w.View(0).NumBlocks())
 	}
+	// A partition reads the blocks, not the columnar view: building the
+	// view first moves no span.
+	d.Columnar()
+	if warm := NewPartition(d, n); !reflect.DeepEqual(warm.spans, p.spans) {
+		t.Errorf("partition after the view build differs:\n  %v\n  %v", warm.spans, p.spans)
+	}
 }
 
 // partitionFingerprint renders every shard's span lists in a canonical
-// form (the owned blocks' facts, via the columnar view), for comparing a
-// derived partition against a cold build.
+// form (the owned blocks' facts), for comparing a derived partition
+// against a cold build.
 func partitionFingerprint(t *testing.T, p *Partition) []string {
 	t.Helper()
 	var out []string
@@ -126,10 +133,10 @@ func partitionFingerprint(t *testing.T, p *Partition) []string {
 		if len(perShard) != p.n {
 			t.Fatalf("%s: %d span lists, width %d", rel, len(perShard), p.n)
 		}
-		// Spans must point at blocks the shard owns in the columnar
-		// view of the partition's database, and cover the relation.
-		cr := p.db.Columnar().Rel(rel)
-		if cr == nil {
+		// Spans must point at blocks the shard owns in the partition's
+		// database, and cover the relation.
+		blocks := p.db.BlocksOf(rel)
+		if blocks == nil {
 			t.Fatalf("spans for relation %s without facts", rel)
 		}
 		covered := 0
@@ -137,7 +144,7 @@ func partitionFingerprint(t *testing.T, p *Partition) []string {
 			covered += len(sp)
 			out = append(out, fmt.Sprintf("s%d spans %s %d", id, rel, len(sp)))
 			for _, bi := range sp {
-				b := cr.Blocks[bi]
+				b := blocks[bi]
 				if Of(b.ID, p.n) != id {
 					t.Fatalf("shard %d span %d of %s not owned", id, bi, rel)
 				}
@@ -149,8 +156,8 @@ func partitionFingerprint(t *testing.T, p *Partition) []string {
 				out = append(out, fmt.Sprintf("s%d %s %q %v", id, rel, b.ID, facts))
 			}
 		}
-		if covered != cr.Rel.NumBlocks() {
-			t.Fatalf("%s: %d spans across shards, %d columnar blocks", rel, covered, cr.Rel.NumBlocks())
+		if covered != len(blocks) {
+			t.Fatalf("%s: %d spans across shards, %d blocks", rel, covered, len(blocks))
 		}
 	}
 	for id := 0; id < p.n; id++ {
@@ -231,7 +238,7 @@ func TestDeriveServesQueries(t *testing.T) {
 	`)
 	part := NewPartition(d, 3)
 	relR := d.Blocks()[0].Facts[0].Rel
-	relT := d.Columnar().Rel("T").Blocks[0].Facts[0].Rel
+	relT := d.BlocksOf("T")[0].Facts[0].Rel
 	var delta db.Delta
 	delta.Insert(db.NewFact(relR, "d", "9"))
 	delta.Delete(db.NewFact(relR, "b", "1"))
@@ -244,10 +251,10 @@ func TestDeriveServesQueries(t *testing.T) {
 
 	factsOf := func(p *Partition, rel string) int {
 		total := 0
-		cr := p.db.Columnar().Rel(rel)
+		blocks := p.db.BlocksOf(rel)
 		for i := 0; i < p.N(); i++ {
 			for _, bi := range p.View(i).SpansOf(rel) {
-				total += len(cr.Blocks[bi].Facts)
+				total += len(blocks[bi].Facts)
 			}
 		}
 		return total

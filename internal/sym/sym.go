@@ -1,10 +1,11 @@
-// Package sym implements string interning for the columnar storage
-// layer: every constant of a database is mapped to a dense uint32 ID,
-// so the hot evaluation paths compare and hash machine words instead of
-// strings. A Table is append-only — IDs are assigned sequentially from
-// 0 in interning order and are never reused — which makes a build that
-// interns constants in a deterministic order produce a deterministic
-// ID assignment.
+// Package sym implements string interning for the columnar view: every
+// constant of a database is mapped to a dense uint32 ID, so the
+// interned FO walk compares and hashes machine words instead of
+// strings. The view's build and splice intern the data; the walk
+// interns a query's constants and prints IDs back. A Table is
+// append-only — IDs are assigned sequentially from 0 in interning order
+// and are never reused — which makes a build that interns constants in
+// a deterministic order produce a deterministic ID assignment.
 package sym
 
 import "sync"
@@ -14,8 +15,8 @@ import "sync"
 type ID uint32
 
 // Table is a bidirectional string↔ID map, safe for concurrent use.
-// Lookups and reads take a shared lock and never allocate; Intern takes
-// the exclusive lock only when the string is new.
+// Reads take a shared lock and never allocate; Intern takes the
+// exclusive lock only when the string is new.
 type Table struct {
 	mu   sync.RWMutex
 	ids  map[string]ID
@@ -47,16 +48,6 @@ func (t *Table) Intern(s string) ID {
 	t.ids[s] = id
 	t.strs = append(t.strs, s)
 	return id
-}
-
-// Lookup returns the ID of s without assigning one; ok is false when s
-// was never interned (and therefore occurs nowhere in the data the
-// table indexes).
-func (t *Table) Lookup(s string) (ID, bool) {
-	t.mu.RLock()
-	id, ok := t.ids[s]
-	t.mu.RUnlock()
-	return id, ok
 }
 
 // String returns the string of an interned ID. It panics on an ID the
