@@ -21,7 +21,7 @@ import (
 // query.
 //
 // An Eliminator is immutable after Compile and safe for concurrent use;
-// each evaluation carries its own valuation and memo table.
+// each evaluation carries its own valuation and memos.
 type Eliminator struct {
 	query query.Query
 	// order is the elimination order: order[0] is eliminated first.
@@ -38,6 +38,10 @@ type Eliminator struct {
 	// influence the sub-recursion at that level, and therefore the
 	// memoization key.
 	relevantSlots [][]int32
+	// extraSlots[level] holds the relevant slots that are not slots of
+	// order[level]'s key. A visit whose key is ground and binds none of
+	// them leaves a residue that depends on the block alone.
+	extraSlots [][]int32
 
 	// ievalCache holds one warm interned evaluation state for reuse.
 	// It is a strong reference (unlike the overflow pool below), so
@@ -92,7 +96,8 @@ func CompileAcyclic(q query.Query) (*Eliminator, error) {
 		}
 	}
 	e.relevantSlots = make([][]int32, len(e.order))
-	for level := range e.order {
+	e.extraSlots = make([][]int32, len(e.order))
+	for level, f := range e.order {
 		seen := make(query.VarSet)
 		for _, a := range e.order[level:] {
 			for _, t := range a.Args {
@@ -107,6 +112,12 @@ func CompileAcyclic(q query.Query) (*Eliminator, error) {
 			slots[i] = e.varSlot[v]
 		}
 		e.relevantSlots[level] = slots
+		keyVars := f.KeyVars()
+		for _, v := range vs {
+			if !keyVars.Has(v) {
+				e.extraSlots[level] = append(e.extraSlots[level], e.varSlot[v])
+			}
+		}
 	}
 	return e, nil
 }

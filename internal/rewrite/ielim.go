@@ -11,8 +11,13 @@ package rewrite
 //     explicit undo stack,
 //   - a block is a contiguous row span over flat columns, probed by
 //     ground key through an open-addressing table,
-//   - the memo table is epoch-tagged open addressing over uint32-coded
-//     keys in a reusable arena — no per-evaluation map, no clearing.
+//   - a level whose key is ground, with no other relevant slot bound,
+//     leaves a residue that depends on its block alone: its answer is
+//     memoized in a per-level array with one epoch-tagged byte per block
+//     of the relation (the block memo),
+//   - every other level is memoized in an epoch-tagged open-addressing
+//     table over uint32-coded keys in a reusable arena — no
+//     per-evaluation map, no clearing.
 //
 // Evaluation state is cached per Eliminator (one warm state in an
 // atomic slot, overflow in a sync.Pool), so the steady-state walk does
@@ -39,12 +44,14 @@ type iterm struct {
 
 // ilevel is one level of the interned walk: the columnar relation of
 // the atom (nil when the database has no facts for it), the key and
-// non-key patterns, and the memo-relevant slots.
+// non-key patterns, the memo-relevant slots, and the extra slots (see
+// Eliminator.extraSlots) that decide whether the block memo applies.
 type ilevel struct {
 	rel      *db.ColRel
 	key      []iterm
 	nonkey   []iterm
 	relevant []int32
+	extra    []int32
 }
 
 // iprog is an Eliminator compiled against one columnar view.
@@ -119,6 +126,7 @@ func (e *Eliminator) compileInterned(c *db.ColDB) (*iprog, error) {
 		lv.key = terms(a.KeyArgs())
 		lv.nonkey = terms(a.NonKeyArgs())
 		lv.relevant = e.relevantSlots[li]
+		lv.extra = e.extraSlots[li]
 		if len(lv.key) > p.maxKey {
 			p.maxKey = len(lv.key)
 		}
@@ -136,11 +144,12 @@ type imemoSlot struct {
 	val   bool
 }
 
-// imemo is the interned memo table: open addressing with linear
-// probing, entries valid only for the current epoch. Starting a new
-// evaluation bumps the epoch instead of clearing anything, and the key
-// arena resets to length zero — steady state reuses both backing
-// arrays without allocating.
+// imemo is the general memo table, for the levels the block memo does
+// not cover (a key with a free variable, or a bound extra slot): open
+// addressing with linear probing, entries valid only for the current
+// epoch. Starting a new evaluation bumps the epoch instead of clearing
+// anything, and the key arena resets to length zero — steady state
+// reuses both backing arrays without allocating.
 type imemo struct {
 	slots []imemoSlot
 	keys  []uint32
@@ -243,7 +252,7 @@ func hashWords(ws []uint32) uint32 {
 }
 
 // ieval is one interned evaluation: flat valuation with undo stack,
-// memo table, and scratch buffers. Acquired from the per-Eliminator
+// the two memos, and scratch buffers. Acquired from the per-Eliminator
 // cache and returned after the walk, so repeated evaluations of one
 // query reuse every backing array.
 type ieval struct {
@@ -259,13 +268,27 @@ type ieval struct {
 	kscratch []uint32
 	memo     imemo
 
+	// blk is the block memo: blk[level][b] is blkEpoch<<1 | answer for
+	// block b of the level's relation, current only when its epoch is
+	// blkEpoch (1..127; a zero byte is never current). A level's array
+	// is allocated on its first ground-key visit and regrown when a
+	// later view has more blocks. blkLive counts this evaluation's
+	// entries, which share the memo budget with memo.live.
+	blk      [][]uint8
+	blkEpoch uint8
+	blkLive  int
+
 	trSteps, trHits, trMisses int64
 }
 
+// blkEpochs is the number of block-memo epochs: seven bits, the eighth
+// holds the answer.
+const blkEpochs = 1 << 7
+
 // acquire returns a ready evaluation state for prog: the warm cached
 // state when available (any prog of this eliminator fits — the slot
-// counts and key widths are fixed per query), a pooled one, or a fresh
-// allocation.
+// counts, key widths and level count are fixed per query), a pooled
+// one, or a fresh allocation.
 func (e *Eliminator) acquire(c *db.ColDB, p *iprog, chk *evalctx.Checker) *ieval {
 	ev := e.ievalCache.Swap(nil)
 	if ev == nil {
@@ -277,6 +300,7 @@ func (e *Eliminator) acquire(c *db.ColDB, p *iprog, chk *evalctx.Checker) *ieval
 			vals:     make([]sym.ID, len(e.vars)),
 			keybuf:   make([]sym.ID, p.maxKey),
 			kscratch: make([]uint32, 0, 1+len(e.vars)),
+			blk:      make([][]uint8, len(p.levels)),
 		}
 	}
 	ev.prog, ev.col, ev.chk = p, c, chk
@@ -287,7 +311,21 @@ func (e *Eliminator) acquire(c *db.ColDB, p *iprog, chk *evalctx.Checker) *ieval
 		ev.bound[i] = false
 	}
 	ev.memo.reset()
+	ev.resetBlocks()
 	return ev
+}
+
+// resetBlocks starts a new block-memo epoch. On wrap, entries from
+// 127 evaluations ago would read as current: clear once and continue.
+func (ev *ieval) resetBlocks() {
+	ev.blkEpoch++
+	if ev.blkEpoch == blkEpochs {
+		for _, m := range ev.blk {
+			clear(m)
+		}
+		ev.blkEpoch = 1
+	}
+	ev.blkLive = 0
 }
 
 func (e *Eliminator) release(ev *ieval) {
@@ -305,6 +343,14 @@ func (ev *ieval) flush(chk *evalctx.Checker) {
 	tr.Add(trace.StageEliminator, trace.CtrSteps, ev.trSteps)
 	tr.Add(trace.StageEliminator, trace.CtrMemoHits, ev.trHits)
 	tr.Add(trace.StageEliminator, trace.CtrMemoMisses, ev.trMisses)
+}
+
+// mayRecord reports whether a fresh answer may enter either memo. Never
+// under a tripped checker (the result is a truncated evaluation, not
+// the real answer) or past the memo budget (bounded memory beats
+// bounded time here: the walk stays correct, it just recomputes).
+func (ev *ieval) mayRecord() bool {
+	return ev.chk.Err() == nil && (ev.memoCap <= 0 || ev.memo.live+ev.blkLive < ev.memoCap)
 }
 
 // encodeKey codes the residue identity at a level into the scratch
@@ -344,10 +390,39 @@ func (ev *ieval) undoTo(mark int) {
 	ev.undo = ev.undo[:mark]
 }
 
-// run is one level of the walk: poll, memo probe, evaluate, memo
-// insert. The scratch key is clobbered by deeper levels during eval, so
-// the insert re-encodes — the bindings are restored by then, producing
-// the identical words.
+// groundKey writes the level's key into keybuf and reports whether it
+// is ground: every key term a constant or a bound slot.
+func (ev *ieval) groundKey(lv *ilevel) bool {
+	for i, t := range lv.key {
+		switch {
+		case t.slot < 0:
+			ev.keybuf[i] = t.id
+		case ev.bound[t.slot]:
+			ev.keybuf[i] = ev.vals[t.slot]
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+func (ev *ieval) anyBound(slots []int32) bool {
+	for _, s := range slots {
+		if ev.bound[s] {
+			return true
+		}
+	}
+	return false
+}
+
+// run is one level of the walk: poll, then decide the level. A ground
+// key is probed once: a key absent from the relation (or a relation
+// with no facts) is false with no memo entry, and a present block is
+// read from and recorded in the block memo when no extra slot is bound.
+// Every other visit goes through the general memo table; its scratch
+// key is clobbered by deeper levels during the walk, so the insert
+// re-encodes — the bindings are restored by then, producing the
+// identical words.
 func (ev *ieval) run(level int) bool {
 	if ev.chk.Step() != nil {
 		return false
@@ -356,6 +431,22 @@ func (ev *ieval) run(level int) bool {
 	if level == len(ev.prog.levels) {
 		return true
 	}
+	lv := &ev.prog.levels[level]
+	if lv.rel == nil {
+		ev.trMisses++
+		return false
+	}
+	b := int32(-1) // the probed block of a ground key, -1 for a scan
+	if ev.groundKey(lv) {
+		var ok bool
+		if b, ok = lv.rel.Rel.BlockByKey(ev.keybuf[:len(lv.key)]); !ok {
+			ev.trMisses++
+			return false
+		}
+		if !ev.anyBound(lv.extra) {
+			return ev.blockMemo(level, b)
+		}
+	}
 	key := ev.encodeKey(level)
 	h := hashWords(key)
 	if v, ok := ev.memo.lookup(key, h); ok {
@@ -363,46 +454,48 @@ func (ev *ieval) run(level int) bool {
 		return v
 	}
 	ev.trMisses++
-	res := ev.eval(level)
-	// Never memoize under a tripped checker (the result is a truncated
-	// evaluation, not the real answer) or past the memo budget (bounded
-	// memory beats bounded time here: the walk stays correct, it just
-	// recomputes).
-	if ev.chk.Err() == nil && (ev.memoCap <= 0 || ev.memo.live < ev.memoCap) {
+	res := ev.eval(level, b)
+	if ev.mayRecord() {
 		ev.memo.insert(ev.encodeKey(level), h, res)
 	}
 	return res
 }
 
-func (ev *ieval) eval(level int) bool {
-	lv := &ev.prog.levels[level]
-	if lv.rel == nil {
-		return false
+// blockMemo decides block b of a ground-key level through the block
+// memo.
+func (ev *ieval) blockMemo(level int, b int32) bool {
+	m := ev.blk[level]
+	if int(b) >= len(m) {
+		n := ev.prog.levels[level].rel.Rel.NumBlocks()
+		grown := make([]uint8, n+n/8+64)
+		copy(grown, m)
+		m = grown
+		ev.blk[level] = m
 	}
-	r := lv.rel.Rel
-	// Ground-key fast path: one hash probe instead of a span scan.
-	ground := true
-	for i, t := range lv.key {
-		switch {
-		case t.slot < 0:
-			ev.keybuf[i] = t.id
-		case ev.bound[t.slot]:
-			ev.keybuf[i] = ev.vals[t.slot]
-		default:
-			ground = false
-		}
-		if !ground {
-			break
-		}
+	if e := m[b]; e>>1 == ev.blkEpoch {
+		ev.trHits++
+		return e&1 == 1
 	}
-	if ground {
-		b, ok := r.BlockByKey(ev.keybuf[:len(lv.key)])
-		if !ok {
-			return false
+	ev.trMisses++
+	res := ev.blockCertain(level, b)
+	if ev.mayRecord() {
+		e := ev.blkEpoch << 1
+		if res {
+			e |= 1
 		}
+		m[b] = e
+		ev.blkLive++
+	}
+	return res
+}
+
+// eval decides a level by its probed block b, or by scanning every
+// block when b < 0 (the key is not ground).
+func (ev *ieval) eval(level int, b int32) bool {
+	if b >= 0 {
 		return ev.blockCertain(level, b)
 	}
-	for b, nb := int32(0), int32(r.NumBlocks()); b < nb; b++ {
+	for b, nb := int32(0), int32(ev.prog.levels[level].rel.Rel.NumBlocks()); b < nb; b++ {
 		if ev.blockCertain(level, b) {
 			return true
 		}
@@ -563,7 +656,7 @@ func (e *Eliminator) CertainOverSpans(ix *match.Index, spans []int32, chk *evalc
 // which must hold for free): for each listed block of the top relation
 // (nil = every block) the candidate answer is read off the block key,
 // the block runs the Lemma 9 test under it, and the passing answers are
-// appended to out as rows over free, in span order. The memo table is
+// appended to out as rows over free, in span order. Both memos are
 // shared across the whole sweep — bindings eliminated from the
 // residue's relevant set let distinct candidates share entries. A warm
 // sweep into a table truncated to out[:0] allocates nothing. A non-nil
