@@ -22,7 +22,7 @@ race:
 # vet (plus staticcheck when it is on PATH — it is not vendored, so its
 # absence only prints a notice),
 # race-enabled tests for the concurrent packages (server, plan cache,
-# db store, core worker pool, db index, trace ring, the join over a
+# db store, core worker pool, db index, tracer, the join over a
 # shared snapshot), the seeded
 # differential fuzz corpus, the coverage floors, a one-iteration
 # smoke run of the evaluation benchmarks plus the BENCH_eval.json
@@ -66,14 +66,17 @@ bench:
 # BENCH_eval.json freshness gate: regenerate a quick report into a
 # temporary file of its own (so concurrent runs in two checkouts do not
 # clobber each other's), validate both it and the checked-in artifact
-# against the current harness shape, and remove the temporary report
+# against the current harness shape, compare the quick report's
+# allocs/op with the artifact's on every row the two share (certain at
+# 1k/10k warm and cold, certain-row at 10k, count-* at 1k; within two
+# allocs plus one in 10,000), and remove the temporary report
 # however the target ends.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='CertainAcyclic|CertainAnswersPool|GPurify|CertainPTimeQ0n100$$|CertainPTimeQ0Union|CertainCoNPPlantedSAT|CountServeHardShape' -benchtime=1x .
 	@report=$$(mktemp -t cqa_eval_smoke.XXXXXX) && trap 'rm -f "$$report"' EXIT && \
 		echo "bench-smoke: eval report $$report" && \
 		$(GO) run ./cmd/cqa-bench -quick -evaljson "$$report" && \
-		$(GO) run ./cmd/cqa-bench -quick -evalcheck "$$report"
+		$(GO) run ./cmd/cqa-bench -quick -evalcheck "$$report" -evalallocs BENCH_eval.json
 	$(GO) run ./cmd/cqa-bench -evalcheck BENCH_eval.json
 
 fuzz:

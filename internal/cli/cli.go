@@ -370,6 +370,7 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "random seed")
 	evalJSON := fs.String("evaljson", "", "run the E-index evaluation benchmarks and write the JSON report to this path")
 	evalCheck := fs.String("evalcheck", "", "validate an E-index evaluation JSON report against the current harness and exit")
+	evalAllocs := fs.String("evalallocs", "", "with -evalcheck: also compare the report's allocs/op with this artifact's on every shared row")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -379,6 +380,13 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "%s: evaluation report matches the current harness\n", *evalCheck)
+		if *evalAllocs != "" {
+			if err := experiments.CompareEvalAllocs(*evalAllocs, *evalCheck); err != nil {
+				fmt.Fprintln(stderr, "cqa-bench:", err)
+				return 1
+			}
+			fmt.Fprintf(stdout, "%s: allocs/op match %s\n", *evalCheck, *evalAllocs)
+		}
 		return 0
 	}
 	if *list {

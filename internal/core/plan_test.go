@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"cqa/internal/attack"
 	"cqa/internal/match"
 	"cqa/internal/naive"
 	"cqa/internal/query"
@@ -229,6 +230,49 @@ func TestCertainAnswersSharedIndexConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestCandidateChecksRetainNothing: a P∖FO answers request checks
+// each candidate with a plan compiled for its FO instantiation (Lemma
+// 6), whose eliminator holds evaluation state sized to the relations.
+// That state is garbage once the check returns: repeated requests over
+// one database must not grow the heap that survives a collection.
+func TestCandidateChecksRetainNothing(t *testing.T) {
+	p, err := Compile(query.MustParse("R0(x | y), S0(y | x)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Class != attack.PTime {
+		t.Fatalf("q0 classified %v, want P", p.Class)
+	}
+	ix := match.NewIndex(workload.Q0Instance(rand.New(rand.NewSource(1)), 2000, 2))
+	free := []query.Var{"x"}
+	request := func() {
+		if _, err := p.CertainAnswersIndexedCtx(context.Background(), free, ix, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func() int64 {
+		// Two cycles: sync.Pool contents survive the first one.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	request() // builds the index and the columnar view
+	before := live()
+	const requests = 3
+	for i := 0; i < requests; i++ {
+		request()
+	}
+	// Retaining each candidate's state costs about 12 MB a request at
+	// this size; the bound leaves room for GC noise only.
+	grown := live() - before
+	runtime.KeepAlive(ix) // the view must outlive the measurement
+	if grown > 2<<20 {
+		t.Fatalf("retained heap grew %.1f MB over %d requests, want < 2 MB", float64(grown)/(1<<20), requests)
+	}
 }
 
 func TestPoolSize(t *testing.T) {

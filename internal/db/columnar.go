@@ -3,7 +3,6 @@ package db
 import (
 	"maps"
 	"sort"
-	"sync"
 
 	"cqa/internal/colstore"
 	"cqa/internal/schema"
@@ -32,37 +31,19 @@ type ColRel struct {
 //
 // A view derived by Apply shares the parent's symbol table (it is
 // append-only, so parent IDs stay valid) and the parent's ColRel for
-// every untouched relation; only touched relations are respliced.
+// every untouched relation; only touched relations are respliced. So a
+// program compiled against the parent (interned constants plus ColRel
+// pointers) stays valid in the child exactly when none of its relations
+// was touched — the check its owner makes before reusing it.
 type ColDB struct {
 	Syms *sym.Table
 
 	rels map[string]*ColRel
-
-	// progs caches evaluation programs compiled against this view,
-	// keyed by the compiled query artifact (e.g. *rewrite.Eliminator).
-	// The view is per-DB and plans are cached per query, so the map
-	// stays small; it lives here because program IDs are only valid
-	// against this view's symbol table and block order.
-	progs sync.Map
-}
-
-// ViewProg is implemented by the compiled evaluation programs cached in
-// a view's Progs map. When Apply derives a child view, parent programs
-// that report themselves still valid are carried over — for queries
-// over untouched relations this keeps the warm zero-alloc walk (and its
-// cached state) across writes instead of recompiling per version.
-type ViewProg interface {
-	// ValidFor reports whether the program's compiled references
-	// (relation pointers, interned IDs) are still correct against c.
-	ValidFor(c *ColDB) bool
 }
 
 // Rel returns the columnar relation, or nil when the relation has no
 // facts.
 func (c *ColDB) Rel(name string) *ColRel { return c.rels[name] }
-
-// Progs returns the per-view program cache.
-func (c *ColDB) Progs() *sync.Map { return &c.progs }
 
 // Columnar returns the memoized columnar view, building it on first
 // use. Racing builders may construct the view twice; the build is
@@ -98,7 +79,7 @@ func (d *DB) buildColumnar() *ColDB {
 
 // deriveColumnar builds the child's columnar view from pc, the view of
 // parent: untouched relations alias the parent's ColRel (so span
-// indices, compiled programs, and the interned walk stay warm), and
+// indices and programs compiled against them stay valid), and
 // each touched relation is respliced — untouched block runs copy
 // column-wise, modified blocks re-intern in place, removed blocks drop,
 // and added blocks append at the end. The shared symbol table is
@@ -117,16 +98,6 @@ func deriveColumnar(parent *DB, pc *ColDB, child *DB, ch *ChangeSet) *ColDB {
 		}
 		c.rels[name] = spliceColRel(c.Syms, seg, parent.rels[name], pc.rels[name], rc)
 	}
-	// Carry over the compiled programs that remain valid — a program
-	// whose every relation still points at the same ColRel sees an
-	// identical world, so queries over untouched relations skip the
-	// per-version recompile entirely.
-	pc.progs.Range(func(k, v any) bool {
-		if vp, ok := v.(ViewProg); ok && vp.ValidFor(c) {
-			c.progs.Store(k, v)
-		}
-		return true
-	})
 	return c
 }
 

@@ -477,39 +477,6 @@ func sameStringSets(a, b []string) bool {
 	return true
 }
 
-// fakeProg is a stand-in compiled program recording its validity rule.
-type fakeProg struct{ want *ColRel }
-
-func (p *fakeProg) ValidFor(c *ColDB) bool {
-	return c.Rel(p.want.Relation.Name) == p.want
-}
-
-func TestApplyProgInheritance(t *testing.T) {
-	d := FromFacts(
-		NewFact(relR, "a", "1"),
-		NewFact(relS, "x", "y", "z"),
-	)
-	pc := d.Columnar()
-	rR := pc.Rel("R")
-	rS := pc.Rel("S")
-	pc.Progs().Store("progR", &fakeProg{want: rR})
-	pc.Progs().Store("progS", &fakeProg{want: rS})
-
-	var delta Delta
-	delta.Insert(NewFact(relR, "b", "2"))
-	child, err := d.Apply(delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := child.colMemo.Load()
-	if _, ok := cc.Progs().Load("progS"); !ok {
-		t.Error("program over the untouched relation was dropped")
-	}
-	if _, ok := cc.Progs().Load("progR"); ok {
-		t.Error("program over the respliced relation was carried over")
-	}
-}
-
 // TestApplyMatchesRebuild drives randomized mutation scripts through
 // Apply chains and checks the final version is fact-for-fact identical
 // to a cold FromFacts rebuild, including block structure and derived

@@ -127,15 +127,6 @@ func FactFromAtom(a query.Atom, v query.Valuation) (Fact, error) {
 	return Fact{Rel: a.Rel, Args: args}, nil
 }
 
-// MustFactFromAtom is FactFromAtom but panics on unbound variables.
-func MustFactFromAtom(a query.Atom, v query.Valuation) Fact {
-	f, err := FactFromAtom(a, v)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // GroundQuery grounds every atom of q through v; it fails if any variable
 // of q is unbound.
 func GroundQuery(q query.Query, v query.Valuation) ([]Fact, error) {

@@ -126,25 +126,6 @@ func (c *Checker) Fork() *Checker {
 	}
 }
 
-// ForkWith is Fork bound to a different context: the returned checker
-// shares the step budget, memo cap, and tracer of c but polls ctx
-// instead of c's context. The shard coordinator uses it to give each
-// per-shard evaluation a cancellable sub-context (so an early-exit
-// merge can stop the straggler shards) while the whole scatter still
-// draws from one request budget. ForkWith of a nil checker returns a
-// checker enforcing only ctx, or nil when ctx can never be cancelled.
-func (c *Checker) ForkWith(ctx context.Context) *Checker {
-	if c == nil {
-		return New(ctx, Limits{})
-	}
-	if ctx == nil {
-		return c.Fork()
-	}
-	f := c.Fork()
-	f.ctx = ctx
-	return f
-}
-
 // Step records one unit of engine work. Every Interval steps it polls
 // the context, the shared step budget, and the "evalctx.poll" fault
 // hook; the first failure becomes the checker's sticky error, returned

@@ -665,13 +665,9 @@ func samplePercentiles(n int, fn func() error) (p50, p99 float64) {
 // each. This is the bench-smoke freshness gate — a harness change that
 // is not followed by `cqa-bench -evaljson` regeneration fails here.
 func ValidateEvalJSON(path string, quick bool) error {
-	data, err := os.ReadFile(path)
+	rep, err := readEvalReport(path)
 	if err != nil {
 		return err
-	}
-	var rep EvalReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
 	}
 	if want := query.MustParse(evalQueryText).String(); rep.Query != want {
 		return fmt.Errorf("%s: query %q differs from the harness query %q (regenerate with -evaljson)", path, rep.Query, want)
@@ -847,4 +843,72 @@ func (r *Runner) WriteEvalJSON(path string) error {
 		fmt.Fprintf(r.Out, "wrote %s (%d results)\n", path, len(rep.Results))
 	}
 	return nil
+}
+
+// evalAllocsTolerance is how far a row's allocs_per_op may sit from
+// the checked-in artifact's before CompareEvalAllocs fails: two allocs
+// plus one in 10,000. One-off allocations amortize over the iteration
+// count, which varies between runs and is larger in the full sweep.
+// Five quick regenerations of one build spread by at most one alloc per
+// row (cold certain at 10k blocks, certain-row at 265,040), and the
+// full sweep's certain-row sat 4–5 allocs below the quick ones.
+func evalAllocsTolerance(want int64) int64 { return 2 + want/10000 }
+
+// CompareEvalAllocs checks the allocs_per_op of a regenerated report
+// against the checked-in artifact's, for every row the two share: same
+// name, blocks and index (and workers and shards, which tell apart the
+// rows a sweep repeats on one instance). A quick report shares the
+// certain rows at 1k and 10k blocks, certain-row at 10k and the count
+// rows at 1k with the full artifact. A change that moves one of them
+// beyond evalAllocsTolerance fails until the artifact is regenerated,
+// so the artifact cannot lag the code. Reports that share no row are an
+// error: the check would compare nothing.
+func CompareEvalAllocs(artifactPath, reportPath string) error {
+	artifact, err := readEvalReport(artifactPath)
+	if err != nil {
+		return err
+	}
+	report, err := readEvalReport(reportPath)
+	if err != nil {
+		return err
+	}
+	key := func(r EvalResult) string {
+		return fmt.Sprintf("%s/%d/%s/w%d/s%d", r.Name, r.Blocks, r.Index, r.Workers, r.Shards)
+	}
+	want := make(map[string]int64, len(artifact.Results))
+	for _, r := range artifact.Results {
+		want[key(r)] = r.AllocsPerOp
+	}
+	var drift []string
+	shared := 0
+	for _, r := range report.Results {
+		w, ok := want[key(r)]
+		if !ok {
+			continue
+		}
+		shared++
+		if d, tol := r.AllocsPerOp-w, evalAllocsTolerance(w); d > tol || d < -tol {
+			drift = append(drift, fmt.Sprintf("%s: %d allocs/op, %s has %d", key(r), r.AllocsPerOp, artifactPath, w))
+		}
+	}
+	if shared == 0 {
+		return fmt.Errorf("%s and %s share no configuration", artifactPath, reportPath)
+	}
+	if len(drift) > 0 {
+		sort.Strings(drift)
+		return fmt.Errorf("allocs/op moved beyond the tolerance (regenerate %s with -evaljson): %v", artifactPath, drift)
+	}
+	return nil
+}
+
+func readEvalReport(path string) (EvalReport, error) {
+	var rep EvalReport
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return rep, err
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return rep, fmt.Errorf("%s: %w", path, err)
+	}
+	return rep, nil
 }

@@ -20,8 +20,11 @@ import (
 // and never build an attack graph or allocate a substituted residue
 // query.
 //
-// An Eliminator is immutable after Compile and safe for concurrent use;
-// each evaluation carries its own valuation and memos.
+// The elimination order is immutable after Compile. An Eliminator also
+// owns what evaluation caches for it: the last program compiled against
+// a columnar view (reused while it stays valid, see prog) and warm
+// evaluation state. Safe for concurrent use; each evaluation carries
+// its own valuation and memos.
 type Eliminator struct {
 	query query.Query
 	// order is the elimination order: order[0] is eliminated first.
@@ -50,6 +53,9 @@ type Eliminator struct {
 	// that miss the slot fall back to the pool.
 	ievalCache atomic.Pointer[ieval]
 	ievalPool  sync.Pool
+
+	// last is the last program compiled against a columnar view.
+	last atomic.Pointer[iprog]
 }
 
 // CompileAcyclic builds the eliminator for a query known to be acyclic

@@ -19,10 +19,11 @@ package rewrite
 //     table over uint32-coded keys in a reusable arena — no
 //     per-evaluation map, no clearing.
 //
-// Evaluation state is cached per Eliminator (one warm state in an
-// atomic slot, overflow in a sync.Pool), so the steady-state walk does
-// not allocate at all; testing.AllocsPerRun pins this in
-// zeroalloc_test.go.
+// The program compiled against a view and the evaluation state are
+// cached per Eliminator (the last program, reused while the view keeps
+// its symbol table and relations; one warm state in an atomic slot,
+// overflow in a sync.Pool), so the steady-state walk does not allocate
+// at all; testing.AllocsPerRun pins this in zeroalloc_test.go.
 
 import (
 	"fmt"
@@ -54,58 +55,61 @@ type ilevel struct {
 	extra    []int32
 }
 
-// iprog is an Eliminator compiled against one columnar view.
+// iprog is an Eliminator compiled against one columnar view: its
+// constants are interned in the view's symbol table, and each level
+// points at the view's columnar relation.
 type iprog struct {
+	syms   *sym.Table
 	levels []ilevel
-	names  []string // relation name per level, for ValidFor
 	maxKey int
 }
 
-// ValidFor implements db.ViewProg: a compiled program stays valid for a
-// derived view exactly when every level's columnar relation is the same
-// object there — Apply aliases untouched relations' ColRels into the
-// child view, so programs over untouched relations carry over (along
-// with their cached zero-alloc evaluation state), and any touched
-// relation forces a recompile. Interned constants need no check: the
-// symbol table is shared and append-only across derived views.
-func (p *iprog) ValidFor(c *db.ColDB) bool {
+// validFor reports whether the program is still correct against c: the
+// same symbol table, and every level's columnar relation the same
+// object there (nil stays nil). Apply shares the parent's table and
+// aliases untouched relations' ColRels into the child view, so a
+// program over untouched relations stays valid across writes, and a
+// touched relation forces a recompile.
+func (p *iprog) validFor(e *Eliminator, c *db.ColDB) bool {
+	if p.syms != c.Syms {
+		return false
+	}
 	for i := range p.levels {
-		if c.Rel(p.names[i]) != p.levels[i].rel {
+		if c.Rel(e.order[i].Rel.Name) != p.levels[i].rel {
 			return false
 		}
 	}
 	return true
 }
 
-var _ db.ViewProg = (*iprog)(nil)
-
-// prog returns the program of this eliminator against the view,
-// compiling and caching it on first use. The cache lives on the view
-// (its IDs are only valid there); racing compilers agree via
-// LoadOrStore. It fails when the view stores a relation of the query
-// under a signature other than the atom's — the walk would read
-// columns the relation does not have.
+// prog returns the eliminator's program for the view: the last one
+// compiled when it is still valid there, else a fresh compile, which
+// replaces it. A walk validates once and uses the returned program
+// throughout; racing stores may overwrite each other, which is
+// harmless, because each program is valid for the view it was checked
+// against. It fails when the view stores a relation of the query under
+// a signature other than the atom's — the walk would read columns the
+// relation does not have.
 func (e *Eliminator) prog(c *db.ColDB) (*iprog, error) {
-	if p, ok := c.Progs().Load(e); ok {
-		return p.(*iprog), nil
+	if p := e.last.Load(); p != nil && p.validFor(e, c) {
+		return p, nil
 	}
 	p, err := e.compileInterned(c)
 	if err != nil {
 		return nil, err
 	}
-	stored, _ := c.Progs().LoadOrStore(e, p)
-	return stored.(*iprog), nil
+	e.last.Store(p)
+	return p, nil
 }
 
 func (e *Eliminator) compileInterned(c *db.ColDB) (*iprog, error) {
-	p := &iprog{levels: make([]ilevel, len(e.order)), names: make([]string, len(e.order))}
+	p := &iprog{syms: c.Syms, levels: make([]ilevel, len(e.order))}
 	for li, a := range e.order {
 		cr := c.Rel(a.Rel.Name)
 		if cr != nil && cr.Relation != a.Rel {
 			return nil, fmt.Errorf("rewrite: relation %s is stored as %s, the query atom %s expects %s",
 				a.Rel.Name, cr.Relation, a, a.Rel)
 		}
-		p.names[li] = a.Rel.Name
 		terms := func(ts []query.Term) []iterm {
 			out := make([]iterm, len(ts))
 			for i, t := range ts {
@@ -257,8 +261,8 @@ func hashWords(ws []uint32) uint32 {
 // query reuse every backing array.
 type ieval struct {
 	prog    *iprog
-	col     *db.ColDB
 	chk     *evalctx.Checker
+	span    trace.Span
 	memoCap int
 
 	bound    []bool
@@ -285,11 +289,11 @@ type ieval struct {
 // holds the answer.
 const blkEpochs = 1 << 7
 
-// acquire returns a ready evaluation state for prog: the warm cached
-// state when available (any prog of this eliminator fits — the slot
-// counts, key widths and level count are fixed per query), a pooled
-// one, or a fresh allocation.
-func (e *Eliminator) acquire(c *db.ColDB, p *iprog, chk *evalctx.Checker) *ieval {
+// acquire returns a ready evaluation state for prog, with the
+// eliminator span open: the warm cached state when available (any prog
+// of this eliminator fits — the slot counts, key widths and level count
+// are fixed per query), a pooled one, or a fresh allocation.
+func (e *Eliminator) acquire(p *iprog, chk *evalctx.Checker) *ieval {
 	ev := e.ievalCache.Swap(nil)
 	if ev == nil {
 		ev, _ = e.ievalPool.Get().(*ieval)
@@ -303,7 +307,7 @@ func (e *Eliminator) acquire(c *db.ColDB, p *iprog, chk *evalctx.Checker) *ieval
 			blk:      make([][]uint8, len(p.levels)),
 		}
 	}
-	ev.prog, ev.col, ev.chk = p, c, chk
+	ev.prog, ev.chk = p, chk
 	ev.memoCap = chk.MemoCap()
 	ev.trSteps, ev.trHits, ev.trMisses = 0, 0, 0
 	ev.undo = ev.undo[:0]
@@ -312,6 +316,7 @@ func (e *Eliminator) acquire(c *db.ColDB, p *iprog, chk *evalctx.Checker) *ieval
 	}
 	ev.memo.reset()
 	ev.resetBlocks()
+	ev.span = chk.Tracer().Begin(trace.StageEliminator)
 	return ev
 }
 
@@ -328,21 +333,22 @@ func (ev *ieval) resetBlocks() {
 	ev.blkLive = 0
 }
 
-func (e *Eliminator) release(ev *ieval) {
-	ev.prog, ev.col, ev.chk = nil, nil, nil
+// release ends the walk: it closes the span, flushes the effort
+// counters to the tracer, returns the state for reuse, and reports the
+// checker's error — non-nil when the walk was cut short.
+func (e *Eliminator) release(ev *ieval) error {
+	chk := ev.chk
+	ev.span.End()
+	if tr := chk.Tracer(); tr != nil {
+		tr.Add(trace.StageEliminator, trace.CtrSteps, ev.trSteps)
+		tr.Add(trace.StageEliminator, trace.CtrMemoHits, ev.trHits)
+		tr.Add(trace.StageEliminator, trace.CtrMemoMisses, ev.trMisses)
+	}
+	ev.prog, ev.chk, ev.span = nil, nil, trace.Span{}
 	if !e.ievalCache.CompareAndSwap(nil, ev) {
 		e.ievalPool.Put(ev)
 	}
-}
-
-func (ev *ieval) flush(chk *evalctx.Checker) {
-	tr := chk.Tracer()
-	if tr == nil {
-		return
-	}
-	tr.Add(trace.StageEliminator, trace.CtrSteps, ev.trSteps)
-	tr.Add(trace.StageEliminator, trace.CtrMemoHits, ev.trHits)
-	tr.Add(trace.StageEliminator, trace.CtrMemoMisses, ev.trMisses)
+	return chk.Err()
 }
 
 // mayRecord reports whether a fresh answer may enter either memo. Never
@@ -557,7 +563,7 @@ func (e *Eliminator) CertainChecked(ix *match.Index, initial query.Valuation, ch
 	if err != nil {
 		return false, err
 	}
-	ev := e.acquire(c, p, chk)
+	ev := e.acquire(p, chk)
 	for v, cst := range initial {
 		slot, known := e.varSlot[v]
 		if !known {
@@ -566,12 +572,8 @@ func (e *Eliminator) CertainChecked(ix *match.Index, initial query.Valuation, ch
 		ev.bound[slot] = true
 		ev.vals[slot] = c.Syms.Intern(string(cst))
 	}
-	sp := chk.Tracer().Begin(trace.StageEliminator)
 	res := ev.run(0)
-	sp.End()
-	ev.flush(chk)
-	e.release(ev)
-	if err := chk.Err(); err != nil {
+	if err := e.release(ev); err != nil {
 		return false, err
 	}
 	return res, nil
@@ -626,8 +628,7 @@ func (e *Eliminator) CertainOverSpans(ix *match.Index, spans []int32, chk *evalc
 	if cr == nil {
 		return false, chk.Err()
 	}
-	ev := e.acquire(c, p, chk)
-	sp := chk.Tracer().Begin(trace.StageEliminator)
+	ev := e.acquire(p, chk)
 	res := false
 	for i := 0; i < n; i++ {
 		b := int32(i)
@@ -643,10 +644,7 @@ func (e *Eliminator) CertainOverSpans(ix *match.Index, spans []int32, chk *evalc
 			break
 		}
 	}
-	sp.End()
-	ev.flush(chk)
-	e.release(ev)
-	if err := chk.Err(); err != nil {
+	if err := e.release(ev); err != nil {
 		return false, err
 	}
 	return res, nil
@@ -690,8 +688,7 @@ func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var
 		return out, chk.Err()
 	}
 	r := cr.Rel
-	ev := e.acquire(c, p, chk)
-	sp := chk.Tracer().Begin(trace.StageEliminator)
+	ev := e.acquire(p, chk)
 	for i := 0; i < n; i++ {
 		b := int32(i)
 		if spans != nil {
@@ -710,10 +707,7 @@ func (e *Eliminator) SweepSpans(ix *match.Index, spans []int32, free []query.Var
 			}
 		}
 	}
-	sp.End()
-	ev.flush(chk)
-	e.release(ev)
-	if err := chk.Err(); err != nil {
+	if err := e.release(ev); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -10,8 +10,10 @@ import (
 	"runtime"
 	"testing"
 
+	"cqa/internal/db"
 	"cqa/internal/match"
 	"cqa/internal/query"
+	"cqa/internal/schema"
 )
 
 // TestWarmCertainZeroAlloc pins the tentpole property: a warm Boolean
@@ -72,5 +74,25 @@ func TestSweepSpansZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, func() { tab, _ = el.SweepSpans(ix, nil, free, tab[:0], nil) })
 	if allocs != 0 {
 		t.Fatalf("warm SweepSpans into a reused table allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestUntouchedApplyFirstWalkZeroAlloc: after a write to a relation
+// the query does not read, the first walk on the child version reuses
+// the parent's program and warm evaluation state, so it allocates
+// nothing — no per-version recompile.
+func TestUntouchedApplyFirstWalkZeroAlloc(t *testing.T) {
+	el, d, p := progFixture(t)
+	child := applyOne(t, d, db.NewFact(schema.NewRelation("T", 2, 1), "k2", "v"))
+	ix := match.NewIndex(child)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	el.CertainChecked(ix, nil, nil)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("first walk on the child allocates %d objects, want 0", n)
+	}
+	if el.last.Load() != p {
+		t.Fatal("the first walk on the child recompiled the program")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"unicode"
 
 	"cqa/internal/db"
-	"cqa/internal/query"
 )
 
 // Expr is a boolean condition.
@@ -396,10 +395,4 @@ func EvalString(sql string, d *db.DB) (bool, error) {
 		return false, err
 	}
 	return q.Eval(d)
-}
-
-// Columns is a helper for tests: it returns the positional column name
-// for index i (1-based), matching rewrite.SQL's naming.
-func Columns(i int) query.Const {
-	return query.Const(fmt.Sprintf("c%d", i))
 }

@@ -1,5 +1,5 @@
 // Package trace is the stage-level observability layer of the
-// evaluation engines: a zero-dependency span/event recorder that tells
+// evaluation engines: a zero-dependency span recorder that tells
 // an operator *where* a request spent its time — plan compilation,
 // snapshot index build, purification, the eliminator walk, the ptime
 // dissolution pipeline, or the coNP repair search — together with the
@@ -12,9 +12,7 @@
 // check on the disabled path and allocates nothing per request. An
 // enabled Tracer is safe for concurrent use — the answer-pool workers
 // of one request share it — because every write lands in an atomic:
-// per-stage aggregates are atomic counters, and the bounded event ring
-// packs each span into a single uint64 slot claimed with an atomic
-// increment.
+// the per-stage aggregates are atomic counters.
 package trace
 
 import (
@@ -117,11 +115,6 @@ func (c Counter) String() string {
 	return "unknown"
 }
 
-// RingSize is the capacity of the per-tracer event ring (a power of
-// two). A request rarely records more than a few dozen spans; the ring
-// bounds pathological cases (deep ptime recursions) without growing.
-const RingSize = 256
-
 // stageAgg aggregates all spans of one stage.
 type stageAgg struct {
 	spans atomic.Int64
@@ -137,11 +130,9 @@ type stageAgg struct {
 type Tracer struct {
 	start  time.Time
 	stages [numStages]stageAgg
-	head   atomic.Uint64
-	ring   [RingSize]atomic.Uint64
 }
 
-// New returns an enabled tracer whose event clock starts now.
+// New returns an enabled tracer whose clock starts now.
 func New() *Tracer {
 	return &Tracer{start: time.Now()}
 }
@@ -164,15 +155,13 @@ func (t *Tracer) Begin(stage Stage) Span {
 	return Span{t: t, stage: stage, start: time.Now()}
 }
 
-// End closes the span: its duration is added to the stage aggregate and
-// the span is appended to the event ring.
+// End closes the span: its duration is added to the stage aggregate.
 func (sp Span) End() {
 	t := sp.t
 	if t == nil {
 		return
 	}
-	now := time.Now()
-	dur := now.Sub(sp.start)
+	dur := time.Since(sp.start)
 	agg := &t.stages[sp.stage]
 	agg.spans.Add(1)
 	agg.nanos.Add(int64(dur))
@@ -182,7 +171,6 @@ func (sp Span) End() {
 			break
 		}
 	}
-	t.record(sp.stage, sp.start.Sub(t.start), dur)
 }
 
 // Add accumulates n into the stage's counter. Safe (and free) on a nil
@@ -197,70 +185,6 @@ func (t *Tracer) Add(stage Stage, c Counter, n int64) {
 // Enabled reports whether the tracer records (false for nil). Use it to
 // skip work that only feeds the tracer, like formatting.
 func (t *Tracer) Enabled() bool { return t != nil }
-
-// --- bounded event ring ---
-//
-// Each event packs into one uint64 so that concurrent recording needs
-// no locks and readers never observe a torn event:
-//
-//	bits 56..63  stage
-//	bits 28..55  start offset, microseconds (saturating, ~4.5 min)
-//	bits  0..27  duration, microseconds (saturating, ~4.5 min)
-const (
-	microsMask = 1<<28 - 1
-)
-
-func packEvent(stage Stage, start, dur time.Duration) uint64 {
-	su := uint64(start / time.Microsecond)
-	if su > microsMask {
-		su = microsMask
-	}
-	du := uint64(dur / time.Microsecond)
-	if du > microsMask {
-		du = microsMask
-	}
-	return uint64(stage)<<56 | su<<28 | du
-}
-
-func (t *Tracer) record(stage Stage, start, dur time.Duration) {
-	slot := (t.head.Add(1) - 1) % RingSize
-	t.ring[slot].Store(packEvent(stage, start, dur))
-}
-
-// Event is one recorded span, decoded from the ring.
-type Event struct {
-	Stage Stage
-	// Start is the offset from the tracer's creation; Dur the span
-	// length. Both saturate at ~4.5 minutes (28-bit microseconds).
-	Start time.Duration
-	Dur   time.Duration
-}
-
-// Events returns the recorded spans, oldest first, at most RingSize
-// (older events are overwritten). Safe to call concurrently with
-// recording; a torn read is impossible, though very recent events may
-// be missed.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	head := t.head.Load()
-	n := head
-	if n > RingSize {
-		n = RingSize
-	}
-	out := make([]Event, 0, n)
-	for i := uint64(0); i < n; i++ {
-		slot := (head - n + i) % RingSize
-		raw := t.ring[slot].Load()
-		out = append(out, Event{
-			Stage: Stage(raw >> 56),
-			Start: time.Duration((raw>>28)&microsMask) * time.Microsecond,
-			Dur:   time.Duration(raw&microsMask) * time.Microsecond,
-		})
-	}
-	return out
-}
 
 // StageStats is the aggregate of one stage in a Breakdown, shaped for
 // JSON responses.

@@ -18,9 +18,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if got := tr.Breakdown(); got != nil {
 		t.Fatalf("nil tracer breakdown = %v, want nil", got)
 	}
-	if got := tr.Events(); got != nil {
-		t.Fatalf("nil tracer events = %v, want nil", got)
-	}
 	if tr.StageMicros(StageCoNP) != 0 || tr.Elapsed() != 0 {
 		t.Fatal("nil tracer reports nonzero time")
 	}
@@ -77,59 +74,9 @@ func TestBreakdownAggregates(t *testing.T) {
 	}
 }
 
-func TestEventsDecodeAndOrder(t *testing.T) {
-	tr := New()
-	for _, s := range []Stage{StageCompile, StageIndexBuild, StageCoNP} {
-		sp := tr.Begin(s)
-		sp.End()
-	}
-	evs := tr.Events()
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3", len(evs))
-	}
-	want := []Stage{StageCompile, StageIndexBuild, StageCoNP}
-	for i, ev := range evs {
-		if ev.Stage != want[i] {
-			t.Fatalf("event %d stage = %v, want %v", i, ev.Stage, want[i])
-		}
-		if ev.Dur < 0 || ev.Start < 0 {
-			t.Fatalf("event %d has negative time: %+v", i, ev)
-		}
-	}
-	if evs[0].Start > evs[2].Start {
-		t.Fatalf("events out of order: %+v", evs)
-	}
-}
-
-func TestEventRingOverwrite(t *testing.T) {
-	tr := New()
-	for i := 0; i < RingSize+10; i++ {
-		sp := tr.Begin(StageMatch)
-		sp.End()
-	}
-	evs := tr.Events()
-	if len(evs) != RingSize {
-		t.Fatalf("ring returned %d events, want %d", len(evs), RingSize)
-	}
-	if got := tr.Breakdown()[0].Spans; got != RingSize+10 {
-		t.Fatalf("aggregate spans = %d, want %d (ring overwrite must not drop aggregates)",
-			got, RingSize+10)
-	}
-}
-
-func TestEventPackingSaturates(t *testing.T) {
-	raw := packEvent(StageCoNP, 10*time.Minute, 10*time.Minute)
-	if Stage(raw>>56) != StageCoNP {
-		t.Fatal("stage bits corrupted by saturation")
-	}
-	if (raw>>28)&microsMask != microsMask || raw&microsMask != microsMask {
-		t.Fatal("expected saturated start/dur fields")
-	}
-}
-
 // TestConcurrentRecording hammers one tracer from many goroutines, as
 // the answer-pool workers of one request do. Run under -race this also
-// proves the ring and aggregates are data-race free.
+// proves the aggregates are data-race free.
 func TestConcurrentRecording(t *testing.T) {
 	tr := New()
 	const workers, perWorker = 8, 500
@@ -144,7 +91,6 @@ func TestConcurrentRecording(t *testing.T) {
 				sp.End()
 				// Interleave readers with writers.
 				if i%100 == 0 {
-					tr.Events()
 					tr.Breakdown()
 				}
 			}
@@ -160,9 +106,6 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 	if bd[0].Counters["matches"] != workers*perWorker {
 		t.Fatalf("matches = %d, want %d", bd[0].Counters["matches"], workers*perWorker)
-	}
-	if evs := tr.Events(); len(evs) != RingSize {
-		t.Fatalf("events after overflow = %d, want %d", len(evs), RingSize)
 	}
 }
 
