@@ -58,11 +58,13 @@ bench:
 
 # One iteration of the E-index evaluation benchmarks, of the
 # polynomial engine's gpurification and q0 benchmarks (one q0 instance,
-# and the union of 32 that serve-hard sends), of the coNP
+# and the union of 32 that serve-hard sends), of the answers of q0
+# with free x (a P∖FO query whose candidates one parameterized
+# eliminator decides), of the coNP
 # engine's planted-SAT benchmark and of the repair counter on the
 # serving benchmark's count shape (verifies the compiled-plan,
-# worker-pool, Theorem 4, repair-search and counting paths still run
-# end to end without paying for a full timed sweep), then the
+# worker-pool, P∖FO answers, Theorem 4, repair-search and counting
+# paths still run end to end without paying for a full timed sweep), then the
 # BENCH_eval.json freshness gate: regenerate a quick report into a
 # temporary file of its own (so concurrent runs in two checkouts do not
 # clobber each other's), validate both it and the checked-in artifact
@@ -72,7 +74,7 @@ bench:
 # allocs plus one in 10,000), and remove the temporary report
 # however the target ends.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='CertainAcyclic|CertainAnswersPool|GPurify|CertainPTimeQ0n100$$|CertainPTimeQ0Union|CertainCoNPPlantedSAT|CountServeHardShape' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='CertainAcyclic|CertainAnswersPool|CertainAnswersQ0|GPurify|CertainPTimeQ0n100$$|CertainPTimeQ0Union|CertainCoNPPlantedSAT|CountServeHardShape' -benchtime=1x .
 	@report=$$(mktemp -t cqa_eval_smoke.XXXXXX) && trap 'rm -f "$$report"' EXIT && \
 		echo "bench-smoke: eval report $$report" && \
 		$(GO) run ./cmd/cqa-bench -quick -evaljson "$$report" && \

@@ -532,6 +532,33 @@ func BenchmarkCertainAnswersPool(b *testing.B) {
 	}
 }
 
+// BenchmarkCertainAnswersQ0 measures the answers path of a query that
+// is not in FO: q0 with free x, whose instantiations q0[x ↦ c] are. The
+// candidates are enumerated from the embeddings and each is decided on
+// one shared, warmed index by one worker.
+func BenchmarkCertainAnswersQ0(b *testing.B) {
+	for _, nodes := range []int{2000, 20000} {
+		b.Run(strconv.Itoa(nodes), func(b *testing.B) {
+			d := workload.Q0Instance(rand.New(rand.NewSource(1)), nodes, 2)
+			d.Columnar()
+			plan, err := core.Compile(workload.Q0())
+			if err != nil {
+				b.Fatal(err)
+			}
+			ix := match.NewIndex(d)
+			free := []query.Var{"x"}
+			opts := core.Options{Workers: 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := plan.CertainAnswersIndexedCtx(context.Background(), free, ix, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- E8: SQL bridge ---
 
 func BenchmarkSQLEvalChain(b *testing.B) {

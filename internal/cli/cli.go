@@ -317,19 +317,20 @@ func RunRewrite(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	emit := func(q query.Query) (string, error) {
-		// Compile once; both dialects render from the plan's formula, so
-		// the attack graph is built a single time per query.
+		// Compile once; both dialects render from the plan's elimination
+		// order, so the attack graph is built a single time per query.
 		plan, err := core.Compile(q)
 		if err != nil {
 			return "", err
 		}
-		if plan.Formula == nil {
+		if plan.Elim == nil {
 			return "", fmt.Errorf("rewrite: attack graph of %s is cyclic; no first-order rewriting exists", q)
 		}
+		f := plan.Elim.Rewriting()
 		if *sqlOut {
-			return rewrite.SQLFromFormula(plan.Formula), nil
+			return rewrite.SQLFromFormula(f), nil
 		}
-		return rewrite.Format(rewrite.Simplify(plan.Formula)), nil
+		return rewrite.Format(rewrite.Simplify(f)), nil
 	}
 	if *cat {
 		for _, e := range catalog.Entries() {

@@ -90,7 +90,7 @@ func Exec(ctx context.Context, cache *plancache.Cache, st *store.Store, req *Eva
 		if err := checkFree(plan, req.Free); err != nil {
 			return nil, err
 		}
-		resp.Answers, err = checkOwned(ctx, plan, ix, req, opts, chk)
+		resp.Answers, err = checkOwned(plan, ix, req, opts, chk)
 	default:
 		return nil, &RequestError{Code: "bad_request", Msg: fmt.Sprintf("unknown kind %q", req.Kind)}
 	}
@@ -104,7 +104,7 @@ func Exec(ctx context.Context, cache *plancache.Cache, st *store.Store, req *Eva
 // checkOwned is the KindCheck body: enumerate every candidate answer and
 // check, inline on the request goroutine, the ones whose row hashes to
 // this shard.
-func checkOwned(ctx context.Context, plan *core.Plan, ix *match.Index, req *EvalRequest, opts core.Options, chk *evalctx.Checker) (query.Answers, error) {
+func checkOwned(plan *core.Plan, ix *match.Index, req *EvalRequest, opts core.Options, chk *evalctx.Checker) (query.Answers, error) {
 	candidates, err := plan.EnumerateCandidates(ix, req.Free, opts, chk)
 	if err != nil {
 		return nil, err
@@ -117,7 +117,7 @@ func checkOwned(ctx context.Context, plan *core.Plan, ix *match.Index, req *Eval
 		}
 	}
 	opts.Workers = 1
-	return plan.CheckCandidates(ctx, ix, req.Free, candidates[:k], opts, chk)
+	return plan.CheckCandidates(ix, req.Free, candidates[:k], opts, chk)
 }
 
 // checkFree runs core.CheckFree and reports a violation as the

@@ -36,7 +36,6 @@ import (
 	"cqa/internal/conp"
 	"cqa/internal/db"
 	"cqa/internal/query"
-	"cqa/internal/rewrite"
 	"cqa/internal/schema"
 	"cqa/internal/trace"
 )
@@ -250,10 +249,4 @@ func FalsifyingRepair(q query.Query, d *db.DB) (repair []db.Fact, found bool, er
 	}
 	r, ok, _ := conp.FalsifyingRepair(q, d)
 	return r, ok, nil
-}
-
-// Rewriting returns the consistent first-order rewriting of CERTAINTY(q)
-// for FO-classified queries (Theorem 2 / Lemma 10).
-func Rewriting(q query.Query) (rewrite.Formula, error) {
-	return rewrite.Rewriting(q)
 }

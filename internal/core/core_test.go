@@ -244,15 +244,6 @@ func TestCertainAnswersAgainstOracle(t *testing.T) {
 	}
 }
 
-func TestRewritingFacade(t *testing.T) {
-	if _, err := Rewriting(query.MustParse("R(x | y)")); err != nil {
-		t.Errorf("rewriting failed: %v", err)
-	}
-	if _, err := Rewriting(workload.Q0()); err == nil {
-		t.Error("cyclic query should have no rewriting")
-	}
-}
-
 // TestSignatureMismatchTypedError: every library entry point refuses a
 // database that stores a relation of the query under another signature
 // with a *SignatureError naming both signatures — under every engine and

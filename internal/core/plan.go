@@ -21,44 +21,48 @@ import (
 
 // Plan is a compiled certainty plan: the per-query work of the
 // trichotomy — attack-graph construction, classification, and (for FO
-// queries) the symbolic first-order rewriting plus the compiled
-// atom-elimination order — done exactly once. The per-query work is
-// polynomial in |q| and independent of the data (Lemma 3), so a
-// long-running process compiles each distinct query into a Plan and
-// answers every data-side request from it, building no attack graph on
-// the hot path.
+// queries) the compiled atom-elimination order — done exactly once.
+// The per-query work is polynomial in |q| and independent of the data
+// (Lemma 3), so a long-running process compiles each distinct query
+// into a Plan and answers every data-side request from it, building no
+// attack graph on the hot path.
 //
 // A Plan is immutable after Compile and safe for concurrent use.
 type Plan struct {
 	Classification
-	// Formula is the consistent first-order rewriting of CERTAINTY(q)
-	// (Theorem 2 / Lemma 10); nil unless Class == FO.
-	Formula rewrite.Formula
 	// Elim is the compiled atom-elimination order the FO engine walks
 	// (Lemma 6 fixes the unattacked-atom choice per query pattern); nil
-	// unless Class == FO.
+	// unless Class == FO. The consistent first-order rewriting of
+	// CERTAINTY(q) (Theorem 2 / Lemma 10) is rendered from it on
+	// demand, by Elim.Rewriting().
 	Elim *rewrite.Eliminator
 
 	key string
 }
 
-// Compile classifies q and, when CERTAINTY(q) is in FO, constructs its
-// first-order rewriting and compiles the elimination order. The query
-// must be self-join-free. The attack graph is built exactly once — the
-// rewriting and the eliminator reuse the classification.
+// Compile classifies q and, when CERTAINTY(q) is in FO, compiles its
+// elimination order. The query must be self-join-free. The attack graph
+// is built exactly once.
 func Compile(q query.Query) (*Plan, error) {
-	cls, err := Classify(q)
+	return compile(q, nil)
+}
+
+// compile is Compile with the given variables of q as parameters: the
+// plan is classified on q with placeholder constants for them, and its
+// Eliminator binds them first. Such a plan decides the instantiations
+// q[params ↦ c], whose class does not depend on c, and must be given a
+// binding of every parameter.
+func compile(q query.Query, params []query.Var) (*Plan, error) {
+	cls, err := Classify(q.Substitute(query.Placeholders(query.NewVarSet(params...))))
 	if err != nil {
 		return nil, err
 	}
+	cls.Query = q
 	p := &Plan{Classification: cls, key: q.Canonical()}
 	if cls.Class == FO {
-		p.Formula = rewrite.RewritingAcyclic(q)
-		el, err := rewrite.CompileAcyclic(q)
-		if err != nil {
+		if p.Elim, err = rewrite.CompileAcyclic(q, params...); err != nil {
 			return nil, err
 		}
-		p.Elim = el
 	}
 	return p, nil
 }
@@ -116,31 +120,45 @@ func (p *Plan) CertainChecked(ctx context.Context, ix *match.Index, opts Options
 		return Result{}, err
 	}
 	engine := p.Engine(opts)
-	res := Result{Class: p.Class, Engine: engine}
-	var err error
-	switch engine {
-	case EngineFO:
-		if p.HasCycle {
-			return Result{}, fmt.Errorf("core: attack graph of %s is cyclic; CERTAINTY is not in FO", p.Query)
-		}
-		res.Certain, err = p.Elim.CertainChecked(ix, nil, chk)
-	case EnginePTime:
-		if p.HasStrongCycle {
-			return Result{}, fmt.Errorf("core: attack graph of %s has a strong cycle; CERTAINTY is coNP-complete", p.Query)
-		}
-		res.Certain, _, err = ptime.CertainNoStrongCycleChecked(p.Query, ix.DB, chk)
-	case EngineCoNP:
-		res.Certain, _, err = conp.CertainChecked(p.Query, ix.DB, chk)
-		if errors.Is(err, evalctx.ErrBudgetExceeded) && opts.Approximate {
-			return p.degradeToSampling(ctx, ix, opts)
-		}
-	default:
-		err = fmt.Errorf("core: unknown engine %v", engine)
+	certain, err := p.decide(ix, engine, nil, chk)
+	if engine == EngineCoNP && errors.Is(err, evalctx.ErrBudgetExceeded) && opts.Approximate {
+		return p.degradeToSampling(ctx, ix, opts)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	return res, nil
+	return Result{Certain: certain, Class: p.Class, Engine: engine}, nil
+}
+
+// decide is the plan's one certainty decision: the engine's verdict on
+// the plan's query instantiated by binding (nil for the Boolean query).
+// The FO engine seeds the eliminator with the binding; the other
+// engines run on the substituted query, substituting only a non-empty
+// binding.
+func (p *Plan) decide(ix *match.Index, engine Engine, binding query.Valuation, chk *evalctx.Checker) (bool, error) {
+	q := p.Query
+	if len(binding) > 0 && engine != EngineFO {
+		q = q.Substitute(binding)
+	}
+	var certain bool
+	var err error
+	switch engine {
+	case EngineFO:
+		if p.HasCycle {
+			return false, fmt.Errorf("core: attack graph of %s is cyclic; CERTAINTY is not in FO", q.Substitute(binding))
+		}
+		certain, err = p.Elim.CertainChecked(ix, binding, chk)
+	case EnginePTime:
+		if p.HasStrongCycle {
+			return false, fmt.Errorf("core: attack graph of %s has a strong cycle; CERTAINTY is coNP-complete", q)
+		}
+		certain, _, err = ptime.CertainNoStrongCycleChecked(q, ix.DB, chk)
+	case EngineCoNP:
+		certain, _, err = conp.CertainChecked(q, ix.DB, chk)
+	default:
+		err = fmt.Errorf("core: unknown engine %v", engine)
+	}
+	return certain, err
 }
 
 // degradeToSampling is the graceful-degradation path of a coNP-class
@@ -213,27 +231,36 @@ func (p *Plan) CertainAnswersIndexedCtx(ctx context.Context, free []query.Var, i
 	if err != nil {
 		return nil, err
 	}
-	return p.CheckCandidates(ctx, ix, free, candidates, opts, chk)
+	return p.CheckCandidates(ix, free, candidates, opts, chk)
 }
 
 // CheckCandidates decides each row of a candidate table and returns the
-// certain ones, in place and in their order. FO plans seed the compiled
-// eliminator with the row's binding (Lemma 6: instantiation never adds
-// attacks); every other class substitutes the binding and dispatches
-// the instantiated Boolean query through CertainChecked. The checks are
-// independent, so Options.Workers goroutines share them, each on a Fork
-// of chk (the caller's goroutine is one of them); a tripped checker
-// stops each worker at its next candidate and the call returns the
-// first error in row order, never a partial table. A cluster node runs
-// it on the candidates its shard owns.
-func (p *Plan) CheckCandidates(ctx context.Context, ix *match.Index, free []query.Var, cands query.Answers, opts Options, chk *evalctx.Checker) (query.Answers, error) {
+// certain ones, in place and in their order. One plan decides every
+// row: an FO plan itself (Lemma 6: instantiation never adds attacks),
+// any other plan the plan of its query with free as parameters,
+// compiled once per call, which has an eliminator when the
+// instantiations are in FO. The checks are independent, so
+// Options.Workers goroutines share them, each on a Fork of chk (the
+// caller's goroutine is one of them); a tripped checker stops each
+// worker at its next candidate and the call returns the first error in
+// row order, never a partial table. A cluster node runs it on the
+// candidates its shard owns.
+func (p *Plan) CheckCandidates(ix *match.Index, free []query.Var, cands query.Answers, opts Options, chk *evalctx.Checker) (query.Answers, error) {
+	inst := p
+	if p.Class != FO {
+		var err error
+		if inst, err = compile(p.Query, free); err != nil {
+			return nil, err
+		}
+	}
+	engine := inst.Engine(opts)
 	certain := make([]bool, len(cands))
 	errs := make([]error, len(cands))
 	var next atomic.Int64
 	run := func(wchk *evalctx.Checker) {
 		for i := int(next.Add(1) - 1); i < len(cands); i = int(next.Add(1) - 1) {
 			if errs[i] = wchk.Err(); errs[i] == nil {
-				certain[i], errs[i] = p.checkCandidate(ctx, ix, opts, query.Binding(free, cands[i]), wchk)
+				certain[i], errs[i] = inst.decide(ix, engine, query.Binding(free, cands[i]), wchk)
 			}
 		}
 	}
@@ -318,18 +345,6 @@ func (p *Plan) EnumerateCandidates(ix *match.Index, free []query.Var, opts Optio
 		return nil, err
 	}
 	return tab, nil
-}
-
-func (p *Plan) checkCandidate(ctx context.Context, ix *match.Index, opts Options, binding query.Valuation, wchk *evalctx.Checker) (bool, error) {
-	if p.ScatterableFO(opts) {
-		return p.Elim.CertainChecked(ix, binding, wchk)
-	}
-	pi, err := Compile(p.Query.Substitute(binding))
-	if err != nil {
-		return false, err
-	}
-	res, err := pi.CertainChecked(ctx, match.NewIndex(ix.DB), Options{Engine: opts.Engine}, wchk)
-	return res.Certain, err
 }
 
 // Normalize parses a query in the textual syntax and returns it in

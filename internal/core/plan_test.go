@@ -15,6 +15,7 @@ import (
 	"cqa/internal/match"
 	"cqa/internal/naive"
 	"cqa/internal/query"
+	"cqa/internal/rewrite"
 	"cqa/internal/workload"
 )
 
@@ -62,8 +63,11 @@ func TestCompileBuildsFormulaOnlyForFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Class != FO || p.Formula == nil {
-		t.Errorf("FO plan should carry a formula: class=%v formula=%v", p.Class, p.Formula)
+	if p.Class != FO || p.Elim == nil {
+		t.Fatalf("FO plan should carry an eliminator: class=%v elim=%v", p.Class, p.Elim)
+	}
+	if f := rewrite.Format(p.Elim.Rewriting()); f == "" {
+		t.Error("FO plan renders an empty rewriting")
 	}
 	if p.Key() != "R(x | y), S(y | z)" {
 		t.Errorf("key = %q", p.Key())
@@ -72,8 +76,8 @@ func TestCompileBuildsFormulaOnlyForFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Class != PTime || p.Formula != nil {
-		t.Errorf("non-FO plan should have no formula: class=%v formula=%v", p.Class, p.Formula)
+	if p.Class != PTime || p.Elim != nil {
+		t.Errorf("non-FO plan should have no eliminator: class=%v elim=%v", p.Class, p.Elim)
 	}
 }
 
@@ -232,11 +236,12 @@ func TestCertainAnswersSharedIndexConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCandidateChecksRetainNothing: a P∖FO answers request checks
-// each candidate with a plan compiled for its FO instantiation (Lemma
-// 6), whose eliminator holds evaluation state sized to the relations.
-// That state is garbage once the check returns: repeated requests over
-// one database must not grow the heap that survives a collection.
+// TestCandidateChecksRetainNothing: a P∖FO answers request checks its
+// candidates with one plan of q with x as a parameter, compiled for the
+// request, whose instantiations are FO (Lemma 6); its eliminator holds
+// evaluation state sized to the relations. That state is garbage once
+// the request returns: repeated requests over one database must not
+// grow the heap that survives a collection.
 func TestCandidateChecksRetainNothing(t *testing.T) {
 	p, err := Compile(query.MustParse("R0(x | y), S0(y | x)"))
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cqa/internal/core"
+	"cqa/internal/rewrite"
 )
 
 // sameShardKeys returns n distinct parseable query texts whose canonical
@@ -86,7 +87,7 @@ func TestGetOrCompileNormalizes(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("cache holds %d plans, want 1", c.Len())
 	}
-	if p1.Class != core.FO || p1.Formula == nil {
+	if p1.Class != core.FO || p1.Elim == nil || rewrite.Format(p1.Elim.Rewriting()) == "" {
 		t.Errorf("cached plan incomplete: %+v", p1)
 	}
 	if _, _, err := c.GetOrCompile("R((", nil); err == nil {

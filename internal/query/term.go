@@ -189,6 +189,20 @@ func (v Valuation) Clone() Valuation {
 	return c
 }
 
+// Placeholders binds each variable of s to a constant of its own,
+// built from the variable's name. Substituting them treats the
+// variables as instantiated without choosing values: constants never
+// enter the key closures an attack graph is built from, so
+// q.Substitute(Placeholders(s)) has the attack graph, and the class, of
+// every instantiation of s in q.
+func Placeholders(s VarSet) Valuation {
+	v := make(Valuation, len(s))
+	for x := range s {
+		v[x] = Const("\x01" + string(x))
+	}
+	return v
+}
+
 // Apply maps a term through the valuation: constants map to themselves,
 // variables to their image. The boolean result reports whether the term
 // was resolved to a constant (false when the variable is unbound).

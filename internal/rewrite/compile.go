@@ -10,8 +10,9 @@ import (
 )
 
 // Eliminator is the compiled form of the Lemma 10 recursion for a query
-// whose attack graph is acyclic: the atom-elimination order, fixed once
-// per query pattern. The order is valid for every instantiation of the
+// whose attack graph is acyclic once its parameters (if any) are
+// treated as constants: the atom-elimination order, fixed once per
+// query pattern. The order is valid for every instantiation of the
 // query because instantiating variables with constants never adds
 // attacks (Lemma 6) — an atom unattacked at its step of the pattern
 // recursion stays unattacked in every residue the data produces. With
@@ -20,13 +21,16 @@ import (
 // and never build an attack graph or allocate a substituted residue
 // query.
 //
-// The elimination order is immutable after Compile. An Eliminator also
-// owns what evaluation caches for it: the last program compiled against
-// a columnar view (reused while it stays valid, see prog) and warm
-// evaluation state. Safe for concurrent use; each evaluation carries
+// The elimination order is immutable after CompileAcyclic. An
+// Eliminator also owns what evaluation caches for it: the last program
+// compiled against a columnar view (reused while it stays valid, see
+// prog) and warm evaluation state. Safe for concurrent use; each evaluation carries
 // its own valuation and memos.
 type Eliminator struct {
 	query query.Query
+	// params are the variables bound before the first atom (see
+	// CompileAcyclic).
+	params []query.Var
 	// order is the elimination order: order[0] is eliminated first.
 	order []query.Atom
 
@@ -58,22 +62,25 @@ type Eliminator struct {
 	last atomic.Pointer[iprog]
 }
 
-// CompileAcyclic builds the eliminator for a query known to be acyclic
-// (core.Compile calls it only for FO-classified plans). Acyclicity is
-// not re-checked, but a residue with no unattacked atom is an error. It mirrors the recursion of Rewriting: at each step the
-// variables bound by earlier atoms are treated as constants — exactly
-// the shape of the residue queries the data-side recursion produces —
-// and the first unattacked atom is chosen.
-func CompileAcyclic(q query.Query) (*Eliminator, error) {
-	e := &Eliminator{query: q, order: make([]query.Atom, 0, q.Len())}
-	bound := make(query.VarSet)
+// CompileAcyclic chooses the elimination order of q with the given
+// parameters bound, and is the only code that chooses elimination
+// atoms: the rewriting (Rewriting) is rendered along the order it
+// fixes, and the FO engine walks it. At each step the parameters and
+// the variables of earlier atoms are treated as constants, which is
+// exactly the shape of the residue queries the Lemma 10 recursion
+// produces, and the first unattacked atom is chosen. With no parameters
+// the order decides the Boolean query; with parameters (the free
+// variables of a non-Boolean query) it decides every instantiation of
+// them, whose class does not depend on the values chosen, and each
+// evaluation must bind them. The attack graph of q with its parameters
+// bound is assumed acyclic and not re-checked, but a residue with no
+// unattacked atom is an error.
+func CompileAcyclic(q query.Query, params ...query.Var) (*Eliminator, error) {
+	e := &Eliminator{query: q, params: params, order: make([]query.Atom, 0, q.Len())}
+	bound := query.NewVarSet(params...)
 	residual := q
 	for !residual.Empty() {
-		inst := query.Valuation{}
-		for v := range bound {
-			inst[v] = query.Const("\x01" + string(v))
-		}
-		g, err := attack.BuildGraph(residual.Substitute(inst))
+		g, err := attack.BuildGraph(residual.Substitute(query.Placeholders(bound)))
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cqa/internal/match"
@@ -36,6 +37,39 @@ func TestCompileAcyclicOrder(t *testing.T) {
 func TestCompileAcyclicRejectsCyclic(t *testing.T) {
 	if _, err := CompileAcyclic(workload.Q0()); err == nil {
 		t.Fatal("expected error for cyclic attack graph")
+	}
+}
+
+// TestCompileAcyclicParams: q0 is cyclic, but with x bound it is not
+// (Lemma 6), so its order with x as a parameter exists, renders a
+// rewriting in which x stays free, and, seeded with each value of x,
+// agrees with the reference recursion on the instantiated query.
+func TestCompileAcyclicParams(t *testing.T) {
+	q := workload.Q0()
+	el, err := CompileAcyclic(q, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := Format(el.Rewriting()); strings.Contains(f, "∃x") || !strings.Contains(f, "(x | ") {
+		t.Errorf("rewriting %q must leave the parameter x free", f)
+	}
+	d := workload.Q0Instance(rand.New(rand.NewSource(3)), 40, 2)
+	ix := match.NewIndex(d)
+	xs := []query.Const{"absent"}
+	for _, b := range d.BlocksOf(q.Atoms[0].Rel.Name) {
+		xs = append(xs, b.Facts[0].Args[0])
+	}
+	seen := map[bool]int{}
+	for _, c := range xs {
+		binding := query.Valuation{"x": c}
+		got, want := certain(t, el, ix, binding), CertainAcyclic(q.Substitute(binding), d)
+		if got != want {
+			t.Errorf("x = %s: seeded eliminator = %v, reference = %v", c, got, want)
+		}
+		seen[got]++
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Errorf("outcomes %v: the instance should make some x certain and some not", seen)
 	}
 }
 

@@ -112,16 +112,9 @@ func Format(f Formula) string {
 
 // Rewriting returns the consistent first-order rewriting of CERTAINTY(q)
 // per the proof of Lemma 10, or an error when the attack graph of q is
-// cyclic (no rewriting exists, by Theorem 2).
-//
-// Construction, one unattacked atom F = R(s̄ | t̄) at a time:
-//
-//	∃(new vars of F)( R(s̄ | t̄) ∧ ∀w̄( R(s̄ | w̄) → eqs(w̄) ∧ φ' ) )
-//
-// where w̄ are fresh variables for the non-key positions, eqs(w̄) restores
-// the constants and repeated variables of t̄, and φ' is the rewriting of
-// q \ {F} with each non-key variable renamed to its w. This mirrors
-// Example 5 of the paper.
+// cyclic (no rewriting exists, by Theorem 2). It is the rewriting
+// rendered along the compiled elimination order (see
+// Eliminator.Rewriting).
 func Rewriting(q query.Query) (Formula, error) {
 	g, err := attack.BuildGraph(q)
 	if err != nil {
@@ -130,16 +123,26 @@ func Rewriting(q query.Query) (Formula, error) {
 	if g.HasCycle() {
 		return nil, fmt.Errorf("rewrite: attack graph of %s is cyclic; no first-order rewriting exists", q)
 	}
-	return RewritingAcyclic(q), nil
+	e, err := CompileAcyclic(q)
+	if err != nil {
+		return nil, err
+	}
+	return e.Rewriting(), nil
 }
 
-// RewritingAcyclic constructs the rewriting for a query already known to
-// have an acyclic attack graph (for example from a cached
-// classification), skipping the graph construction and cycle check that
-// Rewriting performs. The result is meaningless on cyclic queries.
-func RewritingAcyclic(q query.Query) Formula {
-	used := q.Vars()
-	return rewriteRec(q, make(query.VarSet), used, 0)
+// Rewriting renders the consistent first-order rewriting of the
+// compiled query along its elimination order; the parameters are the
+// formula's free variables. Construction, one atom F = R(s̄ | t̄) of the
+// order at a time:
+//
+//	∃(new vars of F)( R(s̄ | t̄) ∧ ∀w̄( R(s̄ | w̄) → eqs(w̄) ∧ φ' ) )
+//
+// where w̄ are fresh variables for the non-key positions, eqs(w̄) restores
+// the constants and repeated variables of t̄, and φ' is the rewriting of
+// q \ {F} with each non-key variable renamed to its w. This mirrors
+// Example 5 of the paper.
+func (e *Eliminator) Rewriting() Formula {
+	return e.rewriteRec(e.query, query.NewVarSet(e.params...), e.query.Vars(), 0)
 }
 
 // freshVar returns a variable based on base that is not in used, priming
@@ -153,26 +156,15 @@ func freshVar(base query.Var, used query.VarSet) query.Var {
 	return v
 }
 
-func rewriteRec(q query.Query, bound, used query.VarSet, depth int) Formula {
+// rewriteRec renders the residue q, whose variables in bound are
+// instantiated by the enclosing quantifiers, from order[depth] on. The
+// residue's atoms carry the renamed variables, so order[depth] is found
+// by its relation (the query is self-join-free).
+func (e *Eliminator) rewriteRec(q query.Query, bound, used query.VarSet, depth int) Formula {
 	if q.Empty() {
 		return TrueF{}
 	}
-	// Choose an unattacked atom of the query with bound variables treated
-	// as constants (they are instantiated by the time this subformula is
-	// evaluated). Substituting placeholder constants implements that.
-	inst := query.Valuation{}
-	for v := range bound {
-		inst[v] = query.Const("\x01" + string(v))
-	}
-	g, err := attack.BuildGraph(q.Substitute(inst))
-	if err != nil {
-		return FalseF{}
-	}
-	unattacked := g.Unattacked()
-	if len(unattacked) == 0 {
-		return FalseF{}
-	}
-	f := q.Atoms[unattacked[0]]
+	f, _ := q.AtomWithRel(e.order[depth].Rel.Name)
 	rest := q.Remove(f)
 
 	// New variables of F to quantify existentially.
@@ -200,7 +192,7 @@ func rewriteRec(q query.Query, bound, used query.VarSet, depth int) Formula {
 		// universal part is vacuous.
 		inner = AndF{Fs: []Formula{
 			AtomF{Atom: f},
-			rewriteRec(rest, keyVarsAfter, used, depth+1),
+			e.rewriteRec(rest, keyVarsAfter, used, depth+1),
 		}}
 	} else {
 		freshArgs := make([]query.Term, f.Rel.Arity)
@@ -235,7 +227,7 @@ func rewriteRec(q query.Query, bound, used query.VarSet, depth int) Formula {
 		for _, w := range wVars {
 			newBound.Add(w)
 		}
-		body := append(eqs, rewriteRec(restRenamed, newBound, used, depth+1))
+		body := append(eqs, e.rewriteRec(restRenamed, newBound, used, depth+1))
 		forall := ForallF{
 			Vars: wVars,
 			F: ImpliesF{

@@ -2,12 +2,16 @@
 // (Section 5 of Koutris & Wijsen, PODS 2015): when the attack graph of q
 // is acyclic, CERTAINTY(q) is decided by the recursion of Lemmas 9/10 —
 // repeatedly pick an unattacked atom, guess its block, and demand that
-// every fact of the block extends to a certain residue query. The package
-// provides both the direct evaluator and the symbolic first-order
-// rewriting (Example 5 style) with its own model-checking evaluator.
-// The direct evaluator comes twice: the compiled Eliminator (the
-// production engine, a zero-allocation walk over the columnar view) and
-// the row-oriented recursion of Certain, kept as its reference.
+// every fact of the block extends to a certain residue query.
+// CompileAcyclic chooses the atoms once per query, as an elimination
+// order, and is the only code that does: the compiled Eliminator walks
+// that order over the columnar view (the production engine, a
+// zero-allocation walk), and the symbolic first-order rewriting
+// (Example 5 style, with its own model-checking evaluator) is rendered
+// along it. The order may take parameters, the free variables of a
+// non-Boolean query, which it treats as bound. The row-oriented
+// recursion of Certain builds its own attack graphs and is kept as the
+// reference the Eliminator is tested against.
 package rewrite
 
 import (

@@ -959,7 +959,7 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if plan.Formula == nil {
+	if plan.Elim == nil {
 		httpError(w, http.StatusUnprocessableEntity,
 			"CERTAINTY(%s) is %s; only FO-classified queries have a consistent first-order rewriting",
 			plan.Query, plan.Class)
@@ -972,11 +972,11 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	var text string
 	switch dialect {
 	case "logic":
-		text = rewrite.Format(plan.Formula)
+		text = rewrite.Format(plan.Elim.Rewriting())
 	case "sql":
-		// The plan already carries the rewriting; render it directly
-		// instead of re-classifying via rewrite.SQL.
-		text = rewrite.SQLFromFormula(plan.Formula)
+		// Render from the plan's elimination order instead of
+		// re-classifying via rewrite.SQL.
+		text = rewrite.SQLFromFormula(plan.Elim.Rewriting())
 	default:
 		httpError(w, http.StatusBadRequest, "unknown dialect %q (want \"logic\" or \"sql\")", req.Dialect)
 		return

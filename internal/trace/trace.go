@@ -28,7 +28,7 @@ const (
 	// StageNormalize is query parsing and canonicalization.
 	StageNormalize Stage = iota
 	// StageCompile is plan compilation: attack-graph classification
-	// plus, for FO queries, the rewriting and the eliminator.
+	// plus, for FO queries, the compiled elimination order.
 	StageCompile
 	// StageIndexBuild is the snapshot evaluation-index build (the
 	// columnar view) on a cold snapshot version.
