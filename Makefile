@@ -84,16 +84,20 @@ bench-smoke:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/query/
 	$(GO) test -fuzz=FuzzParseFact -fuzztime=30s ./internal/db/
+	$(GO) test -fuzz=FuzzApply -fuzztime=30s ./internal/db/
 	$(GO) test -fuzz=FuzzDifferential -fuzztime=30s ./internal/difftest/
 	$(GO) test -fuzz=FuzzCounting -fuzztime=30s ./internal/difftest/
 
 # Deterministic slice of the fuzz suite: the seeded differential corpora
 # (>= 500 generated instances each for the decision engines and the
 # repair-counting engine, checked against the brute-force oracle) plus a
-# replay of the checked-in fuzz seed corpora. No live fuzzing — this is
-# the `check` gate; use `make fuzz` for a real exploration burst.
+# replay of the checked-in fuzz seed corpora, the delta writer's
+# (FuzzApply: Apply against an op-by-op model) included. No live
+# fuzzing — this is the `check` gate; use `make fuzz` for a real
+# exploration burst.
 fuzz-smoke:
 	$(GO) test -run 'TestDifferentialSeeded|TestCountingDifferential|FuzzDifferential|FuzzCounting' ./internal/difftest/
+	$(GO) test -run '^FuzzApply$$' ./internal/db/
 
 vet:
 	$(GO) vet ./...

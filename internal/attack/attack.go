@@ -281,12 +281,6 @@ func (g *Graph) HasCycle() bool {
 	return false
 }
 
-// HasCycleSCC decides cyclicity via strongly connected components; used to
-// cross-validate Lemma 5(1) in tests.
-func (g *Graph) HasCycleSCC() bool {
-	return g.toDgraph().HasCycle()
-}
-
 // HasStrongCycle reports whether the attack graph contains a strong cycle
 // (a cycle with at least one strong attack). By Lemma 5(2) this holds iff
 // there is a strong cycle of size two.
@@ -295,22 +289,6 @@ func (g *Graph) HasStrongCycle() bool {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if g.Edge[i][j] && g.Edge[j][i] && (!g.WeakEdge[i][j] || !g.WeakEdge[j][i]) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// HasStrongCycleSCC decides strong-cycle existence via SCCs: a strong
-// attack whose endpoints lie in one strongly connected component closes to
-// a strong cycle. Used to cross-validate Lemma 5(2) in tests.
-func (g *Graph) HasStrongCycleSCC() bool {
-	comp, _ := g.toDgraph().SCC()
-	n := g.Q.Len()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && g.Edge[i][j] && !g.WeakEdge[i][j] && comp[i] == comp[j] {
 				return true
 			}
 		}

@@ -10,14 +10,18 @@
 // join's and Lemma 9's). That layout is what makes MVCC writes cheap —
 // Apply builds the next version by cloning only the touched relations'
 // segments and aliasing the rest, so a single-fact delta costs
-// O(touched relation), not O(database). The columnar view (ColDB) is
-// derived from the segments for the interned FO walk alone.
+// O(touched relation), not O(database), and an op with no effect costs
+// O(delta) and clones nothing. Every write, Insert's and each of
+// Apply's ops, is one block edit: create a block, replace its facts,
+// or drop it. The columnar view (ColDB) is derived from the segments
+// for the interned FO walk alone.
 package db
 
 import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -252,54 +256,103 @@ func (d *DB) Add(f Fact) bool {
 // name is rejected with an error naming both signatures, and the
 // database is left unchanged.
 func (d *DB) Insert(f Fact) (bool, error) {
-	name := f.Rel.Name
+	_, changed, err := d.edit(nil, f, adding(f))
+	return changed, err
+}
+
+// adding is the block edit of an insert: append f unless the block
+// already holds it.
+func adding(f Fact) func(cur []Fact) []Fact {
+	return func(cur []Fact) []Fact {
+		if indexOf(cur, f) >= 0 {
+			return cur
+		}
+		return append(cur, f)
+	}
+}
+
+// edit is the one write to a relation segment: it sets the facts of
+// f's block to next(cur), where cur is the block's current list (nil
+// when the block is absent or tombstoned). A new block appends at the
+// end of its relation, a non-empty list replaces the block's facts at
+// its position, and an empty list tombstones the block (nil facts, left
+// for Apply to compact). When next returns cur itself, nothing is
+// cloned, written or invalidated. cur has spare capacity only when the
+// fact slices are d's alone, so next may append to it.
+//
+// log is nil for a write to d itself, which clones a segment that
+// another version aliases first. Apply passes its log: the child's
+// segments alias the parent's until their first real edit clones them,
+// and the log keeps each parent and the blocks the edits touch.
+//
+// edit returns the block's previous facts and whether it changed.
+func (d *DB) edit(log applyLog, f Fact, next func(cur []Fact) []Fact) ([]Fact, bool, error) {
+	name, bid := f.Rel.Name, f.BlockID()
 	seg := d.rels[name]
-	fresh := false
-	if seg == nil {
+	var cur []Fact
+	bi, found := 0, false
+	if seg != nil {
+		if err := seg.checkSignature(f); err != nil {
+			return nil, false, err
+		}
+		if bi, found = seg.byID[bid]; found {
+			cur = seg.blocks[bi].Facts
+		}
+		if seg.cow || log != nil {
+			cur = slices.Clip(cur)
+		}
+	}
+	fs := next(cur)
+	if sameFacts(cur, fs) {
+		return cur, false, nil
+	}
+	w, parent := log[name], seg
+	switch {
+	case seg == nil:
 		seg = &relSeg{rel: f.Rel, byID: make(map[string]int)}
-		fresh = true
+		d.appendRelOrder(name)
+	case seg.shared || log != nil && w == nil:
+		seg = seg.clone()
 	}
-	if err := seg.checkSignature(f); err != nil {
-		return false, err
+	if seg != parent {
+		d.rels[name] = seg
 	}
-	bid := f.BlockID()
-	if bi, ok := seg.byID[bid]; ok {
-		for _, g := range seg.blocks[bi].Facts {
-			if g.Equal(f) {
-				return false, nil
-			}
-		}
-		if seg.shared {
-			seg = seg.clone()
-			d.rels[name] = seg
-		}
-		blk := &seg.blocks[bi]
-		if seg.cow {
-			fs := make([]Fact, len(blk.Facts), len(blk.Facts)+1)
-			copy(fs, blk.Facts)
-			blk.Facts = append(fs, f)
-		} else {
-			blk.Facts = append(blk.Facts, f)
-		}
+	if log != nil && w == nil {
+		w = &segWork{parent: parent, seen: make(map[string]bool)}
+		log[name] = w
+	}
+	switch {
+	case len(fs) == 0:
+		fs = nil // tombstone
+		d.nblocks--
+	case len(cur) == 0:
+		d.nblocks++
+	}
+	if found {
+		seg.blocks[bi].Facts = fs
 	} else {
-		if seg.shared {
-			seg = seg.clone()
-			d.rels[name] = seg
-		}
 		if len(seg.blocks) == 0 {
 			seg.rel = f.Rel
 		}
 		seg.byID[bid] = len(seg.blocks)
-		seg.blocks = append(seg.blocks, Block{ID: bid, Facts: []Fact{f}})
-		d.nblocks++
+		seg.blocks = append(seg.blocks, Block{ID: bid, Facts: fs})
 	}
-	if fresh {
-		d.rels[name] = seg
-		d.appendRelOrder(name)
+	if w != nil {
+		w.touch(bid, fs == nil)
 	}
-	d.nfacts++
+	d.nfacts += len(fs) - len(cur)
 	d.ResetCaches()
-	return true, nil
+	return cur, true, nil
+}
+
+// indexOf returns the position of f in fs, or -1.
+func indexOf(fs []Fact, f Fact) int {
+	for i, g := range fs {
+		if g.Equal(f) {
+			return i
+		}
+	}
+	return -1
 }
 
 // appendRelOrder extends the first-seen relation order, copying first
@@ -320,15 +373,7 @@ func (d *DB) Has(f Fact) bool {
 		return false
 	}
 	bi, ok := seg.byID[f.BlockID()]
-	if !ok {
-		return false
-	}
-	for _, g := range seg.blocks[bi].Facts {
-		if g.Equal(f) {
-			return true
-		}
-	}
-	return false
+	return ok && indexOf(seg.blocks[bi].Facts, f) >= 0
 }
 
 // Len returns the number of facts.

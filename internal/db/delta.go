@@ -3,9 +3,8 @@ package db
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
-
-	"cqa/internal/schema"
 )
 
 // OpKind is the kind of one delta operation.
@@ -107,9 +106,9 @@ type RelChange struct {
 	Added []Block
 	// Removed holds the parent's blocks that the child no longer has.
 	Removed []Block
-	// Modified holds the child's blocks whose fact set changed but whose
-	// ID exists in both versions. Their position in the block list is
-	// unchanged.
+	// Modified holds the child's blocks that an op changed and whose ID
+	// exists in both versions (an insert a later delete undid still
+	// counts). Their position in the block list is unchanged.
 	Modified []Block
 }
 
@@ -144,29 +143,36 @@ type ApplyResult struct {
 // delta's other facts of that name): a conflicting fact fails the whole
 // Apply with an error naming both signatures.
 //
-// Cost: O(size of the delta + cloned segment block tables) for inserts
-// and in-block deletes; a delete that empties a block additionally
-// compacts that relation's block list (O(blocks of the relation)).
+// Every op goes through one block edit (see edit), which clones a
+// touched segment only when the op changes its block. Cost: an op with
+// no effect (a duplicate insert, a delete of an absent fact, an upsert
+// that reproduces its block) is O(delta) and clones nothing; the first
+// real edit of a relation clones its block list and key table
+// (O(blocks of the relation)), and a delete that empties a block also
+// compacts that list once at the end.
 func (d *DB) Apply(delta Delta) (*DB, error) {
 	child, _, err := d.ApplyChanges(delta)
 	return child, err
 }
 
-// segWork tracks one touched relation during an Apply.
+// applyLog records the relations one Apply has written, by name.
+type applyLog map[string]*segWork
+
+// segWork tracks one written relation during an Apply.
 type segWork struct {
-	parent *relSeg
-	seg    *relSeg
-	// touched lists block IDs in first-touch order; touchedSet dedupes.
+	parent *relSeg // the receiver's segment; nil for a new relation
+	// touched lists block IDs in first-touch order; seen dedupes.
 	touched    []string
-	touchedSet map[string]bool
+	seen       map[string]bool
 	tombstones bool
 }
 
-func (w *segWork) touch(bid string) {
-	if !w.touchedSet[bid] {
-		w.touchedSet[bid] = true
+func (w *segWork) touch(bid string, tombstone bool) {
+	if !w.seen[bid] {
+		w.seen[bid] = true
 		w.touched = append(w.touched, bid)
 	}
+	w.tombstones = w.tombstones || tombstone
 }
 
 // ApplyChanges is Apply returning the change set and statistics the
@@ -186,138 +192,56 @@ func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 		nblocks:     d.nblocks,
 		sharedOrder: true,
 	}
-	work := make(map[string]*segWork)
-	ws := func(name string, rel schema.Relation) *segWork {
-		if w, ok := work[name]; ok {
-			return w
-		}
-		w := &segWork{parent: d.rels[name], touchedSet: make(map[string]bool)}
-		if w.parent != nil {
-			w.seg = w.parent.clone()
-		} else {
-			w.seg = &relSeg{rel: rel, byID: make(map[string]int), cow: true}
-			child.appendRelOrder(name)
-		}
-		child.rels[name] = w.seg
-		work[name] = w
-		return w
-	}
-
+	log := make(applyLog)
 	st := &res.Stats
 	for _, op := range delta.Ops {
+		var (
+			old     []Fact
+			changed bool
+			err     error
+		)
 		switch op.Kind {
 		case OpInsert:
-			f := op.Fact
-			w := ws(f.Rel.Name, f.Rel)
-			seg := w.seg
-			if err := seg.checkSignature(f); err != nil {
-				return nil, nil, err
+			if _, changed, err = child.edit(log, op.Fact, adding(op.Fact)); changed {
+				st.Inserted++
 			}
-			bid := f.BlockID()
-			if bi, ok := seg.byID[bid]; ok {
-				blk := &seg.blocks[bi]
-				dup := false
-				for _, g := range blk.Facts {
-					if g.Equal(f) {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					st.Noops++
-					continue
-				}
-				fs := make([]Fact, len(blk.Facts), len(blk.Facts)+1)
-				copy(fs, blk.Facts)
-				blk.Facts = append(fs, f)
-			} else {
-				if len(seg.blocks) == 0 {
-					seg.rel = f.Rel
-				}
-				seg.byID[bid] = len(seg.blocks)
-				seg.blocks = append(seg.blocks, Block{ID: bid, Facts: []Fact{f}})
-			}
-			w.touch(bid)
-			st.Inserted++
-			child.nfacts++
 		case OpDelete:
 			f := op.Fact
-			seg := child.rels[f.Rel.Name]
-			if seg == nil {
-				st.Noops++
-				continue
-			}
-			w := ws(f.Rel.Name, f.Rel)
-			seg = w.seg
-			if err := seg.checkSignature(f); err != nil {
-				return nil, nil, err
-			}
-			bid := f.BlockID()
-			bi, ok := seg.byID[bid]
-			if !ok {
-				st.Noops++
-				continue
-			}
-			blk := &seg.blocks[bi]
-			at := -1
-			for i, g := range blk.Facts {
-				if g.Equal(f) {
-					at = i
-					break
+			_, changed, err = child.edit(log, f, func(cur []Fact) []Fact {
+				if i := indexOf(cur, f); i >= 0 {
+					return slices.Concat(cur[:i], cur[i+1:])
 				}
+				return cur
+			})
+			if changed {
+				st.Deleted++
 			}
-			if at < 0 {
-				st.Noops++
-				continue
-			}
-			if len(blk.Facts) == 1 {
-				blk.Facts = nil // tombstone; compacted below
-				w.tombstones = true
-			} else {
-				fs := make([]Fact, 0, len(blk.Facts)-1)
-				fs = append(fs, blk.Facts[:at]...)
-				fs = append(fs, blk.Facts[at+1:]...)
-				blk.Facts = fs
-			}
-			w.touch(bid)
-			st.Deleted++
-			child.nfacts--
 		case OpUpsert:
 			fs := dedupeFacts(op.Block)
-			f0 := fs[0]
-			w := ws(f0.Rel.Name, f0.Rel)
-			seg := w.seg
-			if err := seg.checkSignature(f0); err != nil {
-				return nil, nil, err
-			}
-			bid := f0.BlockID()
-			if bi, ok := seg.byID[bid]; ok {
-				blk := &seg.blocks[bi]
-				if sameFactSet(blk.Facts, fs) {
-					st.Noops++
-					continue
+			old, changed, err = child.edit(log, fs[0], func(cur []Fact) []Fact {
+				if sameFactSet(cur, fs) {
+					return cur
 				}
-				st.Deleted += len(blk.Facts)
-				child.nfacts -= len(blk.Facts)
-				blk.Facts = fs
-			} else {
-				if len(seg.blocks) == 0 {
-					seg.rel = f0.Rel
-				}
-				seg.byID[bid] = len(seg.blocks)
-				seg.blocks = append(seg.blocks, Block{ID: bid, Facts: fs})
+				return fs
+			})
+			if changed {
+				st.Deleted += len(old)
+				st.Inserted += len(fs)
+				st.Upserts++
 			}
-			w.touch(bid)
-			st.Inserted += len(fs)
-			child.nfacts += len(fs)
-			st.Upserts++
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		if !changed {
+			st.Noops++
 		}
 	}
 
 	// Per touched relation: compact tombstoned blocks, then compute the
 	// net block-level change against the parent.
-	for name, w := range work {
-		seg := w.seg
+	for name, w := range log {
+		seg := child.rels[name]
 		if w.tombstones {
 			kept := seg.blocks[:0]
 			for _, b := range seg.blocks {
@@ -348,16 +272,14 @@ func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 			switch {
 			case inParent && !inChild:
 				rc.Removed = append(rc.Removed, pblk)
-				child.nblocks--
 			case !inParent && inChild:
 				rc.Added = append(rc.Added, cblk)
-				child.nblocks++
 			case inParent && inChild && !sameFacts(pblk.Facts, cblk.Facts):
 				rc.Modified = append(rc.Modified, cblk)
 			}
 		}
 		if len(rc.Added) == 0 && len(rc.Removed) == 0 && len(rc.Modified) == 0 {
-			// The relation netted out (e.g. only duplicate inserts):
+			// The relation netted out (an insert a delete undid):
 			// restore the alias so downstream layers keep sharing the
 			// parent's derived structures.
 			if w.parent != nil {
@@ -404,14 +326,7 @@ func (d *DB) ApplyChanges(delta Delta) (*DB, *ApplyResult, error) {
 func dedupeFacts(fs []Fact) []Fact {
 	out := make([]Fact, 0, len(fs))
 	for _, f := range fs {
-		dup := false
-		for _, g := range out {
-			if g.Equal(f) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if indexOf(out, f) < 0 {
 			out = append(out, f)
 		}
 	}
@@ -424,14 +339,7 @@ func sameFactSet(a, b []Fact) bool {
 		return false
 	}
 	for _, f := range a {
-		found := false
-		for _, g := range b {
-			if f.Equal(g) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if indexOf(b, f) < 0 {
 			return false
 		}
 	}

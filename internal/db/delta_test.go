@@ -1,7 +1,9 @@
 package db
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -188,6 +190,42 @@ func TestApplyNettedOutReturnsReceiver(t *testing.T) {
 	var empty Delta
 	if child, err := d.Apply(empty); err != nil || child != d {
 		t.Error("empty delta should return the receiver")
+	}
+}
+
+// TestApplyNoopCostsDelta pins the cost of an op with no effect on a
+// 25,000-block relation: a delete of an absent fact, a duplicate insert
+// and an identical upsert each return the receiver and allocate O(delta)
+// bytes, not a clone of the relation's block list and key table (about
+// 1.9 MB).
+func TestApplyNoopCostsDelta(t *testing.T) {
+	d := New()
+	for i := 0; i < 25000; i++ {
+		d.Add(NewFact(relR, query.Const(fmt.Sprint("k", i)), "v"))
+	}
+	var absent, dup, same Delta
+	absent.Delete(NewFact(relR, "k7", "w"))
+	dup.Insert(NewFact(relR, "k7", "v"))
+	same.UpsertBlock([]Fact{NewFact(relR, "k7", "v")})
+	const runs, bound = 50, 4 << 10
+	for _, tc := range []struct {
+		name  string
+		delta Delta
+	}{{"absent delete", absent}, {"duplicate insert", dup}, {"identical upsert", same}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			child, err := d.Apply(tc.delta)
+			if err != nil || child != d {
+				t.Fatalf("%s: Apply = %p, %v; want the receiver", tc.name, child, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d B/op", tc.name, per)
+		if per > bound {
+			t.Errorf("%s: %d B/op, want at most %d", tc.name, per, bound)
+		}
 	}
 }
 
